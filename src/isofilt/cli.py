@@ -38,6 +38,35 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _int_at_least(low):
+    """argparse type: an integer >= low (anything else is a usage error)."""
+    def parse(text):
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if n < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {n}")
+        return n
+    return parse
+
+
+def _local_data(text):
+    """argparse type for degree --local: comma separated t:card pairs of
+    integers with t >= 0 and card >= 1."""
+    data = []
+    for part in text.split(","):
+        t, _, card = part.partition(":")
+        try:
+            pair = (int(t), int(card))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected t:card integers, got {part!r}")
+        if pair[0] < 0 or pair[1] < 1:
+            raise argparse.ArgumentTypeError(f"need t >= 0 and card >= 1, got {part!r}")
+        data.append(pair)
+    return data
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="isofilt",
                 description="exact p-adic isocrystal and filtration toolkit")
@@ -82,16 +111,16 @@ def build_parser() -> _Parser:
 
     mp = sub.add_parser("minkowski", help="Minkowski bound arithmetic")
     mg = mp.add_mutually_exclusive_group(required=True)
-    mg.add_argument("--n", type=int)
+    mg.add_argument("--n", type=_int_at_least(0))
     mg.add_argument("--table", type=int, metavar="G_MAX")
     mp.add_argument("--json", action="store_true")
 
     wp = sub.add_parser("wreath-demo", help="quaternion wreath 2-part data")
-    wp.add_argument("--g", type=int, required=True)
+    wp.add_argument("--g", type=_int_at_least(1), required=True)
     wp.add_argument("--json", action="store_true")
 
     dg = sub.add_parser("degree", help="lcm degree bounds from local data")
-    dg.add_argument("--local", required=True,
+    dg.add_argument("--local", type=_local_data, required=True,
                     help="comma separated t:card pairs, e.g. 1:2,0:3")
     dg.add_argument("--json", action="store_true")
     return p
@@ -159,11 +188,7 @@ def _dispatch(args) -> int:
     if args.command == "wreath-demo":
         return _wreath_demo(args)
     if args.command == "degree":
-        data = []
-        for part in args.local.split(","):
-            t, c = part.split(":")
-            data.append((int(t), int(c)))
-        d_upper, d_dep = bounds.lcm_degree_formulas(data)
+        d_upper, d_dep = bounds.lcm_degree_formulas(args.local)
         if args.json:
             print(json.dumps({"d_upper": d_upper, "d_dep_upper": d_dep}))
         else:

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..errors import ValidationError, PrecisionError
+from ..errors import ValidationError
 from ..padic import linalg as la
-from ..padic import scalar as sc
-from ..padic.scalar import sc_add, sc_mul, sc_neg
+from ..padic.scalar import sc_add, sc_mul
 from ..padic.descriptors import UnramifiedFieldDescriptor
 
 
@@ -238,11 +237,6 @@ class SemiAbelianPhiModule:
     def quotient_module(self, guard: int = la.DEFAULT_GUARD) -> PhiModule:
         return PhiModule(self.module.field, self.quotient_frobenius(guard),
                          validate=False)
-
-    def project_to_quotient(self, cols, guard: int = la.DEFAULT_GUARD):
-        """Quotient coordinates (B_dim rows) of ambient columns."""
-        coords = la.mat_mul(self.full_inv, cols)
-        return [row[:] for row in coords[self.t_dim:]]
 
 
 def _std_cols(field, n, idx):

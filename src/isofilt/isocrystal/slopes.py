@@ -6,17 +6,20 @@ the module are those divided by f.  The characteristic polynomial of the
 linearization always has Q_p coefficients (sigma conjugates B into itself),
 which is certified and exploited: slope factors are computed over Q_p.
 
-Slope factors are split off one at a time by a Hensel lift in the tame ring
-Z_p[t]/(t^b - p) that makes the minimal root valuation integral: after the
-substitution lambda = t^a * mu the wanted factor is the unit-root part, its
-mod-pi reduction is coprime to the rest, and plain quadratic Hensel applies.
-Kernels of the factors evaluated at the linearization give the isoclinic
-pieces; these are phi-stable because the factors have sigma-fixed
-coefficients.
+Slope factors are split off one at a time in the tame ring Z_p[t]/(t^b - p)
+that makes the minimal root valuation integral: after the substitution
+lambda = t^a * mu the wanted factor is the unit-root part and its mod-pi
+reduction is coprime to the rest.  The coefficients go to raw ring tuples,
+padic.hensel.hensel_lift_pair lifts the split there, and the factors come
+back as scalars, each coefficient certified to the precision that the
+charpoly's own precision supports (see _hensel_split).  Kernels of the
+factors evaluated at the linearization give the isoclinic pieces; these are
+phi-stable because the factors have sigma-fixed coefficients.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from ..errors import PrecisionError, ValidationError
@@ -24,6 +27,7 @@ from ..padic import linalg as la
 from ..padic import scalar as sc
 from ..padic.descriptors import UnramifiedFieldDescriptor, EisensteinExtensionDescriptor
 from ..padic.convert import project_to_rational_level, project_to_base, embed_qp
+from ..padic.hensel import hensel_lift_pair, rp_add, rp_mul, rp_divmod_monic
 from .module import PhiModule
 
 
@@ -166,10 +170,10 @@ def slope_factors(D: PhiModule, guard: int = la.DEFAULT_GUARD):
     """Monic factors of the linearization's charpoly over Q_p, one per root
     valuation, as (root_valuation, coefficient list at the Q_p level)."""
     chi, qp = _rational_charpoly(D, guard)
-    return _split_by_valuation(chi, qp, guard)
+    return _split_by_valuation(chi, qp)
 
 
-def _split_by_valuation(chi, qp, guard):
+def _split_by_valuation(chi, qp):
     exact, uncertain = charpoly_points(chi)
     hull = lower_newton_polygon(exact, uncertain)
     rv = root_valuations_from_hull(hull)
@@ -178,184 +182,94 @@ def _split_by_valuation(chi, qp, guard):
     s0, m0 = rv[0]  # minimal root valuation and multiplicity
     b = s0.denominator
     a = s0.numerator
-    n = len(chi) - 1
     if b == 1:
-        lift = lambda x: x
+        level = qp
         proj = lambda x: x
-        tval = lambda j: _qp_tpow(qp, a * j)
-        tvali = lambda j: _qp_tpow(qp, -a * j)
+        tval = lambda j: qp.scalar(Fraction(qp.p) ** (a * j))
     else:
         # tame Kummer ring t^b = p; no automorphism table needed here
-        T = EisensteinExtensionDescriptor(
+        level = EisensteinExtensionDescriptor(
             qp, (-qp.p,) + (0,) * (b - 1) + (1,), validate=False)
-        lift = T.lift
         proj = project_to_base
-        tval = lambda j: _t_power(T, a * j)
-        tvali = lambda j: _t_power(T, -a * j)
-
-    # psi(mu) = chi(t^a mu) / t^(a n): coefficient i gets t^(a(i-n))
-    psi = []
-    for i, c in enumerate(chi):
-        ci = lift(c)
-        psi.append(sc.sc_mul(ci, tvali(n - i)))
-    # mod pi, psi = mu^(n-m0) * (unit-root part); Hensel split
-    i1 = n - m0
-    g0, h0 = _residual_split(psi, i1)
-    G, H = _hensel_split_scalar(psi, g0, h0, guard)
+        tval = lambda j: sc.sc_pow(level.uniformizer(), a * j)
+    G, H = _hensel_split(level, chi, a, m0)
     # minimal-valuation factor: g(lambda) = t^(a m0) G(lambda / t^a)
+    i1 = len(H) - 1
     fac0 = [proj(sc.sc_mul(G[j], tval(m0 - j))) for j in range(len(G))]
     rest = [proj(sc.sc_mul(H[j], tval(i1 - j))) for j in range(len(H))]
     out = [(s0, fac0)]
-    out.extend(_split_by_valuation(rest, qp, guard))
+    out.extend(_split_by_valuation(rest, qp))
     return out
 
 
-def _qp_tpow(qp, k):
-    return qp.scalar(Fraction(qp.p) ** k)
+def _hensel_split(level, chi, a, m0):
+    """Split psi(mu) = chi(t^a mu) / t^(a n) at ``level`` (pi = t, t^e = p)
+    into the unit-root part G of degree m0 and the rest H, as monic scalars.
 
-
-def _t_power(T, k):
-    x = T.uniformizer()
-    if k >= 0:
-        return sc.sc_pow(x, k)
-    return sc.sc_pow(sc.sc_inv(x), -k)
-
-
-def _residual_split(psi, i1):
-    """Mod-pi factorization mu^i1 * rho(mu) as integer polynomials mod p."""
-    field = None
-    for c in psi:
+    Coefficient i of psi is c_i t^(a(i-n)): a ring tuple of pi-valuation
+    e v(c_i) - a(n-i) >= 0, known to pi^P_i with P_i = e (v(c_i) + relpi) -
+    a(n-i).  The ring lift factors this representative exactly mod pi^(eN).
+    Let A = min P_i and D the unknown error of the representative.  One Newton
+    step from the computed factors gives the true ones mod pi^(2A), and that
+    step is linear in D: G + T D + (S D div H) G and H + (S D mod H), with
+    S G + T H = 1.  So coefficient j of G is certified to the least of eN, 2A
+    and P_i + v(column i of that map at j) over the inexact coefficients i.
+    """
+    ring, e = level.ring, level.e
+    top = e * level.prec
+    n = len(chi) - 1
+    psi, inexact = [], []
+    for i, c in enumerate(chi):
+        shift = a * (n - i)
         if c.kind == sc.REG:
-            field = c.field
-            break
-    p = field.p
-    n = len(psi) - 1
-    rho = []
-    for j in range(i1, n + 1):
-        c = psi[j]
-        if c.kind != sc.REG or c.val > 0:
-            rho.append(0)
+            w = e * int(c.val) - shift
+            psi.append(ring.shift_up(ring.from_int(c.unit[0]), w))
+            P = w + e * c.relpi
         else:
-            # residue of the unit: constant coordinate mod p
-            rho.append(c.unit[0] % p if c.val == 0 else 0)
-    h0 = [0] * i1 + [1]          # mu^i1
-    g0 = rho                      # unit-root part, degree m0, rho[0] != 0
-    return g0, h0
+            psi.append(ring.zero())
+            P = math.floor(e * c.zb) - shift if c.kind == sc.IZERO else top
+        if P < top:
+            inexact.append((i, P))
+    A = min([P for _, P in inexact], default=top)
+    if A < 1:
+        raise PrecisionError("slope factor residues not certified")
+    # mod pi, psi = mu^(n-m0) * (unit-root part)
+    i1 = n - m0
+    g0 = [ring.from_int(x[0] % ring.p) for x in psi[i1:]]
+    h0 = [ring.zero()] * i1 + [ring.one()]
+    G, H, S, T = hensel_lift_pair(ring, psi, g0, h0)
+    prec_g = [min(top, 2 * A)] * m0
+    prec_h = [min(top, 2 * A)] * i1
+    for i, P in inexact:
+        q, dh = rp_divmod_monic(ring, [ring.zero()] * i + S, H)
+        dg = rp_add(ring, [ring.zero()] * i + T, rp_mul(ring, q, G))
+        for prec, d in ((prec_g, dg), (prec_h, dh)):
+            for j in range(len(prec)):
+                v = ring.val_pi(d[j]) if j < len(d) else None
+                if v is not None:
+                    prec[j] = min(prec[j], P + v)
+    return _scalars(level, G, prec_g), _scalars(level, H, prec_h)
 
 
-def _hensel_split_scalar(F_poly, g0_int, h0_int, guard):
-    """Quadratic Hensel over the scalar level of F_poly's coefficients."""
-    field = None
-    for c in F_poly:
-        if c.kind == sc.REG:
-            field = c.field
-            break
-    p = field.p
-
-    def emb(ints):
-        return [field.scalar(v) for v in ints]
-
-    # Bezout over F_p[x]
-    s_int, t_int = _fp_bezout(g0_int, h0_int, p)
-    g, h = emb(g0_int), emb(h0_int)
-    s, t = emb(s_int), emb(t_int)
-    one = [field.one()]
-    total = field.relpi_max
-    k = 1
-    while k < total:
-        k = min(2 * k, total)
-        e = _sp_sub(F_poly, _sp_mul(g, h))
-        q, r = _sp_divmod_monic(_sp_mul(s, e), h, field)
-        g = _sp_add(g, _sp_add(_sp_mul(t, e), _sp_mul(q, g)))
-        h = _sp_add(h, r)
-        g = _sp_fit(g, len(g0_int), field)
-        h = _sp_fit(h, len(h0_int), field)
-        b = _sp_sub(_sp_add(_sp_mul(s, g), _sp_mul(t, h)), one)
-        c2, d2 = _sp_divmod_monic(_sp_mul(s, b), h, field)
-        s = _sp_sub(s, d2)
-        t = _sp_sub(t, _sp_add(_sp_mul(t, b), _sp_mul(c2, g)))
-    # the iteration certifies the factors modulo pi^total only; anything the
-    # plain arithmetic claims beyond that is uncontrolled
-    g = [_cap_abs(c, total) for c in g]
-    h = [_cap_abs(c, total) for c in h]
-    return g, h
-
-
-def _cap_abs(x, total_pi):
-    if x.kind != sc.REG:
-        if x.kind == sc.IZERO and x.zb * x.field.e > total_pi:
-            return sc.sc_izero(x.field, Fraction(total_pi, x.field.e))
-        return x
-    e = x.field.e
-    cap = total_pi - int(x.val * e)
-    if cap <= 0:
-        return sc.sc_izero(x.field, Fraction(total_pi, e))
-    if x.relpi <= cap:
-        return x
-    return sc.Scalar(x.field, sc.REG, val=x.val, unit=x.unit,
-                     relpi=cap)
-
-
-def _fp_bezout(g, h, p):
-    from ..padic.hensel import _fp_trim, _fp_mul, _fp_divmod, _fp_sub
-
-    r0, r1 = _fp_trim(list(g), p), _fp_trim(list(h), p)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, rem = _fp_divmod(r0, r1, p)
-        r0, r1 = r1, rem
-        s0, s1 = s1, _fp_sub(s0, _fp_mul(q, s1, p), p)
-        t0, t1 = t1, _fp_sub(t0, _fp_mul(q, t1, p), p)
-    inv = pow(r0[0], -1, p)
-    return [c * inv % p for c in s0], [c * inv % p for c in t0]
-
-
-# polynomial helpers over scalars (ascending lists)
-
-def _sp_add(a, b):
-    n = max(len(a), len(b))
-    field = (a or b)[0].field
-    z = sc.sc_zero(field)
-    return [sc.sc_add(a[i] if i < len(a) else z, b[i] if i < len(b) else z)
-            for i in range(n)]
-
-
-def _sp_sub(a, b):
-    return _sp_add(a, [sc.sc_neg(x) for x in b])
-
-
-def _sp_mul(a, b):
-    if not a or not b:
-        return []
-    field = a[0].field
-    out = [sc.sc_zero(field)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x.kind != sc.ZERO:
-            for j, y in enumerate(b):
-                out[i + j] = sc.sc_add(out[i + j], sc.sc_mul(x, y))
+def _scalars(level, poly, prec):
+    """Scalars of a monic ring-tuple polynomial whose coefficient j is known
+    mod pi^prec[j]; the leading one is exact.  The unit of t^w y is read off
+    the coefficients (t^e = p), which keeps every digit of y below
+    pi^(eN - w)."""
+    ring, e, p = level.ring, level.e, level.p
+    out = []
+    for x, P in zip(poly, prec):
+        w = ring.val_pi(x)
+        if w is None or w >= P:
+            out.append(sc.sc_izero(level, Fraction(P, e)))
+            continue
+        a, b = divmod(w, e)
+        pa = p ** a
+        unit = (tuple(x[j] // pa for j in range(b, e))
+                + tuple(x[j] // (pa * p) for j in range(b)))
+        out.append(sc.sc_reg(level, Fraction(w, e), unit, P - w))
+    out.append(level.one())
     return out
-
-
-def _sp_divmod_monic(a, b, field):
-    a = list(a)
-    nb = len(b)
-    q = [sc.sc_zero(field)] * max(len(a) - nb + 1, 0)
-    for k in range(len(a) - nb, -1, -1):
-        c = a[k + nb - 1]
-        if c.kind != sc.ZERO:
-            q[k] = c
-            for j in range(nb):
-                a[k + j] = sc.sc_sub(a[k + j], sc.sc_mul(c, b[j]))
-    return q, a[:nb - 1]
-
-
-def _sp_fit(a, length, field):
-    a = list(a[:length])
-    while len(a) < length:
-        a.append(sc.sc_zero(field))
-    a[-1] = field.one()
-    return a
 
 
 def isoclinic_decompose(D: PhiModule, guard: int = la.DEFAULT_GUARD):

@@ -11,26 +11,6 @@ from .scalar import Scalar
 from .descriptors import UnramifiedFieldDescriptor
 
 
-def scalar_coords(x: Scalar):
-    """Coordinates of a K_q-scalar over the z-power basis, as Q_p-ish data:
-    a list of f pairs (valuation, unit-int) with None for zero slots, plus
-    the global valuation shift.  Only for unramified levels."""
-    F = x.field
-    assert F.e == 1
-    if x.kind != sc.REG:
-        return None
-    p = F.p
-    out = []
-    for i in range(F.f):
-        c = x.unit[i]
-        if c == 0:
-            out.append(None)
-        else:
-            v = int_valuation(c, p)
-            out.append((x.val + v, c // p ** v))
-    return out
-
-
 def coords_to_qp_scalars(x: Scalar, qp: UnramifiedFieldDescriptor):
     """Decompose a K_q scalar into f scalars over Q_p (the z-coordinates)."""
     F = x.field

@@ -1,8 +1,12 @@
 """Hensel lifting and polynomial utilities over the quotient rings.
 
-Polynomials are lists of TowerRing elements in ascending degree.  Everything
-here works at the unramified level (e == 1); lifting happens against the cap
-p^N of the ring and the mod-p layer is the residue field F_q.
+Polynomials are lists of TowerRing elements in ascending degree, at any tower
+level.  hensel_lift_pair is the one polynomial Hensel lift: it lifts a
+factorization that is coprime mod pi, with residue-field (F_q) coefficients,
+on raw ring tuples to the ring's cap pi^(e*N), together with the Bezout
+cofactors.  How many of those digits an inexact input certifies is the
+caller's business (see isocrystal.slopes).  The arithmetic stays at the
+ring's fixed modulus p^N throughout.
 """
 
 from __future__ import annotations
@@ -147,22 +151,14 @@ def find_unramified_modulus(p: int, f: int, prec: int) -> tuple[int, ...]:
         # much smaller than x^(q-1) - 1)
         h = _fp_divmod(phi, g, p)[0]
         ring = TowerRing(p, prec, ((-1) % p ** prec, 1))  # plain Z/p^N
-        G, _H = hensel_lift_pair(ring,
-                                 [ring.from_int(c) for c in phi_int],
-                                 [ring.from_int(c) for c in g],
-                                 [ring.from_int(c) for c in h])
+        G = hensel_lift_pair(ring, [ring.from_int(c) for c in phi_int],
+                             [ring.from_int(c) for c in g],
+                             [ring.from_int(c) for c in h])[0]
         return tuple(x[0] for x in G)
     raise RuntimeError("no irreducible factor found (impossible)")
 
 
-# -- polynomials over a TowerRing (unramified level) ----------------------------
-
-
-def rp_trim(ring, a):
-    a = list(a)
-    while a and all(c == 0 for c in a[-1]):
-        a.pop()
-    return a
+# -- polynomials over a TowerRing ------------------------------------------------
 
 
 def rp_add(ring, a, b):
@@ -205,21 +201,10 @@ def rp_divmod_monic(ring, a, b):
     return q, a[:nb - 1]
 
 
-def rp_eval(ring, a, x):
-    r = ring.zero()
-    for c in reversed(a):
-        r = ring.add(ring.mul(r, x), c)
-    return r
-
-
-def rp_mod_p(ring, a):
-    p = ring.p
-    return [tuple(c % p for c in coeff) for coeff in a]
-
-
 def _rp_fq_xgcd(ring, a, b):
     """Extended gcd of polynomials over the residue field F_q (coefficients as
-    ring elements reduced mod p).  Returns (gcd, s, t) with gcd monic."""
+    ring elements with only the u^0 slots set, reduced mod p).  Returns
+    (gcd, s, t) with gcd monic."""
     p = ring.p
 
     def red(poly):
@@ -272,20 +257,23 @@ def _rp_fq_xgcd(ring, a, b):
 
 
 def hensel_lift_pair(ring, F, g0, h0):
-    """Lift a coprime factorization F = g0*h0 mod p to mod p^N.
+    """Lift a factorization F = g0*h0 mod pi, coprime mod pi, to mod pi^(e*N).
 
-    F, g0, h0 monic (leading coefficient one); returns (g, h) monic with
-    F = g*h in the ring and g = g0, h = h0 mod p.  Quadratic iteration with
-    Bezout update.
+    F, g0, h0 monic (leading coefficient one); g0 and h0 have residue-field
+    coefficients.  Returns (g, h, s, t): g, h monic with F = g*h in the ring
+    and g = g0, h = h0 mod pi, and s*g + t*h = 1 in the ring.  Quadratic
+    iteration with Bezout update (von zur Gathen-Gerhard, Modern Computer
+    Algebra, ch. 15), at the ring's fixed modulus p^N.
     """
     one = [ring.one()]
     _gcd, s, t = _rp_fq_xgcd(ring, g0, h0)
     if len(_gcd) != 1:
-        raise ValueError("factors are not coprime mod p")
+        raise ValueError("factors are not coprime mod pi")
     g, h = list(g0), list(h0)
+    total = ring.e * ring.prec
     k = 1
-    while k < ring.prec:
-        k = min(2 * k, ring.prec)
+    while k < total:
+        k = min(2 * k, total)
         e = rp_sub(ring, F, rp_mul(ring, g, h))
         q, r = rp_divmod_monic(ring, rp_mul(ring, s, e), h)
         g = rp_add(ring, g, rp_add(ring, rp_mul(ring, t, e), rp_mul(ring, q, g)))
@@ -298,7 +286,7 @@ def hensel_lift_pair(ring, F, g0, h0):
         c, d = rp_divmod_monic(ring, rp_mul(ring, s, b), h)
         s = rp_sub(ring, s, d)
         t = rp_sub(ring, t, rp_add(ring, rp_mul(ring, t, b), rp_mul(ring, c, g)))
-    return g, h
+    return g, h, s, t
 
 
 # -- integer square roots -------------------------------------------------------

@@ -90,10 +90,6 @@ def hstack(a, b):
     return [ra + rb for ra, rb in zip(a, b)]
 
 
-def vstack(a, b):
-    return list(a) + list(b)
-
-
 def columns(a, idx):
     return [[row[j] for j in idx] for row in a]
 
@@ -181,11 +177,6 @@ def certified_rank(m, guard: int = DEFAULT_GUARD) -> int:
 
 def rank_certificate(m, guard: int = DEFAULT_GUARD) -> RankCertificate:
     return certified_row_reduce(m, guard)[2]
-
-
-def row_space_basis(m, guard: int = DEFAULT_GUARD):
-    ech, _, _ = certified_row_reduce(m, guard)
-    return ech
 
 
 def column_space_basis(m, guard: int = DEFAULT_GUARD):

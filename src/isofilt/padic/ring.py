@@ -19,8 +19,6 @@ The unramified level is the special case e = 1, and Q_p itself is f = e = 1.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 def int_valuation(n: int, p: int) -> int | None:
     """v_p(n) for an integer, None for n == 0."""
@@ -436,15 +434,6 @@ class TowerRing:
             if any(a):
                 out = self.add(out, self._mul_zpoly_raw(a, upowers[j]))
         return out
-
-    def reduce_to(self, prec: int):
-        """Same ring at a smaller precision cap."""
-        if prec == self.prec:
-            return self
-        eis = None
-        if self.eis is not None:
-            eis = tuple(tuple(c % (self.p ** prec) for c in coeff) for coeff in self.eis)
-        return TowerRing(self.p, prec, tuple(c % (self.p ** prec) for c in self.modulus), eis)
 
 
 def _fq_inverse(a: list[int], m: list[int], p: int) -> list[int]:

@@ -45,10 +45,6 @@ class Scalar:
             return f"Scalar(O(pi^{self.zb}*e))"
         return f"Scalar(v={self.val}, relpi={self.relpi})"
 
-    # convenience predicates
-    def is_zeroish(self) -> bool:
-        return self.kind != REG
-
     def valuation(self):
         """Exact valuation for reg, None for exact zero, lower bound for izero."""
         if self.kind == REG:
@@ -186,10 +182,6 @@ def sc_div(x: Scalar, y: Scalar) -> Scalar:
     return sc_mul(x, sc_inv(y))
 
 
-def sc_mul_int(x: Scalar, n: int) -> Scalar:
-    return sc_mul(x, sc_from_int(x.field, n))
-
-
 def sc_frobenius(x: Scalar) -> Scalar:
     """The lift z -> z^p of the residue Frobenius; fixes Q_p and pi."""
     if x.kind != REG:
@@ -233,10 +225,6 @@ def sc_pow(x: Scalar, n: int) -> Scalar:
         b = sc_mul(b, b)
         n >>= 1
     return r
-
-
-def sc_is_unit_scale(x: Scalar) -> bool:
-    return x.kind == REG and x.val == 0
 
 
 def sc_certified_zero(x: Scalar, min_bound: Fraction) -> bool:

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -69,6 +71,20 @@ def test_usage_error_exit_64():
     with pytest.raises(SystemExit) as exc:
         main(["slopes"])  # missing --module
     assert exc.value.code == 64
+
+
+@pytest.mark.parametrize("argv", [["minkowski", "--n", "-3"],
+                                  ["wreath-demo", "--g", "0"],
+                                  ["degree", "--local", "1:x"]])
+def test_bad_values_exit_64_without_traceback(argv):
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "isofilt.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 64
+    assert "Traceback" not in proc.stderr
+    assert "error: argument" in proc.stderr
 
 
 def test_find_check_roundtrip(tmp_path, capsys):

@@ -1,17 +1,20 @@
 """Slope theory: t_N, Newton slopes, isoclinic decomposition, duality,
 submodule enumeration, polarized structure."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from isofilt.errors import MultiplicityError, ValidationError
-from isofilt.padic import UnramifiedFieldDescriptor, linalg as la
+from isofilt.padic import UnramifiedFieldDescriptor, linalg as la, sc_add, sc_mul, sc_sub
 from isofilt.isocrystal.module import (PhiModule, PolarizedPhiModule,
                                        SemiAbelianPhiModule,
                                        standard_symplectic_gram)
-from isofilt.isocrystal.slopes import newton_slopes, isoclinic_decompose, SlopeProfile
+from isofilt.isocrystal.slopes import (newton_slopes, isoclinic_decompose, SlopeProfile,
+                                       slope_factors, charpoly_points,
+                                       lower_newton_polygon, root_valuations_from_hull)
 from isofilt.isocrystal.submodules import submodules, endomorphism_algebra
 
 N = 24
@@ -275,3 +278,72 @@ def test_semi_abelian_rejects_bad_toric(Q2):
     gram_B = la.from_rows_of_fractions(Q2, [[0, 1], [-1, 0]])
     with pytest.raises(ValidationError):
         SemiAbelianPhiModule(D, toric, gram_B)
+
+
+def _poly_product(field, polys):
+    prod = [field.one()]
+    for poly in polys:
+        out = [field.zero()] * (len(prod) + len(poly) - 1)
+        for i, x in enumerate(prod):
+            for j, y in enumerate(poly):
+                out[i + j] = sc_add(out[i + j], sc_mul(x, y))
+        prod = out
+    return prod
+
+
+@pytest.mark.parametrize("low", [(1, 2), (1, 3)])
+def test_slope_factors_kummer_split(low):
+    # minimal slope 1/2 or 1/3: the split runs in Z_2[t]/(t^2 - 2), (t^3 - 2)
+    prec = 32
+    field = UnramifiedFieldDescriptor.create(2, 1, prec)
+    D = PhiModule.simple(field, *low).direct_sum(PhiModule.simple(field, 1, 1))
+    factors = slope_factors(D)
+    assert [(rv, len(fac) - 1) for rv, fac in factors] == [
+        (Fraction(*low), low[1]), (Fraction(1), 1)]
+    for rv, fac in factors:
+        hull = lower_newton_polygon(*charpoly_points(fac))
+        assert root_valuations_from_hull(hull) == [(rv, len(fac) - 1)]
+    chi = la.charpoly(D.linearization())
+    for got, want in zip(_poly_product(field, [f for _, f in factors]), chi):
+        d = sc_sub(got, want)
+        assert d.kind == "zero" or (d.kind == "izero" and d.zb >= prec)
+
+
+@pytest.mark.parametrize("blocks", [((1, 2), (1, 1)), ((1, 3), (1, 1)),
+                                    ((0, 1), (1, 2), (1, 1))])
+@pytest.mark.parametrize("prec", [16, 24])
+def test_slope_factor_precision_is_sound(blocks, prec):
+    # after a base change the charpoly loses precision unevenly; every factor
+    # coefficient must still agree with the exact factor x^r - 2^s to the
+    # precision certified for it
+    rng = random.Random(prec * 10 + len(blocks) * 3 + blocks[0][1])
+    field = UnramifiedFieldDescriptor.create(2, 1, prec)
+    D = None
+    for s, r in blocks:
+        M = PhiModule.simple(field, s, r)
+        D = M if D is None else D.direct_sum(M)
+    D = D.base_change(_random_invertible(field, D.n, rng))
+    factors = slope_factors(D)
+    assert [rv for rv, _ in factors] == sorted(Fraction(s, r) for s, r in blocks)
+    for (_, fac), (s, r) in zip(factors, sorted(blocks, key=lambda b: Fraction(*b))):
+        exact = [-2 ** s] + [0] * (r - 1) + [1]
+        for got, want in zip(fac, exact):
+            if got.kind == "reg":
+                value, known = 2 ** int(got.val) * got.unit[0], int(got.val) + got.relpi
+            else:
+                assert got.kind == "izero"
+                value, known = 0, math.floor(got.zb)
+            assert (value - want) % 2 ** known == 0
+
+
+def test_slope_factors_negative_minimal_slope():
+    # minimal slope -1 over Q_3: the split rescales by 3^-1, which has to stay
+    # an exact 3-adic scalar
+    field = UnramifiedFieldDescriptor.create(3, 1, 16)
+    D = PhiModule.from_rational(field, [[Fraction(1, 3), 1], [0, 1]])
+    factors = slope_factors(D)
+    assert [rv for rv, _ in factors] == [-1, 0]
+    for (_, fac), root in zip(factors, (Fraction(1, 3), 1)):
+        assert sc_sub(fac[0], field.scalar(-root)).kind != "reg"
+        assert sc_sub(fac[1], field.one()).kind != "reg"
+    assert [(s, len(c[0])) for s, c in isoclinic_decompose(D)] == [(-1, 1), (0, 1)]

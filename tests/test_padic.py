@@ -223,3 +223,35 @@ def test_guard_certificate_reported(Q2):
     assert cert.rank == 2
     assert sorted(cert.pivot_vals) == [2, 3]
     assert cert.guard == 8
+
+
+@pytest.mark.parametrize("e", [2, 3])
+@pytest.mark.parametrize("prec", [16, 32])
+def test_hensel_lift_pair_ramified_to_cap(e, prec):
+    # F = g*h over Z_2[t]/(t^e - 2) with g, h monic and coprime mod pi: the
+    # lift recovers g and h mod pi^(e*N), not just mod pi^N
+    from isofilt.padic.hensel import hensel_lift_pair, rp_add, rp_mul, rp_sub
+    base = UnramifiedFieldDescriptor.create(2, 1, prec)
+    ring = EisensteinExtensionDescriptor(base, (-2,) + (0,) * (e - 1) + (1,),
+                                         validate=False).ring
+    rng = random.Random(100 * e + prec)
+    u = ring.gen_u()
+
+    def lift_monic(res):
+        out = [ring.add(ring.from_int(c),
+                        ring.mul(u, tuple(rng.randrange(ring.pn)
+                                          for _ in range(ring.dim))))
+               for c in res[:-1]]
+        return out + [ring.one()]
+
+    g0, h0 = [1, 1, 1], [1, 1, 0, 1]      # x^2+x+1, x^3+x+1: coprime mod 2
+    g, h = lift_monic(g0), lift_monic(h0)
+    F = rp_mul(ring, g, h)
+    G, H, S, T = hensel_lift_pair(ring, F, [ring.from_int(c) for c in g0],
+                                  [ring.from_int(c) for c in h0])
+    assert all(c == ring.zero() for c in rp_sub(ring, F, rp_mul(ring, G, H)))
+    assert [x[0] % 2 for x in G] == g0 and [x[0] % 2 for x in H] == h0
+    # unique lift: the factors themselves come back, to the ring's cap
+    assert G == g and H == h
+    bez = rp_add(ring, rp_mul(ring, S, G), rp_mul(ring, T, H))
+    assert bez[0] == ring.one() and all(c == ring.zero() for c in bez[1:])
