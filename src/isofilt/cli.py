@@ -112,7 +112,7 @@ def build_parser() -> _Parser:
     mp = sub.add_parser("minkowski", help="Minkowski bound arithmetic")
     mg = mp.add_mutually_exclusive_group(required=True)
     mg.add_argument("--n", type=_int_at_least(0))
-    mg.add_argument("--table", type=int, metavar="G_MAX")
+    mg.add_argument("--table", type=_int_at_least(0), metavar="G_MAX")
     mp.add_argument("--json", action="store_true")
 
     wp = sub.add_parser("wreath-demo", help="quaternion wreath 2-part data")

@@ -88,9 +88,6 @@ class GaloisSetup:
     def gal_apply(self, idx: int, cols):
         return self.gal_apply_name(self.aut_of(idx), cols)
 
-    def inv_element(self, idx: int) -> int:
-        return self.group.inverse[idx]
-
 
 def lift_matrix(ext, cols):
     """Lift a base-level matrix entrywise to L."""

@@ -158,9 +158,6 @@ class CharacterTable:
     def _signature(self, chi):
         return tuple(self.mult[chi])
 
-    def character_index(self, mult_rows) -> int:
-        return self._index[tuple(mult_rows)]
-
     def twist(self, chi: int, a: int) -> int:
         """Index of the Galois twist sigma_a(chi): chi composed with g -> g^a."""
         if gcd(a, self.e) != 1:
@@ -187,9 +184,6 @@ class CharacterTable:
 
     def degree(self, chi: int) -> int:
         return self.degrees[chi]
-
-    def is_scalar_class(self, chi: int, c: int) -> bool:
-        return any(m == self.degrees[chi] for m in self.mult[chi][c])
 
     def orthogonality_check(self) -> bool:
         """First orthogonality over the cyclotomic integers (exact)."""
@@ -221,11 +215,6 @@ def _cyc_mul(a, b, e):
                 if y:
                     out[(i + j) % e] += x * y
     return out
-
-
-def _cyc_conj(a):
-    e = len(a)
-    return [a[0]] + [a[e - j] for j in range(1, e)]
 
 
 def _cyc_reduce(vec, e):

@@ -304,13 +304,6 @@ def wreath_q8_sylow(g: int) -> FiniteGroup:
     return FiniteGroup.from_generators(gens, mul, name_of, cap=3000)
 
 
-def wreath_q8_full_order(g: int) -> int:
-    fact = 1
-    for k in range(2, g + 1):
-        fact *= k
-    return 8 ** g * fact
-
-
 # -- p-group fixture list for the census -------------------------------------------
 
 

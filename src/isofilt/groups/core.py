@@ -172,11 +172,6 @@ class FiniteGroup:
                 return (p, n == 1)
         return (None, self.n == 1)
 
-    def subgroup_table(self, idx):
-        """Multiplication table of a subgroup given by element indices."""
-        pos = {x: i for i, x in enumerate(idx)}
-        return [[pos[self.table[a][b]] for b in idx] for a in idx]
-
 
 class GroupRepresentation:
     """A finite group acting by matrices over one tower level."""

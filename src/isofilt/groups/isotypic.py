@@ -130,19 +130,6 @@ def _mobius_prime_power(d0: int) -> int:
     return -1 if d0 == p else 0
 
 
-def teichmuller_root(field, d: int):
-    """Primitive d-th root of unity at an unramified level; raises
-    FieldIncompatibilityError off the prime-to-p case."""
-    if d % field.p == 0:
-        raise FieldIncompatibilityError(
-            f"a primitive {d}-th root of unity has p-power order and lives in "
-            "no unramified extension")
-    if (field.q - 1) % d != 0:
-        raise FieldIncompatibilityError(
-            f"no {d}-th root of unity at level f={field.f}")
-    return field.teichmuller(d)
-
-
 _EMBED_CACHE: dict = {}
 
 

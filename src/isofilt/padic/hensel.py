@@ -7,11 +7,17 @@ on raw ring tuples to the ring's cap pi^(e*N), together with the Bezout
 cofactors.  How many of those digits an inexact input certifies is the
 caller's business (see isocrystal.slopes).  The arithmetic stays at the
 ring's fixed modulus p^N throughout.
+
+rp_mul multiplies by Kronecker substitution (von zur Gathen-Gerhard, Modern
+Computer Algebra, 8.4): each polynomial is packed into one integer, one
+integer product replaces the coefficient-pair loop, and TowerRing._reduce
+takes each unpacked x-coefficient to its residue.
 """
 
 from __future__ import annotations
 
-from .ring import TowerRing, _fq_inverse
+from .fp import fp_divmod, fp_is_irreducible, fq_inverse
+from .ring import TowerRing
 
 # -- integer polynomial helpers ------------------------------------------------
 
@@ -42,94 +48,6 @@ def _int_poly_exact_div(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
-# -- F_p[x] helpers (plain int coefficients) ------------------------------------
-
-
-def _fp_trim(a, p):
-    a = [c % p for c in a]
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fp_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c:
-            for j, d in enumerate(b):
-                out[i + j] = (out[i + j] + c * d) % p
-    return _fp_trim(out, p)
-
-
-def _fp_divmod(a, b, p):
-    a = _fp_trim(a, p)
-    b = _fp_trim(b, p)
-    inv = pow(b[-1], -1, p)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    while a and len(a) >= len(b):
-        c = (a[-1] * inv) % p
-        k = len(a) - len(b)
-        q[k] = c
-        for j, d in enumerate(b):
-            a[k + j] = (a[k + j] - c * d) % p
-        a = _fp_trim(a, p)
-    return q, a
-
-
-def _fp_powmod(a, n, mod, p):
-    r = [1]
-    b = _fp_divmod(a, mod, p)[1]
-    while n:
-        if n & 1:
-            r = _fp_divmod(_fp_mul(r, b, p), mod, p)[1]
-        b = _fp_divmod(_fp_mul(b, b, p), mod, p)[1]
-        n >>= 1
-    return r
-
-
-def _fp_sub(a, b, p):
-    n = max(len(a), len(b))
-    return _fp_trim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-                     for i in range(n)], p)
-
-
-def fp_is_irreducible(g, p) -> bool:
-    """Deterministic irreducibility test for monic g over F_p."""
-    f = len(g) - 1
-    if f <= 0:
-        return False
-    x = [0, 1]
-    xq = x
-    for _ in range(f):
-        xq = _fp_powmod(xq, p, g, p)
-    if _fp_sub(xq, x, p):
-        return False  # x^(p^f) != x mod g
-    # no factor of proper degree: gcd(x^(p^d) - x, g) trivial for d | f, d < f
-    for d in range(1, f):
-        if f % d == 0:
-            xd = x
-            for _ in range(d):
-                xd = _fp_powmod(xd, p, g, p)
-            diff = _fp_sub(xd, x, p)
-            if not diff:
-                return False
-            if len(_fp_gcd(diff, g, p)) > 1:
-                return False
-    return True
-
-
-def _fp_gcd(a, b, p):
-    a, b = _fp_trim(a, p), _fp_trim(b, p)
-    while b:
-        a, b = b, _fp_divmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [(c * inv) % p for c in a]
-    return a
-
-
 def find_unramified_modulus(p: int, f: int, prec: int) -> tuple[int, ...]:
     """Monic integral modulus for K_q: a Hensel lift of the lexicographically
     first monic irreducible degree-f factor of the (q-1)-st cyclotomic
@@ -145,11 +63,11 @@ def find_unramified_modulus(p: int, f: int, prec: int) -> tuple[int, ...]:
         g = list(tail) + [1]
         if not fp_is_irreducible(g, p):
             continue
-        if _fp_divmod(phi, g, p)[1]:
+        if fp_divmod(phi, g, p)[1]:
             continue
         # lift against the (q-1)-st cyclotomic polynomial (squarefree mod p,
         # much smaller than x^(q-1) - 1)
-        h = _fp_divmod(phi, g, p)[0]
+        h = fp_divmod(phi, g, p)[0]
         ring = TowerRing(p, prec, ((-1) % p ** prec, 1))  # plain Z/p^N
         G = hensel_lift_pair(ring, [ring.from_int(c) for c in phi_int],
                              [ring.from_int(c) for c in g],
@@ -176,15 +94,41 @@ def rp_sub(ring, a, b):
 
 
 def rp_mul(ring, a, b):
+    """Product of two polynomials over ``ring`` by Kronecker substitution.
+
+    Every entry must be a canonical residue in [0, p^N), as every ring op
+    returns.  Monomial z^i u^j of x-coefficient k goes to slot
+    k (2f-1)(2e-1) + i (2e-1) + j of one integer; a slot holds at least
+    2 bits(p^N) + bits(min(len a, len b) f e) bits (rounded up to whole
+    bytes), so no slot of the product carries into the next.  One integer
+    product then holds, for each x-coefficient, the raw (z, u) convolution
+    that ``TowerRing._reduce`` takes to its canonical residue.
+    """
     if not a or not b:
         return []
-    out = [ring.zero()] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if any(c):
-            for j, d in enumerate(b):
-                if any(d):
-                    out[i + j] = ring.add(out[i + j], ring.mul(c, d))
-    return out
+    f, e = ring.f, ring.e
+    nu = 2 * e - 1
+    width = (2 * ring.pn.bit_length() + (min(len(a), len(b)) * f * e).bit_length()
+             + 7) // 8
+    row_pad = bytes(width * (e - 1))        # slots u^e .. u^(2e-2) of a z-row
+    coeff_pad = bytes(width * nu * (f - 1))  # rows z^f .. z^(2f-2)
+
+    def pack(poly):
+        parts = []
+        for x in poly:
+            for i in range(f):
+                parts.extend(c.to_bytes(width, "little") for c in x[i * e:i * e + e])
+                parts.append(row_pad)
+            parts.append(coeff_pad)
+        return int.from_bytes(b"".join(parts), "little")
+
+    n = len(a) + len(b) - 1
+    step = width * nu * (2 * f - 1)
+    raw = (pack(a) * pack(b)).to_bytes(n * step, "little")
+    reduce = ring._reduce
+    return [reduce([int.from_bytes(raw[o:o + width], "little")
+                    for o in range(k, k + step, width)])
+            for k in range(0, n * step, step)]
 
 
 def rp_divmod_monic(ring, a, b):
@@ -216,7 +160,7 @@ def _rp_fq_xgcd(ring, a, b):
     def fq_inv(coeff):
         e = ring.e
         vec = [coeff[i * e] for i in range(ring.f)]
-        inv = _fq_inverse(vec, [c % p for c in ring.modulus], p)
+        inv = fq_inverse(vec, [c % p for c in ring.modulus], p)
         out = [0] * ring.dim
         for i in range(ring.f):
             out[i * e] = inv[i]
@@ -261,9 +205,10 @@ def hensel_lift_pair(ring, F, g0, h0):
 
     F, g0, h0 monic (leading coefficient one); g0 and h0 have residue-field
     coefficients.  Returns (g, h, s, t): g, h monic with F = g*h in the ring
-    and g = g0, h = h0 mod pi, and s*g + t*h = 1 in the ring.  Quadratic
-    iteration with Bezout update (von zur Gathen-Gerhard, Modern Computer
-    Algebra, ch. 15), at the ring's fixed modulus p^N.
+    and g = g0, h = h0 mod pi, and s*g + t*h = 1 in the ring with
+    deg s < deg h and deg t < deg g.  Quadratic iteration with Bezout update
+    (von zur Gathen-Gerhard, Modern Computer Algebra, ch. 15), at the ring's
+    fixed modulus p^N.
     """
     one = [ring.one()]
     _gcd, s, t = _rp_fq_xgcd(ring, g0, h0)
@@ -286,6 +231,9 @@ def hensel_lift_pair(ring, F, g0, h0):
         c, d = rp_divmod_monic(ring, rp_mul(ring, s, b), h)
         s = rp_sub(ring, s, d)
         t = rp_sub(ring, t, rp_add(ring, rp_mul(ring, t, b), rp_mul(ring, c, g)))
+        # s g + t h = 1 mod pi^k and deg s < deg h, so t is 0 mod pi^k from
+        # degree deg g on; dropping those terms keeps t from growing
+        t = t[:len(g0) - 1]
     return g, h, s, t
 
 

@@ -15,9 +15,19 @@ basis monomials can occur.  That exactness is what the certified linear
 algebra layer relies on.
 
 The unramified level is the special case e = 1, and Q_p itself is f = e = 1.
+
+Every op returns canonical residues in [0, p^N).  A product is a raw (z, u)
+convolution in exact integers followed by _reduce, the ring's one reduction;
+hensel.rp_mul feeds it the convolutions of a whole polynomial product.  When
+f = 1 (Q_p and every Eisenstein ring over it) _reduce skips the z-step and
+folds u^(e+k) through the precomputed u-powers in exact integers, with a
+single reduction mod p^N; when f = e = 1, mul is one integer product and
+inv_unit one modular inverse.
 """
 
 from __future__ import annotations
+
+from .fp import fq_inverse
 
 
 def int_valuation(n: int, p: int) -> int | None:
@@ -201,10 +211,12 @@ class TowerRing:
         return tuple(out)
 
     def mul(self, x, y):
-        f, e, pn = self.f, self.e, self.pn
-        # convolve in (z, u), z-degree < 2f-1, u-degree < 2e-1
-        nz, nu = 2 * f - 1, 2 * e - 1
-        acc = [0] * (nz * nu)
+        if self.dim == 1:
+            return ((x[0] * y[0]) % self.pn,)
+        f, e = self.f, self.e
+        # convolve in (z, u) with exact integers, z-degree < 2f-1, u-degree < 2e-1
+        nu = 2 * e - 1
+        acc = [0] * ((2 * f - 1) * nu)
         for i1 in range(f):
             for j1 in range(e):
                 c1 = x[i1 * e + j1]
@@ -214,16 +226,29 @@ class TowerRing:
                     for j2 in range(e):
                         c2 = y[i2 * e + j2]
                         if c2:
-                            k = (i1 + i2) * nu + (j1 + j2)
-                            acc[k] = (acc[k] + c1 * c2) % pn
+                            acc[(i1 + i2) * nu + j1 + j2] += c1 * c2
+        return self._reduce(acc)
+
+    def _reduce(self, acc):
+        """Canonical residue of a raw (z, u) convolution: acc[i*(2e-1) + j]
+        is the integer coefficient of z^i u^j, i < 2f-1, j < 2e-1."""
+        f, e, pn = self.f, self.e, self.pn
+        if f == 1:
+            # fold u^(e+k) in exact integers, one reduction mod p^N at the end
+            out = acc[:e]
+            for k, row in enumerate(self._upow):
+                c = acc[e + k]
+                if c:
+                    for j in range(e):
+                        out[j] += c * row[j]
+            return tuple(c % pn for c in out)
+        nz, nu = 2 * f - 1, 2 * e - 1
         # reduce z degree per u-power
-        cols = []
-        for j in range(nu):
-            col = [acc[i * nu + j] for i in range(nz)]
-            cols.append(self._zreduce(col))
+        cols = [self._zreduce([acc[i * nu + j] % pn for i in range(nz)])
+                for j in range(nu)]
         # reduce u degree
         out = [0] * self.dim
-        for j in range(min(e, nu)):
+        for j in range(e):
             for i in range(f):
                 out[i * e + j] = cols[j][i]
         for j in range(e, nu):
@@ -353,6 +378,8 @@ class TowerRing:
         """Inverse of a unit (valuation 0), exact mod p^N."""
         if self.val_pi(x) != 0:
             raise ZeroDivisionError("not a unit")
+        if self.dim == 1:
+            return (pow(x[0], -1, self.pn),)
         y = self._inv_mod_p(x)
         k = 1
         while k < self.prec:
@@ -367,7 +394,7 @@ class TowerRing:
         """Inverse mod p: series inversion in F_q[u]/u^e."""
         p, f, e = self.p, self.f, self.e
         a0 = [x[i * e + 0] % p for i in range(f)]
-        a0inv = _fq_inverse(a0, [c % p for c in self.modulus], p)
+        a0inv = fq_inverse(a0, [c % p for c in self.modulus], p)
         y = [0] * self.dim
         for i in range(f):
             y[i * e + 0] = a0inv[i]
@@ -435,55 +462,3 @@ class TowerRing:
                 out = self.add(out, self._mul_zpoly_raw(a, upowers[j]))
         return out
 
-
-def _fq_inverse(a: list[int], m: list[int], p: int) -> list[int]:
-    """Inverse of a nonzero element of F_p[z]/(m), via extended Euclid."""
-    f = len(m) - 1
-
-    def trim(q):
-        while q and q[-1] % p == 0:
-            q.pop()
-        return q
-
-    def polymul(q, r):
-        if not q or not r:
-            return []
-        out = [0] * (len(q) + len(r) - 1)
-        for i, c in enumerate(q):
-            if c:
-                for j, d in enumerate(r):
-                    out[i + j] = (out[i + j] + c * d) % p
-        return trim(out)
-
-    def polysub(q, r):
-        out = [( (q[i] if i < len(q) else 0) - (r[i] if i < len(r) else 0) ) % p
-               for i in range(max(len(q), len(r)))]
-        return trim(out)
-
-    def polydivmod(q, r):
-        q = [c % p for c in q]
-        out = [0] * max(len(q) - len(r) + 1, 0)
-        inv_lead = pow(r[-1], -1, p)
-        q = trim(q)
-        while q and len(q) >= len(r):
-            c = (q[-1] * inv_lead) % p
-            k = len(q) - len(r)
-            out[k] = c
-            for j, d in enumerate(r):
-                q[k + j] = (q[k + j] - c * d) % p
-            q = trim(q)
-        return trim(out), q
-
-    a = trim([c % p for c in a])
-    if not a:
-        raise ZeroDivisionError("zero in residue field")
-    r0, r1 = trim([c % p for c in m]), a
-    s0, s1 = [], [1]
-    while r1:
-        qq, rem = polydivmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, polysub(s0, polymul(qq, s1))
-    c = pow(r0[0], -1, p)
-    inv = [(x * c) % p for x in s0]
-    inv = inv + [0] * (f - len(inv))
-    return inv[:f]

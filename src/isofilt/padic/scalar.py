@@ -79,7 +79,9 @@ def sc_from_fraction(field, q) -> Scalar:
     vd = int_valuation(q.denominator, p)
     un = q.numerator // p ** vn
     ud = q.denominator // p ** vd
-    unit = ring.mul(ring.from_int(un), ring.inv_unit(ring.from_int(ud)))
+    unit = ring.from_int(un)
+    if ud != 1:
+        unit = ring.mul(unit, ring.inv_unit(ring.from_int(ud)))
     return Scalar(field, REG, val=Fraction(vn - vd), unit=unit,
                   relpi=field.relpi_max)
 

@@ -1,7 +1,8 @@
-"""Independent exact-rational oracles used to cross-check the p-adic path.
+"""Independent exact oracles used to cross-check the p-adic path.
 
-Everything here works on Fractions with fraction-free elimination and never
-touches the library's scalar or linalg layers.
+Everything here works on Fractions with fraction-free elimination, or on
+exact integer polynomials, and never touches the library's ring, scalar or
+linalg layers.
 """
 
 from fractions import Fraction
@@ -169,3 +170,56 @@ def rational_intersection_dim(a_cols, b_cols):
     joined = [ra_row + rb_row for ra_row, rb_row in zip(a_cols, b_cols)]
     rab = rational_rank([list(r) for r in zip(*joined)])
     return ra + rb - rab
+
+
+def tower_reduce(terms, m, E, pn):
+    """Canonical residue of an integer polynomial in z, u modulo E(u), m(z)
+    and pn = p^N.
+
+    terms maps (i, j) to the integer coefficient of z^i u^j.  m lists the
+    integer coefficients of the monic m(z) of degree f, ascending.  E lists
+    those of the monic E(u) of degree e, each an ascending integer
+    z-polynomial, or is None for e = 1.  Long division by E in u, then by m
+    in z, in exact integers; one reduction mod pn at the end.  Returns the
+    coefficient of z^i u^j (i < f, j < e) at index i*e + j, in [0, pn).
+    """
+    f = len(m) - 1
+    e = 1 if E is None else len(E) - 1
+    t = {k: c for k, c in terms.items() if c}
+    top = max((j for _, j in t), default=0)
+    if E is None and top:
+        raise ValueError("u-terms without an Eisenstein polynomial")
+    for j in range(top, e - 1, -1):
+        for i in sorted(i for i, jj in list(t) if jj == j):
+            c = t.pop((i, j))
+            for k in range(e):  # u^j = u^(j-e) u^e, u^e = -sum E_k u^k
+                for i2, d in enumerate(E[k]):
+                    key = (i + i2, j - e + k)
+                    t[key] = t.get(key, 0) - c * d
+    top = max((i for i, _ in t), default=0)
+    for i in range(top, f - 1, -1):
+        for j in sorted(jj for ii, jj in list(t) if ii == i):
+            c = t.pop((i, j))
+            for i2 in range(f):  # z^i = z^(i-f) z^f, z^f = -sum m_k z^k
+                key = (i - f + i2, j)
+                t[key] = t.get(key, 0) - c * m[i2]
+    return tuple(t.get((i, j), 0) % pn for i in range(f) for j in range(e))
+
+
+def tower_poly_mul(a, b, m, E, pn):
+    """Product of two polynomials whose coefficients are ring elements given
+    as flat tuples (index i*e + j for z^i u^j), through tower_reduce."""
+    f = len(m) - 1
+    e = 1 if E is None else len(E) - 1
+    out = []
+    for k in range(len(a) + len(b) - 1):
+        terms = {}
+        for i in range(max(0, k - len(b) + 1), min(k, len(a) - 1) + 1):
+            x, y = a[i], b[k - i]
+            for s1 in range(f * e):
+                for s2 in range(f * e):
+                    if x[s1] and y[s2]:
+                        key = (s1 // e + s2 // e, s1 % e + s2 % e)
+                        terms[key] = terms.get(key, 0) + x[s1] * y[s2]
+        out.append(tower_reduce(terms, m, E, pn))
+    return out

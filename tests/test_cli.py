@@ -75,7 +75,8 @@ def test_usage_error_exit_64():
 
 @pytest.mark.parametrize("argv", [["minkowski", "--n", "-3"],
                                   ["wreath-demo", "--g", "0"],
-                                  ["degree", "--local", "1:x"]])
+                                  ["degree", "--local", "1:x"],
+                                  ["minkowski", "--table", "-3"]])
 def test_bad_values_exit_64_without_traceback(argv):
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -1,7 +1,7 @@
-"""Every top-level function and method of the padic and isocrystal layers is
+"""Every top-level function and method of the packages under src/isofilt is
 used: its name appears somewhere in src/ or tests/ outside its own body.
 
-Other packages join the list once their unreferenced functions are gone.
+The top-level modules (cli, bounds, fixtures, formats, ...) are not checked.
 """
 
 import ast
@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-CHECKED = ("padic", "isocrystal")
+CHECKED = ("padic", "isocrystal", "filtration", "groups", "symplectic")
 WORD = re.compile(r"\w+")
 
 

@@ -255,3 +255,4 @@ def test_hensel_lift_pair_ramified_to_cap(e, prec):
     assert G == g and H == h
     bez = rp_add(ring, rp_mul(ring, S, G), rp_mul(ring, T, H))
     assert bez[0] == ring.one() and all(c == ring.zero() for c in bez[1:])
+    assert len(S) < len(H) and len(T) < len(G)
