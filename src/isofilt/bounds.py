@@ -19,14 +19,33 @@ from math import gcd
 from .errors import ValidationError
 
 
+# the first 13 primes; 3317044064679887385961981 is the least strong
+# pseudoprime to all of them
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(p: int) -> bool:
+    """Miller-Rabin to the bases in _WITNESSES: exact below
+    3317044064679887385961981, a strong probable-prime test above it."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _WITNESSES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -24,7 +24,6 @@ from .isocrystal.slopes import newton_slopes, isoclinic_decompose
 from .filtration.driver import find_admissible_stable_filtration, DescentDatum
 from .filtration.galois import is_diagonally_stable, lift_matrix
 from .filtration.admissible import is_admissible
-from .isocrystal.module import SemiAbelianPhiModule
 from .symplectic.space import SymplecticSpace, LagrangianSubspace
 
 EXIT_OK = 0

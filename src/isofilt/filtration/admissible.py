@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..errors import PrecisionError
 from ..padic import linalg as la
 from ..isocrystal.module import PhiModule
 from ..isocrystal.submodules import submodules

@@ -31,9 +31,8 @@ from ..errors import (ValidationError, BudgetExhaustedError,
                       InternalContradictionError, PrecisionError,
                       MultiplicityError)
 from ..padic import linalg as la
-from ..padic import scalar as sc
 from ..padic.convert import project_to_base
-from ..isocrystal.module import PhiModule, PolarizedPhiModule, SemiAbelianPhiModule
+from ..isocrystal.module import PhiModule, SemiAbelianPhiModule
 from ..isocrystal.slopes import newton_slopes, isoclinic_decompose
 from ..groups.core import GroupRepresentation
 from ..groups.isotypic import (isotypic_decomposition, is_K_elementary,
@@ -44,7 +43,7 @@ from ..symplectic.lagrangian import (random_rational_lagrangian,
                                      lagrangian_h_small_intersection)
 from .galois import (GaloisSetup, galois_descend, is_diagonally_stable,
                      lift_matrix)
-from .admissible import is_admissible, AdmissibilityReport
+from .admissible import is_admissible
 
 
 DEFAULT_SAMPLE_BUDGET = 200

@@ -21,7 +21,7 @@ from fractions import Fraction
 from ..errors import ValidationError, PrecisionError
 from ..padic import linalg as la
 from ..padic import scalar as sc
-from ..padic.scalar import sc_pow, sc_mul
+from ..padic.scalar import sc_mul
 from ..groups.core import FiniteGroup, GroupRepresentation
 
 
@@ -65,11 +65,6 @@ class GaloisSetup:
         ident = self.ext.identity_name
         if self.corr[G.names[G.identity]] != ident:
             raise ValidationError("identity must map to the identity")
-
-    def kernel(self):
-        ident = self.ext.identity_name
-        return [x for x in range(self.group.n)
-                if self.corr[self.group.names[x]] == ident]
 
     def table_inverse(self, name: str) -> str:
         ident = self.ext.identity_name

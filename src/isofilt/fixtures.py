@@ -1,7 +1,7 @@
 """Shipped arithmetic fixtures.
 
-* the supersingular 2x2 module phi = [[0,2],[1,0]] with the standard
-  alternating pairing;
+* the supersingular 2x2 module phi = [[0,2],[1,0]] and the ordinary one
+  phi = diag(1, p);
 * an explicit quaternion pair inside its endomorphism algebra over Q_4
   (entries are Hensel data: one square root of -3/5 in Z_2 enters, so the
   matrices are precision-N digit data rather than rationals -- no rational
@@ -24,8 +24,8 @@ from .padic import linalg as la
 from .padic import scalar as sc
 from .padic.descriptors import UnramifiedFieldDescriptor, EisensteinExtensionDescriptor
 from .padic.hensel import sqrt_mod_ppow
-from .isocrystal.module import PhiModule, PolarizedPhiModule, standard_symplectic_gram
-from .groups.core import FiniteGroup, GroupRepresentation
+from .isocrystal.module import PhiModule
+from .groups.core import GroupRepresentation
 from .groups.constructions import quaternion, cyclic, wreath_q8_sylow
 
 _FIELDS: dict = {}
@@ -42,22 +42,8 @@ def supersingular_module(field) -> PhiModule:
     return PhiModule.from_rational(field, [[0, 2], [1, 0]])
 
 
-def supersingular_polarized(field, g: int = 1) -> PolarizedPhiModule:
-    D = supersingular_module(field)
-    M = D
-    for _ in range(g - 1):
-        M = M.direct_sum(supersingular_module(field))
-    return PolarizedPhiModule(M, standard_symplectic_gram(field, g))
-
-
 def ordinary_module(field) -> PhiModule:
     return PhiModule.from_rational(field, [[1, 0], [0, field.p]])
-
-
-def ordinary_polarized(field) -> PolarizedPhiModule:
-    D = ordinary_module(field)
-    J = la.from_rows_of_fractions(field, [[0, 1], [-1, 0]])
-    return PolarizedPhiModule(D, J)
 
 
 # -- extensions -------------------------------------------------------------------

@@ -15,6 +15,7 @@ import hashlib
 import json
 from fractions import Fraction
 
+from .bounds import is_prime
 from .errors import ValidationError
 from .padic import scalar as sc
 from .padic.descriptors import UnramifiedFieldDescriptor, EisensteinExtensionDescriptor
@@ -58,28 +59,28 @@ def scalar_to_json(x):
 
 
 def scalar_from_json(field, doc):
-    if doc == "0":
-        return sc.sc_zero(field)
-    if isinstance(doc, str):
-        return field.scalar(Fraction(doc))
-    if isinstance(doc, (int, float)):
-        return field.scalar(Fraction(doc))
-    if isinstance(doc, list):
-        # coordinates over the z-power basis
-        gen = field.gen() if field.e == 1 else None
-        if gen is None:
-            raise ValidationError("coordinate vectors need an unramified level")
-        acc = field.scalar(0)
-        zp = field.one()
-        for c in doc:
-            acc = sc.sc_add(acc, sc.sc_mul(field.scalar(Fraction(str(c))), zp))
-            zp = sc.sc_mul(zp, gen)
-        return acc
-    if "izero" in doc:
-        return sc.sc_izero(field, Fraction(doc["izero"]))
-    return sc.Scalar(field, sc.REG, val=Fraction(doc["v"]),
-                     unit=tuple(int(c) % field.ring.pn for c in doc["unit"]),
-                     relpi=min(int(doc["relpi"]), field.relpi_max))
+    try:
+        if doc == "0":
+            return sc.sc_zero(field)
+        if isinstance(doc, (str, int, float)):
+            return field.scalar(Fraction(doc))
+        if isinstance(doc, list):
+            # coordinates over the z-power basis
+            if field.e != 1:
+                raise ValidationError("coordinate vectors need an unramified level")
+            gen = field.gen()
+            powers = [field.one()]
+            for _ in doc[1:]:
+                powers.append(sc.sc_mul(powers[-1], gen))
+            return la.dot([field.scalar(Fraction(str(c))) for c in doc],
+                          powers, field)
+        if "izero" in doc:
+            return sc.sc_izero(field, Fraction(doc["izero"]))
+        return sc.Scalar(field, sc.REG, val=Fraction(doc["v"]),
+                         unit=tuple(int(c) % field.ring.pn for c in doc["unit"]),
+                         relpi=min(int(doc["relpi"]), field.relpi_max))
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ValidationError(f"bad scalar entry {doc!r}: {exc!r}") from exc
 
 
 def matrix_to_json(m):
@@ -87,6 +88,8 @@ def matrix_to_json(m):
 
 
 def matrix_from_json(field, doc):
+    if not isinstance(doc, list) or not all(isinstance(row, list) for row in doc):
+        raise ValidationError(f"bad matrix {doc!r}: expected a list of rows")
     return [[scalar_from_json(field, x) for x in row] for row in doc]
 
 
@@ -94,12 +97,21 @@ def matrix_from_json(field, doc):
 
 
 def field_from_json(doc, prec_override=None) -> UnramifiedFieldDescriptor:
-    p = int(doc["p"])
-    f = int(doc["f"])
-    prec = int(prec_override or doc.get("precision", 64))
-    if "modulus" in doc and doc["modulus"]:
-        return UnramifiedFieldDescriptor(p, f, prec,
-                                         tuple(int(c) for c in doc["modulus"]))
+    try:
+        p = int(doc["p"])
+        f = int(doc["f"])
+        prec = int(prec_override or doc.get("precision", 64))
+        modulus = tuple(int(c) for c in doc.get("modulus") or ())
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"field: bad or missing p, f, precision or modulus: {exc!r}") from exc
+    if not is_prime(p):
+        raise ValidationError(f"field: p = {p} is not prime")
+    if f < 1:
+        raise ValidationError(f"field: f = {f} must be at least 1")
+    if prec < 1:
+        raise ValidationError(f"field: precision {prec} must be at least 1")
+    if modulus:
+        return UnramifiedFieldDescriptor(p, f, prec, modulus)
     return UnramifiedFieldDescriptor.create(p, f, prec)
 
 
@@ -116,18 +128,14 @@ def extension_from_json(doc, prec_override=None):
     return EisensteinExtensionDescriptor(base, coeffs, auts)
 
 
-def extension_to_json(ext) -> dict:
-    return ext.serialize()
-
-
 # -- modules ---------------------------------------------------------------------
 
 
 def module_from_json(doc, prec_override=None):
     """Returns (SemiAbelianPhiModule, field).  Plain abelian and bare modules
     are wrapped with an empty toric part."""
-    field = field_from_json(doc["field"], prec_override)
-    A = matrix_from_json(field, doc["frobenius"])
+    field = field_from_json(doc.get("field"), prec_override)
+    A = matrix_from_json(field, doc.get("frobenius"))
     D = PhiModule(field, A)
     n = D.n
     toric = doc.get("toric_sub")

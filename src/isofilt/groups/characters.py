@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from math import gcd, isqrt
 
+from ..bounds import is_prime
 from ..errors import ValidationError, InternalContradictionError
 from .core import FiniteGroup
 
@@ -40,7 +41,7 @@ class CharacterTable:
         lo = max(2 * isqrt(n) + 2, e + 2)
         ell = (lo // e) * e + 1
         while True:
-            if ell > lo and _is_prime(ell) and n % ell != 0:
+            if ell > lo and is_prime(ell) and n % ell != 0:
                 break
             ell += e
         # element of order e in F_ell
@@ -397,17 +398,6 @@ def _charpoly_mod(C, ell):
             new.append(acc % ell)
         poly = new
     return list(reversed(poly))
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _order_mod(a, ell):

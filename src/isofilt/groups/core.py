@@ -15,7 +15,6 @@ from math import gcd
 
 from ..errors import ValidationError
 from ..padic import linalg as la
-from ..padic import scalar as sc
 
 
 class FiniteGroup:
@@ -27,6 +26,7 @@ class FiniteGroup:
         self.inverse = self._find_inverses()
         self._classes = None
         self._orders = None
+        self.character_table = None  # set by groups.isotypic.get_character_table
 
     @classmethod
     def from_generators(cls, gens, mul, name_of=str, cap: int = 100000):

@@ -142,7 +142,7 @@ def _embedding_for(field, dprime: int):
             raise FieldIncompatibilityError("runaway unramified degree")
     if s == 1:
         return field, None
-    key = (field.p, field.f, field.prec, s)
+    key = (field, s)
     if key not in _EMBED_CACHE:
         big = UnramifiedFieldDescriptor.create(field.p, field.f * s, field.prec)
         _EMBED_CACHE[key] = (big, UnramifiedEmbedding(field, big))
@@ -251,14 +251,11 @@ def isotypic_decomposition(rep: GroupRepresentation,
     return comps
 
 
-_CT_CACHE: dict = {}
-
-
 def get_character_table(G: FiniteGroup) -> CharacterTable:
-    key = id(G)
-    if key not in _CT_CACHE:
-        _CT_CACHE[key] = CharacterTable(G)
-    return _CT_CACHE[key]
+    """G's character table, built once and kept on G."""
+    if G.character_table is None:
+        G.character_table = CharacterTable(G)
+    return G.character_table
 
 
 # -- eigenvalue multiplicities of finite-order matrices ---------------------------
@@ -329,9 +326,6 @@ def _mixed_order_factor(field, factor, pk: int, guard=la.DEFAULT_GUARD):
     for i in range(1, s):
         M[i][i - 1] = field.one()
     for i in range(s):
-        M[i][s - 1] = sc.sc_neg(factor[i]) if i < s else None
-    # fix column: companion has -c_i in the last column
-    for i in range(s):
         M[i][s - 1] = sc.sc_neg(factor[i])
     deg = phi_k * s
     pts = list(range(deg + 1))
@@ -353,15 +347,7 @@ def _mixed_order_factor(field, factor, pk: int, guard=la.DEFAULT_GUARD):
         vals.append(det)
     # interpolate: Vandermonde inverse over Q
     Vinv = _vandermonde_inverse(pts)
-    coeffs = []
-    for i in range(deg + 1):
-        acc = sc.sc_zero(field)
-        for j in range(deg + 1):
-            cij = Vinv[i][j]
-            if cij:
-                acc = sc.sc_add(acc, sc.sc_mul(field.scalar(cij), vals[j]))
-        coeffs.append(acc)
-    return coeffs
+    return [la.dot([field.scalar(c) for c in row], vals, field) for row in Vinv]
 
 
 def _vandermonde_inverse(pts):

@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from ..errors import ValidationError
 from ..padic import linalg as la
-from ..padic.scalar import sc_add, sc_mul
 from ..padic.descriptors import UnramifiedFieldDescriptor
 
 
@@ -151,15 +150,6 @@ class PolarizedPhiModule:
     @property
     def g(self):
         return self.module.n // 2
-
-    def pairing(self, x_col, y_col):
-        """<x, y> = x^T J y."""
-        Jy = la.mat_mul(self.J, [[v] for v in y_col])
-        acc = None
-        for xi, row in zip(x_col, Jy):
-            t = sc_mul(xi, row[0])
-            acc = t if acc is None else sc_add(acc, t)
-        return acc
 
 
 class SemiAbelianPhiModule:

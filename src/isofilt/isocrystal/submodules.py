@@ -14,15 +14,12 @@ re-checked for phi-stability before being returned.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import combinations
 
 from ..errors import MultiplicityError, PrecisionError
 from ..padic import linalg as la
 from ..padic import scalar as sc
-from ..padic.convert import coords_to_qp_scalars
-from ..padic.descriptors import UnramifiedFieldDescriptor
-from ..errors import PrecisionError as _PrecisionError
+from ..padic.convert import coords_to_qp_scalars, embed_qp
 from .module import PhiModule
 from .slopes import isoclinic_decompose, _qp_level
 
@@ -57,15 +54,10 @@ def endomorphism_algebra(D: PhiModule, guard: int = la.DEFAULT_GUARD):
         for (i, j, k), coeff in zip(unknowns, vec):
             if coeff.kind != sc.REG:
                 continue
-            term = sc.sc_mul(_lift_qp(field, coeff), gens[k])
+            term = sc.sc_mul(embed_qp(coeff, field), gens[k])
             U[i][j] = sc.sc_add(U[i][j], term)
         basis.append(U)
     return basis
-
-
-def _lift_qp(field, x):
-    from ..padic.convert import embed_qp
-    return embed_qp(x, field)
 
 
 class SubmoduleSet:
@@ -204,348 +196,6 @@ def _image_cols(D, U, guard):
         return la.column_space_basis(U, guard)
     except PrecisionError:
         return None
-
-
-class SplitReport:
-    """Outcome of ensure_split: the (possibly base-changed) module, the
-    unramified degree reached, whether every isoclinic component is realized
-    as explicit simple summands of dimension equal to its slope denominator,
-    and those summands when found.  Whether a level is large enough is a
-    per-instance fact, and for some unit-root modules no finite level works
-    at all (the linearization can have eigenvalues of infinite multiplicative
-    order, e.g. [[0,1],[1,1]] over Q_2, which splits only over the
-    algebraically closed residue level) -- the report records the failure
-    rather than pretending otherwise."""
-
-    def __init__(self, module, f, split, summands):
-        self.module = module
-        self.f = f
-        self.split = split
-        self.summands = summands  # [(slope, [basis_cols of each simple])]
-
-    def multiplicities(self):
-        return [(s, len(parts)) for s, parts in self.summands]
-
-
-def ensure_split(D: PhiModule, max_factor: int = 6, seed: int = 0,
-                 guard: int = la.DEFAULT_GUARD) -> SplitReport:
-    """Try unramified levels f, 2f, ..., max_factor*f until every isoclinic
-    component decomposes into explicit simple summands of dimension equal to
-    the denominator of its slope; the report says which level was reached and
-    whether it sufficed."""
-    from ..padic.convert import UnramifiedEmbedding
-    field = D.field
-    last = D
-    for k in range(1, max_factor + 1):
-        if field.p ** (field.f * k) > 512:
-            break  # desk-scale residue fields only
-        if k == 1:
-            cur = D
-        else:
-            bigger = UnramifiedFieldDescriptor.create(field.p, field.f * k,
-                                                      field.prec)
-            emb = UnramifiedEmbedding(field, bigger)
-            cur = PhiModule(bigger, la.mat_map(D.A, emb), validate=False)
-        out = _try_split(cur, seed, guard)
-        if out is not None:
-            return SplitReport(cur, cur.field.f, True, out)
-        last = cur
-    return SplitReport(last, last.field.f, False, [])
-
-
-def _try_split(D, seed, guard):
-    import random as _random
-    rng = _random.Random(seed)
-    comps = isoclinic_decompose(D, guard)
-    out = []
-    for slope, cols in comps:
-        b = slope.denominator
-        dim = len(cols[0])
-        if dim % b:
-            return None
-        want = dim // b
-        found = _split_by_random_spans(D, cols, b, want, rng, guard)
-        if found is None and b == 1:
-            found = _split_by_residue_roots(D, cols, slope, guard)
-        if found is None and b == 1:
-            found = _split_by_norm_equation(D, cols, slope, guard)
-        if found is None:
-            return None
-        out.append((slope, found))
-    return out
-
-
-def _split_by_norm_equation(D, cols, slope, guard):
-    """Split an integer-slope component whose linearization is a certified
-    scalar p^(f s) * lam: solve Norm(c) = lam for a unit c of K_q and take
-    the solution space of the semilinear system phi(x) = p^s c x, which is
-    spanned over Q_p by vectors generating the simple lines."""
-    field = D.field
-    sub = D.submodule(cols, guard)
-    f = field.f
-    s = int(slope) * f
-    B = la.mat_scalar(field.scalar(Fraction(1, field.p ** s)),
-                      sub.linearization())
-    dim = len(cols[0])
-    lam = B[0][0]
-    if lam.kind != sc.REG or lam.val != 0:
-        return None
-    thr = Fraction(field.prec, 2)
-    scal = la.mat_scalar(lam, la.identity(field, dim))
-    if la.zero_status(la.mat_sub(B, scal), thr) != "zero":
-        return None
-    c = _solve_norm(field, lam)
-    if c is None:
-        return None
-    cp = sc.sc_mul(c, field.scalar(field.p ** int(slope)))
-    # solutions of A sigma(x) = cp * x over Q_p
-    from ..padic.convert import coords_to_qp_scalars
-    from .slopes import _qp_level
-    qp = _qp_level(field)
-    A = sub.A
-    colsys = []
-    gens = [sc.sc_pow(field.gen(), k) for k in range(f)]
-    for j in range(dim):
-        for k in range(f):
-            x = [[sc.sc_zero(field)] for _ in range(dim)]
-            x[j][0] = gens[k]
-            img = la.mat_sub(sub.apply_phi(x),
-                             la.mat_scalar(cp, x))
-            vec = []
-            for i in range(dim):
-                vec.extend(coords_to_qp_scalars(img[i][0], qp))
-            colsys.append(vec)
-    big = [[colsys[cc][r] for cc in range(len(colsys))]
-           for r in range(len(colsys[0]))]
-    try:
-        ker = la.kernel_basis(big, guard)
-    except PrecisionError:
-        return None
-    if not ker:
-        return None
-    from ..padic.convert import embed_qp
-    lines = []
-    span = [[] for _ in range(D.n)]
-    for vec in ker:
-        x = [[sc.sc_zero(field)] for _ in range(dim)]
-        for idx, coeff in enumerate(vec):
-            if coeff.kind != sc.REG:
-                continue
-            j, k = divmod(idx, f)
-            t = sc.sc_mul(embed_qp(coeff, field), gens[k])
-            x[j][0] = sc.sc_add(x[j][0], t)
-        amb = [[None] for _ in range(D.n)]
-        for i in range(D.n):
-            acc = None
-            for j in range(dim):
-                t = sc.sc_mul(cols[i][j], x[j][0])
-                acc = t if acc is None else sc.sc_add(acc, t)
-            amb[i][0] = acc
-        if all(v[0].kind != sc.REG for v in amb):
-            continue
-        joined = la.hstack(span, amb) if span[0] else amb
-        try:
-            if la.certified_rank(la.transpose(joined), guard) != \
-               len(span[0]) + 1:
-                continue
-        except PrecisionError:
-            continue
-        if not D.is_stable(amb, guard):
-            continue
-        lines.append(amb)
-        span = joined
-        if len(lines) == dim:
-            break
-    if len(lines) != dim:
-        return None
-    return lines
-
-
-def _solve_norm(field, lam, tries: int = None):
-    """A unit c of K_q with Norm_{K_q/Q_p}(c) = lam (a unit of Q_p embedded
-    diagonally); digit-by-digit lift, None if the residue norm misses."""
-    f = field.f
-    p = field.p
-    if f == 1:
-        return lam
-
-    def norm(x):
-        out = x
-        y = x
-        for _ in range(f - 1):
-            y = sc.sc_frobenius(y)
-            out = sc.sc_mul(out, y)
-        return out
-
-    # residue solution by Teichmuller scan
-    c = None
-    z = field.gen()
-    cand = field.one()
-    for t in range(field.q - 1):
-        if t:
-            cand = sc.sc_mul(cand, z)
-        d = sc.sc_sub(norm(cand), lam)
-        if d.kind != sc.REG or d.val >= 1:
-            c = cand
-            break
-    if c is None:
-        return None
-    # direction with unit trace
-    w = None
-    zp = field.one()
-    for _ in range(f):
-        tr = zp
-        y = zp
-        for _ in range(f - 1):
-            y = sc.sc_frobenius(y)
-            tr = sc.sc_add(tr, y)
-        if tr.kind == sc.REG and tr.val == 0:
-            w = zp
-            tr_w = tr
-            break
-        zp = sc.sc_mul(zp, z)
-    if w is None:
-        return None
-    pk = Fraction(1)
-    for _ in range(field.prec + 1):
-        d = sc.sc_sub(sc.sc_div(lam, norm(c)), field.one())
-        if d.kind != sc.REG:
-            return c
-        k = d.val
-        if k >= field.prec:
-            return c
-        # multiply by 1 + u with Tr(u) matching the defect direction
-        coeff = sc.sc_div(d, tr_w)
-        u = sc.sc_mul(coeff, w)
-        c = sc.sc_mul(c, sc.sc_add(field.one(), u))
-    return c
-
-
-def _split_by_random_spans(D, cols, b, want, rng, guard):
-    """Collect simple summands as phi-spans of random vectors; succeeds when
-    the component is isotypic (copies of one simple)."""
-    field = D.field
-    dim = len(cols[0])
-    found = []
-    span_cols = [[] for _ in range(D.n)]
-    tries = 0
-    while len(found) < want:
-        tries += 1
-        if tries > 8 * want + 8:
-            return None
-        coeffs = [field.scalar(rng.randrange(-9, 10)) for _ in range(dim)]
-        v = [[None] for _ in range(D.n)]
-        for i in range(D.n):
-            acc = None
-            for j in range(dim):
-                t = sc.sc_mul(cols[i][j], coeffs[j])
-                acc = t if acc is None else sc.sc_add(acc, t)
-            v[i][0] = acc
-        S = phi_span(D, v, guard)
-        if S is None or not S[0] or len(S[0]) != b:
-            continue
-        joined = la.hstack(span_cols, S) if span_cols[0] else S
-        try:
-            if la.certified_rank(la.transpose(joined), guard) != \
-               (len(span_cols[0]) + b):
-                continue
-        except PrecisionError:
-            continue
-        found.append(S)
-        span_cols = joined
-    return found
-
-
-def _split_by_residue_roots(D, cols, slope, guard):
-    """Split an integer-slope component by Hensel-lifting the (distinct)
-    residue roots of the characteristic polynomial of the normalized
-    linearization and taking eigen-kernels; None when the residue roots do
-    not separate at this level."""
-    field = D.field
-    sub = D.submodule(cols, guard)
-    B = sub.linearization()
-    s = int(slope) * field.f
-    scale = field.scalar(Fraction(1, field.p ** s))
-    B = la.mat_scalar(scale, B)
-    chi = la.charpoly(B)
-    dim = len(cols[0])
-    roots = _residue_roots(chi, field)
-    if roots is None or len(roots) != dim:
-        return None
-    out = []
-    for lam in roots:
-        lam = _newton_root(chi, lam, field)
-        M = [[sc.sc_sub(B[i][j], lam) if i == j else B[i][j]
-              for j in range(dim)] for i in range(dim)]
-        ker = la.kernel_basis(M, guard)
-        if len(ker) != 1:
-            return None
-        vec = [[None] for _ in range(D.n)]
-        for i in range(D.n):
-            acc = None
-            for j in range(dim):
-                t = sc.sc_mul(cols[i][j], ker[0][j])
-                acc = t if acc is None else sc.sc_add(acc, t)
-            vec[i][0] = acc
-        S = phi_span(D, vec, guard)
-        if S is None or not S[0] or len(S[0]) != 1:
-            return None
-        out.append(S)
-    return out
-
-
-def _residue_roots(chi, field):
-    """Distinct residue-field roots of a unit-content scalar polynomial,
-    as exact Teichmuller-digit representatives; None if any multiplicity."""
-    p = field.p
-    ring = field.ring
-    reps = [ring.zero()]
-    z = ring.gen_z()
-    cur = ring.one()
-    for _ in range(field.q - 1):
-        reps.append(cur)
-        cur = ring.mul(cur, z)
-    roots = []
-    seen = set()
-    for rep_elem in reps:
-        acc = ring.zero()
-        for c in reversed(chi):
-            acc = ring.mul(acc, rep_elem)
-            if c.kind == sc.REG and c.val >= 0:
-                shift = ring.shift_up(c.unit, int(c.val) * field.e)
-                acc = ring.add(acc, shift)
-            elif c.kind == sc.REG:
-                return None  # non-integral coefficient: not unit content
-        if all(x % p == 0 for x in acc):
-            key = tuple(x % p for x in rep_elem)
-            if key in seen:
-                return None
-            seen.add(key)
-            roots.append(rep_elem)
-    out = []
-    for r in roots:
-        out.append(sc.Scalar(field, sc.REG, val=Fraction(0), unit=r,
-                             relpi=field.relpi_max)
-                   if any(r) else sc.sc_zero(field))
-    return out
-
-
-def _newton_root(chi, x0, field):
-    """Lift a simple residue root of chi to working precision."""
-    def ev(poly, x):
-        acc = sc.sc_zero(field)
-        for c in reversed(poly):
-            acc = sc.sc_add(sc.sc_mul(acc, x), c)
-        return acc
-
-    dchi = [sc.sc_mul(field.scalar(i), chi[i]) for i in range(1, len(chi))]
-    x = x0
-    for _ in range(field.prec.bit_length() + 2):
-        fx = ev(chi, x)
-        if fx.kind != sc.REG:
-            break
-        x = sc.sc_sub(x, sc.sc_div(fx, ev(dchi, x)))
-    return x
 
 
 def _canonical_key(cols, guard):

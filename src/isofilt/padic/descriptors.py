@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..errors import ValidationError, PrecisionError
+from ..errors import ValidationError
 from .ring import TowerRing, int_valuation
 from .hensel import find_unramified_modulus
 from . import scalar as sc

@@ -13,7 +13,9 @@ analogue of partial pivoting and keeps precision loss linear.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import reduce
 
 from ..errors import PrecisionError, ValidationError
 from . import scalar as sc
@@ -53,21 +55,23 @@ def mat_neg(a):
     return [[sc_neg(x) for x in row] for row in a]
 
 
+def dot(xs, ys, field):
+    """sum of x*y over the pairs, folded left to right; the exact zero of
+    the field when there are no pairs."""
+    terms = map(sc_mul, xs, ys)
+    first = next(terms, None)
+    return sc_zero(field) if first is None else reduce(sc_add, terms, first)
+
+
 def mat_mul(a, b):
-    n, k = mat_dims(a)
-    k2, m = mat_dims(b)
+    _, k = mat_dims(a)
+    k2, _ = mat_dims(b)
     assert k == k2, "inner dimensions mismatch"
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = None
-            for t in range(k):
-                term = sc_mul(a[i][t], b[t][j])
-                acc = term if acc is None else sc_add(acc, term)
-            row.append(acc)
-        out.append(row)
-    return out
+    if not k:
+        return [[] for _ in a]
+    field = a[0][0].field
+    cols = list(zip(*b))
+    return [[dot(row, col, field) for col in cols] for row in a]
 
 
 def mat_scalar(s, a):
@@ -234,24 +238,12 @@ def intersection_dim(a_cols, b_cols, guard: int = DEFAULT_GUARD) -> int:
 
 def intersection_basis(a_cols, b_cols, guard: int = DEFAULT_GUARD):
     """Columns spanning span(a) ∩ span(b)."""
-    field = _field_of(a_cols)
-    n = len(a_cols)
-    ka, kb = len(a_cols[0]), len(b_cols[0])
+    ka = len(a_cols[0])
     ker = kernel_basis(hstack(a_cols, mat_map(b_cols, sc_neg)), guard)
-    out = []
-    for vec in ker:
-        col = []
-        for i in range(n):
-            acc = None
-            for j in range(ka):
-                t = sc_mul(a_cols[i][j], vec[j])
-                acc = t if acc is None else sc_add(acc, t)
-            col.append(acc if acc is not None else sc_zero(field))
-        out.append(col)
-    if not out:
-        return [[] for _ in range(n)]
-    cols = [[out[j][i] for j in range(len(out))] for i in range(n)]
-    return column_space_basis(cols, guard)
+    if not ker:
+        return [[] for _ in a_cols]
+    coords = [[vec[j] for vec in ker] for j in range(ka)]
+    return column_space_basis(mat_mul(a_cols, coords), guard)
 
 
 def subspace_leq(a_cols, b_cols, guard: int = DEFAULT_GUARD) -> bool:
@@ -308,31 +300,13 @@ def charpoly(m):
         t = [field.one(), sc_neg(a)]
         v = col
         for _ in range(k):
-            dot = None
-            for x, y in zip(row, v):
-                term = sc_mul(x, y)
-                dot = term if dot is None else sc_add(dot, term)
-            t.append(sc_neg(dot))
-            v = [_dot_row(sub[i], v, field) for i in range(k)]
-        new = []
-        for i in range(k + 2):
-            acc = None
-            for j in range(len(t)):
-                if 0 <= i - j <= k:
-                    term = sc_mul(t[j], poly[i - j])
-                    acc = term if acc is None else sc_add(acc, term)
-            new.append(acc if acc is not None else sc_zero(field))
-        poly = new
+            t.append(sc_neg(dot(row, v, field)))
+            v = [dot(sub[i], v, field) for i in range(k)]
+        # Toeplitz product: new[i] = sum of t[j] * poly[i - j], 0 <= i - j <= k
+        poly = [dot(t[max(0, i - k):i + 1], poly[min(i, k)::-1], field)
+                for i in range(k + 2)]
     # poly is [1, c_{n-1}, ..., c_0] in degree-descending order; flip
     return list(reversed(poly))
-
-
-def _dot_row(row, v, field):
-    acc = None
-    for x, y in zip(row, v):
-        term = sc_mul(x, y)
-        acc = term if acc is None else sc_add(acc, term)
-    return acc if acc is not None else sc_zero(field)
 
 
 def poly_eval_matrix(coeffs, m):
@@ -374,7 +348,6 @@ def normalize_columns(cols, integral: bool = False):
             if x.kind == sc.REG and (vmin is None or x.val < vmin):
                 vmin = x.val
         if vmin is not None and integral:
-            import math
             vmin = Fraction(math.floor(vmin))
         if vmin is None or vmin == 0:
             for i in range(n):

@@ -45,14 +45,6 @@ class Scalar:
             return f"Scalar(O(pi^{self.zb}*e))"
         return f"Scalar(v={self.val}, relpi={self.relpi})"
 
-    def valuation(self):
-        """Exact valuation for reg, None for exact zero, lower bound for izero."""
-        if self.kind == REG:
-            return self.val
-        if self.kind == ZERO:
-            return None
-        return self.zb
-
 
 def sc_zero(field) -> Scalar:
     return Scalar(field, ZERO)

@@ -27,16 +27,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
 
 from ..errors import (ValidationError, PrecisionError,
                       InternalContradictionError)
 from ..padic import linalg as la
 from ..padic import scalar as sc
 from ..padic.scalar import sc_add, sc_mul, sc_neg, sc_sub, sc_div, sc_pow
-from ..padic.convert import embed_qp, UnramifiedEmbedding
-from ..groups.isotypic import (split_p_part, euler_phi, _embedding_for,
-                               matrix_order)
+from ..groups.isotypic import split_p_part, _embedding_for, matrix_order
 from .space import SymplecticSpace, LagrangianSubspace
 
 

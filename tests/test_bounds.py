@@ -2,13 +2,28 @@
 
 import pytest
 
-from isofilt.bounds import (minkowski_exponent, minkowski_bound,
+from isofilt.bounds import (is_prime, minkowski_exponent, minkowski_bound,
                             semistability_degree, divisibility_checks,
                             wreath_sylow_order, lcm_degree_formulas,
                             cyclic_subgroup_census, two_part)
 from isofilt.errors import ValidationError
+from isofilt.formats import field_from_json
 from isofilt.groups.constructions import (cyclic, direct_product, quaternion,
                                           census_p_groups)
+
+
+def test_is_prime_matches_trial_division():
+    def by_trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+    assert [n for n in range(-3, 5000) if is_prime(n)] == \
+        [n for n in range(-3, 5000) if by_trial(n)]
+
+
+def test_large_prime_field_loads():
+    # Miller-Rabin, not trial division: a 39-digit prime is checked at once
+    assert is_prime(2 ** 127 - 1)
+    assert not is_prime((2 ** 61 - 1) * (2 ** 89 - 1))
+    assert field_from_json({"p": 2 ** 127 - 1, "f": 1, "precision": 8}).p == 2 ** 127 - 1
 
 
 def test_exponent_examples():

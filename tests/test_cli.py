@@ -23,6 +23,15 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def _run_cli(argv):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-m", "isofilt.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
 def test_minkowski(capsys):
     code, out, _ = run(capsys, "minkowski", "--n", "2")
     assert code == 0 and out.strip() == "24"
@@ -78,14 +87,37 @@ def test_usage_error_exit_64():
                                   ["degree", "--local", "1:x"],
                                   ["minkowski", "--table", "-3"]])
 def test_bad_values_exit_64_without_traceback(argv):
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-m", "isofilt.cli", *argv],
-                          capture_output=True, text=True, env=env)
+    proc = _run_cli(argv)
     assert proc.returncode == 64
     assert "Traceback" not in proc.stderr
     assert "error: argument" in proc.stderr
+
+
+@pytest.mark.parametrize("where,value", [(("field", "p"), 4),
+                                         (("field", "p"), "x"),
+                                         (("field", "f"), 0),
+                                         (("field", "precision"), 0),
+                                         (("field", "p"), float("inf")),
+                                         (("field", "modulus"), ["x"]),
+                                         (("frobenius", 0, 1), "x"),
+                                         (("frobenius", 0, 1), "1/0"),
+                                         (("frobenius", 0, 1), None),
+                                         (("frobenius", 0, 1), {"v": "1"}),
+                                         (("frobenius", 0, 1), float("inf")),
+                                         (("frobenius",), 5),
+                                         (("frobenius",), None)])
+def test_malformed_module_exits_2_without_traceback(tmp_path, where, value):
+    with open(fx("ss2.json")) as fh:
+        doc = json.load(fh)
+    target = doc
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = value
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(doc))
+    proc = _run_cli(["slopes", "--module", str(path)])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
 
 
 def test_find_check_roundtrip(tmp_path, capsys):

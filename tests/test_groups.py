@@ -1,7 +1,10 @@
 """Group constructions, representation validation, character tables."""
 
-import pytest
+import gc
+import weakref
 from fractions import Fraction
+
+import pytest
 
 from isofilt.errors import ValidationError
 from isofilt.fixtures import (unramified, quaternion_pair, quaternion_rep,
@@ -12,8 +15,10 @@ from isofilt.groups.constructions import (all_groups_up_to_16, quaternion,
                                           wreath_q8_sylow)
 from isofilt.groups.characters import CharacterTable
 from isofilt.groups.core import GroupRepresentation
+from isofilt.groups.isotypic import _embedding_for, get_character_table
 from isofilt.isocrystal.module import standard_symplectic_gram
-from isofilt.padic import linalg as la
+from isofilt.padic import UnramifiedFieldDescriptor, linalg as la
+from isofilt.padic.scalar import REG, sc_add, sc_mul, sc_zero
 
 
 def test_classification_counts():
@@ -131,3 +136,32 @@ def test_twist_and_dual_are_characters():
         assert 0 <= ct.dual(chi) < ct.k
         for a in (1, 3):
             assert 0 <= ct.twist(chi, a) < ct.k
+
+
+def test_embedding_cache_tells_moduli_apart():
+    """Two presentations of Q_8 at one precision: the default modulus lifts
+    x^3 + x^2 + 1, its reciprocal lifts x^3 + x + 1.  Each must get an
+    embedding into Q_64 that sends its own generator to a root of its own
+    modulus."""
+    default = unramified(2, 3, 16)
+    pn = 2 ** 16
+    reciprocal = tuple(-c % pn for c in reversed(default.modulus))
+    other = UnramifiedFieldDescriptor(2, 3, 16, reciprocal)
+    assert [c % 2 for c in default.modulus] == [1, 0, 1, 1]
+    assert [c % 2 for c in other.modulus] == [1, 1, 0, 1]
+    for field in (default, other):
+        big, emb = _embedding_for(field, 9)
+        z = emb(field.gen())
+        value = sc_zero(big)
+        for c in reversed(field.modulus):
+            value = sc_add(sc_mul(value, z), big.scalar(c))
+        assert value.kind != REG
+
+
+def test_character_table_does_not_keep_group_alive():
+    G = quaternion()
+    ref = weakref.ref(G)
+    get_character_table(G)
+    del G
+    gc.collect()
+    assert ref() is None
