@@ -203,7 +203,7 @@ def _load_problem(args):
     ext_doc = formats.load_json(args.extension)
     prec = getattr(args, "precision", None)
     sa, field = formats.module_from_json(mod_doc, prec)
-    G, rep = formats.group_from_json(grp_doc, field)
+    G, rep = formats.group_from_json(grp_doc, field, sa.module.n)
     ext = formats.extension_from_json(ext_doc, prec)
     setup = formats.setup_from_json(ext_doc, G, ext)
     return mod_doc, grp_doc, ext_doc, sa, rep, ext, setup
@@ -259,7 +259,7 @@ def _filtration_check(args) -> int:
     params = cert["params"]
     prec = params.get("precision")
     sa, field = formats.module_from_json(inputs["module"], prec)
-    G, rep = formats.group_from_json(inputs["group"], field)
+    G, rep = formats.group_from_json(inputs["group"], field, sa.module.n)
     ext = formats.extension_from_json(inputs["extension"], prec)
     setup = formats.setup_from_json(inputs["extension"], G, ext)
     out = cert["outputs"]
@@ -279,12 +279,10 @@ def _filtration_check(args) -> int:
     if not rep_check.verdict or out["admissibility"]["verdict"] != "admissible":
         failures.append("admissible")
     if not is_diagonally_stable(rep, F, setup):
-        failures.append("diagonal-stability")
-    datum = DescentDatum(rep, setup)
-    if not datum.verify_cocycle():
+        # the descent targets are the same (rho(h), tau_h) pairs
+        failures += ["diagonal-stability", "descent-targets"]
+    if not DescentDatum(rep, setup).verify_cocycle():
         failures.append("cocycle")
-    if not datum.verify_filtration_targets(F):
-        failures.append("descent-targets")
     if sa.t_dim:
         toric_L = lift_matrix(ext, sa.toric_cols)
         if not la.subspace_leq(toric_L, F):
@@ -337,7 +335,7 @@ def _group_check(args) -> int:
     mod_doc = formats.load_json(args.module)
     grp_doc = formats.load_json(args.group)
     sa, field = formats.module_from_json(mod_doc, args.precision)
-    G, rep = formats.group_from_json(grp_doc, field)
+    G, rep = formats.group_from_json(grp_doc, field, sa.module.n)
     rep.validate(phi_module=sa.module,
                  gram=sa.gram_B if (sa.gram_B and sa.t_dim == 0) else None,
                  toric_cols=sa.toric_cols if sa.t_dim else None)

@@ -8,7 +8,11 @@ against the table in both the homomorphism and the opposite-group convention
 and the one that holds is recorded.
 
 Diagonal stability of a filtration F over L means the linear and Galois
-orbits coincide: rho(h) F = tau_h F for every h.  Invariant vectors are built
+orbits coincide: rho(h) F = tau_h F for every h.  It is certified with one
+rank of F and, per h, an n x n rank of rho(h) over K and one joint
+elimination of [rho(h) F | tau_h F] over L (see is_diagonally_stable).  The
+descent datum's targets are the same pairs (rho(h^-1), tau_{h^-1}), so one
+stability verdict answers both.  Invariant vectors are built
 by the averaging map v -> sum_h tau'_h(alpha) * (h . v) over a basis alpha of
 L/K; the L-span of the invariants recovers the whole space, which is checked
 by certified rank.
@@ -91,12 +95,28 @@ def lift_matrix(ext, cols):
 
 def is_diagonally_stable(rep: GroupRepresentation, F_cols, setup: GaloisSetup,
                          guard: int = la.DEFAULT_GUARD) -> bool:
-    """rho(h) F = tau_h F for all h, certified span equality over L."""
+    """rho(h) F = tau_h F for all h, certified span equality over L.
+
+    r = rank F is certified once.  For each h, rank tau_h F = r because
+    tau_h is a valuation-preserving automorphism of L applied entrywise, and
+    rank rho(h) F = r whenever rho(h) is invertible, which an n x n rank
+    over K certifies.  Two subspaces of dimension r are equal iff their sum
+    has dimension r, so h passes iff rank [rho(h) F | tau_h F] = r: one
+    elimination over L instead of three.  A singular rho(h) (not a group
+    action) falls back to the rank of rho(h) F itself, so the verdict is
+    the one of la.subspace_equal(rho(h) F, tau_h F) for every input.
+    """
     ext = setup.ext
+    n = rep.dim
+    r = la.certified_rank(la.transpose(F_cols), guard)
     for x in range(setup.group.n):
-        lin = la.mat_mul(lift_matrix(ext, rep.mats[x]), F_cols)
+        rho = rep.mats[x]
+        lin = la.mat_mul(lift_matrix(ext, rho), F_cols)
+        if (la.certified_rank(rho, guard) < n
+                and la.certified_rank(la.transpose(lin), guard) != r):
+            return False
         gal = setup.gal_apply(x, F_cols)
-        if not la.subspace_equal(lin, gal, guard):
+        if la.certified_rank(la.transpose(la.hstack(lin, gal)), guard) != r:
             return False
     return True
 

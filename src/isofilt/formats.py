@@ -90,7 +90,17 @@ def matrix_to_json(m):
 def matrix_from_json(field, doc):
     if not isinstance(doc, list) or not all(isinstance(row, list) for row in doc):
         raise ValidationError(f"bad matrix {doc!r}: expected a list of rows")
+    if len({len(row) for row in doc}) > 1:
+        raise ValidationError(f"bad matrix {doc!r}: rows of different lengths")
     return [[scalar_from_json(field, x) for x in row] for row in doc]
+
+
+def _require_shape(what, m, rows, cols):
+    """m (rows of equal length) must be rows x cols."""
+    got = (len(m), len(m[0]) if m else 0)
+    if got != (rows, cols):
+        raise ValidationError(f"{what} is {got[0]}x{got[1]}, expected "
+                              f"{rows}x{cols}")
 
 
 # -- descriptors -----------------------------------------------------------------
@@ -115,17 +125,30 @@ def field_from_json(doc, prec_override=None) -> UnramifiedFieldDescriptor:
     return UnramifiedFieldDescriptor.create(p, f, prec)
 
 
+def _base_coeff(c):
+    """A polynomial coefficient over the base: an integer, or a list of
+    integers on its power basis."""
+    if isinstance(c, int):
+        return c
+    if isinstance(c, list):
+        return tuple(int(x) for x in c)
+    raise ValueError(f"coefficient {c!r} is neither an integer nor a list")
+
+
 def extension_from_json(doc, prec_override=None):
     base = field_from_json(doc, prec_override)
     eis = doc.get("eisenstein")
-    if not eis:
+    if not isinstance(eis, dict) or not eis:
         raise ValidationError("extension document lacks an 'eisenstein' entry")
-    coeffs = tuple(c if isinstance(c, int) else tuple(int(x) for x in c)
-                   for c in eis["coeffs"])
-    auts = {name: [c if isinstance(c, int) else tuple(int(x) for x in c)
-                   for c in poly]
-            for name, poly in eis.get("automorphisms", {}).items()}
-    return EisensteinExtensionDescriptor(base, coeffs, auts)
+    try:
+        coeffs = tuple(_base_coeff(c) for c in eis["coeffs"])
+        auts = {name: [_base_coeff(c) for c in poly]
+                for name, poly in eis.get("automorphisms", {}).items()}
+        return EisensteinExtensionDescriptor(base, coeffs, auts)
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError,
+            OverflowError) as exc:
+        raise ValidationError(f"extension: bad Eisenstein coefficients or "
+                              f"automorphisms: {exc!r}") from exc
 
 
 # -- modules ---------------------------------------------------------------------
@@ -142,7 +165,11 @@ def module_from_json(doc, prec_override=None):
     pol = doc.get("polarization")
     toric_cols = (matrix_from_json(field, toric) if toric
                   else [[] for _ in range(n)])
+    t = len(toric_cols[0]) if toric_cols else 0
+    _require_shape("toric_sub", toric_cols, n, t)
     gram = matrix_from_json(field, pol) if pol else []
+    if pol:
+        _require_shape("polarization", gram, n - t, n - t)
     sa = SemiAbelianPhiModule(D, toric_cols, gram,
                               validate=bool(toric) or bool(pol))
     return sa, field
@@ -161,21 +188,32 @@ def module_to_json(sa: SemiAbelianPhiModule) -> dict:
 # -- groups ----------------------------------------------------------------------
 
 
-def group_from_json(doc, field):
-    names = list(doc["elements"])
-    table = [[int(x) for x in row] for row in doc["table"]]
-    G = FiniteGroup(names, table)
-    rep_doc = doc.get("rep", {})
+def group_from_json(doc, field, dim):
+    """(group, representation) of a group document whose matrices act on a
+    module of dimension dim over field."""
+    try:
+        names = list(doc["elements"])
+        table = [[int(x) for x in row] for row in doc["table"]]
+        G = FiniteGroup(names, table)
+        rep_doc = dict(doc.get("rep", {}))
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError,
+            OverflowError) as exc:
+        raise ValidationError(f"group: bad or missing elements, table or rep: "
+                              f"{exc!r}") from exc
+    unknown = [name for name in rep_doc if name not in G.names]
+    if unknown:
+        raise ValidationError(f"group: rep names elements {unknown} that are "
+                              f"not in the element list")
+    mats = {}
+    for name, m in rep_doc.items():
+        mats[name] = matrix_from_json(field, m)
+        _require_shape(f"group: rep matrix {name!r}", mats[name], dim, dim)
     faithful = bool(doc.get("faithful", True))
     if doc.get("generators_only"):
-        gen_mats = {name: matrix_from_json(field, m)
-                    for name, m in rep_doc.items()}
-        rep = GroupRepresentation.from_generator_matrices(G, field, gen_mats,
+        rep = GroupRepresentation.from_generator_matrices(G, field, mats,
                                                           faithful)
     else:
-        named = {name: matrix_from_json(field, m)
-                 for name, m in rep_doc.items()}
-        rep = GroupRepresentation.from_named(G, field, named, faithful)
+        rep = GroupRepresentation.from_named(G, field, mats, faithful)
     return G, rep
 
 

@@ -172,6 +172,8 @@ class EisensteinExtensionDescriptor:
             raise ValidationError("Eisenstein polynomial must be monic")
         self.e = len(coeffs) - 1
         self.eis = coeffs
+        if validate:
+            self._check_eisenstein()
         self.ring = TowerRing(base.p, base.prec, base.modulus, coeffs)
         self.floor_relpi = floor_relpi
         self.relpi_max = self.e * base.prec
@@ -203,9 +205,9 @@ class EisensteinExtensionDescriptor:
                 out[i * self.e + j] = vec[i]
         return tuple(out)
 
-    def _validate(self):
-        ring = self.ring
-        # Eisenstein shape
+    def _check_eisenstein(self):
+        """The Eisenstein shape, checked before the ring is built (the ring
+        divides by the constant term over p)."""
         v0 = _vec_valuation(self.eis[0], self.p)
         if v0 != 1:
             raise ValidationError("constant term must have valuation exactly 1")
@@ -213,6 +215,9 @@ class EisensteinExtensionDescriptor:
             vj = _vec_valuation(self.eis[j], self.p)
             if vj is not None and vj < 1:
                 raise ValidationError("middle coefficients must have valuation >= 1")
+
+    def _validate(self):
+        ring = self.ring
         if not self.automorphisms:
             return
         thresh = self.e * max(self.prec - 4, 1)

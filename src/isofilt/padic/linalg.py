@@ -175,17 +175,22 @@ def certified_row_reduce(m, guard: int = DEFAULT_GUARD, reduced: bool = True):
 
 
 def certified_rank(m, guard: int = DEFAULT_GUARD) -> int:
-    _, _, cert = certified_row_reduce(m, guard)
-    return cert.rank
+    """Certified rank of m by forward elimination only.
+
+    Back-substitution above a pivot never changes the rows below it, so the
+    pivots, their valuations and the residual rows are the ones the reduced
+    form builds; a rank never reads the cleared entries above the pivots.
+    """
+    return rank_certificate(m, guard).rank
 
 
 def rank_certificate(m, guard: int = DEFAULT_GUARD) -> RankCertificate:
-    return certified_row_reduce(m, guard)[2]
+    return certified_row_reduce(m, guard, reduced=False)[2]
 
 
 def column_space_basis(m, guard: int = DEFAULT_GUARD):
     """Columns of m spanning its column space (as a matrix of columns)."""
-    _, pivot_cols, _ = certified_row_reduce(m, guard)
+    _, pivot_cols, _ = certified_row_reduce(m, guard, reduced=False)
     return columns(m, pivot_cols)
 
 

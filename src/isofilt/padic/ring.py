@@ -21,8 +21,9 @@ convolution in exact integers followed by _reduce, the ring's one reduction;
 hensel.rp_mul feeds it the convolutions of a whole polynomial product.  When
 f = 1 (Q_p and every Eisenstein ring over it) _reduce skips the z-step and
 folds u^(e+k) through the precomputed u-powers in exact integers, with a
-single reduction mod p^N; when f = e = 1, mul is one integer product and
-inv_unit one modular inverse.
+single reduction mod p^N; when f = e = 1, mul is one integer product.
+inv_unit is one modular inverse for every constant unit (all of them when
+f = e = 1) and a Newton iteration otherwise.
 """
 
 from __future__ import annotations
@@ -378,8 +379,9 @@ class TowerRing:
         """Inverse of a unit (valuation 0), exact mod p^N."""
         if self.val_pi(x) != 0:
             raise ZeroDivisionError("not a unit")
-        if self.dim == 1:
-            return (pow(x[0], -1, self.pn),)
+        if not any(x[1:]):
+            # a constant unit (every unit when f = e = 1): one modular inverse
+            return (pow(x[0], -1, self.pn),) + (0,) * (self.dim - 1)
         y = self._inv_mod_p(x)
         k = 1
         while k < self.prec:

@@ -32,6 +32,26 @@ def _run_cli(argv):
                           capture_output=True, text=True, env=env)
 
 
+_DELETE = object()
+
+
+def _mutated(tmp_path, name, path, value):
+    """A copy of fixture name with the entry at path set to value (deleted
+    when value is _DELETE); returns the new file."""
+    with open(fx(f"{name}.json")) as fh:
+        doc = json.load(fh)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    if value is _DELETE:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    out = tmp_path / f"{name}.json"
+    out.write_text(json.dumps(doc))
+    return str(out)
+
+
 def test_minkowski(capsys):
     code, out, _ = run(capsys, "minkowski", "--n", "2")
     assert code == 0 and out.strip() == "24"
@@ -107,15 +127,7 @@ def test_bad_values_exit_64_without_traceback(argv):
                                          (("frobenius",), 5),
                                          (("frobenius",), None)])
 def test_malformed_module_exits_2_without_traceback(tmp_path, where, value):
-    with open(fx("ss2.json")) as fh:
-        doc = json.load(fh)
-    target = doc
-    for key in where[:-1]:
-        target = target[key]
-    target[where[-1]] = value
-    path = tmp_path / "module.json"
-    path.write_text(json.dumps(doc))
-    proc = _run_cli(["slopes", "--module", str(path)])
+    proc = _run_cli(["slopes", "--module", _mutated(tmp_path, "ss2", where, value)])
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
 
@@ -173,3 +185,60 @@ def test_find_determinism(tmp_path, capsys):
         doc.pop("timestamp", None)
         outs.append(formats.canonical_json(doc))
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("name,path,value", [
+    ("ext_sqrt2_c2", ("eisenstein", "coeffs"), "x"),
+    ("ext_sqrt2_c2", ("eisenstein", "coeffs"), [-2, "y", 1]),
+    ("ext_sqrt2_c2", ("eisenstein", "coeffs"), _DELETE),
+    ("ext_sqrt2_c2", ("eisenstein", "coeffs"), [-3, 0, 1]),   # not Eisenstein
+    ("ext_sqrt2_c2", ("eisenstein", "automorphisms", "s", 1), "z"),
+    ("c2_scalar_dim2", ("rep", "m"), [["1", "0", "0"], ["0", "1", "0"],
+                                      ["0", "0", "1"]]),
+    ("c2_scalar_dim2", ("elements",), ["e", "x"]),            # no element m
+], ids=["coeffs-x", "coeffs-y", "coeffs-missing", "not-eisenstein",
+        "automorphism-z", "rep-3x3", "rep-unknown-name"])
+def test_malformed_extension_or_group_exits_2_without_traceback(
+        tmp_path, name, path, value):
+    files = {"ext": fx("ext_sqrt2_c2.json"), "group": fx("c2_scalar_dim2.json")}
+    files["ext" if name.startswith("ext") else "group"] = _mutated(
+        tmp_path, name, path, value)
+    proc = _run_cli(["filtration", "find", "--module", fx("ss2.json"),
+                     "--group", files["group"], "--extension", files["ext"],
+                     "--seed", "1", "--precision", "32"])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("name,path,value", [
+    ("ordinary_torus", ("polarization",), [["0", "1"], ["-1"]]),   # ragged
+    ("ss2", ("polarization",), [["0", "1"], ["-1", "0"], ["0", "0"]]),
+    ("ordinary_torus", ("polarization",), [["0", "1", "0"], ["-1", "0", "0"],
+                                           ["0", "0", "0"]]),   # n x n, not (n-t)^2
+    ("ordinary_torus", ("toric_sub",), [["1"], ["0"]]),
+], ids=["ragged-polarization", "polarization-3x2", "polarization-ignores-t",
+        "toric-sub-2x1"])
+def test_misshapen_module_exits_2_without_traceback(tmp_path, name, path, value):
+    proc = _run_cli(["decompose", "--module",
+                     _mutated(tmp_path, name, path, value)])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
+
+def test_check_rejects_a_zero_generator(tmp_path, capsys):
+    # a certificate whose group matrix m is zero, resealed with a correct
+    # digest: only the stability re-verification can reject it, and it names
+    # the descent targets, which test the same pairs, as well
+    cert = tmp_path / "cert.json"
+    code, _, _ = run(capsys, "filtration", "find", "--module", fx("ss2.json"),
+                     "--group", fx("c2_scalar_dim2.json"),
+                     "--extension", fx("ext_sqrt2_c2.json"), "--seed", "9",
+                     "--precision", "32", "--out", str(cert))
+    assert code == 0
+    doc = json.loads(cert.read_text())
+    doc["inputs"]["group"]["rep"]["m"] = [["0", "0"], ["0", "0"]]
+    doc["digest"] = formats.certificate_digest(doc)
+    cert.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "filtration", "check", str(cert))
+    assert code == 2
+    assert "diagonal-stability" in err and "descent-targets" in err

@@ -1,9 +1,12 @@
 """Galois setup, descent, admissibility, and the construction driver."""
 
+import os
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isofilt.errors import ValidationError, InternalContradictionError
 from isofilt.fixtures import (unramified, sqrt2_extension, trivial_extension,
@@ -23,6 +26,8 @@ from isofilt.filtration.driver import (find_admissible_stable_filtration,
 from isofilt.isocrystal.module import (PhiModule, SemiAbelianPhiModule,
                                        standard_symplectic_gram)
 from isofilt.padic import linalg as la
+from isofilt.padic.scalar import sc_add, sc_mul
+from isofilt import formats
 
 N = 48
 
@@ -93,6 +98,69 @@ def test_stability_iff_descended_span(Q2, L, setup_c2):
     s2 = L.uniformizer()
     F_bad = [[L.one()], [s2]]
     assert not is_diagonally_stable(rep, F_bad, setup_c2)
+
+
+FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+
+# the C2 setup over Q_2(sqrt 2) and the C4 setup over the cyclotomic e = 4,
+# f = 2 step, as the CLI loads them
+STABILITY_PROBLEMS = {
+    "c2": ("ss2", "c2_scalar_dim2", "ext_sqrt2_c2"),
+    "c4": ("ss2_q4", "c4_k_dim2", "ext_c4_cyclotomic"),
+}
+
+
+@lru_cache(maxsize=None)
+def _stability_problem(name):
+    """(rep, setup, B) with B a basis of diagonal-action invariants."""
+    module, group, extension = (formats.load_json(os.path.join(FIX, f"{stem}.json"))
+                                for stem in STABILITY_PROBLEMS[name])
+    sa, field = formats.module_from_json(module, 32)
+    G, rep = formats.group_from_json(group, field, sa.module.n)
+    ext = formats.extension_from_json(extension, 32)
+    setup = formats.setup_from_json(extension, G, ext)
+    return rep, setup, galois_descend(rep, setup)
+
+
+def _stable_by_definition(rep, F, setup):
+    """rho(h) F = tau_h F for every h, as three certified ranks per h."""
+    ext = setup.ext
+    return all(la.subspace_equal(la.mat_mul(lift_matrix(ext, rep.mats[x]), F),
+                                 setup.gal_apply(x, F))
+               for x in range(setup.group.n))
+
+
+@pytest.mark.parametrize("name", sorted(STABILITY_PROBLEMS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_stability_matches_its_definition(name, data):
+    # stable F (invariant combinations), random F over L, and random F under
+    # a broken "representation" whose matrix for one element is an arbitrary,
+    # possibly singular, integer matrix
+    rep, setup, B = _stability_problem(name)
+    ext, field, n = setup.ext, rep.field, rep.dim
+    small = st.integers(-3, 3)
+    k = data.draw(st.integers(1, n), label="columns")
+    kind = data.draw(st.sampled_from(["stable", "random", "broken-rep"]))
+    if kind == "stable":
+        C = [[field.scalar(data.draw(small)) for _ in range(k)]
+             for _ in range(len(B[0]))]
+        F = la.mat_mul(B, lift_matrix(ext, C))
+    else:
+        u = ext.uniformizer()
+        F = [[sc_add(ext.scalar(data.draw(small)),
+                     sc_mul(ext.scalar(data.draw(small)), u))
+              for _ in range(k)] for _ in range(n)]
+    if kind == "broken-rep":
+        x = data.draw(st.integers(1, setup.group.n - 1), label="element")
+        mats = list(rep.mats)
+        mats[x] = [[field.scalar(data.draw(small)) for _ in range(n)]
+                   for _ in range(n)]
+        rep = GroupRepresentation(rep.group, field, mats, faithful=False)
+    verdict = is_diagonally_stable(rep, F, setup)
+    assert verdict == _stable_by_definition(rep, F, setup)
+    if kind == "stable":
+        assert verdict
 
 
 def test_admissibility_ledger_examples(Q2, L):

@@ -1,0 +1,77 @@
+"""Pinned certificates of `filtration find`.
+
+The `digest` field of a certificate is the sha256 of everything in it except
+`timestamp`: the embedded inputs, the parameters and every output (the
+filtration's digits, the admissibility ledger, the descent datum, ...).  The
+values below were produced by the code before diagonal stability was
+certified with one joint elimination per group element; a refactor that
+keeps them keeps every certificate byte-identical apart from `timestamp`.
+
+The four problems are the fixture triples that the benchmark and the other
+CLI tests run; each is pinned in exact mode at three seeds and in sampled
+mode (budget 50, precision 32) at two.
+"""
+
+import json
+import os
+
+import pytest
+
+from isofilt.cli import main
+
+FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+
+SAMPLED = ["--mode", "sampled", "--budget", "50", "--precision", "32"]
+
+# (module, group, extension) -> {(mode, seed): digest}
+GOLDEN = {
+    ("ss2", "c2_scalar_dim2", "ext_sqrt2_c2"): {
+        ("exact", 1): "e16370e8ea8491d5ecac9081db6d2564138aabdbcff648e2ce48d5b7e2519cf0",
+        ("exact", 7): "f37a95bfe2ff843fc127918bf09b63548e361ee6f72120baead48557aa43ba9c",
+        ("exact", 123456): "259604b5364fafde44ea477bb8f9b3756e1fd563170ba6f36572193bf423b897",
+        ("sampled", 9): "b0d9cf2dd309d68dc0e361df87c61bb0844ec33d3ffc7ce8a56b37b6c3da6a69",
+        ("sampled", 11): "c81f127d9354bd7a68a385bddfc4a5eb0bc93376a09cc4e76269bd28e8a52054",
+    },
+    ("ss2_q4", "c4_k_dim2", "ext_c4_cyclotomic"): {
+        ("exact", 1): "bc0ecf68dc9f1c7ac83079b7f668406ee9b16af1f30be5a8513186bb91111139",
+        ("exact", 7): "c00da25eb4f7349f5ac408ff91ec0ac8b719b784421ffe7607667caaf9a22c5f",
+        ("exact", 123456): "16ee3063f49c4c0a0b9b89c68c9e168e40b40bd7618520d34ba7b60b98b74944",
+        ("sampled", 9): "ff723f63d5c70ecd6f53aa660fa24893bd3390ccc91a275107542988a0529781",
+        ("sampled", 11): "bfcbc7331e772ef1425aacc896549297f59d338c782563ead4fbf68223175b7a",
+    },
+    ("ordinary_torus", "trivial_group_dim3", "ext_trivial"): {
+        ("exact", 1): "5a697603929d50758ce6281a037234eb828641d819b7a97d4a876cda0a6db2b2",
+        ("exact", 7): "e94dc58a8d23294522f72218ff57ebc05b91a660f9575163d4ef0f3f4cba7319",
+        ("exact", 123456): "bac5228493fef343468c2d47f6cd3d2c12969a9be88aabdbd978c19cc174bfb3",
+        ("sampled", 9): "209b6f47e43c69c7945f76141d3b2ae107ff0ebf094a94bc0467ab7b939a7ed3",
+        ("sampled", 11): "d0c5656f3aec7e591e333e6c3d48ec37224b223584edc85912f04da1b439ff8d",
+    },
+    ("ordinary_torus", "c2_scalar_dim3", "ext_sqrt2_c2"): {
+        ("exact", 1): "32e359fa43b6eb932e81b7d328621c13a38d502b5770edeb13fd1df708addc2c",
+        ("exact", 7): "ad3e5280cd6b3d260c7043215cb239741a31f7a1175300462c80463a5bb07133",
+        ("exact", 123456): "7d87bd6ecd67027fd147983ac77ee84761e9e50fac51c548dd98e261a9735907",
+        ("sampled", 9): "00964ae2af93c0db132cdd8914a4ca46cf60f94585a5ff461cabd72fe9d3d3eb",
+        ("sampled", 11): "a991debcf7589b724810d7461fea38da077341699cdaf6d3678236e4f27e0208",
+    },
+}
+
+CASES = [(problem, mode, seed, digest)
+         for problem, pinned in GOLDEN.items()
+         for (mode, seed), digest in pinned.items()]
+
+
+@pytest.mark.parametrize(
+    "problem,mode,seed,digest", CASES,
+    ids=[f"{problem[0]}+{problem[1]}-{mode}-{seed}"
+         for problem, mode, seed, _ in CASES])
+def test_find_certificate_digest_is_pinned(tmp_path, capsys, problem, mode,
+                                           seed, digest):
+    module, group, extension = (os.path.join(FIX, f"{stem}.json")
+                                for stem in problem)
+    cert = tmp_path / "cert.json"
+    code = main(["filtration", "find", "--module", module, "--group", group,
+                 "--extension", extension, "--seed", str(seed),
+                 *(SAMPLED if mode == "sampled" else []), "--out", str(cert)])
+    capsys.readouterr()
+    assert code == 0
+    assert json.loads(cert.read_text())["digest"] == digest

@@ -1,6 +1,7 @@
 """Property tests of the ring kernels against exact integer polynomials.
 
-TowerRing.mul, TowerRing.inv_unit and hensel.rp_mul are checked against
+TowerRing.mul, TowerRing.inv_unit (on random elements, and on constant
+units, which skip Newton) and hensel.rp_mul are checked against
 oracles.tower_reduce at every shape of level the library builds: Q_p and
 Eisenstein rings over it (f = 1), unramified levels (e = 1) and ramified
 steps over them, at a small and a large precision.
@@ -87,6 +88,30 @@ def test_inv_unit_matches_oracle(f, e, prec, data):
     assert all(0 <= c < ring.pn for c in y)
     one = (1,) + (0,) * (ring.dim - 1)
     assert tower_poly_mul([x], [y], *_oracle_args(ring))[0] == one
+
+
+@levels
+@precs
+@examples
+@given(data=st.data())
+def test_inv_unit_constant_and_nonconstant_units(f, e, prec, data):
+    # a constant unit c takes the one-modular-inverse path at every level;
+    # moving one more coordinate off zero sends it through Newton
+    ring = data.draw(rings(f, e, prec))
+    args = _oracle_args(ring)
+    pad = (0,) * (ring.dim - 1)
+    c = data.draw(st.integers(1, ring.pn - 1).filter(lambda n: n % ring.p))
+    const = (c,) + pad
+    y = ring.inv_unit(const)
+    assert y == (pow(c, -1, ring.pn),) + pad
+    assert tower_poly_mul([const], [y], *args)[0] == (1,) + pad
+    if ring.dim == 1:
+        return
+    k = data.draw(st.integers(1, ring.dim - 1))
+    x = const[:k] + (data.draw(st.integers(1, ring.pn - 1)),) + const[k + 1:]
+    y = ring.inv_unit(x)
+    assert all(0 <= c < ring.pn for c in y)
+    assert tower_poly_mul([x], [y], *args)[0] == (1,) + pad
 
 
 @levels
