@@ -245,7 +245,7 @@ def _filtration_find(args) -> int:
 
 def _filtration_check(args) -> int:
     cert = formats.load_json(args.certificate)
-    if cert.get("schema") != formats.CERT_SCHEMA:
+    if not isinstance(cert, dict) or cert.get("schema") != formats.CERT_SCHEMA:
         print("verification failure: unknown certificate schema",
               file=sys.stderr)
         return EXIT_VERIFY
@@ -255,15 +255,26 @@ def _filtration_check(args) -> int:
         print("verification failure: digest mismatch (tampered certificate)",
               file=sys.stderr)
         return EXIT_VERIFY
-    inputs = cert["inputs"]
-    params = cert["params"]
-    prec = params.get("precision")
-    sa, field = formats.module_from_json(inputs["module"], prec)
-    G, rep = formats.group_from_json(inputs["group"], field, sa.module.n)
-    ext = formats.extension_from_json(inputs["extension"], prec)
-    setup = formats.setup_from_json(inputs["extension"], G, ext)
-    out = cert["outputs"]
-    F = formats.matrix_from_json(ext, out["filtration"])
+    mod_doc = _certificate_field(cert, "inputs.module", dict)
+    grp_doc = _certificate_field(cert, "inputs.group", dict)
+    ext_doc = _certificate_field(cert, "inputs.extension", dict)
+    prec = _certificate_field(cert, "params", dict).get("precision")
+    seed = _certificate_field(cert, "params.seed", int)
+    budget = _certificate_field(cert, "params.budget", int)
+    F_doc = _certificate_field(cert, "outputs.filtration", list)
+    adm = _certificate_field(cert, "outputs.admissibility", dict)
+    mode = adm.get("mode", "sampled")
+    if mode not in ("exact", "sampled"):
+        raise ValidationError(f"certificate field outputs.admissibility.mode "
+                              f"is {mode!r}, expected 'exact' or 'sampled'")
+    sa, field = formats.module_from_json(mod_doc, prec)
+    G, rep = formats.group_from_json(grp_doc, field, sa.module.n)
+    ext = formats.extension_from_json(ext_doc, prec)
+    setup = formats.setup_from_json(ext_doc, G, ext)
+    F = formats.matrix_from_json(ext, F_doc)
+    if len(F) != sa.module.n:
+        raise ValidationError(f"certificate field outputs.filtration has "
+                              f"{len(F)} rows, expected {sa.module.n}")
     failures = []
     # re-verify every verdict independently of the find path
     if sa.t_dim == 0 and sa.gram_B:
@@ -273,10 +284,8 @@ def _filtration_check(args) -> int:
             LagrangianSubspace(space, F, validate=True)
         except IsofiltError:
             failures.append("lagrangian")
-    rep_check = is_admissible(sa.module, F, ext,
-                              out["admissibility"].get("mode", "sampled"),
-                              seed=params["seed"], budget=params["budget"])
-    if not rep_check.verdict or out["admissibility"]["verdict"] != "admissible":
+    rep_check = is_admissible(sa.module, F, ext, mode, seed=seed, budget=budget)
+    if not rep_check.verdict or adm.get("verdict") != "admissible":
         failures.append("admissible")
     if not is_diagonally_stable(rep, F, setup):
         # the descent targets are the same (rho(h), tau_h) pairs
@@ -293,6 +302,20 @@ def _filtration_check(args) -> int:
         return EXIT_VERIFY
     print("certificate verifies: lagrangian, admissible, stable, cocycle")
     return EXIT_OK
+
+
+def _certificate_field(cert, path, kind):
+    """The entry of a certificate at a dotted path, which must be a kind;
+    a ValidationError naming the field otherwise."""
+    x = cert
+    for key in path.split("."):
+        if not isinstance(x, dict) or key not in x:
+            raise ValidationError(f"certificate lacks the field {path}")
+        x = x[key]
+    if not isinstance(x, kind):
+        raise ValidationError(f"certificate field {path} is not a "
+                              f"{kind.__name__}")
+    return x
 
 
 def _wreath_demo(args) -> int:

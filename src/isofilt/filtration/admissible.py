@@ -18,14 +18,25 @@ from ..isocrystal.submodules import submodules
 from .galois import lift_matrix
 
 
-def t_H(F_cols_L, N_cols_K, ext, guard: int = la.DEFAULT_GUARD) -> int:
-    """dim(N_L cap F), certified."""
+def t_H(F_cols_L, N_cols_K, ext, rank_F: int,
+        guard: int = la.DEFAULT_GUARD) -> int:
+    """dim(N_L cap F) = rank N_L + rank F - rank [N_L | F], certified.
+
+    rank_F is the certified rank of F, which the caller computes once for
+    every N it tests; each N then costs two eliminations.
+    """
     if not (N_cols_K and N_cols_K[0]):
         return 0
     if not (F_cols_L and F_cols_L[0]):
         return 0
     NL = lift_matrix(ext, N_cols_K)
-    return la.intersection_dim(NL, F_cols_L, guard)
+    return (la.certified_rank(la.transpose(NL), guard) + rank_F
+            - la.certified_rank(la.transpose(la.hstack(NL, F_cols_L)), guard))
+
+
+def _rank(F_cols_L, guard):
+    return la.certified_rank(la.transpose(F_cols_L), guard) \
+        if F_cols_L and F_cols_L[0] else 0
 
 
 class AdmissibilityReport:
@@ -66,6 +77,7 @@ def is_admissible(D: PhiModule, F_cols_L, ext, mode: str = "exact",
     violation = None
     verdict = True
     equality_at_top = None
+    rank_F = None  # certified on first use: some modules have no proper N
     for N in subs.subspaces:
         dN = len(N[0]) if N and N[0] else 0
         if dN == 0:
@@ -77,7 +89,9 @@ def is_admissible(D: PhiModule, F_cols_L, ext, mode: str = "exact",
         else:
             sub = D.submodule(N, guard)
             bound = sub.t_N(guard)
-            th = t_H(F_cols_L, N, ext, guard)
+            if rank_F is None:
+                rank_F = _rank(F_cols_L, guard)
+            th = t_H(F_cols_L, N, ext, rank_F, guard)
         entries.append((dN, th, bound))
         if th > bound:
             verdict = False
@@ -100,4 +114,4 @@ def verify_violation(D: PhiModule, F_cols_L, ext, N_cols,
         return False
     bound = D.submodule(N_cols, guard).t_N(guard) if len(N_cols[0]) < D.n \
         else D.t_N(guard)
-    return t_H(F_cols_L, N_cols, ext, guard) > bound
+    return t_H(F_cols_L, N_cols, ext, _rank(F_cols_L, guard), guard) > bound

@@ -150,7 +150,7 @@ def quaternion_pair(field):
          [field.one(), sc.sc_neg(delta)]]
     s_int = sqrt_mod_ppow((-3 * pow(5, -1, 2 ** field.prec)) % 2 ** field.prec,
                           2, field.prec)
-    s = sc.Scalar(field, sc.REG, val=Fraction(0),
+    s = sc.Scalar(field, sc.REG, w=0,
                   unit=field.ring.from_int(s_int), relpi=field.relpi_max)
     third = field.scalar(Fraction(-1, 3))
     w2 = sc.sc_frobenius(w)

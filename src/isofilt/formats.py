@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 from .bounds import is_prime
@@ -75,8 +76,12 @@ def scalar_from_json(field, doc):
             return la.dot([field.scalar(Fraction(str(c))) for c in doc],
                           powers, field)
         if "izero" in doc:
-            return sc.sc_izero(field, Fraction(doc["izero"]))
-        return sc.Scalar(field, sc.REG, val=Fraction(doc["v"]),
+            # an off-lattice bound rounds up: valuations lie in (1/e)Z
+            return sc.sc_izero(field, math.ceil(Fraction(doc["izero"]) * field.e))
+        w = Fraction(doc["v"]) * field.e
+        if w.denominator != 1:
+            raise ValidationError(f"valuation {doc['v']} is not in (1/{field.e})Z")
+        return sc.Scalar(field, sc.REG, w=int(w),
                          unit=tuple(int(c) % field.ring.pn for c in doc["unit"]),
                          relpi=min(int(doc["relpi"]), field.relpi_max))
     except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
@@ -158,6 +163,8 @@ def module_from_json(doc, prec_override=None):
     """Returns (SemiAbelianPhiModule, field).  Plain abelian and bare modules
     are wrapped with an empty toric part."""
     field = field_from_json(doc.get("field"), prec_override)
+    if _rational_and_singular(doc.get("frobenius")):
+        raise ValidationError("frobenius: the matrix is singular")
     A = matrix_from_json(field, doc.get("frobenius"))
     D = PhiModule(field, A)
     n = D.n
@@ -173,6 +180,30 @@ def module_from_json(doc, prec_override=None):
     sa = SemiAbelianPhiModule(D, toric_cols, gram,
                               validate=bool(toric) or bool(pol))
     return sa, field
+
+
+def _rational_and_singular(doc) -> bool:
+    """True when doc is a square matrix of rational numbers with determinant
+    zero, decided exactly over Q; False for anything else, which the p-adic
+    path validates (and certifies invertible) on its own."""
+    if not isinstance(doc, list) or not all(
+            isinstance(row, list) and len(row) == len(doc)
+            and all(isinstance(x, (str, int, float)) for x in row)
+            for row in doc):
+        return False
+    try:
+        m = [[Fraction(x) for x in row] for row in doc]
+    except (ValueError, ZeroDivisionError, OverflowError):
+        return False
+    for c in range(len(m)):
+        pivot = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if pivot is None:
+            return True
+        m[c], m[pivot] = m[pivot], m[c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+    return False
 
 
 def module_to_json(sa: SemiAbelianPhiModule) -> dict:

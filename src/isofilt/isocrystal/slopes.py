@@ -19,7 +19,6 @@ phi-stable because the factors have sigma-fixed coefficients.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from ..errors import PrecisionError, ValidationError
@@ -222,12 +221,12 @@ def _hensel_split(level, chi, a, m0):
     for i, c in enumerate(chi):
         shift = a * (n - i)
         if c.kind == sc.REG:
-            w = e * int(c.val) - shift
+            w = e * c.w - shift
             psi.append(ring.shift_up(ring.from_int(c.unit[0]), w))
             P = w + e * c.relpi
         else:
             psi.append(ring.zero())
-            P = math.floor(e * c.zb) - shift if c.kind == sc.IZERO else top
+            P = e * c.zw - shift if c.kind == sc.IZERO else top
         if P < top:
             inexact.append((i, P))
     A = min([P for _, P in inexact], default=top)
@@ -261,13 +260,13 @@ def _scalars(level, poly, prec):
     for x, P in zip(poly, prec):
         w = ring.val_pi(x)
         if w is None or w >= P:
-            out.append(sc.sc_izero(level, Fraction(P, e)))
+            out.append(sc.sc_izero(level, P))
             continue
         a, b = divmod(w, e)
         pa = p ** a
         unit = (tuple(x[j] // pa for j in range(b, e))
                 + tuple(x[j] // (pa * p) for j in range(b)))
-        out.append(sc.sc_reg(level, Fraction(w, e), unit, P - w))
+        out.append(sc.sc_reg(level, w, unit, P - w))
     out.append(level.one())
     return out
 

@@ -206,7 +206,7 @@ def _canonical_key(cols, guard):
     for row in ech:
         for x in row:
             if x.kind == sc.REG:
-                key.append((str(x.val), tuple(c % x.field.p ** 8 for c in x.unit)))
+                key.append((x.w, tuple(c % x.field.p ** 8 for c in x.unit)))
             else:
                 key.append(("z",))
     return tuple(key)

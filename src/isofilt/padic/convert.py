@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ..errors import PrecisionError, ValidationError
 from .ring import int_valuation
 from . import scalar as sc
@@ -19,19 +17,19 @@ def coords_to_qp_scalars(x: Scalar, qp: UnramifiedFieldDescriptor):
     if x.kind == sc.ZERO:
         return [sc.sc_zero(qp) for _ in range(F.f)]
     if x.kind == sc.IZERO:
-        return [sc.sc_izero(qp, x.zb) for _ in range(F.f)]
+        return [sc.sc_izero(qp, x.zw) for _ in range(F.f)]
     p = F.p
     for i in range(F.f):
         c = x.unit[i]
         if c == 0:
-            outs.append(sc.sc_izero(qp, x.val + x.relpi))
+            outs.append(sc.sc_izero(qp, x.w + x.relpi))
         else:
             v = int_valuation(c, p)
             relpi = x.relpi - v
             if relpi <= 0:
-                outs.append(sc.sc_izero(qp, x.val + x.relpi))
+                outs.append(sc.sc_izero(qp, x.w + x.relpi))
             else:
-                outs.append(Scalar(qp, sc.REG, val=x.val + v,
+                outs.append(Scalar(qp, sc.REG, w=x.w + v,
                                    unit=(c // p ** v % p ** qp.prec,),
                                    relpi=min(relpi, qp.prec)))
     return outs
@@ -44,26 +42,31 @@ def embed_qp(x: Scalar, target) -> Scalar:
     if x.kind == sc.ZERO:
         return sc.sc_zero(target)
     if x.kind == sc.IZERO:
-        return sc.sc_izero(target, x.zb)
+        return sc.sc_izero(target, target.e * x.zw)
     ring = target.ring
     unit = [0] * ring.dim
     unit[0] = x.unit[0] % ring.pn
-    return Scalar(target, sc.REG, val=x.val, unit=tuple(unit),
+    return Scalar(target, sc.REG, w=target.e * x.w, unit=tuple(unit),
                   relpi=min(target.e * x.relpi, target.relpi_max))
 
 
 def project_to_base(x: Scalar, slack: int = 4) -> Scalar:
     """Project an Eisenstein-level scalar known to lie in the base back to the
-    base level; certified (the u-coordinates must vanish at precision)."""
+    base level; certified (the u-coordinates must vanish at precision).
+
+    An izero bound zw/e of the finer level becomes ceil(zw/e) at the base:
+    base valuations are integers, so a value of valuation >= zw/e that lies
+    in the base has valuation >= ceil(zw/e).
+    """
     L = x.field
     base = L.base
+    e = L.e
     if x.kind == sc.ZERO:
         return sc.sc_zero(base)
     if x.kind == sc.IZERO:
-        return sc.sc_izero(base, x.zb)
-    if x.val.denominator != 1:
+        return sc.sc_izero(base, -(-x.zw // e))
+    if x.w % e:
         raise ValidationError("fractional valuation cannot live in the base")
-    e = L.e
     p = L.p
     thresh = max(x.relpi - slack * e, L.floor_relpi)
     base_vec = []
@@ -78,14 +81,14 @@ def project_to_base(x: Scalar, slack: int = 4) -> Scalar:
                         "scalar does not descend to the base at working precision")
     unit = tuple(c % p ** base.prec for c in base_vec)
     if all(c == 0 for c in unit):
-        return sc.sc_izero(base, x.val + Fraction(x.relpi, e))
+        return sc.sc_izero(base, -(-(x.w + x.relpi) // e))
     v0 = min(int_valuation(c, p) for c in unit if c)
     if v0 > 0:
         unit = tuple(c // p ** v0 for c in unit)
     relp = (x.relpi // e) - v0
     if relp < base.floor_relpi:
         raise PrecisionError("projection lost all meaningful digits")
-    return Scalar(base, sc.REG, val=x.val + v0, unit=unit,
+    return Scalar(base, sc.REG, w=x.w // e + v0, unit=unit,
                   relpi=min(relp, base.prec))
 
 
@@ -98,7 +101,7 @@ def project_to_rational_level(x: Scalar, qp: UnramifiedFieldDescriptor,
     if x.kind == sc.ZERO:
         return sc.sc_zero(qp)
     if x.kind == sc.IZERO:
-        return sc.sc_izero(qp, x.zb)
+        return sc.sc_izero(qp, x.zw)
     p = F.p
     thresh = max(x.relpi - slack, F.floor_relpi)
     for i in range(1, F.f):
@@ -109,14 +112,14 @@ def project_to_rational_level(x: Scalar, qp: UnramifiedFieldDescriptor,
                 raise PrecisionError("scalar is not rational at working precision")
     c0 = x.unit[0] % p ** qp.prec
     if c0 == 0:
-        return sc.sc_izero(qp, x.val + x.relpi)
+        return sc.sc_izero(qp, x.w + x.relpi)
     v0 = int_valuation(c0, p)
     if v0 > 0:
         c0 //= p ** v0
     relp = x.relpi - v0
     if relp < qp.floor_relpi:
         raise PrecisionError("projection lost all meaningful digits")
-    return Scalar(qp, sc.REG, val=x.val + v0, unit=(c0,),
+    return Scalar(qp, sc.REG, w=x.w + v0, unit=(c0,),
                   relpi=min(relp, qp.prec))
 
 
@@ -158,14 +161,14 @@ class UnramifiedEmbedding:
         if x.kind == sc.ZERO:
             return sc.sc_zero(big)
         if x.kind == sc.IZERO:
-            return sc.sc_izero(big, x.zb)
+            return sc.sc_izero(big, x.zw)
         ring = big.ring
         acc = ring.zero()
         for i in range(self.small.f):
             c = x.unit[i]
             if c:
                 acc = ring.add(acc, ring.scalar_mul(c, self.gen_powers[i]))
-        return Scalar(big, sc.REG, val=x.val, unit=acc, relpi=min(x.relpi, big.prec))
+        return Scalar(big, sc.REG, w=x.w, unit=acc, relpi=min(x.relpi, big.prec))
 
     def pull_back(self, y: Scalar, slack: int = 4) -> Scalar:
         """Inverse on the image, certified by solving the coordinate system."""
@@ -173,7 +176,7 @@ class UnramifiedEmbedding:
         if y.kind == sc.ZERO:
             return sc.sc_zero(small)
         if y.kind == sc.IZERO:
-            return sc.sc_izero(small, y.zb)
+            return sc.sc_izero(small, y.zw)
         pn = big.ring.pn
         p = big.p
         # solve sum_i c_i * gen_powers[i] == unit (mod p^N) for integers c_i
@@ -187,7 +190,7 @@ class UnramifiedEmbedding:
         v = big.ring.val_pi(resid)
         if v is not None and v < max(y.relpi - slack, 1):
             raise PrecisionError("descent residual too large")
-        return Scalar(small, sc.REG, val=y.val, unit=unit,
+        return Scalar(small, sc.REG, w=y.w, unit=unit,
                       relpi=min(y.relpi, small.prec))
 
 

@@ -18,8 +18,6 @@ different cap from the original exact integer data.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ..errors import ValidationError
 from .ring import TowerRing, int_valuation
 from .hensel import find_unramified_modulus
@@ -72,7 +70,7 @@ class UnramifiedFieldDescriptor:
 
     def gen(self):
         """The Teichmuller generator z as a scalar."""
-        return sc.Scalar(self, sc.REG, val=Fraction(0),
+        return sc.Scalar(self, sc.REG, w=0,
                          unit=self.ring.gen_z(), relpi=self.relpi_max)
 
     def teichmuller(self, d: int):
@@ -99,7 +97,7 @@ class UnramifiedFieldDescriptor:
             x = a % self.p ** self.prec
             for _ in range(self.prec + 1):
                 x = pow(x, self.p, self.p ** self.prec)
-            out = sc.Scalar(self, sc.REG, val=Fraction(0),
+            out = sc.Scalar(self, sc.REG, w=0,
                             unit=self.ring.from_int(x), relpi=self.relpi_max)
         else:
             g = self.gen()
@@ -288,7 +286,7 @@ class EisensteinExtensionDescriptor:
         return sc.sc_from_fraction(self, q)
 
     def uniformizer(self):
-        return sc.Scalar(self, sc.REG, val=Fraction(1, self.e),
+        return sc.Scalar(self, sc.REG, w=1,
                          unit=self.ring.one(), relpi=self.relpi_max)
 
     def lift(self, x):
@@ -298,9 +296,9 @@ class EisensteinExtensionDescriptor:
         if x.kind == sc.ZERO:
             return self.zero()
         if x.kind == sc.IZERO:
-            return sc.sc_izero(self, x.zb)
+            return sc.sc_izero(self, self.e * x.zw)
         unit = _base_vec_unit_to_elem(x.unit, self.f, self.e)
-        return sc.Scalar(self, sc.REG, val=x.val, unit=unit,
+        return sc.Scalar(self, sc.REG, w=self.e * x.w, unit=unit,
                          relpi=min(self.e * x.relpi, self.relpi_max))
 
     def apply(self, name: str, x):

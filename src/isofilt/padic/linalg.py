@@ -13,7 +13,6 @@ analogue of partial pivoting and keeps precision loss linear.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import reduce
 
@@ -99,21 +98,28 @@ def columns(a, idx):
 
 
 class RankCertificate:
-    """Outcome of a certified elimination."""
+    """Outcome of a certified elimination over a level of ramification e.
 
-    def __init__(self, rank, pivot_vals, guard, residual_bound):
+    Valuations are integer pi-exponents: ``pivot_ws`` holds the exact
+    exponents of the pivots and ``residual_zw`` the bound to which every
+    discarded entry vanishes (None when nothing was discarded as zero).
+    ``as_dict`` and ``det_valuation`` read them as valuations w/e.
+    """
+
+    def __init__(self, rank, pivot_ws, guard, residual_zw, e):
         self.rank = rank
-        self.pivot_vals = pivot_vals          # exact valuations of the pivots
-        self.guard = guard                    # spare pi-digits backing them
-        self.residual_bound = residual_bound  # all discarded entries vanish
-                                              # to at least this valuation
+        self.pivot_ws = pivot_ws
+        self.guard = guard  # spare pi-digits backing each pivot
+        self.residual_zw = residual_zw
+        self.e = e
 
     def as_dict(self):
+        e = self.e
         return {"rank": self.rank,
-                "pivot_valuations": [str(v) for v in self.pivot_vals],
+                "pivot_valuations": [str(Fraction(w, e)) for w in self.pivot_ws],
                 "guard": self.guard,
-                "residual_zero_to": (str(self.residual_bound)
-                                     if self.residual_bound is not None else None)}
+                "residual_zero_to": (str(Fraction(self.residual_zw, e))
+                                     if self.residual_zw is not None else None)}
 
 
 def certified_row_reduce(m, guard: int = DEFAULT_GUARD, reduced: bool = True):
@@ -123,18 +129,18 @@ def certified_row_reduce(m, guard: int = DEFAULT_GUARD, reduced: bool = True):
     spare pi-adic digits.
     """
     if not m or not m[0]:
-        return [], [], RankCertificate(0, [], guard, None)
+        return [], [], RankCertificate(0, [], guard, None, 1)
     field = _field_of(m)
     rows = [list(r) for r in m]
     nr, nc = len(rows), len(rows[0])
     pivot_cols = []
-    pivot_vals = []
+    pivot_ws = []
     r = 0
     for c in range(nc):
         best = None
         for i in range(r, nr):
             x = rows[i][c]
-            if x.kind == sc.REG and (best is None or x.val < rows[best][c].val):
+            if x.kind == sc.REG and (best is None or x.w < rows[best][c].w):
                 best = i
         if best is None:
             continue
@@ -157,20 +163,20 @@ def certified_row_reduce(m, guard: int = DEFAULT_GUARD, reduced: bool = True):
             rows[i] = [sc_sub(y, sc_mul(factor, z))
                        for y, z in zip(rows[i], rows[r])]
         pivot_cols.append(c)
-        pivot_vals.append(piv.val)
+        pivot_ws.append(piv.w)
         r += 1
         if r == nr:
             break
-    residual_bound = None
+    residual_zw = None
     for i in range(r, nr):
         for x in rows[i]:
             if x.kind == sc.IZERO:
-                residual_bound = x.zb if residual_bound is None else min(residual_bound, x.zb)
+                residual_zw = x.zw if residual_zw is None else min(residual_zw, x.zw)
             elif x.kind == sc.REG:
                 # unreachable: every remaining reg entry would have produced
                 # a pivot in its column
                 raise PrecisionError("uncertified nonzero residual after elimination")
-    cert = RankCertificate(r, pivot_vals, guard, residual_bound)
+    cert = RankCertificate(r, pivot_ws, guard, residual_zw, field.e)
     return rows[:r] if reduced else rows, pivot_cols, cert
 
 
@@ -274,7 +280,7 @@ def det_valuation(m, guard: int = DEFAULT_GUARD) -> Fraction:
     _, pivots, cert = certified_row_reduce(m, guard, reduced=False)
     if cert.rank != n:
         raise PrecisionError("matrix not certified invertible")
-    return sum(cert.pivot_vals, Fraction(0))
+    return Fraction(sum(cert.pivot_ws), cert.e)
 
 
 def mat_inverse(m, guard: int = DEFAULT_GUARD):
@@ -326,11 +332,10 @@ def poly_eval_matrix(coeffs, m):
     return out
 
 
-def pi_power(field, v) -> Scalar:
-    """The scalar pi^(e*v) (valuation v, unit one, full precision)."""
-    v = Fraction(v)
-    assert (v * field.e).denominator == 1
-    return Scalar(field, sc.REG, val=v, unit=field.ring.one(),
+def pi_power(field, w: int) -> Scalar:
+    """The scalar p^a * u^b with (a, b) = divmod(w, e): valuation w/e, unit
+    one, full precision."""
+    return Scalar(field, sc.REG, w=w, unit=field.ring.one(),
                   relpi=field.relpi_max)
 
 
@@ -344,21 +349,22 @@ def normalize_columns(cols, integral: bool = False):
     if not cols or not cols[0]:
         return cols
     field = _field_of(cols)
+    e = field.e
     n, k = len(cols), len(cols[0])
     out = [[None] * k for _ in range(n)]
     for j in range(k):
-        vmin = None
+        wmin = None
         for i in range(n):
             x = cols[i][j]
-            if x.kind == sc.REG and (vmin is None or x.val < vmin):
-                vmin = x.val
-        if vmin is not None and integral:
-            vmin = Fraction(math.floor(vmin))
-        if vmin is None or vmin == 0:
+            if x.kind == sc.REG and (wmin is None or x.w < wmin):
+                wmin = x.w
+        if wmin is not None and integral:
+            wmin -= wmin % e
+        if not wmin:
             for i in range(n):
                 out[i][j] = cols[i][j]
             continue
-        s = pi_power(field, -vmin)
+        s = pi_power(field, -wmin)
         for i in range(n):
             out[i][j] = sc_mul(s, cols[i][j])
     return out

@@ -4,9 +4,23 @@ A scalar is one of three kinds:
 
 * ``zero``   -- an exact zero (rational 0 embedded, or a structural zero);
 * ``izero``  -- indistinguishable from zero at the working precision: all we
-  know is that its valuation is >= ``zb``;
-* ``reg``    -- pi^(e*val) * unit with the valuation *exact* (a Fraction with
-  denominator dividing e) and the unit known to ``relpi`` pi-adic digits.
+  know is that its valuation is >= ``zw``/e;
+* ``reg``    -- p^a * u^b * unit with (a, b) = divmod(w, e): valuation exactly
+  w/e, the unit known to ``relpi`` pi-adic digits.
+
+Valuations are stored as integer pi-exponents, ``w`` for a reg scalar and
+``zw`` for an izero bound, so the arithmetic below is integer arithmetic
+only; ``val`` = w/e and ``zb`` = zw/e are read-only Fraction views for
+callers that compare across levels or print.  The unit convention is the
+literal u-power of the monomial basis: a product or sum whose u-power b
+wraps past e absorbs u^e = p * c0 into its unit (the c0 and c0^-1
+corrections), at the cost of the digit of c0 that p^N cannot hold.
+
+Every scalar of a level with ramification e has its valuation in (1/e)Z.
+So an izero bound that arrives off that lattice -- from a finer level, as in
+``convert.project_to_base``, or from a JSON document -- is rounded up,
+zw = ceil(zb * e), and stays sound: a nonzero value of valuation >= zb has
+valuation >= ceil(zb * e)/e.
 
 Valuations of ``reg`` scalars are never approximations: the monomial-basis
 representation makes the valuation of a nonzero residue class exact, so the
@@ -17,6 +31,7 @@ whose meaningful digits fell below the descriptor's floor.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from ..errors import PrecisionError
@@ -28,21 +43,31 @@ REG = "reg"
 
 
 class Scalar:
-    __slots__ = ("field", "kind", "val", "unit", "relpi", "zb")
+    __slots__ = ("field", "kind", "w", "unit", "relpi", "zw")
 
-    def __init__(self, field, kind, val=None, unit=None, relpi=0, zb=None):
+    def __init__(self, field, kind, w=None, unit=None, relpi=0, zw=None):
         self.field = field
         self.kind = kind
-        self.val = val
+        self.w = w
         self.unit = unit
         self.relpi = relpi
-        self.zb = zb
+        self.zw = zw
+
+    @property
+    def val(self):
+        """The exact valuation w/e of a reg scalar (None otherwise)."""
+        return None if self.w is None else Fraction(self.w, self.field.e)
+
+    @property
+    def zb(self):
+        """The valuation bound zw/e of an izero scalar (None otherwise)."""
+        return None if self.zw is None else Fraction(self.zw, self.field.e)
 
     def __repr__(self):
         if self.kind == ZERO:
             return "Scalar(0)"
         if self.kind == IZERO:
-            return f"Scalar(O(pi^{self.zb}*e))"
+            return f"Scalar(O(pi^{self.zw}))"
         return f"Scalar(v={self.val}, relpi={self.relpi})"
 
 
@@ -50,15 +75,15 @@ def sc_zero(field) -> Scalar:
     return Scalar(field, ZERO)
 
 
-def sc_izero(field, zb: Fraction) -> Scalar:
-    return Scalar(field, IZERO, zb=Fraction(zb))
+def sc_izero(field, zw: int) -> Scalar:
+    return Scalar(field, IZERO, zw=zw)
 
 
-def sc_reg(field, val: Fraction, unit, relpi: int) -> Scalar:
+def sc_reg(field, w: int, unit, relpi: int) -> Scalar:
     if relpi < field.floor_relpi:
         raise PrecisionError(
             f"result precision {relpi} pi-digits below floor {field.floor_relpi}")
-    return Scalar(field, REG, val=Fraction(val), unit=unit, relpi=relpi)
+    return Scalar(field, REG, w=w, unit=unit, relpi=relpi)
 
 
 def sc_from_fraction(field, q) -> Scalar:
@@ -74,7 +99,7 @@ def sc_from_fraction(field, q) -> Scalar:
     unit = ring.from_int(un)
     if ud != 1:
         unit = ring.mul(unit, ring.inv_unit(ring.from_int(ud)))
-    return Scalar(field, REG, val=Fraction(vn - vd), unit=unit,
+    return Scalar(field, REG, w=field.e * (vn - vd), unit=unit,
                   relpi=field.relpi_max)
 
 
@@ -85,13 +110,8 @@ def sc_from_int(field, n: int) -> Scalar:
 def sc_neg(x: Scalar) -> Scalar:
     if x.kind != REG:
         return x
-    return Scalar(x.field, REG, val=x.val, unit=x.field.ring.neg(x.unit),
+    return Scalar(x.field, REG, w=x.w, unit=x.field.ring.neg(x.unit),
                   relpi=x.relpi)
-
-
-def _b_part(val: Fraction, e: int) -> int:
-    w = val * e
-    return int(w) % e
 
 
 def sc_add(x: Scalar, y: Scalar) -> Scalar:
@@ -102,36 +122,34 @@ def sc_add(x: Scalar, y: Scalar) -> Scalar:
     if y.kind == ZERO:
         return x
     if x.kind == IZERO and y.kind == IZERO:
-        return sc_izero(F, min(x.zb, y.zb))
+        return sc_izero(F, min(x.zw, y.zw))
     if x.kind == IZERO or y.kind == IZERO:
         iz, r = (x, y) if x.kind == IZERO else (y, x)
-        if r.val >= iz.zb:
-            return sc_izero(F, iz.zb)
-        cap = int((iz.zb - r.val) * e)
-        return sc_reg(F, r.val, r.unit, min(r.relpi, cap))
-    if y.val < x.val:
+        if r.w >= iz.zw:
+            return sc_izero(F, iz.zw)
+        return sc_reg(F, r.w, r.unit, min(r.relpi, iz.zw - r.w))
+    if y.w < x.w:
         x, y = y, x
     ring = F.ring
-    dpi = int((y.val - x.val) * e)
+    dpi = y.w - x.w
     m = min(x.relpi, dpi + y.relpi)
-    b1 = _b_part(x.val, e)
-    b2 = _b_part(y.val, e)
+    b1 = x.w % e
     shifted = ring.shift_up(y.unit, dpi)
-    if e > 1 and b2 < b1:
+    if e > 1 and y.w % e < b1:
         # the literal u-power of the shift overflowed by u^e = p*c0
         shifted = ring.mul(shifted, ring.c0_inv())
         m = min(m, e * (F.prec - 1))
     s = ring.add(x.unit, shifted)
     w = ring.val_pi(s)
     if w is None or w >= m:
-        return sc_izero(F, x.val + Fraction(m, e))
+        return sc_izero(F, x.w + m)
     unit = ring.divide_pi_exact(s, w)
     a, b = divmod(w, e)
     if e > 1 and b1 + b >= e:
         unit = ring.mul(unit, ring.c0())
         m = min(m, w + e * (F.prec - 1))
     cap = e * (F.prec - a - b)
-    return sc_reg(F, x.val + Fraction(w, e), unit, min(m - w, cap))
+    return sc_reg(F, x.w + w, unit, min(m - w, cap))
 
 
 def sc_sub(x: Scalar, y: Scalar) -> Scalar:
@@ -143,18 +161,18 @@ def sc_mul(x: Scalar, y: Scalar) -> Scalar:
     if x.kind == ZERO or y.kind == ZERO:
         return sc_zero(F)
     if x.kind == IZERO and y.kind == IZERO:
-        return sc_izero(F, x.zb + y.zb)
+        return sc_izero(F, x.zw + y.zw)
     if x.kind == IZERO:
-        return sc_izero(F, x.zb + y.val)
+        return sc_izero(F, x.zw + y.w)
     if y.kind == IZERO:
-        return sc_izero(F, y.zb + x.val)
+        return sc_izero(F, y.zw + x.w)
     e = F.e
     unit = F.ring.mul(x.unit, y.unit)
     relpi = min(x.relpi, y.relpi)
-    if e > 1 and _b_part(x.val, e) + _b_part(y.val, e) >= e:
+    if e > 1 and x.w % e + y.w % e >= e:
         unit = F.ring.mul(unit, F.ring.c0())
         relpi = min(relpi, e * (F.prec - 1))
-    return sc_reg(F, x.val + y.val, unit, relpi)
+    return sc_reg(F, x.w + y.w, unit, relpi)
 
 
 def sc_inv(x: Scalar) -> Scalar:
@@ -166,10 +184,10 @@ def sc_inv(x: Scalar) -> Scalar:
     e = F.e
     unit = F.ring.inv_unit(x.unit)
     relpi = x.relpi
-    if e > 1 and _b_part(x.val, e) != 0:
+    if e > 1 and x.w % e:
         unit = F.ring.mul(unit, F.ring.c0_inv())
         relpi = min(relpi, e * (F.prec - 1))
-    return sc_reg(F, -x.val, unit, relpi)
+    return sc_reg(F, -x.w, unit, relpi)
 
 
 def sc_div(x: Scalar, y: Scalar) -> Scalar:
@@ -181,7 +199,7 @@ def sc_frobenius(x: Scalar) -> Scalar:
     if x.kind != REG:
         return x
     F = x.field
-    return Scalar(F, REG, val=x.val, unit=F.ring.frobenius(x.unit),
+    return Scalar(F, REG, w=x.w, unit=F.ring.frobenius(x.unit),
                   relpi=x.relpi)
 
 
@@ -193,16 +211,14 @@ def sc_apply_aut(x: Scalar, aut) -> Scalar:
     F = x.field
     ring = F.ring
     e = F.e
-    w = x.val * e
-    assert w.denominator == 1, "valuation denominator exceeds ramification"
-    b = int(w) % e
+    b = x.w % e
     unit = ring.apply_u_map(x.unit, aut.upowers)
     if b:
         unit = ring.mul(unit, aut.tu_pow[b])
         relpi = min(x.relpi, e * (F.prec - 1))
     else:
         relpi = x.relpi
-    return sc_reg(F, x.val, unit, relpi)
+    return sc_reg(F, x.w, unit, relpi)
 
 
 def sc_pow(x: Scalar, n: int) -> Scalar:
@@ -221,10 +237,10 @@ def sc_pow(x: Scalar, n: int) -> Scalar:
     return r
 
 
-def sc_certified_zero(x: Scalar, min_bound: Fraction) -> bool:
+def sc_certified_zero(x: Scalar, min_bound) -> bool:
     """True when x is known to vanish to valuation at least min_bound."""
     if x.kind == ZERO:
         return True
     if x.kind == IZERO:
-        return x.zb >= min_bound
+        return x.zw >= math.ceil(min_bound * x.field.e)
     return False

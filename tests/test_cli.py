@@ -125,7 +125,8 @@ def test_bad_values_exit_64_without_traceback(argv):
                                          (("frobenius", 0, 1), {"v": "1"}),
                                          (("frobenius", 0, 1), float("inf")),
                                          (("frobenius",), 5),
-                                         (("frobenius",), None)])
+                                         (("frobenius",), None),
+                                         (("frobenius",), [["0", "0"], ["1", "0"]])])
 def test_malformed_module_exits_2_without_traceback(tmp_path, where, value):
     proc = _run_cli(["slopes", "--module", _mutated(tmp_path, "ss2", where, value)])
     assert proc.returncode == 2
@@ -242,3 +243,59 @@ def test_check_rejects_a_zero_generator(tmp_path, capsys):
     code, _, err = run(capsys, "filtration", "check", str(cert))
     assert code == 2
     assert "diagonal-stability" in err and "descent-targets" in err
+
+
+def _drop(*path):
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        del doc[path[-1]]
+    return edit
+
+
+def _set(value, *path):
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return edit
+
+
+def _extra_row(doc):
+    rows = doc["outputs"]["filtration"]
+    rows.append(list(rows[0]))
+
+
+@pytest.fixture(scope="module")
+def ss2_certificate(tmp_path_factory):
+    cert = tmp_path_factory.mktemp("cert") / "cert.json"
+    assert main(["filtration", "find", "--module", fx("ss2.json"),
+                 "--group", fx("c2_scalar_dim2.json"),
+                 "--extension", fx("ext_sqrt2_c2.json"), "--seed", "9",
+                 "--precision", "32", "--out", str(cert)]) == 0
+    return cert.read_text()
+
+
+@pytest.mark.parametrize("edit, field", [
+    (_extra_row, "outputs.filtration"),
+    (_drop("outputs", "filtration"), "outputs.filtration"),
+    (_drop("outputs", "admissibility"), "outputs.admissibility"),
+    (_drop("params", "seed"), "params.seed"),
+    (_drop("params", "budget"), "params.budget"),
+    (_drop("inputs", "group"), "inputs.group"),
+    (_drop("inputs"), "inputs"),
+    (_set("bogus", "outputs", "admissibility", "mode"), "outputs.admissibility.mode"),
+], ids=["extra-row", "no-filtration", "no-admissibility", "no-seed",
+        "no-budget", "no-group", "no-inputs", "bogus-mode"])
+def test_check_rejects_a_malformed_body(tmp_path, capsys, ss2_certificate,
+                                        edit, field):
+    # each body is resealed with a correct digest, so only validating the
+    # body can reject it; the message names the field
+    doc = json.loads(ss2_certificate)
+    edit(doc)
+    doc["digest"] = formats.certificate_digest(doc)
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "filtration", "check", str(cert))
+    assert code == 2
+    assert field in err

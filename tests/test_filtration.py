@@ -180,9 +180,9 @@ def test_admissibility_ledger_examples(Q2, L):
 def test_t_H_examples(Q2, L):
     D = ordinary_module(Q2)
     F = [[L.one()], [L.one()]]
-    assert t_H(F, la.identity(Q2, 2), L) == 1
-    assert t_H(F, [[], []], L) == 0
-    assert t_H(F, la.from_rows_of_fractions(Q2, [[1], [0]]), L) == 0
+    assert t_H(F, la.identity(Q2, 2), L, 1) == 1
+    assert t_H(F, [[], []], L, 1) == 0
+    assert t_H(F, la.from_rows_of_fractions(Q2, [[1], [0]]), L, 1) == 0
 
 
 def test_simple_module_any_line_admissible(Q2, L):

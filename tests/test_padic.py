@@ -221,8 +221,9 @@ def test_guard_certificate_reported(Q2):
     m = la.from_rows_of_fractions(Q2, [[4, 0], [0, 8]])
     cert = la.rank_certificate(m, guard=8)
     assert cert.rank == 2
-    assert sorted(cert.pivot_vals) == [2, 3]
+    assert sorted(cert.pivot_ws) == [2, 3]
     assert cert.guard == 8
+    assert cert.as_dict()["pivot_valuations"] == ["2", "3"]
 
 
 @pytest.mark.parametrize("e", [2, 3])

@@ -1,0 +1,336 @@
+"""The Scalar layer: exact oracles, a pinned table, and a Fraction guard.
+
+sc_add, sc_sub, sc_mul and sc_inv are checked at every shape of level of
+test_ring_kernels (Q_p and Eisenstein rings over it, unramified levels and
+ramified steps over them).  A scalar's oracle value is the integer polynomial
+p^(a + K) u^b * unit in z, u, with (a, b) = divmod(w, e) and K large enough to
+make it integral, reduced by oracles.tower_reduce modulo the level's own
+polynomials and a higher power of p.  Each input is perturbed by a random
+element at its first unknown digit (an izero input is nothing but such an
+element), so a result that claims a digit its inputs do not determine
+disagrees with the oracle.
+
+The pinned table holds results of the same operations on fixed inputs,
+recorded when valuations were still Fractions, so that a change of
+representation cannot move a certified precision unnoticed.  It covers both
+wraps of the u-power (the c0^-1 shift of an addend and the c0 correction of a
+sum) and the izero cap of a sum.
+"""
+
+import contextlib
+import fractions
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from isofilt import formats
+from isofilt.errors import PrecisionError, ValidationError
+from isofilt.padic import linalg as la
+from isofilt.padic import scalar as sc
+from isofilt.padic.convert import project_to_base
+from isofilt.padic.descriptors import (EisensteinExtensionDescriptor,
+                                       UnramifiedFieldDescriptor)
+from oracles import tower_poly_mul, tower_reduce
+from test_ring_kernels import LEVELS, PRECS, _ring, elements, rings
+
+K = 3              # oracle values carry p^K (p^(2K) for products): integral
+W = 2              # input exponents w and zw lie in [-W e, W e]
+NO_FLOOR = -10 ** 9
+OPS = {"add": sc.sc_add, "sub": sc.sc_sub, "mul": sc.sc_mul, "inv": sc.sc_inv}
+
+levels = pytest.mark.parametrize("f, e", LEVELS)
+precs = pytest.mark.parametrize("prec", PRECS)
+examples = settings(max_examples=60, deadline=None)
+
+
+class Level:
+    """The descriptor fields a Scalar reads, over a bare TowerRing."""
+
+    def __init__(self, ring, floor_relpi=1):
+        self.ring, self.p, self.e, self.prec = ring, ring.p, ring.e, ring.prec
+        self.floor_relpi = floor_relpi
+        self.relpi_max = ring.e * ring.prec
+
+
+def _build(level, spec):
+    """A scalar from ("zero",), ("izero", zw) or ("reg", w, relpi, unit),
+    without the floor check of sc_reg."""
+    if spec[0] == "zero":
+        return sc.sc_zero(level)
+    if spec[0] == "izero":
+        return sc.sc_izero(level, spec[1])
+    _, w, relpi, unit = spec
+    return sc.Scalar(level, sc.REG, w=w, unit=tuple(unit), relpi=relpi)
+
+
+def _spec(x):
+    if x.kind == sc.ZERO:
+        return ("zero",)
+    if x.kind == sc.IZERO:
+        return ("izero", x.zw)
+    return ("reg", x.w, x.relpi, tuple(x.unit))
+
+
+@st.composite
+def specs(draw, ring, min_relpi):
+    kind = draw(st.sampled_from(["zero", "izero", "reg", "reg", "reg"]))
+    if kind == "zero":
+        return ("zero",)
+    w = draw(st.integers(-W * ring.e, W * ring.e))
+    if kind == "izero":
+        return ("izero", w)
+    unit = list(draw(elements(ring)))
+    unit[0] += draw(st.integers(1, ring.p - 1)) - unit[0] % ring.p
+    # mostly full precision, as for every scalar made from a rational: only
+    # then does the digit of c0 that p^N cannot hold show
+    top = ring.e * ring.prec
+    relpi = top if draw(st.integers(0, 2)) else draw(st.integers(min_relpi, top))
+    return ("reg", w, relpi, unit)
+
+
+# -- the oracle -----------------------------------------------------------------------
+
+
+def _oracle_pm(ring):
+    return ring.p ** (ring.prec + 2 * K + 2 * W + 4)
+
+
+def _value(ring, w, coeffs, scale):
+    """p^(a + scale) u^b * coeffs with (a, b) = divmod(w, e), reduced."""
+    e = ring.e
+    a, b = divmod(w, e)
+    c = ring.p ** (a + scale)
+    terms = {(k // e, k % e + b): x * c for k, x in enumerate(coeffs) if x}
+    E = None if ring.eis is None else [list(v) for v in ring.eis]
+    return tower_reduce(terms, list(ring.modulus), E, _oracle_pm(ring))
+
+
+def _add(ring, x, y, sign=1):
+    pm = _oracle_pm(ring)
+    return tuple((a + sign * b) % pm for a, b in zip(x, y))
+
+
+def _mul(ring, x, y):
+    E = None if ring.eis is None else [list(v) for v in ring.eis]
+    return tower_poly_mul([x], [y], list(ring.modulus), E, _oracle_pm(ring))[0]
+
+
+def _true_value(ring, spec, delta, scale):
+    """The value of a scalar whose unknown digits are delta."""
+    if spec[0] == "zero":
+        return (0,) * ring.dim
+    if spec[0] == "izero":
+        return _value(ring, spec[1], delta, scale)
+    _, w, relpi, unit = spec
+    return _add(ring, _value(ring, w, unit, scale), _value(ring, w + relpi, delta, scale))
+
+
+def _vpi(ring, x):
+    """pi-adic valuation of an oracle value, None for zero."""
+    best = None
+    for k, c in enumerate(x):
+        if c:
+            v = 0
+            while c % ring.p == 0:
+                c //= ring.p
+                v += 1
+            if best is None or ring.e * v + k % ring.e < best:
+                best = ring.e * v + k % ring.e
+    return best
+
+
+def _check_against(ring, got, exact, scale):
+    """got, a result scaled by p^scale, agrees with the exact value to every
+    digit it claims, its valuation is exact and an izero bound is sound."""
+    shift = ring.e * scale
+    v = _vpi(ring, exact)
+    if got[0] == "zero":
+        assert v is None
+    elif got[0] == "izero":
+        assert v is None or v >= shift + got[1]
+    else:
+        _, w, relpi, unit = got
+        assert _vpi(ring, unit) == 0
+        diff = _vpi(ring, _add(ring, _value(ring, w, unit, scale), exact, -1))
+        assert diff is None or diff >= shift + w + relpi
+        if relpi >= 1:
+            assert v == shift + w
+
+
+@levels
+@precs
+@examples
+@given(data=st.data())
+def test_arithmetic_matches_oracle(f, e, prec, data):
+    ring = data.draw(rings(f, e, prec))
+    floor = data.draw(st.integers(1, 4))
+    op = data.draw(st.sampled_from(sorted(OPS)))
+    args = [data.draw(specs(ring, floor)) for _ in range(1 if op == "inv" else 2)]
+    deltas = [data.draw(elements(ring)) for _ in args]
+    level, floored = Level(ring, NO_FLOOR), Level(ring, floor)
+    if op == "inv" and args[0][0] != "reg":
+        with pytest.raises(ZeroDivisionError if args[0][0] == "zero" else PrecisionError):
+            sc.sc_inv(_build(level, args[0]))
+        return
+    got = _spec(OPS[op](*[_build(level, s) for s in args]))
+    # the floor: the same inputs on a level with a floor raise exactly when
+    # the result has fewer digits, and give the same result otherwise
+    if got[0] == "reg" and got[2] < floor:
+        with pytest.raises(PrecisionError):
+            OPS[op](*[_build(floored, s) for s in args])
+    else:
+        assert _spec(OPS[op](*[_build(floored, s) for s in args])) == got
+    if op == "inv":
+        x = _true_value(ring, args[0], deltas[0], K)
+        one = _value(ring, 0, (1,), 2 * K)
+        _, w, relpi, unit = got
+        assert w == -args[0][1] and _vpi(ring, unit) == 0
+        diff = _vpi(ring, _add(ring, _mul(ring, x, _value(ring, w, unit, K)), one, -1))
+        assert diff is None or diff >= 2 * e * K + relpi
+        return
+    x, y = (_true_value(ring, s, d, K) for s, d in zip(args, deltas))
+    if op == "mul":
+        _check_against(ring, got, _mul(ring, x, y), 2 * K)
+    else:
+        _check_against(ring, got, _add(ring, x, y, 1 if op == "add" else -1), K)
+
+
+# -- the pinned table -----------------------------------------------------------------
+
+PINNED_PREC = 6
+PINNED_P = {(1, 1): 2, (1, 2): 3, (1, 3): 2, (2, 1): 3, (2, 2): 2, (2, 4): 3}
+
+
+def _pinned_level(f, e):
+    tail = [[j + 2 * i + 1 for i in range(f)] for j in range(e)]
+    return Level(_ring(PINNED_P[f, e], f, e, PINNED_PREC, tail))
+
+
+# (f, e), op, x, y, result; x, y and result as (kind, w or zw, relpi, unit)
+PINNED = [
+    ((1, 1), 'add', ('reg', 1, 5, (15,)), ('reg', 3, 6, (35,)), ('reg', 1, 5, (27,))),
+    ((1, 1), 'add', ('reg', 0, 4, (23,)), ('reg', 0, 5, (43,)), ('reg', 1, 3, (1,))),
+    ((1, 1), 'add', ('reg', 0, 6, (17,)), ('izero', 3), ('reg', 0, 3, (17,))),
+    ((1, 1), 'mul', ('reg', 2, 6, (29,)), ('reg', -1, 4, (9,)), ('reg', 1, 4, (5,))),
+    ((1, 1), 'inv', ('reg', 3, 4, (63,)), None, ('reg', -3, 4, (63,))),
+    ((1, 2), 'add', ('reg', 1, 12, (640, 596)), ('reg', 3, 10, (31, 345)), ('reg', 1, 12, (4, 173))),
+    ((1, 2), 'add', ('reg', 1, 11, (100, 578)), ('reg', 1, 11, (629, 152)), ('reg', 2, 10, (239, 241))),
+    ((1, 2), 'add', ('reg', 0, 12, (724, 470)), ('izero', 3), ('reg', 0, 3, (724, 470))),
+    ((1, 2), 'mul', ('reg', 3, 10, (485, 502)), ('reg', -1, 10, (203, 30)), ('reg', 2, 10, (617, 50))),
+    ((1, 2), 'inv', ('reg', 5, 10, (586, 693)), None, ('reg', -5, 10, (302, 647))),
+    ((1, 2), 'add', ('reg', 1, 12, (22, 136)), ('reg', 2, 11, (415, 205)), ('reg', 1, 10, (379, 336))),
+    ((1, 2), 'sub', ('reg', 1, 12, (383, 382)), ('reg', 3, 12, (118, 603)), ('reg', 1, 12, (29, 31))),
+    ((1, 2), 'mul', ('reg', 1, 10, (238, 154)), ('reg', 3, 10, (626, 81)), ('reg', 4, 10, (706, 297))),
+    ((1, 2), 'mul', ('izero', 5), ('reg', -3, 10, (704, 222)), ('izero', 2)),
+    ((1, 3), 'add', ('reg', 1, 18, (33, 48, 60)), ('reg', 3, 18, (3, 29, 30)), ('reg', 1, 15, (23, 38, 27))),
+    ((1, 3), 'add', ('reg', 2, 16, (41, 17, 34)), ('reg', 2, 17, (23, 48, 30)), ('reg', 3, 15, (29, 30, 29))),
+    ((1, 3), 'add', ('reg', 0, 18, (63, 50, 52)), ('izero', 3), ('reg', 0, 3, (63, 50, 52))),
+    ((1, 3), 'mul', ('reg', 4, 16, (29, 44, 13)), ('reg', -1, 18, (19, 17, 13)), ('reg', 3, 15, (47, 41, 7))),
+    ((1, 3), 'inv', ('reg', 7, 16, (25, 18, 21)), None, ('reg', -7, 15, (25, 46, 2))),
+    ((1, 3), 'add', ('reg', 2, 16, (7, 50, 21)), ('reg', 3, 16, (33, 48, 35)), ('reg', 2, 15, (19, 19, 23))),
+    ((1, 3), 'sub', ('reg', 1, 17, (49, 25, 7)), ('reg', 5, 16, (41, 37, 5)), ('reg', 1, 17, (45, 47, 57))),
+    ((1, 3), 'mul', ('reg', 2, 16, (7, 58, 25)), ('reg', 5, 18, (29, 45, 50)), ('reg', 7, 15, (51, 9, 32))),
+    ((1, 3), 'add', ('izero', 2), ('reg', 4, 18, (33, 34, 40)), ('izero', 2)),
+    ((2, 1), 'add', ('reg', 1, 6, (148, 525)), ('reg', 3, 6, (586, 727)), ('reg', 1, 6, (319, 507))),
+    ((2, 1), 'add', ('reg', 0, 6, (677, 618)), ('reg', 0, 5, (55, 111)), ('reg', 1, 4, (1, 0))),
+    ((2, 1), 'add', ('reg', 0, 4, (262, 134)), ('izero', 3), ('reg', 0, 3, (262, 134))),
+    ((2, 1), 'mul', ('reg', 2, 5, (614, 404)), ('reg', -1, 4, (175, 693)), ('reg', 1, 4, (323, 419))),
+    ((2, 1), 'inv', ('reg', 3, 4, (221, 544)), None, ('reg', -3, 4, (241, 347))),
+    ((2, 2), 'add', ('reg', 1, 12, (63, 5, 15, 46)), ('reg', 3, 12, (45, 39, 29, 14)), ('reg', 1, 12, (25, 19, 9, 10))),
+    ((2, 2), 'add', ('reg', 1, 12, (57, 55, 2, 62)), ('reg', 1, 11, (7, 10, 62, 2)), ('reg', 2, 10, (29, 30, 26, 28))),
+    ((2, 2), 'add', ('reg', 0, 10, (21, 32, 12, 18)), ('izero', 3), ('reg', 0, 3, (21, 32, 12, 18))),
+    ((2, 2), 'mul', ('reg', 3, 11, (7, 20, 23, 0)), ('reg', -1, 11, (5, 20, 34, 19)), ('reg', 2, 10, (7, 33, 35, 60))),
+    ((2, 2), 'inv', ('reg', 5, 10, (13, 23, 29, 51)), None, ('reg', -5, 10, (18, 58, 3, 37))),
+    ((2, 2), 'add', ('reg', 1, 12, (47, 27, 1, 3)), ('reg', 2, 11, (3, 56, 1, 18)), ('reg', 1, 10, (27, 20, 57, 0))),
+    ((2, 2), 'sub', ('reg', 1, 11, (21, 51, 2, 20)), ('reg', 3, 12, (57, 35, 49, 7)), ('reg', 1, 11, (35, 45, 32, 6))),
+    ((2, 2), 'mul', ('reg', 1, 11, (11, 52, 39, 34)), ('reg', 3, 10, (1, 37, 19, 33)), ('reg', 4, 10, (28, 32, 17, 15))),
+    ((2, 2), 'add', ('izero', 7), ('izero', 4), ('izero', 4)),
+    ((2, 4), 'add', ('reg', 1, 22, (448, 214, 73, 510, 638, 574, 389, 625)), ('reg', 3, 23, (431, 292, 149, 447, 513, 191, 239, 457)), ('reg', 1, 22, (334, 331, 147, 115, 344, 163, 17, 600))),
+    ((2, 4), 'add', ('reg', 3, 23, (305, 241, 41, 18, 422, 393, 132, 403)), ('reg', 3, 23, (424, 489, 688, 711, 307, 336, 597, 326)), ('reg', 4, 20, (239, 241, 240, 239, 234, 239, 238, 237))),
+    ((2, 4), 'add', ('reg', 0, 24, (274, 367, 521, 540, 2, 510, 213, 219)), ('izero', 3), ('reg', 0, 3, (274, 367, 521, 540, 2, 510, 213, 219))),
+    ((2, 4), 'mul', ('reg', 5, 24, (259, 12, 660, 662, 69, 104, 382, 518)), ('reg', -1, 24, (322, 337, 547, 329, 225, 401, 26, 10)), ('reg', 4, 20, (389, 219, 412, 618, 366, 727, 697, 258))),
+    ((2, 4), 'inv', ('reg', 9, 22, (116, 246, 21, 74, 137, 584, 270, 413)), None, ('reg', -9, 20, (603, 51, 310, 584, 526, 420, 415, 55))),
+    ((2, 4), 'add', ('reg', 3, 22, (667, 382, 248, 592, 449, 313, 161, 535)), ('reg', 4, 24, (701, 207, 575, 599, 458, 592, 511, 384)), ('reg', 3, 20, (604, 725, 131, 687, 635, 464, 320, 225))),
+    ((2, 4), 'sub', ('reg', 1, 22, (317, 202, 517, 665, 707, 137, 591, 219)), ('reg', 7, 22, (634, 142, 37, 167, 4, 10, 105, 249)), ('reg', 1, 22, (461, 346, 595, 140, 194, 551, 156, 252))),
+    ((2, 4), 'mul', ('reg', 3, 23, (344, 21, 372, 641, 35, 535, 661, 75)), ('reg', 7, 24, (334, 455, 156, 454, 660, 674, 80, 92)), ('reg', 10, 20, (670, 43, 281, 215, 439, 18, 631, 66))),
+]
+
+
+@pytest.mark.parametrize("level, op, x, y, want", PINNED)
+def test_pinned_results(level, op, x, y, want):
+    lv = _pinned_level(*level)
+    args = [_build(lv, s) for s in (x, y) if s is not None]
+    assert _spec(OPS[op](*args)) == want
+
+
+def test_floor_raises_at_every_shape():
+    for f, e in LEVELS:
+        lv = _pinned_level(f, e)
+        lv.floor_relpi = 4
+        ring = lv.ring
+        with pytest.raises(PrecisionError):
+            sc.sc_reg(lv, 0, ring.one(), 3)
+        # 1 - (1 + pi^3): three digits cancel, the difference keeps relpi - 3
+        x = _build(lv, ("reg", 0, 6, ring.one()))
+        y = sc.sc_add(x, _build(lv, ("reg", 3, 6, ring.one())))
+        with pytest.raises(PrecisionError):
+            sc.sc_sub(x, y)
+
+
+def test_off_lattice_izero_bounds_round_up():
+    # valuations at ramification e lie in (1/e)Z, so a bound zb becomes
+    # ceil(zb e)/e, from JSON and when projecting to the base
+    q2 = UnramifiedFieldDescriptor.create(2, 1, 16)
+    t2 = EisensteinExtensionDescriptor(q2, (-2, 0, 1), validate=False)
+    assert formats.scalar_from_json(q2, {"izero": "1/2"}).zw == 1
+    assert formats.scalar_from_json(t2, {"izero": "1/3"}).zw == 1
+    assert formats.scalar_from_json(t2, {"izero": "-1/3"}).zw == 0
+    assert project_to_base(sc.sc_izero(t2, 3)).zw == 2
+    assert project_to_base(sc.sc_izero(t2, -3)).zw == -1
+    with pytest.raises(ValidationError):
+        formats.scalar_from_json(t2, {"v": "1/4", "unit": [1, 0], "relpi": 8})
+
+
+# -- no Fraction on the hot path ------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _no_fraction_made(monkeypatch):
+    made = []
+    new = fractions.Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fractions.Fraction, "__new__", staticmethod(counting))
+        yield
+    assert made == [], f"{len(made)} Fraction constructions"
+
+
+@pytest.mark.parametrize("ramified", [False, True], ids=["Q_2", "t^2=2"])
+def test_no_fraction_on_the_hot_path(monkeypatch, ramified):
+    field = UnramifiedFieldDescriptor.create(2, 1, 32)
+    pi = field.scalar(2)
+    if ramified:
+        field = EisensteinExtensionDescriptor(field, (-2, 0, 1), validate=False)
+        pi = field.uniformizer()
+    x = field.scalar(Fraction(5, 3))
+    y = sc.sc_mul(pi, field.scalar(Fraction(7, 11)))
+    z = sc.sc_izero(field, 5)
+    rows = [[3, 6, 1, 4], [2, 5, 7, 1], [1, 1, 2, 8], [4, 3, 5, 9]]
+    m = [[sc.sc_mul(field.scalar(c), y if (i + j) % 2 else x)
+          for j, c in enumerate(row)] for i, row in enumerate(rows)]
+    with _no_fraction_made(monkeypatch):
+        for a, b in ((x, y), (y, x), (x, z), (z, y), (z, z)):
+            sc.sc_add(a, b)
+            sc.sc_sub(a, b)
+            sc.sc_mul(a, b)
+        sc.sc_inv(x)
+        sc.sc_inv(y)
+        with pytest.raises(PrecisionError):
+            sc.sc_inv(z)
+        _, pivots, cert = la.certified_row_reduce(m)
+    assert pivots == [0, 1, 2, 3] and cert.rank == 4
