@@ -170,6 +170,8 @@ def module_from_json(doc, prec_override=None):
     n = D.n
     toric = doc.get("toric_sub")
     pol = doc.get("polarization")
+    if _rational_and_singular(pol):
+        raise ValidationError("polarization: the matrix is singular")
     toric_cols = (matrix_from_json(field, toric) if toric
                   else [[] for _ in range(n)])
     t = len(toric_cols[0]) if toric_cols else 0

@@ -9,6 +9,19 @@ PrecisionError escapes and the caller retries at doubled precision.
 
 Pivoting always selects a minimal-valuation entry, which is the p-adic
 analogue of partial pivoting and keeps precision loss linear.
+
+Where the ring is Z/p^N (``field.ring.dim == 1``, that is f = e = 1, Q_p
+itself), elimination, matrix products and charpoly run on raw entries in
+place of Scalars: ``None`` for an exact zero, ``(zw, None, 0)`` for an izero
+and ``(w, u, relpi)`` for a reg scalar p^w * u, u a plain int in [0, p^N).
+The raw kernel applies exactly the e = 1 rules of sc_inv, sc_mul, sc_neg and
+sc_add, in the same order, so pivots, certificates, results and every
+PrecisionError (message and step) are the ones the Scalar path gives; only
+what a caller receives is built as Scalars, and a rank or column-space
+decision builds none.  Every other level runs the Scalar path, and
+``_scalar_row_reduce`` stays callable at every level as the reference the
+tests compare the raw kernel against.  The certify-or-fail contract and the
+certificates are unchanged.
 """
 
 from __future__ import annotations
@@ -56,8 +69,10 @@ def mat_neg(a):
 
 def dot(xs, ys, field):
     """sum of x*y over the pairs, folded left to right; the exact zero of
-    the field when there are no pairs."""
-    terms = map(sc_mul, xs, ys)
+    the field when no pair has two nonzero entries.  A product with an exact
+    zero is zero and adding it returns the sum unchanged, so it is skipped."""
+    terms = (sc_mul(x, y) for x, y in zip(xs, ys)
+             if x.kind != sc.ZERO and y.kind != sc.ZERO)
     first = next(terms, None)
     return sc_zero(field) if first is None else reduce(sc_add, terms, first)
 
@@ -70,11 +85,17 @@ def mat_mul(a, b):
         return [[] for _ in a]
     field = a[0][0].field
     cols = list(zip(*b))
-    return [[dot(row, col, field) for col in cols] for row in a]
+    if field.ring.dim != 1:
+        return [[dot(row, col, field) for col in cols] for row in a]
+    zp = _Zp(field)
+    rcols = zp.encode_rows(cols)
+    return zp.decode_rows([[zp.dot(row, col) for col in rcols]
+                           for row in zp.encode_rows(a)])
 
 
 def mat_scalar(s, a):
-    return [[sc_mul(s, x) for x in row] for row in a]
+    # s * 0 is an exact zero, and Scalars are never mutated
+    return [[x if x.kind == sc.ZERO else sc_mul(s, x) for x in row] for row in a]
 
 
 def transpose(a):
@@ -122,14 +143,27 @@ class RankCertificate:
                                      if self.residual_zw is not None else None)}
 
 
-def certified_row_reduce(m, guard: int = DEFAULT_GUARD, reduced: bool = True):
+def certified_row_reduce(m, guard: int = DEFAULT_GUARD, reduced: bool = True,
+                         rows: bool = True):
     """Row reduce a copy of m; returns (echelon, pivot_cols, certificate).
 
     Raises PrecisionError when a pivot decision cannot be backed by ``guard``
-    spare pi-adic digits.
+    spare pi-adic digits.  With rows=False the echelon form is not returned
+    (None in its place), for callers that read only pivots and certificate.
     """
     if not m or not m[0]:
-        return [], [], RankCertificate(0, [], guard, None, 1)
+        return [] if rows else None, [], RankCertificate(0, [], guard, None, 1)
+    field = _field_of(m)
+    if field.ring.dim != 1:
+        ech, pivot_cols, cert = _scalar_row_reduce(m, guard, reduced)
+        return ech if rows else None, pivot_cols, cert
+    zp = _Zp(field)
+    ech, pivot_cols, cert = zp.row_reduce(m, guard, reduced)
+    return zp.decode_rows(ech) if rows else None, pivot_cols, cert
+
+
+def _scalar_row_reduce(m, guard, reduced):
+    """certified_row_reduce on Scalars, at any level; m is not empty."""
     field = _field_of(m)
     rows = [list(r) for r in m]
     nr, nc = len(rows), len(rows[0])
@@ -146,9 +180,7 @@ def certified_row_reduce(m, guard: int = DEFAULT_GUARD, reduced: bool = True):
             continue
         piv = rows[best][c]
         if piv.relpi < guard:
-            raise PrecisionError(
-                f"pivot at column {c} has only {piv.relpi} spare pi-digits "
-                f"(guard {guard}); escalate precision")
+            raise PrecisionError(_pivot_message(c, piv.relpi, guard))
         rows[r], rows[best] = rows[best], rows[r]
         inv = sc_inv(piv)
         rows[r] = [sc_mul(inv, x) for x in rows[r]]
@@ -156,11 +188,11 @@ def certified_row_reduce(m, guard: int = DEFAULT_GUARD, reduced: bool = True):
         for i in range(lo, nr):
             if i == r:
                 continue
-            x = rows[i][c]
-            if x.kind == sc.ZERO:
+            factor = rows[i][c]
+            if factor.kind == sc.ZERO:
                 continue
-            factor = x
-            rows[i] = [sc_sub(y, sc_mul(factor, z))
+            # y - factor * 0 is y
+            rows[i] = [y if z.kind == sc.ZERO else sc_sub(y, sc_mul(factor, z))
                        for y, z in zip(rows[i], rows[r])]
         pivot_cols.append(c)
         pivot_ws.append(piv.w)
@@ -175,9 +207,170 @@ def certified_row_reduce(m, guard: int = DEFAULT_GUARD, reduced: bool = True):
             elif x.kind == sc.REG:
                 # unreachable: every remaining reg entry would have produced
                 # a pivot in its column
-                raise PrecisionError("uncertified nonzero residual after elimination")
+                raise PrecisionError(_RESIDUAL_MESSAGE)
     cert = RankCertificate(r, pivot_ws, guard, residual_zw, field.e)
     return rows[:r] if reduced else rows, pivot_cols, cert
+
+
+def _pivot_message(c, relpi, guard):
+    return (f"pivot at column {c} has only {relpi} spare pi-digits "
+            f"(guard {guard}); escalate precision")
+
+
+_RESIDUAL_MESSAGE = "uncertified nonzero residual after elimination"
+
+
+class _Zp:
+    """The e = 1 rules of sc_inv, sc_mul, sc_neg and sc_add on raw entries
+    of a level whose ring is Z/p^N: None (exact zero), (zw, None, 0)
+    (izero) or (w, u, relpi) (reg, u an int in [0, p^N))."""
+
+    __slots__ = ("field", "p", "pn", "prec", "floor")
+
+    def __init__(self, field):
+        ring = field.ring
+        self.field = field
+        self.p, self.pn, self.prec = ring.p, ring.pn, ring.prec
+        self.floor = field.floor_relpi
+
+    @staticmethod
+    def encode_rows(m):
+        reg, izero = sc.REG, sc.IZERO
+        return [[(x.w, x.unit[0], x.relpi) if x.kind == reg
+                 else (x.zw, None, 0) if x.kind == izero else None
+                 for x in row] for row in m]
+
+    def decode_rows(self, m):
+        F, reg, izero = self.field, sc.REG, sc.IZERO
+        zero = Scalar(F, sc.ZERO)  # Scalars are never mutated: one serves all
+        return [[zero if x is None
+                 else Scalar(F, izero, None, None, 0, x[0]) if x[1] is None
+                 else Scalar(F, reg, x[0], (x[1],), x[2])
+                 for x in row] for row in m]
+
+    def _below_floor(self, relpi):
+        # the message of sc_reg
+        return PrecisionError(
+            f"result precision {relpi} pi-digits below floor {self.floor}")
+
+    def neg(self, x):
+        if x is None or x[1] is None:
+            return x
+        return x[0], -x[1] % self.pn, x[2]
+
+    def fma(self, acc, x, y):
+        """sc_add(acc, sc_mul(x, y)), acc None for an exact zero; x and y
+        are not exact zeros."""
+        # t = sc_mul(x, y)
+        xw, xu, xr = x
+        yw, yu, yr = y
+        tw = xw + yw
+        if xu is None or yu is None:
+            # an izero times a nonzero entry: the bounds add up
+            tu, tr = None, 0
+        else:
+            tr = xr if xr < yr else yr
+            if tr < self.floor:
+                raise self._below_floor(tr)
+            tu = xu * yu % self.pn
+        if acc is None:
+            return tw, tu, tr
+        # sc_add(acc, t)
+        aw, au, ar = acc
+        if au is None or tu is None:
+            if au is None and tu is None:
+                return (aw if aw < tw else tw), None, 0
+            zw, rw, ru, rr = (aw, tw, tu, tr) if au is None else (tw, aw, au, ar)
+            if rw >= zw:
+                return zw, None, 0
+            relpi = rr if rr < zw - rw else zw - rw
+            if relpi < self.floor:
+                raise self._below_floor(relpi)
+            return rw, ru, relpi
+        if tw < aw:
+            aw, au, ar, tw, tu, tr = tw, tu, tr, aw, au, ar
+        d = tw - aw
+        m = ar if ar < d + tr else d + tr
+        p, pn, prec = self.p, self.pn, self.prec
+        s = (au + tu * p ** d) % pn if d else (au + tu) % pn
+        if s % p:
+            v = 0
+        elif not s:
+            return aw + m, None, 0
+        else:
+            v = 1
+            s //= p
+            while not s % p:
+                s //= p
+                v += 1
+        if v >= m:
+            return aw + m, None, 0
+        relpi = m - v if m < prec else prec - v
+        if relpi < self.floor:
+            raise self._below_floor(relpi)
+        return aw + v, s, relpi
+
+    def dot(self, xs, ys):
+        """The raw ``dot``: None when no pair has two nonzero entries."""
+        fma = self.fma
+        acc = None
+        for x, y in zip(xs, ys):
+            if x is not None and y is not None:
+                acc = fma(acc, x, y)
+        return acc
+
+    def row_reduce(self, m, guard, reduced):
+        """_scalar_row_reduce on raw entries; returns raw rows."""
+        fma, neg = self.fma, self.neg
+        rows = self.encode_rows(m)
+        nr, nc = len(rows), len(rows[0])
+        pivot_cols = []
+        pivot_ws = []
+        r = 0
+        for c in range(nc):
+            best = None
+            for i in range(r, nr):
+                x = rows[i][c]
+                if x is not None and x[1] is not None and (best is None or x[0] < bw):
+                    best, bw = i, x[0]
+            if best is None:
+                continue
+            pw, pu, prelpi = rows[best][c]
+            if prelpi < guard:
+                raise PrecisionError(_pivot_message(c, prelpi, guard))
+            rows[r], rows[best] = rows[best], rows[r]
+            # sc_inv of the pivot, then sc_mul across its row
+            if prelpi < self.floor:
+                raise self._below_floor(prelpi)
+            inv = (-pw, pow(pu, -1, self.pn), prelpi)
+            prow = rows[r] = [x if x is None else fma(None, inv, x) for x in rows[r]]
+            lo = 0 if reduced else r + 1
+            for i in range(lo, nr):
+                if i == r:
+                    continue
+                factor = rows[i][c]
+                if factor is None:
+                    continue
+                # y - factor * z as y + (-factor) * z: sc_neg commutes with
+                # sc_mul, digits and floor check included
+                nf = neg(factor)
+                rows[i] = [y if z is None else fma(y, nf, z)
+                           for y, z in zip(rows[i], prow)]
+            pivot_cols.append(c)
+            pivot_ws.append(pw)
+            r += 1
+            if r == nr:
+                break
+        residual_zw = None
+        for i in range(r, nr):
+            for x in rows[i]:
+                if x is None:
+                    continue
+                if x[1] is not None:
+                    raise PrecisionError(_RESIDUAL_MESSAGE)
+                residual_zw = x[0] if residual_zw is None else min(residual_zw, x[0])
+        cert = RankCertificate(r, pivot_ws, guard, residual_zw, self.field.e)
+        return rows[:r] if reduced else rows, pivot_cols, cert
 
 
 def certified_rank(m, guard: int = DEFAULT_GUARD) -> int:
@@ -191,12 +384,12 @@ def certified_rank(m, guard: int = DEFAULT_GUARD) -> int:
 
 
 def rank_certificate(m, guard: int = DEFAULT_GUARD) -> RankCertificate:
-    return certified_row_reduce(m, guard, reduced=False)[2]
+    return certified_row_reduce(m, guard, reduced=False, rows=False)[2]
 
 
 def column_space_basis(m, guard: int = DEFAULT_GUARD):
     """Columns of m spanning its column space (as a matrix of columns)."""
-    _, pivot_cols, _ = certified_row_reduce(m, guard, reduced=False)
+    _, pivot_cols, _ = certified_row_reduce(m, guard, reduced=False, rows=False)
     return columns(m, pivot_cols)
 
 
@@ -277,7 +470,7 @@ def det_valuation(m, guard: int = DEFAULT_GUARD) -> Fraction:
     """Exact valuation of det(m); PrecisionError if m is not certified
     invertible."""
     n = len(m)
-    _, pivots, cert = certified_row_reduce(m, guard, reduced=False)
+    cert = rank_certificate(m, guard)
     if cert.rank != n:
         raise PrecisionError("matrix not certified invertible")
     return Fraction(sum(cert.pivot_ws), cert.e)
@@ -296,25 +489,32 @@ def charpoly(m):
     the entries; no pivoting decisions are involved.
     """
     field = _field_of(m)
+    if field.ring.dim != 1:
+        return _berkowitz(m, field.one(), sc_neg, lambda xs, ys: dot(xs, ys, field))
+    zp = _Zp(field)
+    one = zp.encode_rows([[field.one()]])[0][0]
+    return zp.decode_rows([_berkowitz(zp.encode_rows(m), one, zp.neg, zp.dot)])[0]
+
+
+def _berkowitz(m, one, neg, dot):
+    """charpoly over the entries of m, with their one, negation and dot."""
     n = len(m)
-    if n == 0:
-        return [field.one()]
     # Berkowitz: iteratively build the characteristic polynomial vector
     # http://en.wikipedia.org/wiki/Samuelson-Berkowitz_algorithm
-    poly = [field.one(), sc_neg(m[0][0])]
+    poly = [one, neg(m[0][0])]
     for k in range(1, n):
         a = m[k][k]
         row = [m[k][j] for j in range(k)]       # R: 1 x k
         col = [m[i][k] for i in range(k)]       # C: k x 1
         sub = [[m[i][j] for j in range(k)] for i in range(k)]
         # Toeplitz column: [1, -a, -R C, -R sub C, -R sub^2 C, ...]
-        t = [field.one(), sc_neg(a)]
+        t = [one, neg(a)]
         v = col
         for _ in range(k):
-            t.append(sc_neg(dot(row, v, field)))
-            v = [dot(sub[i], v, field) for i in range(k)]
+            t.append(neg(dot(row, v)))
+            v = [dot(sub[i], v) for i in range(k)]
         # Toeplitz product: new[i] = sum of t[j] * poly[i - j], 0 <= i - j <= k
-        poly = [dot(t[max(0, i - k):i + 1], poly[min(i, k)::-1], field)
+        poly = [dot(t[max(0, i - k):i + 1], poly[min(i, k)::-1])
                 for i in range(k + 2)]
     # poly is [1, c_{n-1}, ..., c_0] in degree-descending order; flip
     return list(reversed(poly))

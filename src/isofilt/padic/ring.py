@@ -436,7 +436,10 @@ class TowerRing:
         return self._frob_cols
 
     def frobenius(self, x):
-        """Apply z -> z^p coefficientwise (u fixed); requires frobenius_ok."""
+        """Apply z -> z^p coefficientwise (u fixed); requires frobenius_ok.
+        The identity when f = 1, where z = 1."""
+        if self.f == 1:
+            return x
         if not self.frobenius_ok():
             raise ValueError("Frobenius does not fix this Eisenstein polynomial")
         cols = self._frob_columns()

@@ -27,6 +27,10 @@ representation makes the valuation of a nonzero residue class exact, so the
 only fuzziness capped precision introduces is the izero state and the relpi
 budget.  Arithmetic raises PrecisionError rather than returning a reg scalar
 whose meaningful digits fell below the descriptor's floor.
+
+Where the ring is Z/p^N (f = e = 1), ``linalg`` eliminates and multiplies
+matrices on plain integers by the e = 1 rules of sc_add, sc_mul, sc_neg and
+sc_inv below; ``tests/test_scalar.py`` pins that both give the same results.
 """
 
 from __future__ import annotations
@@ -195,10 +199,11 @@ def sc_div(x: Scalar, y: Scalar) -> Scalar:
 
 
 def sc_frobenius(x: Scalar) -> Scalar:
-    """The lift z -> z^p of the residue Frobenius; fixes Q_p and pi."""
-    if x.kind != REG:
-        return x
+    """The lift z -> z^p of the residue Frobenius; fixes Q_p and pi, so it
+    is the identity at f = 1."""
     F = x.field
+    if x.kind != REG or F.ring.f == 1:
+        return x
     return Scalar(F, REG, w=x.w, unit=F.ring.frobenius(x.unit),
                   relpi=x.relpi)
 

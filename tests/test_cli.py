@@ -126,7 +126,8 @@ def test_bad_values_exit_64_without_traceback(argv):
                                          (("frobenius", 0, 1), float("inf")),
                                          (("frobenius",), 5),
                                          (("frobenius",), None),
-                                         (("frobenius",), [["0", "0"], ["1", "0"]])])
+                                         (("frobenius",), [["0", "0"], ["1", "0"]]),
+                                         (("polarization",), [["0", "0"], ["0", "0"]])])
 def test_malformed_module_exits_2_without_traceback(tmp_path, where, value):
     proc = _run_cli(["slopes", "--module", _mutated(tmp_path, "ss2", where, value)])
     assert proc.returncode == 2

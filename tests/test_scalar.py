@@ -10,6 +10,12 @@ element at its first unknown digit (an izero input is nothing but such an
 element), so a result that claims a digit its inputs do not determine
 disagrees with the oracle.
 
+Where the ring is Z/p^N, linalg eliminates, multiplies and takes
+characteristic polynomials on raw integer entries; property tests pin that
+those give what the Scalar reference gives, entry for entry and error for
+error, and a guard pins that a rank or column-space decision there builds no
+Scalar at all.
+
 The pinned table holds results of the same operations on fixed inputs,
 recorded when valuations were still Fractions, so that a change of
 representation cannot move a certified precision unnoticed.  It covers both
@@ -334,3 +340,116 @@ def test_no_fraction_on_the_hot_path(monkeypatch, ramified):
             sc.sc_inv(z)
         _, pivots, cert = la.certified_row_reduce(m)
     assert pivots == [0, 1, 2, 3] and cert.rank == 4
+
+
+# -- the raw Z/p^N kernel against the Scalar reference ---------------------------------
+
+
+def _zp_field(p, prec, floor_relpi):
+    base = UnramifiedFieldDescriptor.create(p, 1, prec)
+    if floor_relpi == 1:
+        return base
+    return UnramifiedFieldDescriptor(p, 1, prec, base.modulus, floor_relpi)
+
+
+# Q_2 and Q_3 at two precisions, and one level whose floor is above one digit
+ZP_FIELDS = [(2, 16, 1), (2, 32, 1), (3, 16, 1), (3, 32, 1), (2, 16, 3)]
+
+
+@st.composite
+def zp_entries(draw, field):
+    """A Scalar of the level, built without the floor check of sc_reg."""
+    kind = draw(st.sampled_from([sc.ZERO, sc.IZERO, sc.REG, sc.REG, sc.REG]))
+    if kind == sc.ZERO:
+        return sc.sc_zero(field)
+    if kind == sc.IZERO:
+        return sc.sc_izero(field, draw(st.integers(-3, 12)))
+    p, prec = field.p, field.prec
+    unit = draw(st.integers(0, p ** (prec - 1) - 1)) * p + draw(st.integers(1, p - 1))
+    return sc.Scalar(field, sc.REG, w=draw(st.integers(-3, 6)), unit=(unit,),
+                     relpi=draw(st.integers(1, prec)))
+
+
+@st.composite
+def zp_matrices(draw, field, rows=None, cols=None):
+    """Up to 5x6, or with the rows or columns given."""
+    nr = rows or draw(st.integers(1, 5))
+    nc = cols or draw(st.integers(1, 6))
+    return [[draw(zp_entries(field)) for _ in range(nc)] for _ in range(nr)]
+
+
+def _entries(m):
+    return None if m is None else [
+        [(x.kind, x.w, x.unit, x.relpi, x.zw) for x in row] for row in m]
+
+
+def _outcome(fn, *args):
+    """fn's result with every Scalar spelled out, or the PrecisionError it
+    raised."""
+    try:
+        out = fn(*args)
+    except PrecisionError as exc:
+        return "raised", str(exc)
+    if isinstance(out, la.RankCertificate):
+        return out.as_dict()
+    if isinstance(out, tuple):
+        rows, pivots, cert = out
+        return _entries(rows), pivots, cert.as_dict()
+    return _entries(out)
+
+
+@pytest.mark.parametrize("p, prec, floor", ZP_FIELDS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), guard=st.sampled_from([1, 8]), reduced=st.booleans())
+def test_raw_elimination_matches_scalar_reference(p, prec, floor, data, guard, reduced):
+    field = _zp_field(p, prec, floor)
+    m = data.draw(zp_matrices(field))
+    ref = _outcome(la._scalar_row_reduce, m, guard, reduced)
+    assert _outcome(la.certified_row_reduce, m, guard, reduced) == ref
+    if reduced:
+        return
+    ref_cert = ref if ref[0] == "raised" else ref[2]
+    assert _outcome(la.rank_certificate, m, guard) == ref_cert
+    ref_basis = ref if ref[0] == "raised" else _entries(la.columns(m, ref[1]))
+    assert _outcome(la.column_space_basis, m, guard) == ref_basis
+
+
+@pytest.mark.parametrize("p, prec, floor", ZP_FIELDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_raw_products_match_the_dot_fold(p, prec, floor, data):
+    field = _zp_field(p, prec, floor)
+    k = data.draw(st.integers(1, 5))
+    a = data.draw(zp_matrices(field, cols=k))
+    b = data.draw(zp_matrices(field, rows=k))
+
+    def dot_fold(a, b):
+        return [[la.dot(row, col, field) for col in zip(*b)] for row in a]
+
+    assert _outcome(la.mat_mul, a, b) == _outcome(dot_fold, a, b)
+    m = data.draw(zp_matrices(field, rows=k, cols=k))
+
+    def berkowitz(m):
+        return [la._berkowitz(m, field.one(), sc.sc_neg,
+                              lambda xs, ys: la.dot(xs, ys, field))]
+
+    assert _outcome(lambda m: [la.charpoly(m)], m) == _outcome(berkowitz, m)
+
+
+def test_rank_decisions_build_no_scalar_over_q_p(monkeypatch):
+    field = UnramifiedFieldDescriptor.create(2, 1, 32)
+    rows = [[3, 6, 1, 4], [2, 5, 7, 1], [1, 1, 2, 8], [4, 3, 5, 9]]
+    m = [[sc.sc_mul(field.scalar(c), field.scalar(Fraction(2 ** (i % 2), 3)))
+          for c in row] for i, row in enumerate(rows)]
+    made = []
+    init = sc.Scalar.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sc.Scalar, "__init__", counting)
+    assert la.certified_rank(m) == 4
+    assert la.rank_certificate(m).rank == 4
+    assert len(la.column_space_basis(m)[0]) == 4
+    assert made == [], f"{len(made)} Scalar constructions"
