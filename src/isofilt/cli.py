@@ -125,9 +125,15 @@ def build_parser() -> _Parser:
     return p
 
 
+_PARSER: _Parser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse parsers are reusable, so the parser is built once per process
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return _dispatch(args)
     except (PrecisionError, BudgetExhaustedError) as exc:
@@ -346,9 +352,18 @@ def _wreath_demo(args) -> int:
     return EXIT_OK
 
 
+def _validate_action(rep, sa):
+    """Check the group action against its table, the Frobenius and the
+    polarization or toric part; raises ValidationError naming the failure."""
+    rep.validate(phi_module=sa.module,
+                 gram=sa.gram_B if (sa.gram_B and sa.t_dim == 0) else None,
+                 toric_cols=sa.toric_cols if sa.t_dim else None)
+
+
 def _descend(args) -> int:
     from .filtration.galois import galois_descend
     _, _, _, sa, rep, ext, setup = _load_problem(args)
+    _validate_action(rep, sa)
     basis = galois_descend(rep, setup)
     print(json.dumps({"invariant_basis": formats.matrix_to_json(basis)}))
     return EXIT_OK
@@ -359,9 +374,7 @@ def _group_check(args) -> int:
     grp_doc = formats.load_json(args.group)
     sa, field = formats.module_from_json(mod_doc, args.precision)
     G, rep = formats.group_from_json(grp_doc, field, sa.module.n)
-    rep.validate(phi_module=sa.module,
-                 gram=sa.gram_B if (sa.gram_B and sa.t_dim == 0) else None,
-                 toric_cols=sa.toric_cols if sa.t_dim else None)
+    _validate_action(rep, sa)
     print(f"group action of order {G.n} validates")
     return EXIT_OK
 

@@ -239,6 +239,8 @@ def group_from_json(doc, field, dim):
                               f"not in the element list")
     mats = {}
     for name, m in rep_doc.items():
+        if _rational_and_singular(m):
+            raise ValidationError(f"group: rep matrix {name!r} is singular")
         mats[name] = matrix_from_json(field, m)
         _require_shape(f"group: rep matrix {name!r}", mats[name], dim, dim)
     faithful = bool(doc.get("faithful", True))

@@ -11,7 +11,8 @@ ring's fixed modulus p^N throughout.
 rp_mul multiplies by Kronecker substitution (von zur Gathen-Gerhard, Modern
 Computer Algebra, 8.4): each polynomial is packed into one integer, one
 integer product replaces the coefficient-pair loop, and TowerRing._reduce
-takes each unpacked x-coefficient to its residue.
+folds each unpacked x-coefficient to its residue through the ring's fold
+table, as TowerRing.mul does for a single product.
 """
 
 from __future__ import annotations
@@ -102,7 +103,8 @@ def rp_mul(ring, a, b):
     2 bits(p^N) + bits(min(len a, len b) f e) bits (rounded up to whole
     bytes), so no slot of the product carries into the next.  One integer
     product then holds, for each x-coefficient, the raw (z, u) convolution
-    that ``TowerRing._reduce`` takes to its canonical residue.
+    that ``TowerRing._reduce`` folds to its canonical residue, one fold-table
+    pass and one reduction mod p^N per coefficient.
     """
     if not a or not b:
         return []

@@ -17,13 +17,17 @@ algebra layer relies on.
 The unramified level is the special case e = 1, and Q_p itself is f = e = 1.
 
 Every op returns canonical residues in [0, p^N).  A product is a raw (z, u)
-convolution in exact integers followed by _reduce, the ring's one reduction;
-hensel.rp_mul feeds it the convolutions of a whole polynomial product.  When
-f = 1 (Q_p and every Eisenstein ring over it) _reduce skips the z-step and
-folds u^(e+k) through the precomputed u-powers in exact integers, with a
-single reduction mod p^N; when f = e = 1, mul is one integer product.
-inv_unit is one modular inverse for every constant unit (all of them when
-f = e = 1) and a Newton iteration otherwise.
+convolution in exact integers (z-degree < 2f-1, u-degree < 2e-1) followed by
+_reduce, the ring's one reduction.  _reduce reads a fold table built once per
+ring: for each raw monomial z^i u^j outside the basis, the sparse canonical
+residue of z^i u^j (for rational Eisenstein polynomials, a handful of
+nonzeros).  It adds coefficient times row in exact integers and reduces mod
+p^N once, at every (f, e).  hensel.rp_mul feeds it the convolutions of a
+whole polynomial product; shift_up and apply_u_map build one convolution each.
+A product with a constant operand is a scalar multiple and skips _reduce;
+when f = e = 1, mul is one integer product.  inv_unit is one modular inverse
+for every constant unit (all of them when f = e = 1) and a Newton iteration
+otherwise.
 """
 
 from __future__ import annotations
@@ -66,71 +70,57 @@ class TowerRing:
             self.e = len(eis) - 1
             self.eis = tuple(tuple(x % self.pn for x in c) for c in eis)
         self.dim = self.f * self.e
-        self._zpow = self._build_zpow()
-        self._upow = self._build_upow()
+        nu = 2 * self.e - 1
+        # raw index of basis monomial s = i*e + j in a convolution; raw
+        # indices add under multiplication
+        self._raw = tuple(i * nu + j for i in range(self.f) for j in range(self.e))
+        self._nraw = (2 * self.f - 1) * nu
+        self._fold = self._build_fold()
         self._frob_cols: tuple[tuple[int, ...], ...] | None = None
         self._w0 = None  # p/u as a ring element, lazily built (e > 1 only)
+        self._w0_pows = None
+        self._c0 = None
+        self._c0i = None
 
     # -- construction helpers -------------------------------------------------
 
-    def _build_zpow(self):
-        # z^(f+k) mod m as length-f vectors, k = 0..f-2
-        f, pn = self.f, self.pn
-        if f == 1:
-            return []
-        rows = []
-        cur = [(-self.modulus[i]) % pn for i in range(f)]  # z^f
-        rows.append(tuple(cur))
-        for _ in range(f - 2):
-            nxt = [0] * f
-            carry = cur[f - 1]
-            for i in range(f - 1, 0, -1):
-                nxt[i] = cur[i - 1]
-            nxt[0] = 0
-            if carry:
-                for i in range(f):
-                    nxt[i] = (nxt[i] - carry * self.modulus[i]) % pn
-            cur = nxt
-            rows.append(tuple(cur))
-        return rows
+    def _build_fold(self):
+        """The fold table: (raw index, sparse residue) for every raw
+        monomial z^i u^j outside the basis (i < 2f-1, j < 2e-1), the residue
+        as a tuple of (basis index, coefficient in [0, p^N))."""
+        f, e, pn, m = self.f, self.e, self.pn, self.modulus
+        memo = {}
 
-    def _build_upow(self):
-        # u^(e+k) mod E as ring elements, k = 0..e-2
-        e = self.e
-        if e == 1:
-            return []
-        rows = []
-        # u^e = -(E_0 + E_1 u + ... + E_{e-1} u^{e-1})
-        cur = [0] * self.dim
-        for j in range(e):
-            cj = self.eis[j]
-            for i in range(self.f):
-                cur[i * e + j] = (-cj[i]) % self.pn
-        rows.append(tuple(cur))
-        for _ in range(e - 2):
-            cur = self._mul_by_u(tuple(cur), rows[0])
-            rows.append(cur)
-        return rows
-
-    def _mul_by_u(self, x: tuple[int, ...], ue: tuple[int, ...]):
-        # multiply by u, using ue = u^e reduced
-        e, f, pn = self.e, self.f, self.pn
-        out = [0] * self.dim
-        overflow = [0] * f  # coefficient of z^i u^e
-        for i in range(f):
-            for j in range(e):
-                c = x[i * e + j]
-                if not c:
-                    continue
-                if j + 1 < e:
-                    out[i * e + j + 1] = (out[i * e + j + 1] + c) % pn
+        def residue(i, j):
+            # z^i u^j mod (m, E, p^N) as a dense list, by memoized long
+            # division: each step lowers j, or keeps j and lowers i
+            if (i, j) not in memo:
+                out = [0] * self.dim
+                if i < f and j < e:
+                    out[i * e + j] = 1
                 else:
-                    overflow[i] = c
-        if any(overflow):
-            red = self._mul_zpoly_raw(tuple(overflow), ue)
-            for k in range(self.dim):
-                out[k] = (out[k] + red[k]) % pn
-        return tuple(out)
+                    if i >= f:  # z^f = -(m_0 + m_1 z + ... + m_{f-1} z^(f-1))
+                        terms = [(i - f + k, j, m[k]) for k in range(f)]
+                    else:  # u^e = -(E_0 + E_1 u + ... + E_{e-1} u^(e-1))
+                        terms = [(i + t, j - e + k, c)
+                                 for k in range(e) for t, c in enumerate(self.eis[k])]
+                    for i2, j2, c in terms:
+                        if c:
+                            for s, d in enumerate(residue(i2, j2)):
+                                out[s] -= c * d
+                    out = [c % pn for c in out]
+                memo[i, j] = out
+            return memo[i, j]
+
+        nu = 2 * e - 1
+        table = []
+        for i in range(2 * f - 1):
+            for j in range(nu):
+                if i >= f or j >= e:
+                    row = tuple((s, c) for s, c in enumerate(residue(i, j)) if c)
+                    if row:
+                        table.append((i * nu + j, row))
+        return tuple(table)
 
     # -- basic ops ------------------------------------------------------------
 
@@ -180,85 +170,38 @@ class TowerRing:
         n %= pn
         return tuple((n * a) % pn for a in x)
 
-    def _zreduce(self, coeffs: list[int]) -> list[int]:
-        # reduce a z-polynomial (list of ints, degree < 2f-1) mod m
-        f, pn = self.f, self.pn
-        for k in range(len(coeffs) - 1, f - 1, -1):
-            c = coeffs[k]
-            if c:
-                row = self._zpow[k - f]
-                for i in range(f):
-                    coeffs[i] = (coeffs[i] + c * row[i]) % pn
-                coeffs[k] = 0
-        return coeffs[:f]
-
-    def _mul_zpoly_raw(self, a: tuple[int, ...], x: tuple[int, ...]):
-        # multiply a z-polynomial (length f) by a full element
-        f, e, pn = self.f, self.e, self.pn
-        out = [0] * self.dim
-        for j in range(e):
-            col = [0] * (2 * f - 1)
-            for i1 in range(f):
-                ai = a[i1]
-                if not ai:
-                    continue
-                for i2 in range(f):
-                    c = x[i2 * e + j]
-                    if c:
-                        col[i1 + i2] = (col[i1 + i2] + ai * c) % pn
-            col = self._zreduce(col)
-            for i in range(f):
-                out[i * e + j] = col[i]
-        return tuple(out)
-
     def mul(self, x, y):
+        pn = self.pn
         if self.dim == 1:
-            return ((x[0] * y[0]) % self.pn,)
-        f, e = self.f, self.e
-        # convolve in (z, u) with exact integers, z-degree < 2f-1, u-degree < 2e-1
-        nu = 2 * e - 1
-        acc = [0] * ((2 * f - 1) * nu)
-        for i1 in range(f):
-            for j1 in range(e):
-                c1 = x[i1 * e + j1]
-                if not c1:
-                    continue
-                for i2 in range(f):
-                    for j2 in range(e):
-                        c2 = y[i2 * e + j2]
-                        if c2:
-                            acc[(i1 + i2) * nu + j1 + j2] += c1 * c2
+            return ((x[0] * y[0]) % pn,)
+        # a constant operand is a scalar multiple: nothing to fold
+        if not any(x[1:]):
+            c = x[0]
+            return tuple([c * b % pn for b in y])
+        if not any(y[1:]):
+            c = y[0]
+            return tuple([c * a % pn for a in x])
+        raw = self._raw
+        ys = [(raw[s], c) for s, c in enumerate(y) if c]
+        acc = [0] * self._nraw
+        for s, c1 in enumerate(x):
+            if c1:
+                o = raw[s]
+                for r, c2 in ys:
+                    acc[o + r] += c1 * c2
         return self._reduce(acc)
 
     def _reduce(self, acc):
         """Canonical residue of a raw (z, u) convolution: acc[i*(2e-1) + j]
         is the integer coefficient of z^i u^j, i < 2f-1, j < 2e-1."""
-        f, e, pn = self.f, self.e, self.pn
-        if f == 1:
-            # fold u^(e+k) in exact integers, one reduction mod p^N at the end
-            out = acc[:e]
-            for k, row in enumerate(self._upow):
-                c = acc[e + k]
-                if c:
-                    for j in range(e):
-                        out[j] += c * row[j]
-            return tuple(c % pn for c in out)
-        nz, nu = 2 * f - 1, 2 * e - 1
-        # reduce z degree per u-power
-        cols = [self._zreduce([acc[i * nu + j] % pn for i in range(nz)])
-                for j in range(nu)]
-        # reduce u degree
-        out = [0] * self.dim
-        for j in range(e):
-            for i in range(f):
-                out[i * e + j] = cols[j][i]
-        for j in range(e, nu):
-            a = tuple(cols[j])
-            if any(a):
-                red = self._mul_zpoly_raw(a, self._upow[j - e])
-                for k in range(self.dim):
-                    out[k] = (out[k] + red[k]) % pn
-        return tuple(out)
+        out = [acc[r] for r in self._raw]
+        for k, row in self._fold:
+            c = acc[k]
+            if c:
+                for s, d in row:
+                    out[s] += c * d
+        pn = self.pn
+        return tuple([c % pn for c in out])
 
     def pow(self, x, n: int):
         r = self.one()
@@ -295,23 +238,20 @@ class TowerRing:
         if w == 0:
             return x
         a, b = divmod(w, self.e)
-        y = x
-        if a:
-            y = self.scalar_mul(self.p ** a, y)
-        for _ in range(b):
-            y = self._mul_by_u_simple(y)
-        return y
-
-    def _mul_by_u_simple(self, x):
-        if self.e == 1:
-            return self.scalar_mul(self.p, x)
-        return self._mul_by_u(x, self._upow[0])
+        pa = self.p ** a
+        if not b:
+            return self.scalar_mul(pa, x)
+        # one raw convolution with the monomial p^a u^b
+        acc = [0] * self._nraw
+        for r, c in zip(self._raw, x):
+            acc[r + b] = pa * c
+        return self._reduce(acc)
 
     def divide_pi_exact(self, x, w: int):
         """Divide by pi^w an element of valuation >= w.
 
-        Coefficients of the result are meaningful mod p^(N - ceil(w/e)) only;
-        the caller tracks the precision loss.
+        Coefficients of the result are meaningful mod p^(N - a - b) only,
+        (a, b) = divmod(w, e); the caller tracks the precision loss.
         """
         if w == 0:
             return x
@@ -354,22 +294,30 @@ class TowerRing:
         return self._w0
 
     def w0_pow(self, b: int):
-        return self.pow(self.w0(), b)
+        """(p / u)^b for 0 <= b < e, from a table built on first use."""
+        if self._w0_pows is None:
+            pows = [self.one()]
+            for _ in range(self.e - 1):
+                pows.append(self.mul(pows[-1], self.w0()))
+            self._w0_pows = tuple(pows)
+        return self._w0_pows[b]
 
     def c0(self):
         """u^e / p: the unit correcting fractional-valuation wraparound in
         the canonical p^a u^b * unit representation (1 when u^e = p)."""
         if self.e == 1:
             return self.one()
-        if getattr(self, "_c0", None) is None:
-            ue = self._upow[0]
-            self._c0 = tuple(c // self.p for c in ue)
+        if self._c0 is None:
+            # u^e = -(E_0 + E_1 u + ... + E_{e-1} u^{e-1}), each E_j in pZ_q
+            e, pn = self.e, self.pn
+            self._c0 = tuple((-self.eis[j][i]) % pn // self.p
+                             for i in range(self.f) for j in range(e))
         return self._c0
 
     def c0_inv(self):
         if self.e == 1:
             return self.one()
-        if getattr(self, "_c0i", None) is None:
+        if self._c0i is None:
             self._c0i = self.inv_unit(self.c0())
         return self._c0i
 
@@ -383,13 +331,12 @@ class TowerRing:
             # a constant unit (every unit when f = e = 1): one modular inverse
             return (pow(x[0], -1, self.pn),) + (0,) * (self.dim - 1)
         y = self._inv_mod_p(x)
+        two = self.from_int(2)
         k = 1
         while k < self.prec:
             k = min(2 * k, self.prec)
             # y <- y(2 - xy), correct mod p^k
-            t = self.mul(x, y)
-            two = self.from_int(2)
-            y = self.mul(y, self.sub(two, t))
+            y = self.mul(y, self.sub(two, self.mul(x, y)))
         return y
 
     def _inv_mod_p(self, x):
@@ -401,18 +348,14 @@ class TowerRing:
         for i in range(f):
             y[i * e + 0] = a0inv[i]
         y = tuple(y)
-        # Newton in the nilpotent u-direction, mod p
-        steps = 0
+        # Newton in the nilpotent u-direction, mod p: y is right mod u^k, and
+        # at e = 1 (u = p) the residue-field inverse is already the answer
+        two = self.from_int(2)
         k = 1
         while k < e:
             k *= 2
-            steps += 1
-        for _ in range(max(steps, 1)):
-            t = self.mul(x, y)
-            t = tuple(c % p for c in t)
-            two = self.from_int(2)
-            y = self.mul(y, self.sub(two, t))
-            y = tuple(c % p for c in y)
+            t = tuple(c % p for c in self.mul(x, y))
+            y = tuple(c % p for c in self.mul(y, self.sub(two, t)))
         return y
 
     # -- Frobenius and automorphisms -------------------------------------------
@@ -425,12 +368,14 @@ class TowerRing:
         return all(all(c == 0 for c in coeff[1:]) for coeff in self.eis)
 
     def _frob_columns(self):
+        # z^(i p) mod m as length-f z-vectors, i < f
         if self._frob_cols is None:
+            e = self.e
             cols = []
             zp = self.pow(self.gen_z(), self.p)
             cur = self.one()
             for _ in range(self.f):
-                cols.append(cur)
+                cols.append(cur[::e])
                 cur = self.mul(cur, zp)
             self._frob_cols = tuple(cols)
         return self._frob_cols
@@ -442,28 +387,29 @@ class TowerRing:
             return x
         if not self.frobenius_ok():
             raise ValueError("Frobenius does not fix this Eisenstein polynomial")
-        cols = self._frob_columns()
-        e = self.e
-        out = self.zero()
-        for i in range(self.f):
-            coeff = tuple(x[i * e + j] for j in range(e))
-            if any(coeff):
-                # coeff (a u-vector over Z) times cols[i] (z-only element)
-                elem = tuple(
-                    coeff[j] if ii == 0 else 0
-                    for ii in range(self.f) for j in range(e)
-                )
-                out = self.add(out, self.mul(elem, cols[i]))
-        return out
+        # z^i u^j -> z^(ip) u^j and z^(ip) is already a reduced z-polynomial,
+        # so the image is a combination of basis monomials: nothing to fold
+        e, pn = self.e, self.pn
+        out = [0] * self.dim
+        for i, col in enumerate(self._frob_columns()):
+            for j in range(e):
+                c = x[i * e + j]
+                if c:
+                    for k, d in enumerate(col):
+                        out[k * e + j] += c * d
+        return tuple([c % pn for c in out])
 
     def apply_u_map(self, x, upowers):
         """Apply the K_q-automorphism sending u to T, given precomputed
         upowers[j] = T^j for 0 <= j < e."""
-        e = self.e
-        out = self.zero()
-        for j in range(e):
-            a = tuple(x[i * e + j] for i in range(self.f))
-            if any(a):
-                out = self.add(out, self._mul_zpoly_raw(a, upowers[j]))
-        return out
-
+        e, raw, nu = self.e, self._raw, 2 * self.e - 1
+        acc = [0] * self._nraw
+        for j, t in enumerate(upowers):
+            ts = [(r, d) for r, d in zip(raw, t) if d]
+            for i in range(self.f):
+                c = x[i * e + j]
+                if c:
+                    o = i * nu
+                    for r, d in ts:
+                        acc[o + r] += c * d
+        return self._reduce(acc)

@@ -96,6 +96,35 @@ def test_descend(capsys):
     assert len(doc["invariant_basis"][0]) == 2
 
 
+def test_descend_rejects_an_action_that_breaks_the_table(tmp_path, capsys):
+    # m = 2I is invertible, so the loader takes it, but m*m = 4I is not the
+    # identity the table asks for
+    group = _mutated(tmp_path, "c2_scalar_dim2", ("rep", "m"),
+                     [["2", "0"], ["0", "2"]])
+    code, out, err = run(capsys, "descend", "--module", fx("ss2.json"),
+                         "--group", group, "--extension", fx("ext_sqrt2_c2.json"),
+                         "--precision", "32")
+    assert code == 2 and out == ""
+    assert "breaks the table at (m, m)" in err
+
+
+def test_the_parser_is_built_once(capsys, monkeypatch):
+    import isofilt.cli as cli
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    for _ in range(3):
+        code, out, _ = run(capsys, "minkowski", "--n", "2")
+        assert code == 0 and out.strip() == "24"
+    with pytest.raises(SystemExit) as exc:
+        main(["slopes"])
+    assert exc.value.code == 64
+    code, out, _ = run(capsys, "degree", "--local", "1:2,0:3")
+    assert code == 0 and "d_upper = 6" in out
+    assert built == [1]
+
+
 def test_usage_error_exit_64():
     with pytest.raises(SystemExit) as exc:
         main(["slopes"])  # missing --module
@@ -198,8 +227,9 @@ def test_find_determinism(tmp_path, capsys):
     ("c2_scalar_dim2", ("rep", "m"), [["1", "0", "0"], ["0", "1", "0"],
                                       ["0", "0", "1"]]),
     ("c2_scalar_dim2", ("elements",), ["e", "x"]),            # no element m
+    ("c2_scalar_dim2", ("rep", "m"), [["0", "0"], ["0", "0"]]),
 ], ids=["coeffs-x", "coeffs-y", "coeffs-missing", "not-eisenstein",
-        "automorphism-z", "rep-3x3", "rep-unknown-name"])
+        "automorphism-z", "rep-3x3", "rep-unknown-name", "rep-singular"])
 def test_malformed_extension_or_group_exits_2_without_traceback(
         tmp_path, name, path, value):
     files = {"ext": fx("ext_sqrt2_c2.json"), "group": fx("c2_scalar_dim2.json")}
@@ -229,21 +259,26 @@ def test_misshapen_module_exits_2_without_traceback(tmp_path, name, path, value)
 
 def test_check_rejects_a_zero_generator(tmp_path, capsys):
     # a certificate whose group matrix m is zero, resealed with a correct
-    # digest: only the stability re-verification can reject it, and it names
-    # the descent targets, which test the same pairs, as well
+    # digest: the group loader rejects the singular matrix and names it.  An
+    # invertible m that moves F (the swap of e1 and e2) gets past the loader,
+    # so only the stability re-verification can reject it, and it names the
+    # descent targets, which test the same pairs, as well
     cert = tmp_path / "cert.json"
     code, _, _ = run(capsys, "filtration", "find", "--module", fx("ss2.json"),
                      "--group", fx("c2_scalar_dim2.json"),
                      "--extension", fx("ext_sqrt2_c2.json"), "--seed", "9",
                      "--precision", "32", "--out", str(cert))
     assert code == 0
-    doc = json.loads(cert.read_text())
-    doc["inputs"]["group"]["rep"]["m"] = [["0", "0"], ["0", "0"]]
-    doc["digest"] = formats.certificate_digest(doc)
-    cert.write_text(json.dumps(doc))
-    code, _, err = run(capsys, "filtration", "check", str(cert))
-    assert code == 2
-    assert "diagonal-stability" in err and "descent-targets" in err
+    found = cert.read_text()
+    for m, named in (([["0", "0"], ["0", "0"]], ["rep matrix 'm' is singular"]),
+                     ([["0", "1"], ["1", "0"]], ["diagonal-stability", "descent-targets"])):
+        doc = json.loads(found)
+        doc["inputs"]["group"]["rep"]["m"] = m
+        doc["digest"] = formats.certificate_digest(doc)
+        cert.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "filtration", "check", str(cert))
+        assert code == 2
+        assert all(text in err for text in named), err
 
 
 def _drop(*path):

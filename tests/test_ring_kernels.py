@@ -1,10 +1,13 @@
 """Property tests of the ring kernels against exact integer polynomials.
 
-TowerRing.mul, TowerRing.inv_unit (on random elements, and on constant
-units, which skip Newton) and hensel.rp_mul are checked against
+TowerRing.mul (on dense and sparse operands), TowerRing.inv_unit (on random
+elements, and on constant units, which skip Newton), the rows of the fold
+table that TowerRing._reduce reads, shift_up, divide_pi_exact, w0_pow,
+frobenius, apply_u_map and hensel.rp_mul are checked against
 oracles.tower_reduce at every shape of level the library builds: Q_p and
 Eisenstein rings over it (f = 1), unramified levels (e = 1) and ramified
-steps over them, at a small and a large precision.
+steps over them, at a small and a large precision.  A counting guard pins how
+often mul reduces.
 """
 
 from functools import lru_cache
@@ -14,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from isofilt.padic.hensel import find_unramified_modulus, rp_mul
 from isofilt.padic.ring import TowerRing
-from oracles import tower_poly_mul
+from oracles import tower_poly_mul, tower_reduce
 
 LEVELS = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 4)]
 PRECS = [8, 48]
@@ -47,9 +50,12 @@ def _oracle_args(ring):
 
 
 @st.composite
-def rings(draw, f, e, prec):
+def rings(draw, f, e, prec, rational=False):
+    """A ring at level (f, e); rational=True keeps the Eisenstein polynomial
+    z-free, as Frobenius needs."""
     p = draw(st.sampled_from([2, 3]))
-    vec = st.lists(st.integers(0, p ** prec), min_size=f, max_size=f)
+    entry = st.integers(0, p ** prec)
+    vec = st.tuples(entry, *[st.just(0) if rational else entry] * (f - 1))
     return _ring(p, f, e, prec, draw(st.lists(vec, min_size=e, max_size=e)))
 
 
@@ -136,3 +142,155 @@ def test_kernels_at_the_overflow_edge(f, e, prec, p, la, lb):
     args = _oracle_args(ring)
     assert ring.mul(top, top) == tower_poly_mul([top], [top], *args)[0]
     assert rp_mul(ring, [top] * la, [top] * lb) == tower_poly_mul([top] * la, [top] * lb, *args)
+
+
+# -- the fold table and the kernels built on it ------------------------------------
+
+
+def _reduce_oracle(ring, terms):
+    return tower_reduce(terms, *_oracle_args(ring))
+
+
+def _terms(ring, x, i0=0, j0=0, scale=1):
+    """x times scale * z^i0 u^j0 as oracle terms."""
+    e = ring.e
+    return {(s // e + i0, s % e + j0): scale * c for s, c in enumerate(x) if c}
+
+
+@levels
+@precs
+@examples
+@given(data=st.data())
+def test_fold_rows_match_oracle(f, e, prec, data):
+    ring = data.draw(rings(f, e, prec))
+    rows = dict(ring._fold)
+    nu = 2 * e - 1
+    for i in range(2 * f - 1):
+        for j in range(nu):
+            if i < f and j < e:
+                assert i * nu + j not in rows
+                continue
+            dense = [0] * ring.dim
+            for s, c in rows.get(i * nu + j, ()):
+                assert 0 < c < ring.pn
+                dense[s] = c
+            assert tuple(dense) == _reduce_oracle(ring, {(i, j): 1})
+
+
+@st.composite
+def sparse_elements(draw, ring):
+    """A constant, a single monomial, a z-only or a u-only element."""
+    f, e = ring.f, ring.e
+    support = draw(st.sampled_from([
+        [0],
+        [draw(st.integers(0, ring.dim - 1))],
+        [i * e for i in range(f)],
+        list(range(e)),
+    ]))
+    entry = st.integers(0, ring.pn - 1)
+    return tuple(draw(entry) if s in support else 0 for s in range(ring.dim))
+
+
+@levels
+@precs
+@examples
+@given(data=st.data())
+def test_mul_on_sparse_operands_matches_oracle(f, e, prec, data):
+    ring = data.draw(rings(f, e, prec))
+    x = data.draw(sparse_elements(ring))
+    y = data.draw(st.one_of(sparse_elements(ring), elements(ring)))
+    want = tower_poly_mul([x], [y], *_oracle_args(ring))[0]
+    assert ring.mul(x, y) == want
+    assert ring.mul(y, x) == want
+
+
+@levels
+@precs
+@examples
+@given(data=st.data())
+def test_shift_up_and_divide_pi_exact_match_oracle(f, e, prec, data):
+    ring = data.draw(rings(f, e, prec))
+    z = data.draw(elements(ring))
+    w = data.draw(st.integers(0, e * prec + e))
+    a, b = divmod(w, e)
+    x = ring.shift_up(z, w)
+    # pi^w = p^a u^b, with pi = p when e = 1
+    assert x == _reduce_oracle(ring, _terms(ring, z, j0=b, scale=ring.p ** a))
+    if e == 1 or a + b >= prec:
+        return
+    # pi^w z is exactly divisible by pi^w; the quotient is z mod p^(N-a-b)
+    keep = ring.p ** (prec - a - b)
+    assert ring.divide_pi_exact(x, w) == tuple(c % keep for c in z)
+
+
+@levels
+@precs
+@examples
+@given(data=st.data())
+def test_w0_pow_matches_oracle(f, e, prec, data):
+    if e == 1:
+        return
+    ring = data.draw(rings(f, e, prec))
+    for b in range(e):
+        # u^b (p/u)^b = p^b
+        want = _reduce_oracle(ring, {(0, 0): ring.p ** b})
+        assert _reduce_oracle(ring, _terms(ring, ring.w0_pow(b), j0=b)) == want
+
+
+@levels
+@precs
+@examples
+@given(data=st.data())
+def test_frobenius_matches_oracle(f, e, prec, data):
+    ring = data.draw(rings(f, e, prec, rational=True))
+    x = data.draw(elements(ring))
+    terms = {}
+    for s, c in enumerate(x):
+        key = (s // e * ring.p, s % e)  # z^i u^j -> z^(ip) u^j
+        terms[key] = terms.get(key, 0) + c
+    assert ring.frobenius(x) == _reduce_oracle(ring, terms)
+
+
+@levels
+@precs
+@examples
+@given(data=st.data())
+def test_apply_u_map_matches_oracle(f, e, prec, data):
+    ring = data.draw(rings(f, e, prec))
+    args = _oracle_args(ring)
+    image = data.draw(elements(ring))  # any T: the map is z-linear in u^j
+    upowers = [ring.one()]
+    for _ in range(e - 1):
+        upowers.append(tower_poly_mul([upowers[-1]], [image], *args)[0])
+    x = data.draw(st.one_of(elements(ring), sparse_elements(ring)))
+    terms = {}
+    for s, c in enumerate(x):
+        i, j = divmod(s, e)
+        for key, d in _terms(ring, upowers[j], i0=i).items():
+            terms[key] = terms.get(key, 0) + c * d
+    assert ring.apply_u_map(x, upowers) == _reduce_oracle(ring, terms)
+
+
+# -- how often mul reduces ------------------------------------------------------------
+
+
+@levels
+def test_mul_reduces_once_and_constants_never(f, e, monkeypatch):
+    ring = _ring(3, f, e, 8, [[5] * f] * e)
+    calls = []
+    reduce = TowerRing._reduce
+
+    def counting(self, acc):
+        calls.append(len(acc))
+        return reduce(self, acc)
+
+    monkeypatch.setattr(TowerRing, "_reduce", counting)
+    dense = tuple(range(1, ring.dim + 1))
+    const = (7,) + (0,) * (ring.dim - 1)
+    ring.mul(const, dense)
+    ring.mul(dense, const)
+    ring.mul(const, const)
+    assert calls == []
+    ring.mul(dense, dense)
+    # f = e = 1 is one integer product at every operand
+    assert calls == ([] if ring.dim == 1 else [(2 * f - 1) * (2 * e - 1)])
