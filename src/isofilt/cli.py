@@ -21,7 +21,8 @@ from . import bounds
 from . import formats
 from .padic import linalg as la
 from .isocrystal.slopes import newton_slopes, isoclinic_decompose
-from .filtration.driver import find_admissible_stable_filtration, DescentDatum
+from .filtration.driver import (find_admissible_stable_filtration, DescentDatum,
+                               ADMISSIBILITY_BUDGET)
 from .filtration.galois import is_diagonally_stable, lift_matrix
 from .filtration.admissible import is_admissible
 from .symplectic.space import SymplecticSpace, LagrangianSubspace
@@ -266,7 +267,9 @@ def _filtration_check(args) -> int:
     ext_doc = _certificate_field(cert, "inputs.extension", dict)
     prec = _certificate_field(cert, "params", dict).get("precision")
     seed = _certificate_field(cert, "params.seed", int)
-    budget = _certificate_field(cert, "params.budget", int)
+    # params.budget bounds the Lagrangian search of find; the admissibility
+    # sampling of find always runs driver.ADMISSIBILITY_BUDGET tries
+    _certificate_field(cert, "params.budget", int)
     F_doc = _certificate_field(cert, "outputs.filtration", list)
     adm = _certificate_field(cert, "outputs.admissibility", dict)
     mode = adm.get("mode", "sampled")
@@ -290,7 +293,8 @@ def _filtration_check(args) -> int:
             LagrangianSubspace(space, F, validate=True)
         except IsofiltError:
             failures.append("lagrangian")
-    rep_check = is_admissible(sa.module, F, ext, mode, seed=seed, budget=budget)
+    rep_check = is_admissible(sa.module, F, ext, mode, seed=seed,
+                              budget=ADMISSIBILITY_BUDGET)
     if not rep_check.verdict or adm.get("verdict") != "admissible":
         failures.append("admissible")
     if not is_diagonally_stable(rep, F, setup):

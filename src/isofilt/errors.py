@@ -18,7 +18,15 @@ class BudgetExhaustedError(IsofiltError):
 
 
 class MultiplicityError(IsofiltError):
-    """Exact submodule enumeration requires multiplicity-free input."""
+    """Exact submodule enumeration requires multiplicity-free input.
+
+    ``components`` carries the isoclinic decomposition that showed the
+    multiplicity, so that a sampled retry need not compute it again.
+    """
+
+    def __init__(self, message, components=None):
+        super().__init__(message)
+        self.components = components
 
 
 class FieldIncompatibilityError(IsofiltError):

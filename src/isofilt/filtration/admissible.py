@@ -19,18 +19,24 @@ from .galois import lift_matrix
 
 
 def t_H(F_cols_L, N_cols_K, ext, rank_F: int,
-        guard: int = la.DEFAULT_GUARD) -> int:
+        guard: int = la.DEFAULT_GUARD, rank_N: int | None = None) -> int:
     """dim(N_L cap F) = rank N_L + rank F - rank [N_L | F], certified.
 
     rank_F is the certified rank of F, which the caller computes once for
-    every N it tests; each N then costs two eliminations.
+    every N it tests.  rank_N is the rank of N when the caller knows N's
+    columns to be certified independent at the working level, as every basis
+    of a SubmoduleSet is; rank N_L is then dim N, since a field extension
+    keeps ranks, and N costs one elimination.  With rank_N None the rank of
+    N_L is certified here, for an N from outside: two eliminations.
     """
     if not (N_cols_K and N_cols_K[0]):
         return 0
     if not (F_cols_L and F_cols_L[0]):
         return 0
     NL = lift_matrix(ext, N_cols_K)
-    return (la.certified_rank(la.transpose(NL), guard) + rank_F
+    if rank_N is None:
+        rank_N = la.certified_rank(la.transpose(NL), guard)
+    return (rank_N + rank_F
             - la.certified_rank(la.transpose(la.hstack(NL, F_cols_L)), guard))
 
 
@@ -64,14 +70,19 @@ class AdmissibilityReport:
 
 def is_admissible(D: PhiModule, F_cols_L, ext, mode: str = "exact",
                   seed: int = 0, budget: int = 200,
-                  guard: int = la.DEFAULT_GUARD) -> AdmissibilityReport:
+                  guard: int = la.DEFAULT_GUARD,
+                  components=None) -> AdmissibilityReport:
     """Check the slope bound over all (exact) or many (sampled) submodules.
 
     Sampled mode is one-sidedly sound: 'inadmissible' verdicts carry an
     explicit violating submodule; 'admissible' verdicts are complete only
-    over the enumerated family.
+    over the enumerated family.  ``components`` is D's isoclinic
+    decomposition when the caller has it already (sampled mode).  Each
+    proper N costs one elimination over L, since its basis is certified
+    independent.
     """
-    subs = submodules(D, mode, budget=budget, seed=seed, guard=guard)
+    subs = submodules(D, mode, budget=budget, seed=seed, guard=guard,
+                      components=components)
     entries = []
     dimF = len(F_cols_L[0]) if F_cols_L and F_cols_L[0] else 0
     violation = None
@@ -91,7 +102,7 @@ def is_admissible(D: PhiModule, F_cols_L, ext, mode: str = "exact",
             bound = sub.t_N(guard)
             if rank_F is None:
                 rank_F = _rank(F_cols_L, guard)
-            th = t_H(F_cols_L, N, ext, rank_F, guard)
+            th = t_H(F_cols_L, N, ext, rank_F, guard, rank_N=dN)
         entries.append((dN, th, bound))
         if th > bound:
             verdict = False

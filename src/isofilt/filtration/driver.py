@@ -51,6 +51,8 @@ from .admissible import is_admissible
 
 
 DEFAULT_SAMPLE_BUDGET = 200
+# tries of sampled admissibility in find; check re-samples with the same
+ADMISSIBILITY_BUDGET = 200
 
 
 class PieceData:
@@ -206,7 +208,8 @@ def _validate_piece(piece, guard):
 
 def two_slope_filtration(piece: PieceData, setup: GaloisSetup, seed: int,
                          budget: int = DEFAULT_SAMPLE_BUDGET,
-                         adm_mode: str = "exact", adm_budget: int = 200,
+                         adm_mode: str = "exact",
+                         adm_budget: int = ADMISSIBILITY_BUDGET,
                          guard: int = la.DEFAULT_GUARD):
     """Lagrangian, admissible, diagonally stable filtration for a two-slope
     piece with slopes {mu, 1-mu}, mu != 1/2."""
@@ -240,7 +243,8 @@ def two_slope_filtration(piece: PieceData, setup: GaloisSetup, seed: int,
 
 def supersingular_filtration(piece: PieceData, setup: GaloisSetup, seed: int,
                              budget: int = DEFAULT_SAMPLE_BUDGET,
-                             adm_mode: str = "sampled", adm_budget: int = 200,
+                             adm_mode: str = "sampled",
+                             adm_budget: int = ADMISSIBILITY_BUDGET,
                              guard: int = la.DEFAULT_GUARD):
     """Filtration for an isoclinic slope-1/2 piece: base-rational sampling
     against the twisted Frobenius under a homothety action, perturbing
@@ -313,12 +317,8 @@ def _finish_piece(piece, setup, F, adm_mode, adm_budget, seed, guard,
     ext = setup.ext
     space_L = SymplecticSpace(ext, lift_matrix(ext, J), validate=False)
     LagrangianSubspace(space_L, F, validate=True, guard=guard)
-    try:
-        report = is_admissible(D, F, ext, adm_mode, seed=seed,
-                               budget=adm_budget, guard=guard)
-    except MultiplicityError:
-        report = is_admissible(D, F, ext, "sampled", seed=seed,
-                               budget=adm_budget, guard=guard)
+    report = _admissible_with_fallback(D, F, ext, adm_mode, seed, adm_budget,
+                                       guard)
     if not report.verdict:
         if expect_admissible:
             raise InternalContradictionError(
@@ -378,7 +378,7 @@ def find_admissible_stable_filtration(sa: SemiAbelianPhiModule,
                                       seed: int = 0,
                                       budget: int = DEFAULT_SAMPLE_BUDGET,
                                       adm_mode: str = "exact",
-                                      adm_budget: int = 200,
+                                      adm_budget: int = ADMISSIBILITY_BUDGET,
                                       guard: int = la.DEFAULT_GUARD,
                                       allow_non_phi_compatible: bool = False,
                                       validate_inputs: bool = True,
@@ -507,12 +507,15 @@ def _mode_for(piece):
 
 
 def _admissible_with_fallback(D, F, ext, mode, seed, budget, guard):
+    """is_admissible in the given mode; sampled where exact mode meets a
+    repeated slope, on the decomposition the exact attempt computed."""
     try:
         return is_admissible(D, F, ext, mode, seed=seed, budget=budget,
                              guard=guard)
-    except MultiplicityError:
+    except MultiplicityError as exc:
         return is_admissible(D, F, ext, "sampled", seed=seed,
-                             budget=budget, guard=guard)
+                             budget=budget, guard=guard,
+                             components=exc.components)
 
 
 def _quotient_rep(sa: SemiAbelianPhiModule, rep: GroupRepresentation,

@@ -273,7 +273,10 @@ def _scalars(level, poly, prec):
 
 def isoclinic_decompose(D: PhiModule, guard: int = la.DEFAULT_GUARD):
     """[(slope, basis columns of the slope component)], phi-stable pieces
-    spanning D, one per distinct slope."""
+    spanning D, one per distinct slope.
+
+    The columns of all components together are certified independent (one
+    elimination), so the columns of any sum of components are too."""
     prof = newton_slopes(D, guard)
     if len(prof.pairs) == 1:
         return [(prof.pairs[0][0], la.identity(D.field, D.n))]
@@ -294,4 +297,7 @@ def isoclinic_decompose(D: PhiModule, guard: int = la.DEFAULT_GUARD):
     total = sum(len(c[0]) for _, c in out)
     if total != D.n:
         raise PrecisionError("slope components do not span")
+    concat = [[x for _, c in out for x in c[i]] for i in range(D.n)]
+    if la.certified_rank(concat, guard) != D.n:
+        raise PrecisionError("slope components not certified independent")
     return sorted(out, key=lambda t: t[0])

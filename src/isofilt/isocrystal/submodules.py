@@ -5,10 +5,19 @@ component to be simple (dimension equal to the denominator of its slope);
 that makes the enumeration complete at the working level, since a submodule
 meets each simple component in 0 or everything.
 
-Sampled mode adds pseudo-random phi-stable subspaces obtained as kernels and
-images of random elements of the endomorphism algebra, which is computed by
-solving U A = A sigma(U) coordinatewise over Q_p.  Every sampled candidate is
-re-checked for phi-stability before being returned.
+Sampled mode adds pseudo-random phi-stable subspaces: kernels and images of
+random elements U of the endomorphism algebra, which is computed by solving
+U A = A sigma(U) coordinatewise over Q_p, and phi-spans of random vectors.
+A candidate already listed (by ``_canonical_key``) is dropped unchecked.
+Every other one carries one certified stability decision: ker U and im U,
+which come from one reduced elimination of U, are checked by
+``PhiModule.is_stable``; a phi-span is certified stable by the elimination
+that ends its loop (see ``phi_span``).
+
+Every returned basis is certified independent at the working level, so its
+rank is its number of columns: a kernel basis has an identity block, an image
+or a phi-span is a set of pivot columns, and ``isoclinic_decompose``
+certifies that its components together have full rank.
 """
 
 from __future__ import annotations
@@ -75,7 +84,8 @@ def exact_submodules(D: PhiModule, guard: int = la.DEFAULT_GUARD) -> SubmoduleSe
         if len(cols[0]) != b:
             raise MultiplicityError(
                 f"slope {slope} component has dimension {len(cols[0])} != {b}; "
-                "component is not simple at this level, use sampled mode")
+                "component is not simple at this level, use sampled mode",
+                components=comps)
     subs = []
     k = len(comps)
     for r in range(k + 1):
@@ -86,69 +96,93 @@ def exact_submodules(D: PhiModule, guard: int = la.DEFAULT_GUARD) -> SubmoduleSe
 
 
 def sampled_submodules(D: PhiModule, seed: int, budget: int,
-                       guard: int = la.DEFAULT_GUARD) -> SubmoduleSet:
-    comps = isoclinic_decompose(D, guard)
+                       guard: int = la.DEFAULT_GUARD,
+                       components=None) -> SubmoduleSet:
+    """The sums of isoclinic components, then the new phi-stable subspaces
+    that ``budget`` seeded tries find.  ``components`` is D's isoclinic
+    decomposition when the caller has it already."""
+    comps = isoclinic_decompose(D, guard) if components is None else components
     rng = random.Random(seed)
     subs = []
     seen = set()
-
-    def push(cols):
-        key = _canonical_key(cols, guard)
-        if key in seen:
-            return False
-        seen.add(key)
-        subs.append(cols)
-        return True
-
     k = len(comps)
     for r in range(k + 1):
         for pick in combinations(range(k), r):
-            push(_concat_cols(D, [comps[i][1] for i in pick]))
+            cols = _concat_cols(D, [comps[i][1] for i in pick])
+            key = _canonical_key(cols, guard)
+            if key not in seen:
+                seen.add(key)
+                subs.append(cols)
     endo = endomorphism_algebra(D, guard)
     tries = 0
     while tries < budget:
         tries += 1
         U = _random_combination(D.field, endo, rng)
-        cands = [_kernel_cols(D, U, guard), _image_cols(D, U, guard)]
+        ker, im = _kernel_and_image(D, U, guard)
         # right-multiple of a random vector under the algebra, closed under phi
         w = [[D.field.scalar(rng.randrange(-9, 10))] for _ in range(D.n)]
         if U is not None:
             w = la.mat_mul(U, w)
-        cands.append(phi_span(D, w, guard))
-        for cand in cands:
+        # (candidate, whether it is certified phi-stable already)
+        for cand, stable in ((ker, False), (im, False),
+                             (phi_span(D, w, guard), True)):
             if cand is None:
                 continue
             d = len(cand[0]) if cand and cand[0] else 0
             if d in (0, D.n):
                 continue
-            if D.is_stable(cand, guard):
-                push(cand)
+            try:
+                key = _canonical_key(cand, guard)
+            except PrecisionError:
+                # an unstable candidate is dropped before its key matters
+                if stable or D.is_stable(cand, guard):
+                    raise
+                continue
+            if key in seen:
+                continue
+            if stable or D.is_stable(cand, guard):
+                seen.add(key)
+                subs.append(cand)
     return SubmoduleSet(comps, subs, "sampled", seed)
 
 
 def phi_span(D: PhiModule, cols, guard: int = la.DEFAULT_GUARD):
-    """Smallest phi-stable subspace containing the given columns."""
+    """Smallest phi-stable subspace containing the given columns, as pivot
+    columns certified phi-stable; None when an elimination cannot be
+    certified.
+
+    Each step eliminates [cur | phi(cur)].  The columns of cur are the pivot
+    columns of a certified elimination, and forward elimination of the
+    leading columns runs as it did then, so they are pivots again: the step
+    keeps cur and appends the pivot columns of phi(cur).  A step that appends
+    none has certified rank [cur | phi(cur)] = rank cur, that is
+    phi(cur) <= span(cur).  phi is applied only to the appended columns.
+    """
     try:
         cur = la.column_space_basis(cols, guard)
-        for _ in range(D.n + 1):
-            r = len(cur[0]) if cur and cur[0] else 0
-            if r == 0:
+        if not (cur and cur[0]):
+            return cur
+        img = D.apply_phi(cur)
+        while True:
+            r = len(cur[0])
+            _, pivots, _ = la.certified_row_reduce(
+                la.hstack(cur, img), guard, reduced=False, rows=False)
+            if len(pivots) == r:
                 return cur
-            nxt = la.column_space_basis(la.hstack(cur, D.apply_phi(cur)), guard)
-            if len(nxt[0]) == r:
-                return nxt
-            cur = nxt
+            new = la.columns(img, [c - r for c in pivots[r:]])
+            cur = la.hstack(cur, new)
+            img = la.hstack(img, D.apply_phi(new))
     except PrecisionError:
         return None
-    return cur
 
 
 def submodules(D: PhiModule, mode: str = "exact", budget: int = 0,
-               seed: int = 0, guard: int = la.DEFAULT_GUARD) -> SubmoduleSet:
+               seed: int = 0, guard: int = la.DEFAULT_GUARD,
+               components=None) -> SubmoduleSet:
     if mode == "exact":
         return exact_submodules(D, guard)
     if mode == "sampled":
-        return sampled_submodules(D, seed, budget, guard)
+        return sampled_submodules(D, seed, budget, guard, components)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -177,25 +211,26 @@ def _random_combination(field, basis, rng):
     return U
 
 
-def _kernel_cols(D, U, guard):
-    if U is None:
-        return None
-    try:
-        ker = la.kernel_basis(U, guard)
-    except PrecisionError:
-        return None
-    if not ker:
-        return [[] for _ in range(D.n)]
-    return [[v[i] for v in ker] for i in range(D.n)]
+def _kernel_and_image(D, U, guard):
+    """(ker U, im U) as column matrices, None where not certified.
 
-
-def _image_cols(D, U, guard):
+    Both come from one reduced elimination of U: its pivots are those of the
+    forward elimination behind ``column_space_basis``, since back-substitution
+    changes only rows of earlier pivots, which no later pivot search reads.
+    When back-substitution raises, the image is computed alone by forward
+    elimination.
+    """
     if U is None:
-        return None
+        return None, None
     try:
-        return la.column_space_basis(U, guard)
+        ech, pivots, _ = la.certified_row_reduce(U, guard)
     except PrecisionError:
-        return None
+        try:
+            return None, la.column_space_basis(U, guard)
+        except PrecisionError:
+            return None, None
+    ker = la.kernel_from_echelon(D.field, ech, pivots, D.n)
+    return [[v[i] for v in ker] for i in range(D.n)], la.columns(U, pivots)
 
 
 def _canonical_key(cols, guard):

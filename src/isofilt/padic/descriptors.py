@@ -38,6 +38,7 @@ class UnramifiedFieldDescriptor:
         self.floor_relpi = floor_relpi
         self.relpi_max = prec
         self._teich_cache: dict[int, "sc.Scalar"] = {}
+        self._small: dict[int, "sc.Scalar"] = {}
 
     @classmethod
     def create(cls, p: int, f: int, prec: int) -> "UnramifiedFieldDescriptor":
@@ -63,10 +64,10 @@ class UnramifiedFieldDescriptor:
         return sc.sc_zero(self)
 
     def one(self):
-        return sc.sc_from_int(self, 1)
+        return _scalar(self, 1)
 
     def scalar(self, q):
-        return sc.sc_from_fraction(self, q)
+        return _scalar(self, q)
 
     def gen(self):
         """The Teichmuller generator z as a scalar."""
@@ -113,6 +114,20 @@ class UnramifiedFieldDescriptor:
     def serialize(self) -> dict:
         return {"p": self.p, "f": self.f, "precision": self.prec,
                 "modulus": list(self.modulus)}
+
+
+SMALL_INT = 64  # field.scalar(n) for |n| <= SMALL_INT is built once
+
+
+def _scalar(field, q):
+    """The scalar of a rational q at the level.  A small int is built once
+    per descriptor and shared, since Scalars are never mutated."""
+    if type(q) is not int or not -SMALL_INT <= q <= SMALL_INT:
+        return sc.sc_from_fraction(field, q)
+    x = field._small.get(q)
+    if x is None:
+        x = field._small[q] = sc.sc_from_fraction(field, q)
+    return x
 
 
 def _mult_order(a: int, p: int) -> int:
@@ -175,6 +190,7 @@ class EisensteinExtensionDescriptor:
         self.ring = TowerRing(base.p, base.prec, base.modulus, coeffs)
         self.floor_relpi = floor_relpi
         self.relpi_max = self.e * base.prec
+        self._small: dict[int, "sc.Scalar"] = {}
         self.automorphisms: dict[str, _AutRecord] = {}
         for name, poly in self.raw_auts.items():
             image = self._poly_to_element(poly)
@@ -280,10 +296,10 @@ class EisensteinExtensionDescriptor:
         return sc.sc_zero(self)
 
     def one(self):
-        return sc.sc_from_int(self, 1)
+        return _scalar(self, 1)
 
     def scalar(self, q):
-        return sc.sc_from_fraction(self, q)
+        return _scalar(self, q)
 
     def uniformizer(self):
         return sc.Scalar(self, sc.REG, w=1,

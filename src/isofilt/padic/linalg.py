@@ -400,9 +400,14 @@ def kernel_basis(m, guard: int = DEFAULT_GUARD):
         field = _field_of(m) if m and m[0] else None
         return [[field.one() if i == j else sc_zero(field) for i in range(n)]
                 for j in range(n)] if field else []
-    field = _field_of(m)
     ech, pivot_cols, _ = certified_row_reduce(m, guard, reduced=True)
-    nc = len(m[0])
+    return kernel_from_echelon(_field_of(m), ech, pivot_cols, len(m[0]))
+
+
+def kernel_from_echelon(field, ech, pivot_cols, nc):
+    """Right kernel basis, as column vectors, from the reduced echelon form
+    and pivot columns of a matrix with nc columns: one vector per free
+    column, with an identity block there."""
     free = [c for c in range(nc) if c not in pivot_cols]
     basis = []
     for fc in free:

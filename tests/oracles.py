@@ -2,7 +2,11 @@
 
 Everything here works on Fractions with fraction-free elimination, or on
 exact integer polynomials, and never touches the library's ring, scalar or
-linalg layers.
+linalg layers -- except ``sampled_submodules_reference`` at the end.  That
+one is the earlier sampled family, which re-checked every candidate's
+stability and eliminated ker U and im U apart; it pins the order and the
+entries of the family that the library now certifies with fewer
+eliminations.
 """
 
 from fractions import Fraction
@@ -223,3 +227,91 @@ def tower_poly_mul(a, b, m, E, pn):
                         terms[key] = terms.get(key, 0) + x[s1] * y[s2]
         out.append(tower_reduce(terms, m, E, pn))
     return out
+
+
+# -- the earlier sampled family -------------------------------------------------------
+
+
+def sampled_submodules_reference(D, seed, budget, guard=8):
+    """The subspaces of the earlier sampled_submodules(D, seed, budget), in
+    order: every candidate is checked with D.is_stable before its key."""
+    import random
+    from itertools import combinations
+
+    from isofilt.errors import PrecisionError
+    from isofilt.padic import linalg as la
+    from isofilt.isocrystal.slopes import isoclinic_decompose
+    from isofilt.isocrystal.submodules import (
+        _canonical_key, _concat_cols, _random_combination, endomorphism_algebra)
+
+    def kernel_cols(U):
+        if U is None:
+            return None
+        try:
+            ker = la.kernel_basis(U, guard)
+        except PrecisionError:
+            return None
+        if not ker:
+            return [[] for _ in range(D.n)]
+        return [[v[i] for v in ker] for i in range(D.n)]
+
+    def image_cols(U):
+        if U is None:
+            return None
+        try:
+            return la.column_space_basis(U, guard)
+        except PrecisionError:
+            return None
+
+    def phi_span(cols):
+        try:
+            cur = la.column_space_basis(cols, guard)
+            for _ in range(D.n + 1):
+                r = len(cur[0]) if cur and cur[0] else 0
+                if r == 0:
+                    return cur
+                nxt = la.column_space_basis(la.hstack(cur, D.apply_phi(cur)),
+                                            guard)
+                if len(nxt[0]) == r:
+                    return nxt
+                cur = nxt
+        except PrecisionError:
+            return None
+        return cur
+
+    comps = isoclinic_decompose(D, guard)
+    rng = random.Random(seed)
+    subs = []
+    seen = set()
+
+    def push(cols):
+        key = _canonical_key(cols, guard)
+        if key in seen:
+            return False
+        seen.add(key)
+        subs.append(cols)
+        return True
+
+    k = len(comps)
+    for r in range(k + 1):
+        for pick in combinations(range(k), r):
+            push(_concat_cols(D, [comps[i][1] for i in pick]))
+    endo = endomorphism_algebra(D, guard)
+    tries = 0
+    while tries < budget:
+        tries += 1
+        U = _random_combination(D.field, endo, rng)
+        cands = [kernel_cols(U), image_cols(U)]
+        w = [[D.field.scalar(rng.randrange(-9, 10))] for _ in range(D.n)]
+        if U is not None:
+            w = la.mat_mul(U, w)
+        cands.append(phi_span(w))
+        for cand in cands:
+            if cand is None:
+                continue
+            d = len(cand[0]) if cand and cand[0] else 0
+            if d in (0, D.n):
+                continue
+            if D.is_stable(cand, guard):
+                push(cand)
+    return subs

@@ -176,6 +176,34 @@ def test_find_check_roundtrip(tmp_path, capsys):
     assert code == 0 and "verifies" in out
 
 
+def test_check_resamples_the_family_find_recorded(tmp_path, capsys,
+                                                  monkeypatch):
+    # --budget bounds the Lagrangian search only: find samples admissibility
+    # with its own budget, and check must rebuild that same family
+    import isofilt.cli as cli
+    cert = tmp_path / "cert.json"
+    code, _, _ = run(capsys, "filtration", "find",
+                     "--module", fx("ordinary_torus.json"),
+                     "--group", fx("trivial_group_dim3.json"),
+                     "--extension", fx("ext_trivial.json"),
+                     "--seed", "9", "--mode", "sampled", "--budget", "5",
+                     "--out", str(cert))
+    assert code == 0
+    adm = json.load(open(cert))["outputs"]["admissibility"]
+    assert adm["mode"] == "sampled"
+    reports = []
+    is_admissible = cli.is_admissible
+
+    def spy(*args, **kwargs):
+        reports.append(is_admissible(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "is_admissible", spy)
+    code, out, _ = run(capsys, "filtration", "check", str(cert))
+    assert code == 0 and "verifies" in out
+    assert [r.samples for r in reports] == [adm["samples"]]
+
+
 def test_check_detects_tamper(tmp_path, capsys):
     cert = tmp_path / "cert.json"
     run(capsys, "filtration", "find", "--module", fx("ss2.json"),

@@ -342,6 +342,24 @@ def test_no_fraction_on_the_hot_path(monkeypatch, ramified):
     assert pivots == [0, 1, 2, 3] and cert.rank == 4
 
 
+@pytest.mark.parametrize("ramified", [False, True], ids=["Q_2", "t^2=2"])
+def test_small_int_scalars_are_built_once(monkeypatch, ramified):
+    field = UnramifiedFieldDescriptor.create(2, 1, 32)
+    if ramified:
+        field = EisensteinExtensionDescriptor(field, (-2, 0, 1), validate=False)
+    ints = list(range(-9, 10)) + [64, -64, 65, 2 ** 40]
+    first = [field.scalar(c) for c in ints]
+    assert [_spec(x) for x in first] == \
+        [_spec(sc.sc_from_fraction(field, c)) for c in ints]
+    assert field.one() is field.scalar(1)
+    with _no_fraction_made(monkeypatch):
+        again = [field.scalar(c) for c in ints[:-2]] + [field.one()]
+    assert all(x is y for x, y in zip(again, first[:-2] + [first[10]]))
+    # outside the cached range a scalar is built afresh
+    assert field.scalar(65) is not first[-2]
+    assert field.scalar(Fraction(3)) is not field.scalar(3)
+
+
 # -- the raw Z/p^N kernel against the Scalar reference ---------------------------------
 
 
