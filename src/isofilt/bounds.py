@@ -9,7 +9,9 @@ with no word-size assumptions.
 The order-p cyclic subgroup census implements the set count
 #{x : x^p = e} = (p-1) * #C + 1, which is the reading under which the
 counting identity is a theorem (the subgroup generated by the order-p
-elements can be strictly larger than the counted set).
+elements can be strictly larger than the counted set).  It takes a
+FiniteGroup and reads element orders, the identity and powers from it, so the
+group-table primitives live once, in groups.core.
 """
 
 from __future__ import annotations
@@ -121,11 +123,8 @@ def divisibility_checks(a: int, b: int, g: int, n: int) -> dict:
 
 
 def two_part(n: int) -> int:
-    t = 1
-    while n % 2 == 0:
-        n //= 2
-        t *= 2
-    return t
+    """The largest power of 2 dividing n >= 1: its lowest set bit."""
+    return n & -n
 
 
 def wreath_sylow_order(g: int) -> int:
@@ -161,44 +160,11 @@ def lcm_degree_formulas(local_data) -> tuple[int, int]:
 # -- cyclic subgroup census for p-groups -----------------------------------------
 
 
-def _element_orders(table):
-    n = len(table)
-    e = _identity_of(table)
-    orders = []
-    for x in range(n):
-        k = 1
-        y = x
-        while y != e:
-            y = table[y][x]
-            k += 1
-            if k > n:
-                raise ValidationError("not a group table")
-        orders.append(k)
-    return orders, e
-
-
-def _identity_of(table):
-    n = len(table)
-    for e in range(n):
-        if all(table[e][x] == x and table[x][e] == x for x in range(n)):
-            return e
-    raise ValidationError("table has no identity")
-
-
-def _p_of_order(n: int):
-    for p in range(2, n + 1):
-        if is_prime(p) and n % p == 0:
-            q = n
-            while q % p == 0:
-                q //= p
-            return (p, q == 1)
-    return (None, n == 1)
-
-
-def cyclic_subgroup_census(table, action=None) -> dict:
+def cyclic_subgroup_census(group, action=None) -> dict:
     """Census of order-p cyclic subgroups of a p-group.
 
-    table: multiplication table (table[a][b] = index of a*b).
+    group: a FiniteGroup; its element orders, identity and powers do the
+    work.
     action: optional list of permutations of element indices, the generators
     of a p-group acting by automorphisms; when given, a subgroup with a
     singleton orbit is exhibited (one always exists).
@@ -206,23 +172,15 @@ def cyclic_subgroup_census(table, action=None) -> dict:
     Returns {"p", "count", "solutions_of_x_p": #{x : x^p = e},
     "identity_holds", "fixed_subgroup"}.
     """
-    n = len(table)
-    p, is_pgroup = _p_of_order(n)
+    p, is_pgroup = group.is_p_group()
     if not is_pgroup or p is None:
         raise ValidationError("census requires a nontrivial p-group")
-    orders, e = _element_orders(table)
-    subs = set()
-    for x in range(n):
-        if orders[x] == p:
-            h = []
-            y = e
-            for _ in range(p):
-                h.append(y)
-                y = table[y][x]
-            subs.add(frozenset(h))
+    orders = group.element_orders()
+    subs = {frozenset(group.power(x, i) for i in range(p))
+            for x in range(group.n) if orders[x] == p}
     count = len(subs)
-    sols = sum(1 for x in range(n) if orders[x] in (1, p) and
-               _power(table, x, p, e) == e)
+    sols = sum(1 for x in range(group.n)
+               if group.power(x, p) == group.identity)
     identity_holds = (sols == (p - 1) * count + 1) and (count % p != 0)
     fixed = None
     if action is not None:
@@ -232,10 +190,3 @@ def cyclic_subgroup_census(table, action=None) -> dict:
                 break
     return {"p": p, "count": count, "solutions_of_x_p": sols,
             "identity_holds": identity_holds, "fixed_subgroup": fixed}
-
-
-def _power(table, x, k, e):
-    y = e
-    for _ in range(k):
-        y = table[y][x]
-    return y

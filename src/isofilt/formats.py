@@ -227,12 +227,13 @@ def group_from_json(doc, field, dim):
     try:
         names = list(doc["elements"])
         table = [[int(x) for x in row] for row in doc["table"]]
-        G = FiniteGroup(names, table)
         rep_doc = dict(doc.get("rep", {}))
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError,
+    except (KeyError, TypeError, ValueError, AttributeError,
             OverflowError) as exc:
         raise ValidationError(f"group: bad or missing elements, table or rep: "
                               f"{exc!r}") from exc
+    _require_group_table(names, table)
+    G = FiniteGroup(names, table)
     unknown = [name for name in rep_doc if name not in G.names]
     if unknown:
         raise ValidationError(f"group: rep names elements {unknown} that are "
@@ -250,6 +251,35 @@ def group_from_json(doc, field, dim):
     else:
         rep = GroupRepresentation.from_named(G, field, mats, faithful)
     return G, rep
+
+
+def _require_group_table(names, table):
+    """Reject a table that is not the Cayley table of a group on names: it
+    must be n x n with entries in range, every row and column a permutation
+    (a Latin square), and associative.  An associative Latin square is a
+    group, so FiniteGroup then finds its identity and inverses."""
+    n = len(names)
+    if len(table) != n or any(len(row) != n for row in table):
+        raise ValidationError(f"group: the table is not {n} x {n}")
+    everything = set(range(n))
+    for a, row in enumerate(table):
+        if any(not 0 <= x < n for x in row):
+            raise ValidationError(f"group: table row {names[a]} has an entry "
+                                  f"out of range")
+        if set(row) != everything:
+            raise ValidationError(f"group: table row {names[a]} is not a "
+                                  f"permutation")
+    for b in range(n):
+        if {row[b] for row in table} != everything:
+            raise ValidationError(f"group: table column {names[b]} is not a "
+                                  f"permutation")
+    for a, row in enumerate(table):
+        for b, ab in enumerate(row):
+            # (ab)c == a(bc) for every c, as one row comparison
+            if table[ab] != [row[bc] for bc in table[b]]:
+                c = next(c for c in range(n) if table[ab][c] != row[table[b][c]])
+                raise ValidationError(f"group: the table is not associative at "
+                                      f"({names[a]}, {names[b]}, {names[c]})")
 
 
 def group_to_json(rep: GroupRepresentation, faithful=True) -> dict:

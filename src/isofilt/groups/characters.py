@@ -18,6 +18,9 @@ from math import gcd, isqrt
 
 from ..bounds import is_prime
 from ..errors import ValidationError, InternalContradictionError
+from ..padic import linalg as la
+from ..padic.fp import fp_order, fp_row_reduce
+from ..padic.hensel import cyclotomic_int, sqrt_mod_ppow
 from .core import FiniteGroup
 
 
@@ -47,7 +50,7 @@ class CharacterTable:
         # element of order e in F_ell
         for a in range(2, ell):
             z = pow(a, (ell - 1) // e, ell)
-            if _order_mod(z, ell) == e:
+            if fp_order(z, ell) == e:
                 return ell, z
         raise InternalContradictionError("no order-e element mod ell")
 
@@ -81,7 +84,7 @@ class CharacterTable:
         for i in range(r):
             mats.append([[a[i][j][k] % ell for k in range(r)] for j in range(r)])
         # split the common eigenvectors
-        spaces = [[_unit_vec(r, j, ell) for j in range(r)]]
+        spaces = [[[int(i == j) for i in range(r)] for j in range(r)]]
         for i in range(r):
             if all(len(s) == 1 for s in spaces):
                 break
@@ -104,50 +107,37 @@ class CharacterTable:
             omegas.append([x * inv % ell for x in w])
         # degrees and theta values
         n = self.group.n
+        size_inv = [pow(sz, -1, ell) for sz in self.class_sizes]
         self.degrees = []
         self.theta = []  # theta[chi][class] = chi(g_c) mod ell
         for w in omegas:
-            s = 0
-            for j in range(self.r):
-                s += w[j] * w[self.inverse_class(j)] * pow(self.class_sizes[j], -1, ell)
-            s %= ell
+            s = sum(w[j] * w[self.inverse_class(j)] * size_inv[j]
+                    for j in range(self.r)) % ell
             if s == 0:
                 raise InternalContradictionError("zero norm eigenvector")
             d2 = n * pow(s, -1, ell) % ell
-            d = _sqrt_mod(d2, ell)
+            d = sqrt_mod_ppow(d2, ell, 1)
             d = min(d, ell - d)
             self.degrees.append(d)
-            row = []
-            for j in range(self.r):
-                row.append(d * w[j] * pow(self.class_sizes[j], -1, ell) % ell)
-            self.theta.append(row)
-        # multiplicity vectors
+            self.theta.append([d * w[j] * size_inv[j] % ell for j in range(self.r)])
+        # multiplicity vectors: m[j] = (1/e) sum_t theta(g^t) z^(-jt)
         e = self.e
         einv = pow(e, -1, ell)
         zpow = [pow(self.z, t, ell) for t in range(e)]
-        zinv = pow(self.z, -1, ell)
         self.mult = []  # mult[chi][class] = tuple of e multiplicities
         for chi in range(len(omegas)):
             rows = []
             for c in range(self.r):
                 thetas = [self.theta[chi][self.power_class(c, t)] for t in range(e)]
-                ms = []
-                for j in range(e):
-                    acc = 0
-                    zj = pow(zinv, j, ell)
-                    zt = 1
-                    for t in range(e):
-                        acc += thetas[t] * zt
-                        zt = zt * zj % ell
-                    m = acc * einv % ell
-                    if m > self.group.n:
-                        raise InternalContradictionError(
-                            "multiplicity lift out of range")
-                    ms.append(m)
+                ms = tuple(sum(th * zpow[-j * t % e] for t, th in enumerate(thetas))
+                           * einv % ell for j in range(e))
+                if max(ms) > n:
+                    raise InternalContradictionError(
+                        "multiplicity lift out of range")
                 if sum(ms) != self.degrees[chi]:
                     raise InternalContradictionError(
                         "multiplicities do not sum to the degree")
-                rows.append(tuple(ms))
+                rows.append(ms)
             self.mult.append(rows)
         self.k = len(self.degrees)
         if sum(d * d for d in self.degrees) != n:
@@ -221,7 +211,6 @@ def _cyc_mul(a, b, e):
 def _cyc_reduce(vec, e):
     """Reduce a vector on 1, zeta, ..., zeta^{e-1} modulo the e-th cyclotomic
     polynomial, returning phi(e) rational-integer coordinates."""
-    from ..padic.hensel import cyclotomic_int
     phi = cyclotomic_int(e)
     deg = len(phi) - 1
     out = list(vec)
@@ -234,35 +223,36 @@ def _cyc_reduce(vec, e):
     return tuple(out[:deg])
 
 
-def _unit_vec(r, j, ell):
-    v = [0] * r
-    v[j] = 1
-    return v
-
-
 def _split_by_matrix(basis, mat, ell):
     """Split a subspace (list of row vectors) into eigenspaces of mat."""
     k = len(basis)
     r = len(basis[0])
-    # represent mat action in the basis: solve basis * mat^T = C * basis
-    images = [_vec_mat(v, mat, ell) for v in basis]
-    C = _express_in_basis(images, basis, ell)
-    # image_i = sum_j C[i][j] basis_j, so coefficient vectors transform by C^T
-    Ct = [[C[i][j] for i in range(k)] for j in range(k)]
-    evs = _eigenvalues(Ct, ell)
+    # one elimination of [basis^T | images^T], image_i = mat * basis_i as a
+    # column, expresses every image in the basis: image_i = sum_j C[i][j]
+    # basis_j, and row j of the reduced block holds C[.][j], so the block is
+    # C^T, the matrix by which coefficient vectors transform
+    aug = [[b[t] for b in basis] + [sum(x * y for x, y in zip(mat[t], b)) % ell
+                                    for b in basis]
+           for t in range(r)]
+    rows, piv = fp_row_reduce(aug, ell, ncols=k)
+    if len(piv) != k:
+        raise InternalContradictionError("eigenspace basis is not independent")
+    Ct = [row[k:] for row in rows[:k]]
     out = []
-    for lam in evs:
+    for lam in _eigenvalues(Ct, ell):
         M = [[(Ct[i][j] - (lam if i == j else 0)) % ell for j in range(k)]
              for i in range(k)]
-        ker = _kernel_mod(M, ell)
+        rows, piv = fp_row_reduce(M, ell)
         vecs = []
-        for coeffs in ker:
-            v = [0] * r
-            for c, b in zip(coeffs, basis):
-                if c:
-                    for t in range(r):
-                        v[t] = (v[t] + c * b[t]) % ell
-            vecs.append(v)
+        for fc in range(k):  # one kernel vector per free column
+            if fc in piv:
+                continue
+            coeffs = [0] * k
+            coeffs[fc] = 1
+            for rr, pc in enumerate(piv):
+                coeffs[pc] = -rows[rr][fc] % ell
+            vecs.append([sum(c * b[t] for c, b in zip(coeffs, basis)) % ell
+                         for t in range(r)])
         if vecs:
             out.append(vecs)
     if sum(len(s) for s in out) != k:
@@ -270,100 +260,10 @@ def _split_by_matrix(basis, mat, ell):
     return out
 
 
-def _vec_mat(v, mat, ell):
-    # matrix times column: out[j] = sum_k mat[j][k] v[k]
-    r = len(v)
-    out = [0] * r
-    for j in range(r):
-        row = mat[j]
-        acc = 0
-        for k in range(r):
-            if v[k]:
-                acc += row[k] * v[k]
-        out[j] = acc % ell
-    return out
-
-
-def _express_in_basis(images, basis, ell):
-    k = len(basis)
-    r = len(basis[0])
-    aug = [list(col) for col in zip(*basis)]  # r x k, columns are basis
-    sol = []
-    for img in images:
-        x = _solve_mod(aug, img, ell)
-        sol.append(x)
-    # C[i][j]: image_i = sum_j C[i][j] basis_j
-    return sol
-
-
-def _solve_mod(a_cols_rows, b, ell):
-    m = len(a_cols_rows)
-    k = len(a_cols_rows[0])
-    rows = [a_cols_rows[i][:] + [b[i] % ell] for i in range(m)]
-    piv = []
-    r = 0
-    for c in range(k):
-        sel = None
-        for i in range(r, m):
-            if rows[i][c] % ell:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = pow(rows[r][c], -1, ell)
-        rows[r] = [x * inv % ell for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % ell for x, y in zip(rows[i], rows[r])]
-        piv.append(c)
-        r += 1
-    x = [0] * k
-    for rr, c in enumerate(piv):
-        x[c] = rows[rr][k]
-    return x
-
-
-def _kernel_mod(m, ell):
-    nr = len(m)
-    nc = len(m[0])
-    rows = [r[:] for r in m]
-    piv = []
-    r = 0
-    for c in range(nc):
-        sel = None
-        for i in range(r, nr):
-            if rows[i][c] % ell:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = pow(rows[r][c], -1, ell)
-        rows[r] = [x * inv % ell for x in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % ell for x, y in zip(rows[i], rows[r])]
-        piv.append(c)
-        r += 1
-    out = []
-    for fc in range(nc):
-        if fc in piv:
-            continue
-        v = [0] * nc
-        v[fc] = 1
-        for rr, pc in enumerate(piv):
-            v[pc] = (-rows[rr][fc]) % ell
-        out.append(v)
-    return out
-
-
 def _eigenvalues(C, ell):
     """All eigenvalues in F_ell of a small matrix (charpoly + root scan)."""
-    k = len(C)
-    cp = _charpoly_mod(C, ell)
+    cp = la.berkowitz(C, 1, lambda x: -x % ell,
+                      lambda xs, ys: sum(x * y for x, y in zip(xs, ys)) % ell)
     roots = []
     for lam in range(ell):
         acc = 0
@@ -372,48 +272,3 @@ def _eigenvalues(C, ell):
         if acc == 0:
             roots.append(lam)
     return roots
-
-
-def _charpoly_mod(C, ell):
-    """det(xI - C) mod ell by exact division-free expansion (Berkowitz)."""
-    k = len(C)
-    poly = [1, (-C[0][0]) % ell]
-    for t in range(1, k):
-        a = C[t][t]
-        row = [C[t][j] for j in range(t)]
-        col = [C[i][t] for i in range(t)]
-        sub = [[C[i][j] for j in range(t)] for i in range(t)]
-        tv = [1, (-a) % ell]
-        v = col[:]
-        for _ in range(t):
-            dot = sum(x * y for x, y in zip(row, v)) % ell
-            tv.append((-dot) % ell)
-            v = [sum(sub[i][j] * v[j] for j in range(t)) % ell for i in range(t)]
-        new = []
-        for i in range(t + 2):
-            acc = 0
-            for j in range(len(tv)):
-                if 0 <= i - j <= t:
-                    acc += tv[j] * poly[i - j]
-            new.append(acc % ell)
-        poly = new
-    return list(reversed(poly))
-
-
-def _order_mod(a, ell):
-    x = a % ell
-    k = 1
-    while x != 1:
-        x = x * a % ell
-        k += 1
-        if k > ell:
-            raise InternalContradictionError("order ran away")
-    return k
-
-
-def _sqrt_mod(a, ell):
-    a %= ell
-    for x in range(ell):
-        if x * x % ell == a:
-            return x
-    raise InternalContradictionError("no square root mod ell")

@@ -92,6 +92,8 @@ class FiniteGroup:
                 while y != self.identity:
                     y = self.table[y][x]
                     k += 1
+                    if k > self.n:
+                        raise ValidationError("not a group table")
                 out.append(k)
             self._orders = out
         return self._orders

@@ -28,6 +28,7 @@ from ..padic import scalar as sc
 from ..padic.convert import UnramifiedEmbedding
 from ..padic.descriptors import UnramifiedFieldDescriptor
 from ..padic.hensel import cyclotomic_int
+from ..padic.ring import int_valuation
 from .core import FiniteGroup, GroupRepresentation
 from .characters import CharacterTable
 
@@ -49,17 +50,9 @@ def euler_phi(n: int) -> int:
     return out
 
 
-def _v_p(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 def split_p_part(d: int, p: int) -> tuple[int, int]:
     """d = p^k * d' -> (p^k, d')."""
-    k = _v_p(d, p)
+    k = int_valuation(d, p)
     return p ** k, d // p ** k
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from ..errors import PrecisionError, ValidationError
+from .fp import fp_row_reduce
 from .ring import int_valuation
 from . import scalar as sc
 from .scalar import Scalar
@@ -162,13 +163,9 @@ class UnramifiedEmbedding:
             return sc.sc_zero(big)
         if x.kind == sc.IZERO:
             return sc.sc_izero(big, x.zw)
-        ring = big.ring
-        acc = ring.zero()
-        for i in range(self.small.f):
-            c = x.unit[i]
-            if c:
-                acc = ring.add(acc, ring.scalar_mul(c, self.gen_powers[i]))
-        return Scalar(big, sc.REG, w=x.w, unit=acc, relpi=min(x.relpi, big.prec))
+        return Scalar(big, sc.REG, w=x.w,
+                      unit=_combine(big.ring, self.gen_powers, x.unit),
+                      relpi=min(x.relpi, big.prec))
 
     def pull_back(self, y: Scalar, slack: int = 4) -> Scalar:
         """Inverse on the image, certified by solving the coordinate system."""
@@ -178,15 +175,16 @@ class UnramifiedEmbedding:
         if y.kind == sc.IZERO:
             return sc.sc_izero(small, y.zw)
         pn = big.ring.pn
-        p = big.p
-        # solve sum_i c_i * gen_powers[i] == unit (mod p^N) for integers c_i
-        cols = [list(g) for g in self.gen_powers]
-        target = list(y.unit)
-        c = _solve_int_system(cols, target, p, pn)
-        if c is None:
+        k = small.f
+        # solve sum_i c_i * gen_powers[i] == unit (mod p^N) for integers c_i:
+        # the gen_powers reduce to independent vectors mod p, so every one of
+        # the k columns takes a unit pivot
+        aug = [list(row) + [t] for row, t in zip(zip(*self.gen_powers), y.unit)]
+        rows, piv = fp_row_reduce(aug, big.p, pn, k)
+        if len(piv) < k:
             raise PrecisionError("element does not descend along the embedding")
-        unit = tuple(ci % pn for ci in c)
-        resid = big.ring.sub(y.unit, _combine(big.ring, self.gen_powers, c))
+        unit = tuple(row[k] for row in rows[:k])
+        resid = big.ring.sub(y.unit, _combine(big.ring, self.gen_powers, unit))
         v = big.ring.val_pi(resid)
         if v is not None and v < max(y.relpi - slack, 1):
             raise PrecisionError("descent residual too large")
@@ -201,33 +199,3 @@ def _combine(ring, gens, coeffs):
             acc = ring.add(acc, ring.scalar_mul(c, g))
     return acc
 
-
-def _solve_int_system(cols, target, p, pn):
-    """Solve sum_j x_j cols[j] = target over Z/pn, unit-pivot elimination.
-    The columns reduce to independent vectors mod p, so pivots are units."""
-    m = len(cols[0])
-    k = len(cols)
-    rows = [[cols[j][i] for j in range(k)] + [target[i]] for i in range(m)]
-    piv = []
-    r = 0
-    for c in range(k):
-        sel = None
-        for i in range(r, m):
-            if rows[i][c] % p != 0:
-                sel = i
-                break
-        if sel is None:
-            return None
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = pow(rows[r][c], -1, pn)
-        rows[r] = [(x * inv) % pn for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] % pn:
-                f = rows[i][c]
-                rows[i] = [(x - f * yv) % pn for x, yv in zip(rows[i], rows[r])]
-        piv.append(c)
-        r += 1
-    sol = [0] * k
-    for rr, c in enumerate(piv):
-        sol[c] = rows[rr][k]
-    return sol

@@ -19,6 +19,7 @@ different cap from the original exact integer data.
 from __future__ import annotations
 
 from ..errors import ValidationError
+from .fp import fp_order
 from .ring import TowerRing, int_valuation
 from .hensel import find_unramified_modulus
 from . import scalar as sc
@@ -90,7 +91,7 @@ class UnramifiedFieldDescriptor:
         if (self.p - 1) % d == 0:
             a = None
             for c in range(2, self.p):
-                if _mult_order(c, self.p) == d:
+                if fp_order(c, self.p) == d:
                     a = c
                     break
             if a is None:
@@ -128,17 +129,6 @@ def _scalar(field, q):
     if x is None:
         x = field._small[q] = sc.sc_from_fraction(field, q)
     return x
-
-
-def _mult_order(a: int, p: int) -> int:
-    x = a % p
-    k = 1
-    while x != 1:
-        x = (x * a) % p
-        k += 1
-        if k > p:
-            raise RuntimeError("order computation ran away")
-    return k
 
 
 class _AutRecord:

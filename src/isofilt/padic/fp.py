@@ -1,9 +1,14 @@
-"""Polynomials over the prime field F_p and inverses in F_q = F_p[z]/(m).
+"""Modular primitives on plain ints: polynomials over the prime field F_p,
+inverses in F_q = F_p[z]/(m), multiplicative orders, and Gauss-Jordan
+elimination over Z/p^k.
 
 Polynomials are lists of plain int coefficients in ascending degree.  The
-fp_* helpers return them reduced mod p, without leading zeros; fq_inverse
-returns a coefficient vector of length f.  Both the quotient rings (ring)
-and the Hensel lift (hensel) use these, so they sit below both.
+fp_* polynomial helpers return them reduced mod p, without leading zeros;
+fq_inverse returns a coefficient vector of length f.  Each primitive has
+this one implementation: the quotient rings (ring), the Hensel lift
+(hensel), the roots of unity of the descriptors, the unramified embeddings
+(convert) and the modular character tables (groups.characters) all call it,
+so this module imports nothing.
 """
 
 from __future__ import annotations
@@ -109,3 +114,46 @@ def fq_inverse(a: list[int], m: list[int], p: int) -> list[int]:
     inv = [(x * c) % p for x in s0]
     inv = inv + [0] * (f - len(inv))
     return inv[:f]
+
+
+def fp_order(a: int, p: int) -> int:
+    """Multiplicative order of the unit a mod p."""
+    x = a % p
+    k = 1
+    while x != 1:
+        x = x * a % p
+        k += 1
+        if k > p:
+            raise ValueError(f"{a} is not a unit mod {p}")
+    return k
+
+
+def fp_row_reduce(rows, p, mod=None, ncols=None):
+    """Gauss-Jordan elimination over Z/mod, mod a power of the prime p
+    (mod = p when omitted), on the first ncols columns (all by default).
+
+    Each column takes as pivot the first remaining row whose entry is a unit
+    (nonzero mod p); a column without one is skipped.  Pivot rows are scaled
+    to 1 and the column is cleared in every other row, so columns past ncols
+    carry the solution of an augmented system.  Returns (rows, pivot
+    columns): the reduced rows, entries in [0, mod), pivot rows first.
+    """
+    mod = p if mod is None else mod
+    rows = [[x % mod for x in row] for row in rows]
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = pow(rows[r][c], -1, mod)
+        top = rows[r] = [x * inv % mod for x in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i] = [(x - f * y) % mod for x, y in zip(row, top)]
+        pivots.append(c)
+    return rows, pivots

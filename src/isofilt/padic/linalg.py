@@ -495,13 +495,13 @@ def charpoly(m):
     """
     field = _field_of(m)
     if field.ring.dim != 1:
-        return _berkowitz(m, field.one(), sc_neg, lambda xs, ys: dot(xs, ys, field))
+        return berkowitz(m, field.one(), sc_neg, lambda xs, ys: dot(xs, ys, field))
     zp = _Zp(field)
     one = zp.encode_rows([[field.one()]])[0][0]
-    return zp.decode_rows([_berkowitz(zp.encode_rows(m), one, zp.neg, zp.dot)])[0]
+    return zp.decode_rows([berkowitz(zp.encode_rows(m), one, zp.neg, zp.dot)])[0]
 
 
-def _berkowitz(m, one, neg, dot):
+def berkowitz(m, one, neg, dot):
     """charpoly over the entries of m, with their one, negation and dot."""
     n = len(m)
     # Berkowitz: iteratively build the characteristic polynomial vector

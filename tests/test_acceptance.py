@@ -487,7 +487,7 @@ def test_counting_lemma():
     checked = 0
     for label, g in census_p_groups():
         assert g.n <= 64
-        out = bounds.cyclic_subgroup_census(g.table)
+        out = bounds.cyclic_subgroup_census(g)
         p = out["p"]
         assert out["solutions_of_x_p"] == (p - 1) * out["count"] + 1, label
         assert out["count"] % p != 0, label

@@ -84,17 +84,17 @@ def test_lcm_degree_examples():
 
 def test_census_examples():
     c4 = cyclic(4)
-    out = cyclic_subgroup_census(c4.table)
+    out = cyclic_subgroup_census(c4)
     assert out["count"] == 1 and out["identity_holds"]
     v4 = direct_product(cyclic(2), cyclic(2))
-    out = cyclic_subgroup_census(v4.table)
+    out = cyclic_subgroup_census(v4)
     assert out["count"] == 3 and out["identity_holds"]
     q8 = quaternion()
-    out = cyclic_subgroup_census(q8.table)
+    out = cyclic_subgroup_census(q8)
     assert out["count"] == 1
     # any action fixes the center
     swap_action = [list(range(8))]
-    out = cyclic_subgroup_census(q8.table, swap_action)
+    out = cyclic_subgroup_census(q8, swap_action)
     assert out["fixed_subgroup"] is not None
 
 
@@ -102,12 +102,12 @@ def test_census_rejects_non_p_group():
     from isofilt.groups.constructions import dihedral
     s3 = dihedral(3)
     with pytest.raises(ValidationError):
-        cyclic_subgroup_census(s3.table)
+        cyclic_subgroup_census(s3)
 
 
 def test_census_identity_over_fixtures():
     for label, g in census_p_groups():
-        out = cyclic_subgroup_census(g.table)
+        out = cyclic_subgroup_census(g)
         p = out["p"]
         assert out["identity_holds"], label
         assert out["count"] % p != 0, label

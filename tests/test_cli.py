@@ -23,13 +23,17 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+CLI_TIMEOUT = 120  # seconds; a hang fails the test instead of stalling the suite
+
+
 def _run_cli(argv):
     """Run the CLI in a fresh interpreter, as a user would."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     return subprocess.run([sys.executable, "-m", "isofilt.cli", *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env,
+                          timeout=CLI_TIMEOUT)
 
 
 _DELETE = object()
@@ -268,6 +272,37 @@ def test_malformed_extension_or_group_exits_2_without_traceback(
                      "--seed", "1", "--precision", "32"])
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("table,failure", [
+    ([[0, 1, 2], [1, 2, 0], [2, 2, 0]], "table row b is not a permutation"),
+    ([[0, 1, 2], [1, 2, 0], [2, 0, 3]], "table row b has an entry out of range"),
+    ([[0, 1, 2], [1, 2, 0], [1, 0, 2]], "table column e is not a permutation"),
+    ([[(a - b) % 3 for b in range(3)] for a in range(3)],
+     "the table is not associative at (e, e, a)"),
+    ([[0, 1], [1, 0]], "the table is not 3 x 3"),
+], ids=["row", "range", "column", "associativity", "shape"])
+@pytest.mark.parametrize("command", ["group-check", "find", "descend"])
+def test_a_table_that_is_not_a_group_exits_2(tmp_path, table, failure, command):
+    # the first table has an identity and right inverses, so only the table
+    # check stops it: the powers of a never return to e, and computing the
+    # group's exponent would not end
+    ident = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    group = tmp_path / "group.json"
+    group.write_text(json.dumps({"elements": ["e", "a", "b"], "table": table,
+                                 "rep": {x: ident for x in "eab"},
+                                 "faithful": False}))
+    ext = _mutated(tmp_path, "ext_trivial", ("correspondence",),
+                   {"e": "1", "a": "1", "b": "1"})
+    module = fx("ordinary_torus.json")
+    argv = {"group-check": ["group", "check", "--module", module],
+            "find": ["filtration", "find", "--module", module,
+                     "--extension", ext, "--seed", "1"],
+            "descend": ["descend", "--module", module, "--extension", ext]}[command]
+    proc = _run_cli(argv + ["--group", str(group)])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert failure in proc.stderr
 
 
 @pytest.mark.parametrize("name,path,value", [

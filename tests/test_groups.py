@@ -1,6 +1,7 @@
 """Group constructions, representation validation, character tables."""
 
 import gc
+import hashlib
 import weakref
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from isofilt.groups.constructions import (all_groups_up_to_16, quaternion,
                                           cyclic, dihedral, dicyclic,
                                           wreath_q8_sylow)
 from isofilt.groups.characters import CharacterTable
-from isofilt.groups.core import GroupRepresentation
+from isofilt.groups.core import FiniteGroup, GroupRepresentation
 from isofilt.groups.isotypic import _embedding_for, get_character_table
 from isofilt.isocrystal.module import standard_symplectic_gram
 from isofilt.padic import UnramifiedFieldDescriptor, linalg as la
@@ -113,10 +114,24 @@ def test_is_scalar_image():
 
 
 def test_character_tables_small_groups():
+    digest = hashlib.sha256()
     for lbl, g in all_groups_up_to_16():
         ct = CharacterTable(g)
         assert sum(d * d for d in ct.degrees) == g.n, lbl
         assert ct.orthogonality_check(), lbl
+        digest.update(repr((ct.ell, ct.z, ct.degrees, ct.mult)).encode())
+    # the tables, rows and columns in order, as the modular method first
+    # produced them
+    assert digest.hexdigest() == ("ebc41e0daffb347b26ae13ee4edfd652"
+                                  "bdb35eb7ff2a9b013ce57d4a236b050b")
+
+
+def test_element_orders_reject_a_table_that_is_not_a_group():
+    # e is an identity and every element has a right inverse, but the powers
+    # of a run a, b, b, ... and never return to e
+    g = FiniteGroup(["e", "a", "b"], [[0, 1, 2], [1, 2, 0], [2, 2, 0]])
+    with pytest.raises(ValidationError, match="not a group table"):
+        g.element_orders()
 
 
 def test_character_table_q8():

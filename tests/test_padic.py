@@ -257,3 +257,84 @@ def test_hensel_lift_pair_ramified_to_cap(e, prec):
     bez = rp_add(ring, rp_mul(ring, S, G), rp_mul(ring, T, H))
     assert bez[0] == ring.one() and all(c == ring.zero() for c in bez[1:])
     assert len(S) < len(H) and len(T) < len(G)
+
+
+# -- modular elimination and unramified embeddings ---------------------------------
+
+
+def _matmul_mod(a, b, mod):
+    return [[sum(x * y for x, y in zip(row, col)) % mod for col in zip(*b)]
+            for row in a]
+
+
+def _random_rank_r(rng, m, n, r, mod):
+    """A product (m x r)(r x n) mod mod whose factors reduce to full rank r mod
+    p: rank r mod p and at most r over Z, so unit-pivot elimination finds r
+    pivots and leaves the rows below them zero."""
+    left = [[int(i == j) for j in range(r)] for i in range(r)]
+    left += [[rng.randrange(mod) for _ in range(r)] for _ in range(m - r)]
+    rng.shuffle(left)
+    right = [[int(i == j) for j in range(r)] + [rng.randrange(mod)
+                                                for _ in range(n - r)]
+             for i in range(r)]
+    order = list(range(n))
+    rng.shuffle(order)
+    right = [[row[j] for j in order] for row in right]
+    return _matmul_mod(left, right, mod) if r else [[0] * n for _ in range(m)]
+
+
+@pytest.mark.parametrize("p,N", [(7, 1), (101, 1), (2, 16), (3, 8)])
+def test_fp_row_reduce(p, N):
+    from isofilt.padic.fp import fp_row_reduce
+    mod = p ** N
+    rng = random.Random(1000 * p + N)
+    for trial in range(40):
+        m, n = rng.randrange(1, 7), rng.randrange(1, 7)
+        r = rng.randrange(0, min(m, n) + 1)
+        a = _random_rank_r(rng, m, n, r, mod)
+        rows, piv = fp_row_reduce(a, p, mod)
+        assert len(piv) == r
+        for i, c in enumerate(piv):
+            assert [row[c] for row in rows] == [int(j == i) for j in range(m)]
+        assert all(not any(row) for row in rows[r:])
+        # one kernel vector per free column annihilates a
+        for fc in range(n):
+            if fc in piv:
+                continue
+            v = [0] * n
+            v[fc] = 1
+            for i, c in enumerate(piv):
+                v[c] = -rows[i][fc] % mod
+            assert _matmul_mod(a, [[x] for x in v], mod) == [[0]] * m
+        # solve cols x = b: the columns are independent mod p, so every one
+        # takes a pivot and the augmented column returns x
+        k = rng.randrange(1, m + 1)
+        cols = _random_rank_r(rng, m, k, k, mod)
+        x = [rng.randrange(mod) for _ in range(k)]
+        b = _matmul_mod(cols, [[t] for t in x], mod)
+        rows, piv = fp_row_reduce([row + t for row, t in zip(cols, b)], p, mod, k)
+        assert piv == list(range(k))
+        assert [row[k] for row in rows[:k]] == x
+        assert all(row[k] == 0 for row in rows[k:])
+
+
+@pytest.mark.parametrize("p,f,s", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2)])
+def test_unramified_embedding_round_trip(p, f, s):
+    from isofilt.padic.convert import UnramifiedEmbedding
+    from isofilt.padic.scalar import REG, Scalar
+    small = UnramifiedFieldDescriptor.create(p, f, N)
+    big = UnramifiedFieldDescriptor.create(p, f * s, N)
+    emb = UnramifiedEmbedding(small, big)
+    rng = random.Random(100 * p + 10 * f + s)
+    xs = [small.gen(), small.one(), small.scalar(Fraction(-3, 5))]
+    for _ in range(10):
+        unit = [rng.randrange(p ** N) for _ in range(f)]
+        unit[0] += unit[0] % p == 0
+        xs.append(Scalar(small, REG, w=rng.randrange(4), unit=tuple(unit),
+                         relpi=rng.randrange(8, N + 1)))
+    for x in xs:
+        y = emb.pull_back(emb(x))
+        assert (y.kind, y.w, y.unit, y.relpi) == (x.kind, x.w, x.unit, x.relpi)
+    # the big generator has order q^s - 1, so it lies in no smaller level
+    with pytest.raises(PrecisionError):
+        emb.pull_back(big.gen())

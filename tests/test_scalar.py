@@ -448,8 +448,8 @@ def test_raw_products_match_the_dot_fold(p, prec, floor, data):
     m = data.draw(zp_matrices(field, rows=k, cols=k))
 
     def berkowitz(m):
-        return [la._berkowitz(m, field.one(), sc.sc_neg,
-                              lambda xs, ys: la.dot(xs, ys, field))]
+        return [la.berkowitz(m, field.one(), sc.sc_neg,
+                             lambda xs, ys: la.dot(xs, ys, field))]
 
     assert _outcome(lambda m: [la.charpoly(m)], m) == _outcome(berkowitz, m)
 
