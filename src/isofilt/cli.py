@@ -24,7 +24,8 @@ from .isocrystal.slopes import newton_slopes, isoclinic_decompose
 from .filtration.driver import (find_admissible_stable_filtration, DescentDatum,
                                ADMISSIBILITY_BUDGET)
 from .filtration.galois import is_diagonally_stable, lift_matrix
-from .filtration.admissible import is_admissible
+from .filtration.admissible import (is_admissible, quotient_filtration,
+                                   toric_extension_report)
 from .symplectic.space import SymplecticSpace, LagrangianSubspace
 
 EXIT_OK = 0
@@ -273,10 +274,12 @@ def _filtration_check(args) -> int:
     F_doc = _certificate_field(cert, "outputs.filtration", list)
     adm = _certificate_field(cert, "outputs.admissibility", dict)
     mode = adm.get("mode", "sampled")
-    if mode not in ("exact", "sampled"):
-        raise ValidationError(f"certificate field outputs.admissibility.mode "
-                              f"is {mode!r}, expected 'exact' or 'sampled'")
     sa, field = formats.module_from_json(mod_doc, prec)
+    modes = ("exact", "sampled", "extension") if sa.t_dim else ("exact", "sampled")
+    if mode not in modes:
+        raise ValidationError(f"certificate field outputs.admissibility.mode "
+                              f"is {mode!r}, expected {' or '.join(modes)}"
+                              + ("" if sa.t_dim else " (no toric part)"))
     G, rep = formats.group_from_json(grp_doc, field, sa.module.n)
     ext = formats.extension_from_json(ext_doc, prec)
     setup = formats.setup_from_json(ext_doc, G, ext)
@@ -286,16 +289,26 @@ def _filtration_check(args) -> int:
                               f"{len(F)} rows, expected {sa.module.n}")
     failures = []
     # re-verify every verdict independently of the find path
-    if sa.t_dim == 0 and sa.gram_B:
+    if mode == "extension":
+        rep_check = toric_extension_report(sa, F, ext, seed,
+                                           ADMISSIBILITY_BUDGET)
+        F_B = rep_check.quotient_filtration
+    else:
+        rep_check = is_admissible(sa.module, F, ext, mode, seed=seed,
+                                  budget=ADMISSIBILITY_BUDGET)
+        F_B = quotient_filtration(sa, F, ext) if sa.t_dim else F
+    if sa.gram_B:
+        # F is Lagrangian when its image F_B in D_B is (F = F_B at t = 0)
         space = SymplecticSpace(ext, lift_matrix(ext, sa.gram_B),
                                 validate=False)
         try:
-            LagrangianSubspace(space, F, validate=True)
+            LagrangianSubspace(space, F_B, validate=True)
         except IsofiltError:
             failures.append("lagrangian")
-    rep_check = is_admissible(sa.module, F, ext, mode, seed=seed,
-                              budget=ADMISSIBILITY_BUDGET)
-    if not rep_check.verdict or adm.get("verdict") != "admissible":
+    if not rep_check.verdict or adm.get("verdict") != "admissible" or (
+            mode == "extension" and adm != rep_check.as_dict()):
+        # an extension node is re-derived whole: its toric and quotient
+        # entries are basis independent, so find and check agree on them
         failures.append("admissible")
     if not is_diagonally_stable(rep, F, setup):
         # the descent targets are the same (rho(h), tau_h) pairs
@@ -303,8 +316,9 @@ def _filtration_check(args) -> int:
     if not DescentDatum(rep, setup).verify_cocycle():
         failures.append("cocycle")
     if sa.t_dim:
-        toric_L = lift_matrix(ext, sa.toric_cols)
-        if not la.subspace_leq(toric_L, F):
+        contained = (rep_check.contained if mode == "extension" else
+                     la.subspace_leq(lift_matrix(ext, sa.toric_cols), F))
+        if not contained:
             failures.append("graded-toric")
     if failures:
         print("verification failure: " + ", ".join(sorted(set(failures))),

@@ -5,15 +5,28 @@ slope sum of N for every sub-phi-module N, with equality at N = D.  Exact
 mode enumerates all submodules (complete for multiplicity-free D at the
 working level); sampled mode adds pseudo-random submodules and can only err
 by accepting, never by rejecting: an inadmissible verdict always carries a
-violating N as a re-checkable certificate.
+violating N as a re-checkable certificate.  ``admissible_with_fallback`` runs
+exact mode and samples only where D has a repeated slope.
+
+A semi-abelian D is an extension 0 -> T -> D -> D_B -> 0 of an abelian part
+by a torus T of pure slope 1, and its toric slope repeats in D whenever D_B
+has slopes 0 and 1, so exact mode fails on D itself.  The extension node
+(``toric_extension_report``) proves admissibility from the extension
+instead: T has pure slope 1 and lies in F, so (T, T_L) is admissible; F_B,
+the image of F in D_B, is admissible for D_B; and rank F = t + dim F_B.  Weak
+admissibility is closed under extensions (Colmez-Fontaine, Invent. Math.
+140, 2000), so (D, F) is admissible.  Only D_B's own submodules are tested,
+exactly unless D_B itself has a repeated slope.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from ..errors import MultiplicityError
 from ..padic import linalg as la
-from ..isocrystal.module import PhiModule
+from ..isocrystal.module import PhiModule, SemiAbelianPhiModule
+from ..isocrystal.slopes import newton_slopes
 from ..isocrystal.submodules import submodules
 from .galois import lift_matrix
 
@@ -45,6 +58,10 @@ def _rank(F_cols_L, guard):
         if F_cols_L and F_cols_L[0] else 0
 
 
+def _ncols(cols):
+    return len(cols[0]) if cols and cols[0] else 0
+
+
 class AdmissibilityReport:
     def __init__(self, verdict, entries, mode, samples, violation=None,
                  equality_at_top=None):
@@ -67,6 +84,12 @@ class AdmissibilityReport:
                               if self.violation and self.violation[0] else None),
         }
 
+    @property
+    def complete(self) -> bool:
+        """Whether the verdict holds for every submodule: exact mode, or a
+        violation found by sampling."""
+        return self.mode == "exact" or not self.verdict
+
 
 def is_admissible(D: PhiModule, F_cols_L, ext, mode: str = "exact",
                   seed: int = 0, budget: int = 200,
@@ -84,13 +107,13 @@ def is_admissible(D: PhiModule, F_cols_L, ext, mode: str = "exact",
     subs = submodules(D, mode, budget=budget, seed=seed, guard=guard,
                       components=components)
     entries = []
-    dimF = len(F_cols_L[0]) if F_cols_L and F_cols_L[0] else 0
+    dimF = _ncols(F_cols_L)
     violation = None
     verdict = True
     equality_at_top = None
     rank_F = None  # certified on first use: some modules have no proper N
     for N in subs.subspaces:
-        dN = len(N[0]) if N and N[0] else 0
+        dN = _ncols(N)
         if dN == 0:
             entries.append((0, 0, Fraction(0)))
             continue
@@ -126,3 +149,105 @@ def verify_violation(D: PhiModule, F_cols_L, ext, N_cols,
     bound = D.submodule(N_cols, guard).t_N(guard) if len(N_cols[0]) < D.n \
         else D.t_N(guard)
     return t_H(F_cols_L, N_cols, ext, _rank(F_cols_L, guard), guard) > bound
+
+
+def admissible_with_fallback(D: PhiModule, F_cols_L, ext, mode: str,
+                             seed: int, budget: int,
+                             guard: int = la.DEFAULT_GUARD
+                             ) -> AdmissibilityReport:
+    """is_admissible in the given mode; sampled where exact mode meets a
+    repeated slope, on the decomposition the exact attempt computed."""
+    try:
+        return is_admissible(D, F_cols_L, ext, mode, seed=seed,
+                             budget=budget, guard=guard)
+    except MultiplicityError as exc:
+        return is_admissible(D, F_cols_L, ext, "sampled", seed=seed,
+                             budget=budget, guard=guard,
+                             components=exc.components)
+
+
+class ExtensionReport:
+    """Admissibility of F proved from 0 -> T -> D -> D_B -> 0 (see the
+    module docstring).  The verdict is 'admissible' when T is phi-stable of
+    pure slope 1, T_L lies in F, rank F = t + dim F_B and the quotient node
+    accepts (D_B, F_B); otherwise it is 'not proved', reported as
+    inadmissible.  The node is complete exactly when its quotient node is.
+    rank F = t + dim F_B holds exactly when T_L <= F and F_B is the whole
+    image of F, so the rank cross-checks the containment and F_B."""
+
+    mode = "extension"
+
+    def __init__(self, toric_dim, toric_slope, contained, rank_F,
+                 quotient_filtration, quotient):
+        self.toric_dim = toric_dim
+        self.toric_slope = toric_slope    # T's slope if isoclinic, else None
+        self.contained = contained        # T_L <= F, certified
+        self.rank_F = rank_F
+        self.quotient_filtration = quotient_filtration   # F_B, section basis
+        self.quotient = quotient          # report for (D_B, F_B)
+        self.verdict = (toric_slope == 1 and contained and quotient.verdict
+                        and rank_F == toric_dim + _ncols(quotient_filtration))
+
+    @property
+    def complete(self) -> bool:
+        return self.quotient.complete
+
+    def as_dict(self):
+        return {
+            "verdict": "admissible" if self.verdict else "inadmissible",
+            "mode": self.mode,
+            "complete": self.complete,
+            "toric": {"dim": self.toric_dim,
+                      "slope": (None if self.toric_slope is None
+                                else str(self.toric_slope)),
+                      "contained": self.contained},
+            "quotient": self.quotient.as_dict(),
+        }
+
+
+def quotient_filtration(sa: SemiAbelianPhiModule, F_cols_L, ext,
+                        guard: int = la.DEFAULT_GUARD):
+    """F_B, the image of F in D_B: a column basis of the last n - t rows of
+    full_inv * F, in the section basis on which D_B and gram_B live."""
+    if not (sa.B_dim and _ncols(F_cols_L)):
+        return [[] for _ in range(sa.B_dim)]
+    coords = la.mat_mul(lift_matrix(ext, sa.full_inv), F_cols_L)[sa.t_dim:]
+    return la.column_space_basis(coords, guard)
+
+
+def _toric_slope(D: PhiModule, T_cols, guard):
+    """The slope of T when T is phi-stable and isoclinic, else None."""
+    if not D.is_stable(T_cols, guard):
+        return None
+    pairs = newton_slopes(D.submodule(T_cols, guard), guard).pairs
+    return pairs[0][0] if len(pairs) == 1 else None
+
+
+def toric_extension_report(sa: SemiAbelianPhiModule, F_cols_L, ext,
+                           seed: int = 0, budget: int = 200,
+                           guard: int = la.DEFAULT_GUARD,
+                           quotient: AdmissibilityReport | None = None
+                           ) -> ExtensionReport:
+    """The extension node for a module with a toric part (t > 0).
+
+    Certifies T's slope from its own Newton polygon (never from how sa was
+    built), T_L <= F, F_B = the image of F in D_B and rank F.  The quotient
+    node is exact on D_B, sampled with the given seed and budget only when
+    D_B has a repeated slope; D_B = 0 (a pure torus) is admissible with its
+    one submodule.  A caller that certified (D_B, F_B) already, as the
+    driver has for the F_B it pulled back, passes that report as quotient.
+    """
+    D = sa.module
+    contained = la.subspace_leq(lift_matrix(ext, sa.toric_cols), F_cols_L,
+                                guard)
+    F_B = quotient_filtration(sa, F_cols_L, ext, guard)
+    if quotient is None:
+        if sa.B_dim:
+            quotient = admissible_with_fallback(
+                sa.quotient_module(guard), F_B, ext, "exact", seed, budget,
+                guard)
+        else:
+            quotient = AdmissibilityReport(True, [(0, 0, Fraction(0))],
+                                           "exact", 1, None, True)
+    return ExtensionReport(sa.t_dim, _toric_slope(D, sa.toric_cols, guard),
+                           contained, _rank(F_cols_L, guard), F_B, quotient)

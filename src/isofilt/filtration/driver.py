@@ -23,7 +23,12 @@ consequence of the multiplication table.  Its targets f_h F = h.gal F are the
 pairs that diagonal stability tests, so the stability verdict is reused for
 them.  With no toric part the pull-back is the identity: F is the glued F_B
 entry for entry, and F_B's admissibility report and stability verdict are
-F's.
+F's.  With a toric part T, F = T + section(F_B), and its admissibility is
+the extension node of ``admissible.toric_extension_report``: T has pure
+slope 1 and lies in F, and the node reuses the report just certified for
+(D_B, F_B), so no submodule of the full D is enumerated.  A pure torus
+(D_B = 0) takes F = D through the same node.  ``adm_mode="sampled"`` samples
+the full D instead, as a cross-check.
 """
 
 from __future__ import annotations
@@ -32,8 +37,7 @@ import random
 from fractions import Fraction
 
 from ..errors import (ValidationError, BudgetExhaustedError,
-                      InternalContradictionError, PrecisionError,
-                      MultiplicityError)
+                      InternalContradictionError, PrecisionError)
 from ..padic import linalg as la
 from ..padic.convert import project_to_base
 from ..isocrystal.module import PhiModule, SemiAbelianPhiModule
@@ -47,7 +51,8 @@ from ..symplectic.lagrangian import (random_rational_lagrangian,
                                      lagrangian_h_small_intersection)
 from .galois import (GaloisSetup, galois_descend, is_diagonally_stable,
                      lift_matrix)
-from .admissible import is_admissible
+from .admissible import (is_admissible, admissible_with_fallback,
+                         toric_extension_report)
 
 
 DEFAULT_SAMPLE_BUDGET = 200
@@ -317,8 +322,8 @@ def _finish_piece(piece, setup, F, adm_mode, adm_budget, seed, guard,
     ext = setup.ext
     space_L = SymplecticSpace(ext, lift_matrix(ext, J), validate=False)
     LagrangianSubspace(space_L, F, validate=True, guard=guard)
-    report = _admissible_with_fallback(D, F, ext, adm_mode, seed, adm_budget,
-                                       guard)
+    report = admissible_with_fallback(D, F, ext, adm_mode, seed, adm_budget,
+                                      guard)
     if not report.verdict:
         if expect_admissible:
             raise InternalContradictionError(
@@ -398,8 +403,8 @@ def find_admissible_stable_filtration(sa: SemiAbelianPhiModule,
     t = sa.t_dim
     if sa.B_dim == 0:
         FL = lift_matrix(ext, la.identity(field, D.n))
-        report = _admissible_with_fallback(D, FL, ext, "exact", seed,
-                                           adm_budget, guard)
+        report = _toric_admissibility(sa, FL, ext, adm_mode, seed, adm_budget,
+                                      guard)
         if not report.verdict:
             raise InternalContradictionError("full filtration on a torus "
                                              "failed admissibility")
@@ -445,8 +450,8 @@ def find_admissible_stable_filtration(sa: SemiAbelianPhiModule,
     # verify the glued quotient filtration end to end
     spaceB = SymplecticSpace(ext, lift_matrix(ext, sa.gram_B), validate=False)
     LagrangianSubspace(spaceB, FB, validate=True, guard=guard)
-    reportB = _admissible_with_fallback(DB, FB, ext, adm_mode, seed,
-                                        adm_budget, guard)
+    reportB = admissible_with_fallback(DB, FB, ext, adm_mode, seed,
+                                       adm_budget, guard)
     if not reportB.verdict:
         raise InternalContradictionError("glued quotient filtration failed "
                                          "admissibility re-verification")
@@ -458,12 +463,13 @@ def find_admissible_stable_filtration(sa: SemiAbelianPhiModule,
         toric_L = lift_matrix(ext, sa.toric_cols)
         section_L = lift_matrix(ext, sa.section_cols)
         F = la.normalize_columns(_concat(toric_L, la.mat_mul(section_L, FB)))
-        report = _admissible_with_fallback(D, F, ext, adm_mode, seed,
-                                           adm_budget, guard)
+        report = _toric_admissibility(sa, F, ext, adm_mode, seed, adm_budget,
+                                      guard, quotient=reportB)
         if not report.verdict:
             raise InternalContradictionError("pulled-back filtration failed "
                                              "admissibility")
-        graded_toric = la.subspace_leq(toric_L, F, guard)
+        graded_toric = (report.contained if report.mode == "extension"
+                        else la.subspace_leq(toric_L, F, guard))
         if not graded_toric:
             raise InternalContradictionError("toric part is not inside the "
                                              "pulled-back filtration")
@@ -506,16 +512,15 @@ def _mode_for(piece):
     return "exact"
 
 
-def _admissible_with_fallback(D, F, ext, mode, seed, budget, guard):
-    """is_admissible in the given mode; sampled where exact mode meets a
-    repeated slope, on the decomposition the exact attempt computed."""
-    try:
-        return is_admissible(D, F, ext, mode, seed=seed, budget=budget,
-                             guard=guard)
-    except MultiplicityError as exc:
-        return is_admissible(D, F, ext, "sampled", seed=seed,
-                             budget=budget, guard=guard,
-                             components=exc.components)
+def _toric_admissibility(sa, F, ext, adm_mode, seed, budget, guard,
+                         quotient=None):
+    """The extension node for F on a module with a toric part; sampling
+    over the full D in sampled mode."""
+    if adm_mode == "sampled":
+        return is_admissible(sa.module, F, ext, "sampled", seed=seed,
+                             budget=budget, guard=guard)
+    return toric_extension_report(sa, F, ext, seed, budget, guard,
+                                  quotient=quotient)
 
 
 def _quotient_rep(sa: SemiAbelianPhiModule, rep: GroupRepresentation,

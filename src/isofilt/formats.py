@@ -226,12 +226,18 @@ def group_from_json(doc, field, dim):
     module of dimension dim over field."""
     try:
         names = list(doc["elements"])
-        table = [[int(x) for x in row] for row in doc["table"]]
+        table = [list(row) for row in doc["table"]]
         rep_doc = dict(doc.get("rep", {}))
-    except (KeyError, TypeError, ValueError, AttributeError,
-            OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ValidationError(f"group: bad or missing elements, table or rep: "
                               f"{exc!r}") from exc
+    for a, row in enumerate(table):
+        for b, x in enumerate(row):
+            # a JSON integer only: int() would truncate 1.9, and a bool is
+            # an int to Python but not to JSON
+            if type(x) is not int:
+                raise ValidationError(f"group: table entry [{a}][{b}] is "
+                                      f"{json.dumps(x)}, not an integer")
     _require_group_table(names, table)
     G = FiniteGroup(names, table)
     unknown = [name for name in rep_doc if name not in G.names]

@@ -260,8 +260,11 @@ def test_find_determinism(tmp_path, capsys):
                                       ["0", "0", "1"]]),
     ("c2_scalar_dim2", ("elements",), ["e", "x"]),            # no element m
     ("c2_scalar_dim2", ("rep", "m"), [["0", "0"], ["0", "0"]]),
+    ("c2_scalar_dim2", ("table",), [[0, 1.9], [1, 0.2]]),     # truncated to C2
+    ("c2_scalar_dim2", ("table",), [[0, True], [True, 0]]),
 ], ids=["coeffs-x", "coeffs-y", "coeffs-missing", "not-eisenstein",
-        "automorphism-z", "rep-3x3", "rep-unknown-name", "rep-singular"])
+        "automorphism-z", "rep-3x3", "rep-unknown-name", "rep-singular",
+        "table-float", "table-bool"])
 def test_malformed_extension_or_group_exits_2_without_traceback(
         tmp_path, name, path, value):
     files = {"ext": fx("ext_sqrt2_c2.json"), "group": fx("c2_scalar_dim2.json")}
@@ -272,6 +275,11 @@ def test_malformed_extension_or_group_exits_2_without_traceback(
                      "--seed", "1", "--precision", "32"])
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+    if path == ("table",):
+        assert "table entry [0][1]" in proc.stderr
+        proc = _run_cli(["group", "check", "--module", fx("ss2.json"),
+                         "--group", files["group"]])
+        assert proc.returncode == 2 and "table entry [0][1]" in proc.stderr
 
 
 @pytest.mark.parametrize("table,failure", [
@@ -373,6 +381,25 @@ def ss2_certificate(tmp_path_factory):
                  "--extension", fx("ext_sqrt2_c2.json"), "--seed", "9",
                  "--precision", "32", "--out", str(cert)]) == 0
     return cert.read_text()
+
+
+def test_check_verifies_the_quotient_is_lagrangian(tmp_path, capsys):
+    # with a toric part, F is Lagrangian when F_B = F/T is Lagrangian in D_B;
+    # F = D contains T, so only that check and admissibility can refuse it
+    cert = tmp_path / "cert.json"
+    assert main(["filtration", "find", "--module", fx("ordinary_torus.json"),
+                 "--group", fx("trivial_group_dim3.json"),
+                 "--extension", fx("ext_trivial.json"), "--seed", "3",
+                 "--out", str(cert)]) == 0
+    doc = json.loads(cert.read_text())
+    doc["outputs"]["filtration"] = [["1", "0", "0"], ["0", "1", "0"],
+                                    ["0", "0", "1"]]
+    doc["digest"] = formats.certificate_digest(doc)
+    cert.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code, _, err = run(capsys, "filtration", "check", str(cert))
+    assert code == 2
+    assert err.strip() == "verification failure: admissible, lagrangian"
 
 
 @pytest.mark.parametrize("edit, field", [

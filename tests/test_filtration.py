@@ -1,5 +1,6 @@
 """Galois setup, descent, admissibility, and the construction driver."""
 
+import json
 import os
 import random
 from fractions import Fraction
@@ -18,7 +19,8 @@ from isofilt.groups.core import GroupRepresentation
 from isofilt.filtration.galois import (GaloisSetup, is_diagonally_stable,
                                        galois_descend, lift_matrix,
                                        verify_invariant)
-from isofilt.filtration.admissible import is_admissible, t_H, verify_violation
+from isofilt.filtration.admissible import (is_admissible, t_H, verify_violation,
+                                           toric_extension_report)
 from isofilt.filtration.driver import (find_admissible_stable_filtration,
                                        decompose_polarized, two_slope_filtration,
                                        supersingular_filtration, PieceData,
@@ -28,6 +30,9 @@ from isofilt.isocrystal.module import (PhiModule, SemiAbelianPhiModule,
 from isofilt.padic import linalg as la
 from isofilt.padic.scalar import sc_add, sc_mul
 from isofilt import formats
+from isofilt.cli import main as cli_main
+from isofilt.isocrystal import submodules as submodules_mod
+from oracles import rational_rank, rational_intersection_dim
 
 N = 48
 
@@ -220,7 +225,7 @@ def test_decompose_polarized_shapes(Q2):
 
 def test_pullback_preserves_admissibility(Q2, L, setup_c2):
     # random ordinary quotients with a toric part: the driver's pulled-back
-    # filtration passes exact-mode admissibility on the big module
+    # filtration passes the extension node over the exact quotient
     rng = random.Random(10)
     for t in range(3):
         A = [[2, rng.randrange(0, 2), 0], [0, 1, 0], [0, 0, 2]]
@@ -316,3 +321,194 @@ def test_quotient_rep_shape(Q2):
     rep = scalar_c2_rep(Q2, 3)
     repB = _quotient_rep(sa, rep, 8)
     assert repB.dim == 2
+
+
+# -- the extension node: T of pure slope 1 inside F, and (D_B, F_B) admissible --
+
+
+def _torus_plus(Q2, toric_A, B):
+    """The semi-abelian module diag(toric_A) + B, with T the first t
+    coordinates; its section is the last n - t coordinates, so D_B is B."""
+    t, m = len(toric_A), len(B)
+    rows = [[toric_A[i] if i == j else 0 for j in range(t)] + [0] * m
+            for i in range(t)]
+    rows += [[0] * t + list(r) for r in B]
+    T = la.from_rows_of_fractions(
+        Q2, [[int(i == j) for j in range(t)] for i in range(t + m)])
+    sa = SemiAbelianPhiModule(PhiModule.from_rational(Q2, rows), T,
+                              standard_symplectic_gram(Q2, m // 2),
+                              validate=False)
+    return sa, PhiModule.from_rational(Q2, B)
+
+
+# ordinary_torus, and a 2-dimensional torus over the supersingular block
+EXTENSION_PROBLEMS = {
+    "ordinary_torus": ([2], [[1, 0], [0, 2]]),
+    "torus2+ss2": ([2, 2], [[0, 2], [1, 0]]),
+}
+
+
+@lru_cache(maxsize=None)
+def _extension_problem(name):
+    Q2 = unramified(2, 1, N)
+    sa, DB = _torus_plus(Q2, *EXTENSION_PROBLEMS[name])
+    return Q2, sqrt2_extension(Q2), sa, DB
+
+
+@st.composite
+def _filtration_over_torus(draw, t, m, L):
+    """(F, G): F spans T and the columns section(G) + T c, for an m x k
+    matrix G of entries a + b sqrt(2) and random toric parts c; so T <= F
+    and F_B = G."""
+    k = draw(st.integers(0, m))
+    small = st.integers(-4, 4)
+    G = [[sc_add(L.scalar(draw(small)),
+                 sc_mul(L.scalar(draw(small)), L.uniformizer()))
+          for _ in range(k)] for _ in range(m)]
+    c = [[L.scalar(draw(small)) for _ in range(k)] for _ in range(t)]
+    F = [[L.one() if i == j else L.zero() for j in range(t)] + c[i]
+         for i in range(t)]
+    F += [[L.zero()] * t + G[i] for i in range(m)]
+    return F, G
+
+
+@pytest.mark.parametrize("name", sorted(EXTENSION_PROBLEMS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_extension_node_is_the_quotient_verdict(name, data):
+    # for F containing T, the node decides what exact admissibility of
+    # (D_B, F_B) decides, and sampling the full module never finds a
+    # violation where the node says admissible
+    Q2, L, sa, DB = _extension_problem(name)
+    F, G = data.draw(_filtration_over_torus(sa.t_dim, sa.B_dim, L))
+    if G[0] and la.certified_rank(la.transpose(G)) < len(G[0]):
+        return  # is_admissible reads dim F_B off its columns
+    node = toric_extension_report(sa, F, L, seed=3)
+    assert node.contained and node.toric_slope == 1 and node.complete
+    assert node.verdict == is_admissible(DB, G, L, "exact").verdict
+    if node.verdict:
+        assert is_admissible(sa.module, F, L, "sampled", seed=5,
+                             budget=200).verdict
+
+
+@pytest.mark.parametrize("name", sorted(EXTENSION_PROBLEMS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_extension_node_never_accepts_without_the_torus(name, data):
+    Q2, L, sa, _ = _extension_problem(name)
+    n, t = sa.module.n, sa.t_dim
+    k = data.draw(st.integers(1, n))
+    rows = [[data.draw(st.integers(-4, 4)) for _ in range(k)]
+            for _ in range(n)]
+    if rational_rank(rows) < k:
+        return
+    T = [[int(i == j) for j in range(t)] for i in range(n)]
+    if rational_intersection_dim(T, rows) == t:
+        return  # F contains T after all
+    F = lift_matrix(L, la.from_rows_of_fractions(Q2, rows))
+    node = toric_extension_report(sa, F, L, seed=3)
+    assert not node.contained and not node.verdict
+    assert node.as_dict()["verdict"] == "inadmissible"
+
+
+def test_extension_node_checks_the_torus_slope(Q2, L):
+    # a "torus" of slope 0, built without validation, is refused although
+    # it lies in F and the quotient is admissible
+    sa, _ = _torus_plus(Q2, [1], [[1, 0], [0, 2]])
+    F = lift_matrix(L, la.from_rows_of_fractions(
+        Q2, [[1, 0], [0, 1], [0, 1]]))
+    node = toric_extension_report(sa, F, L)
+    assert node.contained and node.quotient.verdict
+    assert node.toric_slope == 0 and not node.verdict
+
+
+def test_extension_node_on_a_pure_torus(Q2, L):
+    D = PhiModule.from_rational(Q2, [[2, 0], [0, 2]])
+    sa = SemiAbelianPhiModule(D, la.identity(Q2, 2), [], validate=False)
+    node = toric_extension_report(sa, lift_matrix(L, la.identity(Q2, 2)), L)
+    assert node.verdict and node.complete
+    assert node.as_dict()["toric"] == {"dim": 2, "slope": "1",
+                                       "contained": True}
+
+
+TORUS_TRIPLES = [("ordinary_torus", "trivial_group_dim3", "ext_trivial"),
+                 ("ordinary_torus", "c2_scalar_dim3", "ext_sqrt2_c2")]
+FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+
+
+def _find(tmp_path, triple, seed, *extra):
+    cert = tmp_path / f"{triple[1]}-{seed}.json"
+    argv = ["filtration", "find"]
+    for flag, stem in zip(("--module", "--group", "--extension"), triple):
+        argv += [flag, os.path.join(FIX, f"{stem}.json")]
+    assert cli_main(argv + ["--seed", str(seed), *extra,
+                            "--out", str(cert)]) == 0
+    return cert
+
+
+def _resealed(tmp_path, cert, edit):
+    doc = json.loads(cert.read_text())
+    edit(doc)
+    doc["digest"] = formats.certificate_digest(doc)
+    out = tmp_path / "tampered.json"
+    out.write_text(json.dumps(doc))
+    return out
+
+
+def test_default_torus_round_trips_never_sample(tmp_path, capsys,
+                                                monkeypatch):
+    calls = []
+    sampled = submodules_mod.sampled_submodules
+
+    def counting(D, *args, **kwargs):
+        calls.append(D.n)
+        return sampled(D, *args, **kwargs)
+
+    monkeypatch.setattr(submodules_mod, "sampled_submodules", counting)
+    for triple in TORUS_TRIPLES:
+        cert = _find(tmp_path, triple, 4)
+        adm = json.loads(cert.read_text())["outputs"]["admissibility"]
+        assert adm["mode"] == "extension" and adm["complete"]
+        assert cli_main(["filtration", "check", str(cert)]) == 0
+    assert calls == []
+    # the counter does see the opt-in cross-check, which samples the full D
+    _find(tmp_path, TORUS_TRIPLES[0], 4, "--mode", "sampled", "--budget", "5")
+    assert 3 in calls
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("triple", TORUS_TRIPLES, ids=["trivial", "c2"])
+def test_check_names_the_node_when_F_drops_the_torus(tmp_path, capsys,
+                                                      triple):
+    def drop_torus(doc):
+        # F = T + section(F_B): keep only the section column
+        rows = doc["outputs"]["filtration"]
+        doc["outputs"]["filtration"] = [row[1:] for row in rows]
+
+    tampered = _resealed(tmp_path, _find(tmp_path, triple, 5), drop_torus)
+    capsys.readouterr()
+    assert cli_main(["filtration", "check", str(tampered)]) == 2
+    err = capsys.readouterr().err
+    assert "graded-toric" in err and "admissible" in err
+
+
+def test_check_rejects_an_extension_node_without_a_torus(tmp_path, capsys):
+    def claim_extension(doc):
+        doc["outputs"]["admissibility"]["mode"] = "extension"
+
+    cert = _find(tmp_path, ("ss2", "c2_scalar_dim2", "ext_sqrt2_c2"), 5,
+                 "--precision", "32")
+    tampered = _resealed(tmp_path, cert, claim_extension)
+    capsys.readouterr()
+    assert cli_main(["filtration", "check", str(tampered)]) == 2
+    assert "outputs.admissibility.mode" in capsys.readouterr().err
+
+
+def test_check_rejects_a_forged_quotient_ledger(tmp_path, capsys):
+    def forge(doc):
+        doc["outputs"]["admissibility"]["quotient"]["ledger"][1]["t_H"] = 1
+
+    tampered = _resealed(tmp_path, _find(tmp_path, TORUS_TRIPLES[1], 6), forge)
+    capsys.readouterr()
+    assert cli_main(["filtration", "check", str(tampered)]) == 2
+    assert "admissible" in capsys.readouterr().err
