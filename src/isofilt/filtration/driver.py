@@ -118,7 +118,7 @@ def decompose_polarized(D: PhiModule, J, rep: GroupRepresentation,
             pieces.extend(_split_block(D, J, rep, cols, slopes, guard))
         else:
             pieces.append(_make_piece(D, J, rep, la.normalize_columns(
-                cols, integral=True), guard, check_elementary=False))
+                cols, integral=True), guard))
     total = sum(p.dim for p in pieces)
     if total != D.n:
         raise InternalContradictionError("pieces do not sum to the space")
@@ -190,14 +190,12 @@ def _elementary_closure(rep_c, comps, field):
     return sorted(chosen)
 
 
-def _make_piece(D, J, rep, ambient, guard, check_elementary=True):
+def _make_piece(D, J, rep, ambient, guard):
     module = D.submodule(ambient, guard)
     gram = restrict_gram(J, ambient)
     rep_p = induced_rep(rep, ambient, guard)
     slopes = tuple(s for s, _ in newton_slopes(module, guard).pairs)
-    piece = PieceData(ambient, module, gram, rep_p, slopes)
-    piece.check_elementary = check_elementary
-    return piece
+    return PieceData(ambient, module, gram, rep_p, slopes)
 
 
 def _validate_piece(piece, guard):
@@ -385,20 +383,16 @@ def find_admissible_stable_filtration(sa: SemiAbelianPhiModule,
                                       adm_mode: str = "exact",
                                       adm_budget: int = ADMISSIBILITY_BUDGET,
                                       guard: int = la.DEFAULT_GUARD,
-                                      allow_non_phi_compatible: bool = False,
-                                      validate_inputs: bool = True,
-                                      table_mode: str = "full"):
+                                      allow_non_phi_compatible: bool = False):
     """The full driver: reduce to the abelian quotient, decompose, solve each
     piece, glue, pull back over the toric part, and emit a verified
     certificate with its descent datum."""
     D = sa.module
     field = D.field
     ext = setup.ext
-    if validate_inputs:
-        rep.validate(phi_module=None if allow_non_phi_compatible else D,
-                     gram=None, toric_cols=sa.toric_cols if sa.t_dim else None,
-                     guard=guard, check_phi=not allow_non_phi_compatible,
-                     table_mode=table_mode)
+    rep.validate(phi_module=None if allow_non_phi_compatible else D,
+                 gram=None, toric_cols=sa.toric_cols if sa.t_dim else None,
+                 guard=guard, check_phi=not allow_non_phi_compatible)
     results = {"pieces": []}
     t = sa.t_dim
     if sa.B_dim == 0:
@@ -420,11 +414,9 @@ def find_admissible_stable_filtration(sa: SemiAbelianPhiModule,
         }
     DB = sa.quotient_module(guard)
     repB = _quotient_rep(sa, rep, guard)
-    if validate_inputs:
-        repB.validate(phi_module=None if allow_non_phi_compatible else DB,
-                      gram=sa.gram_B, guard=guard,
-                      check_phi=not allow_non_phi_compatible,
-                      table_mode=table_mode)
+    repB.validate(phi_module=None if allow_non_phi_compatible else DB,
+                  gram=sa.gram_B, guard=guard,
+                  check_phi=not allow_non_phi_compatible)
     pieces = decompose_polarized(DB, sa.gram_B, repB, guard,
                                  refine=not allow_non_phi_compatible)
     rng = random.Random(seed)

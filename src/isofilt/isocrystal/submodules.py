@@ -234,14 +234,52 @@ def _kernel_and_image(D, U, guard):
 
 
 def _canonical_key(cols, guard):
+    """A key of the span of cols: equal keys are the same subspace to within
+    the precision of both (see ``_SpanKey``)."""
     if not cols or not cols[0]:
         return ("dim", 0)
     ech, _, _ = la.certified_row_reduce(la.transpose(cols), guard)
-    key = []
-    for row in ech:
-        for x in row:
-            if x.kind == sc.REG:
-                key.append((x.w, tuple(c % x.field.p ** 8 for c in x.unit)))
-            else:
-                key.append(("z",))
-    return tuple(key)
+    return _SpanKey(ech)
+
+
+class _SpanKey:
+    """The reduced echelon form of a span, entry by entry: the kind and
+    valuation of each entry, and the unit and relpi of each reg entry.
+
+    Two keys are equal when their kinds and valuations agree and each pair
+    of units agrees at every digit both certify, that is mod pi^r for r the
+    smaller relpi; a coefficient of z^i u^j is known mod p^ceil((r - j)/e).
+    So subspaces that differ at a certified digit get different keys, and
+    one subspace met at two precisions gets equal keys.  The hash reads the
+    kinds and valuations only."""
+
+    __slots__ = ("shape", "units", "p", "e")
+
+    def __init__(self, ech):
+        shape, units = [], []
+        for row in ech:
+            for x in row:
+                if x.kind == sc.REG:
+                    shape.append(x.w)
+                    units.append((x.unit, x.relpi))
+                else:
+                    shape.append(None)
+        field = ech[0][0].field
+        self.shape, self.units = tuple(shape), tuple(units)
+        self.p, self.e = field.p, field.e
+
+    def __hash__(self):
+        return hash(self.shape)
+
+    def __eq__(self, other):
+        if not isinstance(other, _SpanKey):
+            return NotImplemented
+        if self.shape != other.shape:
+            return False
+        p, e = self.p, self.e
+        for (u1, r1), (u2, r2) in zip(self.units, other.units):
+            r = r1 if r1 < r2 else r2
+            for k, (a, b) in enumerate(zip(u1, u2)):
+                if (a - b) % p ** max(0, -((k % e - r) // e)):
+                    return False
+        return True

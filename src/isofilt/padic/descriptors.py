@@ -40,6 +40,7 @@ class UnramifiedFieldDescriptor:
         self.relpi_max = prec
         self._teich_cache: dict[int, "sc.Scalar"] = {}
         self._small: dict[int, "sc.Scalar"] = {}
+        self.raw_kernel = None  # linalg's elimination kernel, built on first use
 
     @classmethod
     def create(cls, p: int, f: int, prec: int) -> "UnramifiedFieldDescriptor":
@@ -181,6 +182,7 @@ class EisensteinExtensionDescriptor:
         self.floor_relpi = floor_relpi
         self.relpi_max = self.e * base.prec
         self._small: dict[int, "sc.Scalar"] = {}
+        self.raw_kernel = None  # linalg's elimination kernel, built on first use
         self.automorphisms: dict[str, _AutRecord] = {}
         for name, poly in self.raw_auts.items():
             image = self._poly_to_element(poly)

@@ -10,18 +10,18 @@ PrecisionError escapes and the caller retries at doubled precision.
 Pivoting always selects a minimal-valuation entry, which is the p-adic
 analogue of partial pivoting and keeps precision loss linear.
 
-Where the ring is Z/p^N (``field.ring.dim == 1``, that is f = e = 1, Q_p
-itself), elimination, matrix products and charpoly run on raw entries in
-place of Scalars: ``None`` for an exact zero, ``(zw, None, 0)`` for an izero
-and ``(w, u, relpi)`` for a reg scalar p^w * u, u a plain int in [0, p^N).
-The raw kernel applies exactly the e = 1 rules of sc_inv, sc_mul, sc_neg and
-sc_add, in the same order, so pivots, certificates, results and every
-PrecisionError (message and step) are the ones the Scalar path gives; only
+Elimination, matrix products and charpoly run one raw kernel at every level,
+on entries in place of Scalars: ``None`` for an exact zero, ``(zw, None, 0)``
+for an izero and ``(w, u, relpi)`` for a reg scalar.  The unit u is a plain
+int in [0, p^N) where the ring is Z/p^N (f = e = 1, Q_p itself) and the
+ring's coefficient tuple at every other level.  The kernel applies exactly
+the rules of sc_inv, sc_mul, sc_neg and sc_add, in the same order -- the
+c0 and c0^-1 corrections of a wrapped u-power and every relpi cap included
+-- so pivots, certificates, results and every PrecisionError (message and
+step) are the ones Scalar arithmetic gives; ``tests/oracles.py`` keeps the
+elimination on Scalars as the reference the tests compare against.  Only
 what a caller receives is built as Scalars, and a rank or column-space
-decision builds none.  Every other level runs the Scalar path, and
-``_scalar_row_reduce`` stays callable at every level as the reference the
-tests compare the raw kernel against.  The certify-or-fail contract and the
-certificates are unchanged.
+decision builds none.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from functools import reduce
 
 from ..errors import PrecisionError, ValidationError
 from . import scalar as sc
-from .scalar import Scalar, sc_add, sc_sub, sc_mul, sc_neg, sc_inv, sc_zero
+from .scalar import Scalar, sc_add, sc_sub, sc_mul, sc_neg, sc_zero
 
 
 DEFAULT_GUARD = 8
@@ -83,14 +83,10 @@ def mat_mul(a, b):
     assert k == k2, "inner dimensions mismatch"
     if not k:
         return [[] for _ in a]
-    field = a[0][0].field
-    cols = list(zip(*b))
-    if field.ring.dim != 1:
-        return [[dot(row, col, field) for col in cols] for row in a]
-    zp = _Zp(field)
-    rcols = zp.encode_rows(cols)
-    return zp.decode_rows([[zp.dot(row, col) for col in rcols]
-                           for row in zp.encode_rows(a)])
+    raw = _Raw.of(a[0][0].field)
+    rcols = raw.encode_rows(zip(*b))
+    return raw.decode_rows([[raw.dot(row, col) for col in rcols]
+                            for row in raw.encode_rows(a)])
 
 
 def mat_scalar(s, a):
@@ -153,63 +149,9 @@ def certified_row_reduce(m, guard: int = DEFAULT_GUARD, reduced: bool = True,
     """
     if not m or not m[0]:
         return [] if rows else None, [], RankCertificate(0, [], guard, None, 1)
-    field = _field_of(m)
-    if field.ring.dim != 1:
-        ech, pivot_cols, cert = _scalar_row_reduce(m, guard, reduced)
-        return ech if rows else None, pivot_cols, cert
-    zp = _Zp(field)
-    ech, pivot_cols, cert = zp.row_reduce(m, guard, reduced)
-    return zp.decode_rows(ech) if rows else None, pivot_cols, cert
-
-
-def _scalar_row_reduce(m, guard, reduced):
-    """certified_row_reduce on Scalars, at any level; m is not empty."""
-    field = _field_of(m)
-    rows = [list(r) for r in m]
-    nr, nc = len(rows), len(rows[0])
-    pivot_cols = []
-    pivot_ws = []
-    r = 0
-    for c in range(nc):
-        best = None
-        for i in range(r, nr):
-            x = rows[i][c]
-            if x.kind == sc.REG and (best is None or x.w < rows[best][c].w):
-                best = i
-        if best is None:
-            continue
-        piv = rows[best][c]
-        if piv.relpi < guard:
-            raise PrecisionError(_pivot_message(c, piv.relpi, guard))
-        rows[r], rows[best] = rows[best], rows[r]
-        inv = sc_inv(piv)
-        rows[r] = [sc_mul(inv, x) for x in rows[r]]
-        lo = 0 if reduced else r + 1
-        for i in range(lo, nr):
-            if i == r:
-                continue
-            factor = rows[i][c]
-            if factor.kind == sc.ZERO:
-                continue
-            # y - factor * 0 is y
-            rows[i] = [y if z.kind == sc.ZERO else sc_sub(y, sc_mul(factor, z))
-                       for y, z in zip(rows[i], rows[r])]
-        pivot_cols.append(c)
-        pivot_ws.append(piv.w)
-        r += 1
-        if r == nr:
-            break
-    residual_zw = None
-    for i in range(r, nr):
-        for x in rows[i]:
-            if x.kind == sc.IZERO:
-                residual_zw = x.zw if residual_zw is None else min(residual_zw, x.zw)
-            elif x.kind == sc.REG:
-                # unreachable: every remaining reg entry would have produced
-                # a pivot in its column
-                raise PrecisionError(_RESIDUAL_MESSAGE)
-    cert = RankCertificate(r, pivot_ws, guard, residual_zw, field.e)
-    return rows[:r] if reduced else rows, pivot_cols, cert
+    raw = _Raw.of(_field_of(m))
+    ech, pivot_cols, cert = raw.row_reduce(m, guard, reduced)
+    return raw.decode_rows(ech) if rows else None, pivot_cols, cert
 
 
 def _pivot_message(c, relpi, guard):
@@ -220,18 +162,114 @@ def _pivot_message(c, relpi, guard):
 _RESIDUAL_MESSAGE = "uncertified nonzero residual after elimination"
 
 
-class _Zp:
-    """The e = 1 rules of sc_inv, sc_mul, sc_neg and sc_add on raw entries
-    of a level whose ring is Z/p^N: None (exact zero), (zw, None, 0)
-    (izero) or (w, u, relpi) (reg, u an int in [0, p^N))."""
+class _Raw:
+    """The rules of sc_inv, sc_mul, sc_neg and sc_add on raw entries: None
+    (exact zero), (zw, None, 0) (izero) or (w, u, relpi) (reg).  ``_Raw.of``
+    picks the unit arithmetic of the level; elimination and the dot fold
+    are shared."""
 
-    __slots__ = ("field", "p", "pn", "prec", "floor")
+    __slots__ = ("field", "ring", "p", "pn", "prec", "e", "floor")
+
+    @staticmethod
+    def of(field):
+        """The kernel of the level, built once per descriptor (again if its
+        floor was changed)."""
+        kernel = field.raw_kernel
+        if kernel is None or kernel.floor != field.floor_relpi:
+            kernel = field.raw_kernel = (
+                _ZpRaw if field.ring.dim == 1 else _TowerRaw)(field)
+        return kernel
 
     def __init__(self, field):
         ring = field.ring
-        self.field = field
-        self.p, self.pn, self.prec = ring.p, ring.pn, ring.prec
+        self.field, self.ring = field, ring
+        self.p, self.pn, self.prec, self.e = ring.p, ring.pn, ring.prec, ring.e
         self.floor = field.floor_relpi
+
+    def _below_floor(self, relpi):
+        # the message of sc_reg
+        return PrecisionError(
+            f"result precision {relpi} pi-digits below floor {self.floor}")
+
+    def _add_izero(self, aw, au, ar, tw, tu, tr):
+        """sc_add of raw entries, at least one of them an izero."""
+        if au is None and tu is None:
+            return (aw if aw < tw else tw), None, 0
+        zw, rw, ru, rr = (aw, tw, tu, tr) if au is None else (tw, aw, au, ar)
+        if rw >= zw:
+            return zw, None, 0
+        relpi = rr if rr < zw - rw else zw - rw
+        if relpi < self.floor:
+            raise self._below_floor(relpi)
+        return rw, ru, relpi
+
+    def dot(self, xs, ys):
+        """The raw ``dot``: None when no pair has two nonzero entries."""
+        fma = self.fma
+        acc = None
+        for x, y in zip(xs, ys):
+            if x is not None and y is not None:
+                acc = fma(acc, x, y)
+        return acc
+
+    def row_reduce(self, m, guard, reduced):
+        """``scalar_row_reduce`` of tests/oracles.py on raw entries; returns
+        raw rows."""
+        fma, neg = self.fma, self.neg
+        rows = self.encode_rows(m)
+        nr, nc = len(rows), len(rows[0])
+        pivot_cols = []
+        pivot_ws = []
+        r = 0
+        for c in range(nc):
+            best = None
+            for i in range(r, nr):
+                x = rows[i][c]
+                if x is not None and x[1] is not None and (best is None or x[0] < bw):
+                    best, bw = i, x[0]
+            if best is None:
+                continue
+            piv = rows[best][c]
+            if piv[2] < guard:
+                raise PrecisionError(_pivot_message(c, piv[2], guard))
+            rows[r], rows[best] = rows[best], rows[r]
+            # sc_inv of the pivot, then sc_mul across its row
+            inv = self.inv(piv)
+            prow = rows[r] = [x if x is None else fma(None, inv, x) for x in rows[r]]
+            lo = 0 if reduced else r + 1
+            for i in range(lo, nr):
+                if i == r:
+                    continue
+                factor = rows[i][c]
+                if factor is None:
+                    continue
+                # y - factor * z as y + (-factor) * z: sc_neg commutes with
+                # sc_mul, digits and floor check included
+                nf = neg(factor)
+                rows[i] = [y if z is None else fma(y, nf, z)
+                           for y, z in zip(rows[i], prow)]
+            pivot_cols.append(c)
+            pivot_ws.append(piv[0])
+            r += 1
+            if r == nr:
+                break
+        residual_zw = None
+        for i in range(r, nr):
+            for x in rows[i]:
+                if x is None:
+                    continue
+                if x[1] is not None:
+                    raise PrecisionError(_RESIDUAL_MESSAGE)
+                residual_zw = x[0] if residual_zw is None else min(residual_zw, x[0])
+        cert = RankCertificate(r, pivot_ws, guard, residual_zw, self.e)
+        return rows[:r] if reduced else rows, pivot_cols, cert
+
+
+class _ZpRaw(_Raw):
+    """The e = 1 rules where the ring is Z/p^N: a unit is a plain int in
+    [0, p^N)."""
+
+    __slots__ = ()
 
     @staticmethod
     def encode_rows(m):
@@ -248,15 +286,16 @@ class _Zp:
                  else Scalar(F, reg, x[0], (x[1],), x[2])
                  for x in row] for row in m]
 
-    def _below_floor(self, relpi):
-        # the message of sc_reg
-        return PrecisionError(
-            f"result precision {relpi} pi-digits below floor {self.floor}")
-
     def neg(self, x):
         if x is None or x[1] is None:
             return x
         return x[0], -x[1] % self.pn, x[2]
+
+    def inv(self, x):
+        w, u, relpi = x
+        if relpi < self.floor:
+            raise self._below_floor(relpi)
+        return -w, pow(u, -1, self.pn), relpi
 
     def fma(self, acc, x, y):
         """sc_add(acc, sc_mul(x, y)), acc None for an exact zero; x and y
@@ -278,15 +317,7 @@ class _Zp:
         # sc_add(acc, t)
         aw, au, ar = acc
         if au is None or tu is None:
-            if au is None and tu is None:
-                return (aw if aw < tw else tw), None, 0
-            zw, rw, ru, rr = (aw, tw, tu, tr) if au is None else (tw, aw, au, ar)
-            if rw >= zw:
-                return zw, None, 0
-            relpi = rr if rr < zw - rw else zw - rw
-            if relpi < self.floor:
-                raise self._below_floor(relpi)
-            return rw, ru, relpi
+            return self._add_izero(aw, au, ar, tw, tu, tr)
         if tw < aw:
             aw, au, ar, tw, tu, tr = tw, tu, tr, aw, au, ar
         d = tw - aw
@@ -310,67 +341,134 @@ class _Zp:
             raise self._below_floor(relpi)
         return aw + v, s, relpi
 
-    def dot(self, xs, ys):
-        """The raw ``dot``: None when no pair has two nonzero entries."""
-        fma = self.fma
-        acc = None
-        for x, y in zip(xs, ys):
-            if x is not None and y is not None:
-                acc = fma(acc, x, y)
-        return acc
 
-    def row_reduce(self, m, guard, reduced):
-        """_scalar_row_reduce on raw entries; returns raw rows."""
-        fma, neg = self.fma, self.neg
-        rows = self.encode_rows(m)
-        nr, nc = len(rows), len(rows[0])
-        pivot_cols = []
-        pivot_ws = []
-        r = 0
-        for c in range(nc):
-            best = None
-            for i in range(r, nr):
-                x = rows[i][c]
-                if x is not None and x[1] is not None and (best is None or x[0] < bw):
-                    best, bw = i, x[0]
-            if best is None:
-                continue
-            pw, pu, prelpi = rows[best][c]
-            if prelpi < guard:
-                raise PrecisionError(_pivot_message(c, prelpi, guard))
-            rows[r], rows[best] = rows[best], rows[r]
-            # sc_inv of the pivot, then sc_mul across its row
-            if prelpi < self.floor:
-                raise self._below_floor(prelpi)
-            inv = (-pw, pow(pu, -1, self.pn), prelpi)
-            prow = rows[r] = [x if x is None else fma(None, inv, x) for x in rows[r]]
-            lo = 0 if reduced else r + 1
-            for i in range(lo, nr):
-                if i == r:
-                    continue
-                factor = rows[i][c]
-                if factor is None:
-                    continue
-                # y - factor * z as y + (-factor) * z: sc_neg commutes with
-                # sc_mul, digits and floor check included
-                nf = neg(factor)
-                rows[i] = [y if z is None else fma(y, nf, z)
-                           for y, z in zip(rows[i], prow)]
-            pivot_cols.append(c)
-            pivot_ws.append(pw)
-            r += 1
-            if r == nr:
+class _TowerRaw(_Raw):
+    """The rules at every level but Z/p^N: a unit is the ring's coefficient
+    tuple, and a u-power that wraps past e brings in c0 or c0^-1 with the
+    relpi caps of sc_add, sc_mul and sc_inv.
+
+    The ring is exact mod p^N, so a unit is reached by any product that
+    equals it there.  A product that wraps multiplies by x*c0 (remembered
+    for the last x, which is fixed along a row update) instead of
+    multiplying by x and then by c0, and a shifted addend that wraps is
+    multiplied once by pi^d*c0^-1 (remembered per shift d)."""
+
+    __slots__ = ("wrap_cap", "top", "unit_slots", "c0", "wrap_x", "wrap_xc0",
+                 "shift_c0i")
+
+    def __init__(self, field):
+        super().__init__(field)
+        ring = self.ring
+        self.wrap_cap = self.e * (self.prec - 1)
+        self.top = self.e * self.prec
+        # the u^0 coefficients: a sum is a unit when one of them is
+        self.unit_slots = tuple(range(0, ring.dim, self.e))
+        self.c0 = ring.c0()
+        self.wrap_x = self.wrap_xc0 = None
+        self.shift_c0i = {}
+
+    @staticmethod
+    def encode_rows(m):
+        reg, izero = sc.REG, sc.IZERO
+        return [[(x.w, x.unit, x.relpi) if x.kind == reg
+                 else (x.zw, None, 0) if x.kind == izero else None
+                 for x in row] for row in m]
+
+    def decode_rows(self, m):
+        F, reg, izero = self.field, sc.REG, sc.IZERO
+        zero = Scalar(F, sc.ZERO)
+        return [[zero if x is None
+                 else Scalar(F, izero, None, None, 0, x[0]) if x[1] is None
+                 else Scalar(F, reg, x[0], x[1], x[2])
+                 for x in row] for row in m]
+
+    def neg(self, x):
+        if x is None or x[1] is None:
+            return x
+        return x[0], self.ring.neg(x[1]), x[2]
+
+    def inv(self, x):
+        w, u, relpi = x
+        ring = self.ring
+        u = ring.inv_unit(u)
+        if w % self.e:
+            u = ring.mul(u, ring.c0_inv())
+            if relpi > self.wrap_cap:
+                relpi = self.wrap_cap
+        if relpi < self.floor:
+            raise self._below_floor(relpi)
+        return -w, u, relpi
+
+    def fma(self, acc, x, y):
+        """sc_add(acc, sc_mul(x, y)), acc None for an exact zero; x and y
+        are not exact zeros."""
+        # t = sc_mul(x, y)
+        xw, xu, xr = x
+        yw, yu, yr = y
+        tw = xw + yw
+        e, ring = self.e, self.ring
+        if xu is None or yu is None:
+            tu, tr = None, 0
+        else:
+            tr = xr if xr < yr else yr
+            if xw % e + yw % e >= e:
+                if x is not self.wrap_x:
+                    self.wrap_x, self.wrap_xc0 = x, ring.mul(xu, self.c0)
+                tu = ring.mul(self.wrap_xc0, yu)
+                if tr > self.wrap_cap:
+                    tr = self.wrap_cap
+            else:
+                tu = ring.mul(xu, yu)
+            if tr < self.floor:
+                raise self._below_floor(tr)
+        if acc is None:
+            return tw, tu, tr
+        # sc_add(acc, t)
+        aw, au, ar = acc
+        if au is None or tu is None:
+            return self._add_izero(aw, au, ar, tw, tu, tr)
+        if tw < aw:
+            aw, au, ar, tw, tu, tr = tw, tu, tr, aw, au, ar
+        d = tw - aw
+        m = ar if ar < d + tr else d + tr
+        b1 = aw % e
+        if d:
+            if tw % e < b1:
+                # the literal u-power of the shift overflowed by u^e = p*c0
+                g = self.shift_c0i.get(d)
+                if g is None:
+                    g = self.shift_c0i[d] = ring.shift_up(ring.c0_inv(), d)
+                tu = ring.mul(tu, g)
+                if m > self.wrap_cap:
+                    m = self.wrap_cap
+            else:
+                tu = ring.shift_up(tu, d)
+        pn, p = self.pn, self.p
+        s = tuple([(a + b) % pn for a, b in zip(au, tu)])
+        for i in self.unit_slots:
+            if s[i] % p:
+                v = 0
                 break
-        residual_zw = None
-        for i in range(r, nr):
-            for x in rows[i]:
-                if x is None:
-                    continue
-                if x[1] is not None:
-                    raise PrecisionError(_RESIDUAL_MESSAGE)
-                residual_zw = x[0] if residual_zw is None else min(residual_zw, x[0])
-        cert = RankCertificate(r, pivot_ws, guard, residual_zw, self.field.e)
-        return rows[:r] if reduced else rows, pivot_cols, cert
+        else:
+            v = ring.val_pi(s)
+            if v is None or v >= m:
+                return aw + m, None, 0
+        if v:
+            s = ring.divide_pi_exact(s, v)
+            a, b = divmod(v, e)
+            if b1 + b >= e:
+                # sc_add also caps m - v at e(N - 1) here, never below cap
+                # below: b >= 1 makes cap = e(N - a - b) <= e(N - 1)
+                s = ring.mul(s, self.c0)
+            cap = e * (self.prec - a - b)
+            relpi = m - v if m - v < cap else cap
+        elif m > 0:
+            relpi = m if m < self.top else self.top
+        else:
+            return aw + m, None, 0
+        if relpi < self.floor:
+            raise self._below_floor(relpi)
+        return aw + v, s, relpi
 
 
 def certified_rank(m, guard: int = DEFAULT_GUARD) -> int:
@@ -494,11 +592,9 @@ def charpoly(m):
     the entries; no pivoting decisions are involved.
     """
     field = _field_of(m)
-    if field.ring.dim != 1:
-        return berkowitz(m, field.one(), sc_neg, lambda xs, ys: dot(xs, ys, field))
-    zp = _Zp(field)
-    one = zp.encode_rows([[field.one()]])[0][0]
-    return zp.decode_rows([berkowitz(zp.encode_rows(m), one, zp.neg, zp.dot)])[0]
+    raw = _Raw.of(field)
+    one = raw.encode_rows([[field.one()]])[0][0]
+    return raw.decode_rows([berkowitz(raw.encode_rows(m), one, raw.neg, raw.dot)])[0]
 
 
 def berkowitz(m, one, neg, dot):

@@ -17,22 +17,31 @@ algebra layer relies on.
 The unramified level is the special case e = 1, and Q_p itself is f = e = 1.
 
 Every op returns canonical residues in [0, p^N).  A product is a raw (z, u)
-convolution in exact integers (z-degree < 2f-1, u-degree < 2e-1) followed by
-_reduce, the ring's one reduction.  _reduce reads a fold table built once per
-ring: for each raw monomial z^i u^j outside the basis, the sparse canonical
-residue of z^i u^j (for rational Eisenstein polynomials, a handful of
-nonzeros).  It adds coefficient times row in exact integers and reduces mod
-p^N once, at every (f, e).  hensel.rp_mul feeds it the convolutions of a
-whole polynomial product; shift_up and apply_u_map build one convolution each.
-A product with a constant operand is a scalar multiple and skips _reduce;
+convolution in exact integers (z-degree < 2f-1, u-degree < 2e-1) folded back
+onto the basis by a fold table built once per ring: for each raw monomial
+z^i u^j outside the basis, the sparse canonical residue of z^i u^j (for
+rational Eisenstein polynomials, a handful of nonzeros).  mul runs both steps
+as one function of straight-line code, compiled once per ring layout
+(``_product_code``), and reduces mod p^N once.  _reduce folds a convolution
+built elsewhere: hensel.rp_mul feeds it the convolutions of a whole
+polynomial product; shift_up and apply_u_map build one convolution each.  A
+product with a constant operand is a scalar multiple and skips the fold;
 when f = e = 1, mul is one integer product.  inv_unit is one modular inverse
-for every constant unit (all of them when f = e = 1) and a Newton iteration
-otherwise.
+for every constant unit (all of them when f = e = 1).  Any other unit is
+inverted once per ring: a Newton iteration, in the u-direction on residues
+mod p and then in the p-direction at modulus p^k for k = 2, 4, 8, ... up to
+N, whose result the ring remembers for at most INV_MEMO_CAP units.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .fp import fq_inverse
+
+# the most non-constant units whose inverses one ring remembers; a ring can
+# live as long as the process (groups.isotypic keeps its embedding rings)
+INV_MEMO_CAP = 1024
 
 
 def int_valuation(n: int, p: int) -> int | None:
@@ -44,6 +53,35 @@ def int_valuation(n: int, p: int) -> int | None:
         n //= p
         v += 1
     return v
+
+
+@lru_cache(maxsize=64)
+def _product_code(raw, nraw, fold, pn):
+    """x*y mod m for the ring with basis layout ``raw`` and fold table
+    ``fold``, as one function of straight-line code: each raw slot of the
+    (z, u) convolution is a sum of coefficient products, and each canonical
+    coefficient is its own slot plus the folded slots times their residues,
+    reduced mod m once.  A residue d > p^N/2 enters as d - p^N, which changes
+    no result mod m (m divides p^N) and keeps the factors small.  Rings with
+    the same layout and table share one compiled function."""
+    dim = len(raw)
+    slots = [[] for _ in range(nraw)]
+    for s in range(dim):
+        for t in range(dim):
+            slots[raw[s] + raw[t]].append(f"x{s}*y{t}")
+    outs = [[f"r{r}"] for r in raw]
+    for k, row in fold:
+        for s, d in row:
+            d = d if 2 * d <= pn else d - pn
+            outs[s].append(f"r{k}*({d})")
+    lines = ["def product(x, y, m):",
+             f"    {', '.join(f'x{s}' for s in range(dim))}, = x",
+             f"    {', '.join(f'y{s}' for s in range(dim))}, = y"]
+    lines += [f"    r{k} = {' + '.join(terms)}" for k, terms in enumerate(slots) if terms]
+    lines.append("    return (" + ", ".join(f"({' + '.join(o)}) % m" for o in outs) + ",)")
+    namespace = {}
+    exec("\n".join(lines), namespace)
+    return namespace["product"]
 
 
 class TowerRing:
@@ -81,6 +119,9 @@ class TowerRing:
         self._w0_pows = None
         self._c0 = None
         self._c0i = None
+        self._inv_memo = {}
+        self._product = (_product_code(self._raw, self._nraw, self._fold, self.pn)
+                         if self.dim > 1 else None)
 
     # -- construction helpers -------------------------------------------------
 
@@ -181,15 +222,7 @@ class TowerRing:
         if not any(y[1:]):
             c = y[0]
             return tuple([c * a % pn for a in x])
-        raw = self._raw
-        ys = [(raw[s], c) for s, c in enumerate(y) if c]
-        acc = [0] * self._nraw
-        for s, c1 in enumerate(x):
-            if c1:
-                o = raw[s]
-                for r, c2 in ys:
-                    acc[o + r] += c1 * c2
-        return self._reduce(acc)
+        return self._product(x, y, pn)
 
     def _reduce(self, acc):
         """Canonical residue of a raw (z, u) convolution: acc[i*(2e-1) + j]
@@ -324,23 +357,35 @@ class TowerRing:
     # -- inversion ------------------------------------------------------------
 
     def inv_unit(self, x):
-        """Inverse of a unit (valuation 0), exact mod p^N."""
-        if self.val_pi(x) != 0:
-            raise ZeroDivisionError("not a unit")
+        """Inverse of a unit (valuation 0), exact mod p^N.
+
+        A constant unit is one modular inverse.  Any other unit is inverted
+        by Newton once per ring: the inverse is remembered, for at most
+        INV_MEMO_CAP units, the oldest forgotten first.
+        """
         if not any(x[1:]):
             # a constant unit (every unit when f = e = 1): one modular inverse
+            if not x[0] % self.p:
+                raise ZeroDivisionError("not a unit")
             return (pow(x[0], -1, self.pn),) + (0,) * (self.dim - 1)
-        y = self._inv_mod_p(x)
-        two = self.from_int(2)
-        k = 1
-        while k < self.prec:
-            k = min(2 * k, self.prec)
-            # y <- y(2 - xy), correct mod p^k
-            y = self.mul(y, self.sub(two, self.mul(x, y)))
+        memo = self._inv_memo
+        y = memo.get(x)
+        if y is None:
+            if self.val_pi(x) != 0:
+                raise ZeroDivisionError("not a unit")
+            # right mod p, then mod p^k for k = 2, 4, 8, ... up to N
+            y = self._inv_mod_p(x)
+            k = 1
+            while k < self.prec:
+                k = min(2 * k, self.prec)
+                y = self._newton_step(x, y, self.p ** k)
+            if len(memo) >= INV_MEMO_CAP:
+                del memo[next(iter(memo))]
+            memo[x] = y
         return y
 
     def _inv_mod_p(self, x):
-        """Inverse mod p: series inversion in F_q[u]/u^e."""
+        """Inverse mod p: series inversion in F_q[u]/u^e, on residues mod p."""
         p, f, e = self.p, self.f, self.e
         a0 = [x[i * e + 0] % p for i in range(f)]
         a0inv = fq_inverse(a0, [c % p for c in self.modulus], p)
@@ -350,13 +395,18 @@ class TowerRing:
         y = tuple(y)
         # Newton in the nilpotent u-direction, mod p: y is right mod u^k, and
         # at e = 1 (u = p) the residue-field inverse is already the answer
-        two = self.from_int(2)
+        x = tuple([c % p for c in x])
         k = 1
         while k < e:
             k *= 2
-            t = tuple(c % p for c in self.mul(x, y))
-            y = tuple(c % p for c in self.mul(y, self.sub(two, t)))
+            y = self._newton_step(x, y, p)
         return y
+
+    def _newton_step(self, x, y, m):
+        """y(2 - xy) mod m, m a power of p dividing p^N: when xy = 1 modulo
+        an ideal I, the result inverts x modulo I^2 + (m)."""
+        t = self._product(x, y, m)
+        return self._product(y, ((2 - t[0]) % m,) + tuple([-c % m for c in t[1:]]), m)
 
     # -- Frobenius and automorphisms -------------------------------------------
 

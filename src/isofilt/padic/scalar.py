@@ -28,9 +28,12 @@ only fuzziness capped precision introduces is the izero state and the relpi
 budget.  Arithmetic raises PrecisionError rather than returning a reg scalar
 whose meaningful digits fell below the descriptor's floor.
 
-Where the ring is Z/p^N (f = e = 1), ``linalg`` eliminates and multiplies
-matrices on plain integers by the e = 1 rules of sc_add, sc_mul, sc_neg and
-sc_inv below; ``tests/test_scalar.py`` pins that both give the same results.
+``linalg`` eliminates, multiplies matrices and takes characteristic
+polynomials at every level on raw entries (w, unit, relpi), by the rules of
+sc_add, sc_mul, sc_neg and sc_inv below: the unit is a plain int where the
+ring is Z/p^N (f = e = 1) and the ring's coefficient tuple elsewhere.
+``tests/test_scalar.py`` pins that both give the same results, entry for
+entry and error for error.
 """
 
 from __future__ import annotations

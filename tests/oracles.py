@@ -2,11 +2,14 @@
 
 Everything here works on Fractions with fraction-free elimination, or on
 exact integer polynomials, and never touches the library's ring, scalar or
-linalg layers -- except ``sampled_submodules_reference`` at the end.  That
-one is the earlier sampled family, which re-checked every candidate's
-stability and eliminated ker U and im U apart; it pins the order and the
-entries of the family that the library now certifies with fewer
-eliminations.
+linalg layers -- except the two references at the end.
+``scalar_row_reduce`` is certified elimination on Scalars, one sc_inv,
+sc_mul and sc_sub at a time; it pins the entries, pivots, certificates and
+errors of the raw kernel that ``linalg.certified_row_reduce`` runs.
+``sampled_submodules_reference`` is the earlier sampled family, which
+re-checked every candidate's stability and eliminated ker U and im U apart;
+it pins the order and the entries of the family that the library now
+certifies with fewer eliminations.
 """
 
 from fractions import Fraction
@@ -227,6 +230,65 @@ def tower_poly_mul(a, b, m, E, pn):
                         terms[key] = terms.get(key, 0) + x[s1] * y[s2]
         out.append(tower_reduce(terms, m, E, pn))
     return out
+
+
+# -- elimination on Scalars -----------------------------------------------------------
+
+
+def scalar_row_reduce(m, guard, reduced):
+    """certified_row_reduce(m, guard, reduced) on Scalars, at any level; m is
+    not empty."""
+    from isofilt.errors import PrecisionError
+    from isofilt.padic import scalar as sc
+    from isofilt.padic.linalg import (RankCertificate, _RESIDUAL_MESSAGE,
+                                      _pivot_message)
+
+    field = m[0][0].field
+    rows = [list(r) for r in m]
+    nr, nc = len(rows), len(rows[0])
+    pivot_cols = []
+    pivot_ws = []
+    r = 0
+    for c in range(nc):
+        best = None
+        for i in range(r, nr):
+            x = rows[i][c]
+            if x.kind == sc.REG and (best is None or x.w < rows[best][c].w):
+                best = i
+        if best is None:
+            continue
+        piv = rows[best][c]
+        if piv.relpi < guard:
+            raise PrecisionError(_pivot_message(c, piv.relpi, guard))
+        rows[r], rows[best] = rows[best], rows[r]
+        inv = sc.sc_inv(piv)
+        rows[r] = [sc.sc_mul(inv, x) for x in rows[r]]
+        lo = 0 if reduced else r + 1
+        for i in range(lo, nr):
+            if i == r:
+                continue
+            factor = rows[i][c]
+            if factor.kind == sc.ZERO:
+                continue
+            # y - factor * 0 is y
+            rows[i] = [y if z.kind == sc.ZERO else sc.sc_sub(y, sc.sc_mul(factor, z))
+                       for y, z in zip(rows[i], rows[r])]
+        pivot_cols.append(c)
+        pivot_ws.append(piv.w)
+        r += 1
+        if r == nr:
+            break
+    residual_zw = None
+    for i in range(r, nr):
+        for x in rows[i]:
+            if x.kind == sc.IZERO:
+                residual_zw = x.zw if residual_zw is None else min(residual_zw, x.zw)
+            elif x.kind == sc.REG:
+                # unreachable: every remaining reg entry would have produced
+                # a pivot in its column
+                raise PrecisionError(_RESIDUAL_MESSAGE)
+    cert = RankCertificate(r, pivot_ws, guard, residual_zw, field.e)
+    return rows[:r] if reduced else rows, pivot_cols, cert
 
 
 # -- the earlier sampled family -------------------------------------------------------

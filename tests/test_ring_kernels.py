@@ -1,13 +1,14 @@
 """Property tests of the ring kernels against exact integer polynomials.
 
 TowerRing.mul (on dense and sparse operands), TowerRing.inv_unit (on random
-elements, and on constant units, which skip Newton), the rows of the fold
+elements, on constant units, which skip Newton, and through its memo against
+a fresh ring's inverse), the rows of the fold
 table that TowerRing._reduce reads, shift_up, divide_pi_exact, w0_pow,
 frobenius, apply_u_map and hensel.rp_mul are checked against
 oracles.tower_reduce at every shape of level the library builds: Q_p and
 Eisenstein rings over it (f = 1), unramified levels (e = 1) and ramified
-steps over them, at a small and a large precision.  A counting guard pins how
-often mul reduces.
+steps over them, at a small and a large precision.  Counting guards pin how
+often mul reduces and that the memo runs Newton once per unit within its cap.
 """
 
 from functools import lru_cache
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isofilt.padic.hensel import find_unramified_modulus, rp_mul
+from isofilt.padic import ring as ring_module
 from isofilt.padic.ring import TowerRing
 from oracles import tower_poly_mul, tower_reduce
 
@@ -118,6 +120,45 @@ def test_inv_unit_constant_and_nonconstant_units(f, e, prec, data):
     y = ring.inv_unit(x)
     assert all(0 <= c < ring.pn for c in y)
     assert tower_poly_mul([x], [y], *args)[0] == (1,) + pad
+
+
+@levels
+@precs
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_inv_unit_memo_matches_a_fresh_inverse(f, e, prec, data):
+    # each non-constant unit runs Newton once per ring, and the memo keeps
+    # at most INV_MEMO_CAP units, forgetting the oldest first
+    cap = 4
+    p = data.draw(st.sampled_from([2, 3]))
+    tail = data.draw(st.lists(st.tuples(*[st.integers(0, p ** prec)] * f),
+                              min_size=e, max_size=e))
+    ring = _ring(p, f, e, prec, tail)
+    args = _oracle_args(ring)
+    one = (1,) + (0,) * (ring.dim - 1)
+    units = data.draw(st.lists(elements(ring).filter(lambda x: _is_unit(ring, x)),
+                               min_size=2 * cap + 1, max_size=2 * cap + 3, unique=True))
+    newton = []
+    inv_mod_p = TowerRing._inv_mod_p
+
+    def counting(self, x):
+        newton.append(x)
+        return inv_mod_p(self, x)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ring_module, "INV_MEMO_CAP", cap)
+        patch.setattr(TowerRing, "_inv_mod_p", counting)
+        for x in units + units[-cap:]:
+            y = ring.inv_unit(x)
+            assert y == _ring(p, f, e, prec, tail).inv_unit(x)
+            assert tower_poly_mul([x], [y], *args)[0] == one
+            assert len(ring._inv_memo) <= cap
+    nonconstant = [x for x in units if any(x[1:])]
+    again = [x for x in units[-cap:] if any(x[1:])]
+    # the units inverted again were remembered: Newton ran for them only in
+    # the fresh rings
+    assert len(newton) == 2 * len(nonconstant) + len(again)
+    assert all(x in ring._inv_memo for x in again)
 
 
 @levels
@@ -275,16 +316,19 @@ def test_apply_u_map_matches_oracle(f, e, prec, data):
 
 
 @levels
-def test_mul_reduces_once_and_constants_never(f, e, monkeypatch):
+def test_mul_reduces_once_and_constants_never(f, e):
+    # a product of two non-constants is one call of the ring's compiled
+    # product, which folds and reduces mod p^N once; a constant operand is
+    # a scalar multiple and never gets there
     ring = _ring(3, f, e, 8, [[5] * f] * e)
+    product = ring._product
     calls = []
-    reduce = TowerRing._reduce
 
-    def counting(self, acc):
-        calls.append(len(acc))
-        return reduce(self, acc)
+    def counting(x, y, m):
+        calls.append(m)
+        return product(x, y, m)
 
-    monkeypatch.setattr(TowerRing, "_reduce", counting)
+    ring._product = counting
     dense = tuple(range(1, ring.dim + 1))
     const = (7,) + (0,) * (ring.dim - 1)
     ring.mul(const, dense)
@@ -293,4 +337,4 @@ def test_mul_reduces_once_and_constants_never(f, e, monkeypatch):
     assert calls == []
     ring.mul(dense, dense)
     # f = e = 1 is one integer product at every operand
-    assert calls == ([] if ring.dim == 1 else [(2 * f - 1) * (2 * e - 1)])
+    assert calls == ([] if ring.dim == 1 else [ring.pn])

@@ -23,6 +23,7 @@ from isofilt.isocrystal import submodules as sm
 from isofilt.isocrystal.module import PhiModule
 from isofilt.isocrystal.slopes import isoclinic_decompose
 from isofilt.padic import linalg as la
+from isofilt.padic import scalar as sc
 from oracles import sampled_submodules_reference
 
 N = 32
@@ -190,3 +191,34 @@ def test_one_elimination_over_L_per_proper_submodule(monkeypatch):
     assert proper > 1
     # rank F once, then rank [N_L | F] for each proper N
     assert len(over_L) == 1 + proper
+
+
+# -- the canonical key ----------------------------------------------------------------
+
+
+def _line(field, unit, relpi):
+    """The line spanned by (1, unit) with the second entry known to relpi
+    digits."""
+    return [[field.one()], [sc.Scalar(field, sc.REG, w=0, unit=(unit,), relpi=relpi)]]
+
+
+def test_canonical_key_reads_every_certified_digit():
+    Q2 = unramified(2, 1, N)
+    guard = la.DEFAULT_GUARD
+
+    def key(cols):
+        return sm._canonical_key(cols, guard)
+
+    # agree mod 2^8, differ at 2^9: two subspaces, two keys
+    a = la.from_rows_of_fractions(Q2, [[1, 0], [3, 1], [0, 5]])
+    b = la.from_rows_of_fractions(Q2, [[1, 0], [3 + 2 ** 9, 1], [0, 5]])
+    assert key(a) != key(b) and len({key(a), key(b)}) == 2
+    # the same subspace in another basis has the same key
+    c = la.from_rows_of_fractions(Q2, [[3, 1], [10, 5], [5, 10]])
+    assert key(a) == key(c) and len({key(a), key(c)}) == 1
+    # a digit beyond the certified precision is not read ...
+    assert key(_line(Q2, 3, 12)) == key(_line(Q2, 3 + 2 ** 12, 12))
+    # ... and one subspace known to 12 and to 20 digits is one subspace,
+    # unless the two differ at a digit both certify
+    assert key(_line(Q2, 3, 12)) == key(_line(Q2, 3 + 2 ** 12, 20))
+    assert key(_line(Q2, 3, 12)) != key(_line(Q2, 3 + 2 ** 11, 20))

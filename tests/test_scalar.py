@@ -10,11 +10,14 @@ element at its first unknown digit (an izero input is nothing but such an
 element), so a result that claims a digit its inputs do not determine
 disagrees with the oracle.
 
-Where the ring is Z/p^N, linalg eliminates, multiplies and takes
-characteristic polynomials on raw integer entries; property tests pin that
-those give what the Scalar reference gives, entry for entry and error for
-error, and a guard pins that a rank or column-space decision there builds no
-Scalar at all.
+linalg eliminates, multiplies and takes characteristic polynomials on raw
+entries at every level: plain integer units where the ring is Z/p^N, the
+ring's tuples elsewhere.  Property tests pin that those give what the Scalar
+reference (``oracles.scalar_row_reduce``, the ``dot`` fold, Berkowitz on
+Scalars) gives, entry for entry and error for error, on entries whose
+u-powers wrap both ways, izeros and exact zeros; a guard pins that a rank or
+column-space decision builds no Scalar at all, over Q_2 and two ramified
+levels.
 
 The pinned table holds results of the same operations on fixed inputs,
 recorded when valuations were still Fractions, so that a change of
@@ -37,6 +40,7 @@ from isofilt.padic import scalar as sc
 from isofilt.padic.convert import project_to_base
 from isofilt.padic.descriptors import (EisensteinExtensionDescriptor,
                                        UnramifiedFieldDescriptor)
+import oracles
 from oracles import tower_poly_mul, tower_reduce
 from test_ring_kernels import LEVELS, PRECS, _ring, elements, rings
 
@@ -51,12 +55,16 @@ examples = settings(max_examples=60, deadline=None)
 
 
 class Level:
-    """The descriptor fields a Scalar reads, over a bare TowerRing."""
+    """The descriptor fields a Scalar and linalg read, over a bare TowerRing."""
 
     def __init__(self, ring, floor_relpi=1):
         self.ring, self.p, self.e, self.prec = ring, ring.p, ring.e, ring.prec
         self.floor_relpi = floor_relpi
         self.relpi_max = ring.e * ring.prec
+        self.raw_kernel = None
+
+    def one(self):
+        return sc.Scalar(self, sc.REG, w=0, unit=self.ring.one(), relpi=self.relpi_max)
 
 
 def _build(level, spec):
@@ -360,7 +368,7 @@ def test_small_int_scalars_are_built_once(monkeypatch, ramified):
     assert field.scalar(Fraction(3)) is not field.scalar(3)
 
 
-# -- the raw Z/p^N kernel against the Scalar reference ---------------------------------
+# -- the raw kernel against the Scalar reference ---------------------------------------
 
 
 def _zp_field(p, prec, floor_relpi):
@@ -389,11 +397,29 @@ def zp_entries(draw, field):
 
 
 @st.composite
-def zp_matrices(draw, field, rows=None, cols=None):
+def level_entries(draw, level):
+    """A Scalar of a tower level: an exact zero, an izero, or a reg scalar
+    whose u-power w mod e makes products and sums wrap past e (the c0 and
+    c0^-1 paths) about as often as not."""
+    return _build(level, draw(specs(level.ring, 1)))
+
+
+@st.composite
+def matrices(draw, entries, rows=None, cols=None):
     """Up to 5x6, or with the rows or columns given."""
     nr = rows or draw(st.integers(1, 5))
     nc = cols or draw(st.integers(1, 6))
-    return [[draw(zp_entries(field)) for _ in range(nc)] for _ in range(nr)]
+    return [[draw(entries) for _ in range(nc)] for _ in range(nr)]
+
+
+def zp_matrices(field, rows=None, cols=None):
+    return matrices(zp_entries(field), rows, cols)
+
+
+@st.composite
+def tower_levels(draw, f, e, prec):
+    """A level of shape (f, e), with no floor or with a floor of 3 digits."""
+    return Level(draw(rings(f, e, prec)), draw(st.sampled_from([1, 3])))
 
 
 def _entries(m):
@@ -416,13 +442,10 @@ def _outcome(fn, *args):
     return _entries(out)
 
 
-@pytest.mark.parametrize("p, prec, floor", ZP_FIELDS)
-@settings(max_examples=100, deadline=None)
-@given(data=st.data(), guard=st.sampled_from([1, 8]), reduced=st.booleans())
-def test_raw_elimination_matches_scalar_reference(p, prec, floor, data, guard, reduced):
-    field = _zp_field(p, prec, floor)
-    m = data.draw(zp_matrices(field))
-    ref = _outcome(la._scalar_row_reduce, m, guard, reduced)
+def _check_elimination(m, guard, reduced):
+    """certified_row_reduce, and for forward elimination rank_certificate
+    and column_space_basis, give what the Scalar reference gives."""
+    ref = _outcome(oracles.scalar_row_reduce, m, guard, reduced)
     assert _outcome(la.certified_row_reduce, m, guard, reduced) == ref
     if reduced:
         return
@@ -432,20 +455,14 @@ def test_raw_elimination_matches_scalar_reference(p, prec, floor, data, guard, r
     assert _outcome(la.column_space_basis, m, guard) == ref_basis
 
 
-@pytest.mark.parametrize("p, prec, floor", ZP_FIELDS)
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_raw_products_match_the_dot_fold(p, prec, floor, data):
-    field = _zp_field(p, prec, floor)
-    k = data.draw(st.integers(1, 5))
-    a = data.draw(zp_matrices(field, cols=k))
-    b = data.draw(zp_matrices(field, rows=k))
+def _check_products(field, a, b, m):
+    """mat_mul against the Scalar dot fold, charpoly against Berkowitz on
+    Scalars."""
 
     def dot_fold(a, b):
         return [[la.dot(row, col, field) for col in zip(*b)] for row in a]
 
     assert _outcome(la.mat_mul, a, b) == _outcome(dot_fold, a, b)
-    m = data.draw(zp_matrices(field, rows=k, cols=k))
 
     def berkowitz(m):
         return [la.berkowitz(m, field.one(), sc.sc_neg,
@@ -454,11 +471,116 @@ def test_raw_products_match_the_dot_fold(p, prec, floor, data):
     assert _outcome(lambda m: [la.charpoly(m)], m) == _outcome(berkowitz, m)
 
 
-def test_rank_decisions_build_no_scalar_over_q_p(monkeypatch):
-    field = UnramifiedFieldDescriptor.create(2, 1, 32)
+def _raw_outcome(kernel, fn, *args):
+    """fn on the raw encodings of Scalar args, decoded, or its error."""
+    raw = [kernel.encode_rows([[x]])[0][0] for x in args]
+    try:
+        out = fn(*raw)
+    except (PrecisionError, ZeroDivisionError) as exc:
+        return "raised", type(exc).__name__, str(exc)
+    return _entries(kernel.decode_rows([[out]]))[0][0]
+
+
+def _scalar_outcome(fn, *args):
+    try:
+        out = fn(*args)
+    except (PrecisionError, ZeroDivisionError) as exc:
+        return "raised", type(exc).__name__, str(exc)
+    return _entries([[out]])[0][0]
+
+
+@levels
+@precs
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_raw_rules_match_scalar_arithmetic_at_every_level(f, e, prec, data):
+    # one step of the kernel at a time: fma is sc_add(acc, sc_mul(x, y)),
+    # inv is sc_inv and neg is sc_neg, digit for digit and error for error
+    level = data.draw(tower_levels(f, e, prec))
+    kernel = la._Raw.of(level)
+    spec = specs(level.ring, 1)
+    x, y = (_build(level, data.draw(spec)) for _ in range(2))
+    # an addend within e of the product's valuation, so that sums cancel
+    # and their u-powers wrap often
+    acc = list(data.draw(spec))
+    if acc[0] != "zero" and x.kind == y.kind == sc.REG:
+        acc[1] = x.w + y.w + data.draw(st.integers(-e, e))
+    acc = _build(level, acc)
+    if x.kind != sc.ZERO and y.kind != sc.ZERO:
+        want = _scalar_outcome(lambda: sc.sc_add(acc, sc.sc_mul(x, y)))
+        if acc.kind == sc.ZERO:
+            got = _raw_outcome(kernel, lambda x, y: kernel.fma(None, x, y), x, y)
+        else:
+            got = _raw_outcome(kernel, kernel.fma, acc, x, y)
+        assert got == want
+    if x.kind == sc.REG:
+        assert _raw_outcome(kernel, kernel.inv, x) == _scalar_outcome(lambda: sc.sc_inv(x))
+    assert _raw_outcome(kernel, kernel.neg, x) == _scalar_outcome(lambda: sc.sc_neg(x))
+
+
+@pytest.mark.parametrize("p, prec, floor", ZP_FIELDS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), guard=st.sampled_from([1, 8]), reduced=st.booleans())
+def test_raw_elimination_matches_scalar_reference(p, prec, floor, data, guard, reduced):
+    field = _zp_field(p, prec, floor)
+    _check_elimination(data.draw(zp_matrices(field)), guard, reduced)
+
+
+@levels
+@precs
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), guard=st.sampled_from([1, 8]), reduced=st.booleans())
+def test_raw_elimination_matches_scalar_reference_at_every_level(
+        f, e, prec, data, guard, reduced):
+    level = data.draw(tower_levels(f, e, prec))
+    _check_elimination(data.draw(matrices(level_entries(level))), guard, reduced)
+
+
+@pytest.mark.parametrize("p, prec, floor", ZP_FIELDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_raw_products_match_the_dot_fold(p, prec, floor, data):
+    field = _zp_field(p, prec, floor)
+    k = data.draw(st.integers(1, 5))
+    _check_products(field, data.draw(zp_matrices(field, cols=k)),
+                    data.draw(zp_matrices(field, rows=k)),
+                    data.draw(zp_matrices(field, rows=k, cols=k)))
+
+
+@levels
+@precs
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_raw_products_match_the_dot_fold_at_every_level(f, e, prec, data):
+    level = data.draw(tower_levels(f, e, prec))
+    entries = level_entries(level)
+    k = data.draw(st.integers(1, 4))
+    _check_products(level, data.draw(matrices(entries, cols=k)),
+                    data.draw(matrices(entries, rows=k)),
+                    data.draw(matrices(entries, rows=k, cols=k)))
+
+
+def _rank_test_matrix(field, unit):
+    """A 4x4 matrix of full rank whose rows alternate between valuations 0
+    and 1/e, with entries c * unit^i: dense ring elements when unit is."""
     rows = [[3, 6, 1, 4], [2, 5, 7, 1], [1, 1, 2, 8], [4, 3, 5, 9]]
-    m = [[sc.sc_mul(field.scalar(c), field.scalar(Fraction(2 ** (i % 2), 3)))
-          for c in row] for i, row in enumerate(rows)]
+    pi = field.uniformizer() if field.e > 1 else field.scalar(2)
+    out = []
+    for i, row in enumerate(rows):
+        s = sc.sc_mul(sc.sc_pow(unit, i + 1), pi if i % 2 else field.one())
+        out.append([sc.sc_mul(field.scalar(c), s) for c in row])
+    return out
+
+
+def test_rank_decisions_build_no_scalar_over_q_p(monkeypatch):
+    # over Q_2, Kummer t^2 = 2, and t^4 - 4t^2 + 2 over Q_4 (e = 4, f = 2)
+    q2 = UnramifiedFieldDescriptor.create(2, 1, 32)
+    q4 = UnramifiedFieldDescriptor.create(2, 2, 32)
+    t2 = EisensteinExtensionDescriptor(q2, (-2, 0, 1), validate=False)
+    e4 = EisensteinExtensionDescriptor(q4, (2, 0, -4, 0, 1), validate=False)
+    cases = [(q2, q2.scalar(Fraction(1, 3))),
+             (t2, sc.sc_add(t2.one(), t2.uniformizer())),
+             (e4, sc.sc_add(e4.lift(q4.gen()), e4.uniformizer()))]
     made = []
     init = sc.Scalar.__init__
 
@@ -466,8 +588,12 @@ def test_rank_decisions_build_no_scalar_over_q_p(monkeypatch):
         made.append(args)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(sc.Scalar, "__init__", counting)
-    assert la.certified_rank(m) == 4
-    assert la.rank_certificate(m).rank == 4
-    assert len(la.column_space_basis(m)[0]) == 4
-    assert made == [], f"{len(made)} Scalar constructions"
+    for field, unit in cases:
+        m = _rank_test_matrix(field, unit)
+        assert any(any(x.unit[1:]) for row in m for x in row) == (field.ring.dim > 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(sc.Scalar, "__init__", counting)
+            assert la.certified_rank(m) == 4
+            assert la.rank_certificate(m).rank == 4
+            assert len(la.column_space_basis(m)[0]) == 4
+        assert made == [], f"{len(made)} Scalar constructions over {field!r}"
