@@ -399,8 +399,8 @@ def zp_entries(draw, field):
 @st.composite
 def level_entries(draw, level):
     """A Scalar of a tower level: an exact zero, an izero, or a reg scalar
-    whose u-power w mod e makes products and sums wrap past e (the c0 and
-    c0^-1 paths) about as often as not."""
+    whose u-power w mod e takes every value, so that products and sums often
+    wrap past e (the c0 and c0^-1 paths)."""
     return _build(level, draw(specs(level.ring, 1)))
 
 
