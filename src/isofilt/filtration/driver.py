@@ -28,7 +28,10 @@ the extension node of ``admissible.toric_extension_report``: T has pure
 slope 1 and lies in F, and the node reuses the report just certified for
 (D_B, F_B), so no submodule of the full D is enumerated.  A pure torus
 (D_B = 0) takes F = D through the same node.  ``adm_mode="sampled"`` samples
-the full D instead, as a cross-check.
+the full D instead, as a cross-check.  Each piece is checked in the same
+mode, exact mode sampling only a piece whose slope repeats
+(``admissible_with_fallback``).  Every layer certifies its rank decisions at
+``linalg.DEFAULT_GUARD``.
 """
 
 from __future__ import annotations
@@ -73,12 +76,11 @@ class PieceData:
         return self.module.n
 
 
-def induced_rep(rep: GroupRepresentation, cols,
-                guard: int = la.DEFAULT_GUARD) -> GroupRepresentation:
+def induced_rep(rep: GroupRepresentation, cols) -> GroupRepresentation:
     mats = []
     for x in range(rep.group.n):
         img = la.mat_mul(rep.mats[x], cols)
-        mats.append(la.solve_right(cols, img, guard))
+        mats.append(la.solve_right(cols, img))
     return GroupRepresentation(rep.group, rep.field, mats, faithful=False)
 
 
@@ -86,15 +88,10 @@ def restrict_gram(J, cols):
     return la.mat_mul(la.transpose(cols), la.mat_mul(J, cols))
 
 
-def decompose_polarized(D: PhiModule, J, rep: GroupRepresentation,
-                        guard: int = la.DEFAULT_GUARD, refine: bool = True):
+def decompose_polarized(D: PhiModule, J, rep: GroupRepresentation):
     """Orthogonal, phi-stable, G-stable pieces with at most two slopes,
-    each elementary over Q_p as a representation.
-
-    refine=False stops at the slope-pair blocks (used by the relaxed mode,
-    where the action need not be phi-compatible and isotypic components need
-    not be phi-stable)."""
-    comps = isoclinic_decompose(D, guard)
+    each elementary over Q_p as a representation."""
+    comps = isoclinic_decompose(D)
     by_slope = {s: cols for s, cols in comps}
     used = set()
     blocks = []
@@ -107,18 +104,12 @@ def decompose_polarized(D: PhiModule, J, rep: GroupRepresentation,
         if partner != s and partner in by_slope:
             used.add(partner)
             cols = _concat(cols, by_slope[partner])
-            blocks.append((tuple(sorted({s, partner})), cols))
-        elif partner == s:
-            blocks.append(((s,), cols))
-        else:
+        elif partner != s:
             raise ValidationError(f"slope {s} has no dual partner {partner}")
+        blocks.append(cols)
     pieces = []
-    for slopes, cols in blocks:
-        if refine:
-            pieces.extend(_split_block(D, J, rep, cols, slopes, guard))
-        else:
-            pieces.append(_make_piece(D, J, rep, la.normalize_columns(
-                cols, integral=True), guard))
+    for cols in blocks:
+        pieces.extend(_split_block(D, J, rep, cols))
     total = sum(p.dim for p in pieces)
     if total != D.n:
         raise InternalContradictionError("pieces do not sum to the space")
@@ -129,14 +120,14 @@ def _concat(a, b):
     return [ra + rb for ra, rb in zip(a, b)]
 
 
-def _split_block(D, J, rep, cols, slopes, guard):
+def _split_block(D, J, rep, cols):
     field = rep.field
     out = []
     current = la.normalize_columns(cols, integral=True)
     space = SymplecticSpace(field, J, validate=False)
     while current and current[0]:
-        rep_c = induced_rep(rep, current, guard)
-        comps = isotypic_decomposition(rep_c, guard)
+        rep_c = induced_rep(rep, current)
+        comps = isotypic_decomposition(rep_c)
         if len(comps) == 1:
             chosen_idx = [0]
         else:
@@ -147,14 +138,14 @@ def _split_block(D, J, rep, cols, slopes, guard):
                 else _concat(chosen_cols, comps[i].basis_cols)
         ambient = la.normalize_columns(la.mat_mul(current, chosen_cols),
                                        integral=True)
-        piece = _make_piece(D, J, rep, ambient, guard)
-        _validate_piece(piece, guard)
+        piece = _make_piece(D, J, rep, ambient)
+        _validate_piece(piece)
         out.append(piece)
         if len(chosen_idx) == len(comps):
             break
-        perp = space.orthogonal_complement(ambient, guard)
+        perp = space.orthogonal_complement(ambient)
         current = la.normalize_columns(
-            la.intersection_basis(perp, current, guard), integral=True)
+            la.intersection_basis(perp, current), integral=True)
     return out
 
 
@@ -190,17 +181,17 @@ def _elementary_closure(rep_c, comps, field):
     return sorted(chosen)
 
 
-def _make_piece(D, J, rep, ambient, guard):
-    module = D.submodule(ambient, guard)
+def _make_piece(D, J, rep, ambient):
+    module = D.submodule(ambient)
     gram = restrict_gram(J, ambient)
-    rep_p = induced_rep(rep, ambient, guard)
-    slopes = tuple(s for s, _ in newton_slopes(module, guard).pairs)
+    rep_p = induced_rep(rep, ambient)
+    slopes = tuple(s for s, _ in newton_slopes(module).pairs)
     return PieceData(ambient, module, gram, rep_p, slopes)
 
 
-def _validate_piece(piece, guard):
-    la.det_valuation(piece.gram, guard)  # nondegenerate restriction
-    comps = isotypic_decomposition(piece.rep, guard)
+def _validate_piece(piece):
+    la.det_valuation(piece.gram)  # nondegenerate restriction
+    comps = isotypic_decomposition(piece.rep)
     if not is_K_elementary(piece.rep, comps):
         raise InternalContradictionError(
             "piece is not elementary over Q_p; decomposition bug")
@@ -212,33 +203,32 @@ def _validate_piece(piece, guard):
 def two_slope_filtration(piece: PieceData, setup: GaloisSetup, seed: int,
                          budget: int = DEFAULT_SAMPLE_BUDGET,
                          adm_mode: str = "exact",
-                         adm_budget: int = ADMISSIBILITY_BUDGET,
-                         guard: int = la.DEFAULT_GUARD):
+                         adm_budget: int = ADMISSIBILITY_BUDGET):
     """Lagrangian, admissible, diagonally stable filtration for a two-slope
     piece with slopes {mu, 1-mu}, mu != 1/2."""
     D, J, rep = piece.module, piece.gram, piece.rep
     ext = setup.ext
-    comps = isoclinic_decompose(D, guard)
+    comps = isoclinic_decompose(D)
     if len(comps) != 2:
         raise ValidationError("two-slope route requires exactly two slopes")
     (s1, c1), (s2, c2) = comps
     if s1 + s2 != 1 or s1 == Fraction(1, 2):
         raise ValidationError("slopes must pair to {mu, 1-mu}, mu != 1/2")
     rng = random.Random(seed)
-    B = galois_descend(rep, setup, guard=guard)
-    desc_space = _descended_symplectic(rep.field, ext, J, B, guard)
+    B = galois_descend(rep, setup)
+    desc_space = _descended_symplectic(rep.field, ext, J, B)
     c1L, c2L = lift_matrix(ext, c1), lift_matrix(ext, c2)
     for _ in range(budget):
-        F = _sample_stable_lagrangian(B, desc_space, ext, rng, guard)
+        F = _sample_stable_lagrangian(B, desc_space, ext, rng)
         try:
-            if la.intersection_dim(F, c1L, guard) != 0:
+            if la.intersection_dim(F, c1L) != 0:
                 continue
-            if la.intersection_dim(F, c2L, guard) != 0:
+            if la.intersection_dim(F, c2L) != 0:
                 continue
         except PrecisionError:
             continue
         return _finish_piece(piece, setup, F, adm_mode, adm_budget, seed,
-                             guard, expect_admissible=True)
+                             expect_admissible=True)
     raise BudgetExhaustedError(
         f"two-slope sampling exhausted {budget} tries; retry with a larger "
         "budget or another seed")
@@ -246,19 +236,18 @@ def two_slope_filtration(piece: PieceData, setup: GaloisSetup, seed: int,
 
 def supersingular_filtration(piece: PieceData, setup: GaloisSetup, seed: int,
                              budget: int = DEFAULT_SAMPLE_BUDGET,
-                             adm_mode: str = "sampled",
-                             adm_budget: int = ADMISSIBILITY_BUDGET,
-                             guard: int = la.DEFAULT_GUARD):
+                             adm_mode: str = "exact",
+                             adm_budget: int = ADMISSIBILITY_BUDGET):
     """Filtration for an isoclinic slope-1/2 piece: base-rational sampling
     against the twisted Frobenius under a homothety action, perturbing
     element route otherwise."""
     D, J, rep = piece.module, piece.gram, piece.rep
     ext = setup.ext
-    prof = newton_slopes(D, guard)
+    prof = newton_slopes(D)
     if prof.pairs != ((Fraction(1, 2), D.n),):
         raise ValidationError("supersingular route requires pure slope 1/2")
     rng = random.Random(seed)
-    scan, witness = find_perturbateur(rep, guard)
+    scan, witness = find_perturbateur(rep)
     field = rep.field
     if scan == "homothety-action":
         if not ext.frobenius_ok():
@@ -266,69 +255,67 @@ def supersingular_filtration(piece: PieceData, setup: GaloisSetup, seed: int,
                 "homothety route needs a sigma-stable Eisenstein polynomial")
         space_K = SymplecticSpace(field, J, validate=False)
         for _ in range(budget):
-            C = random_rational_lagrangian(space_K, rng, guard)
+            C = random_rational_lagrangian(space_K, rng)
             FK = C.basis_cols
             img = D.apply_phi(FK)  # phi_tau(F) at the base level
             try:
-                if la.intersection_dim(FK, img, guard) != 0:
+                if la.intersection_dim(FK, img) != 0:
                     continue
             except PrecisionError:
                 continue
             F = lift_matrix(ext, FK)
             return _finish_piece(piece, setup, F, adm_mode, adm_budget, seed,
-                                 guard, expect_admissible=True)
+                                 expect_admissible=True)
         raise BudgetExhaustedError(
             f"homothety-route sampling exhausted {budget} tries")
     # perturbing element route: certify the seed construction first
     h_idx = rep.group.names.index(scan)
     space_K = SymplecticSpace(field, J, validate=False)
-    lagrangian_h_small_intersection(space_K, rep.mats[h_idx], guard)
-    B = galois_descend(rep, setup, guard=guard)
-    desc_space = _descended_symplectic(field, ext, J, B, guard)
+    lagrangian_h_small_intersection(space_K, rep.mats[h_idx])
+    B = galois_descend(rep, setup)
+    desc_space = _descended_symplectic(field, ext, J, B)
     hL = lift_matrix(ext, rep.mats[h_idx])
     for _ in range(budget):
-        F = _sample_stable_lagrangian(B, desc_space, ext, rng, guard)
+        F = _sample_stable_lagrangian(B, desc_space, ext, rng)
         try:
-            if la.intersection_dim(F, la.mat_mul(hL, F), guard) > 1:
+            if la.intersection_dim(F, la.mat_mul(hL, F)) > 1:
                 continue
         except PrecisionError:
             continue
         return _finish_piece(piece, setup, F, adm_mode, adm_budget, seed,
-                             guard, expect_admissible=True,
-                             witness=(scan, witness))
+                             expect_admissible=True, witness=(scan, witness))
     raise BudgetExhaustedError(
         f"perturbing-element sampling exhausted {budget} tries")
 
 
-def _descended_symplectic(field, ext, J, B, guard):
+def _descended_symplectic(field, ext, J, B):
     JL = lift_matrix(ext, J)
     G = la.mat_mul(la.transpose(B), la.mat_mul(JL, B))
     GK = la.mat_map(G, project_to_base)
     return SymplecticSpace(field, GK, validate=False)
 
 
-def _sample_stable_lagrangian(B, desc_space, ext, rng, guard):
-    C = random_rational_lagrangian(desc_space, rng, guard)
+def _sample_stable_lagrangian(B, desc_space, ext, rng):
+    C = random_rational_lagrangian(desc_space, rng)
     CL = lift_matrix(ext, C.basis_cols)
     return la.normalize_columns(la.mat_mul(B, CL))
 
 
-def _finish_piece(piece, setup, F, adm_mode, adm_budget, seed, guard,
+def _finish_piece(piece, setup, F, adm_mode, adm_budget, seed,
                   expect_admissible=False, witness=None):
     """Re-verify all three properties through independent code paths."""
     D, J, rep = piece.module, piece.gram, piece.rep
     ext = setup.ext
     space_L = SymplecticSpace(ext, lift_matrix(ext, J), validate=False)
-    LagrangianSubspace(space_L, F, validate=True, guard=guard)
-    report = admissible_with_fallback(D, F, ext, adm_mode, seed, adm_budget,
-                                      guard)
+    LagrangianSubspace(space_L, F, validate=True)
+    report = admissible_with_fallback(D, F, ext, adm_mode, seed, adm_budget)
     if not report.verdict:
         if expect_admissible:
             raise InternalContradictionError(
                 "construction route guarantees admissibility but the check "
                 "found a violating submodule")
         raise ValidationError("filtration is not admissible")
-    stable = is_diagonally_stable(rep, F, setup, guard)
+    stable = is_diagonally_stable(rep, F, setup)
     if not stable:
         raise InternalContradictionError(
             "sampled filtration is not diagonally stable")
@@ -346,7 +333,6 @@ class DescentDatum:
 
     def __init__(self, rep: GroupRepresentation, setup: GaloisSetup):
         self.rep = rep
-        self.setup = setup
         G = rep.group
         self.maps = {G.names[x]: rep.mats[G.inverse[x]] for x in range(G.n)}
         self.targets = {G.names[x]: setup.aut_of(G.inverse[x])
@@ -363,12 +349,6 @@ class DescentDatum:
                     return False
         return True
 
-    def verify_filtration_targets(self, F_cols, guard=la.DEFAULT_GUARD) -> bool:
-        """f_h F = h.gal F for every h.  As h runs over G, the pairs
-        (rho(h^{-1}), tau_{h^{-1}}) run over the pairs that diagonal
-        stability tests, so this is that verdict."""
-        return is_diagonally_stable(self.rep, F_cols, self.setup, guard)
-
     def serialize(self, serializer):
         return {name: {"matrix": serializer(self.maps[name]),
                        "galois": self.targets[name]}
@@ -381,29 +361,24 @@ def find_admissible_stable_filtration(sa: SemiAbelianPhiModule,
                                       seed: int = 0,
                                       budget: int = DEFAULT_SAMPLE_BUDGET,
                                       adm_mode: str = "exact",
-                                      adm_budget: int = ADMISSIBILITY_BUDGET,
-                                      guard: int = la.DEFAULT_GUARD,
-                                      allow_non_phi_compatible: bool = False):
+                                      adm_budget: int = ADMISSIBILITY_BUDGET):
     """The full driver: reduce to the abelian quotient, decompose, solve each
     piece, glue, pull back over the toric part, and emit a verified
     certificate with its descent datum."""
     D = sa.module
     field = D.field
     ext = setup.ext
-    rep.validate(phi_module=None if allow_non_phi_compatible else D,
-                 gram=None, toric_cols=sa.toric_cols if sa.t_dim else None,
-                 guard=guard, check_phi=not allow_non_phi_compatible)
-    results = {"pieces": []}
+    rep.validate(phi_module=D,
+                 toric_cols=sa.toric_cols if sa.t_dim else None)
     t = sa.t_dim
     if sa.B_dim == 0:
         FL = lift_matrix(ext, la.identity(field, D.n))
-        report = _toric_admissibility(sa, FL, ext, adm_mode, seed, adm_budget,
-                                      guard)
+        report = _toric_admissibility(sa, FL, ext, adm_mode, seed, adm_budget)
         if not report.verdict:
             raise InternalContradictionError("full filtration on a torus "
                                              "failed admissibility")
         datum = DescentDatum(rep, setup)
-        stable = is_diagonally_stable(rep, FL, setup, guard)
+        stable = is_diagonally_stable(rep, FL, setup)
         return {
             "filtration": FL, "admissibility": report,
             "graded": {"toric": True, "quotient": True},
@@ -412,25 +387,17 @@ def find_admissible_stable_filtration(sa: SemiAbelianPhiModule,
             "descent_targets": stable,
             "pieces": [], "seed": seed, "budget": budget,
         }
-    DB = sa.quotient_module(guard)
-    repB = _quotient_rep(sa, rep, guard)
-    repB.validate(phi_module=None if allow_non_phi_compatible else DB,
-                  gram=sa.gram_B, guard=guard,
-                  check_phi=not allow_non_phi_compatible)
-    pieces = decompose_polarized(DB, sa.gram_B, repB, guard,
-                                 refine=not allow_non_phi_compatible)
+    DB = sa.quotient_module()
+    repB = _quotient_rep(sa, rep)
+    repB.validate(phi_module=DB, gram=sa.gram_B)
+    pieces = decompose_polarized(DB, sa.gram_B, repB)
     rng = random.Random(seed)
     piece_results = []
-    for k, piece in enumerate(pieces):
+    for piece in pieces:
         sub_seed = rng.randrange(1 << 30)
-        if len(piece.slopes) == 2:
-            res = two_slope_filtration(piece, setup, sub_seed, budget,
-                                       adm_mode, adm_budget, guard)
-        else:
-            res = supersingular_filtration(piece, setup, sub_seed, budget,
-                                           "sampled" if adm_mode != "exact"
-                                           else _mode_for(piece), adm_budget,
-                                           guard)
+        route = (two_slope_filtration if len(piece.slopes) == 2
+                 else supersingular_filtration)
+        res = route(piece, setup, sub_seed, budget, adm_mode, adm_budget)
         piece_results.append((piece, res))
     # glue in D_B coordinates
     FB = None
@@ -441,13 +408,12 @@ def find_admissible_stable_filtration(sa: SemiAbelianPhiModule,
     FB = la.normalize_columns(FB)
     # verify the glued quotient filtration end to end
     spaceB = SymplecticSpace(ext, lift_matrix(ext, sa.gram_B), validate=False)
-    LagrangianSubspace(spaceB, FB, validate=True, guard=guard)
-    reportB = admissible_with_fallback(DB, FB, ext, adm_mode, seed,
-                                       adm_budget, guard)
+    LagrangianSubspace(spaceB, FB, validate=True)
+    reportB = admissible_with_fallback(DB, FB, ext, adm_mode, seed, adm_budget)
     if not reportB.verdict:
         raise InternalContradictionError("glued quotient filtration failed "
                                          "admissibility re-verification")
-    if not is_diagonally_stable(repB, FB, setup, guard):
+    if not is_diagonally_stable(repB, FB, setup):
         raise InternalContradictionError("glued quotient filtration is not "
                                          "diagonally stable")
     if t:
@@ -456,23 +422,22 @@ def find_admissible_stable_filtration(sa: SemiAbelianPhiModule,
         section_L = lift_matrix(ext, sa.section_cols)
         F = la.normalize_columns(_concat(toric_L, la.mat_mul(section_L, FB)))
         report = _toric_admissibility(sa, F, ext, adm_mode, seed, adm_budget,
-                                      guard, quotient=reportB)
+                                      quotient=reportB)
         if not report.verdict:
             raise InternalContradictionError("pulled-back filtration failed "
                                              "admissibility")
         graded_toric = (report.contained if report.mode == "extension"
-                        else la.subspace_leq(toric_L, F, guard))
+                        else la.subspace_leq(toric_L, F))
         if not graded_toric:
             raise InternalContradictionError("toric part is not inside the "
                                              "pulled-back filtration")
-        stable = is_diagonally_stable(rep, F, setup, guard)
-        if not stable and not allow_non_phi_compatible:
+        if not is_diagonally_stable(rep, F, setup):
             raise InternalContradictionError("full filtration is not stable")
     else:
         # no toric part: the section is the identity, D_B is D and repB is
         # rep, so the pull-back is F_B entry for entry and the verdicts
         # just certified for F_B are the verdicts for F
-        F, report, graded_toric, stable = FB, reportB, True, True
+        F, report, graded_toric = FB, reportB, True
     datum = DescentDatum(rep, setup)
     return {
         "filtration": F,
@@ -480,43 +445,30 @@ def find_admissible_stable_filtration(sa: SemiAbelianPhiModule,
         "admissibility": report,
         "quotient_admissibility": reportB,
         "graded": {"toric": graded_toric, "quotient": bool(reportB.verdict)},
-        "stable": stable,
+        "stable": True,
         "lagrangian": True,
         "descent": datum,
         "cocycle": datum.verify_cocycle(),
-        "descent_targets": stable,
+        "descent_targets": True,
         "pieces": [{"dim": p.dim, "slopes": [str(s) for s in p.slopes],
                     "witness": (r["witness"][0] if r.get("witness") else None),
                     "admissibility": r["admissibility"].as_dict()}
                    for p, r in piece_results],
         "seed": seed, "budget": budget,
-        "descent_datum_guaranteed": not allow_non_phi_compatible,
     }
 
 
-def _mode_for(piece):
-    # exact admissibility needs multiplicity-free pieces
-    for s in piece.slopes:
-        b = s.denominator
-        # piece isoclinic: dim == b iff simple
-        if piece.dim != b * len(piece.slopes):
-            return "sampled"
-    return "exact"
-
-
-def _toric_admissibility(sa, F, ext, adm_mode, seed, budget, guard,
-                         quotient=None):
+def _toric_admissibility(sa, F, ext, adm_mode, seed, budget, quotient=None):
     """The extension node for F on a module with a toric part; sampling
     over the full D in sampled mode."""
     if adm_mode == "sampled":
         return is_admissible(sa.module, F, ext, "sampled", seed=seed,
-                             budget=budget, guard=guard)
-    return toric_extension_report(sa, F, ext, seed, budget, guard,
-                                  quotient=quotient)
+                             budget=budget)
+    return toric_extension_report(sa, F, ext, seed, budget, quotient=quotient)
 
 
-def _quotient_rep(sa: SemiAbelianPhiModule, rep: GroupRepresentation,
-                  guard) -> GroupRepresentation:
+def _quotient_rep(sa: SemiAbelianPhiModule,
+                  rep: GroupRepresentation) -> GroupRepresentation:
     if sa.t_dim == 0:
         return rep
     mats = []

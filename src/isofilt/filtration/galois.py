@@ -93,8 +93,8 @@ def lift_matrix(ext, cols):
     return la.mat_map(cols, ext.lift)
 
 
-def is_diagonally_stable(rep: GroupRepresentation, F_cols, setup: GaloisSetup,
-                         guard: int = la.DEFAULT_GUARD) -> bool:
+def is_diagonally_stable(rep: GroupRepresentation, F_cols,
+                         setup: GaloisSetup) -> bool:
     """rho(h) F = tau_h F for all h, certified span equality over L.
 
     r = rank F is certified once.  For each h, rank tau_h F = r because
@@ -108,15 +108,15 @@ def is_diagonally_stable(rep: GroupRepresentation, F_cols, setup: GaloisSetup,
     """
     ext = setup.ext
     n = rep.dim
-    r = la.certified_rank(la.transpose(F_cols), guard)
+    r = la.certified_rank(la.transpose(F_cols))
     for x in range(setup.group.n):
         rho = rep.mats[x]
         lin = la.mat_mul(lift_matrix(ext, rho), F_cols)
-        if (la.certified_rank(rho, guard) < n
-                and la.certified_rank(la.transpose(lin), guard) != r):
+        if (la.certified_rank(rho) < n
+                and la.certified_rank(la.transpose(lin)) != r):
             return False
         gal = setup.gal_apply(x, F_cols)
-        if la.certified_rank(la.transpose(la.hstack(lin, gal)), guard) != r:
+        if la.certified_rank(la.transpose(la.hstack(lin, gal))) != r:
             return False
     return True
 
@@ -133,8 +133,7 @@ def _diag_act(rep, setup, idx, cols):
     return la.mat_mul(lift_matrix(setup.ext, rep.mats[idx]), moved)
 
 
-def galois_descend(rep: GroupRepresentation, setup: GaloisSetup, cols=None,
-                   guard: int = la.DEFAULT_GUARD):
+def galois_descend(rep: GroupRepresentation, setup: GaloisSetup, cols=None):
     """A maximal family of diagonal-action invariants whose L-span is the
     input space (the whole module when cols is None).
 
@@ -164,7 +163,7 @@ def galois_descend(rep: GroupRepresentation, setup: GaloisSetup, cols=None,
     cand_cols = la.normalize_columns(
         [[candidates[k][r] for k in range(len(candidates))] for r in range(n)],
         integral=True)
-    basis = la.column_space_basis(cand_cols, guard)
+    basis = la.column_space_basis(cand_cols)
     got = len(basis[0]) if basis and basis[0] else 0
     if got != target_dim:
         raise PrecisionError(
@@ -172,7 +171,7 @@ def galois_descend(rep: GroupRepresentation, setup: GaloisSetup, cols=None,
     return la.normalize_columns(basis, integral=True)
 
 
-def verify_invariant(rep, setup, cols, guard: int = la.DEFAULT_GUARD) -> bool:
+def verify_invariant(rep, setup, cols) -> bool:
     """Each column is fixed by the diagonal action (certified)."""
     field = setup.ext
     thr = Fraction(rep.field.prec, 2)

@@ -115,7 +115,8 @@ def field_from_json(doc, prec_override=None) -> UnramifiedFieldDescriptor:
     try:
         p = int(doc["p"])
         f = int(doc["f"])
-        prec = int(prec_override or doc.get("precision", 64))
+        prec = int(prec_override if prec_override is not None
+                   else doc.get("precision", 64))
         modulus = tuple(int(c) for c in doc.get("modulus") or ())
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"field: bad or missing p, f, precision or modulus: {exc!r}") from exc

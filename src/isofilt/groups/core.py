@@ -196,7 +196,7 @@ class GroupRepresentation:
 
     @classmethod
     def from_generator_matrices(cls, group, field, gen_mats: dict,
-                                faithful=True, guard=la.DEFAULT_GUARD):
+                                faithful=True):
         """Extend matrices given on generator *names* along the table by a
         breadth-first product sweep."""
         mats = [None] * group.n
@@ -226,21 +226,19 @@ class GroupRepresentation:
     # -- validation ----------------------------------------------------------
 
     def validate(self, phi_module=None, gram=None, toric_cols=None,
-                 guard=la.DEFAULT_GUARD, check_phi: bool = True,
-                 table_mode: str = "full", table_samples: int = 512):
+                 table_mode: str = "full"):
+        """Check the action against the table (every product, or 512 seeded
+        ones with table_mode="sample"), faithfulness when declared, and
+        compatibility with the given Frobenius, pairing and toric part."""
         thr = self._zero_threshold()
         G = self.group
-        if table_mode == "full":
-            pairs = ((a, b) for a in range(G.n) for b in range(G.n))
-        elif table_mode == "sample":
+        if table_mode == "sample":
             import random
             rng = random.Random(0xC0FFEE ^ G.n)
             pairs = ((rng.randrange(G.n), rng.randrange(G.n))
-                     for _ in range(table_samples))
-        elif table_mode == "off":
-            pairs = ()
+                     for _ in range(512))
         else:
-            raise ValueError("table_mode must be full, sample or off")
+            pairs = ((a, b) for a in range(G.n) for b in range(G.n))
         for a, b in pairs:
             prod = la.mat_mul(self.mats[a], self.mats[b])
             if not la.mat_is_zero(la.mat_sub(prod, self.mats[G.table[a][b]]), thr):
@@ -251,7 +249,7 @@ class GroupRepresentation:
             for a in range(G.n):
                 if a != G.identity and self._is_identity(a, thr):
                     raise ValidationError("declared faithful but kernel is nontrivial")
-        if phi_module is not None and check_phi:
+        if phi_module is not None:
             A = phi_module.A
             for a in range(G.n):
                 lhs = la.mat_mul(self.mats[a], A)
@@ -269,7 +267,7 @@ class GroupRepresentation:
         if toric_cols is not None and toric_cols and toric_cols[0]:
             for a in range(G.n):
                 img = la.mat_mul(self.mats[a], toric_cols)
-                if not la.subspace_leq(img, toric_cols, guard):
+                if not la.subspace_leq(img, toric_cols):
                     raise ValidationError(
                         f"element {G.names[a]} does not preserve the toric part")
         return True

@@ -206,8 +206,7 @@ class IsotypicComponent:
         return f"IsotypicComponent(dim={self.dim}, orbit={self.orbit})"
 
 
-def isotypic_decomposition(rep: GroupRepresentation,
-                           guard: int = la.DEFAULT_GUARD):
+def isotypic_decomposition(rep: GroupRepresentation):
     """G-stable, pairwise non-isomorphic components over the field, summing
     to the whole space; computed from orbit-summed central idempotents."""
     G = rep.group
@@ -233,7 +232,7 @@ def isotypic_decomposition(rep: GroupRepresentation,
                 continue
             P = la.mat_add(P, la.mat_scalar(val, class_sums[c]))
         P = la.mat_scalar(sc.sc_mul(field.scalar(deg), inv_order), P)
-        cols = la.column_space_basis(P, guard)
+        cols = la.column_space_basis(P)
         dim = len(cols[0]) if cols and cols[0] else 0
         if dim:
             comps.append(IsotypicComponent(cols, orbit, deg, dim))
@@ -265,7 +264,7 @@ def matrix_order(m, field, cap: int = 4096) -> int:
     raise NotFiniteOrderError(f"matrix has no order up to {cap}")
 
 
-def cyclotomic_factors_prime_to_p(field, dprime: int, guard=la.DEFAULT_GUARD):
+def cyclotomic_factors_prime_to_p(field, dprime: int):
     """Monic K_q-irreducible factors of the d'-th cyclotomic polynomial
     (p not dividing d'), as scalar coefficient lists."""
     if dprime == 1:
@@ -307,7 +306,7 @@ def _poly_mul_linear(poly, root, field):
     return out
 
 
-def _mixed_order_factor(field, factor, pk: int, guard=la.DEFAULT_GUARD):
+def _mixed_order_factor(field, factor, pk: int):
     """The K_q-irreducible factor whose roots are (primitive p^k-th root) *
     (roots of ``factor``): prod over roots w of w^phi(pk) Phi_{pk}(x / w),
     computed as an interpolated determinant of the companion matrix."""
@@ -363,8 +362,7 @@ def _vandermonde_inverse(pts):
     return [[inv_rows[i][j] for j in range(n)] for i in range(n)]
 
 
-def eigen_multiplicities(h, field, order: int | None = None,
-                         guard: int = la.DEFAULT_GUARD):
+def eigen_multiplicities(h, field, order: int | None = None):
     """[(root-of-unity order d, multiplicity)] per eigenvalue of h over the
     algebraic closure; h must have finite order (diagonalizable, so the
     eigenspace dimensions are the root multiplicities)."""
@@ -374,18 +372,18 @@ def eigen_multiplicities(h, field, order: int | None = None,
     total = 0
     for d in _divisors(m):
         phi_d = _int_poly_to_scalars(cyclotomic_int(d), field)
-        tot_d = n - la.certified_rank(la.poly_eval_matrix(phi_d, h), guard)
+        tot_d = n - la.certified_rank(la.poly_eval_matrix(phi_d, h))
         if tot_d == 0:
             continue
         pk, dp = split_p_part(d, field.p)
         phi_k = euler_phi(pk)
-        for factor in cyclotomic_factors_prime_to_p(field, dp, guard):
+        for factor in cyclotomic_factors_prime_to_p(field, dp):
             s = len(factor) - 1
             if pk == 1:
                 gpoly = factor
             else:
-                gpoly = _mixed_order_factor(field, factor, pk, guard)
-            kern = n - la.certified_rank(la.poly_eval_matrix(gpoly, h), guard)
+                gpoly = _mixed_order_factor(field, factor, pk)
+            kern = n - la.certified_rank(la.poly_eval_matrix(gpoly, h))
             if kern == 0:
                 continue
             orbit_len = phi_k * s
@@ -424,16 +422,15 @@ class PerturbationWitness:
                                 for d, m in self.multiplicities]}
 
 
-def is_perturbateur(h, field, order: int | None = None,
-                    name: str = "?", guard: int = la.DEFAULT_GUARD):
+def is_perturbateur(h, field, order: int | None = None, name: str = "?"):
     """True iff every eigenspace of h over the closure has dimension at most
     half the space; returns (bool, witness)."""
-    mults = eigen_multiplicities(h, field, order, guard)
+    mults = eigen_multiplicities(h, field, order)
     w = PerturbationWitness(name, mults, len(h))
     return w.holds(), w
 
 
-def find_perturbateur(rep: GroupRepresentation, guard: int = la.DEFAULT_GUARD):
+def find_perturbateur(rep: GroupRepresentation):
     """Scan the group for a perturbing element (deterministic first match in
     element-index order); 'homothety-action' when the image is scalar.
 
@@ -445,8 +442,7 @@ def find_perturbateur(rep: GroupRepresentation, guard: int = la.DEFAULT_GUARD):
     for x in range(G.n):
         if x == G.identity:
             continue
-        ok, w = is_perturbateur(rep.mats[x], rep.field, orders[x],
-                                G.names[x], guard)
+        ok, w = is_perturbateur(rep.mats[x], rep.field, orders[x], G.names[x])
         if ok:
             return G.names[x], w
     if rep.is_scalar_image():

@@ -22,14 +22,14 @@ from ..padic.descriptors import UnramifiedFieldDescriptor
 
 class PhiModule:
     def __init__(self, field: UnramifiedFieldDescriptor, frobenius_matrix,
-                 validate: bool = True, guard: int = la.DEFAULT_GUARD):
+                 validate: bool = True):
         self.field = field
         self.A = frobenius_matrix
         self.n = len(frobenius_matrix)
         if validate:
             if any(len(r) != self.n for r in self.A):
                 raise ValidationError("Frobenius matrix must be square")
-            la.det_valuation(self.A, guard)  # certified invertible
+            la.det_valuation(self.A)  # certified invertible
 
     @classmethod
     def from_rational(cls, field, rows):
@@ -57,13 +57,13 @@ class PhiModule:
             B = la.mat_mul(B, Ak)
         return B
 
-    def t_N(self, guard: int = la.DEFAULT_GUARD) -> Fraction:
+    def t_N(self) -> Fraction:
         """v_p(det A); basis independent."""
-        return la.det_valuation(self.A, guard)
+        return la.det_valuation(self.A)
 
-    def base_change(self, P, guard: int = la.DEFAULT_GUARD) -> "PhiModule":
+    def base_change(self, P) -> "PhiModule":
         """A -> P^{-1} A sigma(P)."""
-        Pinv = la.mat_inverse(P, guard)
+        Pinv = la.mat_inverse(P)
         return PhiModule(self.field,
                          la.mat_mul(Pinv, la.mat_mul(self.A, la.mat_frobenius(P))),
                          validate=False)
@@ -86,21 +86,21 @@ class PhiModule:
             rows.append([z] * n + list(other.A[i]))
         return PhiModule(self.field, rows, validate=False)
 
-    def is_stable(self, basis_cols, guard: int = la.DEFAULT_GUARD) -> bool:
+    def is_stable(self, basis_cols) -> bool:
         """Certified phi-stability of the span of the given columns."""
         if not basis_cols or not basis_cols[0]:
             return True
         img = self.apply_phi(basis_cols)
-        return la.subspace_leq(img, basis_cols, guard)
+        return la.subspace_leq(img, basis_cols)
 
-    def restricted_frobenius(self, basis_cols, guard: int = la.DEFAULT_GUARD):
+    def restricted_frobenius(self, basis_cols):
         """Matrix C with A sigma(N) = N C for a phi-stable N; the Frobenius of
         the submodule in the given basis."""
         img = self.apply_phi(basis_cols)
-        return la.solve_right(basis_cols, img, guard)
+        return la.solve_right(basis_cols, img)
 
-    def submodule(self, basis_cols, guard: int = la.DEFAULT_GUARD) -> "PhiModule":
-        C = self.restricted_frobenius(basis_cols, guard)
+    def submodule(self, basis_cols) -> "PhiModule":
+        C = self.restricted_frobenius(basis_cols)
         return PhiModule(self.field, C, validate=False)
 
 
@@ -118,15 +118,14 @@ class PolarizedPhiModule:
     """phi-module with an alternating invertible Gram matrix J satisfying
     A^T J A = eps * p * sigma(J)."""
 
-    def __init__(self, module: PhiModule, gram, validate: bool = True,
-                 guard: int = la.DEFAULT_GUARD):
+    def __init__(self, module: PhiModule, gram, validate: bool = True):
         self.module = module
         self.J = gram
         self.eps = None
         if validate:
-            self._validate(guard)
+            self._validate()
 
-    def _validate(self, guard):
+    def _validate(self):
         D = self.module
         n = D.n
         if n % 2 != 0:
@@ -136,7 +135,7 @@ class PolarizedPhiModule:
         skew = la.mat_add(self.J, la.transpose(self.J))
         if not la.mat_is_zero(skew, thr):
             raise ValidationError("Gram matrix is not alternating")
-        la.det_valuation(self.J, guard)
+        la.det_valuation(self.J)
         lhs = la.mat_mul(la.transpose(D.A), la.mat_mul(self.J, D.A))
         p_sigma_J = la.mat_scalar(F.scalar(F.p), la.mat_frobenius(self.J))
         for eps in (1, -1):
@@ -160,8 +159,7 @@ class SemiAbelianPhiModule:
     """
 
     def __init__(self, module: PhiModule, toric_cols, gram_B,
-                 lambda_T=None, validate: bool = True,
-                 guard: int = la.DEFAULT_GUARD):
+                 lambda_T=None, validate: bool = True):
         self.module = module
         self.toric_cols = toric_cols
         self.t_dim = len(toric_cols[0]) if toric_cols and toric_cols[0] else 0
@@ -170,11 +168,11 @@ class SemiAbelianPhiModule:
         if lambda_T is None and self.t_dim:
             lambda_T = la.identity(F, self.t_dim)
         self.lambda_T = lambda_T
-        self._build_section(guard)
+        self._build_section()
         if validate:
-            self._validate(guard)
+            self._validate()
 
-    def _build_section(self, guard):
+    def _build_section(self):
         D = self.module
         F = D.field
         n = D.n
@@ -190,7 +188,7 @@ class SemiAbelianPhiModule:
         chosen = []
         for j in range(n):
             cand = la.hstack(cols, _std_cols(F, n, chosen + [j]))
-            if la.certified_rank(la.transpose(cand), guard) == t + len(chosen) + 1:
+            if la.certified_rank(la.transpose(cand)) == t + len(chosen) + 1:
                 chosen.append(j)
             if t + len(chosen) == n:
                 break
@@ -200,32 +198,31 @@ class SemiAbelianPhiModule:
         self.B_dim = n - t
         # full basis matrix [T | S] and its inverse for projections
         self.full_basis = la.hstack(self.toric_cols, self.section_cols)
-        self.full_inv = la.mat_inverse(self.full_basis, guard)
+        self.full_inv = la.mat_inverse(self.full_basis)
 
-    def _validate(self, guard):
+    def _validate(self):
         D = self.module
         F = D.field
         if self.t_dim:
-            if not D.is_stable(self.toric_cols, guard):
+            if not D.is_stable(self.toric_cols):
                 raise ValidationError("toric part is not phi-stable")
             from .slopes import newton_slopes
-            prof = newton_slopes(D.submodule(self.toric_cols, guard))
+            prof = newton_slopes(D.submodule(self.toric_cols))
             if prof.pairs != ((Fraction(1), self.t_dim),):
                 raise ValidationError("toric part is not pure of slope 1")
-            la.det_valuation(self.lambda_T, guard)
+            la.det_valuation(self.lambda_T)
         if self.B_dim:
-            PolarizedPhiModule(self.quotient_module(guard), self.gram_B,
-                               guard=guard)
+            PolarizedPhiModule(self.quotient_module(), self.gram_B)
 
-    def quotient_frobenius(self, guard: int = la.DEFAULT_GUARD):
+    def quotient_frobenius(self):
         """Frobenius induced on D_B in the section basis."""
         D = self.module
         img = D.apply_phi(self.section_cols)
         coords = la.mat_mul(self.full_inv, img)
         return [row[:] for row in coords[self.t_dim:]]
 
-    def quotient_module(self, guard: int = la.DEFAULT_GUARD) -> PhiModule:
-        return PhiModule(self.module.field, self.quotient_frobenius(guard),
+    def quotient_module(self) -> PhiModule:
+        return PhiModule(self.module.field, self.quotient_frobenius(),
                          validate=False)
 
 

@@ -126,7 +126,7 @@ def charpoly_points(coeffs):
     return exact, uncertain
 
 
-def newton_slopes(D: PhiModule, guard: int = la.DEFAULT_GUARD) -> SlopeProfile:
+def newton_slopes(D: PhiModule) -> SlopeProfile:
     B = D.linearization()
     chi = la.charpoly(B)
     exact, uncertain = charpoly_points(chi)
@@ -143,7 +143,7 @@ def newton_slopes(D: PhiModule, guard: int = la.DEFAULT_GUARD) -> SlopeProfile:
     prof = SlopeProfile(pairs, hull)
     if prof.dim != D.n:
         raise ValidationError("slope multiplicities do not sum to the dimension")
-    if prof.total() != D.t_N(guard):
+    if prof.total() != D.t_N():
         raise ValidationError("slope sum does not match det valuation")
     return prof
 
@@ -151,7 +151,7 @@ def newton_slopes(D: PhiModule, guard: int = la.DEFAULT_GUARD) -> SlopeProfile:
 # -- slope factorization over Q_p ------------------------------------------------
 
 
-def _rational_charpoly(D: PhiModule, guard):
+def _rational_charpoly(D: PhiModule):
     """Characteristic polynomial of the linearization, certified rational."""
     qp = _qp_level(D.field)
     chi = la.charpoly(D.linearization())
@@ -165,10 +165,10 @@ def _qp_level(field, _cache={}):
     return _cache[key]
 
 
-def slope_factors(D: PhiModule, guard: int = la.DEFAULT_GUARD):
+def slope_factors(D: PhiModule):
     """Monic factors of the linearization's charpoly over Q_p, one per root
     valuation, as (root_valuation, coefficient list at the Q_p level)."""
-    chi, qp = _rational_charpoly(D, guard)
+    chi, qp = _rational_charpoly(D)
     return _split_by_valuation(chi, qp)
 
 
@@ -271,33 +271,33 @@ def _scalars(level, poly, prec):
     return out
 
 
-def isoclinic_decompose(D: PhiModule, guard: int = la.DEFAULT_GUARD):
+def isoclinic_decompose(D: PhiModule):
     """[(slope, basis columns of the slope component)], phi-stable pieces
     spanning D, one per distinct slope.
 
     The columns of all components together are certified independent (one
     elimination), so the columns of any sum of components are too."""
-    prof = newton_slopes(D, guard)
+    prof = newton_slopes(D)
     if len(prof.pairs) == 1:
         return [(prof.pairs[0][0], la.identity(D.field, D.n))]
-    factors = slope_factors(D, guard)
+    factors = slope_factors(D)
     B = D.linearization()
     out = []
     for rv, fac in factors:
         coeffs = [embed_qp(c, D.field) for c in fac]
         M = la.poly_eval_matrix(coeffs, B)
-        ker = la.kernel_basis(M, guard)
+        ker = la.kernel_basis(M)
         if not ker:
             raise PrecisionError("slope factor has trivial kernel")
         cols = [[vec[i] for vec in ker] for i in range(D.n)]
         slope = rv / D.field.f
-        if not D.is_stable(cols, guard):
+        if not D.is_stable(cols):
             raise PrecisionError("slope component not certified phi-stable")
         out.append((slope, cols))
     total = sum(len(c[0]) for _, c in out)
     if total != D.n:
         raise PrecisionError("slope components do not span")
     concat = [[x for _, c in out for x in c[i]] for i in range(D.n)]
-    if la.certified_rank(concat, guard) != D.n:
+    if la.certified_rank(concat) != D.n:
         raise PrecisionError("slope components not certified independent")
     return sorted(out, key=lambda t: t[0])

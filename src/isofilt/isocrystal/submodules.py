@@ -33,7 +33,7 @@ from .module import PhiModule
 from .slopes import isoclinic_decompose, _qp_level
 
 
-def endomorphism_algebra(D: PhiModule, guard: int = la.DEFAULT_GUARD):
+def endomorphism_algebra(D: PhiModule):
     """Q_p-basis of {U : U A = A sigma(U)}, as matrices over the field."""
     field = D.field
     n, f = D.n, field.f
@@ -56,7 +56,7 @@ def endomorphism_algebra(D: PhiModule, guard: int = la.DEFAULT_GUARD):
                 unknowns.append((i, j, k))
                 images.append(col)
     big = [[images[c][r] for c in range(len(images))] for r in range(len(images[0]))]
-    ker = la.kernel_basis(big, guard)
+    ker = la.kernel_basis(big)
     basis = []
     for vec in ker:
         U = la.zeros(field, n, n)
@@ -77,8 +77,8 @@ class SubmoduleSet:
         self.seed = seed
 
 
-def exact_submodules(D: PhiModule, guard: int = la.DEFAULT_GUARD) -> SubmoduleSet:
-    comps = isoclinic_decompose(D, guard)
+def exact_submodules(D: PhiModule) -> SubmoduleSet:
+    comps = isoclinic_decompose(D)
     for slope, cols in comps:
         b = slope.denominator
         if len(cols[0]) != b:
@@ -96,12 +96,11 @@ def exact_submodules(D: PhiModule, guard: int = la.DEFAULT_GUARD) -> SubmoduleSe
 
 
 def sampled_submodules(D: PhiModule, seed: int, budget: int,
-                       guard: int = la.DEFAULT_GUARD,
                        components=None) -> SubmoduleSet:
     """The sums of isoclinic components, then the new phi-stable subspaces
     that ``budget`` seeded tries find.  ``components`` is D's isoclinic
     decomposition when the caller has it already."""
-    comps = isoclinic_decompose(D, guard) if components is None else components
+    comps = isoclinic_decompose(D) if components is None else components
     rng = random.Random(seed)
     subs = []
     seen = set()
@@ -109,44 +108,44 @@ def sampled_submodules(D: PhiModule, seed: int, budget: int,
     for r in range(k + 1):
         for pick in combinations(range(k), r):
             cols = _concat_cols(D, [comps[i][1] for i in pick])
-            key = _canonical_key(cols, guard)
+            key = _canonical_key(cols)
             if key not in seen:
                 seen.add(key)
                 subs.append(cols)
-    endo = endomorphism_algebra(D, guard)
+    endo = endomorphism_algebra(D)
     tries = 0
     while tries < budget:
         tries += 1
         U = _random_combination(D.field, endo, rng)
-        ker, im = _kernel_and_image(D, U, guard)
+        ker, im = _kernel_and_image(D, U)
         # right-multiple of a random vector under the algebra, closed under phi
         w = [[D.field.scalar(rng.randrange(-9, 10))] for _ in range(D.n)]
         if U is not None:
             w = la.mat_mul(U, w)
         # (candidate, whether it is certified phi-stable already)
         for cand, stable in ((ker, False), (im, False),
-                             (phi_span(D, w, guard), True)):
+                             (phi_span(D, w), True)):
             if cand is None:
                 continue
             d = len(cand[0]) if cand and cand[0] else 0
             if d in (0, D.n):
                 continue
             try:
-                key = _canonical_key(cand, guard)
+                key = _canonical_key(cand)
             except PrecisionError:
                 # an unstable candidate is dropped before its key matters
-                if stable or D.is_stable(cand, guard):
+                if stable or D.is_stable(cand):
                     raise
                 continue
             if key in seen:
                 continue
-            if stable or D.is_stable(cand, guard):
+            if stable or D.is_stable(cand):
                 seen.add(key)
                 subs.append(cand)
     return SubmoduleSet(comps, subs, "sampled", seed)
 
 
-def phi_span(D: PhiModule, cols, guard: int = la.DEFAULT_GUARD):
+def phi_span(D: PhiModule, cols):
     """Smallest phi-stable subspace containing the given columns, as pivot
     columns certified phi-stable; None when an elimination cannot be
     certified.
@@ -159,14 +158,14 @@ def phi_span(D: PhiModule, cols, guard: int = la.DEFAULT_GUARD):
     phi(cur) <= span(cur).  phi is applied only to the appended columns.
     """
     try:
-        cur = la.column_space_basis(cols, guard)
+        cur = la.column_space_basis(cols)
         if not (cur and cur[0]):
             return cur
         img = D.apply_phi(cur)
         while True:
             r = len(cur[0])
             _, pivots, _ = la.certified_row_reduce(
-                la.hstack(cur, img), guard, reduced=False, rows=False)
+                la.hstack(cur, img), reduced=False, rows=False)
             if len(pivots) == r:
                 return cur
             new = la.columns(img, [c - r for c in pivots[r:]])
@@ -177,12 +176,11 @@ def phi_span(D: PhiModule, cols, guard: int = la.DEFAULT_GUARD):
 
 
 def submodules(D: PhiModule, mode: str = "exact", budget: int = 0,
-               seed: int = 0, guard: int = la.DEFAULT_GUARD,
-               components=None) -> SubmoduleSet:
+               seed: int = 0, components=None) -> SubmoduleSet:
     if mode == "exact":
-        return exact_submodules(D, guard)
+        return exact_submodules(D)
     if mode == "sampled":
-        return sampled_submodules(D, seed, budget, guard, components)
+        return sampled_submodules(D, seed, budget, components)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -211,7 +209,7 @@ def _random_combination(field, basis, rng):
     return U
 
 
-def _kernel_and_image(D, U, guard):
+def _kernel_and_image(D, U):
     """(ker U, im U) as column matrices, None where not certified.
 
     Both come from one reduced elimination of U: its pivots are those of the
@@ -223,22 +221,22 @@ def _kernel_and_image(D, U, guard):
     if U is None:
         return None, None
     try:
-        ech, pivots, _ = la.certified_row_reduce(U, guard)
+        ech, pivots, _ = la.certified_row_reduce(U)
     except PrecisionError:
         try:
-            return None, la.column_space_basis(U, guard)
+            return None, la.column_space_basis(U)
         except PrecisionError:
             return None, None
     ker = la.kernel_from_echelon(D.field, ech, pivots, D.n)
     return [[v[i] for v in ker] for i in range(D.n)], la.columns(U, pivots)
 
 
-def _canonical_key(cols, guard):
+def _canonical_key(cols):
     """A key of the span of cols: equal keys are the same subspace to within
     the precision of both (see ``_SpanKey``)."""
     if not cols or not cols[0]:
         return ("dim", 0)
-    ech, _, _ = la.certified_row_reduce(la.transpose(cols), guard)
+    ech, _, _ = la.certified_row_reduce(la.transpose(cols))
     return _SpanKey(ech)
 
 

@@ -7,6 +7,11 @@ least ``guard`` spare pi-adic digits, and anything discarded as zero is zero
 to within the working precision.  When a decision cannot be certified a
 PrecisionError escapes and the caller retries at doubled precision.
 
+``guard`` belongs to the elimination: ``certified_row_reduce`` and the
+``certified_rank``, ``rank_certificate`` and ``column_space_basis`` built
+directly on it take it.  Everything above them, here and in every other
+layer, certifies at ``DEFAULT_GUARD``, which each RankCertificate records.
+
 Pivoting always selects a minimal-valuation entry, which is the p-adic
 analogue of partial pivoting and keeps precision loss linear.
 
@@ -491,14 +496,14 @@ def column_space_basis(m, guard: int = DEFAULT_GUARD):
     return columns(m, pivot_cols)
 
 
-def kernel_basis(m, guard: int = DEFAULT_GUARD):
+def kernel_basis(m):
     """Basis of the right kernel, as a list of column vectors (each a list)."""
     if not m or not m[0]:
         n = len(m[0]) if m else 0
         field = _field_of(m) if m and m[0] else None
         return [[field.one() if i == j else sc_zero(field) for i in range(n)]
                 for j in range(n)] if field else []
-    ech, pivot_cols, _ = certified_row_reduce(m, guard, reduced=True)
+    ech, pivot_cols, _ = certified_row_reduce(m, reduced=True)
     return kernel_from_echelon(_field_of(m), ech, pivot_cols, len(m[0]))
 
 
@@ -517,14 +522,14 @@ def kernel_from_echelon(field, ech, pivot_cols, nc):
     return basis
 
 
-def solve_right(a, b, guard: int = DEFAULT_GUARD):
+def solve_right(a, b):
     """One solution x of a*x = b (b a matrix of columns); raises if none
     certified.  Returns the matrix x."""
     field = _field_of(a)
     na, nc = mat_dims(a)
     nb = len(b[0])
     aug = hstack(a, b)
-    ech, pivots, _ = certified_row_reduce(aug, guard, reduced=True)
+    ech, pivots, _ = certified_row_reduce(aug, reduced=True)
     for r, pc in enumerate(pivots):
         if pc >= nc:
             raise ValidationError("linear system certified inconsistent")
@@ -535,54 +540,54 @@ def solve_right(a, b, guard: int = DEFAULT_GUARD):
     return x
 
 
-def intersection_dim(a_cols, b_cols, guard: int = DEFAULT_GUARD) -> int:
+def intersection_dim(a_cols, b_cols) -> int:
     """dim(span(a) ∩ span(b)) for two column-span matrices over one level."""
-    ra = certified_rank(transpose(a_cols), guard)
-    rb = certified_rank(transpose(b_cols), guard)
-    rab = certified_rank(transpose(hstack(a_cols, b_cols)), guard)
+    ra = certified_rank(transpose(a_cols))
+    rb = certified_rank(transpose(b_cols))
+    rab = certified_rank(transpose(hstack(a_cols, b_cols)))
     return ra + rb - rab
 
 
-def intersection_basis(a_cols, b_cols, guard: int = DEFAULT_GUARD):
+def intersection_basis(a_cols, b_cols):
     """Columns spanning span(a) ∩ span(b)."""
     ka = len(a_cols[0])
-    ker = kernel_basis(hstack(a_cols, mat_map(b_cols, sc_neg)), guard)
+    ker = kernel_basis(hstack(a_cols, mat_map(b_cols, sc_neg)))
     if not ker:
         return [[] for _ in a_cols]
     coords = [[vec[j] for vec in ker] for j in range(ka)]
-    return column_space_basis(mat_mul(a_cols, coords), guard)
+    return column_space_basis(mat_mul(a_cols, coords))
 
 
-def subspace_leq(a_cols, b_cols, guard: int = DEFAULT_GUARD) -> bool:
+def subspace_leq(a_cols, b_cols) -> bool:
     """span(a) <= span(b), certified."""
-    rb = certified_rank(transpose(b_cols), guard)
-    rab = certified_rank(transpose(hstack(a_cols, b_cols)), guard)
+    rb = certified_rank(transpose(b_cols))
+    rab = certified_rank(transpose(hstack(a_cols, b_cols)))
     return rb == rab
 
 
-def subspace_equal(a_cols, b_cols, guard: int = DEFAULT_GUARD) -> bool:
-    ra = certified_rank(transpose(a_cols), guard)
-    rb = certified_rank(transpose(b_cols), guard)
+def subspace_equal(a_cols, b_cols) -> bool:
+    ra = certified_rank(transpose(a_cols))
+    rb = certified_rank(transpose(b_cols))
     if ra != rb:
         return False
-    rab = certified_rank(transpose(hstack(a_cols, b_cols)), guard)
+    rab = certified_rank(transpose(hstack(a_cols, b_cols)))
     return rab == ra
 
 
-def det_valuation(m, guard: int = DEFAULT_GUARD) -> Fraction:
+def det_valuation(m) -> Fraction:
     """Exact valuation of det(m); PrecisionError if m is not certified
     invertible."""
     n = len(m)
-    cert = rank_certificate(m, guard)
+    cert = rank_certificate(m)
     if cert.rank != n:
         raise PrecisionError("matrix not certified invertible")
     return Fraction(sum(cert.pivot_ws), cert.e)
 
 
-def mat_inverse(m, guard: int = DEFAULT_GUARD):
+def mat_inverse(m):
     field = _field_of(m)
     n = len(m)
-    return solve_right(m, identity(field, n), guard)
+    return solve_right(m, identity(field, n))
 
 
 def charpoly(m):

@@ -41,14 +41,13 @@ from .space import SymplecticSpace, LagrangianSubspace
 
 
 def random_rational_lagrangian(space: SymplecticSpace, seed,
-                               guard: int = la.DEFAULT_GUARD,
                                digits: int = 12) -> LagrangianSubspace:
     """A Lagrangian with coordinates in the coefficient field, sampled from a
     uniformly random chart of the 2^g atlas; deterministic in the seed."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     field = space.field
     g = space.g
-    B = space.symplectic_basis(guard)  # columns e_1..e_g, f_1..f_g
+    B = space.symplectic_basis()  # columns e_1..e_g, f_1..f_g
     swap = [rng.random() < 0.5 for _ in range(g)]
     a_cols = []
     b_cols = []
@@ -75,38 +74,38 @@ def random_rational_lagrangian(space: SymplecticSpace, seed,
                    for c, bj in zip(col, b_cols[j])]
         cols.append(col)
     basis = la.normalize_columns([[cols[k][r] for k in range(g)] for r in range(space.n)])
-    return LagrangianSubspace(space, basis, validate=True, guard=guard)
+    return LagrangianSubspace(space, basis, validate=True)
 
 
 # -- avoiding a small subspace ------------------------------------------------------
 
 
-def lagrangian_avoiding(space: SymplecticSpace, m_cols, seed=0,
-                        guard: int = la.DEFAULT_GUARD) -> LagrangianSubspace:
+def lagrangian_avoiding(space: SymplecticSpace, m_cols,
+                        seed=0) -> LagrangianSubspace:
     """A Lagrangian F with F cap span(m_cols) = 0; requires dim M <= g."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     dim_m = (len(m_cols[0]) if m_cols and m_cols[0] else 0)
     if dim_m:
-        dim_m = la.certified_rank(la.transpose(m_cols), guard)
+        dim_m = la.certified_rank(la.transpose(m_cols))
     if dim_m > space.g:
         raise ValidationError(f"dim M = {dim_m} exceeds g = {space.g}")
-    cols = la.normalize_columns(_avoiding_rec(space, m_cols, dim_m, rng, guard))
-    return LagrangianSubspace(space, cols, validate=True, guard=guard)
+    cols = la.normalize_columns(_avoiding_rec(space, m_cols, dim_m, rng))
+    return LagrangianSubspace(space, cols, validate=True)
 
 
-def _avoiding_rec(space, m_cols, dim_m, rng, guard):
+def _avoiding_rec(space, m_cols, dim_m, rng):
     field = space.field
     n = space.n
     if n == 0:
         return []
     if dim_m == 0:
-        B = space.symplectic_basis(guard)
+        B = space.symplectic_basis()
         return [[B[r][space.g + i] for i in range(space.g)] for r in range(n)]
     if dim_m == 1:
         x = [m_cols[r][0] for r in range(n)]
-        return _transverse_to_line(space, x, rng, guard)
+        return _transverse_to_line(space, x, rng)
     x = [m_cols[r][0] for r in range(n)]
-    y = _pick_partner(space, x, m_cols, rng, guard)
+    y = _pick_partner(space, x, m_cols, rng)
     cxy = space.pair(x, y)
     # projection of v along <x, y> into the complement
     def proj(v):
@@ -116,22 +115,22 @@ def _avoiding_rec(space, m_cols, dim_m, rng, guard):
                 for vi, xi, yi in zip(v, x, y)]
 
     plane = [[x[r], y[r]] for r in range(n)]
-    comp = la.normalize_columns(space.orthogonal_complement(plane, guard))
+    comp = la.normalize_columns(space.orthogonal_complement(plane))
     m_proj = []
     for j in range(len(m_cols[0])):
         v = proj([m_cols[r][j] for r in range(n)])
         m_proj.append(v)
     m_proj_cols = [[v[r] for v in m_proj] for r in range(n)]
     m_proj_cols = la.normalize_columns(
-        la.column_space_basis(la.normalize_columns(m_proj_cols), guard))
+        la.column_space_basis(la.normalize_columns(m_proj_cols)))
     dim_mp = len(m_proj_cols[0]) if m_proj_cols and m_proj_cols[0] else 0
     if dim_mp != dim_m - 1:
         raise PrecisionError("projected subspace did not drop rank by one")
     # coordinates inside the complement
-    m_in = la.solve_right(comp, m_proj_cols, guard)
+    m_in = la.solve_right(comp, m_proj_cols)
     sub_space = SymplecticSpace(field, _restrict_gram(space, comp),
                                 validate=False)
-    f_in = _avoiding_rec(sub_space, m_in, dim_mp, rng, guard)
+    f_in = _avoiding_rec(sub_space, m_in, dim_mp, rng)
     f_cols = la.mat_mul(comp, f_in) if f_in and f_in[0] else [[] for _ in range(n)]
     out = [row[:] + [y[r]] for r, row in enumerate(f_cols)]
     return out
@@ -141,7 +140,7 @@ def _restrict_gram(space, basis_cols):
     return space.pair_matrix(basis_cols, basis_cols)
 
 
-def _pick_partner(space, x, m_cols, rng, guard):
+def _pick_partner(space, x, m_cols, rng):
     """y outside span(m_cols) with <x, y> certified nonzero, preferring a
     minimal-valuation pairing (p-adic pivoting keeps precision loss linear)."""
     field = space.field
@@ -155,7 +154,7 @@ def _pick_partner(space, x, m_cols, rng, guard):
             continue
         joined = [m_cols[r] + [y[r]] for r in range(n)]
         try:
-            if la.certified_rank(la.transpose(joined), guard) != \
+            if la.certified_rank(la.transpose(joined)) != \
                len(m_cols[0]) + 1:
                 continue
         except PrecisionError:
@@ -169,22 +168,22 @@ def _pick_partner(space, x, m_cols, rng, guard):
     raise PrecisionError("could not sample a hyperbolic partner")
 
 
-def _transverse_to_line(space, x, rng, guard):
+def _transverse_to_line(space, x, rng):
     """A Lagrangian avoiding the line through x: extend x to a hyperbolic
     pair (x, y) and take the f-side of a symplectic basis with e_1 = x."""
     field = space.field
     n = space.n
-    y = _pick_partner(space, x, [[xi] for xi in x], rng, guard)
+    y = _pick_partner(space, x, [[xi] for xi in x], rng)
     c = space.pair(x, y)
     y = [sc_div(v, c) for v in y]
     plane = [[x[r], y[r]] for r in range(n)]
-    comp = space.orthogonal_complement(plane, guard)
+    comp = space.orthogonal_complement(plane)
     if not comp or not comp[0]:
         return [[y[r]] for r in range(n)]
     comp = la.normalize_columns(comp)
     sub = SymplecticSpace(field, _restrict_gram(space, comp), validate=False)
     if sub.n:
-        B = sub.symplectic_basis(guard)
+        B = sub.symplectic_basis()
         rest = la.mat_mul(comp, B)
         f_side = [[rest[r][sub.g + i] for i in range(sub.g)] for r in range(n)]
         out = [[y[r]] + f_side[r] for r in range(n)]
@@ -210,8 +209,7 @@ class EigenPlane:
         return self.cx == self.cy
 
 
-def lagrangian_h_small_intersection(space: SymplecticSpace, h,
-                                    guard: int = la.DEFAULT_GUARD):
+def lagrangian_h_small_intersection(space: SymplecticSpace, h):
     """A Lagrangian F with dim(F cap h(F)) <= 1 for a finite-order,
     diagonalizable, perturbing h in Sp(J).
 
@@ -224,8 +222,8 @@ def lagrangian_h_small_intersection(space: SymplecticSpace, h,
     if not la.mat_is_zero(la.mat_sub(lhs, space.J), thr):
         raise ValidationError("h is not symplectic for the given pairing")
     m = matrix_order(h, field)
-    big_space, H, zeta_of = _extend_for_eigenvalues(space, h, m, guard)
-    planes = _symplectic_eigenplanes(big_space, H, m, zeta_of, guard)
+    big_space, H, zeta_of = _extend_for_eigenvalues(space, h, m)
+    planes = _symplectic_eigenplanes(big_space, H, m, zeta_of)
     gsz = space.g
     mult = {}
     for pl in planes:
@@ -233,12 +231,13 @@ def lagrangian_h_small_intersection(space: SymplecticSpace, h,
         mult[pl.cy] = mult.get(pl.cy, 0) + 1
     if any(v > gsz for v in mult.values()):
         raise ValidationError("h is not a perturbing element")
-    cols = la.normalize_columns(_assemble_small_intersection(big_space, planes, guard))
-    F = LagrangianSubspace(big_space, cols, validate=True, guard=guard)
+    cols = la.normalize_columns(
+        _assemble_small_intersection(big_space, planes))
+    F = LagrangianSubspace(big_space, cols, validate=True)
     return big_space, F, H
 
 
-def _extend_for_eigenvalues(space, h, m, guard):
+def _extend_for_eigenvalues(space, h, m):
     """Lift everything to a level containing the m-th roots of unity and
     return (space', h', zeta_of) with zeta_of(a) = zeta_m^a there."""
     field = space.field
@@ -289,7 +288,7 @@ def _extend_for_eigenvalues(space, h, m, guard):
     return SymplecticSpace(target, J2, validate=False), H2, zeta_of
 
 
-def _symplectic_eigenplanes(space, H, m, zeta_of, guard):
+def _symplectic_eigenplanes(space, H, m, zeta_of):
     field = space.field
     n = space.n
     eig = {}
@@ -298,7 +297,7 @@ def _symplectic_eigenplanes(space, H, m, zeta_of, guard):
         lam = zeta_of(a)
         M = [[sc_sub(H[i][j], lam) if i == j else H[i][j]
               for j in range(n)] for i in range(n)]
-        ker = la.kernel_basis(M, guard)
+        ker = la.kernel_basis(M)
         if ker:
             eig[a] = [[v[i] for v in ker] for i in range(n)]
             total += len(ker)
@@ -315,7 +314,7 @@ def _symplectic_eigenplanes(space, H, m, zeta_of, guard):
             # +-1-type eigenvalue: the eigenspace is itself symplectic
             sub = SymplecticSpace(field, space.pair_matrix(eig[a], eig[a]),
                                   validate=False)
-            B = sub.symplectic_basis(guard)
+            B = sub.symplectic_basis()
             V = la.mat_mul(eig[a], B)
             gg = sub.g
             for i in range(gg):
@@ -328,7 +327,7 @@ def _symplectic_eigenplanes(space, H, m, zeta_of, guard):
                 raise ValidationError("eigenvalues do not pair symplectically")
             A, Bc = eig[a], eig[inv]
             G = space.pair_matrix(A, Bc)
-            Ginv = la.mat_inverse(G, guard)
+            Ginv = la.mat_inverse(G)
             Bdual = la.mat_mul(Bc, Ginv)
             kk = len(A[0])
             for i in range(kk):
@@ -340,7 +339,7 @@ def _symplectic_eigenplanes(space, H, m, zeta_of, guard):
     return planes
 
 
-def _assemble_small_intersection(space, planes, guard):
+def _assemble_small_intersection(space, planes):
     field = space.field
     n = space.n
     remaining = list(planes)

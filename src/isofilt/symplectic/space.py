@@ -12,8 +12,7 @@ from ..padic.scalar import sc_add, sc_mul, sc_neg, sc_sub, sc_div
 
 
 class SymplecticSpace:
-    def __init__(self, field, gram, validate: bool = True,
-                 guard: int = la.DEFAULT_GUARD):
+    def __init__(self, field, gram, validate: bool = True):
         self.field = field
         self.J = gram
         self.n = len(gram)
@@ -23,7 +22,7 @@ class SymplecticSpace:
             thr = self._thr()
             if not la.mat_is_zero(la.mat_add(gram, la.transpose(gram)), thr):
                 raise ValidationError("Gram matrix is not alternating")
-            la.det_valuation(gram, guard)
+            la.det_valuation(gram)
 
     def _thr(self):
         return Fraction(self.field.prec, 2)
@@ -50,12 +49,12 @@ class SymplecticSpace:
         """Gram block: a^T J b."""
         return la.mat_mul(la.transpose(a_cols), la.mat_mul(self.J, b_cols))
 
-    def orthogonal_complement(self, cols, guard: int = la.DEFAULT_GUARD):
+    def orthogonal_complement(self, cols):
         """Columns spanning the J-orthogonal complement of span(cols)."""
         if not cols or not cols[0]:
             return la.identity(self.field, self.n)
         m = la.mat_mul(la.transpose(cols), self.J)
-        ker = la.kernel_basis(m, guard)
+        ker = la.kernel_basis(m)
         return [[v[i] for v in ker] for i in range(self.n)]
 
     def is_isotropic(self, cols) -> bool:
@@ -63,16 +62,16 @@ class SymplecticSpace:
             return True
         return la.mat_is_zero(self.pair_matrix(cols, cols), self._thr())
 
-    def is_lagrangian(self, cols, guard: int = la.DEFAULT_GUARD) -> bool:
+    def is_lagrangian(self, cols) -> bool:
         if not cols or not cols[0]:
             return self.n == 0
         if len(cols[0]) != self.g:
             return False
-        if la.certified_rank(la.transpose(cols), guard) != self.g:
+        if la.certified_rank(la.transpose(cols)) != self.g:
             return False
         return self.is_isotropic(cols)
 
-    def symplectic_basis(self, guard: int = la.DEFAULT_GUARD):
+    def symplectic_basis(self):
         """Columns (e_1..e_g | f_1..f_g) with <e_i, f_j> = delta_ij and all
         other pairings zero, by greedy hyperbolic reduction."""
         field = self.field
@@ -109,29 +108,29 @@ class SymplecticSpace:
                     cleaned.append(v)
             es.append(x)
             fs.append(y)
-            avail = self._independent(cleaned, guard)
+            avail = self._independent(cleaned)
         cols = es + fs
         return [[cols[k][i] for k in range(len(cols))] for i in range(self.n)]
 
-    def _independent(self, vecs, guard):
+    def _independent(self, vecs):
         if not vecs:
             return []
         cols = la.normalize_columns([[v[i] for v in vecs] for i in range(self.n)])
-        picked = la.normalize_columns(la.column_space_basis(cols, guard))
+        picked = la.normalize_columns(la.column_space_basis(cols))
         k = len(picked[0]) if picked and picked[0] else 0
         return [[picked[i][j] for i in range(self.n)] for j in range(k)]
 
 
 class LagrangianSubspace:
     def __init__(self, space: SymplecticSpace, basis_cols,
-                 validate: bool = True, guard: int = la.DEFAULT_GUARD):
+                 validate: bool = True):
         self.space = space
         self.basis_cols = basis_cols
         if validate:
             k = len(basis_cols[0]) if basis_cols and basis_cols[0] else 0
             if k != space.g:
                 raise ValidationError("basis does not have g columns")
-            if la.certified_rank(la.transpose(basis_cols), guard) != space.g:
+            if la.certified_rank(la.transpose(basis_cols)) != space.g:
                 raise PrecisionError("Lagrangian basis rank not certified")
             status = la.zero_status(space.pair_matrix(basis_cols, basis_cols),
                                     space._thr())

@@ -294,7 +294,7 @@ def scalar_row_reduce(m, guard, reduced):
 # -- the earlier sampled family -------------------------------------------------------
 
 
-def sampled_submodules_reference(D, seed, budget, guard=8):
+def sampled_submodules_reference(D, seed, budget):
     """The subspaces of the earlier sampled_submodules(D, seed, budget), in
     order: every candidate is checked with D.is_stable before its key."""
     import random
@@ -310,7 +310,7 @@ def sampled_submodules_reference(D, seed, budget, guard=8):
         if U is None:
             return None
         try:
-            ker = la.kernel_basis(U, guard)
+            ker = la.kernel_basis(U)
         except PrecisionError:
             return None
         if not ker:
@@ -321,19 +321,18 @@ def sampled_submodules_reference(D, seed, budget, guard=8):
         if U is None:
             return None
         try:
-            return la.column_space_basis(U, guard)
+            return la.column_space_basis(U)
         except PrecisionError:
             return None
 
     def phi_span(cols):
         try:
-            cur = la.column_space_basis(cols, guard)
+            cur = la.column_space_basis(cols)
             for _ in range(D.n + 1):
                 r = len(cur[0]) if cur and cur[0] else 0
                 if r == 0:
                     return cur
-                nxt = la.column_space_basis(la.hstack(cur, D.apply_phi(cur)),
-                                            guard)
+                nxt = la.column_space_basis(la.hstack(cur, D.apply_phi(cur)))
                 if len(nxt[0]) == r:
                     return nxt
                 cur = nxt
@@ -341,13 +340,13 @@ def sampled_submodules_reference(D, seed, budget, guard=8):
             return None
         return cur
 
-    comps = isoclinic_decompose(D, guard)
+    comps = isoclinic_decompose(D)
     rng = random.Random(seed)
     subs = []
     seen = set()
 
     def push(cols):
-        key = _canonical_key(cols, guard)
+        key = _canonical_key(cols)
         if key in seen:
             return False
         seen.add(key)
@@ -358,7 +357,7 @@ def sampled_submodules_reference(D, seed, budget, guard=8):
     for r in range(k + 1):
         for pick in combinations(range(k), r):
             push(_concat_cols(D, [comps[i][1] for i in pick]))
-    endo = endomorphism_algebra(D, guard)
+    endo = endomorphism_algebra(D)
     tries = 0
     while tries < budget:
         tries += 1
@@ -374,6 +373,6 @@ def sampled_submodules_reference(D, seed, budget, guard=8):
             d = len(cand[0]) if cand and cand[0] else 0
             if d in (0, D.n):
                 continue
-            if D.is_stable(cand, guard):
+            if D.is_stable(cand):
                 push(cand)
     return subs

@@ -135,10 +135,30 @@ def test_usage_error_exit_64():
     assert exc.value.code == 64
 
 
+_SS2_PROBLEM = ["--module", fx("ss2.json"), "--group", fx("c2_scalar_dim2.json"),
+                "--extension", fx("ext_sqrt2_c2.json")]
+
+
 @pytest.mark.parametrize("argv", [["minkowski", "--n", "-3"],
                                   ["wreath-demo", "--g", "0"],
                                   ["degree", "--local", "1:x"],
-                                  ["minkowski", "--table", "-3"]])
+                                  ["minkowski", "--table", "-3"],
+                                  ["filtration", "find", *_SS2_PROBLEM,
+                                   "--seed", "1", "--budget", "0"],
+                                  ["filtration", "find", *_SS2_PROBLEM,
+                                   "--seed", "1", "--budget", "-3"],
+                                  ["filtration", "find", *_SS2_PROBLEM,
+                                   "--seed", "1", "--precision", "0"],
+                                  ["slopes", "--module", fx("ss2.json"),
+                                   "--precision", "0"],
+                                  ["slopes", "--module", fx("ss2.json"),
+                                   "--precision", "-5"],
+                                  ["decompose", "--module", fx("ss2.json"),
+                                   "--precision", "0"],
+                                  ["descend", *_SS2_PROBLEM, "--precision", "0"],
+                                  ["group", "check", "--group",
+                                   fx("c2_scalar_dim2.json"), "--module",
+                                   fx("ss2.json"), "--precision", "0"]])
 def test_bad_values_exit_64_without_traceback(argv):
     proc = _run_cli(argv)
     assert proc.returncode == 64
@@ -411,8 +431,9 @@ def test_check_verifies_the_quotient_is_lagrangian(tmp_path, capsys):
     (_drop("inputs", "group"), "inputs.group"),
     (_drop("inputs"), "inputs"),
     (_set("bogus", "outputs", "admissibility", "mode"), "outputs.admissibility.mode"),
+    (_set(0, "params", "precision"), "precision 0"),
 ], ids=["extra-row", "no-filtration", "no-admissibility", "no-seed",
-        "no-budget", "no-group", "no-inputs", "bogus-mode"])
+        "no-budget", "no-group", "no-inputs", "bogus-mode", "zero-precision"])
 def test_check_rejects_a_malformed_body(tmp_path, capsys, ss2_certificate,
                                         edit, field):
     # each body is resealed with a correct digest, so only validating the

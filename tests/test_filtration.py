@@ -13,7 +13,8 @@ from isofilt.errors import ValidationError, InternalContradictionError
 from isofilt.fixtures import (unramified, sqrt2_extension, trivial_extension,
                               c4_cyclotomic_extension, kummer_extension,
                               scalar_c2_rep, c4_k_rep, quaternion_rep,
-                              supersingular_module, ordinary_module)
+                              supersingular_module, ordinary_module,
+                              block_frobenius_module)
 from isofilt.groups.constructions import cyclic
 from isofilt.groups.core import GroupRepresentation
 from isofilt.filtration.galois import (GaloisSetup, is_diagonally_stable,
@@ -287,29 +288,26 @@ def test_descent_datum_cocycle_and_targets(Q2, setup_c2):
     sa = SemiAbelianPhiModule(D, [[] for _ in range(2)],
                               standard_symplectic_gram(Q2, 1), validate=False)
     res = find_admissible_stable_filtration(sa, setup_c2, rep, seed=3)
-    assert res["descent"].verify_filtration_targets(res["filtration"])
+    assert is_diagonally_stable(rep, res["filtration"], setup_c2)
 
 
-def test_relaxed_mode_flag(Q2, setup_c2):
-    # a symplectic action that is not phi-compatible still yields a stable
-    # filtration when the flag is set; the certificate marks the caveat
-    D = PhiModule.from_rational(Q2, [[1, 0, 0, 0], [0, 2, 0, 0],
-                                     [0, 0, 2, 0], [0, 0, 0, 1]])
-    G = cyclic(2)
-    z = Q2.scalar(0)
-    o = Q2.one()
-    swap = [[z, z, o, z], [z, z, z, o], [o, z, z, z], [z, o, z, z]]
-    rep = GroupRepresentation(G, Q2, [la.identity(Q2, 4), swap])
-    with pytest.raises(ValidationError):
-        rep.validate(phi_module=D)
-    J = la.from_rows_of_fractions(
-        Q2, [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
-    rep.validate(gram=J)  # symplectic, just not phi-commuting
+def test_repeated_slope_piece_samples_as_asked(Q2, setup_c2):
+    # slope 1/2 fills a 4-dimensional piece twice over: exact mode meets the
+    # repeated slope and samples the piece, on the ledger that asking for
+    # sampled mode gives
+    D = block_frobenius_module(Q2, 2)
+    J = standard_symplectic_gram(Q2, 2)
+    rep = scalar_c2_rep(Q2, 4)
     sa = SemiAbelianPhiModule(D, [[] for _ in range(4)], J, validate=False)
-    res = find_admissible_stable_filtration(
-        sa, setup_c2, rep, seed=5, allow_non_phi_compatible=True)
-    assert res["descent_datum_guaranteed"] is False
-    assert res["admissibility"].verdict
+    res = find_admissible_stable_filtration(sa, setup_c2, rep, seed=1)
+    [piece] = res["pieces"]
+    assert (piece["dim"], piece["slopes"]) == (4, ["1/2"])
+    assert piece["admissibility"]["mode"] == "sampled"
+    assert res["admissibility"].verdict and res["admissibility"].mode == "sampled"
+    [p] = decompose_polarized(D, J, rep)
+    sub_seed = random.Random(1).randrange(1 << 30)
+    asked = supersingular_filtration(p, setup_c2, sub_seed, adm_mode="sampled")
+    assert asked["admissibility"].as_dict() == piece["admissibility"]
 
 
 def test_quotient_rep_shape(Q2):
@@ -319,7 +317,7 @@ def test_quotient_rep_shape(Q2):
     gram_B = la.from_rows_of_fractions(Q2, [[0, 1], [-1, 0]])
     sa = SemiAbelianPhiModule(D, toric, gram_B)
     rep = scalar_c2_rep(Q2, 3)
-    repB = _quotient_rep(sa, rep, 8)
+    repB = _quotient_rep(sa, rep)
     assert repB.dim == 2
 
 

@@ -15,6 +15,10 @@ Two rules, over every module under src/isofilt, one test per directory
   ``from __future__ import ...``).
 
 One exemption: ``cli._Parser.error``, which argparse calls.
+
+A third rule keeps the pivot guard where it belongs: only the elimination in
+``padic/linalg.py`` and the rank wrappers built directly on it take a
+``guard`` parameter; every layer above certifies at ``DEFAULT_GUARD``.
 """
 
 import ast
@@ -29,6 +33,10 @@ PACKAGE = ROOT / "src" / "isofilt"
 MODULES = sorted(PACKAGE.rglob("*.py"))
 DIRS = sorted({p.parent for p in MODULES})
 CALLED_BY_LIBRARY = {("cli.py", "_Parser.error")}
+GUARDED = {("padic/linalg.py", name) for name in (
+    "RankCertificate.__init__", "certified_row_reduce", "_pivot_message",
+    "_Raw.row_reduce", "certified_rank", "rank_certificate",
+    "column_space_basis")}
 
 
 def _name_tokens(path):
@@ -100,3 +108,28 @@ def test_no_unused_imports(directory):
                 if not used[bound]:
                     unused.append(f"{rel}:{node.lineno} {bound}")
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def _functions(node, prefix=""):
+    """(qualified name, node) for every function and method under node,
+    nested ones included."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            qualname = prefix + child.name
+            if not isinstance(child, ast.ClassDef):
+                yield qualname, child
+            yield from _functions(child, qualname + ".")
+        else:
+            yield from _functions(child, prefix)
+
+
+def test_guard_is_a_parameter_of_the_elimination_only():
+    found = set()
+    for path in MODULES:
+        rel = path.relative_to(PACKAGE).as_posix()
+        for qualname, node in _functions(ast.parse(path.read_text())):
+            args = node.args
+            names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            if "guard" in names:
+                found.add((rel, qualname))
+    assert found == GUARDED

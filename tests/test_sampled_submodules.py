@@ -116,15 +116,15 @@ def _count_sampling(monkeypatch, D, seed, budget):
         spans.append(out)
         return out
 
-    def spy_stable(self, cols, guard=la.DEFAULT_GUARD):
-        key = key_of(cols, guard)
-        ok = is_stable(self, cols, guard)
+    def spy_stable(self, cols):
+        key = key_of(cols)
+        ok = is_stable(self, cols)
         checks.append((cols, key, ok))
         return ok
 
-    def spy_key(cols, guard):
+    def spy_key(cols):
         keys.append(cols)
-        return key_of(cols, guard)
+        return key_of(cols)
 
     def spy_combination(*args):
         U = random_combination(*args)
@@ -153,8 +153,7 @@ def test_each_sampled_decision_is_certified_once(monkeypatch, name):
     res, comps, spans, checks, keys, Us, on_U = _count_sampling(
         monkeypatch, D, 11, 20)
     # the sums of components come first and need no stability check
-    listed = {sm._canonical_key(c, la.DEFAULT_GUARD)
-              for c in res.subspaces[:2 ** len(comps)]}
+    listed = {sm._canonical_key(c) for c in res.subspaces[:2 ** len(comps)]}
     # no stability check on a phi-span ...
     assert spans and not any(cols is s for cols, _, _ in checks for s in spans)
     # ... nor on a subspace already listed
@@ -204,10 +203,7 @@ def _line(field, unit, relpi):
 
 def test_canonical_key_reads_every_certified_digit():
     Q2 = unramified(2, 1, N)
-    guard = la.DEFAULT_GUARD
-
-    def key(cols):
-        return sm._canonical_key(cols, guard)
+    key = sm._canonical_key
 
     # agree mod 2^8, differ at 2^9: two subspaces, two keys
     a = la.from_rows_of_fractions(Q2, [[1, 0], [3, 1], [0, 5]])
