@@ -20,13 +20,10 @@ class BudgetExhaustedError(IsofiltError):
 class MultiplicityError(IsofiltError):
     """Exact submodule enumeration requires multiplicity-free input.
 
-    ``components`` carries the isoclinic decomposition that showed the
-    multiplicity, so that a sampled retry need not compute it again.
+    A sampled retry on the same module need not split it again: the
+    isoclinic decomposition that showed the multiplicity is stored on the
+    module (see ``isocrystal.slopes``).
     """
-
-    def __init__(self, message, components=None):
-        super().__init__(message)
-        self.components = components
 
 
 class FieldIncompatibilityError(IsofiltError):

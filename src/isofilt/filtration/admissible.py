@@ -92,19 +92,15 @@ class AdmissibilityReport:
 
 
 def is_admissible(D: PhiModule, F_cols_L, ext, mode: str = "exact",
-                  seed: int = 0, budget: int = 200,
-                  components=None) -> AdmissibilityReport:
+                  seed: int = 0, budget: int = 200) -> AdmissibilityReport:
     """Check the slope bound over all (exact) or many (sampled) submodules.
 
     Sampled mode is one-sidedly sound: 'inadmissible' verdicts carry an
     explicit violating submodule; 'admissible' verdicts are complete only
-    over the enumerated family.  ``components`` is D's isoclinic
-    decomposition when the caller has it already (sampled mode).  Each
-    proper N costs one elimination over L, since its basis is certified
-    independent.
+    over the enumerated family.  Each proper N costs one elimination over
+    L, since its basis is certified independent.
     """
-    subs = submodules(D, mode, budget=budget, seed=seed,
-                      components=components)
+    subs = submodules(D, mode, budget=budget, seed=seed)
     entries = []
     dimF = _ncols(F_cols_L)
     violation = None
@@ -151,12 +147,12 @@ def verify_violation(D: PhiModule, F_cols_L, ext, N_cols) -> bool:
 def admissible_with_fallback(D: PhiModule, F_cols_L, ext, mode: str,
                              seed: int, budget: int) -> AdmissibilityReport:
     """is_admissible in the given mode; sampled where exact mode meets a
-    repeated slope, on the decomposition the exact attempt computed."""
+    repeated slope, on the decomposition the exact attempt stored on D."""
     try:
         return is_admissible(D, F_cols_L, ext, mode, seed=seed, budget=budget)
-    except MultiplicityError as exc:
+    except MultiplicityError:
         return is_admissible(D, F_cols_L, ext, "sampled", seed=seed,
-                             budget=budget, components=exc.components)
+                             budget=budget)
 
 
 class ExtensionReport:

@@ -368,9 +368,12 @@ def find_admissible_stable_filtration(sa: SemiAbelianPhiModule,
     D = sa.module
     field = D.field
     ext = setup.ext
-    rep.validate(phi_module=D,
-                 toric_cols=sa.toric_cols if sa.t_dim else None)
     t = sa.t_dim
+    if t:
+        rep.validate(phi_module=D, toric_cols=sa.toric_cols)
+    else:
+        # D_B is D and repB is rep: one validation covers both
+        rep.validate(phi_module=D, gram=sa.gram_B)
     if sa.B_dim == 0:
         FL = lift_matrix(ext, la.identity(field, D.n))
         report = _toric_admissibility(sa, FL, ext, adm_mode, seed, adm_budget)
@@ -389,7 +392,8 @@ def find_admissible_stable_filtration(sa: SemiAbelianPhiModule,
         }
     DB = sa.quotient_module()
     repB = _quotient_rep(sa, rep)
-    repB.validate(phi_module=DB, gram=sa.gram_B)
+    if t:
+        repB.validate(phi_module=DB, gram=sa.gram_B)
     pieces = decompose_polarized(DB, sa.gram_B, repB)
     rng = random.Random(seed)
     piece_results = []

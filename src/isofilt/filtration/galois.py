@@ -133,41 +133,38 @@ def _diag_act(rep, setup, idx, cols):
     return la.mat_mul(lift_matrix(setup.ext, rep.mats[idx]), moved)
 
 
-def galois_descend(rep: GroupRepresentation, setup: GaloisSetup, cols=None):
+def galois_descend(rep: GroupRepresentation, setup: GaloisSetup):
     """A maximal family of diagonal-action invariants whose L-span is the
-    input space (the whole module when cols is None).
+    whole module, as columns over L; their count is the dimension.
 
-    Returns columns over L; their count equals the input dimension.
+    For alpha in the basis 1, pi, ..., pi^(e-1) of L/K, the average of
+    alpha e_j over the diagonal action is sum_h rho(h) tau_h^{-1}(alpha) e_j,
+    column j of M_alpha = sum_h tau_h^{-1}(alpha) rho(h).  So M_alpha is
+    built once per alpha, and the candidates are the columns of the M_alpha.
     """
     ext = setup.ext
-    field = rep.field
     n = rep.dim
-    if cols is None:
-        cols = la.identity(field, n)
-        cols = lift_matrix(ext, cols)
-    target_dim = len(cols[0])
     u = ext.uniformizer()
     alphas = [ext.one()]
     for _ in range(ext.e - 1):
         alphas.append(sc_mul(alphas[-1], u))
-    candidates = []
-    for j in range(target_dim):
-        v = [[cols[r][j]] for r in range(n)]
-        for alpha in alphas:
-            acc = None
-            for x in range(setup.group.n):
-                av = [[sc_mul(alpha, v[r][0])] for r in range(n)]
-                term = _diag_act(rep, setup, x, av)
-                acc = term if acc is None else la.mat_add(acc, term)
-            candidates.append([acc[r][0] for r in range(n)])
+    acts = [(ext.automorphisms[setup.table_inverse(setup.aut_of(x))],
+             lift_matrix(ext, rep.mats[x])) for x in range(setup.group.n)]
+    sums = []
+    for alpha in alphas:
+        acc = None
+        for rec, rho in acts:
+            term = la.mat_scalar(sc.sc_apply_aut(alpha, rec), rho)
+            acc = term if acc is None else la.mat_add(acc, term)
+        sums.append(acc)
     cand_cols = la.normalize_columns(
-        [[candidates[k][r] for k in range(len(candidates))] for r in range(n)],
+        [[M[r][j] for j in range(n) for M in sums] for r in range(n)],
         integral=True)
     basis = la.column_space_basis(cand_cols)
     got = len(basis[0]) if basis and basis[0] else 0
-    if got != target_dim:
+    if got != n:
         raise PrecisionError(
-            f"descent produced {got} independent invariants, expected {target_dim}")
+            f"descent produced {got} independent invariants, expected {n}")
     return la.normalize_columns(basis, integral=True)
 
 

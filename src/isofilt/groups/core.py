@@ -16,6 +16,8 @@ from math import gcd
 from ..errors import ValidationError
 from ..padic import linalg as la
 
+TABLE_SAMPLES = 512  # table pairs that validate(table_mode="sample") checks
+
 
 class FiniteGroup:
     def __init__(self, names, table):
@@ -227,16 +229,17 @@ class GroupRepresentation:
 
     def validate(self, phi_module=None, gram=None, toric_cols=None,
                  table_mode: str = "full"):
-        """Check the action against the table (every product, or 512 seeded
-        ones with table_mode="sample"), faithfulness when declared, and
-        compatibility with the given Frobenius, pairing and toric part."""
+        """Check the action against the table (every product, or, with
+        table_mode="sample" and more than TABLE_SAMPLES pairs, that many
+        seeded ones), faithfulness when declared, and compatibility with the
+        given Frobenius, pairing and toric part."""
         thr = self._zero_threshold()
         G = self.group
-        if table_mode == "sample":
+        if table_mode == "sample" and G.n * G.n > TABLE_SAMPLES:
             import random
             rng = random.Random(0xC0FFEE ^ G.n)
             pairs = ((rng.randrange(G.n), rng.randrange(G.n))
-                     for _ in range(512))
+                     for _ in range(TABLE_SAMPLES))
         else:
             pairs = ((a, b) for a in range(G.n) for b in range(G.n))
         for a, b in pairs:

@@ -9,6 +9,10 @@ Polarized modules carry an alternating Gram matrix J; the Frobenius
 compatibility constant is eps * p with eps in {+1, -1} detected at validation
 (both signs occur among natural examples and nothing downstream depends on
 the sign, only on the twist by p).
+
+A PhiModule's ``A`` and ``field`` are never mutated after construction (every
+operation returns a new module), so ``slopes`` may keep a module's slope data
+on it, in ``_slopes`` and ``_isoclinic``.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ class PhiModule:
         self.field = field
         self.A = frobenius_matrix
         self.n = len(frobenius_matrix)
+        self._slopes = None       # SlopeProfile, set by newton_slopes
+        self._isoclinic = None    # [(slope, cols)], set by isoclinic_decompose
         if validate:
             if any(len(r) != self.n for r in self.A):
                 raise ValidationError("Frobenius matrix must be square")

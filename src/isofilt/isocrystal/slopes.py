@@ -15,6 +15,11 @@ back as scalars, each coefficient certified to the precision that the
 charpoly's own precision supports (see _hensel_split).  Kernels of the
 factors evaluated at the linearization give the isoclinic pieces; these are
 phi-stable because the factors have sigma-fixed coefficients.
+
+A PhiModule is never mutated, so ``newton_slopes`` and ``isoclinic_decompose``
+store their first result on it and return it afterwards: the immutable
+profile itself, and fresh copies of the column lists, which callers extend.
+A call that raises stores nothing, so it raises again on the next call.
 """
 
 from __future__ import annotations
@@ -127,6 +132,13 @@ def charpoly_points(coeffs):
 
 
 def newton_slopes(D: PhiModule) -> SlopeProfile:
+    """The slope profile of D, computed on the first call for D."""
+    if D._slopes is None:
+        D._slopes = _newton_slopes(D)
+    return D._slopes
+
+
+def _newton_slopes(D: PhiModule) -> SlopeProfile:
     B = D.linearization()
     chi = la.charpoly(B)
     exact, uncertain = charpoly_points(chi)
@@ -273,10 +285,17 @@ def _scalars(level, poly, prec):
 
 def isoclinic_decompose(D: PhiModule):
     """[(slope, basis columns of the slope component)], phi-stable pieces
-    spanning D, one per distinct slope.
+    spanning D, one per distinct slope, by increasing slope.
 
     The columns of all components together are certified independent (one
     elimination), so the columns of any sum of components are too."""
+    if D._isoclinic is None:
+        D._isoclinic = _isoclinic_decompose(D)
+    return [(slope, [list(row) for row in cols])
+            for slope, cols in D._isoclinic]
+
+
+def _isoclinic_decompose(D: PhiModule):
     prof = newton_slopes(D)
     if len(prof.pairs) == 1:
         return [(prof.pairs[0][0], la.identity(D.field, D.n))]

@@ -18,6 +18,10 @@ Every returned basis is certified independent at the working level, so its
 rank is its number of columns: a kernel basis has an identity block, an image
 or a phi-span is a set of pivot columns, and ``isoclinic_decompose``
 certifies that its components together have full rank.
+
+Both modes start from ``isoclinic_decompose(D)``, which splits D once and
+keeps the result on D; a sampled retry after exact mode raised
+``MultiplicityError`` reuses that split.
 """
 
 from __future__ import annotations
@@ -84,8 +88,7 @@ def exact_submodules(D: PhiModule) -> SubmoduleSet:
         if len(cols[0]) != b:
             raise MultiplicityError(
                 f"slope {slope} component has dimension {len(cols[0])} != {b}; "
-                "component is not simple at this level, use sampled mode",
-                components=comps)
+                "component is not simple at this level, use sampled mode")
     subs = []
     k = len(comps)
     for r in range(k + 1):
@@ -95,12 +98,11 @@ def exact_submodules(D: PhiModule) -> SubmoduleSet:
     return SubmoduleSet(comps, subs, "exact")
 
 
-def sampled_submodules(D: PhiModule, seed: int, budget: int,
-                       components=None) -> SubmoduleSet:
+def sampled_submodules(D: PhiModule, seed: int, budget: int) -> SubmoduleSet:
     """The sums of isoclinic components, then the new phi-stable subspaces
-    that ``budget`` seeded tries find.  ``components`` is D's isoclinic
-    decomposition when the caller has it already."""
-    comps = isoclinic_decompose(D) if components is None else components
+    that ``budget`` seeded tries find.  D's decomposition is the one stored
+    on D when exact mode has already split it."""
+    comps = isoclinic_decompose(D)
     rng = random.Random(seed)
     subs = []
     seen = set()
@@ -176,11 +178,11 @@ def phi_span(D: PhiModule, cols):
 
 
 def submodules(D: PhiModule, mode: str = "exact", budget: int = 0,
-               seed: int = 0, components=None) -> SubmoduleSet:
+               seed: int = 0) -> SubmoduleSet:
     if mode == "exact":
         return exact_submodules(D)
     if mode == "sampled":
-        return sampled_submodules(D, seed, budget, components)
+        return sampled_submodules(D, seed, budget)
     raise ValueError(f"unknown mode {mode!r}")
 
 

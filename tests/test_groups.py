@@ -107,6 +107,47 @@ def test_wreath_block_rep_g2():
     assert rep.group.n == 128
 
 
+def _table_products(monkeypatch, run):
+    """(a, b) of every product of two group matrices that validate makes
+    while run() goes."""
+    pairs, mat_mul = [], la.mat_mul
+    validate = GroupRepresentation.validate
+
+    def spy_validate(rep, *args, **kwargs):
+        index = {id(m): x for x, m in enumerate(rep.mats)}
+
+        def spy_mul(a, b):
+            if id(a) in index and id(b) in index:
+                pairs.append((index[id(a)], index[id(b)]))
+            return mat_mul(a, b)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(la, "mat_mul", spy_mul)
+            return validate(rep, *args, **kwargs)
+
+    monkeypatch.setattr(GroupRepresentation, "validate", spy_validate)
+    run()
+    return pairs
+
+
+def test_sampled_table_check_covers_a_small_group_once(monkeypatch, capsys):
+    # Q8 has 64 pairs, fewer than the 512 samples: each is checked once
+    from isofilt.cli import main
+    pairs = _table_products(
+        monkeypatch, lambda: main(["wreath-demo", "--g", "1", "--json"]))
+    assert len(pairs) == 64 and set(pairs) == {(a, b) for a in range(8)
+                                               for b in range(8)}
+    assert '"group_order": 8' in capsys.readouterr().out
+
+
+def test_sampled_table_check_samples_a_large_group(monkeypatch):
+    Q4 = unramified(2, 2, 24)
+    rep = wreath_block_rep(Q4, 2)
+    pairs = _table_products(
+        monkeypatch, lambda: rep.validate(table_mode="sample"))
+    assert rep.group.n ** 2 > 512 and len(pairs) == 512
+
+
 def test_is_scalar_image():
     Q4 = unramified(2, 2, 24)
     assert scalar_c2_rep(Q4, 3).is_scalar_image()

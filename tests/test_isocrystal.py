@@ -6,8 +6,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from isofilt.errors import MultiplicityError, ValidationError
+from isofilt.errors import MultiplicityError, PrecisionError, ValidationError
 from isofilt.padic import UnramifiedFieldDescriptor, linalg as la, sc_add, sc_mul, sc_sub
 from isofilt.isocrystal.module import (PhiModule, PolarizedPhiModule,
                                        SemiAbelianPhiModule,
@@ -278,6 +279,80 @@ def test_semi_abelian_rejects_bad_toric(Q2):
     gram_B = la.from_rows_of_fractions(Q2, [[0, 1], [-1, 0]])
     with pytest.raises(ValidationError):
         SemiAbelianPhiModule(D, toric, gram_B)
+
+
+# -- the slope data stored on a module ----------------------------------------------
+
+
+def _entries(cols):
+    return [[(x.kind, x.w, x.unit, x.relpi, x.zw) for x in row]
+            for row in cols]
+
+
+def _decomposition(D):
+    try:
+        return [(s, _entries(c)) for s, c in isoclinic_decompose(D)]
+    except PrecisionError as exc:
+        return str(exc)
+
+
+def test_returned_columns_are_copies(Q2):
+    D = PhiModule.from_rational(Q2, [[1, 0, 0], [0, 2, 0], [0, 0, 2]])
+    first = isoclinic_decompose(D)
+    want = [(s, _entries(c)) for s, c in first]
+    for _, cols in first:
+        cols[0].append(Q2.one())
+        cols.append([])
+    first.append((Fraction(5), []))
+    assert [(s, _entries(c)) for s, c in isoclinic_decompose(D)] == want
+    assert newton_slopes(D) is newton_slopes(D)
+
+
+def test_a_failed_split_stores_nothing():
+    # at 4 digits the guard of 8 cannot certify the linearization's charpoly
+    field = UnramifiedFieldDescriptor.create(2, 1, 4)
+    D = PhiModule(field, la.from_rows_of_fractions(field, [[1, 0], [0, 2]]),
+                  validate=False)
+    for fn in (newton_slopes, isoclinic_decompose):
+        messages = []
+        for _ in range(2):
+            with pytest.raises(PrecisionError) as info:
+                fn(D)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+    assert D._slopes is None and D._isoclinic is None
+
+
+_BLOCKS = [(0, 1), (1, 1), (1, 2), (1, 3), (2, 3), (0, 1), (1, 1)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_the_stored_split_is_the_fresh_split(data):
+    # two modules built from the same data: the second call on one returns
+    # what the first call on the other computes, entry by entry
+    blocks = data.draw(st.lists(st.sampled_from(_BLOCKS), min_size=1,
+                                max_size=3))
+    prec = data.draw(st.sampled_from([16, 32]))
+    field = UnramifiedFieldDescriptor.create(2, 1, prec)
+    A = None
+    for s, r in blocks:
+        M = PhiModule.simple(field, s, r)
+        A = M if A is None else A.direct_sum(M)
+    n = A.n
+    low = [[1 if i == j else (data.draw(st.integers(-3, 3)) if i > j else 0)
+            for j in range(n)] for i in range(n)]
+    up = [[1 if i == j else (data.draw(st.integers(-3, 3)) if i < j else 0)
+           for j in range(n)] for i in range(n)]
+    P = la.mat_mul(la.from_rows_of_fractions(field, low),
+                   la.from_rows_of_fractions(field, up))
+    stored, fresh = A.base_change(P), A.base_change(P)
+    first = _decomposition(stored)
+    assert _decomposition(stored) == first == _decomposition(fresh)
+    if not isinstance(first, str):
+        assert newton_slopes(stored) is newton_slopes(stored)
+        assert newton_slopes(stored).pairs == newton_slopes(fresh).pairs
+        assert newton_slopes(stored).vertices == newton_slopes(fresh).vertices
 
 
 def _poly_product(field, polys):

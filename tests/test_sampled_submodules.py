@@ -19,7 +19,7 @@ from isofilt.errors import MultiplicityError
 from isofilt.filtration.admissible import is_admissible
 from isofilt.filtration.galois import lift_matrix
 from isofilt.fixtures import sqrt2_extension, unramified
-from isofilt.isocrystal import submodules as sm
+from isofilt.isocrystal import slopes, submodules as sm
 from isofilt.isocrystal.module import PhiModule
 from isofilt.isocrystal.slopes import isoclinic_decompose
 from isofilt.padic import linalg as la
@@ -84,16 +84,26 @@ def test_sampled_family_matches_the_reference(name, budget, seed):
         assert _entries(a) == _entries(b)
 
 
-def test_fallback_reuses_the_decomposition():
-    D = MODULES["ordinary_torus"]
-    comps = isoclinic_decompose(D)
-    with pytest.raises(MultiplicityError) as info:
+def test_fallback_splits_the_module_once(monkeypatch):
+    # exact mode stores the split on D before it raises, and the sampled
+    # retry reads it back instead of running the Hensel split again
+    D = _torus()
+    calls = []
+    slope_factors = slopes.slope_factors
+
+    def counting(module):
+        calls.append(module)
+        return slope_factors(module)
+
+    monkeypatch.setattr(slopes, "slope_factors", counting)
+    with pytest.raises(MultiplicityError):
         sm.submodules(D, "exact")
-    assert [(s, _entries(c)) for s, c in info.value.components] == \
-        [(s, _entries(c)) for s, c in comps]
-    given = sm.sampled_submodules(D, 7, 20, components=info.value.components)
-    fresh = sm.sampled_submodules(D, 7, 20)
-    assert [_entries(c) for c in given.subspaces] == \
+    assert calls == [D]
+    retry = sm.sampled_submodules(D, 7, 20)
+    assert calls == [D]
+    monkeypatch.undo()
+    fresh = sm.sampled_submodules(_torus(), 7, 20)
+    assert [_entries(c) for c in retry.subspaces] == \
         [_entries(c) for c in fresh.subspaces]
 
 
@@ -101,9 +111,9 @@ def test_fallback_reuses_the_decomposition():
 
 
 def _count_sampling(monkeypatch, D, seed, budget):
-    """Run sampled_submodules with D's decomposition given, recording the
-    phi-spans, the stability checks with the keys of their candidates, the
-    random elements U and the eliminations of each U."""
+    """Run sampled_submodules on D, recording the phi-spans, the stability
+    checks with the keys of their candidates, the random elements U and the
+    eliminations of each U."""
     comps = isoclinic_decompose(D)
     key_of = sm._canonical_key
     spans, checks, keys, Us, on_U = [], [], [], [], []
@@ -142,7 +152,7 @@ def _count_sampling(monkeypatch, D, seed, budget):
         patch.setattr(sm, "_canonical_key", spy_key)
         patch.setattr(sm, "_random_combination", spy_combination)
         patch.setattr(la, "certified_row_reduce", spy_reduce)
-        res = sm.sampled_submodules(D, seed, budget, components=comps)
+        res = sm.sampled_submodules(D, seed, budget)
     return res, comps, spans, checks, keys, Us, on_U
 
 
