@@ -19,6 +19,7 @@ from fractions import Fraction
 from .bounds import is_prime
 from .errors import ValidationError
 from .padic import scalar as sc
+from .padic.fp import fp_is_primitive
 from .padic.descriptors import UnramifiedFieldDescriptor, EisensteinExtensionDescriptor
 from .padic import linalg as la
 from .isocrystal.module import PhiModule, SemiAbelianPhiModule
@@ -127,8 +128,25 @@ def field_from_json(doc, prec_override=None) -> UnramifiedFieldDescriptor:
     if prec < 1:
         raise ValidationError(f"field: precision {prec} must be at least 1")
     if modulus:
-        return UnramifiedFieldDescriptor(p, f, prec, modulus)
+        return _field_with_modulus(p, f, prec, modulus)
     return UnramifiedFieldDescriptor.create(p, f, prec)
+
+
+def _field_with_modulus(p, f, prec, modulus):
+    """The level a JSON modulus presents.  It must be the presentation the
+    descriptors assume: monic of degree f, irreducible with primitive roots
+    mod p (x - 1 at f = 1, where z = 1), and z^q = z mod p^N, so that z is a
+    Teichmuller root and Frobenius is z -> z^p."""
+    if len(modulus) == f + 1 and modulus[-1] == 1 and (
+            (modulus[0] + 1) % p ** prec == 0 if f == 1
+            else fp_is_primitive([c % p for c in modulus], p)):
+        field = UnramifiedFieldDescriptor(p, f, prec, modulus)
+        z = field.ring.gen_z()
+        if field.ring.pow(z, field.q) == z:
+            return field
+    raise ValidationError(f"field: modulus {list(modulus)} is not a monic lift "
+                          f"of degree {f} of a primitive polynomial mod {p} "
+                          f"with z^q = z mod {p}^{prec} (x - 1 when f = 1)")
 
 
 def _base_coeff(c):

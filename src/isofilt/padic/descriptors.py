@@ -1,8 +1,8 @@
 """Tower level descriptors: Q_p, unramified K_q, Eisenstein steps L/K_q.
 
 An UnramifiedFieldDescriptor fixes a Teichmuller presentation: the modulus is
-a Hensel lift of an irreducible degree-f factor of the (q-1)-st cyclotomic
-polynomial mod p, so the generator z is a primitive (q-1)-st root of unity,
+the monic lift dividing x^q - x of an irreducible degree-f polynomial mod p
+with primitive roots, so the generator z is a primitive (q-1)-st root of unity,
 Frobenius is exactly z -> z^p, and the prime-to-p roots of unity available at
 this level are exact monomials z^k.
 
@@ -226,7 +226,8 @@ class EisensteinExtensionDescriptor:
         ring = self.ring
         if not self.automorphisms:
             return
-        thresh = self.e * max(self.prec - 4, 1)
+        digits = max(self.prec - 4, 1)
+        thresh = self.e * digits
         images = {}
         for name, rec in self.automorphisms.items():
             val = ring.val_pi(self._eval_eis(rec.image))
@@ -237,8 +238,17 @@ class EisensteinExtensionDescriptor:
         names = list(self.automorphisms)
         if len(names) != self.e:
             raise ValidationError("automorphism table must have e entries")
-        ident = [n for n in names
-                 if self._images_equal(images[n], ring.gen_u(), thresh)]
+        # a monomial z^i u^j has valuation e*v_p + j with j < e, so two images
+        # agree to pi^thresh exactly when their coefficients agree mod p^digits
+        pm = self.p ** digits
+        by_key: dict[tuple, list[str]] = {}
+        for n in names:
+            by_key.setdefault(tuple([c % pm for c in images[n]]), []).append(n)
+
+        def match(x):
+            return by_key.get(tuple([c % pm for c in x]), [])
+
+        ident = match(ring.gen_u())
         if len(ident) != 1:
             raise ValidationError("table must contain the identity exactly once")
         # closure under composition, and each composite is in the table
@@ -247,11 +257,11 @@ class EisensteinExtensionDescriptor:
             seen = set()
             for n2 in names:
                 img = ring.apply_u_map(images[n2], self.automorphisms[n1].upowers)
-                match = [m for m in names if self._images_equal(img, images[m], thresh)]
-                if len(match) != 1:
+                found = match(img)
+                if len(found) != 1:
                     raise ValidationError("automorphism table is not closed")
-                self.compose_table[(n1, n2)] = match[0]
-                seen.add(match[0])
+                self.compose_table[(n1, n2)] = found[0]
+                seen.add(found[0])
             if len(seen) != self.e:
                 raise ValidationError("automorphism table rows are not permutations")
         self.identity_name = ident[0]
@@ -265,11 +275,6 @@ class EisensteinExtensionDescriptor:
             acc = ring.add(acc, ring.mul(coeff, xp))
             xp = ring.mul(xp, x)
         return ring.add(acc, xp)  # + x^e (monic)
-
-    def _images_equal(self, a, b, thresh):
-        d = self.ring.sub(a, b)
-        v = self.ring.val_pi(d)
-        return v is None or v >= thresh
 
     # -- public API ------------------------------------------------------------
 

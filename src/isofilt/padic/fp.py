@@ -64,38 +64,26 @@ def fp_sub(a, b, p):
                     for i in range(n)], p)
 
 
-def fp_gcd(a, b, p):
-    a, b = fp_trim(a, p), fp_trim(b, p)
-    while b:
-        a, b = b, fp_divmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [(c * inv) % p for c in a]
-    return a
-
-
-def fp_is_irreducible(g, p) -> bool:
-    """Deterministic irreducibility test for monic g over F_p."""
-    f = len(g) - 1
-    if f <= 0:
+def fp_is_primitive(g, p) -> bool:
+    """True when monic g of degree f >= 1 is irreducible over F_p with
+    primitive roots, that is when x has order exactly q - 1 = p^f - 1 mod g:
+    x^(q-1) = 1, and x^((q-1)/r) != 1 for each prime r | q - 1.  No
+    reducible g passes, since there an order prime to p divides the lcm of
+    p^d - 1 over the degrees d of g's factors, which is less than q - 1
+    (Lidl-Niederreiter, Finite Fields, Thm 3.16)."""
+    order = p ** (len(g) - 1) - 1
+    if fp_powmod([0, 1], order, g, p) != [1]:
         return False
-    x = [0, 1]
-    xq = x
-    for _ in range(f):
-        xq = fp_powmod(xq, p, g, p)
-    if fp_sub(xq, x, p):
-        return False  # x^(p^f) != x mod g
-    # no factor of proper degree: gcd(x^(p^d) - x, g) trivial for d | f, d < f
-    for d in range(1, f):
-        if f % d == 0:
-            xd = x
-            for _ in range(d):
-                xd = fp_powmod(xd, p, g, p)
-            diff = fp_sub(xd, x, p)
-            if not diff:
+    m, r = order, 2
+    while m > 1:
+        if r * r > m:
+            r = m  # what is left of m is prime
+        if m % r == 0:
+            if fp_powmod([0, 1], order // r, g, p) == [1]:
                 return False
-            if len(fp_gcd(diff, g, p)) > 1:
-                return False
+            while m % r == 0:
+                m //= r
+        r += 1
     return True
 
 

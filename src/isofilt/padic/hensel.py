@@ -8,16 +8,19 @@ cofactors.  How many of those digits an inexact input certifies is the
 caller's business (see isocrystal.slopes).  The arithmetic stays at the
 ring's fixed modulus p^N throughout.
 
-rp_mul multiplies by Kronecker substitution (von zur Gathen-Gerhard, Modern
-Computer Algebra, 8.4): each polynomial is packed into one integer, one
-integer product replaces the coefficient-pair loop, and TowerRing._reduce
-folds each unpacked x-coefficient to its residue through the ring's fold
-table, as TowerRing.mul does for a single product.
+Every polynomial handled here is short: the slope split's factors and
+cofactors have at most deg F + 1 coefficients, and find_unramified_modulus
+works with degree-f ring elements only.  So rp_mul is the schoolbook product,
+one compiled TowerRing.mul per pair of coefficients; packing each polynomial
+into one integer (Kronecker substitution) costs more than it saves at these
+lengths.
 """
 
 from __future__ import annotations
 
-from .fp import fp_divmod, fp_is_irreducible, fq_inverse
+from itertools import product as iproduct
+
+from .fp import fp_is_primitive, fq_inverse
 from .ring import TowerRing
 
 # -- integer polynomial helpers ------------------------------------------------
@@ -50,31 +53,36 @@ def _int_poly_exact_div(num: list[int], den: list[int]) -> list[int]:
 
 
 def find_unramified_modulus(p: int, f: int, prec: int) -> tuple[int, ...]:
-    """Monic integral modulus for K_q: a Hensel lift of the lexicographically
-    first monic irreducible degree-f factor of the (q-1)-st cyclotomic
-    polynomial mod p, so the generator is a primitive (q-1)-st Teichmuller
-    root and Frobenius is exactly z -> z^p."""
+    """Monic integral modulus for K_q, so that the generator z is a primitive
+    (q-1)-st Teichmuller root and Frobenius is exactly z -> z^p.
+
+    g is the lexicographically first monic irreducible degree-f polynomial
+    mod p whose roots are primitive.  In Z_p[x]/(g) at p^N, Newton's
+    iteration on x^q - x from z converges to the Teichmuller root w, and the
+    modulus is prod_{i<f} (x - w^(p^i)): the unique monic lift of g dividing
+    x^q - x (von zur Gathen-Gerhard, Modern Computer Algebra, ch. 9).  Only
+    degree-f ring elements occur."""
     if f == 1:
         return ((-1) % p ** prec, 1)
     q = p ** f
-    phi_int = cyclotomic_int(q - 1)
-    phi = [c % p for c in phi_int]
-    from itertools import product as iproduct
-    for tail in iproduct(range(p), repeat=f):
-        g = list(tail) + [1]
-        if not fp_is_irreducible(g, p):
-            continue
-        if fp_divmod(phi, g, p)[1]:
-            continue
-        # lift against the (q-1)-st cyclotomic polynomial (squarefree mod p,
-        # much smaller than x^(q-1) - 1)
-        h = fp_divmod(phi, g, p)[0]
-        ring = TowerRing(p, prec, ((-1) % p ** prec, 1))  # plain Z/p^N
-        G = hensel_lift_pair(ring, [ring.from_int(c) for c in phi_int],
-                             [ring.from_int(c) for c in g],
-                             [ring.from_int(c) for c in h])[0]
-        return tuple(x[0] for x in G)
-    raise RuntimeError("no irreducible factor found (impossible)")
+    g = next(g for g in ([*tail, 1] for tail in iproduct(range(p), repeat=f))
+             if fp_is_primitive(g, p))
+    ring = TowerRing(p, prec, tuple(g))
+    w = ring.gen_z()
+    # each step doubles the p-adic precision of the root, from p to p^N;
+    # q w^(q-1) - 1 = -1 mod p is a unit
+    for _ in range((prec - 1).bit_length()):
+        v = ring.pow(w, q - 1)
+        step = ring.mul(ring.sub(ring.mul(v, w), w),
+                        ring.inv_unit(ring.sub(ring.scalar_mul(q, v), ring.one())))
+        w = ring.sub(w, step)
+    G = [ring.one()]
+    for _ in range(f):
+        G = rp_mul(ring, G, [ring.neg(w), ring.one()])
+        w = ring.pow(w, p)
+    # the conjugates' symmetric functions are Frobenius-fixed: rational
+    assert not any(any(c[1:]) for c in G), "modulus coefficients are not rational"
+    return tuple(c[0] for c in G)
 
 
 # -- polynomials over a TowerRing ------------------------------------------------
@@ -95,42 +103,19 @@ def rp_sub(ring, a, b):
 
 
 def rp_mul(ring, a, b):
-    """Product of two polynomials over ``ring`` by Kronecker substitution.
-
-    Every entry must be a canonical residue in [0, p^N), as every ring op
-    returns.  Monomial z^i u^j of x-coefficient k goes to slot
-    k (2f-1)(2e-1) + i (2e-1) + j of one integer; a slot holds at least
-    2 bits(p^N) + bits(min(len a, len b) f e) bits (rounded up to whole
-    bytes), so no slot of the product carries into the next.  One integer
-    product then holds, for each x-coefficient, the raw (z, u) convolution
-    that ``TowerRing._reduce`` folds to its canonical residue, one fold-table
-    pass and one reduction mod p^N per coefficient.
-    """
+    """Product of two polynomials over ``ring``: one ring.mul per pair of
+    coefficients, summed by degree with ring.add."""
     if not a or not b:
         return []
-    f, e = ring.f, ring.e
-    nu = 2 * e - 1
-    width = (2 * ring.pn.bit_length() + (min(len(a), len(b)) * f * e).bit_length()
-             + 7) // 8
-    row_pad = bytes(width * (e - 1))        # slots u^e .. u^(2e-2) of a z-row
-    coeff_pad = bytes(width * nu * (f - 1))  # rows z^f .. z^(2f-2)
-
-    def pack(poly):
-        parts = []
-        for x in poly:
-            for i in range(f):
-                parts.extend(c.to_bytes(width, "little") for c in x[i * e:i * e + e])
-                parts.append(row_pad)
-            parts.append(coeff_pad)
-        return int.from_bytes(b"".join(parts), "little")
-
-    n = len(a) + len(b) - 1
-    step = width * nu * (2 * f - 1)
-    raw = (pack(a) * pack(b)).to_bytes(n * step, "little")
-    reduce = ring._reduce
-    return [reduce([int.from_bytes(raw[o:o + width], "little")
-                    for o in range(k, k + step, width)])
-            for k in range(0, n * step, step)]
+    mul, add = ring.mul, ring.add
+    last = b[-1]
+    out = [mul(a[0], y) for y in b]
+    for i in range(1, len(a)):
+        x = a[i]
+        for j, y in enumerate(b[:-1], i):
+            out[j] = add(out[j], mul(x, y))
+        out.append(mul(x, last))
+    return out
 
 
 def rp_divmod_monic(ring, a, b):
@@ -169,18 +154,10 @@ def _rp_fq_xgcd(ring, a, b):
         return tuple(out)
 
     def divmod_(x, y):
-        x = red(x)
-        y = red(y)
-        inv_lead = fq_inv(y[-1])
-        q = [ring.zero()] * max(len(x) - len(y) + 1, 0)
-        while x and len(x) >= len(y):
-            c = tuple(v % p for v in ring.mul(x[-1], inv_lead))
-            k = len(x) - len(y)
-            q[k] = c
-            for j, d in enumerate(y):
-                x[k + j] = tuple(v % p for v in ring.sub(x[k + j], ring.mul(c, d)))
-            x = red(x)
-        return red(q), x
+        # divide by the monic c*y, then scale the quotient back by c
+        c = fq_inv(y[-1])
+        q, r = rp_divmod_monic(ring, x, red([ring.mul(d, c) for d in y]))
+        return red([ring.mul(v, c) for v in q]), red(r)
 
     def mul_(x, y):
         return red(rp_mul(ring, x, y))
@@ -197,9 +174,7 @@ def _rp_fq_xgcd(ring, a, b):
         s0, s1 = s1, sub_(s0, mul_(q, s1))
         t0, t1 = t1, sub_(t0, mul_(q, t1))
     c = fq_inv(r0[-1])
-    return ([tuple(v % p for v in ring.mul(x, c)) for x in r0],
-            [tuple(v % p for v in ring.mul(x, c)) for x in s0],
-            [tuple(v % p for v in ring.mul(x, c)) for x in t0])
+    return tuple(red([ring.mul(x, c) for x in poly]) for poly in (r0, s0, t0))
 
 
 def hensel_lift_pair(ring, F, g0, h0):

@@ -22,9 +22,9 @@ onto the basis by a fold table built once per ring: for each raw monomial
 z^i u^j outside the basis, the sparse canonical residue of z^i u^j (for
 rational Eisenstein polynomials, a handful of nonzeros).  mul runs both steps
 as one function of straight-line code, compiled once per ring layout
-(``_product_code``), and reduces mod p^N once.  _reduce folds a convolution
-built elsewhere: hensel.rp_mul feeds it the convolutions of a whole
-polynomial product; shift_up and apply_u_map build one convolution each.  A
+(``_product_code``), and reduces mod p^N once; hensel.rp_mul calls mul once
+per pair of polynomial coefficients.  _reduce folds a convolution built
+elsewhere: shift_up and apply_u_map build one convolution each.  A
 product with a constant operand is a scalar multiple and skips the fold;
 when f = e = 1, mul is one integer product.  inv_unit is one modular inverse
 for every constant unit (all of them when f = e = 1).  Any other unit is
@@ -196,20 +196,20 @@ class TowerRing:
 
     def add(self, x, y):
         pn = self.pn
-        return tuple((a + b) % pn for a, b in zip(x, y))
+        return tuple([(a + b) % pn for a, b in zip(x, y)])
 
     def sub(self, x, y):
         pn = self.pn
-        return tuple((a - b) % pn for a, b in zip(x, y))
+        return tuple([(a - b) % pn for a, b in zip(x, y)])
 
     def neg(self, x):
         pn = self.pn
-        return tuple((-a) % pn for a in x)
+        return tuple([(-a) % pn for a in x])
 
     def scalar_mul(self, n: int, x):
         pn = self.pn
         n %= pn
-        return tuple((n * a) % pn for a in x)
+        return tuple([(n * a) % pn for a in x])
 
     def mul(self, x, y):
         pn = self.pn

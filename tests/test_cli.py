@@ -187,6 +187,18 @@ def test_malformed_module_exits_2_without_traceback(tmp_path, where, value):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("modulus", [[5, 2, 1, 7],               # not monic
+                                     [0, 1, 1], [1, 0, 1], [2, 1, 1],  # reducible mod 2
+                                     [3, 1, 1], [1, 3, 1],   # z^4 != z mod 2^N
+                                     [1, 1], [1, 1, 1, 1]])  # degree != f = 2
+def test_bad_modulus_exits_2_without_traceback(tmp_path, modulus):
+    proc = _run_cli(["slopes", "--module",
+                     _mutated(tmp_path, "ss2_q4", ("field", "modulus"), modulus)])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "field: modulus" in proc.stderr
+
+
 def test_find_check_roundtrip(tmp_path, capsys):
     cert = tmp_path / "cert.json"
     code, out, _ = run(capsys, "filtration", "find",

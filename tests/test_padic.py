@@ -259,6 +259,74 @@ def test_hensel_lift_pair_ramified_to_cap(e, prec):
     assert len(S) < len(H) and len(T) < len(G)
 
 
+# find_unramified_modulus on a (p, f, N) grid, values pinned from the
+# Hensel lift of a degree-f factor of the (q-1)-st cyclotomic polynomial
+UNRAMIFIED_MODULI = {
+    (2, 2, 8): (1, 1, 1),
+    (2, 2, 64): (1, 1, 1),
+    (2, 3, 16): (65535, 24666, 24667, 1),
+    (2, 3, 64): (18446744073709551615, 926155691629764698, 926155691629764699, 1),
+    (2, 4, 32): (1, 1056383596, 4294967294, 3238583699, 1),
+    (2, 5, 16): (65535, 32504, 14172, 16033, 34366, 1),
+    (2, 6, 24): (1, 11786864, 5989816, 14385310, 1649116, 15021191, 1),
+    (2, 8, 64): (1, 12589030830687367812, 575347512865571658, 17170677306839875718,
+                 4312756862511901195, 10193609903605050389, 11511114142966845435,
+                 13339388624631127602, 1),
+    (2, 10, 32): (1, 1097354048, 2109959584, 2048251160, 455881424, 2655352430,
+                  3837847340, 3974379359, 658127480, 1581446128, 1),
+    (3, 2, 48): (79766443076872509863360, 64422477969082432104712, 1),
+    (3, 3, 24): (1, 6640014000, 59566054178, 1),
+    (3, 4, 16): (43046720, 22859229, 32559207, 36920710, 1),
+    (5, 2, 32): (15250553973796510045807, 22701208236513163945286, 1),
+    (5, 4, 32): (15250553973796510045807, 19836272121446524165120,
+                 16453128105150202449477, 4425369067267394624376, 1),
+    (7, 3, 16): (10445516265494, 31315321973041, 16029650623505, 1),
+}
+
+
+@pytest.mark.parametrize("p, f, prec", sorted(UNRAMIFIED_MODULI))
+def test_unramified_modulus_is_pinned_teichmuller_lift(p, f, prec):
+    from itertools import product
+    from isofilt.padic.fp import fp_is_primitive
+    from isofilt.padic.hensel import find_unramified_modulus
+    from isofilt.padic.ring import TowerRing
+    G = find_unramified_modulus(p, f, prec)
+    assert G == UNRAMIFIED_MODULI[p, f, prec]
+    # G lifts the lexicographically first primitive g mod p ...
+    g = next([*tail, 1] for tail in product(range(p), repeat=f)
+             if fp_is_primitive([*tail, 1], p))
+    assert [c % p for c in G] == g
+    # ... and its root z is a Teichmuller root: z^q = z mod p^N
+    ring = TowerRing(p, prec, G)
+    z = ring.gen_z()
+    assert ring.pow(z, p ** f) == z
+
+
+def test_json_modulus_need_not_be_the_default():
+    # the reciprocal of the default modulus lifts x^3+x+1, not x^3+x^2+1, and
+    # its roots z^-1 are primitive Teichmuller roots: a valid presentation
+    from isofilt.formats import field_from_json
+    default = UnramifiedFieldDescriptor.create(2, 3, 16)
+    reciprocal = tuple(-c % 2 ** 16 for c in reversed(default.modulus))
+    field = field_from_json({"p": 2, "f": 3, "precision": 16,
+                             "modulus": list(reciprocal)})
+    assert field.modulus == reciprocal
+    assert [c % 2 for c in field.modulus] == [1, 1, 0, 1]
+
+
+def test_fp_is_primitive():
+    from isofilt.padic.fp import fp_is_primitive
+    # over F_2: x^2+x+1 generates F_4^*; x^4+x^3+x^2+x+1 is irreducible but
+    # its roots have order 5 of 15; x^2+1 = (x+1)^2 is reducible
+    assert fp_is_primitive([1, 1, 1], 2)
+    assert not fp_is_primitive([1, 1, 1, 1, 1], 2)
+    assert fp_is_primitive([1, 1, 0, 0, 1], 2)
+    assert not fp_is_primitive([1, 0, 1], 2)
+    # over F_3: x^2+1 is irreducible with roots of order 4 of 8
+    assert not fp_is_primitive([1, 0, 1], 3)
+    assert fp_is_primitive([2, 1, 1], 3)
+
+
 # -- modular elimination and unramified embeddings ---------------------------------
 
 

@@ -23,7 +23,7 @@ from oracles import tower_poly_mul, tower_reduce
 
 LEVELS = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 4)]
 PRECS = [8, 48]
-LONGEST = 32  # long enough that dropping the slot headroom of rp_mul overflows
+LONGEST = 32  # far past the Hensel lift's lengths, with the largest entries
 
 levels = pytest.mark.parametrize("f, e", LEVELS)
 precs = pytest.mark.parametrize("prec", PRECS)
