@@ -12,9 +12,11 @@ routes, and glues:
   re-verified, stability holds by construction and is re-verified;
 * one slope (necessarily 1/2): if the group acts by homotheties, sample
   base-rational Lagrangians until F is transverse to its twisted-Frobenius
-  image (which forces admissibility); otherwise scan for a perturbing
-  element h, certify the seed construction, and sample stable Lagrangians
-  until dim(F cap h F) <= 1, which again forces admissibility.
+  image (which forces admissibility); otherwise take the first perturbing
+  element h (``isotypic.find_perturbateur``, decided on the eigenvalue
+  multiplicities of the character table, not on the matrices), certify the
+  seed construction, and sample stable Lagrangians until dim(F cap h F) <= 1,
+  which again forces admissibility.
 
 Every certificate re-verifies all properties through code paths independent
 of the construction; searches are seeded and budgeted, and the emitted
@@ -247,7 +249,7 @@ def supersingular_filtration(piece: PieceData, setup: GaloisSetup, seed: int,
     if prof.pairs != ((Fraction(1, 2), D.n),):
         raise ValidationError("supersingular route requires pure slope 1/2")
     rng = random.Random(seed)
-    scan, witness = find_perturbateur(rep)
+    scan = find_perturbateur(rep)
     field = rep.field
     if scan == "homothety-action":
         if not ext.frobenius_ok():
@@ -283,7 +285,7 @@ def supersingular_filtration(piece: PieceData, setup: GaloisSetup, seed: int,
         except PrecisionError:
             continue
         return _finish_piece(piece, setup, F, adm_mode, adm_budget, seed,
-                             expect_admissible=True, witness=(scan, witness))
+                             expect_admissible=True, witness=scan)
     raise BudgetExhaustedError(
         f"perturbing-element sampling exhausted {budget} tries")
 
@@ -455,7 +457,7 @@ def find_admissible_stable_filtration(sa: SemiAbelianPhiModule,
         "cocycle": datum.verify_cocycle(),
         "descent_targets": True,
         "pieces": [{"dim": p.dim, "slopes": [str(s) for s in p.slopes],
-                    "witness": (r["witness"][0] if r.get("witness") else None),
+                    "witness": r["witness"],
                     "admissibility": r["admissibility"].as_dict()}
                    for p, r in piece_results],
         "seed": seed, "budget": budget,

@@ -7,9 +7,10 @@ the vector m[j] = multiplicity of zeta_e^j among the eigenvalues of the
 representing matrix at c (with respect to one fixed identification of the
 order-e subgroup of F_l* with the complex e-th roots).  Those multiplicity
 vectors are the canonical form used everywhere downstream: equality, Galois
-twist (precompose with a power map), duality (inverse classes), perturbation
-witnesses, and the cyclotomic evaluation of isotypic projectors all operate
-on them with exact integer arithmetic.
+twist (precompose with a power map), duality (inverse classes), the
+cyclotomic evaluation of isotypic projectors, and the perturbing elements of
+a representation (``isotypic.find_perturbateur`` sums them over its
+isotypic components) all operate on them with exact integer arithmetic.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
-"""Isotypic decomposition over unramified p-adic fields, exact eigenvalue
-multiplicities of finite-order matrices, and perturbation witnesses.
+"""Isotypic decomposition over unramified p-adic fields, and perturbing
+elements read from the character table.
 
 The inertia group acts transitively on primitive p-power roots of unity and
 an unramified Frobenius acts by q on the prime-to-p ones, so the Galois
@@ -10,10 +10,12 @@ integers and leaves Gauss periods of prime-to-p roots, which live in K_q by
 construction; the projectors therefore evaluate exactly at the working level
 and no ramified extension is ever required.
 
-Per-eigenvalue multiplicities of a finite-order matrix are kernel dimensions
-of the K_q-irreducible cyclotomic factors evaluated at the matrix; within one
-Galois orbit the eigenvalue multiplicities agree, so kernel dimension divided
-by orbit length is the per-eigenvalue count.
+The decomposition also fixes the character of the representation: every
+character of one Galois orbit occurs with the same multiplicity, the
+component's dimension divided by degree times orbit length.  The eigenvalue
+multiplicities of each element are therefore sums of the table's exact
+multiplicity vectors, and a perturbing element is decided on them with
+integer arithmetic, without evaluating anything at the matrices.
 """
 
 from __future__ import annotations
@@ -21,33 +23,15 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from ..errors import (ValidationError, FieldIncompatibilityError,
-                      NotFiniteOrderError, InternalContradictionError)
+from ..errors import (FieldIncompatibilityError, NotFiniteOrderError,
+                      InternalContradictionError)
 from ..padic import linalg as la
 from ..padic import scalar as sc
 from ..padic.convert import UnramifiedEmbedding
 from ..padic.descriptors import UnramifiedFieldDescriptor
-from ..padic.hensel import cyclotomic_int
 from ..padic.ring import int_valuation
 from .core import FiniteGroup, GroupRepresentation
 from .characters import CharacterTable
-
-
-def euler_phi(n: int) -> int:
-    out = 1
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out *= p - 1
-            m //= p
-            while m % p == 0:
-                out *= p
-                m //= p
-        p += 1
-    if m > 1:
-        out *= m - 1
-    return out
 
 
 def split_p_part(d: int, p: int) -> tuple[int, int]:
@@ -250,7 +234,7 @@ def get_character_table(G: FiniteGroup) -> CharacterTable:
     return G.character_table
 
 
-# -- eigenvalue multiplicities of finite-order matrices ---------------------------
+# -- matrix orders and perturbing elements ----------------------------------------
 
 
 def matrix_order(m, field, cap: int = 4096) -> int:
@@ -264,189 +248,40 @@ def matrix_order(m, field, cap: int = 4096) -> int:
     raise NotFiniteOrderError(f"matrix has no order up to {cap}")
 
 
-def cyclotomic_factors_prime_to_p(field, dprime: int):
-    """Monic K_q-irreducible factors of the d'-th cyclotomic polynomial
-    (p not dividing d'), as scalar coefficient lists."""
-    if dprime == 1:
-        return [[sc.sc_neg(field.one()), field.one()]]
-    if dprime % field.p == 0:
-        raise ValidationError("prime-to-p order expected")
-    ep = dprime
-    big, emb = _embedding_for(field, ep)
-    z = big.teichmuller(ep)
-    exps = [a for a in range(1, ep) if gcd(a, ep) == 1]
-    seen = set()
-    factors = []
-    for a in exps:
-        if a in seen:
-            continue
-        orbit = []
-        t = a
-        while t not in orbit:
-            orbit.append(t)
-            t = (t * field.q) % ep
-        seen |= set(orbit)
-        poly = [big.one()]
-        for aa in orbit:
-            root = sc.sc_pow(z, aa)
-            poly = _poly_mul_linear(poly, root, big)
-        if emb is None:
-            factors.append(poly)
-        else:
-            factors.append([emb.pull_back(cf) for cf in poly])
-    return factors
+def class_eigenvalue_multiplicities(rep: GroupRepresentation):
+    """counts[c][j]: the multiplicity of zeta_e^j as an eigenvalue of the
+    matrices of class c (e the exponent, zeta_e as fixed by the character
+    table), summed over the characters of the isotypic decomposition."""
+    ct = get_character_table(rep.group)
+    counts = [[0] * ct.e for _ in range(ct.r)]
+    for comp in isotypic_decomposition(rep):
+        m, rem = divmod(comp.dim, comp.degree * len(comp.orbit))
+        if rem:
+            raise InternalContradictionError(
+                "component dimension is not a multiple of degree times orbit")
+        for chi in comp.orbit:
+            for c in range(ct.r):
+                for j, k in enumerate(ct.mult[chi][c]):
+                    counts[c][j] += m * k
+    return counts
 
 
-def _poly_mul_linear(poly, root, field):
-    """poly * (x - root)."""
-    out = [sc.sc_zero(field)] * (len(poly) + 1)
-    for i, cf in enumerate(poly):
-        out[i + 1] = sc.sc_add(out[i + 1], cf)
-        out[i] = sc.sc_sub(out[i], sc.sc_mul(cf, root))
-    return out
-
-
-def _mixed_order_factor(field, factor, pk: int):
-    """The K_q-irreducible factor whose roots are (primitive p^k-th root) *
-    (roots of ``factor``): prod over roots w of w^phi(pk) Phi_{pk}(x / w),
-    computed as an interpolated determinant of the companion matrix."""
-    s = len(factor) - 1
-    phi_k = euler_phi(pk)
-    cyc = cyclotomic_int(pk)
-    # companion matrix of the prime-to-p factor
-    M = la.zeros(field, s, s)
-    for i in range(1, s):
-        M[i][i - 1] = field.one()
-    for i in range(s):
-        M[i][s - 1] = sc.sc_neg(factor[i])
-    deg = phi_k * s
-    pts = list(range(deg + 1))
-    vals = []
-    Mpows = [la.identity(field, s)]
-    for _ in range(phi_k):
-        Mpows.append(la.mat_mul(Mpows[-1], M))
-    for x0 in pts:
-        # sum_i cyc[i] x0^i M^(phi_k - i)
-        acc = la.zeros(field, s, s)
-        for i, ci in enumerate(cyc):
-            if ci:
-                coeff = field.scalar(Fraction(ci) * Fraction(x0) ** i)
-                acc = la.mat_add(acc, la.mat_scalar(coeff, Mpows[phi_k - i]))
-        chi = la.charpoly(acc)
-        det = chi[0]
-        if s % 2 == 1:
-            det = sc.sc_neg(det)
-        vals.append(det)
-    # interpolate: Vandermonde inverse over Q
-    Vinv = _vandermonde_inverse(pts)
-    return [la.dot([field.scalar(c) for c in row], vals, field) for row in Vinv]
-
-
-def _vandermonde_inverse(pts):
-    n = len(pts)
-    V = [[Fraction(x) ** i for i in range(n)] for x in pts]
-    # invert over Q
-    aug = [row[:] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i, row in enumerate(V)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if aug[i][c] != 0)
-        aug[c], aug[piv] = aug[piv], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    inv_rows = [row[n:] for row in aug]
-    # we need columns of V^{-1} applied to value vectors: c = V^{-1} v
-    return [[inv_rows[i][j] for j in range(n)] for i in range(n)]
-
-
-def eigen_multiplicities(h, field, order: int | None = None):
-    """[(root-of-unity order d, multiplicity)] per eigenvalue of h over the
-    algebraic closure; h must have finite order (diagonalizable, so the
-    eigenspace dimensions are the root multiplicities)."""
-    n = len(h)
-    m = order if order is not None else matrix_order(h, field)
-    out = []
-    total = 0
-    for d in _divisors(m):
-        phi_d = _int_poly_to_scalars(cyclotomic_int(d), field)
-        tot_d = n - la.certified_rank(la.poly_eval_matrix(phi_d, h))
-        if tot_d == 0:
-            continue
-        pk, dp = split_p_part(d, field.p)
-        phi_k = euler_phi(pk)
-        for factor in cyclotomic_factors_prime_to_p(field, dp):
-            s = len(factor) - 1
-            if pk == 1:
-                gpoly = factor
-            else:
-                gpoly = _mixed_order_factor(field, factor, pk)
-            kern = n - la.certified_rank(la.poly_eval_matrix(gpoly, h))
-            if kern == 0:
-                continue
-            orbit_len = phi_k * s
-            if kern % orbit_len:
-                raise InternalContradictionError(
-                    "kernel dimension not divisible by the orbit length")
-            per = kern // orbit_len
-            out.extend([(d, per)] * orbit_len)
-            total += kern
-    if total != n:
-        raise InternalContradictionError(
-            f"eigenvalue multiplicities sum to {total} != {n}")
-    return sorted(out)
-
-
-def _divisors(m):
-    return [d for d in range(1, m + 1) if m % d == 0]
-
-
-def _int_poly_to_scalars(poly, field):
-    return [field.scalar(c) for c in poly]
-
-
-class PerturbationWitness:
-    def __init__(self, element_name, multiplicities, dim):
-        self.element = element_name
-        self.multiplicities = tuple(multiplicities)  # [(order, mult)] per eigenvalue
-        self.dim = dim
-
-    def holds(self) -> bool:
-        return all(2 * m <= self.dim for _, m in self.multiplicities)
-
-    def as_dict(self):
-        return {"element": self.element, "dim": self.dim,
-                "eigenvalues": [{"order": d, "multiplicity": m}
-                                for d, m in self.multiplicities]}
-
-
-def is_perturbateur(h, field, order: int | None = None, name: str = "?"):
-    """True iff every eigenspace of h over the closure has dimension at most
-    half the space; returns (bool, witness)."""
-    mults = eigen_multiplicities(h, field, order)
-    w = PerturbationWitness(name, mults, len(h))
-    return w.holds(), w
-
-
-def find_perturbateur(rep: GroupRepresentation):
-    """Scan the group for a perturbing element (deterministic first match in
-    element-index order); 'homothety-action' when the image is scalar.
+def find_perturbateur(rep: GroupRepresentation) -> str:
+    """Name of the first element, in element-index order and skipping the
+    identity, none of whose eigenspaces exceeds half the dimension;
+    'homothety-action' when there is none and the image is scalar.
 
     The dichotomy is a theorem for elementary representations; a third
     outcome raises InternalContradictionError.
     """
     G = rep.group
-    orders = G.element_orders()
+    counts = class_eigenvalue_multiplicities(rep)
+    class_of = get_character_table(G).class_of
     for x in range(G.n):
-        if x == G.identity:
-            continue
-        ok, w = is_perturbateur(rep.mats[x], rep.field, orders[x], G.names[x])
-        if ok:
-            return G.names[x], w
+        if x != G.identity and 2 * max(counts[class_of[x]]) <= rep.dim:
+            return G.names[x]
     if rep.is_scalar_image():
-        return "homothety-action", None
+        return "homothety-action"
     raise InternalContradictionError(
         "no perturbing element and the action is not by homotheties; "
         "the input is not an elementary representation")

@@ -9,6 +9,11 @@ from . import scalar as sc
 from .scalar import Scalar
 from .descriptors import UnramifiedFieldDescriptor
 
+# p-adic digits at the top of a scalar's relative precision that a certified
+# projection or descent leaves unchecked: a coordinate that must vanish is
+# accepted once its valuation reaches relpi - SLACK (in units of p)
+SLACK = 4
+
 
 def coords_to_qp_scalars(x: Scalar, qp: UnramifiedFieldDescriptor):
     """Decompose a K_q scalar into f scalars over Q_p (the z-coordinates)."""
@@ -51,7 +56,7 @@ def embed_qp(x: Scalar, target) -> Scalar:
                   relpi=min(target.e * x.relpi, target.relpi_max))
 
 
-def project_to_base(x: Scalar, slack: int = 4) -> Scalar:
+def project_to_base(x: Scalar) -> Scalar:
     """Project an Eisenstein-level scalar known to lie in the base back to the
     base level; certified (the u-coordinates must vanish at precision).
 
@@ -69,7 +74,7 @@ def project_to_base(x: Scalar, slack: int = 4) -> Scalar:
     if x.w % e:
         raise ValidationError("fractional valuation cannot live in the base")
     p = L.p
-    thresh = max(x.relpi - slack * e, L.floor_relpi)
+    thresh = max(x.relpi - SLACK * e, L.floor_relpi)
     base_vec = []
     for i in range(L.f):
         base_vec.append(x.unit[i * e + 0])
@@ -93,8 +98,8 @@ def project_to_base(x: Scalar, slack: int = 4) -> Scalar:
                   relpi=min(relp, base.prec))
 
 
-def project_to_rational_level(x: Scalar, qp: UnramifiedFieldDescriptor,
-                              slack: int = 4) -> Scalar:
+def project_to_rational_level(x: Scalar,
+                              qp: UnramifiedFieldDescriptor) -> Scalar:
     """Certify that an unramified-level scalar is rational (z-coordinates
     beyond slot 0 vanish) and return it at the Q_p level."""
     F = x.field
@@ -104,7 +109,7 @@ def project_to_rational_level(x: Scalar, qp: UnramifiedFieldDescriptor,
     if x.kind == sc.IZERO:
         return sc.sc_izero(qp, x.zw)
     p = F.p
-    thresh = max(x.relpi - slack, F.floor_relpi)
+    thresh = max(x.relpi - SLACK, F.floor_relpi)
     for i in range(1, F.f):
         c = x.unit[i]
         if c:
@@ -167,7 +172,7 @@ class UnramifiedEmbedding:
                       unit=_combine(big.ring, self.gen_powers, x.unit),
                       relpi=min(x.relpi, big.prec))
 
-    def pull_back(self, y: Scalar, slack: int = 4) -> Scalar:
+    def pull_back(self, y: Scalar) -> Scalar:
         """Inverse on the image, certified by solving the coordinate system."""
         small, big = self.small, self.big
         if y.kind == sc.ZERO:
@@ -186,7 +191,7 @@ class UnramifiedEmbedding:
         unit = tuple(row[k] for row in rows[:k])
         resid = big.ring.sub(y.unit, _combine(big.ring, self.gen_powers, unit))
         v = big.ring.val_pi(resid)
-        if v is not None and v < max(y.relpi - slack, 1):
+        if v is not None and v < max(y.relpi - SLACK, 1):
             raise PrecisionError("descent residual too large")
         return Scalar(small, sc.REG, w=y.w, unit=unit,
                       relpi=min(y.relpi, small.prec))

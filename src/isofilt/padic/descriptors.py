@@ -12,8 +12,7 @@ automorphisms given by their action on the uniformizer.  Galois groups are
 never computed here; the table is input and checked (closure, group of order
 e, E(tau(u)) = 0 at working precision, transitive on the listed roots).
 
-Descriptors are immutable; ``at_precision`` rebuilds the same level at a
-different cap from the original exact integer data.
+Descriptors are immutable.
 """
 
 from __future__ import annotations
@@ -107,11 +106,6 @@ class UnramifiedFieldDescriptor:
             out = sc.sc_pow(g, qm1 // d)
         self._teich_cache[d] = out
         return out
-
-    def at_precision(self, prec: int) -> "UnramifiedFieldDescriptor":
-        if prec == self.prec:
-            return self
-        return UnramifiedFieldDescriptor.create(self.p, self.f, prec)
 
     def serialize(self) -> dict:
         return {"p": self.p, "f": self.f, "precision": self.prec,
@@ -314,18 +308,8 @@ class EisensteinExtensionDescriptor:
         return sc.Scalar(self, sc.REG, w=self.e * x.w, unit=unit,
                          relpi=min(self.e * x.relpi, self.relpi_max))
 
-    def apply(self, name: str, x):
-        return sc.sc_apply_aut(x, self.automorphisms[name])
-
     def frobenius_ok(self) -> bool:
         return self.ring.frobenius_ok()
-
-    def at_precision(self, prec: int) -> "EisensteinExtensionDescriptor":
-        if prec == self.prec:
-            return self
-        return EisensteinExtensionDescriptor(self.base.at_precision(prec),
-                                             self.raw_eis, self.raw_auts,
-                                             self.floor_relpi)
 
     def serialize(self) -> dict:
         d = self.base.serialize()

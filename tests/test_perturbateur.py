@@ -1,38 +1,70 @@
-"""Eigenvalue multiplicities, perturbation witnesses, isotypic projectors."""
+"""Eigenvalue multiplicities from the character table, perturbing elements,
+isotypic projectors."""
+
+import json
+from fractions import Fraction
+from math import gcd
+from pathlib import Path
 
 import pytest
-from fractions import Fraction
 
 from isofilt.errors import InternalContradictionError, NotFiniteOrderError
 from isofilt.fixtures import (unramified, quaternion_rep, c4_k_rep,
-                              scalar_c2_rep, supersingular_module)
-from isofilt.groups.constructions import cyclic, quaternion, direct_product
+                              scalar_c2_rep)
+from isofilt.formats import group_from_json
+from isofilt.groups.constructions import cyclic
 from isofilt.groups.core import GroupRepresentation
-from isofilt.groups.isotypic import (eigen_multiplicities, is_perturbateur,
-                                     find_perturbateur, isotypic_decomposition,
-                                     is_K_elementary, matrix_order,
-                                     cyclotomic_factors_prime_to_p)
+from isofilt.groups.isotypic import (class_eigenvalue_multiplicities,
+                                     find_perturbateur, get_character_table,
+                                     isotypic_decomposition, is_K_elementary,
+                                     matrix_order)
 from isofilt.padic import linalg as la
-from isofilt.padic.scalar import sc_mul, sc_inv, sc_pow
+from isofilt.padic.hensel import cyclotomic_int
+from isofilt.padic.scalar import sc_mul, sc_pow
+
+from oracles import rational_matmul, rational_rank
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _cyclic_rep(field, m, n):
+    """The cyclic group of order n acting through powers of m."""
+    return GroupRepresentation.from_generator_matrices(cyclic(n), field,
+                                                       {"g1": m})
+
+
+def _eigen_lists(rep):
+    """Per element: sorted (order, multiplicity) per distinct eigenvalue."""
+    ct = get_character_table(rep.group)
+    counts = class_eigenvalue_multiplicities(rep)
+    return [sorted((ct.e // gcd(ct.e, j), k)
+                   for j, k in enumerate(counts[ct.class_of[x]]) if k)
+            for x in range(rep.group.n)]
+
+
+def _K(field):
+    rep = quaternion_rep(field)
+    return rep.mats[rep.group.names.index("k")]
 
 
 def test_eigen_multiplicities_examples():
     Q4 = unramified(2, 2, 24)
-    rep = quaternion_rep(Q4)
-    K = rep.mats[rep.group.names.index("k")]
-    assert eigen_multiplicities(K, Q4, 4) == [(4, 1), (4, 1)]
+    assert _eigen_lists(_cyclic_rep(Q4, _K(Q4), 4))[1] == [(4, 1), (4, 1)]
     mone = la.mat_scalar(Q4.scalar(-1), la.identity(Q4, 4))
-    assert eigen_multiplicities(mone, Q4, 2) == [(2, 4)]
-    assert eigen_multiplicities(la.identity(Q4, 3), Q4, 1) == [(1, 3)]
+    assert _eigen_lists(_cyclic_rep(Q4, mone, 2))[1] == [(2, 4)]
+    ident = GroupRepresentation(cyclic(1), Q4, [la.identity(Q4, 3)])
+    assert _eigen_lists(ident) == [[(1, 3)]]
+
+
+def _h3(field):
+    z3 = field.teichmuller(3)
+    z = field.scalar(0)
+    return [[z3, z, z], [z, z3, z], [z, z, sc_mul(z3, z3)]]
 
 
 def test_eigen_multiplicities_prime_to_p():
     Q4 = unramified(2, 2, 24)
-    z3 = Q4.teichmuller(3)
-    z = Q4.scalar(0)
-    h = [[z3, z, z], [z, z3, z], [z, z, sc_mul(z3, z3)]]
-    out = eigen_multiplicities(h, Q4, 3)
-    assert sorted(out) == [(3, 1), (3, 2)]
+    assert _eigen_lists(_cyclic_rep(Q4, _h3(Q4), 3))[1] == [(3, 1), (3, 2)]
 
 
 def test_eigen_multiplicities_mixed_order():
@@ -41,19 +73,17 @@ def test_eigen_multiplicities_mixed_order():
     z6_sq = Q4.teichmuller(3)
     m = la.mat_scalar(Q4.scalar(-1), la.identity(Q4, 2))
     m[0][0] = sc_mul(m[0][0], z6_sq)  # -zeta_3: order 6
-    out = eigen_multiplicities(m, Q4)
-    assert sorted(out) == [(2, 1), (6, 1)]
+    assert _eigen_lists(_cyclic_rep(Q4, m, 6))[1] == [(2, 1), (6, 1)]
 
 
-def test_eigen_multiplicities_order12_needs_interpolation():
-    # order 12 = 4 * 3 needs the mixed-order factor construction
+def test_eigen_multiplicities_order12():
+    # order 12 = 4 * 3: eigenvalues +-i*zeta_3, a mixed p-power and
+    # prime-to-p order
     Q4 = unramified(2, 2, 24)
-    rep = quaternion_rep(Q4)
-    K = rep.mats[rep.group.names.index("k")]   # eigenvalues +-i
-    z3 = Q4.teichmuller(3)
-    h = la.mat_scalar(z3, K)                   # eigenvalues +-i*zeta_3
-    out = eigen_multiplicities(h, Q4, 12)
-    assert out == [(12, 1), (12, 1)]
+    h = la.mat_scalar(Q4.teichmuller(3), _K(Q4))
+    rep = _cyclic_rep(Q4, h, 12)
+    assert _eigen_lists(rep)[1] == [(12, 1), (12, 1)]
+    assert find_perturbateur(rep) == "g1"
 
 
 def test_matrix_order_rejects_infinite():
@@ -63,30 +93,24 @@ def test_matrix_order_rejects_infinite():
         matrix_order(m, Q2, cap=64)
 
 
-def test_is_perturbateur_examples():
+def test_perturbateur_examples():
     Q4 = unramified(2, 2, 24)
-    ok, _ = is_perturbateur(la.identity(Q4, 2), Q4, 1)
-    assert not ok
-    rep = quaternion_rep(Q4)
-    K = rep.mats[rep.group.names.index("k")]
-    ok, w = is_perturbateur(K, Q4, 4)
-    assert ok and w.dim == 2
-    z3 = Q4.teichmuller(3)
-    z = Q4.scalar(0)
-    h = [[z3, z, z], [z, z3, z], [z, z, sc_mul(z3, z3)]]
-    ok, _ = is_perturbateur(h, Q4, 3)
-    assert not ok  # multiplicity 2 > 3/2
+    ident = GroupRepresentation(cyclic(1), Q4, [la.identity(Q4, 2)])
+    assert _eigen_lists(ident) == [[(1, 2)]]  # multiplicity 2 > 2/2
+    assert find_perturbateur(_cyclic_rep(Q4, _K(Q4), 4)) == "g1"
+    # every power of h3 has an eigenvalue of multiplicity 2 > 3/2, and h3
+    # is not scalar
+    with pytest.raises(InternalContradictionError):
+        find_perturbateur(_cyclic_rep(Q4, _h3(Q4), 3))
 
 
 def test_find_perturbateur_branches():
     Q4 = unramified(2, 2, 24)
-    el, w = find_perturbateur(quaternion_rep(Q4))
-    assert el in ("i", "-i", "j", "-j", "k", "-k") and w.holds()
-    assert find_perturbateur(scalar_c2_rep(Q4, 2))[0] == "homothety-action"
-    # C4 acting by scalars diag(i, i): homothety
-    K = c4_k_rep(Q4).mats[1]
-    i_scal = K  # k acts non-scalar: expect a witness instead
-    assert find_perturbateur(c4_k_rep(Q4))[0] == "g1"
+    assert find_perturbateur(quaternion_rep(Q4)) in ("i", "-i", "j", "-j",
+                                                     "k", "-k")
+    assert find_perturbateur(scalar_c2_rep(Q4, 2)) == "homothety-action"
+    # k acts non-scalar: a perturbing element instead of the homothety branch
+    assert find_perturbateur(c4_k_rep(Q4)) == "g1"
 
 
 def test_find_perturbateur_trichotomy_error():
@@ -158,30 +182,70 @@ def test_projectors_idempotent_commute_sum():
 def test_dual_and_sum_keep_perturbation():
     # the perturbation property is preserved by direct sum, dual and twist
     Q4 = unramified(2, 2, 24)
-    rep = quaternion_rep(Q4)
-    K = rep.mats[rep.group.names.index("k")]
-    dbl = _block_diag(Q4, K, K)
-    ok, _ = is_perturbateur(dbl, Q4, 4)
-    assert ok
-    Kd = la.transpose(la.mat_inverse(K))
-    ok, _ = is_perturbateur(Kd, Q4, 4)
-    assert ok
+    K = _K(Q4)
+    dbl = _cyclic_rep(Q4, _block_diag(Q4, K, K), 4)
+    assert _eigen_lists(dbl)[1] == [(4, 2), (4, 2)]
+    assert find_perturbateur(dbl) == "g1"
+    Kd = _cyclic_rep(Q4, la.transpose(la.mat_inverse(K)), 4)
+    assert find_perturbateur(Kd) == "g1"
 
 
-def test_cyclotomic_factor_split_over_q4():
-    # Phi_5 over Q_4 splits into two quadratics (ord_5(4) = 2)
+def test_cyclotomic_orbits_split_over_q4():
+    # Phi_5 over Q_4 splits into two quadratics (ord_5(4) = 2): the cyclic
+    # group acting through its companion matrix has two components of
+    # dimension 2 and the four primitive fifth roots once each
     Q4 = unramified(2, 2, 24)
-    facs = cyclotomic_factors_prime_to_p(Q4, 5)
-    assert sorted(len(f) - 1 for f in facs) == [2, 2]
-    # their product has the integer coefficients of Phi_5
-    from isofilt.padic.scalar import sc_add, sc_sub
-    prod = [Q4.zero()] * (len(facs[0]) + len(facs[1]) - 1)
-    for i, x in enumerate(facs[0]):
-        for j, y in enumerate(facs[1]):
-            prod[i + j] = sc_add(prod[i + j], sc_mul(x, y))
-    targets = [1, 1, 1, 1, 1]
-    for got, want in zip(prod, targets):
-        assert sc_sub(got, Q4.scalar(want)).kind != "reg"
+    companion = la.from_rows_of_fractions(Q4, [[0, 0, 0, -1], [1, 0, 0, -1],
+                                               [0, 1, 0, -1], [0, 0, 1, -1]])
+    rep = _cyclic_rep(Q4, companion, 5)
+    assert sorted(c.dim for c in isotypic_decomposition(rep)) == [2, 2]
+    assert _eigen_lists(rep)[1] == [(5, 1)] * 4
+    assert find_perturbateur(rep) == "g1"
+
+
+def _rational_rep(label):
+    """(group document, rational matrices) of a fixture group."""
+    if label == "sgn_dim3":
+        doc = {"elements": ["e", "s"], "table": [[0, 1], [1, 0]],
+               "rep": {"e": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                       "s": [[1, 0, 0], [0, 1, 0], [0, 0, -1]]}}
+    else:
+        doc = json.loads((FIXTURES / f"{label}.json").read_text())
+    rows = {name: [[Fraction(x) for x in row] for row in m]
+            for name, m in doc["rep"].items()}
+    return doc, rows
+
+
+def _poly_at(poly, m):
+    """sum poly[i] m^i over Q."""
+    n = len(m)
+    power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    acc = [[Fraction(0)] * n for _ in range(n)]
+    for c in poly:
+        acc = [[a + c * b for a, b in zip(ra, rb)] for ra, rb in zip(acc, power)]
+        power = rational_matmul(power, m)
+    return acc
+
+
+@pytest.mark.parametrize("label", ["c2_scalar_dim2", "c2_scalar_dim3",
+                                   "trivial_group_dim3", "sgn_dim3"])
+@pytest.mark.parametrize("p,f", [(2, 1), (2, 2), (3, 1)])
+def test_multiplicities_match_rational_oracle(label, p, f):
+    # eigenvalues of order d of rho(g) number n - rank Phi_d(rho(g)) over Q
+    doc, rows = _rational_rep(label)
+    field = unramified(p, f, 24)
+    n = len(next(iter(rows.values())))
+    _, rep = group_from_json(doc, field, n)
+    ct = get_character_table(rep.group)
+    counts = class_eigenvalue_multiplicities(rep)
+    for x, name in enumerate(rep.group.names):
+        row = counts[ct.class_of[x]]
+        for d in range(1, ct.e + 1):
+            if ct.e % d:
+                continue
+            got = sum(k for j, k in enumerate(row) if ct.e // gcd(ct.e, j) == d)
+            want = n - rational_rank(_poly_at(cyclotomic_int(d), rows[name]))
+            assert got == want, (label, name, d)
 
 
 def test_elementary_dim1_constituents_cyclic_image():
