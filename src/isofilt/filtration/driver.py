@@ -3,8 +3,8 @@
 The driver reduces a polarized semi-abelian module to its abelian quotient
 (pulling the found filtration back over the toric part), splits the quotient
 into orthogonal, phi-stable, G-stable pieces with at most two slopes that are
-elementary as representations over Q_p, solves each piece by one of two
-routes, and glues:
+elementary as representations over Q_p (each keeping the isotypic components
+that cut it out), solves each piece by one of two routes, and glues:
 
 * two slopes {mu, 1-mu}, mu != 1/2: sample rational points of the Lagrangian
   chart atlas inside the descended invariant space until the filtration is
@@ -14,26 +14,27 @@ routes, and glues:
   base-rational Lagrangians until F is transverse to its twisted-Frobenius
   image (which forces admissibility); otherwise take the first perturbing
   element h (``isotypic.find_perturbateur``, decided on the eigenvalue
-  multiplicities of the character table, not on the matrices), certify the
-  seed construction, and sample stable Lagrangians until dim(F cap h F) <= 1,
-  which again forces admissibility.
+  multiplicities of the character table, not on the matrices) and sample
+  stable Lagrangians until dim(F cap h F) <= 1, which again forces
+  admissibility; the seed construction runs only if the samples run out.
 
 Every certificate re-verifies all properties through code paths independent
 of the construction; searches are seeded and budgeted, and the emitted
 descent datum is the family f_h = rho(h^{-1}) whose cocycle law is an exact
 consequence of the multiplication table.  Its targets f_h F = h.gal F are the
 pairs that diagonal stability tests, so the stability verdict is reused for
-them.  With no toric part the pull-back is the identity: F is the glued F_B
-entry for entry, and F_B's admissibility report and stability verdict are
-F's.  With a toric part T, F = T + section(F_B), and its admissibility is
-the extension node of ``admissible.toric_extension_report``: T has pure
-slope 1 and lies in F, and the node reuses the report just certified for
-(D_B, F_B), so no submodule of the full D is enumerated.  A pure torus
-(D_B = 0) takes F = D through the same node.  ``adm_mode="sampled"`` samples
-the full D instead, as a cross-check.  Each piece is checked in the same
-mode, exact mode sampling only a piece whose slope repeats
-(``admissible_with_fallback``).  Every layer certifies its rank decisions at
-``linalg.DEFAULT_GUARD``.
+them.  A glue of two or more pieces is re-verified as Lagrangian and stable;
+a single piece's verdicts are F_B's.  With no toric part the pull-back is the
+identity: F is the glued F_B entry for entry, and F_B's admissibility report
+and stability verdict are F's.  With a toric part T, F = T + section(F_B),
+and its admissibility is the extension node of
+``admissible.toric_extension_report``: T has pure slope 1 and lies in F, and
+the node reuses the report just certified for (D_B, F_B), so no submodule of
+the full D is enumerated.  A pure torus (D_B = 0) takes F = D through the
+same node.  ``adm_mode="sampled"`` samples the full D instead, as a
+cross-check.  Each piece is checked in the same mode, exact mode sampling
+only a piece whose slope repeats (``admissible_with_fallback``).  Every layer
+certifies its rank decisions at ``linalg.DEFAULT_GUARD``.
 """
 
 from __future__ import annotations
@@ -48,9 +49,9 @@ from ..padic.convert import project_to_base
 from ..isocrystal.module import PhiModule, SemiAbelianPhiModule
 from ..isocrystal.slopes import newton_slopes, isoclinic_decompose
 from ..groups.core import GroupRepresentation
-from ..groups.isotypic import (isotypic_decomposition, is_K_elementary,
-                               find_perturbateur, get_character_table,
-                               galois_multipliers)
+from ..groups.isotypic import (IsotypicComponent, isotypic_decomposition,
+                               is_K_elementary, find_perturbateur,
+                               get_character_table, conjugates_over_qp)
 from ..symplectic.space import SymplecticSpace, LagrangianSubspace
 from ..symplectic.lagrangian import (random_rational_lagrangian,
                                      lagrangian_h_small_intersection)
@@ -130,20 +131,17 @@ def _split_block(D, J, rep, cols):
     while current and current[0]:
         rep_c = induced_rep(rep, current)
         comps = isotypic_decomposition(rep_c)
-        if len(comps) == 1:
-            chosen_idx = [0]
-        else:
-            chosen_idx = _elementary_closure(rep_c, comps, field)
-        chosen_cols = None
-        for i in chosen_idx:
-            chosen_cols = comps[i].basis_cols if chosen_cols is None \
-                else _concat(chosen_cols, comps[i].basis_cols)
+        chosen = ([comps[i] for i in _elementary_closure(rep_c, comps, field)]
+                  if len(comps) > 1 else comps)
+        chosen_cols = chosen[0].basis_cols
+        for comp in chosen[1:]:
+            chosen_cols = _concat(chosen_cols, comp.basis_cols)
         ambient = la.normalize_columns(la.mat_mul(current, chosen_cols),
                                        integral=True)
-        piece = _make_piece(D, J, rep, ambient)
+        piece = _make_piece(D, J, rep, ambient, chosen)
         _validate_piece(piece)
         out.append(piece)
-        if len(chosen_idx) == len(comps):
+        if len(chosen) == len(comps):
             break
         perp = space.orthogonal_complement(ambient)
         current = la.normalize_columns(
@@ -155,38 +153,31 @@ def _elementary_closure(rep_c, comps, field):
     """Indices of the components spanned by one isotypic component together
     with its duals and Frobenius conjugates over Q_p."""
     ct = get_character_table(rep_c.group)
-    e = ct.e
-    mults = galois_multipliers(e, field.p, field.p % e if e > 1 else 1)
     orbit_sets = [set(c.orbit) for c in comps]
-    chosen = {0}
-    frontier = [0]
+    chosen, frontier = {0}, [0]
     while frontier:
-        i = frontier.pop()
-        targets = set()
-        for chi in orbit_sets[i]:
-            targets.add(ct.dual(chi))
-            for a in mults:
-                if e == 1:
-                    targets.add(chi)
-                else:
-                    from math import gcd
-                    if gcd(a, e) == 1:
-                        t = ct.twist(chi, a)
-                        targets.add(t)
-                        targets.add(ct.dual(t))
-        for j in range(len(comps)):
-            if j in chosen:
-                continue
-            if orbit_sets[j] & targets:
+        targets = set().union(*(conjugates_over_qp(ct, field.p, chi)
+                                for chi in orbit_sets[frontier.pop()]))
+        for j, orbit in enumerate(orbit_sets):
+            if j not in chosen and orbit & targets:
                 chosen.add(j)
                 frontier.append(j)
     return sorted(chosen)
 
 
-def _make_piece(D, J, rep, ambient):
+def _make_piece(D, J, rep, ambient, comps):
+    # ambient's columns are the bases of comps in order, each only scaled, so
+    # the piece's representation keeps them as blocks of identity columns
     module = D.submodule(ambient)
     gram = restrict_gram(J, ambient)
     rep_p = induced_rep(rep, ambient)
+    ident = la.identity(rep.field, len(ambient[0]))
+    parts, start = [], 0
+    for c in comps:
+        cols = [row[start:start + c.dim] for row in ident]
+        parts.append(IsotypicComponent(cols, c.orbit, c.degree, c.dim))
+        start += c.dim
+    rep_p._isotypic = parts
     slopes = tuple(s for s, _ in newton_slopes(module).pairs)
     return PieceData(ambient, module, gram, rep_p, slopes)
 
@@ -242,7 +233,9 @@ def supersingular_filtration(piece: PieceData, setup: GaloisSetup, seed: int,
                              adm_budget: int = ADMISSIBILITY_BUDGET):
     """Filtration for an isoclinic slope-1/2 piece: base-rational sampling
     against the twisted Frobenius under a homothety action, perturbing
-    element route otherwise."""
+    element route otherwise; that route runs the seed construction only when
+    its samples run out, to tell a spent budget from an h that is not
+    perturbing (a sampled F is re-verified exactly either way)."""
     D, J, rep = piece.module, piece.gram, piece.rep
     ext = setup.ext
     prof = newton_slopes(D)
@@ -270,10 +263,8 @@ def supersingular_filtration(piece: PieceData, setup: GaloisSetup, seed: int,
                                  expect_admissible=True)
         raise BudgetExhaustedError(
             f"homothety-route sampling exhausted {budget} tries")
-    # perturbing element route: certify the seed construction first
+    # perturbing element route
     h_idx = rep.group.names.index(scan)
-    space_K = SymplecticSpace(field, J, validate=False)
-    lagrangian_h_small_intersection(space_K, rep.mats[h_idx])
     B = galois_descend(rep, setup)
     desc_space = _descended_symplectic(field, ext, J, B)
     hL = lift_matrix(ext, rep.mats[h_idx])
@@ -286,6 +277,8 @@ def supersingular_filtration(piece: PieceData, setup: GaloisSetup, seed: int,
             continue
         return _finish_piece(piece, setup, F, adm_mode, adm_budget, seed,
                              expect_admissible=True, witness=scan)
+    lagrangian_h_small_intersection(SymplecticSpace(field, J, validate=False),
+                                    rep.mats[h_idx])
     raise BudgetExhaustedError(
         f"perturbing-element sampling exhausted {budget} tries")
 
@@ -366,7 +359,13 @@ def find_admissible_stable_filtration(sa: SemiAbelianPhiModule,
                                       adm_budget: int = ADMISSIBILITY_BUDGET):
     """The full driver: reduce to the abelian quotient, decompose, solve each
     piece, glue, pull back over the toric part, and emit a verified
-    certificate with its descent datum."""
+    certificate with its descent datum.
+
+    A single piece's F_B is ambient F, with ambient invertible, K-rational
+    (so fixed by the Galois action) and carrying the piece's pairing and
+    action to D_B's; F_B inherits F's Lagrangian and stability verdicts, and
+    only a glue of two or more pieces re-verifies them.  F_B's admissibility
+    is always re-decided, as the certificate records its ledger."""
     D = sa.module
     field = D.field
     ext = setup.ext
@@ -412,14 +411,17 @@ def find_admissible_stable_filtration(sa: SemiAbelianPhiModule,
         FP = la.mat_mul(ambient_L, res["filtration"])
         FB = FP if FB is None else _concat(FB, FP)
     FB = la.normalize_columns(FB)
-    # verify the glued quotient filtration end to end
-    spaceB = SymplecticSpace(ext, lift_matrix(ext, sa.gram_B), validate=False)
-    LagrangianSubspace(spaceB, FB, validate=True)
+    # verify the glued quotient filtration (a single piece's verdicts hold)
+    glued = len(piece_results) > 1
+    if glued:
+        spaceB = SymplecticSpace(ext, lift_matrix(ext, sa.gram_B),
+                                 validate=False)
+        LagrangianSubspace(spaceB, FB, validate=True)
     reportB = admissible_with_fallback(DB, FB, ext, adm_mode, seed, adm_budget)
     if not reportB.verdict:
         raise InternalContradictionError("glued quotient filtration failed "
                                          "admissibility re-verification")
-    if not is_diagonally_stable(repB, FB, setup):
+    if glued and not is_diagonally_stable(repB, FB, setup):
         raise InternalContradictionError("glued quotient filtration is not "
                                          "diagonally stable")
     if t:

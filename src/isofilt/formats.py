@@ -82,8 +82,11 @@ def scalar_from_json(field, doc):
         w = Fraction(doc["v"]) * field.e
         if w.denominator != 1:
             raise ValidationError(f"valuation {doc['v']} is not in (1/{field.e})Z")
-        return sc.Scalar(field, sc.REG, w=int(w),
-                         unit=tuple(int(c) % field.ring.pn for c in doc["unit"]),
+        unit = tuple(int(c) % field.ring.pn for c in doc["unit"])
+        if len(unit) != field.ring.dim or field.ring.val_pi(unit) != 0:
+            raise ValidationError(f"bad scalar entry {doc!r}: not a unit of a "
+                                  f"ring of dimension {field.ring.dim}")
+        return sc.Scalar(field, sc.REG, w=int(w), unit=unit,
                          relpi=min(int(doc["relpi"]), field.relpi_max))
     except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ValidationError(f"bad scalar entry {doc!r}: {exc!r}") from exc

@@ -5,7 +5,9 @@ goes through closure of generator sets under an abstract multiplication, so
 permutation groups, matrix groups and symbolic wreath elements all share one
 code path.  A GroupRepresentation attaches matrices over a tower level and
 validates the action axioms (respects the table, phi-commutes, preserves a
-pairing or a toric subspace, faithful when declared).
+pairing or a toric subspace, faithful when declared).  A representation's
+``mats`` are never reassigned after construction, so ``groups.isotypic`` may
+keep its isotypic decomposition on it, in ``_isotypic``.
 """
 
 from __future__ import annotations
@@ -186,6 +188,7 @@ class GroupRepresentation:
         self.mats = mats  # list indexed like group elements
         self.dim = len(mats[group.identity])
         self.faithful = faithful
+        self._isotypic = None  # set by isotypic_decomposition, or for a piece
 
     @classmethod
     def from_named(cls, group, field, named_mats, faithful=True):

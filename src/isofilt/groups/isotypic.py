@@ -192,7 +192,14 @@ class IsotypicComponent:
 
 def isotypic_decomposition(rep: GroupRepresentation):
     """G-stable, pairwise non-isomorphic components over the field, summing
-    to the whole space; computed from orbit-summed central idempotents."""
+    to the whole space; computed from orbit-summed central idempotents once
+    per representation, which keeps them."""
+    if rep._isotypic is None:
+        rep._isotypic = _isotypic_decomposition(rep)
+    return rep._isotypic
+
+
+def _isotypic_decomposition(rep: GroupRepresentation):
     G = rep.group
     field = rep.field
     ct = get_character_table(G)
@@ -290,42 +297,24 @@ def find_perturbateur(rep: GroupRepresentation) -> str:
 # -- K-elementarity at character level --------------------------------------------
 
 
-def is_K_elementary(rep_or_group, components, base_frobenius: int | None = None,
-                    field=None) -> bool:
-    """All pairs of components conjugate over the base subfield to each other
-    or to each other's duals, decided at character level.
+def conjugates_over_qp(ct: CharacterTable, p: int, chi: int) -> set[int]:
+    """chi's Galois conjugates over Q_p and their duals (the multipliers are
+    units mod the exponent, so every twist exists)."""
+    out = set()
+    for a in galois_multipliers(ct.e, p, p % ct.e):
+        t = ct.twist(chi, a)
+        out.update((t, ct.dual(t)))
+    return out
 
-    components come from isotypic_decomposition; the base is Q_p by default
-    (base_frobenius = p), matching the decomposition driver's needs.
-    """
-    if isinstance(rep_or_group, GroupRepresentation):
-        G = rep_or_group.group
-        field = rep_or_group.field
-    else:
-        G = rep_or_group
-    ct = get_character_table(G)
-    e = ct.e
-    p = field.p
-    frob = base_frobenius if base_frobenius is not None else p
-    mults = galois_multipliers(e, p, frob % e if e > 1 else 1)
-    # sanity: same dimension everywhere
-    dims = {c.dim for c in components}
-    if len(dims) > 1:
+
+def is_K_elementary(rep: GroupRepresentation, components) -> bool:
+    """All pairs of components conjugate over Q_p to each other or to each
+    other's duals, decided at character level; components come from
+    isotypic_decomposition(rep)."""
+    if len({c.dim for c in components}) > 1:
         return False
+    ct = get_character_table(rep.group)
     orbits = [set(c.orbit) for c in components]
-    for i in range(len(orbits)):
-        for j in range(len(orbits)):
-            if i == j:
-                continue
-            chi = next(iter(orbits[i]))
-            ok = False
-            for a in mults:
-                if e > 1 and gcd(a, e) != 1:
-                    continue
-                t = ct.twist(chi, a if e > 1 else 1)
-                if t in orbits[j] or ct.dual(t) in orbits[j]:
-                    ok = True
-                    break
-            if not ok:
-                return False
-    return True
+    return all(orbits[j] & conjugates_over_qp(ct, rep.field.p, min(orbits[i]))
+               for i in range(len(orbits)) for j in range(len(orbits))
+               if i != j)

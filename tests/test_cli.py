@@ -314,6 +314,23 @@ def test_malformed_extension_or_group_exits_2_without_traceback(
         assert proc.returncode == 2 and "table entry [0][1]" in proc.stderr
 
 
+@pytest.mark.parametrize("entry", [None, {"v": "0", "unit": [2], "relpi": 32}],
+                         ids=["q4-units-over-q2", "zero-residue"])
+def test_a_malformed_unit_is_named_not_tested(tmp_path, entry):
+    # c4_k_dim2 writes its units over Q_4, two coordinates each; over the
+    # Q_2 module ss2 they are bad entries, not a representation that
+    # breaks the table
+    group = (fx("c4_k_dim2.json") if entry is None else
+             _mutated(tmp_path, "c2_scalar_dim2", ("rep", "m"),
+                      [[entry, "0"], ["0", "-1"]]))
+    proc = _run_cli(["group", "check", "--module", fx("ss2.json"),
+                     "--group", group])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "bad scalar entry" in proc.stderr
+    assert "not a unit of a ring of dimension 1" in proc.stderr
+
+
 @pytest.mark.parametrize("table,failure", [
     ([[0, 1, 2], [1, 2, 0], [2, 2, 0]], "table row b is not a permutation"),
     ([[0, 1, 2], [1, 2, 0], [2, 0, 3]], "table row b has an entry out of range"),

@@ -9,7 +9,8 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isofilt.errors import ValidationError, InternalContradictionError
+from isofilt.errors import (ValidationError, InternalContradictionError,
+                            BudgetExhaustedError)
 from isofilt.fixtures import (unramified, sqrt2_extension, trivial_extension,
                               c4_cyclotomic_extension, kummer_extension,
                               scalar_c2_rep, c4_k_rep, quaternion_rep,
@@ -22,6 +23,7 @@ from isofilt.filtration.galois import (GaloisSetup, is_diagonally_stable,
                                        verify_invariant)
 from isofilt.filtration.admissible import (is_admissible, t_H, verify_violation,
                                            toric_extension_report)
+from isofilt.filtration import driver as driver_mod
 from isofilt.filtration.driver import (find_admissible_stable_filtration,
                                        decompose_polarized, two_slope_filtration,
                                        supersingular_filtration, PieceData,
@@ -33,6 +35,7 @@ from isofilt.padic.scalar import sc_add, sc_mul
 from isofilt import formats
 from isofilt.cli import main as cli_main
 from isofilt.isocrystal import submodules as submodules_mod
+from isofilt.groups import isotypic as isotypic_mod
 from oracles import rational_rank, rational_intersection_dim
 
 N = 48
@@ -116,15 +119,20 @@ STABILITY_PROBLEMS = {
 }
 
 
+def _problem(triple, prec=32):
+    """(sa, rep, setup) of a fixture triple, as the CLI loads it."""
+    module, group, extension = (formats.load_json(os.path.join(FIX, f"{stem}.json"))
+                                for stem in triple)
+    sa, field = formats.module_from_json(module, prec)
+    G, rep = formats.group_from_json(group, field, sa.module.n)
+    ext = formats.extension_from_json(extension, prec)
+    return sa, rep, formats.setup_from_json(extension, G, ext)
+
+
 @lru_cache(maxsize=None)
 def _stability_problem(name):
     """(rep, setup, B) with B a basis of diagonal-action invariants."""
-    module, group, extension = (formats.load_json(os.path.join(FIX, f"{stem}.json"))
-                                for stem in STABILITY_PROBLEMS[name])
-    sa, field = formats.module_from_json(module, 32)
-    G, rep = formats.group_from_json(group, field, sa.module.n)
-    ext = formats.extension_from_json(extension, 32)
-    setup = formats.setup_from_json(extension, G, ext)
+    _, rep, setup = _problem(STABILITY_PROBLEMS[name])
     return rep, setup, galois_descend(rep, setup)
 
 
@@ -240,17 +248,42 @@ def test_pullback_preserves_admissibility(Q2, L, setup_c2):
         assert res["graded"]["toric"] and res["graded"]["quotient"]
 
 
-def test_gluing_soundness(Q2, L, setup_c2):
-    # two orthogonal summands solved independently glue to a verified F
+def _counting(monkeypatch, module, name, calls, key=lambda *args: None):
+    """Replace module.name by a wrapper that appends (name, key(*args)) to
+    calls before each call."""
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append((name, key(*args)))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def _two_piece_problem(Q2):
     Dss = supersingular_module(Q2)
     D = ordinary_module(Q2).direct_sum(Dss)
     J = la.from_rows_of_fractions(
         Q2, [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
     rep = scalar_c2_rep(Q2, 4)
-    sa = SemiAbelianPhiModule(D, [[] for _ in range(4)], J, validate=False)
+    return SemiAbelianPhiModule(D, [[] for _ in range(4)], J,
+                                validate=False), rep
+
+
+def test_gluing_soundness(Q2, L, setup_c2, monkeypatch):
+    # two orthogonal summands solved independently glue to a verified F:
+    # each piece's F (two rows) and the glued F_B (four rows) are checked
+    # Lagrangian and stable
+    calls = []
+    rows = lambda *args: len(args[1])
+    _counting(monkeypatch, driver_mod, "LagrangianSubspace", calls, rows)
+    _counting(monkeypatch, driver_mod, "is_diagonally_stable", calls, rows)
+    sa, rep = _two_piece_problem(Q2)
     res = find_admissible_stable_filtration(sa, setup_c2, rep, seed=6)
     assert res["admissibility"].verdict and res["stable"]
     assert len(res["pieces"]) == 2
+    for name in ("LagrangianSubspace", "is_diagonally_stable"):
+        assert [r for n, r in calls if n == name] == [2, 2, 4]
 
 
 def test_driver_torus_case(Q2, setup_c2):
@@ -510,3 +543,86 @@ def test_check_rejects_a_forged_quotient_ledger(tmp_path, capsys):
     capsys.readouterr()
     assert cli_main(["filtration", "check", str(tampered)]) == 2
     assert "admissible" in capsys.readouterr().err
+
+
+# -- each fact decided once ---------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(STABILITY_PROBLEMS))
+def test_ramified_find_decides_each_fact_once(tmp_path, capsys, monkeypatch,
+                                              name):
+    # the cert-ramified triples have one piece: its isotypic decomposition
+    # is computed once, its stability verdict is F_B's, and a successful
+    # search never runs the seed construction
+    calls = []
+    _counting(monkeypatch, isotypic_mod, "_isotypic_decomposition", calls)
+    _counting(monkeypatch, driver_mod, "is_diagonally_stable", calls)
+    _counting(monkeypatch, driver_mod, "lagrangian_h_small_intersection",
+              calls)
+    for seed in range(3):
+        calls.clear()
+        cert = _find(tmp_path, STABILITY_PROBLEMS[name], seed)
+        pieces = json.loads(cert.read_text())["outputs"]["pieces"]
+        names = [n for n, _ in calls]
+        assert names.count("_isotypic_decomposition") == len(pieces) == 1
+        assert names.count("is_diagonally_stable") == 1
+        assert "lagrangian_h_small_intersection" not in names
+    capsys.readouterr()
+
+
+def _kummer_c3_problem():
+    # C3 acts by diag(z, z^2) over Q_7, where z and z^2 are not conjugate:
+    # two components, which the piece takes together as duals
+    Q7 = unramified(7, 1, N)
+    D = PhiModule.from_rational(Q7, [[1, 0], [0, 7]])
+    J = la.from_rows_of_fractions(Q7, [[0, 1], [-1, 0]])
+    z3 = Q7.teichmuller(3)
+    zz = Q7.scalar(0)
+    m = [[z3, zz], [zz, sc_mul(z3, z3)]]
+    rep = GroupRepresentation.from_generator_matrices(cyclic(3), Q7,
+                                                      {"g1": m})
+    return SemiAbelianPhiModule(D, [[] for _ in range(2)], J,
+                                validate=False), rep
+
+
+TRANSPORT_PROBLEMS = {
+    **{name: lambda triple=triple: _problem(triple)[:2]
+       for name, triple in STABILITY_PROBLEMS.items()},
+    "torus-c2": lambda: _problem(TORUS_TRIPLES[1])[:2],
+    "two-pieces": lambda: _two_piece_problem(unramified(2, 1, N)),
+    "kummer-c3": _kummer_c3_problem,
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSPORT_PROBLEMS))
+def test_pieces_keep_their_isotypic_components(name):
+    # the components a piece inherits from its block are those a fresh
+    # decomposition of the piece finds, and span the same subspaces
+    sa, rep = TRANSPORT_PROBLEMS[name]()
+    pieces = decompose_polarized(sa.quotient_module(), sa.gram_B,
+                                 _quotient_rep(sa, rep))
+    for piece in pieces:
+        kept = isotypic_mod.isotypic_decomposition(piece.rep)
+        fresh = isotypic_mod._isotypic_decomposition(piece.rep)
+        assert ([(c.orbit, c.degree, c.dim) for c in kept]
+                == [(c.orbit, c.degree, c.dim) for c in fresh])
+        for k, f in zip(kept, fresh):
+            assert la.subspace_equal(k.basis_cols, f.basis_cols)
+    most = max(len(isotypic_mod.isotypic_decomposition(p.rep)) for p in pieces)
+    assert most == (2 if name == "kummer-c3" else 1)
+
+
+def test_spent_budget_runs_the_seed_construction(monkeypatch):
+    # no sample meets dim(F cap hF) <= 1: the seed construction runs once,
+    # after the last sample, and the search then gives up
+    sa, rep, setup = _problem(STABILITY_PROBLEMS["c4"])
+    [piece] = decompose_polarized(sa.module, sa.gram_B, rep)
+    calls = []
+    monkeypatch.setattr(la, "intersection_dim",
+                        lambda *args: calls.append(("sample", None)) or 2)
+    _counting(monkeypatch, driver_mod, "lagrangian_h_small_intersection",
+              calls)
+    with pytest.raises(BudgetExhaustedError):
+        supersingular_filtration(piece, setup, seed=1, budget=3)
+    assert [n for n, _ in calls] == (["sample"] * 3
+                                     + ["lagrangian_h_small_intersection"])
