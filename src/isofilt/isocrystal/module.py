@@ -12,7 +12,7 @@ the sign, only on the twist by p).
 
 A PhiModule's ``A`` and ``field`` are never mutated after construction (every
 operation returns a new module), so ``slopes`` may keep a module's slope data
-on it, in ``_slopes`` and ``_isoclinic``.
+on it, in ``_charpoly``, ``_slopes`` and ``_isoclinic``.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ class PhiModule:
         self.field = field
         self.A = frobenius_matrix
         self.n = len(frobenius_matrix)
+        self._charpoly = None     # (linearization, its charpoly), set by slopes
         self._slopes = None       # SlopeProfile, set by newton_slopes
         self._isoclinic = None    # [(slope, cols)], set by isoclinic_decompose
         if validate:

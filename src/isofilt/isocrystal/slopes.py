@@ -19,7 +19,10 @@ phi-stable because the factors have sigma-fixed coefficients.
 A PhiModule is never mutated, so ``newton_slopes`` and ``isoclinic_decompose``
 store their first result on it and return it afterwards: the immutable
 profile itself, and fresh copies of the column lists, which callers extend.
-A call that raises stores nothing, so it raises again on the next call.
+The linearization and its characteristic polynomial, which both of them and
+``slope_factors`` read, are stored the same way, so each is computed once per
+module.  A call that raises stores nothing, so it raises again on the next
+call.
 """
 
 from __future__ import annotations
@@ -138,9 +141,17 @@ def newton_slopes(D: PhiModule) -> SlopeProfile:
     return D._slopes
 
 
+def _linearized_charpoly(D: PhiModule):
+    """(B, chi): the linearization of D and its characteristic polynomial,
+    computed on the first call for D."""
+    if D._charpoly is None:
+        B = D.linearization()
+        D._charpoly = (B, la.charpoly(B))
+    return D._charpoly
+
+
 def _newton_slopes(D: PhiModule) -> SlopeProfile:
-    B = D.linearization()
-    chi = la.charpoly(B)
+    _, chi = _linearized_charpoly(D)
     exact, uncertain = charpoly_points(chi)
     if not exact or exact[-1][0] != D.n:
         raise PrecisionError("leading coefficient not certified")
@@ -166,7 +177,7 @@ def _newton_slopes(D: PhiModule) -> SlopeProfile:
 def _rational_charpoly(D: PhiModule):
     """Characteristic polynomial of the linearization, certified rational."""
     qp = _qp_level(D.field)
-    chi = la.charpoly(D.linearization())
+    _, chi = _linearized_charpoly(D)
     return [project_to_rational_level(c, qp) for c in chi], qp
 
 
@@ -300,7 +311,7 @@ def _isoclinic_decompose(D: PhiModule):
     if len(prof.pairs) == 1:
         return [(prof.pairs[0][0], la.identity(D.field, D.n))]
     factors = slope_factors(D)
-    B = D.linearization()
+    B, _ = _linearized_charpoly(D)
     out = []
     for rv, fac in factors:
         coeffs = [embed_qp(c, D.field) for c in fac]

@@ -3,12 +3,12 @@ inverses in F_q = F_p[z]/(m), multiplicative orders, and Gauss-Jordan
 elimination over Z/p^k.
 
 Polynomials are lists of plain int coefficients in ascending degree.  The
-fp_* polynomial helpers return them reduced mod p, without leading zeros;
-fq_inverse returns a coefficient vector of length f.  Each primitive has
-this one implementation: the quotient rings (ring), the Hensel lift
-(hensel), the roots of unity of the descriptors, the unramified embeddings
-(convert) and the modular character tables (groups.characters) all call it,
-so this module imports nothing.
+fp_* polynomial helpers, fp_xgcd among them, return them reduced mod p,
+without leading zeros; fq_inverse, built on fp_xgcd, returns a coefficient
+vector of length f.  Each primitive has this one implementation: the
+quotient rings (ring), the Hensel lift (hensel), the roots of unity of the
+descriptors, the unramified embeddings (convert) and the modular character
+tables (groups.characters) all call it, so this module imports nothing.
 """
 
 from __future__ import annotations
@@ -87,21 +87,34 @@ def fp_is_primitive(g, p) -> bool:
     return True
 
 
-def fq_inverse(a: list[int], m: list[int], p: int) -> list[int]:
-    """Inverse of a nonzero element of F_p[z]/(m), via extended Euclid."""
-    f = len(m) - 1
-    r0, r1 = fp_trim(m, p), fp_trim(a, p)
-    if not r1:
-        raise ZeroDivisionError("zero in residue field")
-    s0, s1 = [], [1]
+def fp_xgcd(a, b, p):
+    """(g, s): g the monic gcd of a and b over F_p, not both zero mod p, and
+    s with s a = g mod b, deg s < deg b - deg g.  Extended Euclid carrying
+    the cofactor of a only; that of b is the exact quotient (g - s a) / b."""
+    r0, r1 = fp_trim(a, p), fp_trim(b, p)
+    if not r0 and not r1:
+        raise ZeroDivisionError("gcd of two zero polynomials")
+    s0, s1 = [1], []
+    if len(r0) < len(r1):  # the first quotient is zero
+        r0, r1, s0, s1 = r1, r0, [], [1]
     while r1:
         q, rem = fp_divmod(r0, r1, p)
         r0, r1 = r1, rem
         s0, s1 = s1, fp_sub(s0, fp_mul(q, s1, p), p)
-    c = pow(r0[0], -1, p)
-    inv = [(x * c) % p for x in s0]
-    inv = inv + [0] * (f - len(inv))
-    return inv[:f]
+    c = pow(r0[-1], -1, p)
+    return [x * c % p for x in r0], [x * c % p for x in s0]
+
+
+def fq_inverse(a: list[int], m: list[int], p: int) -> list[int]:
+    """Inverse of a nonzero element of F_p[z]/(m): the cofactor of a in
+    fp_xgcd(a, m), as a coefficient vector of length f = deg m."""
+    f = len(m) - 1
+    if not fp_trim(a, p):
+        raise ZeroDivisionError("zero in residue field")
+    g, inv = fp_xgcd(a, m, p)
+    if g != [1]:
+        raise ZeroDivisionError("not invertible modulo m")
+    return (inv + [0] * f)[:f]
 
 
 def fp_order(a: int, p: int) -> int:

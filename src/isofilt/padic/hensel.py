@@ -1,26 +1,27 @@
 """Hensel lifting and polynomial utilities over the quotient rings.
 
 Polynomials are lists of TowerRing elements in ascending degree, at any tower
-level.  hensel_lift_pair is the one polynomial Hensel lift: it lifts a
-factorization that is coprime mod pi, with residue-field (F_q) coefficients,
+level.  hensel_lift_pair is the one polynomial Hensel lift: over a ring with
+residue field F_p (f = 1), it lifts a factorization that is coprime mod pi,
 on raw ring tuples to the ring's cap pi^(e*N), together with the Bezout
 cofactors.  How many of those digits an inexact input certifies is the
 caller's business (see isocrystal.slopes).  The arithmetic stays at the
 ring's fixed modulus p^N throughout.
 
 Every polynomial handled here is short: the slope split's factors and
-cofactors have at most deg F + 1 coefficients, and find_unramified_modulus
-works with degree-f ring elements only.  So rp_mul is the schoolbook product,
-one compiled TowerRing.mul per pair of coefficients; packing each polynomial
-into one integer (Kronecker substitution) costs more than it saves at these
-lengths.
+cofactors have at most deg F + 1 coefficients.  So the two halves of each
+quadratic step of hensel_lift_pair, rp_mul and rp_divmod_monic are
+schoolbook straight-line code, one compiled kernel per ring layout and
+operand lengths (TowerRing.kernel), and rp_add is one comprehension;
+packing each polynomial into one integer (Kronecker substitution) costs more
+than it saves at these lengths.
 """
 
 from __future__ import annotations
 
 from itertools import product as iproduct
 
-from .fp import fp_is_primitive, fq_inverse
+from .fp import fp_divmod, fp_is_primitive, fp_mul, fp_sub, fp_xgcd
 from .ring import TowerRing
 
 # -- integer polynomial helpers ------------------------------------------------
@@ -78,7 +79,9 @@ def find_unramified_modulus(p: int, f: int, prec: int) -> tuple[int, ...]:
         w = ring.sub(w, step)
     G = [ring.one()]
     for _ in range(f):
-        G = rp_mul(ring, G, [ring.neg(w), ring.one()])
+        # G (x - w), coefficient by coefficient
+        G = [ring.sub(c, ring.mul(w, d))
+             for c, d in zip([ring.zero()] + G, G + [ring.zero()])]
         w = ring.pow(w, p)
     # the conjugates' symmetric functions are Frobenius-fixed: rational
     assert not any(any(c[1:]) for c in G), "modulus coefficients are not rational"
@@ -89,128 +92,65 @@ def find_unramified_modulus(p: int, f: int, prec: int) -> tuple[int, ...]:
 
 
 def rp_add(ring, a, b):
-    n = max(len(a), len(b))
-    z = ring.zero()
-    return [ring.add(a[i] if i < len(a) else z, b[i] if i < len(b) else z)
-            for i in range(n)]
-
-
-def rp_sub(ring, a, b):
-    n = max(len(a), len(b))
-    z = ring.zero()
-    return [ring.sub(a[i] if i < len(a) else z, b[i] if i < len(b) else z)
-            for i in range(n)]
+    """Sum of two polynomials over ``ring``, coefficient by coefficient."""
+    if len(a) < len(b):
+        a, b = b, a
+    pn = ring.pn
+    return [tuple([(s + t) % pn for s, t in zip(x, y)])
+            for x, y in zip(a, b)] + a[len(b):]
 
 
 def rp_mul(ring, a, b):
-    """Product of two polynomials over ``ring``: one ring.mul per pair of
-    coefficients, summed by degree with ring.add."""
+    """Product of two polynomials over ``ring``: one compiled kernel call,
+    the longer operand first."""
     if not a or not b:
         return []
-    mul, add = ring.mul, ring.add
-    last = b[-1]
-    out = [mul(a[0], y) for y in b]
-    for i in range(1, len(a)):
-        x = a[i]
-        for j, y in enumerate(b[:-1], i):
-            out[j] = add(out[j], mul(x, y))
-        out.append(mul(x, last))
-    return out
+    if len(a) < len(b):
+        a, b = b, a
+    return ring.kernel("poly_mul", len(a), len(b))(a, b, ring.pn)
 
 
 def rp_divmod_monic(ring, a, b):
-    """Division by a monic b (leading coefficient literally one)."""
-    a = list(a)
-    nb = len(b)
-    q = [ring.zero()] * max(len(a) - nb + 1, 0)
-    for k in range(len(a) - nb, -1, -1):
-        c = a[k + nb - 1]
-        if any(c):
-            q[k] = c
-            for j in range(nb):
-                a[k + j] = ring.sub(a[k + j], ring.mul(c, b[j]))
-    return q, a[:nb - 1]
-
-
-def _rp_fq_xgcd(ring, a, b):
-    """Extended gcd of polynomials over the residue field F_q (coefficients as
-    ring elements with only the u^0 slots set, reduced mod p).  Returns
-    (gcd, s, t) with gcd monic."""
-    p = ring.p
-
-    def red(poly):
-        poly = [tuple(c % p for c in coeff) for coeff in poly]
-        while poly and all(c == 0 for c in poly[-1]):
-            poly.pop()
-        return poly
-
-    def fq_inv(coeff):
-        e = ring.e
-        vec = [coeff[i * e] for i in range(ring.f)]
-        inv = fq_inverse(vec, [c % p for c in ring.modulus], p)
-        out = [0] * ring.dim
-        for i in range(ring.f):
-            out[i * e] = inv[i]
-        return tuple(out)
-
-    def divmod_(x, y):
-        # divide by the monic c*y, then scale the quotient back by c
-        c = fq_inv(y[-1])
-        q, r = rp_divmod_monic(ring, x, red([ring.mul(d, c) for d in y]))
-        return red([ring.mul(v, c) for v in q]), red(r)
-
-    def mul_(x, y):
-        return red(rp_mul(ring, x, y))
-
-    def sub_(x, y):
-        return red(rp_sub(ring, x, y))
-
-    r0, r1 = red(a), red(b)
-    s0, s1 = [ring.one()], []
-    t0, t1 = [], [ring.one()]
-    while r1:
-        q, rem = divmod_(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, sub_(s0, mul_(q, s1))
-        t0, t1 = t1, sub_(t0, mul_(q, t1))
-    c = fq_inv(r0[-1])
-    return tuple(red([ring.mul(x, c) for x in poly]) for poly in (r0, s0, t0))
+    """(quotient, remainder) of a by b, whose leading coefficient is
+    literally one: one compiled kernel call."""
+    if len(a) < len(b):
+        return [], list(a)
+    return ring.kernel("divmod", len(a), len(b))(a, b, ring.pn)
 
 
 def hensel_lift_pair(ring, F, g0, h0):
     """Lift a factorization F = g0*h0 mod pi, coprime mod pi, to mod pi^(e*N).
 
-    F, g0, h0 monic (leading coefficient one); g0 and h0 have residue-field
-    coefficients.  Returns (g, h, s, t): g, h monic with F = g*h in the ring
-    and g = g0, h = h0 mod pi, and s*g + t*h = 1 in the ring with
-    deg s < deg h and deg t < deg g.  Quadratic iteration with Bezout update
-    (von zur Gathen-Gerhard, Modern Computer Algebra, ch. 15), at the ring's
-    fixed modulus p^N.
+    The ring has f = 1, so its residue field is F_p: the slope split's rings
+    Z_p[t]/(t^b - p) are.  F, g0, h0 monic (leading coefficient one), deg F
+    = deg g0 + deg h0; g0 and h0 have F_p coefficients.  Returns (g, h, s,
+    t): g, h monic with F = g*h in the ring and g = g0, h = h0 mod pi, and
+    s*g + t*h = 1 in the ring, s and t of deg h and deg g coefficients.  The
+    lift starts from the Bezout cofactors mod p of fp_xgcd, unique under
+    those degree bounds, and runs quadratic steps with Bezout update (von zur
+    Gathen-Gerhard, Modern Computer Algebra, ch. 15), two compiled kernels
+    for the ring's layout and the factors' lengths, at the ring's fixed
+    modulus p^N.
     """
-    one = [ring.one()]
-    _gcd, s, t = _rp_fq_xgcd(ring, g0, h0)
-    if len(_gcd) != 1:
+    if ring.f != 1:
+        raise ValueError("hensel_lift_pair needs a residue field F_p (f = 1)")
+    if len(F) != len(g0) + len(h0) - 1:
+        raise ValueError("deg F is not deg g0 + deg h0")
+    p, a, b = ring.p, [c[0] for c in g0], [c[0] for c in h0]
+    gcd, s = fp_xgcd(a, b, p)
+    if gcd != [1]:
         raise ValueError("factors are not coprime mod pi")
+    t = fp_divmod(fp_sub([1], fp_mul(s, a, p), p), b, p)[0]
+    zero = [ring.zero()]
+    s = [ring.from_int(c) for c in s] + zero * (len(h0) - 1 - len(s))
+    t = [ring.from_int(c) for c in t] + zero * (len(g0) - 1 - len(t))
+    factors = ring.kernel("hensel_factors", len(g0), len(h0))
+    cofactors = ring.kernel("hensel_cofactors", len(g0), len(h0))
     g, h = list(g0), list(h0)
-    total = ring.e * ring.prec
-    k = 1
-    while k < total:
-        k = min(2 * k, total)
-        e = rp_sub(ring, F, rp_mul(ring, g, h))
-        q, r = rp_divmod_monic(ring, rp_mul(ring, s, e), h)
-        g = rp_add(ring, g, rp_add(ring, rp_mul(ring, t, e), rp_mul(ring, q, g)))
-        h = rp_add(ring, h, r)
-        g = g[:len(g0)]
-        h = h[:len(h0)]
-        g[-1] = ring.one()
-        h[-1] = ring.one()
-        b = rp_sub(ring, rp_add(ring, rp_mul(ring, s, g), rp_mul(ring, t, h)), one)
-        c, d = rp_divmod_monic(ring, rp_mul(ring, s, b), h)
-        s = rp_sub(ring, s, d)
-        t = rp_sub(ring, t, rp_add(ring, rp_mul(ring, t, b), rp_mul(ring, c, g)))
-        # s g + t h = 1 mod pi^k and deg s < deg h, so t is 0 mod pi^k from
-        # degree deg g on; dropping those terms keeps t from growing
-        t = t[:len(g0) - 1]
+    # each step doubles the pi-adic precision, from pi to the cap pi^(eN)
+    for _ in range((ring.e * ring.prec - 1).bit_length()):
+        g, h = factors(F, g, h, s, t, ring.pn)
+        s, t = cofactors(g, h, s, t, ring.pn)
     return g, h, s, t
 
 

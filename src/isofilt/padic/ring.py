@@ -20,17 +20,20 @@ Every op returns canonical residues in [0, p^N).  A product is a raw (z, u)
 convolution in exact integers (z-degree < 2f-1, u-degree < 2e-1) folded back
 onto the basis by a fold table built once per ring: for each raw monomial
 z^i u^j outside the basis, the sparse canonical residue of z^i u^j (for
-rational Eisenstein polynomials, a handful of nonzeros).  mul runs both steps
-as one function of straight-line code, compiled once per ring layout
-(``_product_code``), and reduces mod p^N once; hensel.rp_mul calls mul once
-per pair of polynomial coefficients.  _reduce folds a convolution built
-elsewhere: shift_up and apply_u_map build one convolution each.  A
-product with a constant operand is a scalar multiple and skips the fold;
-when f = e = 1, mul is one integer product.  inv_unit is one modular inverse
-for every constant unit (all of them when f = e = 1).  Any other unit is
-inverted once per ring: a Newton iteration, in the u-direction on residues
-mod p and then in the p-direction at modulus p^k for k = 2, 4, 8, ... up to
-N, whose result the ring remembers for at most INV_MEMO_CAP units.
+rational Eisenstein polynomials, a handful of nonzeros).  One code generator
+(``_kernel_code``) emits both steps as straight-line code, one function per
+ring layout and operand lengths, compiled once and kept in a bounded cache.
+Each element it computes is one raw convolution, folded and reduced mod p^N
+once.  mul is its product of two elements; hensel.rp_mul, rp_divmod_monic
+and each quadratic step of hensel_lift_pair call its polynomial kernels.
+_reduce folds a convolution built elsewhere: shift_up and apply_u_map build
+one convolution each.  A product with a constant operand is a scalar
+multiple and skips the fold; when f = e = 1, mul is one integer product.
+inv_unit is one modular inverse for every constant unit (all of them when
+f = e = 1).  Any other unit is inverted once per ring: a Newton iteration,
+in the u-direction on residues mod p and then in the p-direction at modulus
+p^k for k = 2, 4, 8, ... up to N, whose result the ring remembers for at
+most INV_MEMO_CAP units.
 """
 
 from __future__ import annotations
@@ -42,6 +45,9 @@ from .fp import fq_inverse
 # the most non-constant units whose inverses one ring remembers; a ring can
 # live as long as the process (groups.isotypic keeps its embedding rings)
 INV_MEMO_CAP = 1024
+# the most compiled kernels kept, over every ring layout and operand length;
+# one slope-split cycle compiles a few dozen (tests/test_ring_kernels.py)
+KERNEL_CACHE = 256
 
 
 def int_valuation(n: int, p: int) -> int | None:
@@ -55,33 +61,188 @@ def int_valuation(n: int, p: int) -> int | None:
     return v
 
 
-@lru_cache(maxsize=64)
-def _product_code(raw, nraw, fold, pn):
-    """x*y mod m for the ring with basis layout ``raw`` and fold table
-    ``fold``, as one function of straight-line code: each raw slot of the
-    (z, u) convolution is a sum of coefficient products, and each canonical
-    coefficient is its own slot plus the folded slots times their residues,
-    reduced mod m once.  A residue d > p^N/2 enters as d - p^N, which changes
-    no result mod m (m divides p^N) and keeps the factors small.  Rings with
-    the same layout and table share one compiled function."""
-    dim = len(raw)
-    slots = [[] for _ in range(nraw)]
-    for s in range(dim):
-        for t in range(dim):
-            slots[raw[s] + raw[t]].append(f"x{s}*y{t}")
-    outs = [[f"r{r}"] for r in raw]
-    for k, row in fold:
-        for s, d in row:
-            d = d if 2 * d <= pn else d - pn
-            outs[s].append(f"r{k}*({d})")
-    lines = ["def product(x, y, m):",
-             f"    {', '.join(f'x{s}' for s in range(dim))}, = x",
-             f"    {', '.join(f'y{s}' for s in range(dim))}, = y"]
-    lines += [f"    r{k} = {' + '.join(terms)}" for k, terms in enumerate(slots) if terms]
-    lines.append("    return (" + ", ".join(f"({' + '.join(o)}) % m" for o in outs) + ",)")
-    namespace = {}
-    exec("\n".join(lines), namespace)
-    return namespace["product"]
+def _signed(terms):
+    """Source of the signed sum of (sign, expression) terms; "0" if none."""
+    if not terms:
+        return "0"
+    src = "-" + terms[0][1] if terms[0][0] == "-" else terms[0][1]
+    return src + "".join(f" {sign} {x}" for sign, x in terms[1:])
+
+
+class _Source:
+    """The straight-line source of one kernel for a ring layout.
+
+    An element is a tuple of source names, one per basis coefficient ("0" and
+    "1" stand for those integers); a polynomial is a list of elements.  Every
+    element the kernel computes is a signed sum of elements and of products
+    of two elements: its raw (z, u) convolution is summed in exact integers,
+    folded onto the basis and reduced mod m once, and bound to fresh names.
+    """
+
+    def __init__(self, layout, head):
+        self.raw, self.nraw, self.fold = layout
+        self.dim = len(self.raw)
+        self.lines = [head]
+        self.count = 0
+        # the canonical coefficients that read each raw slot: its own basis
+        # coefficient (residue None) and the fold rows (residue d)
+        self.uses = [[] for _ in range(self.nraw)]
+        for s, r in enumerate(self.raw):
+            self.uses[r].append((s, None))
+        for k, row in self.fold:
+            self.uses[k].extend(row)
+
+    def unpack(self, name, n=None):
+        """The polynomial argument ``name`` of n elements, or the element
+        argument ``name`` as a polynomial of one when n is None."""
+        poly = [tuple(f"{name}{i}_{s}" for s in range(self.dim)) for i in range(n or 1)]
+        self.lines.append("    " + (f"{', '.join(poly[0])}, " if n is None else
+                                    "".join(f"({', '.join(x)},), " for x in poly))
+                          + f"= {name}")
+        return poly
+
+    def element(self, terms):
+        """A new element: the signed sum of terms (sign, x) and (sign, x, y)
+        for x*y, x and y elements."""
+        slots = [[] for _ in range(self.nraw)]
+        for sign, x, *y in terms:
+            for s, xs in enumerate(x):
+                if xs == "0":
+                    continue
+                if not y:
+                    slots[self.raw[s]].append((sign, xs))
+                    continue
+                for t, yt in enumerate(y[0]):
+                    if yt != "0":
+                        term = xs if yt == "1" else yt if xs == "1" else f"{xs}*{yt}"
+                        slots[self.raw[s] + self.raw[t]].append((sign, term))
+        self.count += 1
+        tag = self.count
+        outs = [[] for _ in self.raw]
+        for k, slot in enumerate(slots):
+            if not slot:
+                continue
+            src = _signed(slot)
+            if len(self.uses[k]) > 1:  # bound once, read by several
+                self.lines.append(f"    r{tag}_{k} = {src}")
+                src = f"r{tag}_{k}"
+            for s, d in self.uses[k]:
+                outs[s].append(("+", f"({src})" if d is None else f"({src})*({d})"))
+        names = tuple(f"v{tag}_{s}" for s in range(self.dim))
+        self.lines += [f"    {v} = ({_signed(o)}) % m" for v, o in zip(names, outs)]
+        return names
+
+    def poly(self, terms, n=None):
+        """The signed sum of polynomial terms (sign, P) and (sign, P, Q) for
+        P*Q, coefficient by coefficient; only the first n when n is given."""
+        length = max(len(P) + (len(Q[0]) - 1 if Q else 0) for _, P, *Q in terms)
+        out = []
+        for k in range(length if n is None else min(n, length)):
+            coeff = []
+            for sign, P, *Q in terms:
+                if Q:
+                    (Q,) = Q
+                    coeff += [(sign, P[i], Q[k - i]) for i in
+                              range(max(0, k - len(Q) + 1), min(k, len(P) - 1) + 1)]
+                elif k < len(P):
+                    coeff.append((sign, P[k]))
+            out.append(self.element(coeff))
+        return out
+
+    def divmod(self, a, b):
+        """(quotient, remainder) of a by b, whose leading coefficient is
+        literally one and never read; each quotient coefficient is reduced
+        as it is produced."""
+        nb, nq = len(b), len(a) - len(b) + 1
+        q = [None] * nq
+
+        def residue(i, ks):
+            # a_i minus q_k b_(i-k) over ks, skipping b's leading one
+            return self.element([("+", a[i])] + [("-", q[k], b[i - k]) for k in ks
+                                                 if 0 <= i - k < nb - 1])
+
+        for k in range(nq - 1, -1, -1):
+            q[k] = residue(k + nb - 1, range(k + 1, nq))
+        return q, [residue(i, range(nq)) for i in range(nb - 1)]
+
+    def compile(self, result):
+        """The kernel, returning the source expression ``result``."""
+        self.lines.append(f"    return {result}")
+        namespace = {}
+        exec("\n".join(self.lines), namespace)
+        return namespace["kernel"]
+
+
+def _tuples(poly):
+    """Source of a polynomial as a list of element tuples."""
+    return "[" + ", ".join(f"({', '.join(x)},)" for x in poly) + "]"
+
+
+@lru_cache(maxsize=KERNEL_CACHE)
+def _kernel_code(layout, op, la, lb):
+    """One compiled kernel of straight-line code for the rings with basis
+    layout ``layout`` = (raw, nraw, fold), for operands of la and lb
+    elements:
+
+    - ``"mul"``: kernel(x, y, m), the product of two elements (la = lb = 1);
+    - ``"poly_mul"``: kernel(a, b, m), the product of polynomials (lists of
+      elements, ascending degree); each output coefficient is one raw
+      convolution over its coefficient pairs, folded and reduced mod m once;
+    - ``"divmod"``: kernel(a, b, m), the quotient and remainder of a by b,
+      la >= lb, whose leading coefficient is literally one;
+    - ``"hensel_factors"`` and ``"hensel_cofactors"``: the two halves of a
+      quadratic Hensel step for factors of la and lb elements (see
+      _hensel_step).
+
+    The fold table's residues d enter as d - p^N when d > p^N/2, which
+    changes no result mod m (m divides p^N) and keeps the factors small; so
+    rings with the same layout share the compiled functions, whatever their
+    precision when their residues are small (Q_p, t^e = p)."""
+    if op.startswith("hensel"):
+        return _hensel_step(layout, op, la, lb)
+    src = _Source(layout, "def kernel(a, b, m):")
+    if op == "mul":
+        a, b = src.unpack("a"), src.unpack("b")
+        return src.compile(f"({', '.join(src.element([('+', a[0], b[0])]))},)")
+    a, b = src.unpack("a", la), src.unpack("b", lb)
+    if op == "poly_mul":
+        return src.compile(_tuples(src.poly([("+", a, b)])))
+    q, r = src.divmod(a, b)
+    return src.compile(f"{_tuples(q)}, {_tuples(r)}")
+
+
+def _hensel_step(layout, op, lg, lh):
+    """One half of a quadratic Hensel step with Bezout update (von zur
+    Gathen-Gerhard, Modern Computer Algebra, Algorithm 15.10), for monic g
+    and h of lg and lh elements, and s and t of lh - 1 and lg - 1.  From F =
+    gh and sg + th = 1 mod pi^k:
+
+    - ``"hensel_factors"``: kernel(F, g, h, s, t, m), the factors g, h with
+      F = gh mod pi^2k;
+    - ``"hensel_cofactors"``: kernel(g, h, s, t, m) for those new g and h,
+      the cofactors s, t with sg + th = 1 mod pi^2k.
+
+    Two kernels, not one, halve the memory the largest compile takes."""
+    factors = op == "hensel_factors"
+    src = _Source(layout, f"def kernel({'F, ' if factors else ''}g, h, s, t, m):")
+    F = src.unpack("F", lg + lh - 1) if factors else None
+    g, h = src.unpack("g", lg), src.unpack("h", lh)
+    s, t = src.unpack("s", lh - 1), src.unpack("t", lg - 1)
+    one = ("1",) + ("0",) * (src.dim - 1)
+    if factors:
+        # e = F - gh, q h + r = s e, g += t e + q g, h += r
+        e = src.poly([("+", F), ("-", g, h)])
+        q, r = src.divmod(src.poly([("+", s, e)]), h)
+        g = src.poly([("+", g), ("+", t, e), ("+", q, g)], lg - 1) + [one]
+        h = src.poly([("+", h), ("+", r)], lh - 1) + [one]
+        return src.compile(f"{_tuples(g)}, {_tuples(h)}")
+    # b = sg + th - 1, c h + d = s b, s -= d, t -= t b + c g; t is 0 mod
+    # pi^2k from degree deg g on, so only lg - 1 terms are kept
+    b = src.poly([("+", s, g), ("+", t, h), ("-", [one])])
+    c, d = src.divmod(src.poly([("+", s, b)]), h)
+    s = src.poly([("+", s), ("-", d)])
+    t = src.poly([("+", t), ("-", t, b), ("-", c, g)], lg - 1)
+    return src.compile(f"{_tuples(s)}, {_tuples(t)}")
 
 
 class TowerRing:
@@ -120,8 +281,14 @@ class TowerRing:
         self._c0 = None
         self._c0i = None
         self._inv_memo = {}
-        self._product = (_product_code(self._raw, self._nraw, self._fold, self.pn)
-                         if self.dim > 1 else None)
+        # the compiled kernels' key: the fold table with each residue
+        # d > p^N/2 as d - p^N (see _kernel_code)
+        pn = self.pn
+        self._layout = (self._raw, self._nraw, tuple(
+            (k, tuple([(s, d - pn if 2 * d > pn else d) for s, d in row]))
+            for k, row in self._fold))
+        self._kernels = {}
+        self._product = self.kernel("mul", 1, 1) if self.dim > 1 else None
 
     # -- construction helpers -------------------------------------------------
 
@@ -223,6 +390,19 @@ class TowerRing:
             c = y[0]
             return tuple([c * a % pn for a in x])
         return self._product(x, y, pn)
+
+    def kernel(self, op, la, lb):
+        """The compiled kernel for ``op`` on operands of la and lb elements
+        (see _kernel_code for its arguments).  Each ring looks a shape up
+        once and keeps at most KERNEL_CACHE shapes, the oldest forgotten
+        first."""
+        kernels = self._kernels
+        fn = kernels.get((op, la, lb))
+        if fn is None:
+            if len(kernels) >= KERNEL_CACHE:
+                del kernels[next(iter(kernels))]
+            fn = kernels[op, la, lb] = _kernel_code(self._layout, op, la, lb)
+        return fn
 
     def _reduce(self, acc):
         """Canonical residue of a raw (z, u) convolution: acc[i*(2e-1) + j]

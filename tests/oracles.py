@@ -232,6 +232,55 @@ def tower_poly_mul(a, b, m, E, pn):
     return out
 
 
+def tower_poly_divmod_monic(a, b, m, E, pn):
+    """Quotient and remainder of the polynomial a by the monic b (leading
+    coefficient one), coefficients as flat tuples, by schoolbook long
+    division in exact integers: each quotient coefficient is the current
+    top coefficient mod pn, and its products with b come from
+    tower_poly_mul.  The remainder has len(b) - 1 coefficients, or is a
+    itself when a is shorter than b."""
+    nb = len(b)
+    if len(a) < nb:
+        return [], [tuple(x) for x in a]
+    a = [list(x) for x in a]
+    q = [None] * (len(a) - nb + 1)
+    for k in range(len(q) - 1, -1, -1):
+        c = tuple(x % pn for x in a[k + nb - 1])
+        q[k] = c
+        for j in range(nb - 1):
+            d = tower_poly_mul([c], [b[j]], m, E, pn)[0]
+            a[k + j] = [x - y for x, y in zip(a[k + j], d)]
+    return q, [tuple(x % pn for x in a[i]) for i in range(nb - 1)]
+
+
+def tower_hensel_step(F, g, h, s, t, m, E, pn):
+    """One quadratic Hensel step with Bezout update (von zur Gathen-Gerhard,
+    Modern Computer Algebra, Algorithm 15.10) on polynomials with ring
+    coefficients, through tower_poly_mul and tower_poly_divmod_monic and
+    coefficientwise sums mod pn.  g and h are monic and keep their lengths,
+    s and t keep theirs."""
+    def mul(a, b):
+        return tower_poly_mul(a, b, m, E, pn)
+
+    def lin(*terms):
+        # the signed sum of (sign, polynomial) terms, coefficient by coefficient
+        n = max(len(p) for _, p in terms)
+        return [tuple(sum(sign * p[k][i] for sign, p in terms if k < len(p)) % pn
+                      for i in range(len(F[0])))
+                for k in range(n)]
+
+    one = (1,) + (0,) * (len(F[0]) - 1)
+    e = lin((1, F), (-1, mul(g, h)))
+    q, r = tower_poly_divmod_monic(mul(s, e), h, m, E, pn)
+    g2 = lin((1, g), (1, mul(t, e)), (1, mul(q, g)))[:len(g) - 1] + [one]
+    h2 = lin((1, h), (1, r))[:len(h) - 1] + [one]
+    b = lin((1, mul(s, g2)), (1, mul(t, h2)), (-1, [one]))
+    c, d = tower_poly_divmod_monic(mul(s, b), h2, m, E, pn)
+    s2 = lin((1, s), (-1, d))
+    t2 = lin((1, t), (-1, mul(t, b)), (-1, mul(c, g2)))[:len(t)]
+    return g2, h2, s2, t2
+
+
 # -- elimination on Scalars -----------------------------------------------------------
 
 

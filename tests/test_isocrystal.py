@@ -422,3 +422,34 @@ def test_slope_factors_negative_minimal_slope():
         assert sc_sub(fac[0], field.scalar(-root)).kind != "reg"
         assert sc_sub(fac[1], field.one()).kind != "reg"
     assert [(s, len(c[0])) for s, c in isoclinic_decompose(D)] == [(-1, 1), (0, 1)]
+
+
+def test_linearization_and_charpoly_once_per_module(monkeypatch):
+    # newton_slopes, slope_factors and isoclinic_decompose share one
+    # linearization and one charpoly; a charpoly that raises stores nothing
+    from isofilt.isocrystal import slopes
+    field = UnramifiedFieldDescriptor.create(2, 2, 16)
+    D = PhiModule.from_rational(field, [[1, 0, 0], [0, 0, 2], [0, 1, 0]])
+    calls = {"charpoly": 0, "linearization": 0}
+    charpoly, linearization = la.charpoly, PhiModule.linearization
+
+    def counting_charpoly(B):
+        calls["charpoly"] += 1
+        if calls["charpoly"] == 1:
+            raise PrecisionError("first charpoly fails")
+        return charpoly(B)
+
+    def counting_linearization(self):
+        calls["linearization"] += 1
+        return linearization(self)
+
+    monkeypatch.setattr(slopes.la, "charpoly", counting_charpoly)
+    monkeypatch.setattr(PhiModule, "linearization", counting_linearization)
+    with pytest.raises(PrecisionError):
+        newton_slopes(D)
+    assert D._charpoly is None and D._slopes is None
+    assert newton_slopes(D).pairs == ((Fraction(0), 1), (Fraction(1, 2), 2))
+    slope_factors(D)
+    assert [(s, len(c[0])) for s, c in isoclinic_decompose(D)] == [
+        (Fraction(0), 1), (Fraction(1, 2), 2)]
+    assert calls == {"charpoly": 2, "linearization": 2}

@@ -2,13 +2,16 @@
 
 TowerRing.mul (on dense and sparse operands), TowerRing.inv_unit (on random
 elements, on constant units, which skip Newton, and through its memo against
-a fresh ring's inverse), the rows of the fold
-table that TowerRing._reduce reads, shift_up, divide_pi_exact, w0_pow,
-frobenius, apply_u_map and hensel.rp_mul are checked against
-oracles.tower_reduce at every shape of level the library builds: Q_p and
-Eisenstein rings over it (f = 1), unramified levels (e = 1) and ramified
-steps over them, at a small and a large precision.  Counting guards pin how
-often mul reduces and that the memo runs Newton once per unit within its cap.
+a fresh ring's inverse), the rows of the fold table that TowerRing._reduce
+reads, shift_up, divide_pi_exact, w0_pow, frobenius, apply_u_map, and the
+compiled polynomial kernels behind hensel.rp_mul, rp_divmod_monic and the
+steps of hensel_lift_pair are checked against oracles.tower_reduce (through
+the long division of oracles.tower_poly_divmod_monic and the step of
+oracles.tower_hensel_step) at every shape of level the library builds:
+Q_p and Eisenstein rings over it (f = 1), unramified levels (e = 1) and
+ramified steps over them, at a small and a large precision.  Counting guards
+pin how often mul reduces and that the memo runs Newton once per unit within
+its cap.
 """
 
 from functools import lru_cache
@@ -16,10 +19,11 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isofilt.padic.hensel import find_unramified_modulus, rp_mul
+from isofilt.padic.hensel import find_unramified_modulus, rp_divmod_monic, rp_mul
 from isofilt.padic import ring as ring_module
 from isofilt.padic.ring import TowerRing
-from oracles import tower_poly_mul, tower_reduce
+from oracles import (tower_hensel_step, tower_poly_divmod_monic, tower_poly_mul,
+                     tower_reduce)
 
 LEVELS = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 4)]
 PRECS = [8, 48]
@@ -174,8 +178,73 @@ def test_rp_mul_matches_oracle(f, e, prec, data):
 
 @levels
 @precs
+@examples
+@given(data=st.data())
+def test_rp_divmod_monic_matches_oracle(f, e, prec, data):
+    ring = data.draw(rings(f, e, prec))
+    a = data.draw(st.lists(elements(ring), max_size=8))
+    b = data.draw(st.lists(elements(ring), max_size=4)) + [ring.one()]
+    args = _oracle_args(ring)
+    q, r = rp_divmod_monic(ring, a, b)
+    assert (q, r) == tower_poly_divmod_monic(a, b, *args)
+    # a = q b + r, with r shorter than b
+    assert len(r) == min(len(a), len(b) - 1)
+
+    def pad(poly):
+        return poly + [ring.zero()] * (len(a) - len(poly))
+
+    qb = pad(tower_poly_mul(q, b, *args) if q else [])
+    assert [tuple((x + y) % ring.pn for x, y in zip(c, d))
+            for c, d in zip(qb, pad(r))] == a
+
+
+def _step_operands(ring, lg, lh, entry):
+    """(F, g, h, s, t) for one Hensel step: monic g and h of lg and lh
+    elements, s and t of lh - 1 and lg - 1, F of lg + lh - 1, entries drawn
+    by ``entry``."""
+    def poly(n, monic=False):
+        return [entry() for _ in range(n - 1)] + [ring.one() if monic else entry()]
+
+    return (poly(lg + lh - 1, True), poly(lg, True), poly(lh, True),
+            poly(lh - 1), poly(lg - 1))
+
+
+def _hensel_step(ring, ops):
+    """One step of hensel_lift_pair's loop: its two compiled halves."""
+    F, g, h, s, t = ops
+    lg, lh = len(g), len(h)
+    g, h = ring.kernel("hensel_factors", lg, lh)(F, g, h, s, t, ring.pn)
+    s, t = ring.kernel("hensel_cofactors", lg, lh)(g, h, s, t, ring.pn)
+    return g, h, s, t
+
+
+@levels
+@precs
+@examples
+@given(data=st.data())
+def test_hensel_step_matches_oracle(f, e, prec, data):
+    # the compiled step is ring arithmetic at every level; only the lift
+    # that runs it needs f = 1
+    ring = data.draw(rings(f, e, prec))
+    lg, lh = data.draw(st.integers(2, 4)), data.draw(st.integers(2, 4))
+    ops = _step_operands(ring, lg, lh, lambda: data.draw(elements(ring)))
+    assert _hensel_step(ring, ops) == tower_hensel_step(*ops, *_oracle_args(ring))
+
+
+@levels
+@precs
 @pytest.mark.parametrize("p", [2, 3])
-@pytest.mark.parametrize("la, lb", [(LONGEST, LONGEST), (LONGEST, 1)])
+def test_hensel_step_at_the_overflow_edge(f, e, prec, p):
+    ring = _ring(p, f, e, prec, [[p ** prec - 1] * f] * e)
+    top = (ring.pn - 1,) * ring.dim
+    ops = _step_operands(ring, 4, 3, lambda: top)
+    assert _hensel_step(ring, ops) == tower_hensel_step(*ops, *_oracle_args(ring))
+
+
+@levels
+@precs
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("la, lb", [(LONGEST, LONGEST), (LONGEST, 5), (LONGEST, 1)])
 def test_kernels_at_the_overflow_edge(f, e, prec, p, la, lb):
     # every entry p^N - 1: the largest sums a product slot can hold
     ring = _ring(p, f, e, prec, [[p ** prec - 1] * f] * e)
@@ -183,6 +252,9 @@ def test_kernels_at_the_overflow_edge(f, e, prec, p, la, lb):
     args = _oracle_args(ring)
     assert ring.mul(top, top) == tower_poly_mul([top], [top], *args)[0]
     assert rp_mul(ring, [top] * la, [top] * lb) == tower_poly_mul([top] * la, [top] * lb, *args)
+    monic = [top] * (lb - 1) + [ring.one()]
+    assert (rp_divmod_monic(ring, [top] * la, monic)
+            == tower_poly_divmod_monic([top] * la, monic, *args))
 
 
 # -- the fold table and the kernels built on it ------------------------------------
