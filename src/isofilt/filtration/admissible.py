@@ -98,7 +98,10 @@ def is_admissible(D: PhiModule, F_cols_L, ext, mode: str = "exact",
     Sampled mode is one-sidedly sound: 'inadmissible' verdicts carry an
     explicit violating submodule; 'admissible' verdicts are complete only
     over the enumerated family.  Each proper N costs one elimination over
-    L, since its basis is certified independent.
+    L, since its basis is certified independent, and none over K when N is
+    a sum of isoclinic components, D included, whose bound t_N the
+    decomposition certified (``SubmoduleSet.bounds``).  Only a sampled
+    kernel, image or phi-span has its t_N certified from its Frobenius.
     """
     subs = submodules(D, mode, budget=budget, seed=seed)
     entries = []
@@ -107,17 +110,16 @@ def is_admissible(D: PhiModule, F_cols_L, ext, mode: str = "exact",
     verdict = True
     equality_at_top = None
     rank_F = None  # certified on first use: some modules have no proper N
-    for N in subs.subspaces:
+    for N, bound in zip(subs.subspaces, subs.bounds):
         dN = _ncols(N)
         if dN == 0:
             entries.append((0, 0, Fraction(0)))
             continue
         if dN == D.n:
-            bound = D.t_N()
             th = dimF
         else:
-            sub = D.submodule(N)
-            bound = sub.t_N()
+            if bound is None:
+                bound = D.submodule(N).t_N()
             if rank_F is None:
                 rank_F = _rank(F_cols_L)
             th = t_H(F_cols_L, N, ext, rank_F, rank_N=dN)

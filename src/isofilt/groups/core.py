@@ -246,8 +246,8 @@ class GroupRepresentation:
         else:
             pairs = ((a, b) for a in range(G.n) for b in range(G.n))
         for a, b in pairs:
-            prod = la.mat_mul(self.mats[a], self.mats[b])
-            if not la.mat_is_zero(la.mat_sub(prod, self.mats[G.table[a][b]]), thr):
+            if not la.mat_mul_sub_is_zero(self.mats[a], self.mats[b],
+                                          self.mats[G.table[a][b]], thr):
                 raise ValidationError(
                     f"representation breaks the table at "
                     f"({G.names[a]}, {G.names[b]})")
@@ -258,16 +258,15 @@ class GroupRepresentation:
         if phi_module is not None:
             A = phi_module.A
             for a in range(G.n):
-                lhs = la.mat_mul(self.mats[a], A)
                 rhs = la.mat_mul(A, la.mat_frobenius(self.mats[a]))
-                if not la.mat_is_zero(la.mat_sub(lhs, rhs), thr):
+                if not la.mat_mul_sub_is_zero(self.mats[a], A, rhs, thr):
                     raise ValidationError(
                         f"element {G.names[a]} does not phi-commute")
         if gram is not None:
             for a in range(G.n):
                 m = self.mats[a]
-                lhs = la.mat_mul(la.transpose(m), la.mat_mul(gram, m))
-                if not la.mat_is_zero(la.mat_sub(lhs, gram), thr):
+                if not la.mat_mul_sub_is_zero(la.transpose(m),
+                                              la.mat_mul(gram, m), gram, thr):
                     raise ValidationError(
                         f"element {G.names[a]} is not compatible with the pairing")
         if toric_cols is not None and toric_cols and toric_cols[0]:

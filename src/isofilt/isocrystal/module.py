@@ -93,12 +93,15 @@ class PhiModule:
             rows.append([z] * n + list(other.A[i]))
         return PhiModule(self.field, rows, validate=False)
 
-    def is_stable(self, basis_cols) -> bool:
-        """Certified phi-stability of the span of the given columns."""
+    def is_stable(self, basis_cols, rank: int | None = None) -> bool:
+        """Certified phi-stability of the span of the given columns.  rank
+        is their rank when the caller has certified it already (a kernel
+        basis, or the pivot columns of an elimination): one elimination
+        instead of two."""
         if not basis_cols or not basis_cols[0]:
             return True
         img = self.apply_phi(basis_cols)
-        return la.subspace_leq(img, basis_cols)
+        return la.subspace_leq(img, basis_cols, rank)
 
     def restricted_frobenius(self, basis_cols):
         """Matrix C with A sigma(N) = N C for a phi-stable N; the Frobenius of
@@ -143,11 +146,11 @@ class PolarizedPhiModule:
         if not la.mat_is_zero(skew, thr):
             raise ValidationError("Gram matrix is not alternating")
         la.det_valuation(self.J)
-        lhs = la.mat_mul(la.transpose(D.A), la.mat_mul(self.J, D.A))
+        At, JA = la.transpose(D.A), la.mat_mul(self.J, D.A)
         p_sigma_J = la.mat_scalar(F.scalar(F.p), la.mat_frobenius(self.J))
         for eps in (1, -1):
             target = p_sigma_J if eps == 1 else la.mat_neg(p_sigma_J)
-            if la.mat_is_zero(la.mat_sub(lhs, target), thr):
+            if la.mat_mul_sub_is_zero(At, JA, target, thr):
                 self.eps = eps
                 return
         raise ValidationError("Frobenius is not compatible with the pairing "

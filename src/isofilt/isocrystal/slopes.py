@@ -2,7 +2,8 @@
 
 newton_slopes linearizes phi (matrix of phi^f), takes the characteristic
 polynomial, and reads root valuations off the lower Newton polygon; slopes of
-the module are those divided by f.  The characteristic polynomial of the
+the module are those divided by f.  The polygon runs on the coefficients'
+integer pi-exponents, so only the root valuations become Fractions.  The characteristic polynomial of the
 linearization always has Q_p coefficients (sigma conjugates B into itself),
 which is certified and exploited: slope factors are computed over Q_p.
 
@@ -73,9 +74,10 @@ class SlopeProfile:
         return all(b[k] >= v for k, v in a.items())
 
 
-def lower_newton_polygon(points, uncertain=None):
-    """Lower convex hull of exact points (i, v); verifies that every
-    uncertain point (i, lower-bound) lies on or above the hull.
+def lower_newton_polygon(points, uncertain=None, e=1):
+    """Lower convex hull of exact points (i, w), w an integer pi-exponent at
+    ramification e (valuation w/e); verifies that every uncertain point
+    (i, lower bound zw) lies on or above the hull.
 
     Returns the hull vertices left to right.  Raises PrecisionError when an
     uncertain point could cut below the hull.
@@ -91,45 +93,43 @@ def lower_newton_polygon(points, uncertain=None):
             else:
                 break
         hull.append((x, y))
-    for x, b in (uncertain or []):
-        hv = _hull_value_at(hull, x)
-        if hv is None:
+    for x, zw in (uncertain or []):
+        for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+            if x1 <= x <= x2:
+                break
+        else:
             raise PrecisionError(
                 f"Newton polygon endpoint at {x} not certified")
-        if b < hv:
+        # the hull at x is h / ((x2 - x1) e)
+        h = y1 * (x2 - x1) + (y2 - y1) * (x - x1)
+        if zw * (x2 - x1) < h:
             raise PrecisionError(
                 f"Newton polygon vertex ambiguous: coefficient {x} only known "
-                f"to vanish to valuation {b} < hull {hv}")
+                f"to vanish to valuation {Fraction(zw, e)} < hull "
+                f"{Fraction(h, (x2 - x1) * e)}")
     return hull
 
 
-def _hull_value_at(hull, x):
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        if x1 <= x <= x2:
-            return y1 + Fraction(y2 - y1, 1) * Fraction(x - x1, x2 - x1)
-    return None
-
-
-def root_valuations_from_hull(hull):
-    """[(root valuation, multiplicity)] from hull vertices, ascending order
-    of valuation (the segment nearest the leading coefficient carries the
-    smallest root valuation)."""
+def root_valuations_from_hull(hull, e=1):
+    """[(root valuation, multiplicity)] from integer hull vertices at
+    ramification e, ascending order of valuation (the segment nearest the
+    leading coefficient carries the smallest root valuation)."""
     out = []
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        rv = Fraction(y1 - y2, x2 - x1)
-        out.append((rv, x2 - x1))
+        out.append((Fraction(y1 - y2, (x2 - x1) * e), x2 - x1))
     out.sort()
     return out
 
 
 def charpoly_points(coeffs):
-    """Exact and uncertain (i, v) data from a scalar coefficient list."""
+    """Exact and uncertain (i, pi-exponent) data from a scalar coefficient
+    list: (i, w) for a reg coefficient, (i, zw) for an izero one."""
     exact, uncertain = [], []
     for i, c in enumerate(coeffs):
         if c.kind == sc.REG:
-            exact.append((i, c.val))
+            exact.append((i, c.w))
         elif c.kind == sc.IZERO:
-            uncertain.append((i, c.zb))
+            uncertain.append((i, c.zw))
         # exact zeros never constrain the hull
     return exact, uncertain
 
@@ -155,15 +155,16 @@ def _newton_slopes(D: PhiModule) -> SlopeProfile:
     exact, uncertain = charpoly_points(chi)
     if not exact or exact[-1][0] != D.n:
         raise PrecisionError("leading coefficient not certified")
-    hull = lower_newton_polygon(exact, uncertain)
+    e = D.field.e
+    hull = lower_newton_polygon(exact, uncertain, e)
     if hull[0][0] != 0:
         # det B is zero-ish: contradicts invertibility of phi
         raise PrecisionError("constant coefficient of the linearization "
                              "not certified nonzero")
-    rv = root_valuations_from_hull(hull)
+    rv = root_valuations_from_hull(hull, e)
     f = D.field.f
     pairs = [(v / f, m) for v, m in rv]
-    prof = SlopeProfile(pairs, hull)
+    prof = SlopeProfile(pairs, [(i, Fraction(w, e)) for i, w in hull])
     if prof.dim != D.n:
         raise ValidationError("slope multiplicities do not sum to the dimension")
     if prof.total() != D.t_N():
@@ -196,9 +197,7 @@ def slope_factors(D: PhiModule):
 
 
 def _split_by_valuation(chi, qp):
-    exact, uncertain = charpoly_points(chi)
-    hull = lower_newton_polygon(exact, uncertain)
-    rv = root_valuations_from_hull(hull)
+    rv = root_valuations_from_hull(lower_newton_polygon(*charpoly_points(chi)))
     if len(rv) == 1:
         return [(rv[0][0], chi)]
     s0, m0 = rv[0]  # minimal root valuation and multiplicity
@@ -207,7 +206,7 @@ def _split_by_valuation(chi, qp):
     if b == 1:
         level = qp
         proj = lambda x: x
-        tval = lambda j: qp.scalar(Fraction(qp.p) ** (a * j))
+        tval = lambda j: la.pi_power(qp, a * j)
     else:
         # tame Kummer ring t^b = p; no automorphism table needed here
         level = EisensteinExtensionDescriptor(
@@ -321,7 +320,8 @@ def _isoclinic_decompose(D: PhiModule):
             raise PrecisionError("slope factor has trivial kernel")
         cols = [[vec[i] for vec in ker] for i in range(D.n)]
         slope = rv / D.field.f
-        if not D.is_stable(cols):
+        # a kernel basis has an identity block: its rank is len(ker)
+        if not D.is_stable(cols, rank=len(ker)):
             raise PrecisionError("slope component not certified phi-stable")
         out.append((slope, cols))
     total = sum(len(c[0]) for _, c in out)

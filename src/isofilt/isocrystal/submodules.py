@@ -17,7 +17,9 @@ that ends its loop (see ``phi_span``).
 Every returned basis is certified independent at the working level, so its
 rank is its number of columns: a kernel basis has an identity block, an image
 or a phi-span is a set of pivot columns, and ``isoclinic_decompose``
-certifies that its components together have full rank.
+certifies that its components together have full rank.  So a stability check
+costs one elimination, and a sum of components carries its t_N, read off the
+decomposition (see ``SubmoduleSet``): exact mode needs no elimination over K.
 
 Both modes start from ``isoclinic_decompose(D)``, which splits D once and
 keeps the result on D; a sampled retry after exact mode raised
@@ -27,6 +29,7 @@ keeps the result on D; a sampled retry after exact mode raised
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 from ..errors import MultiplicityError, PrecisionError
@@ -74,11 +77,28 @@ def endomorphism_algebra(D: PhiModule):
 
 
 class SubmoduleSet:
-    def __init__(self, components, subspaces, mode, seed=None):
+    """The subspaces to test, with t_N for each sum of isoclinic components
+    (None for the others).  A component is ker fac(B), certified phi-stable,
+    for a factor fac whose roots all have valuation rv, and the components
+    are certified independent and spanning; so t_N of a sum is the sum of
+    (rv/f) dim = slope * dim over its components."""
+
+    def __init__(self, components, subspaces, bounds, mode, seed=None):
         self.components = components  # [(slope, basis_cols)]
         self.subspaces = subspaces    # [basis_cols] including 0 and D
+        self.bounds = bounds          # [t_N or None], one per subspace
         self.mode = mode
         self.seed = seed
+
+
+def _component_sums(D, comps):
+    """(basis columns, slope sum) of every sum of the components, by
+    increasing number of summands."""
+    parts = [(cols, slope * len(cols[0])) for slope, cols in comps]
+    for r in range(len(parts) + 1):
+        for pick in combinations(parts, r):
+            yield (_concat_cols(D, [cols for cols, _ in pick]),
+                   sum((t_N for _, t_N in pick), Fraction(0)))
 
 
 def exact_submodules(D: PhiModule) -> SubmoduleSet:
@@ -89,13 +109,8 @@ def exact_submodules(D: PhiModule) -> SubmoduleSet:
             raise MultiplicityError(
                 f"slope {slope} component has dimension {len(cols[0])} != {b}; "
                 "component is not simple at this level, use sampled mode")
-    subs = []
-    k = len(comps)
-    for r in range(k + 1):
-        for pick in combinations(range(k), r):
-            cols = _concat_cols(D, [comps[i][1] for i in pick])
-            subs.append(cols)
-    return SubmoduleSet(comps, subs, "exact")
+    subs, bounds = zip(*_component_sums(D, comps))
+    return SubmoduleSet(comps, list(subs), list(bounds), "exact")
 
 
 def sampled_submodules(D: PhiModule, seed: int, budget: int) -> SubmoduleSet:
@@ -104,16 +119,14 @@ def sampled_submodules(D: PhiModule, seed: int, budget: int) -> SubmoduleSet:
     on D when exact mode has already split it."""
     comps = isoclinic_decompose(D)
     rng = random.Random(seed)
-    subs = []
+    subs, bounds = [], []
     seen = set()
-    k = len(comps)
-    for r in range(k + 1):
-        for pick in combinations(range(k), r):
-            cols = _concat_cols(D, [comps[i][1] for i in pick])
-            key = _canonical_key(cols)
-            if key not in seen:
-                seen.add(key)
-                subs.append(cols)
+    for cols, bound in _component_sums(D, comps):
+        key = _canonical_key(cols)
+        if key not in seen:
+            seen.add(key)
+            subs.append(cols)
+            bounds.append(bound)
     endo = endomorphism_algebra(D)
     tries = 0
     while tries < budget:
@@ -124,7 +137,8 @@ def sampled_submodules(D: PhiModule, seed: int, budget: int) -> SubmoduleSet:
         w = [[D.field.scalar(rng.randrange(-9, 10))] for _ in range(D.n)]
         if U is not None:
             w = la.mat_mul(U, w)
-        # (candidate, whether it is certified phi-stable already)
+        # (candidate, whether it is certified phi-stable already); every
+        # candidate is certified independent, so its rank is d
         for cand, stable in ((ker, False), (im, False),
                              (phi_span(D, w), True)):
             if cand is None:
@@ -136,15 +150,16 @@ def sampled_submodules(D: PhiModule, seed: int, budget: int) -> SubmoduleSet:
                 key = _canonical_key(cand)
             except PrecisionError:
                 # an unstable candidate is dropped before its key matters
-                if stable or D.is_stable(cand):
+                if stable or D.is_stable(cand, rank=d):
                     raise
                 continue
             if key in seen:
                 continue
-            if stable or D.is_stable(cand):
+            if stable or D.is_stable(cand, rank=d):
                 seen.add(key)
                 subs.append(cand)
-    return SubmoduleSet(comps, subs, "sampled", seed)
+                bounds.append(None)
+    return SubmoduleSet(comps, subs, bounds, "sampled", seed)
 
 
 def phi_span(D: PhiModule, cols):

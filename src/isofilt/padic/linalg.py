@@ -15,22 +15,24 @@ layer, certifies at ``DEFAULT_GUARD``, which each RankCertificate records.
 Pivoting always selects a minimal-valuation entry, which is the p-adic
 analogue of partial pivoting and keeps precision loss linear.
 
-Elimination, matrix products and charpoly run one raw kernel at every level,
-on entries in place of Scalars: ``None`` for an exact zero, ``(zw, None, 0)``
-for an izero and ``(w, u, relpi)`` for a reg scalar.  The unit u is a plain
-int in [0, p^N) where the ring is Z/p^N (f = e = 1, Q_p itself) and the
-ring's coefficient tuple at every other level.  The kernel applies exactly
-the rules of sc_inv, sc_mul, sc_neg and sc_add, in the same order -- the
-c0 and c0^-1 corrections of a wrapped u-power and every relpi cap included
--- so pivots, certificates, results and every PrecisionError (message and
-step) are the ones Scalar arithmetic gives; ``tests/oracles.py`` keeps the
-elimination on Scalars as the reference the tests compare against.  Only
-what a caller receives is built as Scalars, and a rank or column-space
-decision builds none.
+Elimination, matrix products, charpoly, Horner's evaluation of a polynomial
+at a matrix and the relation test a*b - c = 0 run one raw kernel at every
+level, on entries in place of Scalars: ``None`` for an exact zero,
+``(zw, None, 0)`` for an izero and ``(w, u, relpi)`` for a reg scalar.  The
+unit u is a plain int in [0, p^N) where the ring is Z/p^N (f = e = 1, Q_p
+itself) and the ring's coefficient tuple at every other level.  The kernel
+applies exactly the rules of sc_inv, sc_mul, sc_neg and sc_add, in the same
+order -- the c0 and c0^-1 corrections of a wrapped u-power and every relpi
+cap included -- so pivots, certificates, results and every PrecisionError
+(message and step) are the ones Scalar arithmetic gives; ``tests/oracles.py``
+keeps the elimination on Scalars as the reference the tests compare against.
+Only what a caller receives is built as Scalars, and a rank, column-space
+or relation decision builds none.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import reduce
 
@@ -92,6 +94,21 @@ def mat_mul(a, b):
     rcols = raw.encode_rows(zip(*b))
     return raw.decode_rows([[raw.dot(row, col) for col in rcols]
                             for row in raw.encode_rows(a)])
+
+
+def mat_mul_sub_is_zero(a, b, c, min_bound) -> bool:
+    """``mat_is_zero(mat_sub(mat_mul(a, b), c), min_bound)`` on raw entries:
+    the dot fold, then sc_sub, then sc_certified_zero; no Scalar is built."""
+    raw = _Raw.of(_field_of(c))
+    zw = math.ceil(min_bound * raw.e)
+    rcols = raw.encode_rows(zip(*b))
+    add, neg = raw.add, raw.neg
+    for row, crow in zip(raw.encode_rows(a), raw.encode_rows(c)):
+        for col, z in zip(rcols, crow):
+            d = add(raw.dot(row, col), neg(z))
+            if d is not None and (d[1] is not None or d[0] < zw):
+                return False
+    return True
 
 
 def mat_scalar(s, a):
@@ -173,7 +190,7 @@ class _Raw:
     picks the unit arithmetic of the level; elimination and the dot fold
     are shared."""
 
-    __slots__ = ("field", "ring", "p", "pn", "prec", "e", "floor")
+    __slots__ = ("field", "ring", "p", "pn", "prec", "e", "floor", "one")
 
     @staticmethod
     def of(field):
@@ -190,6 +207,7 @@ class _Raw:
         self.field, self.ring = field, ring
         self.p, self.pn, self.prec, self.e = ring.p, ring.pn, ring.prec, ring.e
         self.floor = field.floor_relpi
+        self.one = self.encode_rows([[field.one()]])[0][0]
 
     def _below_floor(self, relpi):
         # the message of sc_reg
@@ -207,6 +225,10 @@ class _Raw:
         if relpi < self.floor:
             raise self._below_floor(relpi)
         return rw, ru, relpi
+
+    def add(self, acc, t):
+        """sc_add(acc, t), as fma(acc, t, one): a product with one is t."""
+        return acc if t is None else self.fma(acc, t, self.one)
 
     def dot(self, xs, ys):
         """The raw ``dot``: None when no pair has two nonzero entries."""
@@ -558,9 +580,10 @@ def intersection_basis(a_cols, b_cols):
     return column_space_basis(mat_mul(a_cols, coords))
 
 
-def subspace_leq(a_cols, b_cols) -> bool:
-    """span(a) <= span(b), certified."""
-    rb = certified_rank(transpose(b_cols))
+def subspace_leq(a_cols, b_cols, rank_b: int | None = None) -> bool:
+    """span(a) <= span(b), certified; rank_b is the rank of b when the
+    caller has certified it already, which saves an elimination."""
+    rb = certified_rank(transpose(b_cols)) if rank_b is None else rank_b
     rab = certified_rank(transpose(hstack(a_cols, b_cols)))
     return rb == rab
 
@@ -596,10 +619,9 @@ def charpoly(m):
     Division-free (Berkowitz), so precision behaves like products and sums of
     the entries; no pivoting decisions are involved.
     """
-    field = _field_of(m)
-    raw = _Raw.of(field)
-    one = raw.encode_rows([[field.one()]])[0][0]
-    return raw.decode_rows([berkowitz(raw.encode_rows(m), one, raw.neg, raw.dot)])[0]
+    raw = _Raw.of(_field_of(m))
+    return raw.decode_rows([berkowitz(raw.encode_rows(m), raw.one, raw.neg,
+                                      raw.dot)])[0]
 
 
 def berkowitz(m, one, neg, dot):
@@ -627,15 +649,18 @@ def berkowitz(m, one, neg, dot):
 
 
 def poly_eval_matrix(coeffs, m):
-    """Evaluate a scalar-coefficient polynomial at a matrix."""
-    field = _field_of(m)
+    """Evaluate a scalar-coefficient polynomial at a matrix, by Horner on
+    raw rows: out*m by the dot fold, then c added on the diagonal by the
+    sc_add rule; decoded once at the end."""
+    raw = _Raw.of(_field_of(m))
     n = len(m)
-    out = zeros(field, n, n)
-    for c in reversed(coeffs):
-        out = mat_mul(out, m)
+    rcols = raw.encode_rows(zip(*m))
+    out = [[None] * n for _ in range(n)]
+    for (c,) in raw.encode_rows([[c] for c in reversed(coeffs)]):
+        out = [[raw.dot(row, col) for col in rcols] for row in out]
         for i in range(n):
-            out[i][i] = sc_add(out[i][i], c)
-    return out
+            out[i][i] = raw.add(out[i][i], c)
+    return raw.decode_rows(out)
 
 
 def pi_power(field, w: int) -> Scalar:

@@ -2,14 +2,17 @@
 
 Everything here works on Fractions with fraction-free elimination, or on
 exact integer polynomials, and never touches the library's ring, scalar or
-linalg layers -- except the two references at the end.
+linalg layers -- except the three references at the end.
 ``scalar_row_reduce`` is certified elimination on Scalars, one sc_inv,
 sc_mul and sc_sub at a time; it pins the entries, pivots, certificates and
 errors of the raw kernel that ``linalg.certified_row_reduce`` runs.
 ``sampled_submodules_reference`` is the earlier sampled family, which
 re-checked every candidate's stability and eliminated ker U and im U apart;
 it pins the order and the entries of the family that the library now
-certifies with fewer eliminations.
+certifies with fewer eliminations.  ``fraction_newton_polygon`` and
+``fraction_root_valuations`` are the lower Newton polygon on Fraction
+valuations, which pins the integer-exponent hull of ``isocrystal.slopes``:
+its vertices, root valuations and PrecisionError messages.
 """
 
 from fractions import Fraction
@@ -425,3 +428,50 @@ def sampled_submodules_reference(D, seed, budget):
             if D.is_stable(cand):
                 push(cand)
     return subs
+
+
+# -- the Newton polygon on Fractions --------------------------------------------------
+
+
+def fraction_newton_polygon(points, uncertain=None):
+    """Lower convex hull of exact points (i, v), v a Fraction valuation;
+    verifies that every uncertain point (i, lower bound) lies on or above
+    the hull.  Returns the hull vertices left to right; raises the
+    PrecisionError of ``slopes.lower_newton_polygon``."""
+    from isofilt.errors import PrecisionError
+    hull = []
+    for x, y in sorted(points):
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (y2 - y1) * (x - x1) >= (y - y1) * (x2 - x1):
+                hull.pop()
+            else:
+                break
+        hull.append((x, y))
+    for x, b in (uncertain or []):
+        hv = _hull_value_at(hull, x)
+        if hv is None:
+            raise PrecisionError(
+                f"Newton polygon endpoint at {x} not certified")
+        if b < hv:
+            raise PrecisionError(
+                f"Newton polygon vertex ambiguous: coefficient {x} only known "
+                f"to vanish to valuation {b} < hull {hv}")
+    return hull
+
+
+def _hull_value_at(hull, x):
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+        if x1 <= x <= x2:
+            return y1 + Fraction(y2 - y1, 1) * Fraction(x - x1, x2 - x1)
+    return None
+
+
+def fraction_root_valuations(hull):
+    """[(root valuation, multiplicity)] from Fraction hull vertices, in
+    ascending order of valuation."""
+    out = []
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+        out.append((Fraction(y1 - y2, x2 - x1), x2 - x1))
+    out.sort()
+    return out

@@ -219,6 +219,60 @@ def test_sampled_admissibility_one_sided(Q2, L):
     assert verify_violation(D, F, L, r.violation)
 
 
+# simple modules (s, r) of slope s/r, each with multiplicity one in a sum
+SIMPLE_SLOPES = [(0, 1), (1, 3), (1, 2), (2, 3), (1, 1)]
+
+
+def _elimination_ledger(D, F, ext, subs):
+    """The ledger of is_admissible with every bound t_N certified from N's
+    restricted Frobenius, and D's own from det A."""
+    rank_F = la.certified_rank(la.transpose(F))
+    ledger = []
+    for N in subs.subspaces:
+        d = len(N[0]) if N[0] else 0
+        if d == 0:
+            th, bound = 0, Fraction(0)
+        elif d == D.n:
+            th, bound = len(F[0]), D.t_N()
+        else:
+            th, bound = t_H(F, N, ext, rank_F), D.submodule(N).t_N()
+        ledger.append({"dim_N": d, "t_H": th, "t_N": str(bound)})
+    return ledger
+
+
+@pytest.mark.parametrize("f", [1, 2])
+@pytest.mark.parametrize("seed", range(4))
+def test_component_bounds_equal_the_eliminations(f, seed):
+    # Q_2 and Q_4, where a component's bound is its root valuation over f = 2
+    rng = random.Random(10 * f + seed)
+    field = unramified(2, f, 32)
+    D = None
+    for s, r in rng.sample(SIMPLE_SLOPES, rng.randint(2, 3)):
+        M = PhiModule.simple(field, s, r)
+        D = M if D is None else D.direct_sum(M)
+    n = D.n
+    D = D.base_change(la.from_rows_of_fractions(field, [
+        [1 if i == j else rng.randrange(-3, 4) if i < j else 0
+         for j in range(n)] for i in range(n)]))
+    subs = submodules_mod.exact_submodules(D)
+    assert len(subs.bounds) == len(subs.subspaces) > 2
+    for N, bound in zip(subs.subspaces, subs.bounds):
+        d = len(N[0]) if N[0] else 0
+        want = (Fraction(0) if d == 0 else D.t_N() if d == n
+                else D.submodule(N).t_N())
+        assert isinstance(bound, Fraction) and bound == want
+    L = trivial_extension(field)
+    k = rng.randint(1, n - 1)
+    F = lift_matrix(L, la.from_rows_of_fractions(
+        field, [[rng.randrange(-3, 4) for _ in range(k)] for _ in range(n)]))
+    report = is_admissible(D, F, L, "exact").as_dict()
+    ledger = _elimination_ledger(D, F, L, subs)
+    assert report["ledger"] == ledger
+    verdict = (all(e["t_H"] <= Fraction(e["t_N"]) for e in ledger)
+               and ledger[-1]["t_H"] == Fraction(ledger[-1]["t_N"]))
+    assert report["verdict"] == ("admissible" if verdict else "inadmissible")
+
+
 def test_decompose_polarized_shapes(Q2):
     # ordinary + supersingular blocks with trivial action split by slope pair
     D = ordinary_module(Q2).direct_sum(supersingular_module(Q2))

@@ -108,21 +108,21 @@ def test_wreath_block_rep_g2():
 
 
 def _table_products(monkeypatch, run):
-    """(a, b) of every product of two group matrices that validate makes
-    while run() goes."""
-    pairs, mat_mul = [], la.mat_mul
+    """(a, b) of every product of two group matrices that validate checks
+    against the table while run() goes."""
+    pairs, relation = [], la.mat_mul_sub_is_zero
     validate = GroupRepresentation.validate
 
     def spy_validate(rep, *args, **kwargs):
         index = {id(m): x for x, m in enumerate(rep.mats)}
 
-        def spy_mul(a, b):
+        def spy_relation(a, b, c, min_bound):
             if id(a) in index and id(b) in index:
                 pairs.append((index[id(a)], index[id(b)]))
-            return mat_mul(a, b)
+            return relation(a, b, c, min_bound)
 
         with monkeypatch.context() as patch:
-            patch.setattr(la, "mat_mul", spy_mul)
+            patch.setattr(la, "mat_mul_sub_is_zero", spy_relation)
             return validate(rep, *args, **kwargs)
 
     monkeypatch.setattr(GroupRepresentation, "validate", spy_validate)

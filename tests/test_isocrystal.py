@@ -17,6 +17,7 @@ from isofilt.isocrystal.slopes import (newton_slopes, isoclinic_decompose, Slope
                                        slope_factors, charpoly_points,
                                        lower_newton_polygon, root_valuations_from_hull)
 from isofilt.isocrystal.submodules import submodules, endomorphism_algebra
+from oracles import fraction_newton_polygon, fraction_root_valuations
 
 N = 24
 
@@ -353,6 +354,39 @@ def test_the_stored_split_is_the_fresh_split(data):
         assert newton_slopes(stored) is newton_slopes(stored)
         assert newton_slopes(stored).pairs == newton_slopes(fresh).pairs
         assert newton_slopes(stored).vertices == newton_slopes(fresh).vertices
+
+
+def _hull_coeffs(kinds):
+    return st.tuples(st.sampled_from(kinds), st.integers(-8, 24))
+
+
+@settings(max_examples=300, deadline=None)
+@given(e=st.sampled_from([1, 2, 3, 4]),
+       ends=st.lists(_hull_coeffs(["reg"] * 6 + ["izero", "zero"]),
+                     min_size=2, max_size=2),
+       inner=st.lists(_hull_coeffs(["reg", "izero", "zero"]), max_size=7))
+def test_integer_hull_matches_the_fraction_hull(e, ends, inner):
+    # coefficient i is exact of pi-exponent w, known to vanish to pi^w, or
+    # an exact zero; the oracle runs on the valuations w/e.  The ends are
+    # mostly exact, so most examples get past the endpoint check
+    coeffs = [ends[0]] + inner + [ends[1]]
+    exact = [(i, w) for i, (kind, w) in enumerate(coeffs) if kind == "reg"]
+    uncertain = [(i, w) for i, (kind, w) in enumerate(coeffs) if kind == "izero"]
+
+    def val(pts):
+        return [(i, Fraction(w, e)) for i, w in pts]
+
+    try:
+        want = fraction_newton_polygon(val(exact), val(uncertain))
+    except PrecisionError as exc:
+        with pytest.raises(PrecisionError) as got:
+            lower_newton_polygon(exact, uncertain, e)
+        assert str(got.value) == str(exc)
+        return
+    hull = lower_newton_polygon(exact, uncertain, e)
+    assert val(hull) == want
+    assert (root_valuations_from_hull(hull, e)
+            == fraction_root_valuations(want))
 
 
 def _poly_product(field, polys):

@@ -17,7 +17,7 @@ its cap.
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from isofilt.padic.hensel import find_unramified_modulus, rp_divmod_monic, rp_mul
 from isofilt.padic import ring as ring_module
@@ -31,7 +31,10 @@ LONGEST = 32  # far past the Hensel lift's lengths, with the largest entries
 
 levels = pytest.mark.parametrize("f, e", LEVELS)
 precs = pytest.mark.parametrize("prec", PRECS)
-examples = settings(max_examples=30, deadline=None)
+# Every example draws a new ring layout, so each shrink step would compile
+# new kernels: a failing example is reported at once, unshrunk
+UNSHRUNK = [phase for phase in Phase if phase not in (Phase.shrink, Phase.explain)]
+examples = settings(max_examples=30, deadline=None, phases=UNSHRUNK)
 
 
 @lru_cache(maxsize=None)
@@ -128,7 +131,7 @@ def test_inv_unit_constant_and_nonconstant_units(f, e, prec, data):
 
 @levels
 @precs
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10, deadline=None, phases=UNSHRUNK)
 @given(data=st.data())
 def test_inv_unit_memo_matches_a_fresh_inverse(f, e, prec, data):
     # each non-constant unit runs Newton once per ring, and the memo keeps

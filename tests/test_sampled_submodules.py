@@ -126,9 +126,9 @@ def _count_sampling(monkeypatch, D, seed, budget):
         spans.append(out)
         return out
 
-    def spy_stable(self, cols):
+    def spy_stable(self, cols, rank=None):
         key = key_of(cols)
-        ok = is_stable(self, cols)
+        ok = is_stable(self, cols, rank)
         checks.append((cols, key, ok))
         return ok
 

@@ -27,6 +27,9 @@ from fractions import Fraction
 import pytest
 
 from isofilt.cli import main
+from isofilt.filtration.admissible import is_admissible
+from isofilt.filtration.galois import lift_matrix
+from isofilt.fixtures import trivial_extension
 from isofilt.isocrystal import slopes
 from isofilt.isocrystal.module import PhiModule
 from isofilt.padic import linalg as la
@@ -124,6 +127,40 @@ def test_one_split_cycle_compiles_a_bounded_number_of_kernels():
     assert 4 * info.misses <= ring_module.KERNEL_CACHE
     cycle()
     assert ring_module._kernel_code.cache_info().misses == info.misses
+
+
+def test_one_split_bundle_runs_a_bounded_number_of_eliminations(monkeypatch):
+    # the eight shapes as one slope-split bundle: per module, construct
+    # eliminates once for det A, and per component once for its kernel and
+    # once for its stability (the kernel basis has its rank), then once for
+    # independence; exact admissibility eliminates once for rank F and once
+    # per proper N over L, and never over K, since every bound t_N is a
+    # slope sum of the decomposition
+    rng = random.Random(5)
+    bundle = []
+    for blocks, prec in SHAPES:
+        field = UnramifiedFieldDescriptor.create(2, 1, prec)
+        D = _simple_sum(field, blocks)
+        ext = trivial_extension(field)
+        t_N = sum(s for s, _ in blocks)
+        F = la.from_rows_of_fractions(
+            field, [[rng.randrange(-9, 10) for _ in range(t_N)] for _ in range(D.n)])
+        bundle.append((D, lift_matrix(ext, F), ext))
+    counts = {"construct": 0, "verify": 0}
+    phase = [None]
+    row_reduce = la.certified_row_reduce
+
+    def counting(*args, **kwargs):
+        counts[phase[0]] += 1
+        return row_reduce(*args, **kwargs)
+
+    monkeypatch.setattr(la, "certified_row_reduce", counting)
+    for D, F, ext in bundle:
+        phase[0] = "construct"
+        slopes.isoclinic_decompose(D)
+        phase[0] = "verify"
+        is_admissible(D, F, ext, "exact")
+    assert counts == {"construct": 48, "verify": 24}
 
 
 # the base-changed modules of test_isocrystal's slope-factor soundness test,
