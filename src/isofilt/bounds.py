@@ -93,13 +93,6 @@ class MinkowskiTable:
                 "factorization": {str(p): r for p, r in self.exponents.items()}}
 
 
-def semistability_degree(g: int) -> int:
-    """The degree bound for semistable reduction in dimension g: M(2g)."""
-    if g < 1:
-        raise ValueError("g must be >= 1")
-    return minkowski_bound(2 * g)
-
-
 def divisibility_checks(a: int, b: int, g: int, n: int) -> dict:
     """Certificates for M(a)M(b) | M(a+b) and M(n)^2 M(2g-2n) | M(2g).
 

@@ -21,11 +21,10 @@ from . import bounds
 from . import formats
 from .padic import linalg as la
 from .isocrystal.slopes import newton_slopes, isoclinic_decompose
-from .filtration.driver import (find_admissible_stable_filtration, DescentDatum,
-                               ADMISSIBILITY_BUDGET)
+from .filtration.driver import find_admissible_stable_filtration, DescentDatum
 from .filtration.galois import is_diagonally_stable, lift_matrix
-from .filtration.admissible import (is_admissible, quotient_filtration,
-                                   toric_extension_report)
+from .filtration.admissible import (ADMISSIBILITY_BUDGET, is_admissible,
+                                   quotient_filtration, toric_extension_report)
 from .symplectic.space import SymplecticSpace, LagrangianSubspace
 
 EXIT_OK = 0
@@ -269,8 +268,8 @@ def _filtration_check(args) -> int:
     ext_doc = _certificate_field(cert, "inputs.extension", dict)
     prec = _certificate_field(cert, "params", dict).get("precision")
     seed = _certificate_field(cert, "params.seed", int)
-    # params.budget bounds the Lagrangian search of find; the admissibility
-    # sampling of find always runs driver.ADMISSIBILITY_BUDGET tries
+    # params.budget bounds the Lagrangian search of find only; find and
+    # this check both sample admissibility with ADMISSIBILITY_BUDGET tries
     _certificate_field(cert, "params.budget", int)
     F_doc = _certificate_field(cert, "outputs.filtration", list)
     adm = _certificate_field(cert, "outputs.admissibility", dict)

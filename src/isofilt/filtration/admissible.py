@@ -30,6 +30,9 @@ from ..isocrystal.slopes import newton_slopes
 from ..isocrystal.submodules import submodules
 from .galois import lift_matrix
 
+# tries of sampled admissibility, in find and in check alike
+ADMISSIBILITY_BUDGET = 200
+
 
 def t_H(F_cols_L, N_cols_K, ext, rank_F: int,
         rank_N: int | None = None) -> int:
@@ -56,10 +59,6 @@ def t_H(F_cols_L, N_cols_K, ext, rank_F: int,
 def _rank(F_cols_L):
     return la.certified_rank(la.transpose(F_cols_L)) \
         if F_cols_L and F_cols_L[0] else 0
-
-
-def _ncols(cols):
-    return len(cols[0]) if cols and cols[0] else 0
 
 
 class AdmissibilityReport:
@@ -92,7 +91,8 @@ class AdmissibilityReport:
 
 
 def is_admissible(D: PhiModule, F_cols_L, ext, mode: str = "exact",
-                  seed: int = 0, budget: int = 200) -> AdmissibilityReport:
+                  seed: int = 0,
+                  budget: int = ADMISSIBILITY_BUDGET) -> AdmissibilityReport:
     """Check the slope bound over all (exact) or many (sampled) submodules.
 
     Sampled mode is one-sidedly sound: 'inadmissible' verdicts carry an
@@ -105,13 +105,13 @@ def is_admissible(D: PhiModule, F_cols_L, ext, mode: str = "exact",
     """
     subs = submodules(D, mode, budget=budget, seed=seed)
     entries = []
-    dimF = _ncols(F_cols_L)
+    dimF = la.mat_dims(F_cols_L)[1]
     violation = None
     verdict = True
     equality_at_top = None
     rank_F = None  # certified on first use: some modules have no proper N
     for N, bound in zip(subs.subspaces, subs.bounds):
-        dN = _ncols(N)
+        dN = la.mat_dims(N)[1]
         if dN == 0:
             entries.append((0, 0, Fraction(0)))
             continue
@@ -177,7 +177,8 @@ class ExtensionReport:
         self.quotient_filtration = quotient_filtration   # F_B, section basis
         self.quotient = quotient          # report for (D_B, F_B)
         self.verdict = (toric_slope == 1 and contained and quotient.verdict
-                        and rank_F == toric_dim + _ncols(quotient_filtration))
+                        and rank_F == toric_dim
+                        + la.mat_dims(quotient_filtration)[1])
 
     @property
     def complete(self) -> bool:
@@ -199,7 +200,7 @@ class ExtensionReport:
 def quotient_filtration(sa: SemiAbelianPhiModule, F_cols_L, ext):
     """F_B, the image of F in D_B: a column basis of the last n - t rows of
     full_inv * F, in the section basis on which D_B and gram_B live."""
-    if not (sa.B_dim and _ncols(F_cols_L)):
+    if not (sa.B_dim and la.mat_dims(F_cols_L)[1]):
         return [[] for _ in range(sa.B_dim)]
     coords = la.mat_mul(lift_matrix(ext, sa.full_inv), F_cols_L)[sa.t_dim:]
     return la.column_space_basis(coords)
@@ -214,7 +215,7 @@ def _toric_slope(D: PhiModule, T_cols):
 
 
 def toric_extension_report(sa: SemiAbelianPhiModule, F_cols_L, ext,
-                           seed: int = 0, budget: int = 200,
+                           seed: int = 0, budget: int = ADMISSIBILITY_BUDGET,
                            quotient: AdmissibilityReport | None = None
                            ) -> ExtensionReport:
     """The extension node for a module with a toric part (t > 0).

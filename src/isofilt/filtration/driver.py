@@ -57,13 +57,11 @@ from ..symplectic.lagrangian import (random_rational_lagrangian,
                                      lagrangian_h_small_intersection)
 from .galois import (GaloisSetup, galois_descend, is_diagonally_stable,
                      lift_matrix)
-from .admissible import (is_admissible, admissible_with_fallback,
-                         toric_extension_report)
+from .admissible import (ADMISSIBILITY_BUDGET, is_admissible,
+                         admissible_with_fallback, toric_extension_report)
 
 
 DEFAULT_SAMPLE_BUDGET = 200
-# tries of sampled admissibility in find; check re-samples with the same
-ADMISSIBILITY_BUDGET = 200
 
 
 class PieceData:
@@ -106,7 +104,7 @@ def decompose_polarized(D: PhiModule, J, rep: GroupRepresentation):
         cols = by_slope[s]
         if partner != s and partner in by_slope:
             used.add(partner)
-            cols = _concat(cols, by_slope[partner])
+            cols = la.hstack(cols, by_slope[partner])
         elif partner != s:
             raise ValidationError(f"slope {s} has no dual partner {partner}")
         blocks.append(cols)
@@ -117,10 +115,6 @@ def decompose_polarized(D: PhiModule, J, rep: GroupRepresentation):
     if total != D.n:
         raise InternalContradictionError("pieces do not sum to the space")
     return pieces
-
-
-def _concat(a, b):
-    return [ra + rb for ra, rb in zip(a, b)]
 
 
 def _split_block(D, J, rep, cols):
@@ -135,7 +129,7 @@ def _split_block(D, J, rep, cols):
                   if len(comps) > 1 else comps)
         chosen_cols = chosen[0].basis_cols
         for comp in chosen[1:]:
-            chosen_cols = _concat(chosen_cols, comp.basis_cols)
+            chosen_cols = la.hstack(chosen_cols, comp.basis_cols)
         ambient = la.normalize_columns(la.mat_mul(current, chosen_cols),
                                        integral=True)
         piece = _make_piece(D, J, rep, ambient, chosen)
@@ -195,8 +189,7 @@ def _validate_piece(piece):
 
 def two_slope_filtration(piece: PieceData, setup: GaloisSetup, seed: int,
                          budget: int = DEFAULT_SAMPLE_BUDGET,
-                         adm_mode: str = "exact",
-                         adm_budget: int = ADMISSIBILITY_BUDGET):
+                         adm_mode: str = "exact"):
     """Lagrangian, admissible, diagonally stable filtration for a two-slope
     piece with slopes {mu, 1-mu}, mu != 1/2."""
     D, J, rep = piece.module, piece.gram, piece.rep
@@ -220,7 +213,7 @@ def two_slope_filtration(piece: PieceData, setup: GaloisSetup, seed: int,
                 continue
         except PrecisionError:
             continue
-        return _finish_piece(piece, setup, F, adm_mode, adm_budget, seed,
+        return _finish_piece(piece, setup, F, adm_mode, seed,
                              expect_admissible=True)
     raise BudgetExhaustedError(
         f"two-slope sampling exhausted {budget} tries; retry with a larger "
@@ -229,8 +222,7 @@ def two_slope_filtration(piece: PieceData, setup: GaloisSetup, seed: int,
 
 def supersingular_filtration(piece: PieceData, setup: GaloisSetup, seed: int,
                              budget: int = DEFAULT_SAMPLE_BUDGET,
-                             adm_mode: str = "exact",
-                             adm_budget: int = ADMISSIBILITY_BUDGET):
+                             adm_mode: str = "exact"):
     """Filtration for an isoclinic slope-1/2 piece: base-rational sampling
     against the twisted Frobenius under a homothety action, perturbing
     element route otherwise; that route runs the seed construction only when
@@ -259,7 +251,7 @@ def supersingular_filtration(piece: PieceData, setup: GaloisSetup, seed: int,
             except PrecisionError:
                 continue
             F = lift_matrix(ext, FK)
-            return _finish_piece(piece, setup, F, adm_mode, adm_budget, seed,
+            return _finish_piece(piece, setup, F, adm_mode, seed,
                                  expect_admissible=True)
         raise BudgetExhaustedError(
             f"homothety-route sampling exhausted {budget} tries")
@@ -275,7 +267,7 @@ def supersingular_filtration(piece: PieceData, setup: GaloisSetup, seed: int,
                 continue
         except PrecisionError:
             continue
-        return _finish_piece(piece, setup, F, adm_mode, adm_budget, seed,
+        return _finish_piece(piece, setup, F, adm_mode, seed,
                              expect_admissible=True, witness=scan)
     lagrangian_h_small_intersection(SymplecticSpace(field, J, validate=False),
                                     rep.mats[h_idx])
@@ -284,8 +276,7 @@ def supersingular_filtration(piece: PieceData, setup: GaloisSetup, seed: int,
 
 
 def _descended_symplectic(field, ext, J, B):
-    JL = lift_matrix(ext, J)
-    G = la.mat_mul(la.transpose(B), la.mat_mul(JL, B))
+    G = restrict_gram(lift_matrix(ext, J), B)
     GK = la.mat_map(G, project_to_base)
     return SymplecticSpace(field, GK, validate=False)
 
@@ -296,14 +287,15 @@ def _sample_stable_lagrangian(B, desc_space, ext, rng):
     return la.normalize_columns(la.mat_mul(B, CL))
 
 
-def _finish_piece(piece, setup, F, adm_mode, adm_budget, seed,
+def _finish_piece(piece, setup, F, adm_mode, seed,
                   expect_admissible=False, witness=None):
     """Re-verify all three properties through independent code paths."""
     D, J, rep = piece.module, piece.gram, piece.rep
     ext = setup.ext
     space_L = SymplecticSpace(ext, lift_matrix(ext, J), validate=False)
     LagrangianSubspace(space_L, F, validate=True)
-    report = admissible_with_fallback(D, F, ext, adm_mode, seed, adm_budget)
+    report = admissible_with_fallback(D, F, ext, adm_mode, seed,
+                                      ADMISSIBILITY_BUDGET)
     if not report.verdict:
         if expect_admissible:
             raise InternalContradictionError(
@@ -355,8 +347,7 @@ def find_admissible_stable_filtration(sa: SemiAbelianPhiModule,
                                       rep: GroupRepresentation,
                                       seed: int = 0,
                                       budget: int = DEFAULT_SAMPLE_BUDGET,
-                                      adm_mode: str = "exact",
-                                      adm_budget: int = ADMISSIBILITY_BUDGET):
+                                      adm_mode: str = "exact"):
     """The full driver: reduce to the abelian quotient, decompose, solve each
     piece, glue, pull back over the toric part, and emit a verified
     certificate with its descent datum.
@@ -377,7 +368,7 @@ def find_admissible_stable_filtration(sa: SemiAbelianPhiModule,
         rep.validate(phi_module=D, gram=sa.gram_B)
     if sa.B_dim == 0:
         FL = lift_matrix(ext, la.identity(field, D.n))
-        report = _toric_admissibility(sa, FL, ext, adm_mode, seed, adm_budget)
+        report = _toric_admissibility(sa, FL, ext, adm_mode, seed)
         if not report.verdict:
             raise InternalContradictionError("full filtration on a torus "
                                              "failed admissibility")
@@ -402,14 +393,14 @@ def find_admissible_stable_filtration(sa: SemiAbelianPhiModule,
         sub_seed = rng.randrange(1 << 30)
         route = (two_slope_filtration if len(piece.slopes) == 2
                  else supersingular_filtration)
-        res = route(piece, setup, sub_seed, budget, adm_mode, adm_budget)
+        res = route(piece, setup, sub_seed, budget, adm_mode)
         piece_results.append((piece, res))
     # glue in D_B coordinates
     FB = None
     for piece, res in piece_results:
         ambient_L = lift_matrix(ext, piece.ambient_cols)
         FP = la.mat_mul(ambient_L, res["filtration"])
-        FB = FP if FB is None else _concat(FB, FP)
+        FB = FP if FB is None else la.hstack(FB, FP)
     FB = la.normalize_columns(FB)
     # verify the glued quotient filtration (a single piece's verdicts hold)
     glued = len(piece_results) > 1
@@ -417,7 +408,8 @@ def find_admissible_stable_filtration(sa: SemiAbelianPhiModule,
         spaceB = SymplecticSpace(ext, lift_matrix(ext, sa.gram_B),
                                  validate=False)
         LagrangianSubspace(spaceB, FB, validate=True)
-    reportB = admissible_with_fallback(DB, FB, ext, adm_mode, seed, adm_budget)
+    reportB = admissible_with_fallback(DB, FB, ext, adm_mode, seed,
+                                       ADMISSIBILITY_BUDGET)
     if not reportB.verdict:
         raise InternalContradictionError("glued quotient filtration failed "
                                          "admissibility re-verification")
@@ -428,8 +420,8 @@ def find_admissible_stable_filtration(sa: SemiAbelianPhiModule,
         # pull back over the toric part
         toric_L = lift_matrix(ext, sa.toric_cols)
         section_L = lift_matrix(ext, sa.section_cols)
-        F = la.normalize_columns(_concat(toric_L, la.mat_mul(section_L, FB)))
-        report = _toric_admissibility(sa, F, ext, adm_mode, seed, adm_budget,
+        F = la.normalize_columns(la.hstack(toric_L, la.mat_mul(section_L, FB)))
+        report = _toric_admissibility(sa, F, ext, adm_mode, seed,
                                       quotient=reportB)
         if not report.verdict:
             raise InternalContradictionError("pulled-back filtration failed "
@@ -466,13 +458,14 @@ def find_admissible_stable_filtration(sa: SemiAbelianPhiModule,
     }
 
 
-def _toric_admissibility(sa, F, ext, adm_mode, seed, budget, quotient=None):
+def _toric_admissibility(sa, F, ext, adm_mode, seed, quotient=None):
     """The extension node for F on a module with a toric part; sampling
     over the full D in sampled mode."""
     if adm_mode == "sampled":
         return is_admissible(sa.module, F, ext, "sampled", seed=seed,
-                             budget=budget)
-    return toric_extension_report(sa, F, ext, seed, budget, quotient=quotient)
+                             budget=ADMISSIBILITY_BUDGET)
+    return toric_extension_report(sa, F, ext, seed, ADMISSIBILITY_BUDGET,
+                                  quotient=quotient)
 
 
 def _quotient_rep(sa: SemiAbelianPhiModule,

@@ -20,8 +20,6 @@ by certified rank.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ..errors import ValidationError, PrecisionError
 from ..padic import linalg as la
 from ..padic import scalar as sc
@@ -104,7 +102,7 @@ def is_diagonally_stable(rep: GroupRepresentation, F_cols,
     has dimension r, so h passes iff rank [rho(h) F | tau_h F] = r: one
     elimination over L instead of three.  A singular rho(h) (not a group
     action) falls back to the rank of rho(h) F itself, so the verdict is
-    the one of la.subspace_equal(rho(h) F, tau_h F) for every input.
+    span equality, subspace_leq both ways, for every input.
     """
     ext = setup.ext
     n = rep.dim
@@ -119,18 +117,6 @@ def is_diagonally_stable(rep: GroupRepresentation, F_cols,
         if la.certified_rank(la.transpose(la.hstack(lin, gal))) != r:
             return False
     return True
-
-
-def _diag_act(rep, setup, idx, cols):
-    """The diagonal action d_h(v) = rho(h) * tau_{corr(h)}^{-1}(v).
-
-    With the opposite-group table convention (the Galois group is the
-    opposite of G) this is a left action, and d_h-invariance of a subspace is
-    literally the statement rho(h) F = tau_{corr(h)} F for every h.
-    """
-    name = setup.table_inverse(setup.aut_of(idx))
-    moved = setup.gal_apply_name(name, cols)
-    return la.mat_mul(lift_matrix(setup.ext, rep.mats[idx]), moved)
 
 
 def galois_descend(rep: GroupRepresentation, setup: GaloisSetup):
@@ -161,19 +147,8 @@ def galois_descend(rep: GroupRepresentation, setup: GaloisSetup):
         [[M[r][j] for j in range(n) for M in sums] for r in range(n)],
         integral=True)
     basis = la.column_space_basis(cand_cols)
-    got = len(basis[0]) if basis and basis[0] else 0
+    got = la.mat_dims(basis)[1]
     if got != n:
         raise PrecisionError(
             f"descent produced {got} independent invariants, expected {n}")
     return la.normalize_columns(basis, integral=True)
-
-
-def verify_invariant(rep, setup, cols) -> bool:
-    """Each column is fixed by the diagonal action (certified)."""
-    field = setup.ext
-    thr = Fraction(rep.field.prec, 2)
-    for x in range(setup.group.n):
-        moved = _diag_act(rep, setup, x, cols)
-        if la.zero_status(la.mat_sub(moved, cols), thr) == "nonzero":
-            return False
-    return True

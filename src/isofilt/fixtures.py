@@ -1,18 +1,23 @@
-"""Shipped arithmetic fixtures.
+"""Shipped arithmetic fixtures: what the CLI, the benchmark and the
+acceptance suite build their inputs from.
 
-* the supersingular 2x2 module phi = [[0,2],[1,0]] and the ordinary one
-  phi = diag(1, p);
+* ``unramified``, the level K_q, built once per (p, f, precision);
+* the supersingular 2x2 module phi = [[0,2],[1,0]] and its g-fold direct
+  sum (``block_frobenius_module``, the CLI's wreath demo);
 * an explicit quaternion pair inside its endomorphism algebra over Q_4
   (entries are Hensel data: one square root of -3/5 in Z_2 enters, so the
   matrices are precision-N digit data rather than rationals -- no rational
   realization exists, the relevant norm form is definite over Q);
-* the C2 extension Q_2(sqrt 2), the C4 extension cut out by x^4 - 4x^2 + 2
-  (the real subfield of the 16th cyclototomic tower, generator acting by
-  u -> u^3 - 3u), and tame Kummer extensions u^e = p;
-* block realizations of the 2-Sylow of the quaternion wreath groups.
+* the trivial step L = K_q, the C2 extension Q_2(sqrt 2), the C4 extension
+  cut out by x^4 - 4x^2 + 2 (the real subfield of the 16th cyclotomic
+  tower, generator acting by u -> u^3 - 3u), and the p^k-th cyclotomic step
+  that ``lagrangian_h_small_intersection`` climbs to for its eigenvalues;
+* C2 acting by scalars, C4 generated by the quaternion k, and block
+  realizations of the 2-Sylow of the quaternion wreath groups.
 
 All constructors take the working precision and rebuild deterministically,
-which is what the retry-at-doubled-precision driver needs.
+which is what the retry-at-doubled-precision driver needs.  Builders that
+only tests use live with those tests.
 """
 
 from __future__ import annotations
@@ -42,10 +47,6 @@ def supersingular_module(field) -> PhiModule:
     return PhiModule.from_rational(field, [[0, 2], [1, 0]])
 
 
-def ordinary_module(field) -> PhiModule:
-    return PhiModule.from_rational(field, [[1, 0], [0, field.p]])
-
-
 # -- extensions -------------------------------------------------------------------
 
 
@@ -71,20 +72,6 @@ def c4_cyclotomic_extension(base) -> EisensteinExtensionDescriptor:
     return EisensteinExtensionDescriptor(
         base, (2, 0, -4, 0, 1),
         {"1": [0, 1], "g": [0, -3, 0, 1], "g2": [0, -1], "g3": [0, 3, 0, -1]})
-
-
-def kummer_extension(base, e: int) -> EisensteinExtensionDescriptor:
-    """Tame cyclic step u^e = p for e | q - 1, generator u -> zeta_e u."""
-    if (base.q - 1) % e != 0:
-        raise ValidationError(f"tame Kummer step of degree {e} needs e | q-1")
-    z = base.teichmuller(e)
-    zu = z.unit
-    auts = {}
-    for k in range(e):
-        zk = sc.sc_pow(z, k)
-        auts[f"r{k}" if k else "1"] = [0, list(zk.unit)]
-    return EisensteinExtensionDescriptor(base, (-base.p,) + (0,) * (e - 1) + (1,),
-                                         auts)
 
 
 def cyclotomic_p_power_extension(base, k: int) -> EisensteinExtensionDescriptor:
@@ -158,15 +145,6 @@ def quaternion_pair(field):
           [w, sc.sc_neg(sc.sc_mul(third, delta))]]
     Y = la.mat_scalar(s, y0)
     return X, Y
-
-
-def quaternion_rep(field) -> GroupRepresentation:
-    """Q8 acting on the supersingular module over Q_4."""
-    X, Y = quaternion_pair(field)
-    G = quaternion()
-    rep = GroupRepresentation.from_generator_matrices(
-        G, field, {"i": X, "j": Y})
-    return rep
 
 
 def scalar_c2_rep(field, dim: int) -> GroupRepresentation:

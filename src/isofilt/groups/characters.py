@@ -21,7 +21,7 @@ from ..bounds import is_prime
 from ..errors import ValidationError, InternalContradictionError
 from ..padic import linalg as la
 from ..padic.fp import fp_order, fp_row_reduce
-from ..padic.hensel import cyclotomic_int, sqrt_mod_ppow
+from ..padic.hensel import sqrt_mod_ppow
 from .core import FiniteGroup
 
 
@@ -176,52 +176,6 @@ class CharacterTable:
 
     def degree(self, chi: int) -> int:
         return self.degrees[chi]
-
-    def orthogonality_check(self) -> bool:
-        """First orthogonality over the cyclotomic integers (exact)."""
-        e = self.e
-        for chi in range(self.k):
-            acc = [0] * e
-            for c in range(self.r):
-                # conj(chi(c)) = chi(c^{-1}): multiply the multiplicity vectors
-                prod = _cyc_mul(self.mult[chi][c],
-                                self.mult[chi][self.inverse_class(c)], e)
-                for j in range(e):
-                    acc[j] += self.class_sizes[c] * prod[j]
-            val = _cyc_reduce(acc, e)
-            want = [0] * len(val)
-            want[0] = self.group.n
-            if list(val) != want:
-                return False
-        return True
-
-
-# -- cyclotomic integer helpers (vectors on powers of zeta_e) ---------------------
-
-
-def _cyc_mul(a, b, e):
-    out = [0] * e
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[(i + j) % e] += x * y
-    return out
-
-
-def _cyc_reduce(vec, e):
-    """Reduce a vector on 1, zeta, ..., zeta^{e-1} modulo the e-th cyclotomic
-    polynomial, returning phi(e) rational-integer coordinates."""
-    phi = cyclotomic_int(e)
-    deg = len(phi) - 1
-    out = list(vec)
-    for k in range(len(out) - 1, deg - 1, -1):
-        c = out[k]
-        if c:
-            for j in range(deg + 1):
-                out[k - deg + j] -= c * phi[j]
-            out[k] = 0
-    return tuple(out[:deg])
 
 
 def _split_by_matrix(basis, mat, ell):

@@ -12,7 +12,6 @@ keep its isotypic decomposition on it, in ``_isotypic``.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from ..errors import ValidationError
@@ -129,46 +128,6 @@ class FiniteGroup:
             self._classes = (classes, class_of)
         return self._classes
 
-    def center_size(self):
-        z = 0
-        for x in range(self.n):
-            if all(self.table[x][g] == self.table[g][x] for g in range(self.n)):
-                z += 1
-        return z
-
-    def derived_subgroup_order(self):
-        comms = {self.identity}
-        for a in range(self.n):
-            for b in range(self.n):
-                c = self.table[self.table[self.table[a][b]][self.inverse[a]]][self.inverse[b]]
-                comms.add(c)
-        # close under multiplication
-        elems = set(comms)
-        frontier = list(elems)
-        while frontier:
-            new = []
-            for x in frontier:
-                for y in list(elems):
-                    for z in (self.table[x][y], self.table[y][x]):
-                        if z not in elems:
-                            elems.add(z)
-                            new.append(z)
-            frontier = new
-        return len(elems)
-
-    def fingerprint(self):
-        """Isomorphism-invariant signature used to tell fixtures apart."""
-        orders = self.element_orders()
-        classes, _ = self.conjugacy_classes()
-        csizes = tuple(sorted(len(c) for c in classes))
-        # how many distinct squares the elements of each order have
-        sq = {}
-        for x in range(self.n):
-            sq.setdefault(orders[x], set()).add(self.table[x][x])
-        sq_profile = tuple(sorted((k, len(v)) for k, v in sq.items()))
-        return (self.n, tuple(sorted(orders)), csizes, self.center_size(),
-                self.derived_subgroup_order(), sq_profile)
-
     def is_p_group(self):
         n = self.n
         for p in range(2, n + 1):
@@ -236,7 +195,7 @@ class GroupRepresentation:
         table_mode="sample" and more than TABLE_SAMPLES pairs, that many
         seeded ones), faithfulness when declared, and compatibility with the
         given Frobenius, pairing and toric part."""
-        thr = self._zero_threshold()
+        thr = la.relation_threshold(self.field)
         G = self.group
         if table_mode == "sample" and G.n * G.n > TABLE_SAMPLES:
             import random
@@ -277,17 +236,13 @@ class GroupRepresentation:
                         f"element {G.names[a]} does not preserve the toric part")
         return True
 
-    def _zero_threshold(self):
-        F = self.field
-        return Fraction(F.prec, 2)
-
     def _is_identity(self, a, thr):
         ident = la.identity(self.field, self.dim)
         return la.mat_is_zero(la.mat_sub(self.mats[a], ident), thr)
 
     def is_scalar_image(self) -> bool:
         """True when every element acts by a scalar matrix."""
-        thr = self._zero_threshold()
+        thr = la.relation_threshold(self.field)
         for a in range(self.group.n):
             m = self.mats[a]
             lead = m[0][0]

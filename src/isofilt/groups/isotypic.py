@@ -224,7 +224,7 @@ def _isotypic_decomposition(rep: GroupRepresentation):
             P = la.mat_add(P, la.mat_scalar(val, class_sums[c]))
         P = la.mat_scalar(sc.sc_mul(field.scalar(deg), inv_order), P)
         cols = la.column_space_basis(P)
-        dim = len(cols[0]) if cols and cols[0] else 0
+        dim = la.mat_dims(cols)[1]
         if dim:
             comps.append(IsotypicComponent(cols, orbit, deg, dim))
     total = sum(c.dim for c in comps)
@@ -246,7 +246,7 @@ def get_character_table(G: FiniteGroup) -> CharacterTable:
 
 def matrix_order(m, field, cap: int = 4096) -> int:
     ident = la.identity(field, len(m))
-    thr = Fraction(field.prec, 2)
+    thr = la.relation_threshold(field)
     x = m
     for k in range(1, cap + 1):
         if la.mat_is_zero(la.mat_sub(x, ident), thr):

@@ -68,13 +68,6 @@ class PhiModule:
         """v_p(det A); basis independent."""
         return la.det_valuation(self.A)
 
-    def base_change(self, P) -> "PhiModule":
-        """A -> P^{-1} A sigma(P)."""
-        Pinv = la.mat_inverse(P)
-        return PhiModule(self.field,
-                         la.mat_mul(Pinv, la.mat_mul(self.A, la.mat_frobenius(P))),
-                         validate=False)
-
     def dual(self, twist: int = 0) -> "PhiModule":
         """Dual Frobenius p^twist * (A^T)^{-1}; slopes become twist - mu."""
         At = la.transpose(self.A)
@@ -141,7 +134,7 @@ class PolarizedPhiModule:
         if n % 2 != 0:
             raise ValidationError("polarized module must have even dimension")
         F = D.field
-        thr = Fraction(F.prec, 2)
+        thr = la.relation_threshold(F)
         skew = la.mat_add(self.J, la.transpose(self.J))
         if not la.mat_is_zero(skew, thr):
             raise ValidationError("Gram matrix is not alternating")
@@ -172,7 +165,7 @@ class SemiAbelianPhiModule:
                  lambda_T=None, validate: bool = True):
         self.module = module
         self.toric_cols = toric_cols
-        self.t_dim = len(toric_cols[0]) if toric_cols and toric_cols[0] else 0
+        self.t_dim = la.mat_dims(toric_cols)[1]
         self.gram_B = gram_B
         F = module.field
         if lambda_T is None and self.t_dim:

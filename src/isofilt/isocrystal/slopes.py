@@ -62,17 +62,6 @@ class SlopeProfile:
     def total(self) -> Fraction:
         return sum((Fraction(s) * m for s, m in self.pairs), Fraction(0))
 
-    def multiset(self):
-        out = []
-        for s, m in self.pairs:
-            out.extend([s] * m)
-        return tuple(out)
-
-    def is_sub_multiset_of(self, other) -> bool:
-        from collections import Counter
-        a, b = Counter(self.multiset()), Counter(other.multiset())
-        return all(b[k] >= v for k, v in a.items())
-
 
 def lower_newton_polygon(points, uncertain=None, e=1):
     """Lower convex hull of exact points (i, w), w an integer pi-exponent at

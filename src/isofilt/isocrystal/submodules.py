@@ -143,7 +143,7 @@ def sampled_submodules(D: PhiModule, seed: int, budget: int) -> SubmoduleSet:
                              (phi_span(D, w), True)):
             if cand is None:
                 continue
-            d = len(cand[0]) if cand and cand[0] else 0
+            d = la.mat_dims(cand)[1]
             if d in (0, D.n):
                 continue
             try:

@@ -44,6 +44,13 @@ from .scalar import Scalar, sc_add, sc_sub, sc_mul, sc_neg, sc_zero
 DEFAULT_GUARD = 8
 
 
+def relation_threshold(field) -> Fraction:
+    """A relation a = b counts as holding at the working precision of field
+    when a - b vanishes to half of it: the threshold every relation check
+    passes to ``mat_is_zero``, ``zero_status`` or ``mat_mul_sub_is_zero``."""
+    return Fraction(field.prec, 2)
+
+
 def mat_dims(m):
     return len(m), len(m[0]) if m else 0
 
@@ -586,15 +593,6 @@ def subspace_leq(a_cols, b_cols, rank_b: int | None = None) -> bool:
     rb = certified_rank(transpose(b_cols)) if rank_b is None else rank_b
     rab = certified_rank(transpose(hstack(a_cols, b_cols)))
     return rb == rab
-
-
-def subspace_equal(a_cols, b_cols) -> bool:
-    ra = certified_rank(transpose(a_cols))
-    rb = certified_rank(transpose(b_cols))
-    if ra != rb:
-        return False
-    rab = certified_rank(transpose(hstack(a_cols, b_cols)))
-    return rab == ra
 
 
 def det_valuation(m) -> Fraction:

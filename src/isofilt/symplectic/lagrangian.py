@@ -26,7 +26,6 @@ field of the Gram matrix.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from ..errors import (ValidationError, PrecisionError,
                       InternalContradictionError)
@@ -40,8 +39,12 @@ from .space import SymplecticSpace, LagrangianSubspace
 # -- chart sampling ----------------------------------------------------------------
 
 
-def random_rational_lagrangian(space: SymplecticSpace, seed,
-                               digits: int = 12) -> LagrangianSubspace:
+# p-adic digits of each entry of the random symmetric chart coordinate
+CHART_DIGITS = 12
+
+
+def random_rational_lagrangian(space: SymplecticSpace,
+                               seed) -> LagrangianSubspace:
     """A Lagrangian with coordinates in the coefficient field, sampled from a
     uniformly random chart of the 2^g atlas; deterministic in the seed."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
@@ -63,7 +66,7 @@ def random_rational_lagrangian(space: SymplecticSpace, seed,
     z = [[None] * g for _ in range(g)]
     for i in range(g):
         for j in range(i, g):
-            val = field.scalar(rng.randrange(0, field.p ** digits))
+            val = field.scalar(rng.randrange(0, field.p ** CHART_DIGITS))
             z[i][j] = val
             z[j][i] = val
     cols = []
@@ -84,7 +87,7 @@ def lagrangian_avoiding(space: SymplecticSpace, m_cols,
                         seed=0) -> LagrangianSubspace:
     """A Lagrangian F with F cap span(m_cols) = 0; requires dim M <= g."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    dim_m = (len(m_cols[0]) if m_cols and m_cols[0] else 0)
+    dim_m = la.mat_dims(m_cols)[1]
     if dim_m:
         dim_m = la.certified_rank(la.transpose(m_cols))
     if dim_m > space.g:
@@ -123,21 +126,17 @@ def _avoiding_rec(space, m_cols, dim_m, rng):
     m_proj_cols = [[v[r] for v in m_proj] for r in range(n)]
     m_proj_cols = la.normalize_columns(
         la.column_space_basis(la.normalize_columns(m_proj_cols)))
-    dim_mp = len(m_proj_cols[0]) if m_proj_cols and m_proj_cols[0] else 0
+    dim_mp = la.mat_dims(m_proj_cols)[1]
     if dim_mp != dim_m - 1:
         raise PrecisionError("projected subspace did not drop rank by one")
     # coordinates inside the complement
     m_in = la.solve_right(comp, m_proj_cols)
-    sub_space = SymplecticSpace(field, _restrict_gram(space, comp),
+    sub_space = SymplecticSpace(field, space.pair_matrix(comp, comp),
                                 validate=False)
     f_in = _avoiding_rec(sub_space, m_in, dim_mp, rng)
     f_cols = la.mat_mul(comp, f_in) if f_in and f_in[0] else [[] for _ in range(n)]
     out = [row[:] + [y[r]] for r, row in enumerate(f_cols)]
     return out
-
-
-def _restrict_gram(space, basis_cols):
-    return space.pair_matrix(basis_cols, basis_cols)
 
 
 def _pick_partner(space, x, m_cols, rng):
@@ -181,7 +180,7 @@ def _transverse_to_line(space, x, rng):
     if not comp or not comp[0]:
         return [[y[r]] for r in range(n)]
     comp = la.normalize_columns(comp)
-    sub = SymplecticSpace(field, _restrict_gram(space, comp), validate=False)
+    sub = SymplecticSpace(field, space.pair_matrix(comp, comp), validate=False)
     if sub.n:
         B = sub.symplectic_basis()
         rest = la.mat_mul(comp, B)
@@ -217,7 +216,7 @@ def lagrangian_h_small_intersection(space: SymplecticSpace, h):
     the smallest tower level containing the eigenvalues.
     """
     field = space.field
-    thr = Fraction(field.prec, 2)
+    thr = la.relation_threshold(field)
     lhs = la.mat_mul(la.transpose(h), la.mat_mul(space.J, h))
     if not la.mat_is_zero(la.mat_sub(lhs, space.J), thr):
         raise ValidationError("h is not symplectic for the given pairing")

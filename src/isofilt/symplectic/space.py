@@ -3,8 +3,6 @@ complements, hyperbolic bases, Lagrangian validation."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ..errors import ValidationError, PrecisionError
 from ..padic import linalg as la
 from ..padic import scalar as sc
@@ -19,13 +17,10 @@ class SymplecticSpace:
         if validate:
             if self.n % 2:
                 raise ValidationError("symplectic dimension must be even")
-            thr = self._thr()
-            if not la.mat_is_zero(la.mat_add(gram, la.transpose(gram)), thr):
+            if not la.mat_is_zero(la.mat_add(gram, la.transpose(gram)),
+                                  la.relation_threshold(field)):
                 raise ValidationError("Gram matrix is not alternating")
             la.det_valuation(gram)
-
-    def _thr(self):
-        return Fraction(self.field.prec, 2)
 
     @property
     def g(self):
@@ -60,7 +55,8 @@ class SymplecticSpace:
     def is_isotropic(self, cols) -> bool:
         if not cols or not cols[0]:
             return True
-        return la.mat_is_zero(self.pair_matrix(cols, cols), self._thr())
+        return la.mat_is_zero(self.pair_matrix(cols, cols),
+                              la.relation_threshold(self.field))
 
     def is_lagrangian(self, cols) -> bool:
         if not cols or not cols[0]:
@@ -117,7 +113,7 @@ class SymplecticSpace:
             return []
         cols = la.normalize_columns([[v[i] for v in vecs] for i in range(self.n)])
         picked = la.normalize_columns(la.column_space_basis(cols))
-        k = len(picked[0]) if picked and picked[0] else 0
+        k = la.mat_dims(picked)[1]
         return [[picked[i][j] for i in range(self.n)] for j in range(k)]
 
 
@@ -127,13 +123,13 @@ class LagrangianSubspace:
         self.space = space
         self.basis_cols = basis_cols
         if validate:
-            k = len(basis_cols[0]) if basis_cols and basis_cols[0] else 0
+            k = la.mat_dims(basis_cols)[1]
             if k != space.g:
                 raise ValidationError("basis does not have g columns")
             if la.certified_rank(la.transpose(basis_cols)) != space.g:
                 raise PrecisionError("Lagrangian basis rank not certified")
             status = la.zero_status(space.pair_matrix(basis_cols, basis_cols),
-                                    space._thr())
+                                    la.relation_threshold(space.field))
             if status == "nonzero":
                 raise ValidationError("pairing certified nonzero: not isotropic")
             if status == "shallow":
@@ -141,4 +137,4 @@ class LagrangianSubspace:
 
     @property
     def dim(self):
-        return len(self.basis_cols[0]) if self.basis_cols and self.basis_cols[0] else 0
+        return la.mat_dims(self.basis_cols)[1]

@@ -2,7 +2,7 @@
 
 Everything here works on Fractions with fraction-free elimination, or on
 exact integer polynomials, and never touches the library's ring, scalar or
-linalg layers -- except the three references at the end.
+linalg layers -- except the three references and the last section below.
 ``scalar_row_reduce`` is certified elimination on Scalars, one sc_inv,
 sc_mul and sc_sub at a time; it pins the entries, pivots, certificates and
 errors of the raw kernel that ``linalg.certified_row_reduce`` runs.
@@ -13,6 +13,12 @@ certifies with fewer eliminations.  ``fraction_newton_polygon`` and
 ``fraction_root_valuations`` are the lower Newton polygon on Fraction
 valuations, which pins the integer-exponent hull of ``isocrystal.slopes``:
 its vertices, root valuations and PrecisionError messages.
+
+The last section holds what only tests use of the library's own kind:
+``base_change`` (a phi-module in another basis), ``verify_invariant`` (the
+diagonal-action invariance that ``galois_descend`` promises),
+``orthogonality_check`` (first orthogonality of a character table, exact
+over the cyclotomic integers) and the ``quaternion_rep`` fixture.
 """
 
 from fractions import Fraction
@@ -475,3 +481,93 @@ def fraction_root_valuations(hull):
         out.append((Fraction(y1 - y2, x2 - x1), x2 - x1))
     out.sort()
     return out
+
+
+# -- references and fixtures that only tests use ----------------------------------
+
+
+def base_change(D, P):
+    """The phi-module of D in the basis P: A -> P^{-1} A sigma(P)."""
+    from isofilt.isocrystal.module import PhiModule
+    from isofilt.padic import linalg as la
+    return PhiModule(D.field, la.mat_mul(la.mat_inverse(P),
+                                         la.mat_mul(D.A, la.mat_frobenius(P))),
+                     validate=False)
+
+
+def verify_invariant(rep, setup, cols) -> bool:
+    """Each column is fixed by the diagonal action
+    d_h(v) = rho(h) * tau_{corr(h)}^{-1}(v), certified.
+
+    With the opposite-group table convention (the Galois group is the
+    opposite of G) this is a left action, and d_h-invariance of a subspace is
+    literally the statement rho(h) F = tau_{corr(h)} F for every h.
+    """
+    from isofilt.filtration.galois import lift_matrix
+    from isofilt.padic import linalg as la
+    thr = la.relation_threshold(rep.field)
+    for x in range(setup.group.n):
+        name = setup.table_inverse(setup.aut_of(x))
+        moved = la.mat_mul(lift_matrix(setup.ext, rep.mats[x]),
+                           setup.gal_apply_name(name, cols))
+        if la.zero_status(la.mat_sub(moved, cols), thr) == "nonzero":
+            return False
+    return True
+
+
+def orthogonality_check(ct) -> bool:
+    """First orthogonality of a CharacterTable over the cyclotomic integers
+    (exact): sum_c |c| chi(c) conj(chi(c)) = |G| for every irreducible chi,
+    on the eigenvalue multiplicity vectors of the table."""
+    e = ct.e
+    for chi in range(ct.k):
+        acc = [0] * e
+        for c in range(ct.r):
+            # conj(chi(c)) = chi(c^{-1}): multiply the multiplicity vectors
+            prod = _cyc_mul(ct.mult[chi][c], ct.mult[chi][ct.inverse_class(c)], e)
+            for j in range(e):
+                acc[j] += ct.class_sizes[c] * prod[j]
+        val = _cyc_reduce(acc, e)
+        want = [0] * len(val)
+        want[0] = ct.group.n
+        if list(val) != want:
+            return False
+    return True
+
+
+def _cyc_mul(a, b, e):
+    """Product of two vectors on 1, zeta_e, ..., zeta_e^{e-1}."""
+    out = [0] * e
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[(i + j) % e] += x * y
+    return out
+
+
+def _cyc_reduce(vec, e):
+    """Reduce a vector on 1, zeta, ..., zeta^{e-1} modulo the e-th cyclotomic
+    polynomial, returning phi(e) rational-integer coordinates."""
+    from isofilt.padic.hensel import cyclotomic_int
+    phi = cyclotomic_int(e)
+    deg = len(phi) - 1
+    out = list(vec)
+    for k in range(len(out) - 1, deg - 1, -1):
+        c = out[k]
+        if c:
+            for j in range(deg + 1):
+                out[k - deg + j] -= c * phi[j]
+            out[k] = 0
+    return tuple(out[:deg])
+
+
+def quaternion_rep(field):
+    """Q8 acting on the supersingular module over Q_4, by the pair of
+    ``fixtures.quaternion_pair``."""
+    from isofilt.fixtures import quaternion_pair
+    from isofilt.groups.constructions import quaternion
+    from isofilt.groups.core import GroupRepresentation
+    X, Y = quaternion_pair(field)
+    return GroupRepresentation.from_generator_matrices(
+        quaternion(), field, {"i": X, "j": Y})

@@ -397,7 +397,7 @@ def test_eadm_end_to_end(tmp_path):
     for idx, (name, sa, rep, setup, mode) in enumerate(cases):
         res = find_admissible_stable_filtration(
             sa, setup, rep, seed=100 + idx, budget=200,
-            adm_mode=mode or "exact", adm_budget=60)
+            adm_mode=mode or "exact")
         assert res["admissibility"].verdict, name
         assert res["graded"]["toric"] and res["graded"]["quotient"], name
         assert res["stable"] and res["cocycle"] and res["descent_targets"], name

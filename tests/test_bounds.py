@@ -3,7 +3,7 @@
 import pytest
 
 from isofilt.bounds import (is_prime, minkowski_exponent, minkowski_bound,
-                            semistability_degree, divisibility_checks,
+                            divisibility_checks,
                             wreath_sylow_order, lcm_degree_formulas,
                             cyclic_subgroup_census, two_part)
 from isofilt.errors import ValidationError
@@ -41,14 +41,9 @@ def test_exponent_rejects_composite():
 
 def test_bound_examples():
     assert minkowski_bound(1) == 2
-    assert minkowski_bound(2) == 24
-    assert minkowski_bound(4) == 5760
     assert minkowski_bound(0) == 1
-
-
-def test_semistability_degree():
-    assert semistability_degree(1) == 24
-    assert semistability_degree(2) == 5760
+    # M(2g), the degree bound for semistable reduction in dimension g
+    assert [minkowski_bound(2 * g) for g in (1, 2)] == [24, 5760]
 
 
 def test_monotonicity():
@@ -66,7 +61,7 @@ def test_divisibility_exhaustive():
 
 def test_divisor_of_wreath():
     for g in range(1, 7):
-        assert semistability_degree(g) % wreath_sylow_order(g) == 0
+        assert minkowski_bound(2 * g) % wreath_sylow_order(g) == 0
 
 
 def test_wreath_orders():

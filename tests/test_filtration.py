@@ -12,15 +12,12 @@ from hypothesis import given, settings, strategies as st
 from isofilt.errors import (ValidationError, InternalContradictionError,
                             BudgetExhaustedError)
 from isofilt.fixtures import (unramified, sqrt2_extension, trivial_extension,
-                              c4_cyclotomic_extension, kummer_extension,
-                              scalar_c2_rep, c4_k_rep, quaternion_rep,
-                              supersingular_module, ordinary_module,
-                              block_frobenius_module)
+                              c4_cyclotomic_extension, scalar_c2_rep, c4_k_rep,
+                              supersingular_module, block_frobenius_module)
 from isofilt.groups.constructions import cyclic
 from isofilt.groups.core import GroupRepresentation
 from isofilt.filtration.galois import (GaloisSetup, is_diagonally_stable,
-                                       galois_descend, lift_matrix,
-                                       verify_invariant)
+                                       galois_descend, lift_matrix)
 from isofilt.filtration.admissible import (is_admissible, t_H, verify_violation,
                                            toric_extension_report)
 from isofilt.filtration import driver as driver_mod
@@ -31,14 +28,32 @@ from isofilt.filtration.driver import (find_admissible_stable_filtration,
 from isofilt.isocrystal.module import (PhiModule, SemiAbelianPhiModule,
                                        standard_symplectic_gram)
 from isofilt.padic import linalg as la
-from isofilt.padic.scalar import sc_add, sc_mul
+from isofilt.padic.descriptors import EisensteinExtensionDescriptor
+from isofilt.padic.scalar import sc_add, sc_mul, sc_pow
 from isofilt import formats
 from isofilt.cli import main as cli_main
 from isofilt.isocrystal import submodules as submodules_mod
 from isofilt.groups import isotypic as isotypic_mod
-from oracles import rational_rank, rational_intersection_dim
+from oracles import (rational_rank, rational_intersection_dim, base_change,
+                     verify_invariant)
 
 N = 48
+
+
+def ordinary_module(field):
+    """The ordinary 2x2 module phi = diag(1, p)."""
+    return PhiModule.from_rational(field, [[1, 0], [0, field.p]])
+
+
+def kummer_extension(base, e):
+    """Tame cyclic step u^e = p for e | q - 1, generator u -> zeta_e u."""
+    if (base.q - 1) % e != 0:
+        raise ValidationError(f"tame Kummer step of degree {e} needs e | q-1")
+    z = base.teichmuller(e)
+    auts = {f"r{k}" if k else "1": [0, list(sc_pow(z, k).unit)]
+            for k in range(e)}
+    return EisensteinExtensionDescriptor(
+        base, (-base.p,) + (0,) * (e - 1) + (1,), auts)
 
 
 @pytest.fixture(scope="module")
@@ -137,11 +152,14 @@ def _stability_problem(name):
 
 
 def _stable_by_definition(rep, F, setup):
-    """rho(h) F = tau_h F for every h, as three certified ranks per h."""
+    """rho(h) F = tau_h F for every h, as span inclusion both ways."""
     ext = setup.ext
-    return all(la.subspace_equal(la.mat_mul(lift_matrix(ext, rep.mats[x]), F),
-                                 setup.gal_apply(x, F))
-               for x in range(setup.group.n))
+    for x in range(setup.group.n):
+        lin = la.mat_mul(lift_matrix(ext, rep.mats[x]), F)
+        gal = setup.gal_apply(x, F)
+        if not (la.subspace_leq(lin, gal) and la.subspace_leq(gal, lin)):
+            return False
+    return True
 
 
 @pytest.mark.parametrize("name", sorted(STABILITY_PROBLEMS))
@@ -251,7 +269,7 @@ def test_component_bounds_equal_the_eliminations(f, seed):
         M = PhiModule.simple(field, s, r)
         D = M if D is None else D.direct_sum(M)
     n = D.n
-    D = D.base_change(la.from_rows_of_fractions(field, [
+    D = base_change(D, la.from_rows_of_fractions(field, [
         [1 if i == j else rng.randrange(-3, 4) if i < j else 0
          for j in range(n)] for i in range(n)]))
     subs = submodules_mod.exact_submodules(D)
@@ -661,7 +679,8 @@ def test_pieces_keep_their_isotypic_components(name):
         assert ([(c.orbit, c.degree, c.dim) for c in kept]
                 == [(c.orbit, c.degree, c.dim) for c in fresh])
         for k, f in zip(kept, fresh):
-            assert la.subspace_equal(k.basis_cols, f.basis_cols)
+            assert la.subspace_leq(k.basis_cols, f.basis_cols)
+            assert la.subspace_leq(f.basis_cols, k.basis_cols)
     most = max(len(isotypic_mod.isotypic_decomposition(p.rep)) for p in pieces)
     assert most == (2 if name == "kummer-c3" else 1)
 

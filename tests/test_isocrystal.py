@@ -3,6 +3,7 @@ submodule enumeration, polarized structure."""
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,8 @@ from isofilt.isocrystal.slopes import (newton_slopes, isoclinic_decompose, Slope
                                        slope_factors, charpoly_points,
                                        lower_newton_polygon, root_valuations_from_hull)
 from isofilt.isocrystal.submodules import submodules, endomorphism_algebra
-from oracles import fraction_newton_polygon, fraction_root_valuations
+from oracles import (fraction_newton_polygon, fraction_root_valuations,
+                     base_change)
 
 N = 24
 
@@ -70,7 +72,7 @@ def test_basis_change_invariance(Q2):
         D = _random_module(Q2, n, rng)
         prof = newton_slopes(D)
         P = _random_invertible(Q2, n, rng)
-        D2 = D.base_change(P)
+        D2 = base_change(D, P)
         assert newton_slopes(D2).pairs == prof.pairs
 
 
@@ -127,7 +129,7 @@ def test_isoclinic_pieces_are_pure():
                 M = PhiModule.simple(field, s, r)
                 D = M if D is None else D.direct_sum(M)
             P = _random_invertible(field, D.n, rng)
-            D = D.base_change(P)
+            D = base_change(D, P)
             for slope, cols in isoclinic_decompose(D):
                 sub = D.submodule(cols)
                 assert newton_slopes(sub).pairs == ((slope, len(cols[0])),)
@@ -157,10 +159,12 @@ def test_t_N_additive_and_slope_union(Q2):
     B = PhiModule.from_rational(Q2, [[1, 0], [0, 2]])
     S = A.direct_sum(B)
     assert S.t_N() == A.t_N() + B.t_N()
-    pa = newton_slopes(A).multiset()
-    pb = newton_slopes(B).multiset()
-    ps = newton_slopes(S).multiset()
-    assert tuple(sorted(pa + pb)) == ps
+    assert _slope_counts(A) + _slope_counts(B) == _slope_counts(S)
+
+
+def _slope_counts(D):
+    """D's slopes as a multiset."""
+    return Counter(dict(newton_slopes(D).pairs))
 
 
 def test_exact_submodules_examples(Q2):
@@ -193,12 +197,10 @@ def test_sampled_submodules_stable_and_seeded(Q4):
 def test_submodule_slopes_are_sub_multisets(Q2):
     Dp = PhiModule.from_rational(Q2, [[1, 0], [0, 2]]).direct_sum(
         PhiModule.simple(Q2, 1, 2))
-    prof = newton_slopes(Dp)
     for cols in submodules(Dp, "exact").subspaces:
         if not (cols and cols[0]):
             continue
-        sub = Dp.submodule(cols)
-        assert newton_slopes(sub).is_sub_multiset_of(prof)
+        assert _slope_counts(Dp.submodule(cols)) <= _slope_counts(Dp)
 
 
 def test_endomorphism_algebra_dimensions(Q2, Q4):
@@ -228,9 +230,8 @@ def test_polarized_slope_symmetry(Q2, Q4):
     for field in (Q2, Q4):
         for g in (1, 2):
             D, J = _random_polarized(field, g, rng)
-            prof = newton_slopes(D)
-            ms = list(prof.multiset())
-            assert sorted(ms) == sorted(1 - s for s in ms)
+            pairs = newton_slopes(D).pairs
+            assert Counter(dict(pairs)) == Counter({1 - s: m for s, m in pairs})
 
 
 def _random_polarized(field, g, rng):
@@ -347,7 +348,7 @@ def test_the_stored_split_is_the_fresh_split(data):
            for j in range(n)] for i in range(n)]
     P = la.mat_mul(la.from_rows_of_fractions(field, low),
                    la.from_rows_of_fractions(field, up))
-    stored, fresh = A.base_change(P), A.base_change(P)
+    stored, fresh = base_change(A, P), base_change(A, P)
     first = _decomposition(stored)
     assert _decomposition(stored) == first == _decomposition(fresh)
     if not isinstance(first, str):
@@ -431,7 +432,7 @@ def test_slope_factor_precision_is_sound(blocks, prec):
     for s, r in blocks:
         M = PhiModule.simple(field, s, r)
         D = M if D is None else D.direct_sum(M)
-    D = D.base_change(_random_invertible(field, D.n, rng))
+    D = base_change(D, _random_invertible(field, D.n, rng))
     factors = slope_factors(D)
     assert [rv for rv, _ in factors] == sorted(Fraction(s, r) for s, r in blocks)
     for (_, fac), (s, r) in zip(factors, sorted(blocks, key=lambda b: Fraction(*b))):

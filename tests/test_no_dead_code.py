@@ -1,34 +1,52 @@
-"""No dead code under src/isofilt.
+"""Every definition under src/isofilt is reachable.
 
 Names are counted as Python reads them: the NAME tokens that ``tokenize``
 yields.  Strings, docstrings and comments produce no NAME tokens, so
-mentioning a function in prose does not keep it alive.  Only the program
-keeps a definition alive: src/ and bench/.  A test alone does not.
+mentioning a function in prose does not keep it alive.
 
-Two rules, over every module under src/isofilt, one test per directory
-(``isofilt`` holds the top-level modules cli, bounds, fixtures, formats, ...):
+The walk goes by name.  Its units are the top-level functions, classes and
+assignments of every module and the methods of top-level classes.  A reached
+unit reaches every unit whose name is one of its NAME tokens, wherever that
+unit is defined.  Import statements are not read: importing or re-exporting
+a name keeps nothing alive.  A reached class reads its body outside its
+methods (bases, decorators, class attributes) and reaches its dunder
+methods, which the language calls.  It reaches its other methods only by
+name, so ``FiniteGroup`` being alive does not keep a method of it alive that
+nothing names.  Module-level statements other than imports, definitions and
+assignments run on import and are read as well.
 
-- every top-level function and class, and every method of a top-level
-  class, is named in src/ or bench/ outside its own definition (dunder
-  methods are called by the language and are skipped);
-- every name a module imports is used in that module outside its import
-  statements (``__init__.py`` files re-export and are skipped, as is
-  ``from __future__ import ...``).
+The walk starts from these roots and from nowhere else:
 
-Exemptions: ``cli._Parser.error``, which argparse calls, and the
-definitions in ``TEST_OWNED``, which only tests call.  Each of those names
-the test that owns it; the entry must name a test function of that file,
-the file must name the definition, and the entry goes once src/ or bench/
-names the definition too.
+- ``cli.main``, the program, and ``cli._Parser.error``, which argparse calls;
+- every NAME token of ``bench/*.py`` and every (module, path) of
+  ``bench/tracer.TRACED``.  The benchmark builds its inputs from those
+  names and wraps the functions of that table, and the table names them in
+  strings, which carry no NAME tokens;
+- every NAME token of ``tests/test_acceptance.py``.  The acceptance
+  criteria are what the package promises, so what they call (the group zoo,
+  ``lagrangian_avoiding``, the census, ``with_escalation``,
+  ``module_to_json``/``group_to_json``) ships in src/;
+- ``ALLOWLIST``: at most two definitions that only a test calls today.  Each
+  names the test that owns it and the open ROADMAP item that gives it a
+  caller in src/.  An entry goes once the walk reaches it without the list.
 
-A third rule keeps the pivot guard where it belongs: only the elimination in
-``padic/linalg.py`` and the rank wrappers built directly on it take a
-``guard`` parameter; every layer above certifies at ``DEFAULT_GUARD``.
+A definition that nothing reaches from there is reported.  The walk itself is
+tested on a small in-memory package at the end of this file.
+
+Two rules are checked as before.  Every name a module imports is used in
+that module outside its import statements (``__init__.py`` files re-export
+and are skipped, as is ``from __future__ import ...``).  And only the
+elimination in ``padic/linalg.py`` and the rank wrappers built directly on it
+take a ``guard`` parameter; every layer above certifies at
+``DEFAULT_GUARD``.
 """
 
 import ast
+import importlib.util
+import io
+import re
 import tokenize
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
@@ -37,55 +55,11 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "isofilt"
 MODULES = sorted(PACKAGE.rglob("*.py"))
 DIRS = sorted({p.parent for p in MODULES})
-CALLED_BY_LIBRARY = {("cli.py", "_Parser.error")}
-# (module, definition) -> "test file::test function" that owns it
-TEST_OWNED = {
-    ("bounds.py", "semistability_degree"):
-        "test_bounds.py::test_semistability_degree",
-    ("bounds.py", "divisibility_checks"):
-        "test_bounds.py::test_divisibility_exhaustive",
-    ("bounds.py", "cyclic_subgroup_census"):
-        "test_bounds.py::test_census_examples",
+# (module, definition) -> (test that owns it, open ROADMAP item that will
+# call it from src/)
+ALLOWLIST = {
     ("filtration/admissible.py", "verify_violation"):
-        "test_filtration.py::test_admissibility_ledger_examples",
-    ("filtration/galois.py", "verify_invariant"):
-        "test_filtration.py::test_descent_swap_fixture",
-    ("fixtures.py", "ordinary_module"):
-        "test_filtration.py::test_t_H_examples",
-    ("fixtures.py", "sqrt2_extension"):
-        "test_sampled_submodules.py::test_one_elimination_over_L_per_proper_submodule",
-    ("fixtures.py", "c4_cyclotomic_extension"):
-        "test_acceptance.py::test_eadm_end_to_end",
-    ("fixtures.py", "kummer_extension"):
-        "test_filtration.py::test_driver_kummer_extension",
-    ("fixtures.py", "quaternion_rep"):
-        "test_groups.py::test_quaternion_rep_validates",
-    ("fixtures.py", "scalar_c2_rep"):
-        "test_filtration.py::test_diagonal_stability_fixture",
-    ("fixtures.py", "c4_k_rep"):
-        "test_perturbateur.py::test_find_perturbateur_branches",
-    ("formats.py", "module_to_json"): "test_acceptance.py::test_eadm_end_to_end",
-    ("formats.py", "group_to_json"): "test_acceptance.py::test_eadm_end_to_end",
-    ("groups/characters.py", "CharacterTable.eigenvalue_multiplicities"):
-        "test_acceptance.py::test_perturbateur_suite",
-    ("groups/characters.py", "CharacterTable.orthogonality_check"):
-        "test_groups.py::test_character_tables_small_groups",
-    ("groups/constructions.py", "census_p_groups"):
-        "test_bounds.py::test_census_identity_over_fixtures",
-    ("groups/core.py", "FiniteGroup.fingerprint"):
-        "test_groups.py::test_fingerprints_distinguish_all",
-    ("isocrystal/module.py", "PhiModule.base_change"):
-        "test_isocrystal.py::test_basis_change_invariance",
-    ("isocrystal/slopes.py", "SlopeProfile.is_sub_multiset_of"):
-        "test_isocrystal.py::test_submodule_slopes_are_sub_multisets",
-    ("padic/linalg.py", "subspace_equal"):
-        "test_perturbateur.py::test_projectors_idempotent_commute_sum",
-    ("precision.py", "with_escalation"):
-        "test_acceptance.py::test_precision_robustness",
-    ("symplectic/lagrangian.py", "lagrangian_avoiding"):
-        "test_symplectic.py::test_lagrangian_avoiding_examples",
-    ("symplectic/space.py", "SymplecticSpace.is_lagrangian"):
-        "test_symplectic.py::test_lagrangian_avoiding_random_sweep",
+        ("test_filtration.py::test_admissibility_ledger_examples", 1),
 }
 GUARDED = {("padic/linalg.py", name) for name in (
     "RankCertificate.__init__", "certified_row_reduce", "_pivot_message",
@@ -93,77 +67,211 @@ GUARDED = {("padic/linalg.py", name) for name in (
     "column_space_basis")}
 
 
-def _name_tokens(path):
-    """(name, line) for every NAME token of the file."""
-    with tokenize.open(path) as fh:
-        return [(t.string, t.start[0]) for t in tokenize.generate_tokens(fh.readline)
-                if t.type == tokenize.NAME]
+def _name_tokens(text):
+    """(name, line) for every NAME token of the source text."""
+    return [(t.string, t.start[0])
+            for t in tokenize.generate_tokens(io.StringIO(text).readline)
+            if t.type == tokenize.NAME]
 
 
-TOKENS = {p: _name_tokens(p)
-          for p in MODULES + sorted((ROOT / "bench").rglob("*.py"))}
-COUNTS = Counter(name for toks in TOKENS.values() for name, _ in toks)
-
-
-def _count_in(path, name, first, last):
-    return sum(1 for n, line in TOKENS[path] if n == name and first <= line <= last)
-
-
-def _definitions(tree):
-    """(qualified name, node) for top-level functions and classes and the
-    methods of top-level classes."""
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name, node
-        if isinstance(node, ast.ClassDef):
-            for item in node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield f"{node.name}.{item.name}", item
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
 
 
 def _span(node):
-    start = min([node.lineno] + [d.lineno for d in node.decorator_list])
+    decorators = getattr(node, "decorator_list", ())
+    start = min([node.lineno] + [d.lineno for d in decorators])
     return start, node.end_lineno
 
 
-def _unreferenced(path):
-    """(qualified name, node) of the definitions in path that src/ and
-    bench/ name only inside the definition itself."""
-    for qualname, node in _definitions(ast.parse(path.read_text())):
-        name = node.name
-        if name.startswith("__") and name.endswith("__"):
-            continue
-        if COUNTS[name] == _count_in(path, name, *_span(node)):
-            yield qualname, node
+def _units(text):
+    """(qualified name or None, name or None, names it reads, dunder methods
+    it reaches, line) for each unit of a module; module-level statements that
+    run on import have no name."""
+    tree = ast.parse(text)
+    tokens = _name_tokens(text)
+    imports = {line for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))
+               for line in range(node.lineno, node.end_lineno + 1)}
+
+    def reads(first, last, holes=()):
+        return {name for name, line in tokens
+                if first <= line <= last and line not in imports
+                and not any(a <= line <= b for a, b in holes)}
+
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node.name, reads(*_span(node)), (), node.lineno
+        elif isinstance(node, ast.ClassDef):
+            methods = [m for m in node.body
+                       if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            dunders = tuple(f"{node.name}.{m.name}" for m in methods
+                            if _is_dunder(m.name))
+            yield (node.name, node.name,
+                   reads(*_span(node), [_span(m) for m in methods]),
+                   dunders, node.lineno)
+            for m in methods:
+                yield f"{node.name}.{m.name}", m.name, reads(*_span(m)), (), m.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+                        yield n.id, n.id, reads(*_span(node)), (), node.lineno
+        elif not (isinstance(node, (ast.Import, ast.ImportFrom))
+                  or (isinstance(node, ast.Expr)
+                      and isinstance(node.value, ast.Constant))):
+            yield None, None, reads(*_span(node)), (), node.lineno
+
+
+def unreachable(sources, root_names=(), root_definitions=()):
+    """{(module, qualified name): line} of the definitions that the walk
+    from the roots does not reach.  sources maps a module's path inside the
+    package to its text; root_definitions are (module, qualified name)."""
+    units, by_name, todo = {}, defaultdict(list), list(root_definitions)
+    for rel, text in sources.items():
+        for qualname, name, reads, dunders, line in _units(text):
+            key = (rel, qualname or f"<line {line}>")
+            units[key] = (reads, [(rel, d) for d in dunders], line)
+            if name is None:
+                todo.append(key)
+            else:
+                by_name[name].append(key)
+    reached, seen = set(), set()
+    names = list(root_names)
+    while todo or names:
+        for name in names:
+            if name not in seen:
+                seen.add(name)
+                todo += by_name[name]
+        names = []
+        while todo:
+            key = todo.pop()
+            if key in reached or key not in units:
+                continue
+            reached.add(key)
+            reads, dunders, _ = units[key]
+            names += reads
+            todo += dunders
+    return {key: line for key, (_, _, line) in units.items()
+            if key not in reached and not _is_dunder(key[1].rsplit(".", 1)[-1])}
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer",
+                                                  ROOT / "bench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _roots():
+    names = set()
+    paths = sorted((ROOT / "bench").glob("*.py"))
+    for path in paths + [ROOT / "tests" / "test_acceptance.py"]:
+        names |= {name for name, _ in _name_tokens(path.read_text())}
+    definitions = {("cli.py", "main"), ("cli.py", "_Parser.error")}
+    for _, _, module, attr in _load_tracer().TRACED:
+        rel = "/".join(module.split(".")[1:]) + ".py"
+        definitions.add((rel, attr))
+        definitions.add((rel, attr.split(".")[0]))
+    return names, definitions
+
+
+SOURCES = {p.relative_to(PACKAGE).as_posix(): p.read_text() for p in MODULES}
+ROOT_NAMES, ROOT_DEFINITIONS = _roots()
+UNREACHABLE = unreachable(SOURCES, ROOT_NAMES, ROOT_DEFINITIONS | ALLOWLIST.keys())
 
 
 @pytest.mark.parametrize("directory", DIRS, ids=lambda d: d.name)
-def test_no_unreferenced_functions(directory):
-    unused = []
-    for path in sorted(directory.glob("*.py")):
-        rel = path.relative_to(PACKAGE).as_posix()
-        for qualname, node in _unreferenced(path):
-            if (rel, qualname) not in CALLED_BY_LIBRARY | TEST_OWNED.keys():
-                unused.append(f"{rel}:{node.lineno} {qualname}")
-    assert not unused, "unreferenced: " + ", ".join(unused)
+def test_no_unreachable_definitions(directory):
+    here = directory.relative_to(PACKAGE).as_posix()
+    found = sorted(f"{rel}:{line} {qualname}"
+                   for (rel, qualname), line in UNREACHABLE.items()
+                   if Path(rel).parent.as_posix() == here)
+    assert not found, "unreachable: " + ", ".join(found)
 
 
-def test_test_owned_entries_are_current():
-    """Each entry is still unreferenced in src/ and bench/, and its owner is
-    a test function of a file that names the definition."""
-    stale = set(TEST_OWNED)
-    for path in MODULES:
-        rel = path.relative_to(PACKAGE).as_posix()
-        stale -= {(rel, qualname) for qualname, _ in _unreferenced(path)}
-    assert not stale, "named in src/ or bench/, or gone: " + repr(sorted(stale))
-    for (rel, qualname), owner in TEST_OWNED.items():
+def test_allowlist_entries_are_current():
+    """At most two entries.  Each is unreachable without the list, its owner
+    is a test function of a file that names it, and its ROADMAP item is open
+    and names it."""
+    assert len(ALLOWLIST) <= 2
+    without = unreachable(SOURCES, ROOT_NAMES, ROOT_DEFINITIONS)
+    stale = [key for key in ALLOWLIST if key not in without]
+    assert not stale, "reached without the allowlist, or gone: " + repr(stale)
+    roadmap = (ROOT / "ROADMAP.md").read_text()
+    open_items = roadmap[roadmap.index("## Open items"):]
+    for (rel, qualname), (owner, item) in ALLOWLIST.items():
+        name = qualname.rsplit(".", 1)[-1]
         fname, test = owner.split("::")
         path = ROOT / "tests" / fname
         tree = ast.parse(path.read_text())
         assert any(isinstance(node, ast.FunctionDef) and node.name == test
                    for node in tree.body), owner
-        name = qualname.rsplit(".", 1)[-1]
-        assert name in {n for n, _ in _name_tokens(path)}, (owner, qualname)
+        assert name in {n for n, _ in _name_tokens(path.read_text())}, owner
+        entry = re.search(rf"^{item}\. \*\*.*?(?=^\d+\. \*\*|\Z)", open_items,
+                          re.MULTILINE | re.DOTALL)
+        assert entry and name in entry.group(0), (item, qualname)
+
+
+# -- the walk on a small package ---------------------------------------------------
+
+TOY = {
+    "cli.py": (
+        "from .core import Thing, helper\n"
+        "\n"
+        "def main():\n"
+        "    thing = Thing()\n"
+        "    return thing.used()\n"
+        "\n"
+        "def orphan():\n"
+        "    return helper()\n"),
+    "core.py": (
+        "class Thing:\n"
+        "    def __init__(self):\n"
+        "        self.x = 1\n"
+        "\n"
+        "    def used(self):\n"
+        "        return self.x\n"
+        "\n"
+        "    def unused(self):\n"
+        "        return 0\n"
+        "\n"
+        "def helper():\n"
+        "    return 1\n"),
+}
+TOY_UNREACHABLE = unreachable(TOY, root_definitions={("cli.py", "main")})
+
+
+def test_walk_reports_a_definition_nobody_calls():
+    assert ("cli.py", "orphan") in TOY_UNREACHABLE
+    # named only by an import and by the unreachable orphan
+    assert ("core.py", "helper") in TOY_UNREACHABLE
+
+
+def test_walk_follows_a_method_reached_through_an_attribute():
+    assert ("core.py", "Thing") not in TOY_UNREACHABLE
+    assert ("core.py", "Thing.used") not in TOY_UNREACHABLE
+
+
+def test_walk_reports_an_unused_method_of_a_live_class():
+    assert ("core.py", "Thing.unused") in TOY_UNREACHABLE
+    assert set(TOY_UNREACHABLE) == {("cli.py", "orphan"), ("core.py", "helper"),
+                                    ("core.py", "Thing.unused")}
+
+
+def test_walk_reports_a_function_added_to_the_package():
+    sources = dict(SOURCES)
+    sources["bounds.py"] += "\n\ndef _added():\n    return minkowski_bound(2)\n"
+    found = unreachable(sources, ROOT_NAMES, ROOT_DEFINITIONS | ALLOWLIST.keys())
+    assert set(found) - set(UNREACHABLE) == {("bounds.py", "_added")}
+
+
+# -- imports and the pivot guard ---------------------------------------------------
+
+
+TOKENS = {p: _name_tokens(p.read_text()) for p in MODULES}
 
 
 @pytest.mark.parametrize("directory", DIRS, ids=lambda d: d.name)

@@ -9,8 +9,7 @@ from pathlib import Path
 import pytest
 
 from isofilt.errors import InternalContradictionError, NotFiniteOrderError
-from isofilt.fixtures import (unramified, quaternion_rep, c4_k_rep,
-                              scalar_c2_rep)
+from isofilt.fixtures import unramified, c4_k_rep, scalar_c2_rep
 from isofilt.formats import group_from_json
 from isofilt.groups.constructions import cyclic
 from isofilt.groups.core import GroupRepresentation
@@ -22,7 +21,7 @@ from isofilt.padic import linalg as la
 from isofilt.padic.hensel import cyclotomic_int
 from isofilt.padic.scalar import sc_mul, sc_pow
 
-from oracles import rational_matmul, rational_rank
+from oracles import quaternion_rep, rational_matmul, rational_rank
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -176,7 +175,8 @@ def test_projectors_idempotent_commute_sum():
     assert sum(c.dim for c in comps) == 2
     for c in comps:
         img = la.mat_mul(sgn.mats[1], c.basis_cols)
-        assert la.subspace_equal(img, c.basis_cols)
+        assert la.subspace_leq(img, c.basis_cols)
+        assert la.subspace_leq(c.basis_cols, img)
 
 
 def test_dual_and_sum_keep_perturbation():

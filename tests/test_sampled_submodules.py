@@ -24,7 +24,7 @@ from isofilt.isocrystal.module import PhiModule
 from isofilt.isocrystal.slopes import isoclinic_decompose
 from isofilt.padic import linalg as la
 from isofilt.padic import scalar as sc
-from oracles import sampled_submodules_reference
+from oracles import base_change, sampled_submodules_reference
 
 N = 32
 FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -44,7 +44,7 @@ def _conjugated(field, diag, basis):
     n = len(diag)
     rows = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
     D = PhiModule.from_rational(field, rows)
-    return D.base_change(la.from_rows_of_fractions(field, basis))
+    return base_change(D, la.from_rows_of_fractions(field, basis))
 
 
 def _modules():
