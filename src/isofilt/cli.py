@@ -281,6 +281,11 @@ def _filtration_check(args) -> int:
                               f"is {mode!r}, expected {' or '.join(modes)}"
                               + ("" if sa.t_dim else " (no toric part)"))
     G, rep = formats.group_from_json(grp_doc, field, sa.module.n)
+    # every verdict below rests on rep being an action of G, so it is
+    # validated first, as find validates it; the relations are decided on
+    # the rows of G's generators, which suffice when their matrices (and the
+    # Frobenius and pairing) are integral, and on every element otherwise
+    _validate_action(rep, sa)
     ext = formats.extension_from_json(ext_doc, prec)
     setup = formats.setup_from_json(ext_doc, G, ext)
     F = formats.matrix_from_json(ext, F_doc)
@@ -354,7 +359,7 @@ def _wreath_demo(args) -> int:
         rep = wreath_block_rep(field, g)
         D = block_frobenius_module(field, g)
         J = standard_symplectic_gram(field, g)
-        rep.validate(phi_module=D, gram=J, table_mode="sample")
+        rep.validate(phi_module=D, gram=J)
         info["group_order"] = rep.group.n
         info["matches_two_part"] = rep.group.n == order
         info["symplectic_and_phi_checks"] = "passed"

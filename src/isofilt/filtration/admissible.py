@@ -26,7 +26,6 @@ from fractions import Fraction
 from ..errors import MultiplicityError
 from ..padic import linalg as la
 from ..isocrystal.module import PhiModule, SemiAbelianPhiModule
-from ..isocrystal.slopes import newton_slopes
 from ..isocrystal.submodules import submodules
 from .galois import lift_matrix
 
@@ -206,28 +205,20 @@ def quotient_filtration(sa: SemiAbelianPhiModule, F_cols_L, ext):
     return la.column_space_basis(coords)
 
 
-def _toric_slope(D: PhiModule, T_cols):
-    """The slope of T when T is phi-stable and isoclinic, else None."""
-    if not D.is_stable(T_cols):
-        return None
-    pairs = newton_slopes(D.submodule(T_cols)).pairs
-    return pairs[0][0] if len(pairs) == 1 else None
-
-
 def toric_extension_report(sa: SemiAbelianPhiModule, F_cols_L, ext,
                            seed: int = 0, budget: int = ADMISSIBILITY_BUDGET,
                            quotient: AdmissibilityReport | None = None
                            ) -> ExtensionReport:
     """The extension node for a module with a toric part (t > 0).
 
-    Certifies T's slope from its own Newton polygon (never from how sa was
-    built), T_L <= F, F_B = the image of F in D_B and rank F.  The quotient
+    Reads T's slope from ``sa.toric_slope()``, certified once per module
+    from T's own Newton polygon (never from how sa was built), and
+    certifies T_L <= F, F_B = the image of F in D_B and rank F.  The quotient
     node is exact on D_B, sampled with the given seed and budget only when
     D_B has a repeated slope; D_B = 0 (a pure torus) is admissible with its
     one submodule.  A caller that certified (D_B, F_B) already, as the
     driver has for the F_B it pulled back, passes that report as quotient.
     """
-    D = sa.module
     contained = la.subspace_leq(lift_matrix(ext, sa.toric_cols), F_cols_L)
     F_B = quotient_filtration(sa, F_cols_L, ext)
     if quotient is None:
@@ -237,5 +228,5 @@ def toric_extension_report(sa: SemiAbelianPhiModule, F_cols_L, ext,
         else:
             quotient = AdmissibilityReport(True, [(0, 0, Fraction(0))],
                                            "exact", 1, None, True)
-    return ExtensionReport(sa.t_dim, _toric_slope(D, sa.toric_cols),
-                           contained, _rank(F_cols_L), F_B, quotient)
+    return ExtensionReport(sa.t_dim, sa.toric_slope(), contained,
+                           _rank(F_cols_L), F_B, quotient)

@@ -35,6 +35,13 @@ same node.  ``adm_mode="sampled"`` samples the full D instead, as a
 cross-check.  Each piece is checked in the same mode, exact mode sampling
 only a piece whose slope repeats (``admissible_with_fallback``).  Every layer
 certifies its rank decisions at ``linalg.DEFAULT_GUARD``.
+
+The action is validated once, and every stability verdict is decided, on
+the rows of the group's generators (``GroupRepresentation.relation_rows``):
+a relation that holds for the generators holds for every word in them, at
+the relation threshold when the matrices multiplied are integral.  When a
+generator matrix is not integral, as an induced piece matrix need not be,
+every element is tested instead.
 """
 
 from __future__ import annotations
@@ -85,10 +92,6 @@ def induced_rep(rep: GroupRepresentation, cols) -> GroupRepresentation:
     return GroupRepresentation(rep.group, rep.field, mats, faithful=False)
 
 
-def restrict_gram(J, cols):
-    return la.mat_mul(la.transpose(cols), la.mat_mul(J, cols))
-
-
 def decompose_polarized(D: PhiModule, J, rep: GroupRepresentation):
     """Orthogonal, phi-stable, G-stable pieces with at most two slopes,
     each elementary over Q_p as a representation."""
@@ -132,7 +135,7 @@ def _split_block(D, J, rep, cols):
             chosen_cols = la.hstack(chosen_cols, comp.basis_cols)
         ambient = la.normalize_columns(la.mat_mul(current, chosen_cols),
                                        integral=True)
-        piece = _make_piece(D, J, rep, ambient, chosen)
+        piece = _make_piece(D, space, rep, ambient, chosen)
         _validate_piece(piece)
         out.append(piece)
         if len(chosen) == len(comps):
@@ -159,11 +162,11 @@ def _elementary_closure(rep_c, comps, field):
     return sorted(chosen)
 
 
-def _make_piece(D, J, rep, ambient, comps):
+def _make_piece(D, space, rep, ambient, comps):
     # ambient's columns are the bases of comps in order, each only scaled, so
     # the piece's representation keeps them as blocks of identity columns
     module = D.submodule(ambient)
-    gram = restrict_gram(J, ambient)
+    gram = space.pair_matrix(ambient, ambient)
     rep_p = induced_rep(rep, ambient)
     ident = la.identity(rep.field, len(ambient[0]))
     parts, start = [], 0
@@ -276,7 +279,8 @@ def supersingular_filtration(piece: PieceData, setup: GaloisSetup, seed: int,
 
 
 def _descended_symplectic(field, ext, J, B):
-    G = restrict_gram(lift_matrix(ext, J), B)
+    G = SymplecticSpace(ext, lift_matrix(ext, J),
+                        validate=False).pair_matrix(B, B)
     GK = la.mat_map(G, project_to_base)
     return SymplecticSpace(field, GK, validate=False)
 

@@ -9,13 +9,16 @@ and the one that holds is recorded.
 
 Diagonal stability of a filtration F over L means the linear and Galois
 orbits coincide: rho(h) F = tau_h F for every h.  It is certified with one
-rank of F and, per h, an n x n rank of rho(h) over K and one joint
-elimination of [rho(h) F | tau_h F] over L (see is_diagonally_stable).  The
-descent datum's targets are the same pairs (rho(h^-1), tau_{h^-1}), so one
-stability verdict answers both.  Invariant vectors are built
-by the averaging map v -> sum_h tau'_h(alpha) * (h . v) over a basis alpha of
-L/K; the L-span of the invariants recovers the whole space, which is checked
-by certified rank.
+rank of F and, per generator h, an n x n rank of rho(h) over K and one joint
+elimination of [rho(h) F | tau_h F] over L (see is_diagonally_stable).
+Generators suffice: if rho(a) F = tau_a F and rho(b) F = tau_b F, then
+rho(ab) F = rho(a) tau_b F = tau_b rho(a) F = tau_b tau_a F = tau_{ab} F,
+since rho(a) is K-rational and so commutes with tau_b applied entrywise, and
+the setup enforces tau_{ab} = tau_b o tau_a.  The descent datum's targets are
+the same pairs (rho(h^-1), tau_{h^-1}), so one stability verdict answers
+both.  Invariant vectors are built by the averaging map
+v -> sum_h tau'_h(alpha) * (h . v) over a basis alpha of L/K; the L-span of
+the invariants recovers the whole space, which is checked by certified rank.
 """
 
 from __future__ import annotations
@@ -93,21 +96,26 @@ def lift_matrix(ext, cols):
 
 def is_diagonally_stable(rep: GroupRepresentation, F_cols,
                          setup: GaloisSetup) -> bool:
-    """rho(h) F = tau_h F for all h, certified span equality over L.
+    """rho(h) F = tau_h F for all h, certified span equality over L, for a
+    validated action rep.
 
+    h runs over ``rep.relation_rows()``: the group's generators when their
+    matrices are integral, every element otherwise (the module docstring
+    gives the argument; a product relation certified at the relation
+    threshold keeps its digits along a word only for integral factors).
     r = rank F is certified once.  For each h, rank tau_h F = r because
     tau_h is a valuation-preserving automorphism of L applied entrywise, and
     rank rho(h) F = r whenever rho(h) is invertible, which an n x n rank
     over K certifies.  Two subspaces of dimension r are equal iff their sum
     has dimension r, so h passes iff rank [rho(h) F | tau_h F] = r: one
-    elimination over L instead of three.  A singular rho(h) (not a group
-    action) falls back to the rank of rho(h) F itself, so the verdict is
-    span equality, subspace_leq both ways, for every input.
+    elimination over L instead of three.  A singular rho(h) falls back to
+    the rank of rho(h) F itself, so each tested h gets span equality,
+    subspace_leq both ways.
     """
     ext = setup.ext
     n = rep.dim
     r = la.certified_rank(la.transpose(F_cols))
-    for x in range(setup.group.n):
+    for x in rep.relation_rows():
         rho = rep.mats[x]
         lin = la.mat_mul(lift_matrix(ext, rho), F_cols)
         if (la.certified_rank(rho) < n

@@ -8,6 +8,18 @@ validates the action axioms (respects the table, phi-commutes, preserves a
 pairing or a toric subspace, faithful when declared).  A representation's
 ``mats`` are never reassigned after construction, so ``groups.isotypic`` may
 keep its isotypic decomposition on it, in ``_isotypic``.
+
+Every relation of an action except faithfulness is decided on the rows of a
+generating set S (``FiniteGroup.generators``), not on every element.  The
+relations are rho(e) = I and rho(s) rho(b) = rho(sb) for s in S and every b;
+then, writing g = s_1...s_k, rho(gb) = rho(s_1)...rho(s_k) rho(b) =
+rho(g) rho(b).  Phi-commutation, the pairing and a stable toric part are
+closed under products, so S suffices for them too.  A relation certified at
+``linalg.relation_threshold`` keeps that threshold along a word only when
+the matrices multiplied are integral, so ``relation_rows`` gives every
+element when some rho(s), or the Frobenius or Gram matrix a relation
+multiplies by, has an entry of negative valuation: the same checks on a
+longer row list.
 """
 
 from __future__ import annotations
@@ -16,8 +28,7 @@ from math import gcd
 
 from ..errors import ValidationError
 from ..padic import linalg as la
-
-TABLE_SAMPLES = 512  # table pairs that validate(table_mode="sample") checks
+from ..padic import scalar as sc
 
 
 class FiniteGroup:
@@ -29,6 +40,7 @@ class FiniteGroup:
         self.inverse = self._find_inverses()
         self._classes = None
         self._orders = None
+        self._generators = None
         self.character_table = None  # set by groups.isotypic.get_character_table
 
     @classmethod
@@ -100,6 +112,32 @@ class FiniteGroup:
                 out.append(k)
             self._orders = out
         return self._orders
+
+    def generators(self):
+        """A generating set, greedy in element-index order: x joins it when
+        the earlier members do not generate x.  A group built by
+        ``from_generators`` lists its given generators first, so the set is
+        a subset of them; the trivial group has the empty set."""
+        if self._generators is None:
+            gens, reached = [], {self.identity}
+            for x in range(self.n):
+                if x not in reached:
+                    gens.append(x)
+                    reached = self._generated(gens)
+            self._generators = gens
+        return self._generators
+
+    def _generated(self, gens):
+        """The subgroup generated by gens, as a set of indices."""
+        reached, frontier = {self.identity}, [self.identity]
+        while frontier:
+            y = frontier.pop()
+            for s in gens:
+                z = self.table[y][s]
+                if z not in reached:
+                    reached.add(z)
+                    frontier.append(z)
+        return reached
 
     def exponent(self):
         e = 1
@@ -189,49 +227,60 @@ class GroupRepresentation:
 
     # -- validation ----------------------------------------------------------
 
-    def validate(self, phi_module=None, gram=None, toric_cols=None,
-                 table_mode: str = "full"):
-        """Check the action against the table (every product, or, with
-        table_mode="sample" and more than TABLE_SAMPLES pairs, that many
-        seeded ones), faithfulness when declared, and compatibility with the
-        given Frobenius, pairing and toric part."""
+    def relation_rows(self, *others):
+        """The elements whose rows decide a relation of the action: the
+        generating set S when every rho(s) and every matrix of others (None
+        entries skipped) is integral, every element otherwise (see the
+        module docstring)."""
+        S = self.group.generators()
+        mats = [self.mats[s] for s in S] + [m for m in others if m is not None]
+        if all(_integral(m) for m in mats):
+            return S
+        return range(self.group.n)
+
+    def validate(self, phi_module=None, gram=None, toric_cols=None):
+        """Check rho(e) = I, the table, faithfulness when declared, and
+        compatibility with the given Frobenius, pairing and toric part.
+
+        With s in relation_rows(A, gram), the table is checked at every
+        (s, b) and the Frobenius, pairing and toric part at every s;
+        faithfulness looks at every element."""
         thr = la.relation_threshold(self.field)
         G = self.group
-        if table_mode == "sample" and G.n * G.n > TABLE_SAMPLES:
-            import random
-            rng = random.Random(0xC0FFEE ^ G.n)
-            pairs = ((rng.randrange(G.n), rng.randrange(G.n))
-                     for _ in range(TABLE_SAMPLES))
-        else:
-            pairs = ((a, b) for a in range(G.n) for b in range(G.n))
-        for a, b in pairs:
-            if not la.mat_mul_sub_is_zero(self.mats[a], self.mats[b],
-                                          self.mats[G.table[a][b]], thr):
-                raise ValidationError(
-                    f"representation breaks the table at "
-                    f"({G.names[a]}, {G.names[b]})")
+        A = phi_module.A if phi_module is not None else None
+        rows = self.relation_rows(A, gram)
+        if not self._is_identity(G.identity, thr):
+            raise ValidationError(
+                f"identity {G.names[G.identity]} does not act as the identity")
+        for a in rows:
+            for b in range(G.n):
+                if not la.mat_mul_sub_is_zero(self.mats[a], self.mats[b],
+                                              self.mats[G.table[a][b]], thr):
+                    raise ValidationError(
+                        f"representation breaks the table at "
+                        f"({G.names[a]}, {G.names[b]})")
         if self.faithful:
             for a in range(G.n):
                 if a != G.identity and self._is_identity(a, thr):
                     raise ValidationError("declared faithful but kernel is nontrivial")
-        if phi_module is not None:
-            A = phi_module.A
-            for a in range(G.n):
+        if A is not None:
+            for a in rows:
                 rhs = la.mat_mul(A, la.mat_frobenius(self.mats[a]))
                 if not la.mat_mul_sub_is_zero(self.mats[a], A, rhs, thr):
                     raise ValidationError(
                         f"element {G.names[a]} does not phi-commute")
         if gram is not None:
-            for a in range(G.n):
+            for a in rows:
                 m = self.mats[a]
                 if not la.mat_mul_sub_is_zero(la.transpose(m),
                                               la.mat_mul(gram, m), gram, thr):
                     raise ValidationError(
                         f"element {G.names[a]} is not compatible with the pairing")
-        if toric_cols is not None and toric_cols and toric_cols[0]:
-            for a in range(G.n):
+        if rows and toric_cols and toric_cols[0]:
+            rank_t = la.certified_rank(la.transpose(toric_cols))
+            for a in rows:
                 img = la.mat_mul(self.mats[a], toric_cols)
-                if not la.subspace_leq(img, toric_cols):
+                if not la.subspace_leq(img, toric_cols, rank_t):
                     raise ValidationError(
                         f"element {G.names[a]} does not preserve the toric part")
         return True
@@ -250,6 +299,13 @@ class GroupRepresentation:
             if not la.mat_is_zero(la.mat_sub(m, scal), thr):
                 return False
         return True
+
+
+def _integral(m):
+    """No entry of m has negative valuation (an inexact zero counts by its
+    bound)."""
+    return all(x.kind == sc.ZERO or (x.w if x.kind == sc.REG else x.zw) >= 0
+               for row in m for x in row)
 
 
 def _dim_of(gen_mats):

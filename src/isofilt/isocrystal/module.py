@@ -159,6 +159,8 @@ class SemiAbelianPhiModule:
 
     toric_cols spans the phi-stable sub D_T; the complement columns chosen at
     validation give a section of the quotient D_B, on which gram_B lives.
+    The module, toric_cols and gram_B are never reassigned, so T's slope is
+    certified once and kept in ``_toric_slope`` (see toric_slope).
     """
 
     def __init__(self, module: PhiModule, toric_cols, gram_B,
@@ -171,6 +173,7 @@ class SemiAbelianPhiModule:
         if lambda_T is None and self.t_dim:
             lambda_T = la.identity(F, self.t_dim)
         self.lambda_T = lambda_T
+        self._toric_slope = None  # (slope or None,), set by toric_slope
         self._build_section()
         if validate:
             self._validate()
@@ -205,17 +208,30 @@ class SemiAbelianPhiModule:
 
     def _validate(self):
         D = self.module
-        F = D.field
         if self.t_dim:
-            if not D.is_stable(self.toric_cols):
-                raise ValidationError("toric part is not phi-stable")
-            from .slopes import newton_slopes
-            prof = newton_slopes(D.submodule(self.toric_cols))
-            if prof.pairs != ((Fraction(1), self.t_dim),):
-                raise ValidationError("toric part is not pure of slope 1")
+            if self.toric_slope() != 1:
+                raise ValidationError(
+                    "toric part is not phi-stable"
+                    if not D.is_stable(self.toric_cols)
+                    else "toric part is not pure of slope 1")
             la.det_valuation(self.lambda_T)
         if self.B_dim:
             PolarizedPhiModule(self.quotient_module(), self.gram_B)
+
+    def toric_slope(self):
+        """T's slope when T is phi-stable and isoclinic, else None: certified
+        from T's own Newton polygon, never from how the module was built, and
+        once per module."""
+        if self._toric_slope is None:
+            slope = None
+            D = self.module
+            if D.is_stable(self.toric_cols):
+                from .slopes import newton_slopes
+                pairs = newton_slopes(D.submodule(self.toric_cols)).pairs
+                if len(pairs) == 1:
+                    slope = pairs[0][0]
+            self._toric_slope = (slope,)
+        return self._toric_slope[0]
 
     def quotient_frobenius(self):
         """Frobenius induced on D_B in the section basis."""

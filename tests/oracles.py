@@ -17,6 +17,8 @@ its vertices, root valuations and PrecisionError messages.
 The last section holds what only tests use of the library's own kind:
 ``base_change`` (a phi-module in another basis), ``verify_invariant`` (the
 diagonal-action invariance that ``galois_descend`` promises),
+``validate_all_pairs`` (the action checked on every pair of elements, which
+pins ``GroupRepresentation.validate`` on generator rows),
 ``orthogonality_check`` (first orthogonality of a character table, exact
 over the cyclotomic integers) and the ``quaternion_rep`` fixture.
 """
@@ -512,6 +514,47 @@ def verify_invariant(rep, setup, cols) -> bool:
                            setup.gal_apply_name(name, cols))
         if la.zero_status(la.mat_sub(moved, cols), thr) == "nonzero":
             return False
+    return True
+
+
+def validate_all_pairs(rep, phi_module=None, gram=None, toric_cols=None):
+    """The action checked element by element: the table on all |G|^2
+    products, faithfulness when declared, and phi-commutation, the pairing
+    and the toric part for every element.  Raises ValidationError naming
+    the first failure; True otherwise."""
+    from isofilt.errors import ValidationError
+    from isofilt.padic import linalg as la
+    thr = la.relation_threshold(rep.field)
+    G, mats = rep.group, rep.mats
+    ident = la.identity(rep.field, rep.dim)
+    for a in range(G.n):
+        for b in range(G.n):
+            if not la.mat_mul_sub_is_zero(mats[a], mats[b],
+                                          mats[G.table[a][b]], thr):
+                raise ValidationError(f"representation breaks the table at "
+                                      f"({G.names[a]}, {G.names[b]})")
+    if rep.faithful:
+        for a in range(G.n):
+            if a != G.identity and la.mat_is_zero(la.mat_sub(mats[a], ident),
+                                                  thr):
+                raise ValidationError("declared faithful but kernel is "
+                                      "nontrivial")
+    for a in range(G.n):
+        m = mats[a]
+        if phi_module is not None:
+            A = phi_module.A
+            rhs = la.mat_mul(A, la.mat_frobenius(m))
+            if not la.mat_mul_sub_is_zero(m, A, rhs, thr):
+                raise ValidationError(f"element {G.names[a]} does not "
+                                      f"phi-commute")
+        if gram is not None and not la.mat_mul_sub_is_zero(
+                la.transpose(m), la.mat_mul(gram, m), gram, thr):
+            raise ValidationError(f"element {G.names[a]} is not compatible "
+                                  f"with the pairing")
+        if toric_cols and toric_cols[0] and not la.subspace_leq(
+                la.mat_mul(m, toric_cols), toric_cols):
+            raise ValidationError(f"element {G.names[a]} does not preserve "
+                                  f"the toric part")
     return True
 
 

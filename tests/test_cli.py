@@ -380,9 +380,9 @@ def test_misshapen_module_exits_2_without_traceback(tmp_path, name, path, value)
 def test_check_rejects_a_zero_generator(tmp_path, capsys):
     # a certificate whose group matrix m is zero, resealed with a correct
     # digest: the group loader rejects the singular matrix and names it.  An
-    # invertible m that moves F (the swap of e1 and e2) gets past the loader,
-    # so only the stability re-verification can reject it, and it names the
-    # descent targets, which test the same pairs, as well
+    # invertible m that moves F (the swap of e1 and e2) gets past the loader
+    # and respects the table, but check validates the action before any
+    # verdict, and the swap does not commute with the Frobenius
     cert = tmp_path / "cert.json"
     code, _, _ = run(capsys, "filtration", "find", "--module", fx("ss2.json"),
                      "--group", fx("c2_scalar_dim2.json"),
@@ -391,7 +391,7 @@ def test_check_rejects_a_zero_generator(tmp_path, capsys):
     assert code == 0
     found = cert.read_text()
     for m, named in (([["0", "0"], ["0", "0"]], ["rep matrix 'm' is singular"]),
-                     ([["0", "1"], ["1", "0"]], ["diagonal-stability", "descent-targets"])):
+                     ([["0", "1"], ["1", "0"]], ["element m does not phi-commute"])):
         doc = json.loads(found)
         doc["inputs"]["group"]["rep"]["m"] = m
         doc["digest"] = formats.certificate_digest(doc)
@@ -399,6 +399,26 @@ def test_check_rejects_a_zero_generator(tmp_path, capsys):
         code, _, err = run(capsys, "filtration", "check", str(cert))
         assert code == 2
         assert all(text in err for text in named), err
+
+
+def test_check_rejects_an_action_that_breaks_the_table(tmp_path, capsys):
+    # m = 3 I commutes with everything and moves no subspace, so every
+    # verdict on F would pass; check validates the action first, and
+    # (3 I)(3 I) = 9 I is not rho(m m) = rho(e) = I
+    cert = tmp_path / "cert.json"
+    code, _, _ = run(capsys, "filtration", "find", "--module", fx("ss2.json"),
+                     "--group", fx("c2_scalar_dim2.json"),
+                     "--extension", fx("ext_sqrt2_c2.json"), "--seed", "1",
+                     "--out", str(cert))
+    assert code == 0
+    doc = json.loads(cert.read_text())
+    doc["inputs"]["group"]["rep"]["m"] = [["3", "0"], ["0", "3"]]
+    doc["input_digests"]["group"] = formats.digest(doc["inputs"]["group"])
+    doc["digest"] = formats.certificate_digest(doc)
+    cert.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "filtration", "check", str(cert))
+    assert code == 2
+    assert "representation breaks the table at (m, m)" in err, err
 
 
 def _drop(*path):

@@ -35,7 +35,7 @@ from isofilt.cli import main as cli_main
 from isofilt.isocrystal import submodules as submodules_mod
 from isofilt.groups import isotypic as isotypic_mod
 from oracles import (rational_rank, rational_intersection_dim, base_change,
-                     verify_invariant)
+                     validate_all_pairs, verify_invariant)
 
 N = 48
 
@@ -146,9 +146,9 @@ def _problem(triple, prec=32):
 
 @lru_cache(maxsize=None)
 def _stability_problem(name):
-    """(rep, setup, B) with B a basis of diagonal-action invariants."""
-    _, rep, setup = _problem(STABILITY_PROBLEMS[name])
-    return rep, setup, galois_descend(rep, setup)
+    """(sa, rep, setup, B) with B a basis of diagonal-action invariants."""
+    sa, rep, setup = _problem(STABILITY_PROBLEMS[name])
+    return sa, rep, setup, galois_descend(rep, setup)
 
 
 def _stable_by_definition(rep, F, setup):
@@ -168,8 +168,10 @@ def _stable_by_definition(rep, F, setup):
 def test_stability_matches_its_definition(name, data):
     # stable F (invariant combinations), random F over L, and random F under
     # a broken "representation" whose matrix for one element is an arbitrary,
-    # possibly singular, integer matrix
-    rep, setup, B = _stability_problem(name)
+    # possibly singular, integer matrix.  is_diagonally_stable takes a
+    # validated action: validate rejects the broken one exactly when the
+    # all-pairs reference does, and only an action that passes is tested
+    sa, rep, setup, B = _stability_problem(name)
     ext, field, n = setup.ext, rep.field, rep.dim
     small = st.integers(-3, 3)
     k = data.draw(st.integers(1, n), label="columns")
@@ -189,6 +191,14 @@ def test_stability_matches_its_definition(name, data):
         mats[x] = [[field.scalar(data.draw(small)) for _ in range(n)]
                    for _ in range(n)]
         rep = GroupRepresentation(rep.group, field, mats, faithful=False)
+        action = dict(phi_module=sa.module, gram=sa.gram_B)
+        try:
+            rep.validate(**action)
+        except ValidationError:
+            with pytest.raises(ValidationError):
+                validate_all_pairs(rep, **action)
+            return
+        assert validate_all_pairs(rep, **action)
     verdict = is_diagonally_stable(rep, F, setup)
     assert verdict == _stable_by_definition(rep, F, setup)
     if kind == "stable":
@@ -640,6 +650,46 @@ def test_ramified_find_decides_each_fact_once(tmp_path, capsys, monkeypatch,
         assert names.count("is_diagonally_stable") == 1
         assert "lagrangian_h_small_intersection" not in names
     capsys.readouterr()
+
+
+def test_c4_find_decides_the_action_on_its_generator(tmp_path, capsys,
+                                                     monkeypatch):
+    # C4 is generated by g1: validate checks its row of the table, |S| |G| =
+    # 4 products of 16, and stability costs one rank of F and one joint
+    # elimination over L for g1, 1 + |S| = 2 eliminations instead of 5
+    products, over_L = [], []
+    relation, row_reduce = la.mat_mul_sub_is_zero, la.certified_row_reduce
+    validate = GroupRepresentation.validate
+    stable = driver_mod.is_diagonally_stable
+
+    def spy_validate(rep, *args, **kwargs):
+        mats = {id(m) for m in rep.mats}
+
+        def spy_relation(a, b, c, min_bound):
+            if id(a) in mats and id(b) in mats:
+                products.append((id(a), id(b)))
+            return relation(a, b, c, min_bound)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(la, "mat_mul_sub_is_zero", spy_relation)
+            return validate(rep, *args, **kwargs)
+
+    def spy_stable(rep, F, setup):
+        def spy_row_reduce(m, *args, **kwargs):
+            if m and m[0] and m[0][0].field is setup.ext:
+                over_L.append(len(m))
+            return row_reduce(m, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(la, "certified_row_reduce", spy_row_reduce)
+            return stable(rep, F, setup)
+
+    monkeypatch.setattr(GroupRepresentation, "validate", spy_validate)
+    monkeypatch.setattr(driver_mod, "is_diagonally_stable", spy_stable)
+    _find(tmp_path, STABILITY_PROBLEMS["c4"], 1)
+    capsys.readouterr()
+    assert len(products) == 4 == len(set(products))
+    assert len(over_L) == 2
 
 
 def _kummer_c3_problem():

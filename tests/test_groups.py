@@ -6,6 +6,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isofilt.errors import ValidationError
 from isofilt.fixtures import (unramified, quaternion_pair, wreath_block_rep,
@@ -18,8 +19,8 @@ from isofilt.groups.core import FiniteGroup, GroupRepresentation
 from isofilt.groups.isotypic import _embedding_for, get_character_table
 from isofilt.isocrystal.module import standard_symplectic_gram
 from isofilt.padic import UnramifiedFieldDescriptor, linalg as la
-from isofilt.padic.scalar import REG, sc_add, sc_mul, sc_zero
-from oracles import orthogonality_check, quaternion_rep
+from isofilt.padic.scalar import REG, sc_add, sc_izero, sc_mul, sc_zero
+from oracles import orthogonality_check, quaternion_rep, validate_all_pairs
 
 
 def center_size(G):
@@ -139,7 +140,7 @@ def test_wreath_block_rep_g2():
     rep = wreath_block_rep(Q4, 2)
     D = block_frobenius_module(Q4, 2)
     J = standard_symplectic_gram(Q4, 2)
-    assert rep.validate(phi_module=D, gram=J, table_mode="sample")
+    assert rep.validate(phi_module=D, gram=J)
     assert rep.group.n == 128
 
 
@@ -166,22 +167,128 @@ def _table_products(monkeypatch, run):
     return pairs
 
 
-def test_sampled_table_check_covers_a_small_group_once(monkeypatch, capsys):
-    # Q8 has 64 pairs, fewer than the 512 samples: each is checked once
+def test_table_check_covers_each_generator_row_once(monkeypatch, capsys):
+    # greedy in index order, Q8 = {1, -1, i, -i, j, ...} takes -1, i and j:
+    # 3 x 8 products of 64
     from isofilt.cli import main
     pairs = _table_products(
         monkeypatch, lambda: main(["wreath-demo", "--g", "1", "--json"]))
-    assert len(pairs) == 64 and set(pairs) == {(a, b) for a in range(8)
-                                               for b in range(8)}
+    assert quaternion().generators() == [1, 2, 4]
+    assert len(pairs) == 24
+    assert set(pairs) == {(s, b) for s in (1, 2, 4) for b in range(8)}
     assert '"group_order": 8' in capsys.readouterr().out
 
 
-def test_sampled_table_check_samples_a_large_group(monkeypatch):
+def test_table_check_covers_each_generator_row_once_g2(monkeypatch):
     Q4 = unramified(2, 2, 24)
     rep = wreath_block_rep(Q4, 2)
-    pairs = _table_products(
-        monkeypatch, lambda: rep.validate(table_mode="sample"))
-    assert rep.group.n ** 2 > 512 and len(pairs) == 512
+    pairs = _table_products(monkeypatch, lambda: rep.validate())
+    # i and j at each of the two positions, and the swap
+    assert rep.group.generators() == [0, 1, 2, 3, 4]
+    assert len(pairs) == 5 * 128
+    assert set(pairs) == {(s, b) for s in range(5) for b in range(128)}
+
+
+def test_non_integral_generators_take_every_row(monkeypatch):
+    # Q8 conjugated by P = diag(2, 1): the generator matrices get entries of
+    # valuation -1, so a relation certified on them need not hold to the
+    # relation threshold along a word, and every element is a row
+    Q4 = unramified(2, 2, 24)
+    rep = quaternion_rep(Q4)
+    P = la.from_rows_of_fractions(Q4, [[2, 0], [0, 1]])
+    P_inv = la.from_rows_of_fractions(Q4, [[Fraction(1, 2), 0], [0, 1]])
+    conj = GroupRepresentation(rep.group, Q4,
+                               [la.mat_mul(P, la.mat_mul(m, P_inv))
+                                for m in rep.mats])
+    assert list(rep.relation_rows()) == rep.group.generators()
+    assert list(conj.relation_rows()) == list(range(8))
+    pairs = _table_products(monkeypatch, lambda: conj.validate())
+    assert sorted(pairs) == [(a, b) for a in range(8) for b in range(8)]
+
+
+def _generated(G, gens):
+    reached, frontier = {G.identity}, [G.identity]
+    while frontier:
+        y = frontier.pop()
+        for s in gens:
+            if G.table[y][s] not in reached:
+                reached.add(G.table[y][s])
+                frontier.append(G.table[y][s])
+    return reached
+
+
+def test_generators_are_greedy_in_index_order():
+    for label, G in all_groups_up_to_16():
+        S = G.generators()
+        assert _generated(G, S) == set(range(G.n)), label
+        for x in range(G.n):
+            # x is taken exactly when the members before it miss it
+            earlier = [s for s in S if s < x]
+            assert (x in S) == (x not in _generated(G, earlier)), label
+    assert cyclic(1).generators() == []
+
+
+def test_generators_of_a_closure_are_given_generators():
+    # S4 from a 4-cycle, its square (redundant) and a transposition
+    def mul(a, b):
+        return tuple(a[i] for i in b)
+
+    gens = [(1, 2, 3, 0), (2, 3, 0, 1), (1, 0, 2, 3)]
+    G = FiniteGroup.from_generators(gens, mul)
+    assert G.n == 24
+    assert G.generators() == [0, 2]
+
+
+def _regular_rep(G, field):
+    """G acting on field^n by permuting the basis: rho(g) e_b = e_gb."""
+    one, zero = field.one(), field.zero()
+    return [[[one if G.table[g][b] == a else zero for b in range(G.n)]
+             for a in range(G.n)] for g in range(G.n)]
+
+
+GROUPS_UP_TO_16 = all_groups_up_to_16()
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_generator_rows_reject_exactly_when_all_pairs_do(data):
+    # perturb rho(x) by p^k E or O(p^k) E for a random element x, generator
+    # or not, in the regular representation, conjugated by diag(p^-c, 1,
+    # ...) so that c > 0 makes it non-integral: validate on generator rows
+    # and the all-pairs reference must agree
+    Q2 = unramified(2, 1, 12)
+    label, G = data.draw(st.sampled_from(GROUPS_UP_TO_16), label="group")
+    mats = _regular_rep(G, Q2)
+    c = data.draw(st.integers(0, 2), label="c")
+    if c:
+        P, P_inv = la.identity(Q2, G.n), la.identity(Q2, G.n)
+        P[0][0] = Q2.scalar(Fraction(1, 2 ** c))
+        P_inv[0][0] = Q2.scalar(2 ** c)
+        mats = [la.mat_mul(P, la.mat_mul(m, P_inv)) for m in mats]
+    x = data.draw(st.integers(0, G.n - 1), label="element")
+    k = data.draw(st.integers(3, 9), label="k")
+    # an exact p^k is a certified nonzero error at any k; an inexact
+    # O(p^k) passes the relation threshold (6 at precision 12) when k >= 6
+    cells = data.draw(st.lists(st.tuples(st.integers(0, G.n - 1),
+                                         st.integers(0, G.n - 1),
+                                         st.sampled_from([-1, 1, None])),
+                               max_size=3), label="cells")
+    m = [list(row) for row in mats[x]]
+    for i, j, sign in cells:
+        err = sc_izero(Q2, k) if sign is None else Q2.scalar(sign * 2 ** k)
+        m[i][j] = sc_add(m[i][j], err)
+    mats[x] = m
+    rep = GroupRepresentation(G, Q2, mats)
+
+    def rejects(check):
+        try:
+            check(rep)
+        except ValidationError:
+            return True
+        return False
+
+    assert (rejects(GroupRepresentation.validate)
+            == rejects(validate_all_pairs)), (label, c, x, k, cells)
 
 
 def test_is_scalar_image():
