@@ -23,11 +23,13 @@ of the construction; searches are seeded and budgeted, and the emitted
 descent datum is the family f_h = rho(h^{-1}) whose cocycle law is an exact
 consequence of the multiplication table.  Its targets f_h F = h.gal F are the
 pairs that diagonal stability tests, so the stability verdict is reused for
-them.  A glue of two or more pieces is re-verified as Lagrangian and stable;
-a single piece's verdicts are F_B's.  With no toric part the pull-back is the
-identity: F is the glued F_B entry for entry, and F_B's admissibility report
-and stability verdict are F's.  With a toric part T, F = T + section(F_B),
-and its admissibility is the extension node of
+them.  A glue of two or more pieces is re-verified.  A single piece is D_B
+in the basis ambient, with D_B's split (``PhiModule.submodule``) and, for one
+isotypic component, its block's action; its verdicts are F_B's, admissibility
+included when exact, as an exact ledger is basis-independent.  With no toric
+part the pull-back is the identity: F is the glued F_B entry for entry, and
+F_B's admissibility report and stability verdict are F's.  With a toric part
+T, F = T + section(F_B), and its admissibility is the extension node of
 ``admissible.toric_extension_report``: T has pure slope 1 and lies in F, and
 the node reuses the report just certified for (D_B, F_B), so no submodule of
 the full D is enumerated.  A pure torus (D_B = 0) takes F = D through the
@@ -85,10 +87,7 @@ class PieceData:
 
 
 def induced_rep(rep: GroupRepresentation, cols) -> GroupRepresentation:
-    mats = []
-    for x in range(rep.group.n):
-        img = la.mat_mul(rep.mats[x], cols)
-        mats.append(la.solve_right(cols, img))
+    mats = [la.solve_right(cols, la.mat_mul(m, cols)) for m in rep.mats]
     return GroupRepresentation(rep.group, rep.field, mats, faithful=False)
 
 
@@ -135,7 +134,9 @@ def _split_block(D, J, rep, cols):
             chosen_cols = la.hstack(chosen_cols, comp.basis_cols)
         ambient = la.normalize_columns(la.mat_mul(current, chosen_cols),
                                        integral=True)
-        piece = _make_piece(D, space, rep, ambient, chosen)
+        # a lone isotypic component has projector I: rep_c acts on ambient
+        rep_p = rep_c if len(comps) == 1 else induced_rep(rep, ambient)
+        piece = _make_piece(D, space, rep_p, ambient, chosen)
         _validate_piece(piece)
         out.append(piece)
         if len(chosen) == len(comps):
@@ -162,13 +163,12 @@ def _elementary_closure(rep_c, comps, field):
     return sorted(chosen)
 
 
-def _make_piece(D, space, rep, ambient, comps):
+def _make_piece(D, space, rep_p, ambient, comps):
     # ambient's columns are the bases of comps in order, each only scaled, so
-    # the piece's representation keeps them as blocks of identity columns
+    # the piece's representation rep_p keeps them as blocks of identity columns
     module = D.submodule(ambient)
     gram = space.pair_matrix(ambient, ambient)
-    rep_p = induced_rep(rep, ambient)
-    ident = la.identity(rep.field, len(ambient[0]))
+    ident = la.identity(rep_p.field, len(ambient[0]))
     parts, start = [], 0
     for c in comps:
         cols = [row[start:start + c.dim] for row in ident]
@@ -359,8 +359,9 @@ def find_admissible_stable_filtration(sa: SemiAbelianPhiModule,
     A single piece's F_B is ambient F, with ambient invertible, K-rational
     (so fixed by the Galois action) and carrying the piece's pairing and
     action to D_B's; F_B inherits F's Lagrangian and stability verdicts, and
-    only a glue of two or more pieces re-verifies them.  F_B's admissibility
-    is always re-decided, as the certificate records its ledger."""
+    only a glue of two or more pieces re-verifies them.  An exact ledger of
+    dim N, t_H and t_N is basis-independent, so F's exact report is F_B's; a
+    sampled one depends on the basis and the seed and is re-decided."""
     D = sa.module
     field = D.field
     ext = setup.ext
@@ -412,8 +413,10 @@ def find_admissible_stable_filtration(sa: SemiAbelianPhiModule,
         spaceB = SymplecticSpace(ext, lift_matrix(ext, sa.gram_B),
                                  validate=False)
         LagrangianSubspace(spaceB, FB, validate=True)
-    reportB = admissible_with_fallback(DB, FB, ext, adm_mode, seed,
-                                       ADMISSIBILITY_BUDGET)
+    reportB = piece_results[0][1]["admissibility"]
+    if glued or reportB.mode != "exact":
+        reportB = admissible_with_fallback(DB, FB, ext, adm_mode, seed,
+                                           ADMISSIBILITY_BUDGET)
     if not reportB.verdict:
         raise InternalContradictionError("glued quotient filtration failed "
                                          "admissibility re-verification")

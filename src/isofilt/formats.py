@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from fractions import Fraction
 
 from .bounds import is_prime
@@ -207,27 +208,49 @@ def module_from_json(doc, prec_override=None):
 
 
 def _rational_and_singular(doc) -> bool:
-    """True when doc is a square matrix of rational numbers with determinant
-    zero, decided exactly over Q; False for anything else, which the p-adic
-    path validates (and certifies invertible) on its own."""
+    """True when doc is a square rational matrix of determinant zero (rows
+    cleared of denominators, Bareiss elimination over Z); False for anything
+    else, which the p-adic path validates (and certifies invertible)."""
     if not isinstance(doc, list) or not all(
             isinstance(row, list) and len(row) == len(doc)
             and all(isinstance(x, (str, int, float)) for x in row)
             for row in doc):
         return False
     try:
-        m = [[Fraction(x) for x in row] for row in doc]
+        pairs = [[_integer_pair(x) for x in row] for row in doc]
     except (ValueError, ZeroDivisionError, OverflowError):
         return False
+    m = []
+    for row in pairs:
+        lcm = math.lcm(*(d for _, d in row))
+        m.append([a * (lcm // d) for a, d in row])
+    prev = 1
     for c in range(len(m)):
         pivot = next((r for r in range(c, len(m)) if m[r][c]), None)
         if pivot is None:
             return True
         m[c], m[pivot] = m[pivot], m[c]
+        top, piv = m[c], m[c][c]
         for r in range(c + 1, len(m)):
-            f = m[r][c] / m[c][c]
-            m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+            f = m[r][c]
+            m[r] = [(piv * a - f * b) // prev for a, b in zip(m[r], top)]
+        prev = piv
     return False
+
+
+_INTEGER_RATIO = re.compile(r"([+-]?\d+)(?:/(\d+))?", re.ASCII)
+
+
+def _integer_pair(x):
+    """(numerator, denominator > 0) of x, or Fraction(x)'s error: int reads
+    an int, "a" or "a/b", Fraction the rest (floats, decimals, b = 0)."""
+    if isinstance(x, int):
+        return x, 1
+    match = _INTEGER_RATIO.fullmatch(x) if isinstance(x, str) else None
+    if match and int(match[2] or 1):
+        return int(match[1]), int(match[2] or 1)
+    q = Fraction(x)
+    return q.numerator, q.denominator
 
 
 def module_to_json(sa: SemiAbelianPhiModule) -> dict:

@@ -13,13 +13,13 @@ Every relation of an action except faithfulness is decided on the rows of a
 generating set S (``FiniteGroup.generators``), not on every element.  The
 relations are rho(e) = I and rho(s) rho(b) = rho(sb) for s in S and every b;
 then, writing g = s_1...s_k, rho(gb) = rho(s_1)...rho(s_k) rho(b) =
-rho(g) rho(b).  Phi-commutation, the pairing and a stable toric part are
-closed under products, so S suffices for them too.  A relation certified at
-``linalg.relation_threshold`` keeps that threshold along a word only when
-the matrices multiplied are integral, so ``relation_rows`` gives every
-element when some rho(s), or the Frobenius or Gram matrix a relation
-multiplies by, has an entry of negative valuation: the same checks on a
-longer row list.
+rho(g) rho(b).  Phi-commutation, the pairing, a stable toric part and
+scalar images are closed under products, so S suffices for them too.  A
+relation certified at ``linalg.relation_threshold`` keeps that threshold
+along a word only when the matrices multiplied are integral, so
+``relation_rows`` gives every element when some rho(s), or the Frobenius or
+Gram matrix a relation multiplies by, has an entry of negative valuation:
+the same checks on a longer row list.
 """
 
 from __future__ import annotations
@@ -245,11 +245,11 @@ class GroupRepresentation:
         With s in relation_rows(A, gram), the table is checked at every
         (s, b) and the Frobenius, pairing and toric part at every s;
         faithfulness looks at every element."""
-        thr = la.relation_threshold(self.field)
+        thr, one = la.relation_threshold(self.field), self.field.one()
         G = self.group
         A = phi_module.A if phi_module is not None else None
         rows = self.relation_rows(A, gram)
-        if not self._is_identity(G.identity, thr):
+        if not _is_homothety(self.mats[G.identity], one, thr):
             raise ValidationError(
                 f"identity {G.names[G.identity]} does not act as the identity")
         for a in rows:
@@ -261,7 +261,7 @@ class GroupRepresentation:
                         f"({G.names[a]}, {G.names[b]})")
         if self.faithful:
             for a in range(G.n):
-                if a != G.identity and self._is_identity(a, thr):
+                if a != G.identity and _is_homothety(self.mats[a], one, thr):
                     raise ValidationError("declared faithful but kernel is nontrivial")
         if A is not None:
             for a in rows:
@@ -285,20 +285,18 @@ class GroupRepresentation:
                         f"element {G.names[a]} does not preserve the toric part")
         return True
 
-    def _is_identity(self, a, thr):
-        ident = la.identity(self.field, self.dim)
-        return la.mat_is_zero(la.mat_sub(self.mats[a], ident), thr)
-
     def is_scalar_image(self) -> bool:
-        """True when every element acts by a scalar matrix."""
+        """True when every element acts by a scalar, decided on the rows of
+        relation_rows() (see the module docstring)."""
         thr = la.relation_threshold(self.field)
-        for a in range(self.group.n):
-            m = self.mats[a]
-            lead = m[0][0]
-            scal = la.mat_scalar(lead, la.identity(self.field, self.dim))
-            if not la.mat_is_zero(la.mat_sub(m, scal), thr):
-                return False
-        return True
+        return all(_is_homothety(self.mats[a], self.mats[a][0][0], thr)
+                   for a in self.relation_rows())
+
+
+def _is_homothety(m, c, thr):
+    """m - c I vanishes to thr: one Scalar difference per diagonal entry."""
+    return all(sc.sc_certified_zero(sc.sc_sub(x, c) if i == j else x, thr)
+               for i, row in enumerate(m) for j, x in enumerate(row))
 
 
 def _integral(m):

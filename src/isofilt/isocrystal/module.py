@@ -12,7 +12,7 @@ the sign, only on the twist by p).
 
 A PhiModule's ``A`` and ``field`` are never mutated after construction (every
 operation returns a new module), so ``slopes`` may keep a module's slope data
-on it, in ``_charpoly``, ``_slopes`` and ``_isoclinic``.
+on it, in ``_charpoly``, ``_slopes`` and ``_isoclinic`` (see submodule).
 """
 
 from __future__ import annotations
@@ -96,15 +96,33 @@ class PhiModule:
         img = self.apply_phi(basis_cols)
         return la.subspace_leq(img, basis_cols, rank)
 
-    def restricted_frobenius(self, basis_cols):
-        """Matrix C with A sigma(N) = N C for a phi-stable N; the Frobenius of
-        the submodule in the given basis."""
-        img = self.apply_phi(basis_cols)
-        return la.solve_right(basis_cols, img)
-
     def submodule(self, basis_cols) -> "PhiModule":
-        C = self.restricted_frobenius(basis_cols)
-        return PhiModule(self.field, C, validate=False)
+        """The phi-stable span N of basis_cols, with A sigma(N) = N C.  A
+        square N = P is D in another basis: the profile and the split stored
+        on D pass on, as P^-1 A sigma(P) keeps slopes, stability, independence
+        and bounds slope * dim; the components P^-1 C_i come from the one
+        elimination [P | A sigma(P) | C_1 ... C_k] that gives C, whose n pivots
+        in P's columns certify P invertible (one slope: the identity)."""
+        n, comps, img = self.n, self._isoclinic, self.apply_phi(basis_cols)
+        if comps is None or len(basis_cols[0]) != n:
+            return PhiModule(self.field, la.solve_right(basis_cols, img),
+                             validate=False)
+        more = comps if len(comps) > 1 else []
+        ech, pivots, _ = la.certified_row_reduce(
+            [P + a + [x for _, c in more for x in c[i]]
+             for i, (P, a) in enumerate(zip(basis_cols, img))])
+        if pivots[:n] != list(range(n)):
+            raise ValidationError("basis not certified invertible")
+        sub = PhiModule(self.field, [row[n:2 * n] for row in ech],
+                        validate=False)
+        split, start = [], 2 * n
+        for slope, cols in more:
+            end = start + len(cols[0])
+            split.append((slope, [row[start:end] for row in ech]))
+            start = end
+        sub._slopes = self._slopes
+        sub._isoclinic = split or [(comps[0][0], la.identity(self.field, n))]
+        return sub
 
 
 def standard_symplectic_gram(field, g: int):
@@ -186,7 +204,6 @@ class SemiAbelianPhiModule:
         if t == 0:
             self.section_cols = la.identity(F, n)
             self.B_dim = n
-            self.full_basis = la.identity(F, n)
             self.full_inv = la.identity(F, n)
             return
         # complete toric basis with standard vectors to a full basis
@@ -202,9 +219,9 @@ class SemiAbelianPhiModule:
             raise ValidationError("could not complete toric basis")
         self.section_cols = _std_cols(F, n, chosen)
         self.B_dim = n - t
-        # full basis matrix [T | S] and its inverse for projections
-        self.full_basis = la.hstack(self.toric_cols, self.section_cols)
-        self.full_inv = la.mat_inverse(self.full_basis)
+        # the inverse of the full basis [T | S], for projections
+        self.full_inv = la.mat_inverse(la.hstack(self.toric_cols,
+                                                 self.section_cols))
 
     def _validate(self):
         D = self.module
@@ -233,21 +250,14 @@ class SemiAbelianPhiModule:
             self._toric_slope = (slope,)
         return self._toric_slope[0]
 
-    def quotient_frobenius(self):
-        """Frobenius induced on D_B in the section basis."""
-        D = self.module
-        img = D.apply_phi(self.section_cols)
-        coords = la.mat_mul(self.full_inv, img)
-        return [row[:] for row in coords[self.t_dim:]]
-
     def quotient_module(self) -> PhiModule:
-        return PhiModule(self.module.field, self.quotient_frobenius(),
+        """D_B, with the Frobenius induced in the section basis."""
+        coords = la.mat_mul(self.full_inv,
+                            self.module.apply_phi(self.section_cols))
+        return PhiModule(self.module.field, coords[self.t_dim:],
                          validate=False)
 
 
 def _std_cols(field, n, idx):
-    cols = []
-    for j in idx:
-        col = [field.zero() if i != j else field.one() for i in range(n)]
-        cols.append(col)
-    return [[cols[k][i] for k in range(len(idx))] for i in range(n)]
+    one, zero = field.one(), field.zero()
+    return [[one if i == j else zero for j in idx] for i in range(n)]

@@ -496,6 +496,9 @@ class _TowerRaw(_Raw):
                 s = ring.mul(s, self.c0)
             cap = e * (self.prec - a - b)
             relpi = m - v if m - v < cap else cap
+            if self.floor <= relpi <= 0:
+                # sc_add's izero: no digit of the unit is left
+                return aw + v, None, 0
         elif m > 0:
             relpi = m if m < self.top else self.top
         else:

@@ -155,8 +155,11 @@ def sc_add(x: Scalar, y: Scalar) -> Scalar:
     if e > 1 and b1 + b >= e:
         unit = ring.mul(unit, ring.c0())
         m = min(m, w + e * (F.prec - 1))
-    cap = e * (F.prec - a - b)
-    return sc_reg(F, x.w + w, unit, min(m - w, cap))
+    relpi = min(m - w, e * (F.prec - a - b))
+    if F.floor_relpi <= relpi <= 0:
+        # no digit of the unit is left: only the valuation is certified
+        return sc_izero(F, x.w + w)
+    return sc_reg(F, x.w + w, unit, relpi)
 
 
 def sc_sub(x: Scalar, y: Scalar) -> Scalar:

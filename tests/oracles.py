@@ -21,6 +21,9 @@ diagonal-action invariance that ``galois_descend`` promises),
 pins ``GroupRepresentation.validate`` on generator rows),
 ``orthogonality_check`` (first orthogonality of a character table, exact
 over the cyclotomic integers) and the ``quaternion_rep`` fixture.
+``rational_and_singular`` is the input loader's singularity test on
+Fractions, which pins the integer elimination of
+``formats._rational_and_singular``.
 """
 
 from fractions import Fraction
@@ -614,3 +617,27 @@ def quaternion_rep(field):
     X, Y = quaternion_pair(field)
     return GroupRepresentation.from_generator_matrices(
         quaternion(), field, {"i": X, "j": Y})
+
+
+def rational_and_singular(doc) -> bool:
+    """True when doc is a square matrix of rational numbers (JSON numbers or
+    strings that Fraction reads) with determinant zero, decided by Gaussian
+    elimination on Fractions; False for anything else."""
+    if not isinstance(doc, list) or not all(
+            isinstance(row, list) and len(row) == len(doc)
+            and all(isinstance(x, (str, int, float)) for x in row)
+            for row in doc):
+        return False
+    try:
+        m = [[Fraction(x) for x in row] for row in doc]
+    except (ValueError, ZeroDivisionError, OverflowError):
+        return False
+    for c in range(len(m)):
+        pivot = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if pivot is None:
+            return True
+        m[c], m[pivot] = m[pivot], m[c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+    return False

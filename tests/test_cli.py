@@ -4,11 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isofilt.cli import main
 from isofilt import formats
+import oracles
 
 FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -375,6 +378,62 @@ def test_misshapen_module_exits_2_without_traceback(tmp_path, name, path, value)
                      _mutated(tmp_path, name, path, value)])
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+
+
+# -- singular input matrices ----------------------------------------------------
+
+# JSON entries as the loader meets them: integers, "a" and "a/b" strings,
+# decimal strings and floats, and strings that Fraction reads or rejects
+_ENTRIES = st.one_of(
+    st.integers(-40, 40),
+    st.builds(lambda a, b: f"{a}/{b}", st.integers(-40, 40), st.integers(0, 12)),
+    st.builds(str, st.integers(-10 ** 30, 10 ** 30)),
+    st.sampled_from(["1.5", "-0.25", "2e1", " 3 ", "1_0", "+4", ".5", "x",
+                     "3 / 4", "nan", "1/-2"]),
+    st.floats(allow_nan=True, allow_infinity=True, width=32),
+    st.text(alphabet="0123456789+-/._e ", max_size=5))
+
+
+@st.composite
+def _rational_docs(draw):
+    """Square matrices of entries, a drawn row often replaced by a rational
+    combination of the others (a singular matrix); now and then a ragged or
+    non-square one."""
+    n = draw(st.integers(0, 5))
+    doc = [[draw(_ENTRIES) for _ in range(n)] for _ in range(n)]
+    if n and draw(st.booleans()):
+        rows = [[Fraction(x) for x in row] for row in
+                ([[draw(st.integers(-9, 9)) for _ in range(n)]
+                  for _ in range(n)])]
+        k = draw(st.integers(0, n - 1))
+        coeffs = [Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 4)))
+                  for _ in range(n)]
+        rows[k] = [sum(c * row[j] for i, (c, row) in enumerate(zip(coeffs, rows))
+                       if i != k) for j in range(n)]
+        doc = [[str(x) for x in row] for row in rows]
+    if n and draw(st.integers(0, 9)) == 0:
+        doc[0] = doc[0][:-1]
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_rational_docs())
+def test_singularity_matches_the_fraction_reference(doc):
+    assert formats._rational_and_singular(doc) == \
+        oracles.rational_and_singular(doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_ENTRIES)
+def test_entries_read_as_fraction_reads_them(x):
+    try:
+        want = Fraction(x)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        with pytest.raises(type(exc)):
+            formats._integer_pair(x)
+        return
+    num, den = formats._integer_pair(x)
+    assert den > 0 and Fraction(num, den) == want
 
 
 def test_check_rejects_a_zero_generator(tmp_path, capsys):

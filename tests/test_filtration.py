@@ -20,6 +20,7 @@ from isofilt.filtration.galois import (GaloisSetup, is_diagonally_stable,
                                        galois_descend, lift_matrix)
 from isofilt.filtration.admissible import (is_admissible, t_H, verify_violation,
                                            toric_extension_report)
+from isofilt.filtration import admissible as admissible_mod
 from isofilt.filtration import driver as driver_mod
 from isofilt.filtration.driver import (find_admissible_stable_filtration,
                                        decompose_polarized, two_slope_filtration,
@@ -27,6 +28,8 @@ from isofilt.filtration.driver import (find_admissible_stable_filtration,
                                        DescentDatum, induced_rep, _quotient_rep)
 from isofilt.isocrystal.module import (PhiModule, SemiAbelianPhiModule,
                                        standard_symplectic_gram)
+from isofilt.isocrystal.slopes import isoclinic_decompose, newton_slopes
+from isofilt.isocrystal import slopes as slopes_mod
 from isofilt.padic import linalg as la
 from isofilt.padic.descriptors import EisensteinExtensionDescriptor
 from isofilt.padic.scalar import sc_add, sc_mul, sc_pow
@@ -299,6 +302,63 @@ def test_component_bounds_equal_the_eliminations(f, seed):
     verdict = (all(e["t_H"] <= Fraction(e["t_N"]) for e in ledger)
                and ledger[-1]["t_H"] == Fraction(ledger[-1]["t_N"]))
     assert report["verdict"] == ("admissible" if verdict else "inadmissible")
+
+
+def _spec(m):
+    return [[(x.kind, x.w, x.zw, x.unit, x.relpi) for x in row] for row in m]
+
+
+@st.composite
+def _unimodular(draw, field, n):
+    """An integer matrix of determinant +-1: upper times lower unitriangular,
+    columns permuted."""
+    entry = st.integers(-3, 3)
+    U = [[1 if i == j else draw(entry) if i < j else 0 for j in range(n)]
+         for i in range(n)]
+    Lo = [[1 if i == j else draw(entry) if i > j else 0 for j in range(n)]
+          for i in range(n)]
+    perm = draw(st.permutations(range(n)))
+    M = [[sum(U[i][k] * Lo[k][j] for k in range(n)) for j in range(n)]
+         for i in range(n)]
+    return la.from_rows_of_fractions(field, [[M[i][perm[j]] for j in range(n)]
+                                             for i in range(n)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_a_square_basis_inherits_the_split(data):
+    # D in a unimodular basis P inherits D's profile and split from one
+    # elimination [P | A sigma(P) | C_1 ... C_k]; a fresh split of the same
+    # module agrees on the profile, the bounds and every component as a
+    # subspace, and is_admissible gives it the same ledger in both modes
+    field = unramified(2, data.draw(st.sampled_from([1, 2]), label="f"), 32)
+    D = None
+    for s, r in data.draw(st.lists(st.sampled_from(SIMPLE_SLOPES), min_size=1,
+                                   max_size=2, unique=True), label="simples"):
+        M = PhiModule.simple(field, s, r)
+        D = M if D is None else D.direct_sum(M)
+    n = D.n
+    P = data.draw(_unimodular(field, n), label="P")
+    split = isoclinic_decompose(D)
+    kept = D.submodule(P)
+    assert _spec(kept.A) == _spec(la.solve_right(P, D.apply_phi(P)))
+    fresh = PhiModule(field, kept.A, validate=False)
+    assert newton_slopes(kept).pairs == newton_slopes(fresh).pairs
+    assert newton_slopes(kept).vertices == newton_slopes(fresh).vertices
+    inherited = isoclinic_decompose(kept)
+    assert len(inherited) == len(split) == len(isoclinic_decompose(fresh))
+    for (s1, c1), (s2, c2) in zip(inherited, isoclinic_decompose(fresh)):
+        assert s1 == s2
+        assert la.subspace_leq(c1, c2) and la.subspace_leq(c2, c1)
+    assert (submodules_mod.exact_submodules(kept).bounds
+            == submodules_mod.exact_submodules(fresh).bounds)
+    L = trivial_extension(field)
+    k = data.draw(st.integers(1, n), label="dim F")
+    F = lift_matrix(L, la.from_rows_of_fractions(field, [
+        [data.draw(st.integers(-3, 3)) for _ in range(k)] for _ in range(n)]))
+    for mode in ("exact", "sampled"):
+        assert (is_admissible(kept, F, L, mode, seed=1, budget=4).as_dict()
+                == is_admissible(fresh, F, L, mode, seed=1, budget=4).as_dict())
 
 
 def test_decompose_polarized_shapes(Q2):
@@ -650,6 +710,36 @@ def test_ramified_find_decides_each_fact_once(tmp_path, capsys, monkeypatch,
         assert names.count("is_diagonally_stable") == 1
         assert "lagrangian_h_small_intersection" not in names
     capsys.readouterr()
+
+
+def test_one_piece_find_splits_and_decides_admissibility_once(
+        tmp_path, capsys, monkeypatch):
+    # ordinary_torus + C2 has one piece, D_B in the basis ambient: the piece
+    # inherits D_B's split, and F_B's exact report is the piece's
+    calls = []
+    _counting(monkeypatch, slopes_mod, "_isoclinic_decompose", calls)
+    _counting(monkeypatch, admissible_mod, "is_admissible", calls)
+    _counting(monkeypatch, driver_mod, "is_admissible", calls)
+    cert = json.loads(_find(tmp_path, TORUS_TRIPLES[1], 2).read_text())
+    capsys.readouterr()
+    assert len(cert["outputs"]["pieces"]) == 1
+    assert cert["params"]["mode"] == "exact"
+    names = [n for n, _ in calls]
+    assert names.count("_isoclinic_decompose") == 1
+    assert names.count("is_admissible") == 1
+    quotient = cert["outputs"]["admissibility"]["quotient"]
+    assert quotient == cert["outputs"]["pieces"][0]["admissibility"]
+
+
+def test_one_component_piece_induces_its_action_once(tmp_path, capsys,
+                                                     monkeypatch):
+    # C4 on ss2_q4 has one isotypic component: the block's action is the
+    # piece's, induced once
+    calls = []
+    _counting(monkeypatch, driver_mod, "induced_rep", calls)
+    cert = json.loads(_find(tmp_path, STABILITY_PROBLEMS["c4"], 1).read_text())
+    capsys.readouterr()
+    assert len(cert["outputs"]["pieces"]) == len(calls) == 1
 
 
 def test_c4_find_decides_the_action_on_its_generator(tmp_path, capsys,

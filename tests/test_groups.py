@@ -15,6 +15,7 @@ from isofilt.groups.constructions import (all_groups_up_to_16, quaternion,
                                           cyclic, dihedral, dicyclic,
                                           wreath_q8_sylow)
 from isofilt.groups.characters import CharacterTable
+from isofilt.groups import core
 from isofilt.groups.core import FiniteGroup, GroupRepresentation
 from isofilt.groups.isotypic import _embedding_for, get_character_table
 from isofilt.isocrystal.module import standard_symplectic_gram
@@ -295,6 +296,57 @@ def test_is_scalar_image():
     Q4 = unramified(2, 2, 24)
     assert scalar_c2_rep(Q4, 3).is_scalar_image()
     assert not quaternion_rep(Q4).is_scalar_image()
+
+
+def _sign_of_translation(G, g):
+    # left multiplication by g has n / ord(g) cycles of length ord(g)
+    k = G.element_orders()[g]
+    return (-1) ** ((k - 1) * (G.n // k))
+
+
+def _acts_by_scalars_everywhere(rep):
+    thr = la.relation_threshold(rep.field)
+    return all(la.mat_is_zero(la.mat_sub(m, la.mat_scalar(
+        m[0][0], la.identity(rep.field, rep.dim))), thr) for m in rep.mats)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_scalar_image_is_decided_on_generator_rows(data):
+    # g -> sign(left multiplication by g) I, the regular representation, or
+    # both as blocks, possibly conjugated by diag(2^-c, 1, ...): generator
+    # rows and every element agree, and integral rows read S alone
+    Q2 = unramified(2, 1, 12)
+    label, G = data.draw(st.sampled_from(GROUPS_UP_TO_16), label="group")
+    kind = data.draw(st.sampled_from(["scalar", "regular", "blocks"]))
+    regular = _regular_rep(G, Q2)
+    mats = []
+    for g in range(G.n):
+        sign = la.mat_scalar(Q2.scalar(_sign_of_translation(G, g)),
+                             la.identity(Q2, 2))
+        if kind == "scalar":
+            mats.append(sign)
+        elif kind == "regular":
+            mats.append(regular[g])
+        else:
+            mats.append([row + [Q2.zero()] * G.n for row in sign]
+                        + [[Q2.zero()] * 2 + row for row in regular[g]])
+    c = data.draw(st.integers(0, 2), label="c")
+    if c:
+        n = len(mats[0])
+        P, P_inv = la.identity(Q2, n), la.identity(Q2, n)
+        P[0][0], P_inv[0][0] = Q2.scalar(Fraction(1, 2 ** c)), Q2.scalar(2 ** c)
+        mats = [la.mat_mul(P, la.mat_mul(m, P_inv)) for m in mats]
+    rep = GroupRepresentation(G, Q2, mats)
+    read = []
+    homothety = core._is_homothety
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "_is_homothety",
+                      lambda m, *args: read.append(m) or homothety(m, *args))
+        assert rep.is_scalar_image() == _acts_by_scalars_everywhere(rep), label
+    assert len(read) <= len(rep.relation_rows())
+    if c == 0 or kind == "scalar":
+        assert list(rep.relation_rows()) == G.generators()
 
 
 def test_character_tables_small_groups():

@@ -31,7 +31,7 @@ import fractions
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from isofilt import formats
 from isofilt.errors import PrecisionError, ValidationError
@@ -182,19 +182,47 @@ def test_arithmetic_matches_oracle(f, e, prec, data):
     op = data.draw(st.sampled_from(sorted(OPS)))
     args = [data.draw(specs(ring, floor)) for _ in range(1 if op == "inv" else 2)]
     deltas = [data.draw(elements(ring)) for _ in args]
+    _check_arithmetic(ring, floor, op, args, deltas)
+
+
+# A difference of relative pi-valuation 29 at p = 2, f = 2, e = 4, N = 8:
+# divide_pi_exact divides by p^(a + b) = p^N, so no digit of the unit is
+# left.  Without a floor the difference is the izero at its certified
+# valuation, with one it raises; the draw once failed the test above.
+CANCELLING = [("reg", 1, 32, (1, 255, 0, 0, 0, 65, 0, 0)),
+              ("reg", 1, 32, (1, 255, 0, 0, 0, 193, 0, 0))]
+BYTES = st.integers(0, 2 ** 8 - 1)
+
+
+@examples
+@example(tail=[(0, 0)] * 4, floor=1, deltas=[(0,) * 8] * 2)
+@given(tail=st.lists(st.tuples(BYTES, BYTES), min_size=4, max_size=4),
+       floor=st.integers(1, 4),
+       deltas=st.lists(st.tuples(*[BYTES] * 8), min_size=2, max_size=2))
+def test_a_difference_without_unit_digits_is_an_izero(tail, floor, deltas):
+    ring = _ring(2, 2, 4, 8, tail)
+    level = Level(ring, NO_FLOOR)
+    x, y = [_build(level, s) for s in CANCELLING]
+    assert _spec(sc.sc_sub(x, y)) == ("izero", 30)
+    # the raw kernel's sum, x + (-y) * 1, follows the same rule
+    raw = la._Raw.of(level)
+    rx, ry = raw.encode_rows([[x, y]])[0]
+    assert _spec(raw.decode_rows([[raw.add(rx, raw.neg(ry))]])[0][0]) == \
+        ("izero", 30)
+    _check_arithmetic(ring, floor, "sub", CANCELLING, deltas)
+
+
+def _check_arithmetic(ring, floor, op, args, deltas):
+    """op on args at a level without a floor agrees with the oracle on the
+    values args + deltas, and at the given floor raises or agrees."""
+    e = ring.e
     level, floored = Level(ring, NO_FLOOR), Level(ring, floor)
     if op == "inv" and args[0][0] != "reg":
         with pytest.raises(ZeroDivisionError if args[0][0] == "zero" else PrecisionError):
             sc.sc_inv(_build(level, args[0]))
         return
     got = _spec(OPS[op](*[_build(level, s) for s in args]))
-    # the floor: the same inputs on a level with a floor raise exactly when
-    # the result has fewer digits, and give the same result otherwise
-    if got[0] == "reg" and got[2] < floor:
-        with pytest.raises(PrecisionError):
-            OPS[op](*[_build(floored, s) for s in args])
-    else:
-        assert _spec(OPS[op](*[_build(floored, s) for s in args])) == got
+    exact = shift = None
     if op == "inv":
         x = _true_value(ring, args[0], deltas[0], K)
         one = _value(ring, 0, (1,), 2 * K)
@@ -202,12 +230,25 @@ def test_arithmetic_matches_oracle(f, e, prec, data):
         assert w == -args[0][1] and _vpi(ring, unit) == 0
         diff = _vpi(ring, _add(ring, _mul(ring, x, _value(ring, w, unit, K)), one, -1))
         assert diff is None or diff >= 2 * e * K + relpi
-        return
-    x, y = (_true_value(ring, s, d, K) for s, d in zip(args, deltas))
-    if op == "mul":
-        _check_against(ring, got, _mul(ring, x, y), 2 * K)
     else:
-        _check_against(ring, got, _add(ring, x, y, 1 if op == "add" else -1), K)
+        x, y = (_true_value(ring, s, d, K) for s, d in zip(args, deltas))
+        scale = 2 * K if op == "mul" else K
+        exact = (_mul(ring, x, y) if op == "mul"
+                 else _add(ring, x, y, 1 if op == "add" else -1))
+        shift = e * scale
+        _check_against(ring, got, exact, scale)
+    # the floor: the same inputs on a level with a floor raise exactly when
+    # the result has fewer digits than the floor, a reg result or an izero
+    # whose valuation is certified though no digit of its unit is left, and
+    # give the same result otherwise
+    short = got[0] == "reg" and got[2] < floor
+    try:
+        at_floor = _spec(OPS[op](*[_build(floored, s) for s in args]))
+    except PrecisionError:
+        assert short or (got[0] == "izero"
+                         and _vpi(ring, exact) == shift + got[1])
+    else:
+        assert at_floor == got and not short
 
 
 # -- the pinned table -----------------------------------------------------------------
