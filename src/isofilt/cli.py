@@ -241,7 +241,7 @@ def _filtration_find(args) -> int:
         {"module": mod_doc, "group": grp_doc, "extension": ext_doc},
         params, outputs, timestamp=time.strftime("%Y-%m-%dT%H:%M:%SZ",
                                                  time.gmtime()))
-    text = json.dumps(cert, sort_keys=True, indent=1)
+    text = formats.indented_json(cert)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")

@@ -142,15 +142,11 @@ def galois_descend(rep: GroupRepresentation, setup: GaloisSetup):
     alphas = [ext.one()]
     for _ in range(ext.e - 1):
         alphas.append(sc_mul(alphas[-1], u))
-    acts = [(ext.automorphisms[setup.table_inverse(setup.aut_of(x))],
-             lift_matrix(ext, rep.mats[x])) for x in range(setup.group.n)]
-    sums = []
-    for alpha in alphas:
-        acc = None
-        for rec, rho in acts:
-            term = la.mat_scalar(sc.sc_apply_aut(alpha, rec), rho)
-            acc = term if acc is None else la.mat_add(acc, term)
-        sums.append(acc)
+    elems = range(setup.group.n)
+    recs = [ext.automorphisms[setup.table_inverse(setup.aut_of(x))] for x in elems]
+    rhos = [lift_matrix(ext, rep.mats[x]) for x in elems]
+    sums = [la.mat_lincomb([sc.sc_apply_aut(alpha, rec) for rec in recs], rhos)
+            for alpha in alphas]
     cand_cols = la.normalize_columns(
         [[M[r][j] for j in range(n) for M in sums] for r in range(n)],
         integral=True)

@@ -16,6 +16,7 @@ import json
 import math
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .bounds import is_prime
 from .errors import ValidationError
@@ -32,10 +33,45 @@ def canonical_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+def _compose(texts) -> str:
+    """canonical_json of a dict from its values' canonical texts: compact
+    sort_keys JSON writes the members in key order, each value as it would
+    write the value alone."""
+    return "{" + ",".join(f"{encode_basestring_ascii(k)}:{texts[k]}"
+                          for k in sorted(texts)) + "}"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def digest(doc) -> str:
     doc = {k: v for k, v in doc.items() if k != "timestamp"} \
         if isinstance(doc, dict) else doc
-    return hashlib.sha256(canonical_json(doc).encode()).hexdigest()
+    return _sha256(canonical_json(doc))
+
+
+def indented_json(x, nl="\n") -> str:
+    """``json.dumps(x, sort_keys=True, indent=1)``, byte for byte, with nl
+    the line break and indent at x's depth.  Dicts with str keys, lists,
+    str, int, bool and None are written here, any other value by json.dumps
+    with its line breaks indented (a JSON string holds no raw line break)."""
+    t = type(x)
+    if t is str:
+        return encode_basestring_ascii(x)
+    if t is int:
+        return int.__repr__(x)
+    if x is None or t is bool:
+        return "null" if x is None else "true" if x else "false"
+    inner = nl + " "
+    if t is list and x:
+        return ("[" + inner + ("," + inner).join(indented_json(y, inner) for y in x)
+                + nl + "]")
+    if t is dict and x and all(type(k) is str for k in x):
+        return "{" + inner + ("," + inner).join(
+            encode_basestring_ascii(k) + ": " + indented_json(x[k], inner)
+            for k in sorted(x)) + nl + "}"
+    return json.dumps(x, sort_keys=True, indent=1).replace("\n", nl)
 
 
 def load_json(path: str):
@@ -356,16 +392,22 @@ CERT_SCHEMA = "isofilt-filtration-certificate-v1"
 
 
 def build_certificate(operation, inputs, params, outputs, timestamp=None):
+    # each input is serialized once: its canonical text gives its digest and
+    # is its member of the body's canonical text
+    texts = {k: canonical_json(v) for k, v in inputs.items()}
     doc = {
         "schema": CERT_SCHEMA,
         "operation": operation,
         "version": 1,
         "inputs": inputs,
-        "input_digests": {k: digest(v) for k, v in inputs.items()},
+        "input_digests": {k: digest(v) if isinstance(v, dict) and "timestamp" in v
+                          else _sha256(texts[k]) for k, v in inputs.items()},
         "params": params,
         "outputs": outputs,
     }
-    doc["digest"] = digest(doc)
+    doc["digest"] = _sha256(_compose({
+        k: _compose(texts) if k == "inputs" else canonical_json(v)
+        for k, v in doc.items()}))
     if timestamp is not None:
         doc["timestamp"] = timestamp
     return doc

@@ -11,6 +11,16 @@ twist (precompose with a power map), duality (inverse classes), the
 cyclotomic evaluation of isotypic projectors, and the perturbing elements of
 a representation (``isotypic.find_perturbateur`` sums them over its
 isotypic components) all operate on them with exact integer arithmetic.
+
+An abelian group (its generators commute pairwise) takes a direct route
+with the same l and z.  Its characters are linear, kept as exponents j of
+chi(x) = z^j, and are extended generator by generator: chi on H extends to
+<H, g> by the k roots zeta of zeta^k = chi(g^k) in the order-e subgroup,
+where g^k is the first power of g in H.  So theta is z^j mod l, every degree
+is 1 and mult[chi][c] is the unit vector at j.  The rows are sorted by theta,
+as tuples over the classes in class order, which is the modular method's
+order: it splits by the class matrices in class order, eigenvalues
+ascending, and class c's eigenvalue on an abelian chi is theta[chi][c].
 """
 
 from __future__ import annotations
@@ -35,7 +45,11 @@ class CharacterTable:
         self.e = group.exponent()
         self.ell, self.z = self._choose_prime()
         self._power_classes = {}
-        self._build()
+        if all(group.table[a][b] == group.table[b][a]
+               for a in group.generators() for b in group.generators()):
+            self._build_abelian()
+        else:
+            self._build()
 
     # -- modular setup ---------------------------------------------------------
 
@@ -143,6 +157,34 @@ class CharacterTable:
         self.k = len(self.degrees)
         if sum(d * d for d in self.degrees) != n:
             raise InternalContradictionError("degree sum check failed")
+        self._index = {self._signature(i): i for i in range(self.k)}
+
+    def _build_abelian(self):
+        """The abelian route of the module docstring."""
+        G, e = self.group, self.e
+        elems, chars = [G.identity], [[0]]  # chars[chi][i] is the exponent at elems[i]
+        for g in G.generators():
+            members = set(elems)
+            powers = [G.identity, g]  # g^0 .. g^k, g^k the first in H
+            while powers[-1] not in members:
+                powers.append(G.table[powers[-1]][g])
+            k = len(powers) - 1
+            at = elems.index(powers[-1])
+            elems = [G.table[x][h] for x in powers[:-1] for h in elems]
+            # chi(g)^k = chi(g^k) = z^a: chi(g) = z^b with kb = a mod e;
+            # k divides a since chi(g^k)^(ord(g)/k) = 1 and ord(g) | e
+            chars = [[(b * i + v) % e for i in range(k) for v in vals]
+                     for vals in chars
+                     for b in range(vals[at] // k, e, e // k)]
+        order = sorted(range(self.r), key=lambda i: self.class_of[elems[i]])
+        zpow = [pow(self.z, j, self.ell) for j in range(e)]
+        unit = [tuple(int(i == j) for i in range(e)) for j in range(e)]
+        rows = sorted(([zpow[vals[i]] for i in order], [unit[vals[i]] for i in order])
+                      for vals in chars)
+        self.theta = [th for th, _ in rows]
+        self.mult = [m for _, m in rows]
+        self.k = len(rows)
+        self.degrees = [1] * self.k
         self._index = {self._signature(i): i for i in range(self.k)}
 
     # -- derived data ------------------------------------------------------------

@@ -114,8 +114,9 @@ class FiniteGroup:
         return self._orders
 
     def generators(self):
-        """A generating set, greedy in element-index order: x joins it when
-        the earlier members do not generate x.  A group built by
+        """A minimal generating set: greedy in element-index order (x joins
+        when the earlier members miss it), then, in that order, each member
+        the remaining ones generate is dropped.  A group built by
         ``from_generators`` lists its given generators first, so the set is
         a subset of them; the trivial group has the empty set."""
         if self._generators is None:
@@ -124,6 +125,9 @@ class FiniteGroup:
                 if x not in reached:
                     gens.append(x)
                     reached = self._generated(gens)
+            for x in list(gens):
+                if x in self._generated([s for s in gens if s != x]):
+                    gens.remove(x)
             self._generators = gens
         return self._generators
 

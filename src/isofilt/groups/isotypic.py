@@ -206,22 +206,15 @@ def _isotypic_decomposition(rep: GroupRepresentation):
     orbits = character_orbits(ct, field)
     n = rep.dim
     # class sums of the representation
-    class_sums = []
-    for cls in ct.classes:
-        acc = la.zeros(field, n, n)
-        for x in cls:
-            acc = la.mat_add(acc, rep.mats[x])
-        class_sums.append(acc)
+    one = field.one()
+    class_sums = [la.mat_lincomb([one] * len(cls), [rep.mats[x] for x in cls])
+                  for cls in ct.classes]
     inv_order = field.scalar(Fraction(1, G.n))
     comps = []
     for orbit in orbits:
         deg = ct.degrees[orbit[0]]
-        P = la.zeros(field, n, n)
-        for c in range(ct.r):
-            val = orbit_character_value(ct, field, orbit, ct.inverse_class(c))
-            if val.kind == sc.ZERO:
-                continue
-            P = la.mat_add(P, la.mat_scalar(val, class_sums[c]))
+        P = la.mat_lincomb([orbit_character_value(ct, field, orbit, ct.inverse_class(c))
+                            for c in range(ct.r)], class_sums)
         P = la.mat_scalar(sc.sc_mul(field.scalar(deg), inv_order), P)
         cols = la.column_space_basis(P)
         dim = la.mat_dims(cols)[1]

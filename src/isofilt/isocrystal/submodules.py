@@ -214,16 +214,10 @@ def _concat_cols(D, col_list):
 
 
 def _random_combination(field, basis, rng):
-    U = None
-    for M in basis:
-        c = rng.randrange(-3, 4)
-        if c == 0:
-            continue
-        term = la.mat_scalar(field.scalar(c), M)
-        U = term if U is None else la.mat_add(U, term)
-    if U is None and basis:
-        U = basis[rng.randrange(len(basis))]
-    return U
+    coeffs = [rng.randrange(-3, 4) for _ in basis]
+    if any(coeffs):
+        return la.mat_lincomb([field.scalar(c) for c in coeffs], basis)
+    return basis[rng.randrange(len(basis))] if basis else None
 
 
 def _kernel_and_image(D, U):

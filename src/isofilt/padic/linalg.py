@@ -118,6 +118,25 @@ def mat_mul_sub_is_zero(a, b, c, min_bound) -> bool:
     return True
 
 
+def mat_lincomb(coeffs, mats):
+    """The fold of ``mat_add`` over the ``mat_scalar`` terms c*M from the
+    left, as one fma fold per entry on raw entries; a zero coefficient adds
+    nothing.  Each entry sees the Scalar fold's operations, so the result is
+    its result, and a PrecisionError is raised exactly when it raises one,
+    though perhaps first at another entry."""
+    raw = _Raw.of(_field_of(mats[0]))
+    fma = raw.fma
+    acc = [[None] * len(row) for row in mats[0]]
+    for c, m in zip(raw.encode_rows([coeffs])[0], mats):
+        if c is None:
+            continue
+        for arow, mrow in zip(acc, raw.encode_rows(m)):
+            for j, x in enumerate(mrow):
+                if x is not None:
+                    arow[j] = fma(arow[j], c, x)
+    return raw.decode_rows(acc)
+
+
 def mat_scalar(s, a):
     # s * 0 is an exact zero, and Scalars are never mutated
     return [[x if x.kind == sc.ZERO else sc_mul(s, x) for x in row] for row in a]

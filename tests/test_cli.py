@@ -554,3 +554,44 @@ def test_check_rejects_a_malformed_body(tmp_path, capsys, ss2_certificate,
     code, _, err = run(capsys, "filtration", "check", str(cert))
     assert code == 2
     assert field in err
+
+
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers(min_value=-10 ** 40)
+                | st.floats() | st.text())
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.lists(kids, max_size=3).map(tuple)
+                  | st.dictionaries(st.text(max_size=4), kids, max_size=4)
+                  | st.dictionaries(st.integers(-3, 3), kids, max_size=3)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_JSON_TREES)
+def test_the_certificate_writer_is_json_dumps(doc):
+    # nested empty containers, non-ASCII and escaped strings, bools, None,
+    # large negative ints; floats, tuples and int keys take the fallback
+    assert formats.indented_json(doc) == json.dumps(doc, sort_keys=True, indent=1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(inputs=st.dictionaries(
+           st.text(max_size=4),
+           _JSON_TREES | st.dictionaries(st.sampled_from(["timestamp", "a", "\u00e9"]),
+                                         _JSON_TREES, max_size=3),
+           max_size=3),
+       outputs=_JSON_TREES)
+def test_a_composed_digest_is_the_digest_of_the_body(inputs, outputs):
+    # build_certificate serializes each input once and composes the body's
+    # canonical text from it; an input's own timestamp is left out of its
+    # digest only
+    cert = formats.build_certificate("op", inputs, {"seed": 1}, outputs,
+                                     timestamp="t")
+    assert cert["input_digests"] == {k: formats.digest(v) for k, v in inputs.items()}
+    assert cert["digest"] == formats.certificate_digest(cert)
+
+
+def test_find_writes_json_dumps_text(ss2_certificate):
+    doc = json.loads(ss2_certificate)
+    assert ss2_certificate == json.dumps(doc, sort_keys=True, indent=1) + "\n"

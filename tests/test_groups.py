@@ -4,6 +4,7 @@ import gc
 import hashlib
 import weakref
 from fractions import Fraction
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,9 @@ from isofilt.fixtures import (unramified, quaternion_pair, wreath_block_rep,
                               block_frobenius_module, scalar_c2_rep)
 from isofilt.groups.constructions import (all_groups_up_to_16, quaternion,
                                           cyclic, dihedral, dicyclic,
-                                          wreath_q8_sylow)
+                                          wreath_q8_sylow, census_p_groups,
+                                          direct_product)
+from isofilt.groups import characters
 from isofilt.groups.characters import CharacterTable
 from isofilt.groups import core
 from isofilt.groups.core import FiniteGroup, GroupRepresentation
@@ -169,14 +172,14 @@ def _table_products(monkeypatch, run):
 
 
 def test_table_check_covers_each_generator_row_once(monkeypatch, capsys):
-    # greedy in index order, Q8 = {1, -1, i, -i, j, ...} takes -1, i and j:
-    # 3 x 8 products of 64
+    # greedy in index order, Q8 = {1, -1, i, -i, j, ...} takes -1, i and j,
+    # and -1 = i^2 is dropped: 2 x 8 products of 64
     from isofilt.cli import main
     pairs = _table_products(
         monkeypatch, lambda: main(["wreath-demo", "--g", "1", "--json"]))
-    assert quaternion().generators() == [1, 2, 4]
-    assert len(pairs) == 24
-    assert set(pairs) == {(s, b) for s in (1, 2, 4) for b in range(8)}
+    assert quaternion().generators() == [2, 4]
+    assert len(pairs) == 16
+    assert set(pairs) == {(s, b) for s in (2, 4) for b in range(8)}
     assert '"group_order": 8' in capsys.readouterr().out
 
 
@@ -184,10 +187,11 @@ def test_table_check_covers_each_generator_row_once_g2(monkeypatch):
     Q4 = unramified(2, 2, 24)
     rep = wreath_block_rep(Q4, 2)
     pairs = _table_products(monkeypatch, lambda: rep.validate())
-    # i and j at each of the two positions, and the swap
-    assert rep.group.generators() == [0, 1, 2, 3, 4]
-    assert len(pairs) == 5 * 128
-    assert set(pairs) == {(s, b) for s in range(5) for b in range(128)}
+    # of i and j at each of the two positions and the swap, the swap
+    # conjugates the second position's i and j to the first's
+    assert rep.group.generators() == [2, 3, 4]
+    assert len(pairs) == 3 * 128
+    assert set(pairs) == {(s, b) for s in (2, 3, 4) for b in range(128)}
 
 
 def test_non_integral_generators_take_every_row(monkeypatch):
@@ -218,14 +222,22 @@ def _generated(G, gens):
     return reached
 
 
-def test_generators_are_greedy_in_index_order():
+def test_generators_are_greedy_then_minimal():
     for label, G in all_groups_up_to_16():
         S = G.generators()
         assert _generated(G, S) == set(range(G.n)), label
+        greedy = []
         for x in range(G.n):
             # x is taken exactly when the members before it miss it
-            earlier = [s for s in S if s < x]
-            assert (x in S) == (x not in _generated(G, earlier)), label
+            if x not in _generated(G, greedy):
+                greedy.append(x)
+        for x in greedy:
+            # then x stays exactly when the members kept before it and the
+            # greedy members after it miss it
+            rest = [s for s in S if s < x] + [y for y in greedy if y > x]
+            assert (x in S) == (x not in _generated(G, rest)), label
+        for x in S:
+            assert x not in _generated(G, [s for s in S if s != x]), label
     assert cyclic(1).generators() == []
 
 
@@ -360,6 +372,76 @@ def test_character_tables_small_groups():
     # produced them
     assert digest.hexdigest() == ("ebc41e0daffb347b26ae13ee4edfd652"
                                   "bdb35eb7ff2a9b013ce57d4a236b050b")
+
+
+def _modular_table(G):
+    """G's table by the modular method, which non-abelian groups take: the
+    reference for the abelian route."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CharacterTable, "_build_abelian", CharacterTable._build)
+        return CharacterTable(G)
+
+
+def _is_abelian(G):
+    return all(G.table[a][b] == G.table[b][a]
+               for a in range(G.n) for b in range(G.n))
+
+
+def _assert_same_table(G, label):
+    got, ref = CharacterTable(G), _modular_table(G)
+    for name in ("ell", "z", "degrees", "theta", "mult"):
+        assert getattr(got, name) == getattr(ref, name), (label, name)
+    units = [a for a in range(1, got.e + 1) if gcd(a, got.e) == 1]
+    for chi in range(got.k):
+        assert got.dual(chi) == ref.dual(chi), label
+        assert ([got.twist(chi, a) for a in units]
+                == [ref.twist(chi, a) for a in units]), label
+
+
+ABELIAN_FAMILIES = {
+    "up_to_16": lambda: [(l, G) for l, G in all_groups_up_to_16() if _is_abelian(G)],
+    "census": lambda: [(l, G) for l, G in census_p_groups() if _is_abelian(G)],
+    "cyclic_up_to_40": lambda: [(f"C{n}", cyclic(n)) for n in range(1, 41)],
+}
+
+
+@pytest.mark.parametrize("family", sorted(ABELIAN_FAMILIES))
+def test_abelian_tables_match_the_modular_method(family):
+    # field by field, characters in the same order: the direct route sorts
+    # its rows by theta, the order of the modular method's eigen-splits
+    groups = ABELIAN_FAMILIES[family]()
+    assert len(groups) >= 10
+    for label, G in groups:
+        _assert_same_table(G, label)
+
+
+@settings(max_examples=20, deadline=None)
+@given(orders=st.lists(st.integers(1, 8), min_size=1, max_size=3)
+       .filter(lambda ns: prod(ns) <= 32))
+def test_products_of_cyclic_groups_match_the_modular_method(orders):
+    G = cyclic(orders[0])
+    for n in orders[1:]:
+        G = direct_product(G, cyclic(n))
+    _assert_same_table(G, orders)
+
+
+def test_abelian_tables_split_no_class_matrix(monkeypatch):
+    calls = []
+    for module, name in ((characters, "_split_by_matrix"), (la, "berkowitz")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
+    for label, G in ABELIAN_FAMILIES["up_to_16"]() + [("C128", cyclic(128))]:
+        CharacterTable(G)
+    assert calls == []
+    CharacterTable(quaternion())  # the modular method does call both
+    assert {"_split_by_matrix", "berkowitz"} <= set(calls)
+
+
+def test_cyclic_128_table():
+    ct = CharacterTable(cyclic(128))
+    assert ct.k == 128 and ct.degrees == [1] * 128
+    assert orthogonality_check(ct)
 
 
 def test_element_orders_reject_a_table_that_is_not_a_group():

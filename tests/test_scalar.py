@@ -601,6 +601,44 @@ def test_raw_products_match_the_dot_fold_at_every_level(f, e, prec, data):
                     data.draw(matrices(entries, rows=k, cols=k)))
 
 
+def _check_lincomb(field, coeffs, mats):
+    """mat_lincomb against the fold of mat_add over mat_scalar terms: the
+    same Scalars, or a PrecisionError from both (the raw fold finishes one
+    entry's products and sums before the next entry's, so the first error
+    it meets may be another entry's)."""
+
+    def scalar_fold(coeffs, mats):
+        acc = la.zeros(field, *la.mat_dims(mats[0]))
+        for c, m in zip(coeffs, mats):
+            acc = la.mat_add(acc, la.mat_scalar(c, m))
+        return acc
+
+    got, want = (_outcome(fn, coeffs, mats) for fn in (la.mat_lincomb, scalar_fold))
+    assert got == want or got[0] == want[0] == "raised"
+
+
+@pytest.mark.parametrize("p, prec, floor", ZP_FIELDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_raw_lincomb_matches_the_scalar_fold(p, prec, floor, data):
+    field = _zp_field(p, prec, floor)
+    k, r, c = (data.draw(st.integers(1, 4)) for _ in range(3))
+    _check_lincomb(field, data.draw(zp_matrices(field, rows=1, cols=k))[0],
+                   [data.draw(zp_matrices(field, rows=r, cols=c)) for _ in range(k)])
+
+
+@levels
+@precs
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_raw_lincomb_matches_the_scalar_fold_at_every_level(f, e, prec, data):
+    level = data.draw(tower_levels(f, e, prec))
+    entries = level_entries(level)
+    k, r, c = (data.draw(st.integers(1, 4)) for _ in range(3))
+    _check_lincomb(level, data.draw(matrices(entries, rows=1, cols=k))[0],
+                   [data.draw(matrices(entries, rows=r, cols=c)) for _ in range(k)])
+
+
 def _rank_test_matrix(field, unit):
     """A 4x4 matrix of full rank whose rows alternate between valuations 0
     and 1/e, with entries c * unit^i: dense ring elements when unit is."""
