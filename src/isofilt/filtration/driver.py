@@ -330,15 +330,16 @@ class DescentDatum:
                         for x in range(G.n)}
 
     def verify_cocycle(self) -> bool:
-        """Index-level identity: (gh)^{-1} = h^{-1} g^{-1} in the table."""
+        """Index-level identity: (ab)^{-1} = b^{-1} a^{-1} in the table, for
+        all a, b, checked as x x^{-1} = x^{-1} x = e for each x.  The table is
+        associative (formats._require_group_table checks it of a JSON table,
+        and a group closed under an associative product has it), so then
+        (ab)(b^{-1} a^{-1}) = a e a^{-1} = e; row ab of a Latin square has e
+        once, so b^{-1} a^{-1} is (ab)^{-1}."""
         G = self.rep.group
-        for a in range(G.n):
-            for b in range(G.n):
-                lhs = G.inverse[G.table[a][b]]
-                rhs = G.table[G.inverse[b]][G.inverse[a]]
-                if lhs != rhs:
-                    return False
-        return True
+        e, table = G.identity, G.table
+        return all(table[x][y] == e and table[y][x] == e
+                   for x, y in enumerate(G.inverse))
 
     def serialize(self, serializer):
         return {name: {"matrix": serializer(self.maps[name]),

@@ -33,14 +33,9 @@ from .isocrystal.module import PhiModule
 from .groups.core import GroupRepresentation
 from .groups.constructions import quaternion, cyclic, wreath_q8_sylow
 
-_FIELDS: dict = {}
-
 
 def unramified(p: int, f: int, prec: int) -> UnramifiedFieldDescriptor:
-    key = (p, f, prec)
-    if key not in _FIELDS:
-        _FIELDS[key] = UnramifiedFieldDescriptor.create(p, f, prec)
-    return _FIELDS[key]
+    return UnramifiedFieldDescriptor.create(p, f, prec)
 
 
 def supersingular_module(field) -> PhiModule:
@@ -52,14 +47,14 @@ def supersingular_module(field) -> PhiModule:
 
 def trivial_extension(base) -> EisensteinExtensionDescriptor:
     """The degenerate step L = K_q (u = p), for trivial Galois groups."""
-    return EisensteinExtensionDescriptor(base, (-base.p, 1), {"1": [base.p]})
+    return EisensteinExtensionDescriptor.create(base, (-base.p, 1), {"1": [base.p]})
 
 
 def sqrt2_extension(base) -> EisensteinExtensionDescriptor:
     """Q(sqrt 2)-type C2 step: u^2 = 2, conjugation u -> -u."""
     if base.p != 2:
         raise ValidationError("sqrt(2) step needs p = 2")
-    return EisensteinExtensionDescriptor(
+    return EisensteinExtensionDescriptor.create(
         base, (-2, 0, 1), {"1": [0, 1], "s": [0, -1]})
 
 
@@ -69,7 +64,7 @@ def c4_cyclotomic_extension(base) -> EisensteinExtensionDescriptor:
     u^3 - 3u and squares to -u."""
     if base.p != 2:
         raise ValidationError("this cyclotomic step needs p = 2")
-    return EisensteinExtensionDescriptor(
+    return EisensteinExtensionDescriptor.create(
         base, (2, 0, -4, 0, 1),
         {"1": [0, 1], "g": [0, -3, 0, 1], "g2": [0, -1], "g3": [0, 3, 0, -1]})
 
@@ -110,7 +105,7 @@ def cyclotomic_p_power_extension(base, k: int) -> EisensteinExtensionDescriptor:
                     poly[deg - e + j] -= c * coeffs[j]
         poly = poly[:e]
         auts["1" if a == 1 else f"s{a}"] = poly
-    return EisensteinExtensionDescriptor(base, tuple(coeffs), auts)
+    return EisensteinExtensionDescriptor.create(base, tuple(coeffs), auts)
 
 
 def _binomial(n, k):

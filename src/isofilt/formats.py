@@ -21,7 +21,6 @@ from json.encoder import encode_basestring_ascii
 from .bounds import is_prime
 from .errors import ValidationError
 from .padic import scalar as sc
-from .padic.fp import fp_is_primitive
 from .padic.descriptors import UnramifiedFieldDescriptor, EisensteinExtensionDescriptor
 from .padic import linalg as la
 from .isocrystal.module import PhiModule, SemiAbelianPhiModule
@@ -167,26 +166,8 @@ def field_from_json(doc, prec_override=None) -> UnramifiedFieldDescriptor:
         raise ValidationError(f"field: f = {f} must be at least 1")
     if prec < 1:
         raise ValidationError(f"field: precision {prec} must be at least 1")
-    if modulus:
-        return _field_with_modulus(p, f, prec, modulus)
-    return UnramifiedFieldDescriptor.create(p, f, prec)
-
-
-def _field_with_modulus(p, f, prec, modulus):
-    """The level a JSON modulus presents.  It must be the presentation the
-    descriptors assume: monic of degree f, irreducible with primitive roots
-    mod p (x - 1 at f = 1, where z = 1), and z^q = z mod p^N, so that z is a
-    Teichmuller root and Frobenius is z -> z^p."""
-    if len(modulus) == f + 1 and modulus[-1] == 1 and (
-            (modulus[0] + 1) % p ** prec == 0 if f == 1
-            else fp_is_primitive([c % p for c in modulus], p)):
-        field = UnramifiedFieldDescriptor(p, f, prec, modulus)
-        z = field.ring.gen_z()
-        if field.ring.pow(z, field.q) == z:
-            return field
-    raise ValidationError(f"field: modulus {list(modulus)} is not a monic lift "
-                          f"of degree {f} of a primitive polynomial mod {p} "
-                          f"with z^q = z mod {p}^{prec} (x - 1 when f = 1)")
+    # a JSON modulus must be the Teichmuller presentation create() checks
+    return UnramifiedFieldDescriptor.create(p, f, prec, modulus or None)
 
 
 def _base_coeff(c):
@@ -208,7 +189,7 @@ def extension_from_json(doc, prec_override=None):
         coeffs = tuple(_base_coeff(c) for c in eis["coeffs"])
         auts = {name: [_base_coeff(c) for c in poly]
                 for name, poly in eis.get("automorphisms", {}).items()}
-        return EisensteinExtensionDescriptor(base, coeffs, auts)
+        return EisensteinExtensionDescriptor.create(base, coeffs, auts)
     except (KeyError, IndexError, TypeError, ValueError, AttributeError,
             OverflowError) as exc:
         raise ValidationError(f"extension: bad Eisenstein coefficients or "

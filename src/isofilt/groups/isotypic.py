@@ -119,11 +119,11 @@ def _embedding_for(field, dprime: int):
             raise FieldIncompatibilityError("runaway unramified degree")
     if s == 1:
         return field, None
-    key = (field, s)
-    if key not in _EMBED_CACHE:
-        big = UnramifiedFieldDescriptor.create(field.p, field.f * s, field.prec)
-        _EMBED_CACHE[key] = (big, UnramifiedEmbedding(field, big))
-    return _EMBED_CACHE[key]
+    big = UnramifiedFieldDescriptor.create(field.p, field.f * s, field.prec)
+    emb = _EMBED_CACHE.get((field, s))
+    if emb is None:
+        emb = _EMBED_CACHE[field, s] = UnramifiedEmbedding(field, big)
+    return big, emb
 
 
 def gauss_period(field, dprime: int, exps) -> "sc.Scalar":

@@ -171,11 +171,8 @@ def _rational_charpoly(D: PhiModule):
     return [project_to_rational_level(c, qp) for c in chi], qp
 
 
-def _qp_level(field, _cache={}):
-    key = (field.p, field.prec)
-    if key not in _cache:
-        _cache[key] = UnramifiedFieldDescriptor.create(field.p, 1, field.prec)
-    return _cache[key]
+def _qp_level(field):
+    return UnramifiedFieldDescriptor.create(field.p, 1, field.prec)
 
 
 def slope_factors(D: PhiModule):
@@ -198,8 +195,8 @@ def _split_by_valuation(chi, qp):
         tval = lambda j: la.pi_power(qp, a * j)
     else:
         # tame Kummer ring t^b = p; no automorphism table needed here
-        level = EisensteinExtensionDescriptor(
-            qp, (-qp.p,) + (0,) * (b - 1) + (1,), validate=False)
+        level = EisensteinExtensionDescriptor.create(
+            qp, (-qp.p,) + (0,) * (b - 1) + (1,))
         proj = project_to_base
         tval = lambda j: sc.sc_pow(level.uniformizer(), a * j)
     G, H = _hensel_split(level, chi, a, m0)

@@ -12,16 +12,49 @@ automorphisms given by their action on the uniformizer.  Galois groups are
 never computed here; the table is input and checked (closure, group of order
 e, E(tau(u)) = 0 at working precision, transitive on the listed roots).
 
-Descriptors are immutable.
+Descriptors are never mutated after construction; what they gain later
+(small scalars, Teichmuller roots, the ring's inverses and kernels, linalg's
+raw kernel) is a memo of a function of the presentation.  ``create`` interns
+them, so a process holds one descriptor, and one TowerRing, per presentation.
+The key is (p, f, N, modulus mod p^N, floor) for K_q and (base, raw Eisenstein
+coefficients, raw automorphism images in table order, floor) for L, and
+``==`` and ``hash`` compare exactly that key.  Only a descriptor that passed
+every check is stored, and a hit returns one whose checks ran on the same key,
+so certify-or-fail holds as if each load built its level afresh: a bad
+presentation fails on every load.  At most LEVEL_CACHE levels are kept, the
+oldest forgotten first.  The constructors stay for levels that are not to be
+shared (other floors, unvalidated rings).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from ..errors import ValidationError
-from .fp import fp_order
+from .fp import fp_is_primitive, fp_order
 from .ring import TowerRing, int_valuation
 from .hensel import find_unramified_modulus
 from . import scalar as sc
+
+# the most levels one process keeps interned, over both kinds
+LEVEL_CACHE = 64
+_LEVELS: dict = {}
+
+
+def _interned(key, build):
+    """The level stored under key, else build()'s, stored once it returns:
+    build raises on a bad presentation and nothing is stored.  (The two
+    kinds' keys never compare equal: their lengths differ.)"""
+    level = _LEVELS.get(key)
+    if level is None:
+        level = build()
+        if len(_LEVELS) >= LEVEL_CACHE:
+            del _LEVELS[next(iter(_LEVELS))]
+        _LEVELS[key] = level
+    return level
+
+
+_canonical_modulus = lru_cache(maxsize=LEVEL_CACHE)(find_unramified_modulus)
 
 
 class UnramifiedFieldDescriptor:
@@ -37,13 +70,38 @@ class UnramifiedFieldDescriptor:
         self.ring = TowerRing(p, prec, self.modulus)
         self.floor_relpi = floor_relpi
         self.relpi_max = prec
+        self._key = (p, f, prec, self.modulus, floor_relpi)
+        self._hash = hash(self._key)
         self._teich_cache: dict[int, "sc.Scalar"] = {}
         self._small: dict[int, "sc.Scalar"] = {}
         self.raw_kernel = None  # linalg's elimination kernel, built on first use
 
     @classmethod
-    def create(cls, p: int, f: int, prec: int) -> "UnramifiedFieldDescriptor":
-        return cls(p, f, prec, find_unramified_modulus(p, f, prec))
+    def create(cls, p: int, f: int, prec: int, modulus=None,
+               floor_relpi: int = 1) -> "UnramifiedFieldDescriptor":
+        """The interned level presented by ``modulus``, or by the canonical
+        modulus (hensel.find_unramified_modulus) when it is None.  A modulus
+        must be the presentation the descriptors assume: monic of degree f,
+        irreducible with primitive roots mod p (x - 1 at f = 1, where z = 1),
+        and z^q = z mod p^N, so that z is a Teichmuller root and Frobenius is
+        z -> z^p.  Every check but monic degree f reads the modulus mod p^N,
+        which is the key."""
+        if modulus is None:
+            modulus = _canonical_modulus(p, f, prec)
+        elif len(modulus) != f + 1 or modulus[-1] != 1:
+            raise _not_teichmuller(p, f, prec, modulus)
+        pn = p ** prec
+        m = tuple(c % pn for c in modulus)
+
+        def build():
+            if ((m[0] + 1) % pn == 0 if f == 1
+                    else fp_is_primitive([c % p for c in m], p)):
+                field = cls(p, f, prec, m, floor_relpi)
+                z = field.ring.gen_z()
+                if field.ring.pow(z, field.q) == z:
+                    return field
+            raise _not_teichmuller(p, f, prec, modulus)
+        return _interned((p, f, prec, m, floor_relpi), build)
 
     @property
     def q(self) -> int:
@@ -51,11 +109,10 @@ class UnramifiedFieldDescriptor:
 
     def __eq__(self, other):
         return (isinstance(other, UnramifiedFieldDescriptor)
-                and (self.p, self.f, self.prec, self.modulus)
-                == (other.p, other.f, other.prec, other.modulus))
+                and self._key == other._key)
 
     def __hash__(self):
-        return hash((self.p, self.f, self.prec, self.modulus))
+        return self._hash
 
     def __repr__(self):
         return f"Q_{self.p}^({self.f}) @N={self.prec}"
@@ -112,6 +169,12 @@ class UnramifiedFieldDescriptor:
                 "modulus": list(self.modulus)}
 
 
+def _not_teichmuller(p, f, prec, modulus):
+    return ValidationError(f"field: modulus {list(modulus)} is not a monic lift "
+                           f"of degree {f} of a primitive polynomial mod {p} "
+                           f"with z^q = z mod {p}^{prec} (x - 1 when f = 1)")
+
+
 SMALL_INT = 64  # field.scalar(n) for |n| <= SMALL_INT is built once
 
 
@@ -165,6 +228,9 @@ class EisensteinExtensionDescriptor:
         self.prec = base.prec
         self.raw_eis = tuple(eis_coeffs)
         self.raw_auts = dict(automorphisms or {})
+        self._key = _extension_key(base, self.raw_eis, self.raw_auts,
+                                   floor_relpi)
+        self._hash = hash(self._key)
         coeffs = tuple(self._coerce_base_vec(c) for c in eis_coeffs)
         if coeffs[-1] != self._coerce_base_vec(1):
             raise ValidationError("Eisenstein polynomial must be monic")
@@ -183,6 +249,13 @@ class EisensteinExtensionDescriptor:
             self.automorphisms[name] = _AutRecord(name, image, self.ring)
         if validate:
             self._validate()
+
+    @classmethod
+    def create(cls, base: UnramifiedFieldDescriptor, eis_coeffs: tuple,
+               automorphisms: dict | None = None) -> "EisensteinExtensionDescriptor":
+        """The interned, validated step over base (see the module docstring)."""
+        key = _extension_key(base, eis_coeffs, automorphisms or {}, 1)
+        return _interned(key, lambda: cls(base, eis_coeffs, automorphisms))
 
     def _coerce_base_vec(self, c):
         pn = self.base.p ** self.prec
@@ -274,11 +347,10 @@ class EisensteinExtensionDescriptor:
 
     def __eq__(self, other):
         return (isinstance(other, EisensteinExtensionDescriptor)
-                and self.base == other.base and self.raw_eis == other.raw_eis
-                and tuple(sorted(self.raw_auts)) == tuple(sorted(other.raw_auts)))
+                and self._key == other._key)
 
     def __hash__(self):
-        return hash((self.base, self.raw_eis, tuple(sorted(self.raw_auts))))
+        return self._hash
 
     def __repr__(self):
         return f"{self.base!r}[u]/E(deg {self.e})"
@@ -322,6 +394,16 @@ class EisensteinExtensionDescriptor:
                               for k, v in self.raw_auts.items()},
         }
         return d
+
+
+def _extension_key(base, eis_coeffs, automorphisms, floor_relpi):
+    """The step's identity: its base, and its raw coefficients and images
+    as given (an int or a base vector each; a list read as a tuple)."""
+    def raw(poly):
+        return tuple(c if isinstance(c, int) else tuple(c) for c in poly)
+    return (base, raw(eis_coeffs),
+            tuple((name, raw(poly)) for name, poly in automorphisms.items()),
+            floor_relpi)
 
 
 def _vec_valuation(vec, p):

@@ -42,8 +42,9 @@ from functools import lru_cache
 
 from .fp import fq_inverse
 
-# the most non-constant units whose inverses one ring remembers; a ring can
-# live as long as the process (groups.isotypic keeps its embedding rings)
+# the most non-constant units whose inverses one ring remembers; a ring lives
+# as long as its level, and descriptors.create keeps one level per
+# presentation for the process, so its inverses and kernels serve every load
 INV_MEMO_CAP = 1024
 # the most compiled kernels kept, over every ring layout and operand length;
 # one slope-split cycle compiles a few dozen (tests/test_ring_kernels.py)

@@ -466,6 +466,27 @@ def test_descent_datum_cocycle_and_targets(Q2, setup_c2):
     assert is_diagonally_stable(rep, res["filtration"], setup_c2)
 
 
+def test_cocycle_check_is_the_pairwise_identity(Q2, setup_c2):
+    # on an associative table, x x^-1 = x^-1 x = e for each x implies
+    # (ab)^-1 = b^-1 a^-1 for all a, b; an inverse table with one entry wrong
+    # fails it (the pairwise identity can still hold: in C2 with 1^-1 = 0
+    # every inverse and every product of inverses is 0)
+    from types import SimpleNamespace
+    from isofilt.groups.constructions import all_groups_up_to_16
+
+    def pairwise(G):
+        return all(G.inverse[G.table[a][b]] == G.table[G.inverse[b]][G.inverse[a]]
+                   for a in range(G.n) for b in range(G.n))
+
+    datum = DescentDatum(scalar_c2_rep(Q2, 2), setup_c2)
+    for _, G in all_groups_up_to_16():
+        datum.rep = SimpleNamespace(group=G)
+        assert datum.verify_cocycle() and pairwise(G)
+        if G.n > 1:
+            G.inverse[1 if G.identity == 0 else 0] = G.identity
+            assert not datum.verify_cocycle()
+
+
 def test_repeated_slope_piece_samples_as_asked(Q2, setup_c2):
     # slope 1/2 fills a 4-dimensional piece twice over: exact mode meets the
     # repeated slope and samples the piece, on the ledger that asking for
