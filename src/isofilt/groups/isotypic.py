@@ -107,11 +107,9 @@ def _mobius_prime_power(d0: int) -> int:
     return -1 if d0 == p else 0
 
 
-_EMBED_CACHE: dict = {}
-
-
 def _embedding_for(field, dprime: int):
-    """(big field, embedding) with dprime | q_big - 1."""
+    """(big field, embedding) with dprime | q_big - 1.  The embedding is a
+    memo of the field, so it lives and dies with its level."""
     s = 1
     while (field.q ** s - 1) % dprime != 0:
         s += 1
@@ -119,11 +117,11 @@ def _embedding_for(field, dprime: int):
             raise FieldIncompatibilityError("runaway unramified degree")
     if s == 1:
         return field, None
-    big = UnramifiedFieldDescriptor.create(field.p, field.f * s, field.prec)
-    emb = _EMBED_CACHE.get((field, s))
+    emb = field.embeddings.get(s)
     if emb is None:
-        emb = _EMBED_CACHE[field, s] = UnramifiedEmbedding(field, big)
-    return big, emb
+        big = UnramifiedFieldDescriptor.create(field.p, field.f * s, field.prec)
+        emb = field.embeddings[s] = UnramifiedEmbedding(field, big)
+    return emb.big, emb
 
 
 def gauss_period(field, dprime: int, exps) -> "sc.Scalar":

@@ -166,13 +166,9 @@ def _newton_slopes(D: PhiModule) -> SlopeProfile:
 
 def _rational_charpoly(D: PhiModule):
     """Characteristic polynomial of the linearization, certified rational."""
-    qp = _qp_level(D.field)
+    qp = UnramifiedFieldDescriptor.create(D.field.p, 1, D.field.prec)
     _, chi = _linearized_charpoly(D)
     return [project_to_rational_level(c, qp) for c in chi], qp
-
-
-def _qp_level(field):
-    return UnramifiedFieldDescriptor.create(field.p, 1, field.prec)
 
 
 def slope_factors(D: PhiModule):

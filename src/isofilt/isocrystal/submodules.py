@@ -36,15 +36,16 @@ from ..errors import MultiplicityError, PrecisionError
 from ..padic import linalg as la
 from ..padic import scalar as sc
 from ..padic.convert import coords_to_qp_scalars, embed_qp
+from ..padic.descriptors import UnramifiedFieldDescriptor
 from .module import PhiModule
-from .slopes import isoclinic_decompose, _qp_level
+from .slopes import isoclinic_decompose
 
 
 def endomorphism_algebra(D: PhiModule):
     """Q_p-basis of {U : U A = A sigma(U)}, as matrices over the field."""
     field = D.field
     n, f = D.n, field.f
-    qp = _qp_level(field)
+    qp = UnramifiedFieldDescriptor.create(field.p, 1, field.prec)
     gen = field.gen()
     gens = [sc.sc_pow(gen, k) for k in range(f)]
     unknowns = []  # (i, j, k) -> basis matrix E_ij * z^k

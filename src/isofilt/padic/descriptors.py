@@ -14,8 +14,9 @@ e, E(tau(u)) = 0 at working precision, transitive on the listed roots).
 
 Descriptors are never mutated after construction; what they gain later
 (small scalars, Teichmuller roots, the ring's inverses and kernels, linalg's
-raw kernel) is a memo of a function of the presentation.  ``create`` interns
-them, so a process holds one descriptor, and one TowerRing, per presentation.
+raw kernel, isotypic's embeddings into bigger levels) is a memo of a function
+of the presentation.  ``create`` interns them, so a process holds one
+descriptor, and one TowerRing, per presentation.
 The key is (p, f, N, modulus mod p^N, floor) for K_q and (base, raw Eisenstein
 coefficients, raw automorphism images in table order, floor) for L, and
 ``==`` and ``hash`` compare exactly that key.  Only a descriptor that passed
@@ -75,17 +76,18 @@ class UnramifiedFieldDescriptor:
         self._teich_cache: dict[int, "sc.Scalar"] = {}
         self._small: dict[int, "sc.Scalar"] = {}
         self.raw_kernel = None  # linalg's elimination kernel, built on first use
+        self.embeddings: dict = {}  # s -> isotypic's embedding into K_{q^s}
 
     @classmethod
-    def create(cls, p: int, f: int, prec: int, modulus=None,
-               floor_relpi: int = 1) -> "UnramifiedFieldDescriptor":
-        """The interned level presented by ``modulus``, or by the canonical
-        modulus (hensel.find_unramified_modulus) when it is None.  A modulus
-        must be the presentation the descriptors assume: monic of degree f,
-        irreducible with primitive roots mod p (x - 1 at f = 1, where z = 1),
-        and z^q = z mod p^N, so that z is a Teichmuller root and Frobenius is
-        z -> z^p.  Every check but monic degree f reads the modulus mod p^N,
-        which is the key."""
+    def create(cls, p: int, f: int, prec: int,
+               modulus=None) -> "UnramifiedFieldDescriptor":
+        """The interned floor-1 level presented by ``modulus``, or by the
+        canonical modulus (hensel.find_unramified_modulus) when it is None.
+        A modulus must be the presentation the descriptors assume: monic of
+        degree f, irreducible with primitive roots mod p (x - 1 at f = 1,
+        where z = 1), and z^q = z mod p^N, so that z is a Teichmuller root
+        and Frobenius is z -> z^p.  Every check but monic degree f reads the
+        modulus mod p^N, which is the key."""
         if modulus is None:
             modulus = _canonical_modulus(p, f, prec)
         elif len(modulus) != f + 1 or modulus[-1] != 1:
@@ -96,12 +98,12 @@ class UnramifiedFieldDescriptor:
         def build():
             if ((m[0] + 1) % pn == 0 if f == 1
                     else fp_is_primitive([c % p for c in m], p)):
-                field = cls(p, f, prec, m, floor_relpi)
+                field = cls(p, f, prec, m)
                 z = field.ring.gen_z()
                 if field.ring.pow(z, field.q) == z:
                     return field
             raise _not_teichmuller(p, f, prec, modulus)
-        return _interned((p, f, prec, m, floor_relpi), build)
+        return _interned((p, f, prec, m, 1), build)
 
     @property
     def q(self) -> int:

@@ -141,10 +141,9 @@ def test_fields_with_other_floors_differ():
     floor3 = UnramifiedFieldDescriptor(2, 3, 16, base.modulus, floor_relpi=3)
     assert floor3 != base and len({base, floor3}) == 2
     assert UnramifiedFieldDescriptor(2, 3, 16, base.modulus) == base
-    assert UnramifiedFieldDescriptor.create(2, 3, 16, floor_relpi=3) is not base
-    # each field gets an embedding into Q_64 from a field equal to it, floor
-    # included, not the other's
+    # each field gets its own embedding into Q_64, not the other's
     for field in (base, floor3):
         big, emb = _embedding_for(field, 9)
-        assert emb.small == field and big.f == 6
-        assert emb.small.floor_relpi == field.floor_relpi
+        assert emb.small is field and emb.big is big and big.f == 6
+        assert _embedding_for(field, 9)[1] is emb
+    assert _embedding_for(base, 9)[1] is not _embedding_for(floor3, 9)[1]
