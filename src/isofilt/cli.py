@@ -315,7 +315,8 @@ def _filtration_check(args) -> int:
         # an extension node is re-derived whole: its toric and quotient
         # entries are basis independent, so find and check agree on them
         failures.append("admissible")
-    if not is_diagonally_stable(rep, F, setup):
+    if not is_diagonally_stable(rep, F, setup, rank=(
+            rep_check.rank_F if mode == "extension" else None)):
         # the descent targets are the same (rho(h), tau_h) pairs
         failures += ["diagonal-stability", "descent-targets"]
     if not DescentDatum(rep, setup).verify_cocycle():

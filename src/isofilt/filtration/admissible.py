@@ -35,29 +35,18 @@ ADMISSIBILITY_BUDGET = 200
 
 def t_H(F_cols_L, N_cols_K, ext, rank_F: int,
         rank_N: int | None = None) -> int:
-    """dim(N_L cap F) = rank N_L + rank F - rank [N_L | F], certified.
-
-    rank_F is the certified rank of F, which the caller computes once for
-    every N it tests.  rank_N is the rank of N when the caller knows N's
-    columns to be certified independent at the working level, as every basis
-    of a SubmoduleSet is; rank N_L is then dim N, since a field extension
-    keeps ranks, and N costs one elimination.  With rank_N None the rank of
-    N_L is certified here, for an N from outside: two eliminations.
-    """
-    if not (N_cols_K and N_cols_K[0]):
+    """dim(N_L cap F) = rank N_L + rank F - rank [N_L | F], certified, for
+    F of certified rank rank_F.  rank_N is dim N when N's columns are
+    certified independent, as every basis of a SubmoduleSet is (a field
+    extension keeps ranks): one elimination; with rank_N None, two."""
+    if not (N_cols_K and N_cols_K[0] and F_cols_L and F_cols_L[0]):
         return 0
-    if not (F_cols_L and F_cols_L[0]):
-        return 0
-    NL = lift_matrix(ext, N_cols_K)
-    if rank_N is None:
-        rank_N = la.certified_rank(la.transpose(NL))
-    return (rank_N + rank_F
-            - la.certified_rank(la.transpose(la.hstack(NL, F_cols_L))))
+    return la.intersection_dim(lift_matrix(ext, N_cols_K), F_cols_L,
+                               rank_N, rank_F)
 
 
-def _rank(F_cols_L):
-    return la.certified_rank(la.transpose(F_cols_L)) \
-        if F_cols_L and F_cols_L[0] else 0
+def _rank(F):
+    return la.certified_rank(la.transpose(F)) if F and F[0] else 0
 
 
 class AdmissibilityReport:
@@ -90,8 +79,8 @@ class AdmissibilityReport:
 
 
 def is_admissible(D: PhiModule, F_cols_L, ext, mode: str = "exact",
-                  seed: int = 0,
-                  budget: int = ADMISSIBILITY_BUDGET) -> AdmissibilityReport:
+                  seed: int = 0, budget: int = ADMISSIBILITY_BUDGET,
+                  rank_F: int | None = None) -> AdmissibilityReport:
     """Check the slope bound over all (exact) or many (sampled) submodules.
 
     Sampled mode is one-sidedly sound: 'inadmissible' verdicts carry an
@@ -101,6 +90,8 @@ def is_admissible(D: PhiModule, F_cols_L, ext, mode: str = "exact",
     a sum of isoclinic components, D included, whose bound t_N the
     decomposition certified (``SubmoduleSet.bounds``).  Only a sampled
     kernel, image or phi-span has its t_N certified from its Frobenius.
+    rank_F is certified on first use unless given.  The components are lifted
+    to L once: a sum's lift is theirs concatenated, entry for entry.
     """
     subs = submodules(D, mode, budget=budget, seed=seed)
     entries = []
@@ -108,8 +99,8 @@ def is_admissible(D: PhiModule, F_cols_L, ext, mode: str = "exact",
     violation = None
     verdict = True
     equality_at_top = None
-    rank_F = None  # certified on first use: some modules have no proper N
-    for N, bound in zip(subs.subspaces, subs.bounds):
+    lifts = None  # the components' lifts to L, on first use
+    for N, bound, pick in zip(subs.subspaces, subs.bounds, subs.sums):
         dN = la.mat_dims(N)[1]
         if dN == 0:
             entries.append((0, 0, Fraction(0)))
@@ -121,7 +112,13 @@ def is_admissible(D: PhiModule, F_cols_L, ext, mode: str = "exact",
                 bound = D.submodule(N).t_N()
             if rank_F is None:
                 rank_F = _rank(F_cols_L)
-            th = t_H(F_cols_L, N, ext, rank_F, rank_N=dN)
+            if pick is None:
+                NL = lift_matrix(ext, N)
+            else:
+                lifts = lifts or [lift_matrix(ext, c) for _, c in subs.components]
+                NL = (lifts[pick[0]] if len(pick) == 1 else
+                      [sum(rows, []) for rows in zip(*[lifts[i] for i in pick])])
+            th = la.intersection_dim(NL, F_cols_L, dN, rank_F) if dimF else 0
         entries.append((dN, th, bound))
         if th > bound:
             verdict = False
@@ -146,14 +143,14 @@ def verify_violation(D: PhiModule, F_cols_L, ext, N_cols) -> bool:
 
 
 def admissible_with_fallback(D: PhiModule, F_cols_L, ext, mode: str,
-                             seed: int, budget: int) -> AdmissibilityReport:
+                             seed: int, budget: int,
+                             rank_F: int | None = None) -> AdmissibilityReport:
     """is_admissible in the given mode; sampled where exact mode meets a
     repeated slope, on the decomposition the exact attempt stored on D."""
     try:
-        return is_admissible(D, F_cols_L, ext, mode, seed=seed, budget=budget)
+        return is_admissible(D, F_cols_L, ext, mode, seed, budget, rank_F)
     except MultiplicityError:
-        return is_admissible(D, F_cols_L, ext, "sampled", seed=seed,
-                             budget=budget)
+        return is_admissible(D, F_cols_L, ext, "sampled", seed, budget, rank_F)
 
 
 class ExtensionReport:
@@ -207,26 +204,30 @@ def quotient_filtration(sa: SemiAbelianPhiModule, F_cols_L, ext):
 
 def toric_extension_report(sa: SemiAbelianPhiModule, F_cols_L, ext,
                            seed: int = 0, budget: int = ADMISSIBILITY_BUDGET,
-                           quotient: AdmissibilityReport | None = None
-                           ) -> ExtensionReport:
+                           quotient: AdmissibilityReport | None = None,
+                           rank_F: int | None = None) -> ExtensionReport:
     """The extension node for a module with a toric part (t > 0).
 
     Reads T's slope from ``sa.toric_slope()``, certified once per module
     from T's own Newton polygon (never from how sa was built), and
-    certifies T_L <= F, F_B = the image of F in D_B and rank F.  The quotient
-    node is exact on D_B, sampled with the given seed and budget only when
-    D_B has a repeated slope; D_B = 0 (a pure torus) is admissible with its
-    one submodule.  A caller that certified (D_B, F_B) already, as the
-    driver has for the F_B it pulled back, passes that report as quotient.
+    certifies rank F (unless given), T_L <= F and F_B = the image of F in
+    D_B, of rank its number of pivot columns.  The quotient node is exact
+    on D_B, sampled with the given seed and budget only when D_B has a
+    repeated slope; D_B = 0 (a pure torus) is admissible with its one
+    submodule.  A caller that certified (D_B, F_B) already, as the driver
+    has for the F_B it pulled back, passes that report as quotient.
     """
-    contained = la.subspace_leq(lift_matrix(ext, sa.toric_cols), F_cols_L)
+    rank_F = _rank(F_cols_L) if rank_F is None else rank_F
+    contained = la.subspace_leq(lift_matrix(ext, sa.toric_cols), F_cols_L,
+                                rank_F)
     F_B = quotient_filtration(sa, F_cols_L, ext)
     if quotient is None:
         if sa.B_dim:
             quotient = admissible_with_fallback(
-                sa.quotient_module(), F_B, ext, "exact", seed, budget)
+                sa.quotient_module(), F_B, ext, "exact", seed, budget,
+                la.mat_dims(F_B)[1])
         else:
             quotient = AdmissibilityReport(True, [(0, 0, Fraction(0))],
                                            "exact", 1, None, True)
-    return ExtensionReport(sa.t_dim, sa.toric_slope(), contained,
-                           _rank(F_cols_L), F_B, quotient)
+    return ExtensionReport(sa.t_dim, sa.toric_slope(), contained, rank_F,
+                           F_B, quotient)

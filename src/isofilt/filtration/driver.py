@@ -1,47 +1,44 @@
 """Construction driver for admissible, Galois-stable Lagrangian filtrations.
 
 The driver reduces a polarized semi-abelian module to its abelian quotient
-(pulling the found filtration back over the toric part), splits the quotient
-into orthogonal, phi-stable, G-stable pieces with at most two slopes that are
-elementary as representations over Q_p (each keeping the isotypic components
-that cut it out), solves each piece by one of two routes, and glues:
+D_B (kept on the module), splits D_B into orthogonal, phi-stable, G-stable
+pieces with at most two slopes that are elementary as representations over
+Q_p (each keeping the isotypic components that cut it out), solves each
+piece by one of two routes, glues, and pulls back over the toric part:
 
 * two slopes {mu, 1-mu}, mu != 1/2: sample rational points of the Lagrangian
-  chart atlas inside the descended invariant space until the filtration is
-  transverse to both isoclinic components; admissibility follows and is
-  re-verified, stability holds by construction and is re-verified;
-* one slope (necessarily 1/2): if the group acts by homotheties, sample
+  chart atlas inside the descended invariant space until F is transverse to
+  both isoclinic components, which forces admissibility;
+* one slope (necessarily 1/2): under a homothety action, sample
   base-rational Lagrangians until F is transverse to its twisted-Frobenius
-  image (which forces admissibility); otherwise take the first perturbing
-  element h (``isotypic.find_perturbateur``, decided on the eigenvalue
-  multiplicities of the character table, not on the matrices) and sample
-  stable Lagrangians until dim(F cap h F) <= 1, which again forces
-  admissibility; the seed construction runs only if the samples run out.
+  image; otherwise take the first perturbing element h
+  (``isotypic.find_perturbateur``, decided on the character table) and
+  sample stable Lagrangians until dim(F cap h F) <= 1, running the seed
+  construction only if the samples run out.  Either forces admissibility.
 
-Every certificate re-verifies all properties through code paths independent
-of the construction; searches are seeded and budgeted, and the emitted
-descent datum is the family f_h = rho(h^{-1}) whose cocycle law is an exact
-consequence of the multiplication table.  Its targets f_h F = h.gal F are the
-pairs that diagonal stability tests, so the stability verdict is reused for
-them.  A glue of two or more pieces is re-verified.  A single piece is D_B
-in the basis ambient, with D_B's split (``PhiModule.submodule``) and, for one
-isotypic component, its block's action; its verdicts are F_B's, admissibility
-included when exact, as an exact ledger is basis-independent.  With no toric
-part the pull-back is the identity: F is the glued F_B entry for entry, and
-F_B's admissibility report and stability verdict are F's.  With a toric part
-T, F = T + section(F_B), and its admissibility is the extension node of
-``admissible.toric_extension_report``: T has pure slope 1 and lies in F, and
-the node reuses the report just certified for (D_B, F_B), so no submodule of
-the full D is enumerated.  A pure torus (D_B = 0) takes F = D through the
-same node.  ``adm_mode="sampled"`` samples the full D instead, as a
-cross-check.  Each piece is checked in the same mode, exact mode sampling
-only a piece whose slope repeats (``admissible_with_fallback``).  Every layer
-certifies its rank decisions at ``linalg.DEFAULT_GUARD``.
+Every property is re-verified independently of the construction, and each
+filtration's rank is certified once for all of them: a sample's for both of
+its intersection tests (a component's rank is its size; rho(h) F and phi(F)
+have F's), the g of the Lagrangian check for admissibility and stability,
+the pulled-back F's for containment, the extension node and stability.  The
+descent datum f_h = rho(h^{-1}) satisfies its cocycle law exactly by the
+table; its targets are the pairs that diagonal stability tests.  A single
+piece is D_B in the basis ambient, with D_B's split (``PhiModule.submodule``)
+and, for one isotypic component, its block's action: its verdicts are F_B's,
+exact admissibility included (an exact ledger is basis-independent); a glue
+of pieces is re-verified.  With no toric part F is F_B.  With a toric part
+T, F = T + section(F_B) is admissible by the extension node of
+``admissible.toric_extension_report``, which reuses the report for
+(D_B, F_B); a pure torus takes F = D through the same node.
+``adm_mode="sampled"`` samples the full D instead, as a cross-check; exact
+mode samples only a piece whose slope repeats
+(``admissible_with_fallback``).  Searches are seeded and budgeted, and every
+layer certifies its rank decisions at ``linalg.DEFAULT_GUARD``.
 
 The action is validated once, and every stability verdict is decided, on
 the rows of the group's generators (``GroupRepresentation.relation_rows``):
 a relation that holds for the generators holds for every word in them, at
-the relation threshold when the matrices multiplied are integral.  When a
+the relation threshold when the matrices multiplied are integral; when a
 generator matrix is not integral, as an induced piece matrix need not be,
 every element is tested instead.
 """
@@ -54,6 +51,7 @@ from fractions import Fraction
 from ..errors import (ValidationError, BudgetExhaustedError,
                       InternalContradictionError, PrecisionError)
 from ..padic import linalg as la
+from ..padic import scalar as sc
 from ..padic.convert import project_to_base
 from ..isocrystal.module import PhiModule, SemiAbelianPhiModule
 from ..isocrystal.slopes import newton_slopes, isoclinic_decompose
@@ -87,7 +85,14 @@ class PieceData:
 
 
 def induced_rep(rep: GroupRepresentation, cols) -> GroupRepresentation:
-    mats = [la.solve_right(cols, la.mat_mul(m, cols)) for m in rep.mats]
+    """The action on the span of cols, in the basis cols: rep's own matrices
+    on the exact identity (one slope), as solve_right(I, m I) is m."""
+    one = rep.field.one()
+    exact_identity = len(cols) == len(cols[0]) and all(
+        x is one if i == j else x.kind == sc.ZERO
+        for i, row in enumerate(cols) for j, x in enumerate(row))
+    mats = rep.mats if exact_identity else [
+        la.solve_right(cols, la.mat_mul(m, cols)) for m in rep.mats]
     return GroupRepresentation(rep.group, rep.field, mats, faithful=False)
 
 
@@ -210,9 +215,10 @@ def two_slope_filtration(piece: PieceData, setup: GaloisSetup, seed: int,
     for _ in range(budget):
         F = _sample_stable_lagrangian(B, desc_space, ext, rng)
         try:
-            if la.intersection_dim(F, c1L) != 0:
+            r = la.certified_rank(la.transpose(F))
+            if la.intersection_dim(F, c1L, r, len(c1[0])) != 0:
                 continue
-            if la.intersection_dim(F, c2L) != 0:
+            if la.intersection_dim(F, c2L, r, len(c2[0])) != 0:
                 continue
         except PrecisionError:
             continue
@@ -249,7 +255,7 @@ def supersingular_filtration(piece: PieceData, setup: GaloisSetup, seed: int,
             FK = C.basis_cols
             img = D.apply_phi(FK)  # phi_tau(F) at the base level
             try:
-                if la.intersection_dim(FK, img) != 0:
+                if la.intersection_dim(FK, img, C.dim, C.dim) != 0:
                     continue
             except PrecisionError:
                 continue
@@ -266,7 +272,8 @@ def supersingular_filtration(piece: PieceData, setup: GaloisSetup, seed: int,
     for _ in range(budget):
         F = _sample_stable_lagrangian(B, desc_space, ext, rng)
         try:
-            if la.intersection_dim(F, la.mat_mul(hL, F)) > 1:
+            r = la.certified_rank(la.transpose(F))
+            if la.intersection_dim(F, la.mat_mul(hL, F), r, r) > 1:
                 continue
         except PrecisionError:
             continue
@@ -293,20 +300,20 @@ def _sample_stable_lagrangian(B, desc_space, ext, rng):
 
 def _finish_piece(piece, setup, F, adm_mode, seed,
                   expect_admissible=False, witness=None):
-    """Re-verify all three properties through independent code paths."""
+    """Re-verify all three properties, on the rank g the Lagrangian certifies."""
     D, J, rep = piece.module, piece.gram, piece.rep
     ext = setup.ext
     space_L = SymplecticSpace(ext, lift_matrix(ext, J), validate=False)
-    LagrangianSubspace(space_L, F, validate=True)
+    g = LagrangianSubspace(space_L, F, validate=True).dim
     report = admissible_with_fallback(D, F, ext, adm_mode, seed,
-                                      ADMISSIBILITY_BUDGET)
+                                      ADMISSIBILITY_BUDGET, g)
     if not report.verdict:
         if expect_admissible:
             raise InternalContradictionError(
                 "construction route guarantees admissibility but the check "
                 "found a violating submodule")
         raise ValidationError("filtration is not admissible")
-    stable = is_diagonally_stable(rep, F, setup)
+    stable = is_diagonally_stable(rep, F, setup, rank=g)
     if not stable:
         raise InternalContradictionError(
             "sampled filtration is not diagonally stable")
@@ -364,7 +371,6 @@ def find_admissible_stable_filtration(sa: SemiAbelianPhiModule,
     dim N, t_H and t_N is basis-independent, so F's exact report is F_B's; a
     sampled one depends on the basis and the seed and is re-decided."""
     D = sa.module
-    field = D.field
     ext = setup.ext
     t = sa.t_dim
     if t:
@@ -373,13 +379,13 @@ def find_admissible_stable_filtration(sa: SemiAbelianPhiModule,
         # D_B is D and repB is rep: one validation covers both
         rep.validate(phi_module=D, gram=sa.gram_B)
     if sa.B_dim == 0:
-        FL = lift_matrix(ext, la.identity(field, D.n))
-        report = _toric_admissibility(sa, FL, ext, adm_mode, seed)
+        FL = lift_matrix(ext, la.identity(D.field, D.n))  # of rank n
+        report = _toric_admissibility(sa, FL, ext, adm_mode, seed, D.n)
         if not report.verdict:
             raise InternalContradictionError("full filtration on a torus "
                                              "failed admissibility")
         datum = DescentDatum(rep, setup)
-        stable = is_diagonally_stable(rep, FL, setup)
+        stable = is_diagonally_stable(rep, FL, setup, rank=D.n)
         return {
             "filtration": FL, "admissibility": report,
             "graded": {"toric": True, "quotient": True},
@@ -409,19 +415,19 @@ def find_admissible_stable_filtration(sa: SemiAbelianPhiModule,
         FB = FP if FB is None else la.hstack(FB, FP)
     FB = la.normalize_columns(FB)
     # verify the glued quotient filtration (a single piece's verdicts hold)
-    glued = len(piece_results) > 1
+    glued, gB = len(piece_results) > 1, None
     if glued:
         spaceB = SymplecticSpace(ext, lift_matrix(ext, sa.gram_B),
                                  validate=False)
-        LagrangianSubspace(spaceB, FB, validate=True)
+        gB = LagrangianSubspace(spaceB, FB, validate=True).dim
     reportB = piece_results[0][1]["admissibility"]
     if glued or reportB.mode != "exact":
         reportB = admissible_with_fallback(DB, FB, ext, adm_mode, seed,
-                                           ADMISSIBILITY_BUDGET)
+                                           ADMISSIBILITY_BUDGET, gB)
     if not reportB.verdict:
         raise InternalContradictionError("glued quotient filtration failed "
                                          "admissibility re-verification")
-    if glued and not is_diagonally_stable(repB, FB, setup):
+    if glued and not is_diagonally_stable(repB, FB, setup, rank=gB):
         raise InternalContradictionError("glued quotient filtration is not "
                                          "diagonally stable")
     if t:
@@ -429,17 +435,18 @@ def find_admissible_stable_filtration(sa: SemiAbelianPhiModule,
         toric_L = lift_matrix(ext, sa.toric_cols)
         section_L = lift_matrix(ext, sa.section_cols)
         F = la.normalize_columns(la.hstack(toric_L, la.mat_mul(section_L, FB)))
-        report = _toric_admissibility(sa, F, ext, adm_mode, seed,
+        rank_F = la.certified_rank(la.transpose(F))
+        report = _toric_admissibility(sa, F, ext, adm_mode, seed, rank_F,
                                       quotient=reportB)
         if not report.verdict:
             raise InternalContradictionError("pulled-back filtration failed "
                                              "admissibility")
         graded_toric = (report.contained if report.mode == "extension"
-                        else la.subspace_leq(toric_L, F))
+                        else la.subspace_leq(toric_L, F, rank_F))
         if not graded_toric:
             raise InternalContradictionError("toric part is not inside the "
                                              "pulled-back filtration")
-        if not is_diagonally_stable(rep, F, setup):
+        if not is_diagonally_stable(rep, F, setup, rank=rank_F):
             raise InternalContradictionError("full filtration is not stable")
     else:
         # no toric part: the section is the identity, D_B is D and repB is
@@ -466,14 +473,14 @@ def find_admissible_stable_filtration(sa: SemiAbelianPhiModule,
     }
 
 
-def _toric_admissibility(sa, F, ext, adm_mode, seed, quotient=None):
-    """The extension node for F on a module with a toric part; sampling
-    over the full D in sampled mode."""
+def _toric_admissibility(sa, F, ext, adm_mode, seed, rank_F, quotient=None):
+    """The extension node for F, of certified rank rank_F, on a module with
+    a toric part; sampling over the full D in sampled mode."""
     if adm_mode == "sampled":
-        return is_admissible(sa.module, F, ext, "sampled", seed=seed,
-                             budget=ADMISSIBILITY_BUDGET)
+        return is_admissible(sa.module, F, ext, "sampled", seed,
+                             ADMISSIBILITY_BUDGET, rank_F)
     return toric_extension_report(sa, F, ext, seed, ADMISSIBILITY_BUDGET,
-                                  quotient=quotient)
+                                  quotient, rank_F)
 
 
 def _quotient_rep(sa: SemiAbelianPhiModule,

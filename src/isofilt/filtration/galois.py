@@ -95,7 +95,7 @@ def lift_matrix(ext, cols):
 
 
 def is_diagonally_stable(rep: GroupRepresentation, F_cols,
-                         setup: GaloisSetup) -> bool:
+                         setup: GaloisSetup, rank: int | None = None) -> bool:
     """rho(h) F = tau_h F for all h, certified span equality over L, for a
     validated action rep.
 
@@ -103,18 +103,18 @@ def is_diagonally_stable(rep: GroupRepresentation, F_cols,
     matrices are integral, every element otherwise (the module docstring
     gives the argument; a product relation certified at the relation
     threshold keeps its digits along a word only for integral factors).
-    r = rank F is certified once.  For each h, rank tau_h F = r because
-    tau_h is a valuation-preserving automorphism of L applied entrywise, and
-    rank rho(h) F = r whenever rho(h) is invertible, which an n x n rank
-    over K certifies.  Two subspaces of dimension r are equal iff their sum
-    has dimension r, so h passes iff rank [rho(h) F | tau_h F] = r: one
-    elimination over L instead of three.  A singular rho(h) falls back to
-    the rank of rho(h) F itself, so each tested h gets span equality,
-    subspace_leq both ways.
+    r = rank F is passed as rank or certified once.  For each h, rank
+    tau_h F = r because tau_h is a valuation-preserving automorphism of L
+    applied entrywise, and rank rho(h) F = r whenever rho(h) is invertible,
+    which an n x n rank over K certifies.  Two subspaces of dimension r are
+    equal iff their sum has dimension r, so h passes iff
+    rank [rho(h) F | tau_h F] = r: one elimination over L instead of three.
+    A singular rho(h) falls back to the rank of rho(h) F itself, so each
+    tested h gets span equality, subspace_leq both ways.
     """
     ext = setup.ext
     n = rep.dim
-    r = la.certified_rank(la.transpose(F_cols))
+    r = la.certified_rank(la.transpose(F_cols)) if rank is None else rank
     for x in rep.relation_rows():
         rho = rep.mats[x]
         lin = la.mat_mul(lift_matrix(ext, rho), F_cols)

@@ -13,6 +13,12 @@ the sign, only on the twist by p).
 A PhiModule's ``A`` and ``field`` are never mutated after construction (every
 operation returns a new module), so ``slopes`` may keep a module's slope data
 on it, in ``_charpoly``, ``_slopes`` and ``_isoclinic`` (see submodule).
+
+A semi-abelian module certifies its structure once and keeps it: S and
+[T | S]^-1 from one reduced elimination of [T | I_n] (a column is a pivot
+exactly when it is independent of those before it, and a column without a
+pivot adds no row operation), T's stability and Frobenius from one solve,
+T's slope, and the pairing on D_B, built once (D itself at t = 0).
 """
 
 from __future__ import annotations
@@ -173,91 +179,65 @@ class PolarizedPhiModule:
 
 
 class SemiAbelianPhiModule:
-    """Extension of an abelian polarized module by a pure slope-1 part.
-
-    toric_cols spans the phi-stable sub D_T; the complement columns chosen at
-    validation give a section of the quotient D_B, on which gram_B lives.
-    The module, toric_cols and gram_B are never reassigned, so T's slope is
-    certified once and kept in ``_toric_slope`` (see toric_slope).
-    """
+    """Extension 0 -> T -> D -> D_B -> 0 of an abelian polarized module by a
+    pure slope-1 part T = span(toric_cols); D_B and gram_B live on the
+    standard columns S that complete T to a basis [T | S] of D."""
 
     def __init__(self, module: PhiModule, toric_cols, gram_B,
-                 lambda_T=None, validate: bool = True):
+                 validate: bool = True):
         self.module = module
         self.toric_cols = toric_cols
         self.t_dim = la.mat_dims(toric_cols)[1]
+        self.B_dim = module.n - self.t_dim
         self.gram_B = gram_B
-        F = module.field
-        if lambda_T is None and self.t_dim:
-            lambda_T = la.identity(F, self.t_dim)
-        self.lambda_T = lambda_T
-        self._toric_slope = None  # (slope or None,), set by toric_slope
+        self._toric = None  # (T phi-stable, its slope or None): toric_slope
         self._build_section()
         if validate:
             self._validate()
 
     def _build_section(self):
+        """S and full_inv = [T | S]^-1 from the reduced echelon form of
+        [T | I_n]; exact identities, and D_B = D, with t = 0."""
         D = self.module
-        F = D.field
-        n = D.n
-        t = self.t_dim
-        if t == 0:
-            self.section_cols = la.identity(F, n)
-            self.B_dim = n
-            self.full_inv = la.identity(F, n)
-            return
-        # complete toric basis with standard vectors to a full basis
-        cols = [list(r) for r in self.toric_cols]
-        chosen = []
-        for j in range(n):
-            cand = la.hstack(cols, _std_cols(F, n, chosen + [j]))
-            if la.certified_rank(la.transpose(cand)) == t + len(chosen) + 1:
-                chosen.append(j)
-            if t + len(chosen) == n:
-                break
-        if t + len(chosen) != n:
-            raise ValidationError("could not complete toric basis")
-        self.section_cols = _std_cols(F, n, chosen)
-        self.B_dim = n - t
-        # the inverse of the full basis [T | S], for projections
-        self.full_inv = la.mat_inverse(la.hstack(self.toric_cols,
-                                                 self.section_cols))
+        t, ident = self.t_dim, la.identity(D.field, D.n)
+        self.section_cols = self.full_inv = ident
+        self._quotient = D if t == 0 else None
+        if t:
+            ech, pivots, _ = la.certified_row_reduce(
+                la.hstack(self.toric_cols, ident))
+            if pivots[:t] != list(range(t)):
+                raise ValidationError("could not complete toric basis")
+            self.section_cols = la.columns(ident, [c - t for c in pivots[t:]])
+            self.full_inv = [row[t:] for row in ech]
 
     def _validate(self):
-        D = self.module
-        if self.t_dim:
-            if self.toric_slope() != 1:
-                raise ValidationError(
-                    "toric part is not phi-stable"
-                    if not D.is_stable(self.toric_cols)
-                    else "toric part is not pure of slope 1")
-            la.det_valuation(self.lambda_T)
+        if self.t_dim and self.toric_slope() != 1:
+            raise ValidationError("toric part is not phi-stable"
+                                  if not self._toric[0]
+                                  else "toric part is not pure of slope 1")
         if self.B_dim:
             PolarizedPhiModule(self.quotient_module(), self.gram_B)
 
     def toric_slope(self):
         """T's slope when T is phi-stable and isoclinic, else None: certified
-        from T's own Newton polygon, never from how the module was built, and
-        once per module."""
-        if self._toric_slope is None:
-            slope = None
-            D = self.module
-            if D.is_stable(self.toric_cols):
-                from .slopes import newton_slopes
-                pairs = newton_slopes(D.submodule(self.toric_cols)).pairs
-                if len(pairs) == 1:
-                    slope = pairs[0][0]
-            self._toric_slope = (slope,)
-        return self._toric_slope[0]
+        from T's own Newton polygon, never from how the module was built;
+        the solve of T C = A sigma(T) is inconsistent when T is not stable."""
+        if self._toric is None:
+            from .slopes import newton_slopes
+            try:
+                T = self.module.submodule(self.toric_cols)
+            except ValidationError:
+                self._toric = (False, None)
+            else:
+                pairs = newton_slopes(T).pairs
+                self._toric = (True, pairs[0][0] if len(pairs) == 1 else None)
+        return self._toric[1]
 
     def quotient_module(self) -> PhiModule:
-        """D_B, with the Frobenius induced in the section basis."""
-        coords = la.mat_mul(self.full_inv,
-                            self.module.apply_phi(self.section_cols))
-        return PhiModule(self.module.field, coords[self.t_dim:],
-                         validate=False)
-
-
-def _std_cols(field, n, idx):
-    one, zero = field.one(), field.zero()
-    return [[one if i == j else zero for j in idx] for i in range(n)]
+        """D_B, with the Frobenius induced in the section basis; built once."""
+        if self._quotient is None:
+            D = self.module
+            coords = la.mat_mul(self.full_inv, D.apply_phi(self.section_cols))
+            self._quotient = PhiModule(D.field, coords[self.t_dim:],
+                                       validate=False)
+        return self._quotient

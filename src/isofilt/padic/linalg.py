@@ -252,10 +252,6 @@ class _Raw:
             raise self._below_floor(relpi)
         return rw, ru, relpi
 
-    def add(self, acc, t):
-        """sc_add(acc, t), as fma(acc, t, one): a product with one is t."""
-        return acc if t is None else self.fma(acc, t, self.one)
-
     def dot(self, xs, ys):
         """The raw ``dot``: None when no pair has two nonzero entries."""
         fma = self.fma
@@ -349,6 +345,10 @@ class _ZpRaw(_Raw):
         if relpi < self.floor:
             raise self._below_floor(relpi)
         return -w, pow(u, -1, self.pn), relpi
+
+    def add(self, acc, t):
+        # fma(acc, t, one): a plain int product costs less than another call
+        return acc if t is None else self.fma(acc, t, self.one)
 
     def fma(self, acc, x, y):
         """sc_add(acc, sc_mul(x, y)), acc None for an exact zero; x and y
@@ -474,9 +474,20 @@ class _TowerRaw(_Raw):
                 tu = ring.mul(xu, yu)
             if tr < self.floor:
                 raise self._below_floor(tr)
-        if acc is None:
-            return tw, tu, tr
-        # sc_add(acc, t)
+        return (tw, tu, tr) if acc is None else self._sum(acc, tw, tu, tr)
+
+    def add(self, acc, t):
+        """sc_add(acc, t), after the floor check of t that sc_mul(t, 1) makes
+        (``formats.scalar_from_json`` builds digit entries without one)."""
+        if t is None:
+            return acc
+        if t[1] is not None and t[2] < self.floor:
+            raise self._below_floor(t[2])
+        return t if acc is None else self._sum(acc, *t)
+
+    def _sum(self, acc, tw, tu, tr):
+        """sc_add(acc, t) for raw t = (tw, tu, tr), neither of them None."""
+        e, ring = self.e, self.ring
         aw, au, ar = acc
         if au is None or tu is None:
             return self._add_izero(aw, au, ar, tw, tu, tr)
@@ -550,10 +561,7 @@ def column_space_basis(m, guard: int = DEFAULT_GUARD):
 def kernel_basis(m):
     """Basis of the right kernel, as a list of column vectors (each a list)."""
     if not m or not m[0]:
-        n = len(m[0]) if m else 0
-        field = _field_of(m) if m and m[0] else None
-        return [[field.one() if i == j else sc_zero(field) for i in range(n)]
-                for j in range(n)] if field else []
+        return []  # no columns, or no rows and so no field to build from
     ech, pivot_cols, _ = certified_row_reduce(m, reduced=True)
     return kernel_from_echelon(_field_of(m), ech, pivot_cols, len(m[0]))
 
@@ -591,10 +599,12 @@ def solve_right(a, b):
     return x
 
 
-def intersection_dim(a_cols, b_cols) -> int:
-    """dim(span(a) ∩ span(b)) for two column-span matrices over one level."""
-    ra = certified_rank(transpose(a_cols))
-    rb = certified_rank(transpose(b_cols))
+def intersection_dim(a_cols, b_cols, rank_a: int | None = None,
+                     rank_b: int | None = None) -> int:
+    """dim(span(a) ∩ span(b)) for two column-span matrices over one level;
+    a caller that has certified rank_a or rank_b passes it."""
+    ra = certified_rank(transpose(a_cols)) if rank_a is None else rank_a
+    rb = certified_rank(transpose(b_cols)) if rank_b is None else rank_b
     rab = certified_rank(transpose(hstack(a_cols, b_cols)))
     return ra + rb - rab
 

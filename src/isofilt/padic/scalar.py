@@ -94,15 +94,16 @@ def sc_reg(field, w: int, unit, relpi: int) -> Scalar:
 
 
 def sc_from_fraction(field, q) -> Scalar:
-    q = Fraction(q)
-    if q == 0:
+    # an int is its own numerator: no Fraction is built for it
+    num, den = (q, 1) if type(q) is int else Fraction(q).as_integer_ratio()
+    if num == 0:
         return sc_zero(field)
     p = field.p
     ring = field.ring
-    vn = int_valuation(q.numerator, p)
-    vd = int_valuation(q.denominator, p)
-    un = q.numerator // p ** vn
-    ud = q.denominator // p ** vd
+    vn = int_valuation(num, p)
+    vd = int_valuation(den, p)
+    un = num // p ** vn
+    ud = den // p ** vd
     unit = ring.from_int(un)
     if ud != 1:
         unit = ring.mul(unit, ring.inv_unit(ring.from_int(ud)))

@@ -15,7 +15,9 @@ valuations, which pins the integer-exponent hull of ``isocrystal.slopes``:
 its vertices, root valuations and PrecisionError messages.
 
 The last section holds what only tests use of the library's own kind:
-``base_change`` (a phi-module in another basis), ``verify_invariant`` (the
+``base_change`` (a phi-module in another basis), ``semi_abelian_reference``
+(the toric section, inverse, slope and quotient built one fact at a time,
+which pins the one-pass ``SemiAbelianPhiModule``), ``verify_invariant`` (the
 diagonal-action invariance that ``galois_descend`` promises),
 ``validate_all_pairs`` (the action checked on every pair of elements, which
 pins ``GroupRepresentation.validate`` on generator rows),
@@ -23,7 +25,7 @@ pins ``GroupRepresentation.validate`` on generator rows),
 over the cyclotomic integers) and the ``quaternion_rep`` fixture.
 ``rational_and_singular`` is the input loader's singularity test on
 Fractions, which pins the integer elimination of
-``formats._rational_and_singular``.
+``formats._rational_pairs``.
 """
 
 from fractions import Fraction
@@ -498,6 +500,42 @@ def base_change(D, P):
     return PhiModule(D.field, la.mat_mul(la.mat_inverse(P),
                                          la.mat_mul(D.A, la.mat_frobenius(P))),
                      validate=False)
+
+
+def semi_abelian_reference(D, T):
+    """(S, [T | S]^-1, T's slope, D_B's Frobenius) for the toric columns T
+    of D, built one fact at a time: T completed greedily by standard
+    vectors, one certified rank per candidate; the inverse by
+    ``linalg.mat_inverse``; T's slope when ``is_stable`` holds, from the
+    solve A sigma(T) = T C; D_B's Frobenius as [T | S]^-1 A sigma(S) below
+    row t.  With t = 0 the section and inverse are identities."""
+    from isofilt.errors import ValidationError
+    from isofilt.isocrystal.module import PhiModule
+    from isofilt.isocrystal.slopes import newton_slopes
+    from isofilt.padic import linalg as la
+    F, n, t = D.field, D.n, len(T[0]) if T else 0
+
+    def std(idx):
+        return [[F.one() if i == j else F.zero() for j in idx]
+                for i in range(n)]
+
+    chosen = []
+    for j in range(n if t else 0):
+        if la.certified_rank(la.transpose(la.hstack(T, std(chosen + [j])))) \
+                == t + len(chosen) + 1:
+            chosen.append(j)
+        if t + len(chosen) == n:
+            break
+    if t and t + len(chosen) != n:
+        raise ValidationError("could not complete toric basis")
+    S = std(chosen) if t else la.identity(F, n)
+    inv = la.mat_inverse(la.hstack(T, S)) if t else la.identity(F, n)
+    slope = None
+    if t and D.is_stable(T):
+        C = PhiModule(F, la.solve_right(T, D.apply_phi(T)), validate=False)
+        pairs = newton_slopes(C).pairs
+        slope = pairs[0][0] if len(pairs) == 1 else None
+    return S, inv, slope, la.mat_mul(inv, D.apply_phi(S))[t:]
 
 
 def verify_invariant(rep, setup, cols) -> bool:

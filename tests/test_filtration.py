@@ -766,8 +766,9 @@ def test_one_component_piece_induces_its_action_once(tmp_path, capsys,
 def test_c4_find_decides_the_action_on_its_generator(tmp_path, capsys,
                                                      monkeypatch):
     # C4 is generated by g1: validate checks its row of the table, |S| |G| =
-    # 4 products of 16, and stability costs one rank of F and one joint
-    # elimination over L for g1, 1 + |S| = 2 eliminations instead of 5
+    # 4 products of 16, and stability costs one joint elimination over L for
+    # g1, as the Lagrangian check has certified rank F = g already: |S| = 1
+    # elimination instead of 5
     products, over_L = [], []
     relation, row_reduce = la.mat_mul_sub_is_zero, la.certified_row_reduce
     validate = GroupRepresentation.validate
@@ -785,7 +786,7 @@ def test_c4_find_decides_the_action_on_its_generator(tmp_path, capsys,
             patch.setattr(la, "mat_mul_sub_is_zero", spy_relation)
             return validate(rep, *args, **kwargs)
 
-    def spy_stable(rep, F, setup):
+    def spy_stable(rep, F, setup, rank=None):
         def spy_row_reduce(m, *args, **kwargs):
             if m and m[0] and m[0][0].field is setup.ext:
                 over_L.append(len(m))
@@ -793,14 +794,14 @@ def test_c4_find_decides_the_action_on_its_generator(tmp_path, capsys,
 
         with monkeypatch.context() as patch:
             patch.setattr(la, "certified_row_reduce", spy_row_reduce)
-            return stable(rep, F, setup)
+            return stable(rep, F, setup, rank=rank)
 
     monkeypatch.setattr(GroupRepresentation, "validate", spy_validate)
     monkeypatch.setattr(driver_mod, "is_diagonally_stable", spy_stable)
     _find(tmp_path, STABILITY_PROBLEMS["c4"], 1)
     capsys.readouterr()
     assert len(products) == 4 == len(set(products))
-    assert len(over_L) == 2
+    assert len(over_L) == 1
 
 
 def _kummer_c3_problem():
@@ -816,6 +817,26 @@ def _kummer_c3_problem():
                                                       {"g1": m})
     return SemiAbelianPhiModule(D, [[] for _ in range(2)], J,
                                 validate=False), rep
+
+
+def test_the_induced_action_on_an_exact_identity_is_the_action():
+    # solve_right(I, m I) is m Scalar for Scalar, so on the exact identity
+    # induced_rep takes rep's matrices into a new representation; on any
+    # other basis P (C3 acts by diag(z, z^2), which no shear commutes with)
+    # it solves for P^-1 m P
+    _, rep = _kummer_c3_problem()
+    Q7 = rep.field
+    I = la.identity(Q7, 2)
+    assert [_spec(la.solve_right(I, la.mat_mul(m, I))) for m in rep.mats] == \
+        [_spec(m) for m in rep.mats]
+    on_I = induced_rep(rep, la.identity(Q7, 2))
+    assert on_I is not rep and on_I.mats is rep.mats and not on_I.faithful
+    P = la.from_rows_of_fractions(Q7, [[1, 1], [0, 1]])
+    on_P = induced_rep(rep, P)
+    thr = la.relation_threshold(Q7)
+    for m, mP in zip(rep.mats, on_P.mats):
+        assert la.mat_mul_sub_is_zero(P, mP, la.mat_mul(m, P), thr)
+    assert any(_spec(mP) != _spec(m) for m, mP in zip(rep.mats, on_P.mats))
 
 
 TRANSPORT_PROBLEMS = {

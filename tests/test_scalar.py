@@ -557,6 +557,14 @@ def test_raw_rules_match_scalar_arithmetic_at_every_level(f, e, prec, data):
     if x.kind == sc.REG:
         assert _raw_outcome(kernel, kernel.inv, x) == _scalar_outcome(lambda: sc.sc_inv(x))
     assert _raw_outcome(kernel, kernel.neg, x) == _scalar_outcome(lambda: sc.sc_neg(x))
+    # add is the sum rule, after the floor check that sc_mul(x, 1) makes;
+    # its addend too lies within e of x's valuation
+    acc = list(data.draw(spec))
+    if acc[0] != "zero" and x.kind == sc.REG:
+        acc[1] = x.w + data.draw(st.integers(-e, e))
+    acc = _build(level, acc)
+    assert _raw_outcome(kernel, kernel.add, acc, x) == \
+        _scalar_outcome(lambda: sc.sc_add(acc, sc.sc_mul(x, level.one())))
 
 
 @pytest.mark.parametrize("p, prec, floor", ZP_FIELDS)
