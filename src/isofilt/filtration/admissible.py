@@ -90,8 +90,8 @@ def is_admissible(D: PhiModule, F_cols_L, ext, mode: str = "exact",
     a sum of isoclinic components, D included, whose bound t_N the
     decomposition certified (``SubmoduleSet.bounds``).  Only a sampled
     kernel, image or phi-span has its t_N certified from its Frobenius.
-    rank_F is certified on first use unless given.  The components are lifted
-    to L once: a sum's lift is theirs concatenated, entry for entry.
+    rank_F is certified on first use unless given: some modules have no
+    proper N.
     """
     subs = submodules(D, mode, budget=budget, seed=seed)
     entries = []
@@ -99,8 +99,7 @@ def is_admissible(D: PhiModule, F_cols_L, ext, mode: str = "exact",
     violation = None
     verdict = True
     equality_at_top = None
-    lifts = None  # the components' lifts to L, on first use
-    for N, bound, pick in zip(subs.subspaces, subs.bounds, subs.sums):
+    for N, bound in zip(subs.subspaces, subs.bounds):
         dN = la.mat_dims(N)[1]
         if dN == 0:
             entries.append((0, 0, Fraction(0)))
@@ -112,13 +111,7 @@ def is_admissible(D: PhiModule, F_cols_L, ext, mode: str = "exact",
                 bound = D.submodule(N).t_N()
             if rank_F is None:
                 rank_F = _rank(F_cols_L)
-            if pick is None:
-                NL = lift_matrix(ext, N)
-            else:
-                lifts = lifts or [lift_matrix(ext, c) for _, c in subs.components]
-                NL = (lifts[pick[0]] if len(pick) == 1 else
-                      [sum(rows, []) for rows in zip(*[lifts[i] for i in pick])])
-            th = la.intersection_dim(NL, F_cols_L, dN, rank_F) if dimF else 0
+            th = t_H(F_cols_L, N, ext, rank_F, rank_N=dN)
         entries.append((dN, th, bound))
         if th > bound:
             verdict = False

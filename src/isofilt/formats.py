@@ -101,7 +101,8 @@ def scalar_from_json(field, doc):
         if doc == "0":
             return sc.sc_zero(field)
         if isinstance(doc, (str, int, float)):
-            return field.scalar(Fraction(doc))
+            a, d = _integer_pair(doc)
+            return field.scalar(a if d == 1 else Fraction(a, d))
         if isinstance(doc, list):
             # coordinates over the z-power basis
             if field.e != 1:
@@ -132,15 +133,11 @@ def matrix_to_json(m):
     return [[scalar_to_json(x) for x in row] for row in m]
 
 
-def matrix_from_json(field, doc, pairs=None):
-    """The matrix of doc, from its ``_rational_pairs`` if already read."""
+def matrix_from_json(field, doc):
     if not isinstance(doc, list) or not all(isinstance(row, list) for row in doc):
         raise ValidationError(f"bad matrix {doc!r}: expected a list of rows")
     if len({len(row) for row in doc}) > 1:
         raise ValidationError(f"bad matrix {doc!r}: rows of different lengths")
-    if pairs is not None:
-        return [[field.scalar(a if d == 1 else Fraction(a, d)) for a, d in row]
-                for row in pairs]
     return [[scalar_from_json(field, x) for x in row] for row in doc]
 
 
@@ -207,18 +204,20 @@ def module_from_json(doc, prec_override=None):
     """Returns (SemiAbelianPhiModule, field).  Plain abelian and bare modules
     are wrapped with an empty toric part."""
     field = field_from_json(doc.get("field"), prec_override)
-    frob = doc.get("frobenius")
-    D = PhiModule(field, matrix_from_json(field, frob, _rational_pairs(
-        frob, "frobenius: the matrix is singular")))
+    if _rational_and_singular(doc.get("frobenius")):
+        raise ValidationError("frobenius: the matrix is singular")
+    A = matrix_from_json(field, doc.get("frobenius"))
+    D = PhiModule(field, A)
     n = D.n
     toric = doc.get("toric_sub")
     pol = doc.get("polarization")
-    pol_pairs = _rational_pairs(pol, "polarization: the matrix is singular")
-    toric_cols = (matrix_from_json(field, toric, _rational_pairs(toric))
-                  if toric else [[] for _ in range(n)])
+    if _rational_and_singular(pol):
+        raise ValidationError("polarization: the matrix is singular")
+    toric_cols = (matrix_from_json(field, toric) if toric
+                  else [[] for _ in range(n)])
     t = len(toric_cols[0]) if toric_cols else 0
     _require_shape("toric_sub", toric_cols, n, t)
-    gram = matrix_from_json(field, pol, pol_pairs) if pol else []
+    gram = matrix_from_json(field, pol) if pol else []
     if pol:
         _require_shape("polarization", gram, n - t, n - t)
     sa = SemiAbelianPhiModule(D, toric_cols, gram,
@@ -226,36 +225,35 @@ def module_from_json(doc, prec_override=None):
     return sa, field
 
 
-def _rational_pairs(doc, singular=None):
-    """The (numerator, denominator > 0) pairs of doc's rational entries, or
-    None (for ``scalar_from_json`` to read and report) unless all parse.
-    With a message singular, a square matrix of determinant zero (Bareiss
-    over Z on rows cleared of denominators) raises it."""
+def _rational_and_singular(doc) -> bool:
+    """True when doc is a square rational matrix of determinant zero (rows
+    cleared of denominators, Bareiss elimination over Z); False for anything
+    else, which the p-adic path validates (and certifies invertible)."""
     if not isinstance(doc, list) or not all(
-            isinstance(row, list)
+            isinstance(row, list) and len(row) == len(doc)
             and all(isinstance(x, (str, int, float)) for x in row)
             for row in doc):
-        return None
+        return False
     try:
         pairs = [[_integer_pair(x) for x in row] for row in doc]
     except (ValueError, ZeroDivisionError, OverflowError):
-        return None
-    if singular is None or any(len(row) != len(pairs) for row in pairs):
-        return pairs
-    lcms = [math.lcm(*(d for _, d in row)) for row in pairs]
-    m = [[a * (lcm // d) for a, d in row] for row, lcm in zip(pairs, lcms)]
+        return False
+    m = []
+    for row in pairs:
+        lcm = math.lcm(*(d for _, d in row))
+        m.append([a * (lcm // d) for a, d in row])
     prev = 1
     for c in range(len(m)):
         pivot = next((r for r in range(c, len(m)) if m[r][c]), None)
         if pivot is None:
-            raise ValidationError(singular)
+            return True
         m[c], m[pivot] = m[pivot], m[c]
         top, piv = m[c], m[c][c]
         for r in range(c + 1, len(m)):
             f = m[r][c]
             m[r] = [(piv * a - f * b) // prev for a, b in zip(m[r], top)]
         prev = piv
-    return pairs
+    return False
 
 
 _INTEGER_RATIO = re.compile(r"([+-]?\d+)(?:/(\d+))?", re.ASCII)
@@ -311,8 +309,9 @@ def group_from_json(doc, field, dim):
                               f"not in the element list")
     mats = {}
     for name, m in rep_doc.items():
-        mats[name] = matrix_from_json(field, m, _rational_pairs(
-            m, f"group: rep matrix {name!r} is singular"))
+        if _rational_and_singular(m):
+            raise ValidationError(f"group: rep matrix {name!r} is singular")
+        mats[name] = matrix_from_json(field, m)
         _require_shape(f"group: rep matrix {name!r}", mats[name], dim, dim)
     faithful = bool(doc.get("faithful", True))
     if doc.get("generators_only"):

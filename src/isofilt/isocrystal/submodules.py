@@ -82,26 +82,24 @@ class SubmoduleSet:
     (None for the others).  A component is ker fac(B), certified phi-stable,
     for a factor fac whose roots all have valuation rv, and the components
     are certified independent and spanning; so t_N of a sum is the sum of
-    (rv/f) dim = slope * dim over its components, whose indices, in order,
-    ``sums`` holds (None for the others)."""
+    (rv/f) dim = slope * dim over its components."""
 
-    def __init__(self, components, subspaces, bounds, sums, mode, seed=None):
+    def __init__(self, components, subspaces, bounds, mode, seed=None):
         self.components = components  # [(slope, basis_cols)]
         self.subspaces = subspaces    # [basis_cols] including 0 and D
         self.bounds = bounds          # [t_N or None], one per subspace
-        self.sums = sums              # [component indices or None]
         self.mode = mode
         self.seed = seed
 
 
 def _component_sums(D, comps):
-    """(basis columns, slope sum, component indices) of every sum of the
-    components, by increasing number of summands."""
-    t_Ns, zero = [slope * len(cols[0]) for slope, cols in comps], Fraction(0)
-    for r in range(len(comps) + 1):
-        for pick in combinations(range(len(comps)), r):
-            yield (_concat_cols(D, [comps[i][1] for i in pick]),
-                   sum((t_Ns[i] for i in pick), zero), pick)
+    """(basis columns, slope sum) of every sum of the components, by
+    increasing number of summands."""
+    parts = [(cols, slope * len(cols[0])) for slope, cols in comps]
+    for r in range(len(parts) + 1):
+        for pick in combinations(parts, r):
+            yield (_concat_cols(D, [cols for cols, _ in pick]),
+                   sum((t_N for _, t_N in pick), Fraction(0)))
 
 
 def exact_submodules(D: PhiModule) -> SubmoduleSet:
@@ -112,8 +110,8 @@ def exact_submodules(D: PhiModule) -> SubmoduleSet:
             raise MultiplicityError(
                 f"slope {slope} component has dimension {len(cols[0])} != {b}; "
                 "component is not simple at this level, use sampled mode")
-    subs, bounds, sums = zip(*_component_sums(D, comps))
-    return SubmoduleSet(comps, list(subs), list(bounds), list(sums), "exact")
+    subs, bounds = zip(*_component_sums(D, comps))
+    return SubmoduleSet(comps, list(subs), list(bounds), "exact")
 
 
 def sampled_submodules(D: PhiModule, seed: int, budget: int) -> SubmoduleSet:
@@ -122,15 +120,14 @@ def sampled_submodules(D: PhiModule, seed: int, budget: int) -> SubmoduleSet:
     on D when exact mode has already split it."""
     comps = isoclinic_decompose(D)
     rng = random.Random(seed)
-    subs, bounds, sums = [], [], []
+    subs, bounds = [], []
     seen = set()
-    for cols, bound, pick in _component_sums(D, comps):
+    for cols, bound in _component_sums(D, comps):
         key = _canonical_key(cols)
         if key not in seen:
             seen.add(key)
             subs.append(cols)
             bounds.append(bound)
-            sums.append(pick)
     endo = endomorphism_algebra(D)
     tries = 0
     while tries < budget:
@@ -163,8 +160,7 @@ def sampled_submodules(D: PhiModule, seed: int, budget: int) -> SubmoduleSet:
                 seen.add(key)
                 subs.append(cand)
                 bounds.append(None)
-                sums.append(None)
-    return SubmoduleSet(comps, subs, bounds, sums, "sampled", seed)
+    return SubmoduleSet(comps, subs, bounds, "sampled", seed)
 
 
 def phi_span(D: PhiModule, cols):
@@ -207,8 +203,15 @@ def submodules(D: PhiModule, mode: str = "exact", budget: int = 0,
 
 
 def _concat_cols(D, col_list):
-    return ([sum(rows, []) for rows in zip(*col_list)] if col_list
-            else [[] for _ in range(D.n)])
+    field = D.field
+    n = D.n
+    if not col_list:
+        return [[] for _ in range(n)]
+    out = [[] for _ in range(n)]
+    for cols in col_list:
+        for i in range(n):
+            out[i].extend(cols[i])
+    return out
 
 
 def _random_combination(field, basis, rng):

@@ -25,7 +25,7 @@ pins ``GroupRepresentation.validate`` on generator rows),
 over the cyclotomic integers) and the ``quaternion_rep`` fixture.
 ``rational_and_singular`` is the input loader's singularity test on
 Fractions, which pins the integer elimination of
-``formats._rational_pairs``.
+``formats._rational_and_singular``.
 """
 
 from fractions import Fraction

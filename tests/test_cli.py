@@ -421,14 +421,8 @@ def _rational_docs(draw):
 @settings(max_examples=300, deadline=None)
 @given(doc=_rational_docs())
 def test_singularity_matches_the_fraction_reference(doc):
-    try:
-        formats._rational_pairs(doc, "singular")
-    except ValidationError as exc:
-        assert str(exc) == "singular"
-        singular = True
-    else:
-        singular = False
-    assert singular == oracles.rational_and_singular(doc)
+    assert formats._rational_and_singular(doc) == \
+        oracles.rational_and_singular(doc)
 
 
 @settings(max_examples=300, deadline=None)
@@ -445,22 +439,22 @@ def test_entries_read_as_fraction_reads_them(x):
 
 
 @settings(max_examples=300, deadline=None)
-@given(doc=_rational_docs())
-def test_a_matrix_built_from_its_pairs_is_the_entry_by_entry_matrix(doc):
-    # the pairs that the singularity test reads give the Scalars (or the
-    # error) that scalar_from_json gives entry by entry
+@given(x=_ENTRIES)
+def test_a_rational_entry_is_the_scalar_of_its_fraction(x):
+    # scalar_from_json reads a number through _integer_pair, an integer
+    # without a Fraction: the Scalar (or the error) is Fraction(x)'s
     field = UnramifiedFieldDescriptor.create(2, 1, 32)
 
-    def entries(pairs):
+    def entry(read):
         try:
-            m = formats.matrix_from_json(field, doc, pairs)
-        except ValidationError as exc:
-            return str(exc)
-        return [[(x.kind, x.w, x.unit, x.relpi, x.zw) for x in row]
-                for row in m]
+            y = read()
+        except (ValidationError, ValueError, ZeroDivisionError,
+                OverflowError) as exc:
+            return repr(exc.__cause__ or exc)
+        return y.kind, y.w, y.unit, y.relpi, y.zw
 
-    pairs = formats._rational_pairs(doc)
-    assert entries(pairs) == entries(None)
+    assert entry(lambda: formats.scalar_from_json(field, x)) == \
+        entry(lambda: field.scalar(Fraction(x)))
 
 
 def test_check_rejects_a_zero_generator(tmp_path, capsys):
