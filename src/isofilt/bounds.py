@@ -153,17 +153,14 @@ def lcm_degree_formulas(local_data) -> tuple[int, int]:
 # -- cyclic subgroup census for p-groups -----------------------------------------
 
 
-def cyclic_subgroup_census(group, action=None) -> dict:
+def cyclic_subgroup_census(group) -> dict:
     """Census of order-p cyclic subgroups of a p-group.
 
     group: a FiniteGroup; its element orders, identity and powers do the
     work.
-    action: optional list of permutations of element indices, the generators
-    of a p-group acting by automorphisms; when given, a subgroup with a
-    singleton orbit is exhibited (one always exists).
 
     Returns {"p", "count", "solutions_of_x_p": #{x : x^p = e},
-    "identity_holds", "fixed_subgroup"}.
+    "identity_holds"}.
     """
     p, is_pgroup = group.is_p_group()
     if not is_pgroup or p is None:
@@ -175,11 +172,5 @@ def cyclic_subgroup_census(group, action=None) -> dict:
     sols = sum(1 for x in range(group.n)
                if group.power(x, p) == group.identity)
     identity_holds = (sols == (p - 1) * count + 1) and (count % p != 0)
-    fixed = None
-    if action is not None:
-        for H in sorted(subs, key=sorted):
-            if all(frozenset(perm[x] for x in H) == H for perm in action):
-                fixed = sorted(H)
-                break
     return {"p": p, "count": count, "solutions_of_x_p": sols,
-            "identity_holds": identity_holds, "fixed_subgroup": fixed}
+            "identity_holds": identity_holds}

@@ -23,8 +23,8 @@ from .padic import linalg as la
 from .isocrystal.slopes import newton_slopes, isoclinic_decompose
 from .filtration.driver import find_admissible_stable_filtration, DescentDatum
 from .filtration.galois import is_diagonally_stable, lift_matrix
-from .filtration.admissible import (ADMISSIBILITY_BUDGET, is_admissible,
-                                   quotient_filtration, toric_extension_report)
+from .filtration.admissible import (is_admissible, quotient_filtration,
+                                   toric_extension_report)
 from .symplectic.space import SymplecticSpace, LagrangianSubspace
 
 EXIT_OK = 0
@@ -269,7 +269,8 @@ def _filtration_check(args) -> int:
     prec = _certificate_field(cert, "params", dict).get("precision")
     seed = _certificate_field(cert, "params.seed", int)
     # params.budget bounds the Lagrangian search of find only; find and
-    # this check both sample admissibility with ADMISSIBILITY_BUDGET tries
+    # this check both sample admissibility with ADMISSIBILITY_BUDGET tries,
+    # which is_admissible reads itself
     _certificate_field(cert, "params.budget", int)
     F_doc = _certificate_field(cert, "outputs.filtration", list)
     adm = _certificate_field(cert, "outputs.admissibility", dict)
@@ -293,30 +294,33 @@ def _filtration_check(args) -> int:
         raise ValidationError(f"certificate field outputs.filtration has "
                               f"{len(F)} rows, expected {sa.module.n}")
     failures = []
-    # re-verify every verdict independently of the find path
+    # re-verify every verdict independently of the find path; rank F is
+    # certified once, by the extension node or, at t = 0, by the Lagrangian
+    # check as the rank g of F_B = F
     if mode == "extension":
-        rep_check = toric_extension_report(sa, F, ext, seed,
-                                           ADMISSIBILITY_BUDGET)
-        F_B = rep_check.quotient_filtration
+        rep_check = toric_extension_report(sa, F, ext, seed)
+        F_B, rank_F = rep_check.quotient_filtration, rep_check.rank_F
     else:
-        rep_check = is_admissible(sa.module, F, ext, mode, seed=seed,
-                                  budget=ADMISSIBILITY_BUDGET)
+        rep_check = is_admissible(sa.module, F, ext, mode, seed=seed)
         F_B = quotient_filtration(sa, F, ext) if sa.t_dim else F
+        rank_F = None
     if sa.gram_B:
         # F is Lagrangian when its image F_B in D_B is (F = F_B at t = 0)
         space = SymplecticSpace(ext, lift_matrix(ext, sa.gram_B),
                                 validate=False)
         try:
-            LagrangianSubspace(space, F_B, validate=True)
+            g = LagrangianSubspace(space, F_B).dim
         except IsofiltError:
             failures.append("lagrangian")
+        else:
+            if not sa.t_dim:
+                rank_F = g
     if not rep_check.verdict or adm.get("verdict") != "admissible" or (
             mode == "extension" and adm != rep_check.as_dict()):
         # an extension node is re-derived whole: its toric and quotient
         # entries are basis independent, so find and check agree on them
         failures.append("admissible")
-    if not is_diagonally_stable(rep, F, setup, rank=(
-            rep_check.rank_F if mode == "extension" else None)):
+    if not is_diagonally_stable(rep, F, setup, rank=rank_F):
         # the descent targets are the same (rho(h), tau_h) pairs
         failures += ["diagonal-stability", "descent-targets"]
     if not DescentDatum(rep, setup).verify_cocycle():

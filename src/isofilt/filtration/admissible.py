@@ -25,8 +25,8 @@ from fractions import Fraction
 
 from ..errors import MultiplicityError
 from ..padic import linalg as la
+from ..isocrystal import submodules as sm
 from ..isocrystal.module import PhiModule, SemiAbelianPhiModule
-from ..isocrystal.submodules import submodules
 from .galois import lift_matrix
 
 # tries of sampled admissibility, in find and in check alike
@@ -79,21 +79,26 @@ class AdmissibilityReport:
 
 
 def is_admissible(D: PhiModule, F_cols_L, ext, mode: str = "exact",
-                  seed: int = 0, budget: int = ADMISSIBILITY_BUDGET,
-                  rank_F: int | None = None) -> AdmissibilityReport:
+                  seed: int = 0, rank_F: int | None = None) -> AdmissibilityReport:
     """Check the slope bound over all (exact) or many (sampled) submodules.
 
     Sampled mode is one-sidedly sound: 'inadmissible' verdicts carry an
     explicit violating submodule; 'admissible' verdicts are complete only
-    over the enumerated family.  Each proper N costs one elimination over
-    L, since its basis is certified independent, and none over K when N is
-    a sum of isoclinic components, D included, whose bound t_N the
+    over the family that ADMISSIBILITY_BUDGET seeded tries enumerate, in
+    find and in check alike.  Each proper N costs one elimination over L,
+    since its basis is certified independent, and none over K when N is a
+    sum of isoclinic components, D included, whose bound t_N the
     decomposition certified (``SubmoduleSet.bounds``).  Only a sampled
     kernel, image or phi-span has its t_N certified from its Frobenius.
     rank_F is certified on first use unless given: some modules have no
     proper N.
     """
-    subs = submodules(D, mode, budget=budget, seed=seed)
+    if mode == "exact":
+        subs = sm.exact_submodules(D)
+    elif mode == "sampled":
+        subs = sm.sampled_submodules(D, seed, ADMISSIBILITY_BUDGET)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
     entries = []
     dimF = la.mat_dims(F_cols_L)[1]
     violation = None
@@ -136,14 +141,14 @@ def verify_violation(D: PhiModule, F_cols_L, ext, N_cols) -> bool:
 
 
 def admissible_with_fallback(D: PhiModule, F_cols_L, ext, mode: str,
-                             seed: int, budget: int,
+                             seed: int,
                              rank_F: int | None = None) -> AdmissibilityReport:
     """is_admissible in the given mode; sampled where exact mode meets a
     repeated slope, on the decomposition the exact attempt stored on D."""
     try:
-        return is_admissible(D, F_cols_L, ext, mode, seed, budget, rank_F)
+        return is_admissible(D, F_cols_L, ext, mode, seed, rank_F)
     except MultiplicityError:
-        return is_admissible(D, F_cols_L, ext, "sampled", seed, budget, rank_F)
+        return is_admissible(D, F_cols_L, ext, "sampled", seed, rank_F)
 
 
 class ExtensionReport:
@@ -196,7 +201,7 @@ def quotient_filtration(sa: SemiAbelianPhiModule, F_cols_L, ext):
 
 
 def toric_extension_report(sa: SemiAbelianPhiModule, F_cols_L, ext,
-                           seed: int = 0, budget: int = ADMISSIBILITY_BUDGET,
+                           seed: int = 0,
                            quotient: AdmissibilityReport | None = None,
                            rank_F: int | None = None) -> ExtensionReport:
     """The extension node for a module with a toric part (t > 0).
@@ -205,9 +210,8 @@ def toric_extension_report(sa: SemiAbelianPhiModule, F_cols_L, ext,
     from T's own Newton polygon (never from how sa was built), and
     certifies rank F (unless given), T_L <= F and F_B = the image of F in
     D_B, of rank its number of pivot columns.  The quotient node is exact
-    on D_B, sampled with the given seed and budget only when D_B has a
-    repeated slope; D_B = 0 (a pure torus) is admissible with its one
-    submodule.  A caller that certified (D_B, F_B) already, as the driver
+    on D_B, sampled with the given seed only when D_B has a repeated slope;
+    D_B = 0 (a pure torus) is admissible with its one submodule.  A caller that certified (D_B, F_B) already, as the driver
     has for the F_B it pulled back, passes that report as quotient.
     """
     rank_F = _rank(F_cols_L) if rank_F is None else rank_F
@@ -217,7 +221,7 @@ def toric_extension_report(sa: SemiAbelianPhiModule, F_cols_L, ext,
     if quotient is None:
         if sa.B_dim:
             quotient = admissible_with_fallback(
-                sa.quotient_module(), F_B, ext, "exact", seed, budget,
+                sa.quotient_module(), F_B, ext, "exact", seed,
                 la.mat_dims(F_B)[1])
         else:
             quotient = AdmissibilityReport(True, [(0, 0, Fraction(0))],

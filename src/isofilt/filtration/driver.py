@@ -64,8 +64,8 @@ from ..symplectic.lagrangian import (random_rational_lagrangian,
                                      lagrangian_h_small_intersection)
 from .galois import (GaloisSetup, galois_descend, is_diagonally_stable,
                      lift_matrix)
-from .admissible import (ADMISSIBILITY_BUDGET, is_admissible,
-                         admissible_with_fallback, toric_extension_report)
+from .admissible import (is_admissible, admissible_with_fallback,
+                         toric_extension_report)
 
 
 DEFAULT_SAMPLE_BUDGET = 200
@@ -222,8 +222,7 @@ def two_slope_filtration(piece: PieceData, setup: GaloisSetup, seed: int,
                 continue
         except PrecisionError:
             continue
-        return _finish_piece(piece, setup, F, adm_mode, seed,
-                             expect_admissible=True)
+        return _finish_piece(piece, setup, F, adm_mode, seed)
     raise BudgetExhaustedError(
         f"two-slope sampling exhausted {budget} tries; retry with a larger "
         "budget or another seed")
@@ -260,8 +259,7 @@ def supersingular_filtration(piece: PieceData, setup: GaloisSetup, seed: int,
             except PrecisionError:
                 continue
             F = lift_matrix(ext, FK)
-            return _finish_piece(piece, setup, F, adm_mode, seed,
-                                 expect_admissible=True)
+            return _finish_piece(piece, setup, F, adm_mode, seed)
         raise BudgetExhaustedError(
             f"homothety-route sampling exhausted {budget} tries")
     # perturbing element route
@@ -277,8 +275,7 @@ def supersingular_filtration(piece: PieceData, setup: GaloisSetup, seed: int,
                 continue
         except PrecisionError:
             continue
-        return _finish_piece(piece, setup, F, adm_mode, seed,
-                             expect_admissible=True, witness=scan)
+        return _finish_piece(piece, setup, F, adm_mode, seed, witness=scan)
     lagrangian_h_small_intersection(SymplecticSpace(field, J, validate=False),
                                     rep.mats[h_idx])
     raise BudgetExhaustedError(
@@ -288,7 +285,7 @@ def supersingular_filtration(piece: PieceData, setup: GaloisSetup, seed: int,
 def _descended_symplectic(field, ext, J, B):
     G = SymplecticSpace(ext, lift_matrix(ext, J),
                         validate=False).pair_matrix(B, B)
-    GK = la.mat_map(G, project_to_base)
+    GK = la.mat_map(G, lambda x: project_to_base(x, ext.base))
     return SymplecticSpace(field, GK, validate=False)
 
 
@@ -298,21 +295,18 @@ def _sample_stable_lagrangian(B, desc_space, ext, rng):
     return la.normalize_columns(la.mat_mul(B, CL))
 
 
-def _finish_piece(piece, setup, F, adm_mode, seed,
-                  expect_admissible=False, witness=None):
-    """Re-verify all three properties, on the rank g the Lagrangian certifies."""
+def _finish_piece(piece, setup, F, adm_mode, seed, witness=None):
+    """Re-verify all three properties, on the rank g the Lagrangian
+    certifies; every route's construction guarantees them."""
     D, J, rep = piece.module, piece.gram, piece.rep
     ext = setup.ext
     space_L = SymplecticSpace(ext, lift_matrix(ext, J), validate=False)
-    g = LagrangianSubspace(space_L, F, validate=True).dim
-    report = admissible_with_fallback(D, F, ext, adm_mode, seed,
-                                      ADMISSIBILITY_BUDGET, g)
+    g = LagrangianSubspace(space_L, F).dim
+    report = admissible_with_fallback(D, F, ext, adm_mode, seed, g)
     if not report.verdict:
-        if expect_admissible:
-            raise InternalContradictionError(
-                "construction route guarantees admissibility but the check "
-                "found a violating submodule")
-        raise ValidationError("filtration is not admissible")
+        raise InternalContradictionError(
+            "construction route guarantees admissibility but the check "
+            "found a violating submodule")
     stable = is_diagonally_stable(rep, F, setup, rank=g)
     if not stable:
         raise InternalContradictionError(
@@ -419,11 +413,10 @@ def find_admissible_stable_filtration(sa: SemiAbelianPhiModule,
     if glued:
         spaceB = SymplecticSpace(ext, lift_matrix(ext, sa.gram_B),
                                  validate=False)
-        gB = LagrangianSubspace(spaceB, FB, validate=True).dim
+        gB = LagrangianSubspace(spaceB, FB).dim
     reportB = piece_results[0][1]["admissibility"]
     if glued or reportB.mode != "exact":
-        reportB = admissible_with_fallback(DB, FB, ext, adm_mode, seed,
-                                           ADMISSIBILITY_BUDGET, gB)
+        reportB = admissible_with_fallback(DB, FB, ext, adm_mode, seed, gB)
     if not reportB.verdict:
         raise InternalContradictionError("glued quotient filtration failed "
                                          "admissibility re-verification")
@@ -477,10 +470,8 @@ def _toric_admissibility(sa, F, ext, adm_mode, seed, rank_F, quotient=None):
     """The extension node for F, of certified rank rank_F, on a module with
     a toric part; sampling over the full D in sampled mode."""
     if adm_mode == "sampled":
-        return is_admissible(sa.module, F, ext, "sampled", seed,
-                             ADMISSIBILITY_BUDGET, rank_F)
-    return toric_extension_report(sa, F, ext, seed, ADMISSIBILITY_BUDGET,
-                                  quotient, rank_F)
+        return is_admissible(sa.module, F, ext, "sampled", seed, rank_F)
+    return toric_extension_report(sa, F, ext, seed, quotient, rank_F)
 
 
 def _quotient_rep(sa: SemiAbelianPhiModule,

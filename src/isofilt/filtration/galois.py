@@ -3,9 +3,10 @@
 A GaloisSetup pairs a finite group acting linearly on the module with the
 automorphism table of a totally ramified step L/K_q.  The correspondence may
 be a bijection (the generic case) or a surjection with kernel H (used when a
-summand's induced action factors through a quotient); composition is checked
-against the table in both the homomorphism and the opposite-group convention
-and the one that holds is recorded.
+summand's induced action factors through a quotient).  Only the
+opposite-group convention is accepted: composition is checked against the
+table as tau_{ab} = tau_b o tau_a, and a correspondence that breaks it is
+rejected (for an abelian group the two conventions coincide).
 
 Diagonal stability of a filtration F over L means the linear and Galois
 orbits coincide: rho(h) F = tau_h F for every h.  It is certified with one
@@ -31,16 +32,13 @@ from ..groups.core import FiniteGroup, GroupRepresentation
 
 
 class GaloisSetup:
-    def __init__(self, group: FiniteGroup, ext, correspondence: dict,
-                 validate: bool = True):
+    def __init__(self, group: FiniteGroup, ext, correspondence: dict):
         """correspondence: element name -> automorphism name (surjective;
         bijective in the standard situation)."""
         self.group = group
         self.ext = ext
         self.corr = dict(correspondence)
-        self.convention = None
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         G = self.group
@@ -66,7 +64,6 @@ class GaloisSetup:
             raise ValidationError(
                 "correspondence must respect multiplication in the "
                 "opposite-group convention")
-        self.convention = "opposite"
         ident = self.ext.identity_name
         if self.corr[G.names[G.identity]] != ident:
             raise ValidationError("identity must map to the identity")

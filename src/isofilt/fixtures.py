@@ -23,6 +23,7 @@ only tests use live with those tests.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .errors import ValidationError
 from .padic import linalg as la
@@ -79,24 +80,16 @@ def cyclotomic_p_power_extension(base, k: int) -> EisensteinExtensionDescriptor:
     # minimal polynomial of zeta - 1: expand Phi_{pk}(u + 1)
     e = len(cyc) - 1
     coeffs = [0] * (e + 1)
-    # binomial expansion
-    binom = [[1]]
-    for i in range(1, e + 1):
-        row = [1]
-        for j in range(1, i):
-            row.append(binom[-1][j - 1] + binom[-1][j])
-        row.append(1)
-        binom.append(row)
     for i, ci in enumerate(cyc):
         if ci:
             for j in range(i + 1):
-                coeffs[j] += ci * binom[i][j]
+                coeffs[j] += ci * comb(i, j)
     auts = {}
     for a in range(1, pk):
         if a % p == 0:
             continue
         # u -> (1+u)^a - 1, reduced mod E over Z
-        poly = [_binomial(a, j) for j in range(a + 1)]
+        poly = [comb(a, j) for j in range(a + 1)]
         poly[0] -= 1
         for deg in range(len(poly) - 1, e - 1, -1):
             c = poly[deg]
@@ -106,13 +99,6 @@ def cyclotomic_p_power_extension(base, k: int) -> EisensteinExtensionDescriptor:
         poly = poly[:e]
         auts["1" if a == 1 else f"s{a}"] = poly
     return EisensteinExtensionDescriptor.create(base, tuple(coeffs), auts)
-
-
-def _binomial(n, k):
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 # -- quaternion action on the supersingular module --------------------------------

@@ -216,9 +216,6 @@ class CharacterTable:
                 out.append((d, m))
         return out
 
-    def degree(self, chi: int) -> int:
-        return self.degrees[chi]
-
 
 def _split_by_matrix(basis, mat, ell):
     """Split a subspace (list of row vectors) into eigenspaces of mat."""

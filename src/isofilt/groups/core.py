@@ -87,9 +87,6 @@ class FiniteGroup:
                 raise ValidationError("element without inverse")
         return inv
 
-    def mul(self, a, b):
-        return self.table[a][b]
-
     def power(self, x, k):
         if k < 0:
             x, k = self.inverse[x], -k
@@ -226,9 +223,6 @@ class GroupRepresentation:
             raise ValidationError("generator matrices do not reach all elements")
         return cls(group, field, mats, faithful)
 
-    def mat(self, x):
-        return self.mats[x]
-
     # -- validation ----------------------------------------------------------
 
     def relation_rows(self, *others):
@@ -248,7 +242,9 @@ class GroupRepresentation:
 
         With s in relation_rows(A, gram), the table is checked at every
         (s, b) and the Frobenius, pairing and toric part at every s;
-        faithfulness looks at every element."""
+        faithfulness looks at every element.  toric_cols must be certified
+        independent, as a SemiAbelianPhiModule's are (pivots of [T | I_n]),
+        so their rank is their number of columns."""
         thr, one = la.relation_threshold(self.field), self.field.one()
         G = self.group
         A = phi_module.A if phi_module is not None else None
@@ -281,7 +277,7 @@ class GroupRepresentation:
                     raise ValidationError(
                         f"element {G.names[a]} is not compatible with the pairing")
         if rows and toric_cols and toric_cols[0]:
-            rank_t = la.certified_rank(la.transpose(toric_cols))
+            rank_t = len(toric_cols[0])
             for a in rows:
                 img = la.mat_mul(self.mats[a], toric_cols)
                 if not la.subspace_leq(img, toric_cols, rank_t):

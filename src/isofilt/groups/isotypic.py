@@ -234,16 +234,20 @@ def get_character_table(G: FiniteGroup) -> CharacterTable:
 
 # -- matrix orders and perturbing elements ----------------------------------------
 
+# the largest order matrix_order searches
+MATRIX_ORDER_CAP = 4096
 
-def matrix_order(m, field, cap: int = 4096) -> int:
+
+def matrix_order(m, field) -> int:
+    """The order of m, searched up to MATRIX_ORDER_CAP."""
     ident = la.identity(field, len(m))
     thr = la.relation_threshold(field)
     x = m
-    for k in range(1, cap + 1):
+    for k in range(1, MATRIX_ORDER_CAP + 1):
         if la.mat_is_zero(la.mat_sub(x, ident), thr):
             return k
         x = la.mat_mul(x, m)
-    raise NotFiniteOrderError(f"matrix has no order up to {cap}")
+    raise NotFiniteOrderError(f"matrix has no order up to {MATRIX_ORDER_CAP}")
 
 
 def class_eigenvalue_multiplicities(rep: GroupRepresentation):

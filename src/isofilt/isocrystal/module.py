@@ -74,13 +74,6 @@ class PhiModule:
         """v_p(det A); basis independent."""
         return la.det_valuation(self.A)
 
-    def dual(self, twist: int = 0) -> "PhiModule":
-        """Dual Frobenius p^twist * (A^T)^{-1}; slopes become twist - mu."""
-        At = la.transpose(self.A)
-        Ainv_t = la.mat_inverse(At)
-        pt = self.field.scalar(Fraction(self.field.p) ** twist)
-        return PhiModule(self.field, la.mat_scalar(pt, Ainv_t), validate=False)
-
     def direct_sum(self, other: "PhiModule") -> "PhiModule":
         assert self.field == other.field
         n, m = self.n, other.n
@@ -145,12 +138,11 @@ class PolarizedPhiModule:
     """phi-module with an alternating invertible Gram matrix J satisfying
     A^T J A = eps * p * sigma(J)."""
 
-    def __init__(self, module: PhiModule, gram, validate: bool = True):
+    def __init__(self, module: PhiModule, gram):
         self.module = module
         self.J = gram
         self.eps = None
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         D = self.module

@@ -34,17 +34,16 @@ from ..errors import PrecisionError, ValidationError
 from ..padic import linalg as la
 from ..padic import scalar as sc
 from ..padic.descriptors import UnramifiedFieldDescriptor, EisensteinExtensionDescriptor
-from ..padic.convert import project_to_rational_level, project_to_base, embed_qp
+from ..padic.convert import project_to_base, embed_qp
 from ..padic.hensel import hensel_lift_pair, rp_add, rp_mul, rp_divmod_monic
 from .module import PhiModule
 
 
 class SlopeProfile:
-    """Multiset of slopes with multiplicities, plus Newton polygon vertices."""
+    """Multiset of slopes with multiplicities."""
 
-    def __init__(self, pairs, vertices):
+    def __init__(self, pairs):
         self.pairs = tuple(sorted(pairs))            # ((slope, mult), ...)
-        self.vertices = tuple(vertices)
 
     def __eq__(self, other):
         return isinstance(other, SlopeProfile) and self.pairs == other.pairs
@@ -153,7 +152,7 @@ def _newton_slopes(D: PhiModule) -> SlopeProfile:
     rv = root_valuations_from_hull(hull, e)
     f = D.field.f
     pairs = [(v / f, m) for v, m in rv]
-    prof = SlopeProfile(pairs, [(i, Fraction(w, e)) for i, w in hull])
+    prof = SlopeProfile(pairs)
     if prof.dim != D.n:
         raise ValidationError("slope multiplicities do not sum to the dimension")
     if prof.total() != D.t_N():
@@ -168,7 +167,7 @@ def _rational_charpoly(D: PhiModule):
     """Characteristic polynomial of the linearization, certified rational."""
     qp = UnramifiedFieldDescriptor.create(D.field.p, 1, D.field.prec)
     _, chi = _linearized_charpoly(D)
-    return [project_to_rational_level(c, qp) for c in chi], qp
+    return [project_to_base(c, qp) for c in chi], qp
 
 
 def slope_factors(D: PhiModule):
@@ -193,7 +192,7 @@ def _split_by_valuation(chi, qp):
         # tame Kummer ring t^b = p; no automorphism table needed here
         level = EisensteinExtensionDescriptor.create(
             qp, (-qp.p,) + (0,) * (b - 1) + (1,))
-        proj = project_to_base
+        proj = lambda x: project_to_base(x, qp)
         tval = lambda j: sc.sc_pow(level.uniformizer(), a * j)
     G, H = _hensel_split(level, chi, a, m0)
     # minimal-valuation factor: g(lambda) = t^(a m0) G(lambda / t^a)

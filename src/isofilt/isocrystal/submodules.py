@@ -84,12 +84,11 @@ class SubmoduleSet:
     are certified independent and spanning; so t_N of a sum is the sum of
     (rv/f) dim = slope * dim over its components."""
 
-    def __init__(self, components, subspaces, bounds, mode, seed=None):
+    def __init__(self, components, subspaces, bounds, mode):
         self.components = components  # [(slope, basis_cols)]
         self.subspaces = subspaces    # [basis_cols] including 0 and D
         self.bounds = bounds          # [t_N or None], one per subspace
         self.mode = mode
-        self.seed = seed
 
 
 def _component_sums(D, comps):
@@ -160,7 +159,7 @@ def sampled_submodules(D: PhiModule, seed: int, budget: int) -> SubmoduleSet:
                 seen.add(key)
                 subs.append(cand)
                 bounds.append(None)
-    return SubmoduleSet(comps, subs, bounds, "sampled", seed)
+    return SubmoduleSet(comps, subs, bounds, "sampled")
 
 
 def phi_span(D: PhiModule, cols):
@@ -191,15 +190,6 @@ def phi_span(D: PhiModule, cols):
             img = la.hstack(img, D.apply_phi(new))
     except PrecisionError:
         return None
-
-
-def submodules(D: PhiModule, mode: str = "exact", budget: int = 0,
-               seed: int = 0) -> SubmoduleSet:
-    if mode == "exact":
-        return exact_submodules(D)
-    if mode == "sampled":
-        return sampled_submodules(D, seed, budget)
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 def _concat_cols(D, col_list):

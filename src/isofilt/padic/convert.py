@@ -56,16 +56,17 @@ def embed_qp(x: Scalar, target) -> Scalar:
                   relpi=min(target.e * x.relpi, target.relpi_max))
 
 
-def project_to_base(x: Scalar) -> Scalar:
-    """Project an Eisenstein-level scalar known to lie in the base back to the
-    base level; certified (the u-coordinates must vanish at precision).
+def project_to_base(x: Scalar, base: UnramifiedFieldDescriptor) -> Scalar:
+    """Project a scalar known to lie in a subfield back to that level;
+    certified.  base is the base of an Eisenstein level, or Q_p under an
+    unramified one: the coordinates z^i u^0 with i < base.f are kept, and
+    every other coordinate must vanish at working precision.
 
     An izero bound zw/e of the finer level becomes ceil(zw/e) at the base:
     base valuations are integers, so a value of valuation >= zw/e that lies
     in the base has valuation >= ceil(zw/e).
     """
     L = x.field
-    base = L.base
     e = L.e
     if x.kind == sc.ZERO:
         return sc.sc_zero(base)
@@ -75,17 +76,12 @@ def project_to_base(x: Scalar) -> Scalar:
         raise ValidationError("fractional valuation cannot live in the base")
     p = L.p
     thresh = max(x.relpi - SLACK * e, L.floor_relpi)
-    base_vec = []
-    for i in range(L.f):
-        base_vec.append(x.unit[i * e + 0])
-        for j in range(1, e):
-            c = x.unit[i * e + j]
-            if c:
-                w = e * int_valuation(c, p) + j
-                if w < thresh:
-                    raise PrecisionError(
-                        "scalar does not descend to the base at working precision")
-    unit = tuple(c % p ** base.prec for c in base_vec)
+    for k, c in enumerate(x.unit):
+        i, j = divmod(k, e)
+        if c and (j or i >= base.f) and e * int_valuation(c, p) + j < thresh:
+            raise PrecisionError(
+                "scalar does not descend to the base at working precision")
+    unit = tuple(x.unit[i * e] % p ** base.prec for i in range(base.f))
     if all(c == 0 for c in unit):
         return sc.sc_izero(base, -(-(x.w + x.relpi) // e))
     v0 = min(int_valuation(c, p) for c in unit if c)
@@ -96,37 +92,6 @@ def project_to_base(x: Scalar) -> Scalar:
         raise PrecisionError("projection lost all meaningful digits")
     return Scalar(base, sc.REG, w=x.w // e + v0, unit=unit,
                   relpi=min(relp, base.prec))
-
-
-def project_to_rational_level(x: Scalar,
-                              qp: UnramifiedFieldDescriptor) -> Scalar:
-    """Certify that an unramified-level scalar is rational (z-coordinates
-    beyond slot 0 vanish) and return it at the Q_p level."""
-    F = x.field
-    assert F.e == 1 and qp.f == 1
-    if x.kind == sc.ZERO:
-        return sc.sc_zero(qp)
-    if x.kind == sc.IZERO:
-        return sc.sc_izero(qp, x.zw)
-    p = F.p
-    thresh = max(x.relpi - SLACK, F.floor_relpi)
-    for i in range(1, F.f):
-        c = x.unit[i]
-        if c:
-            v = int_valuation(c, p)
-            if v < thresh:
-                raise PrecisionError("scalar is not rational at working precision")
-    c0 = x.unit[0] % p ** qp.prec
-    if c0 == 0:
-        return sc.sc_izero(qp, x.w + x.relpi)
-    v0 = int_valuation(c0, p)
-    if v0 > 0:
-        c0 //= p ** v0
-    relp = x.relpi - v0
-    if relp < qp.floor_relpi:
-        raise PrecisionError("projection lost all meaningful digits")
-    return Scalar(qp, sc.REG, w=x.w + v0, unit=(c0,),
-                  relpi=min(relp, qp.prec))
 
 
 class UnramifiedEmbedding:

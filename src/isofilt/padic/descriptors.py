@@ -18,13 +18,15 @@ raw kernel, isotypic's embeddings into bigger levels) is a memo of a function
 of the presentation.  ``create`` interns them, so a process holds one
 descriptor, and one TowerRing, per presentation.
 The key is (p, f, N, modulus mod p^N, floor) for K_q and (base, raw Eisenstein
-coefficients, raw automorphism images in table order, floor) for L, and
-``==`` and ``hash`` compare exactly that key.  Only a descriptor that passed
+coefficients, raw automorphism images in table order) for L, and ``==`` and
+``hash`` compare exactly that key.  Only a descriptor that passed
 every check is stored, and a hit returns one whose checks ran on the same key,
 so certify-or-fail holds as if each load built its level afresh: a bad
 presentation fails on every load.  At most LEVEL_CACHE levels are kept, the
 oldest forgotten first.  The constructors stay for levels that are not to be
-shared (other floors, unvalidated rings).
+shared: only the field constructor takes a floor (an Eisenstein step always
+has floor 1, and ``create`` builds fields at floor 1), and the step's
+constructor can skip its checks for an unvalidated ring.
 """
 
 from __future__ import annotations
@@ -219,7 +221,7 @@ class EisensteinExtensionDescriptor:
 
     def __init__(self, base: UnramifiedFieldDescriptor,
                  eis_coeffs: tuple, automorphisms: dict | None = None,
-                 floor_relpi: int = 1, validate: bool = True):
+                 validate: bool = True):
         """eis_coeffs: ascending, length e+1, each entry an int or a length-f
         tuple of ints over the base power basis; leading coefficient 1.
         automorphisms: name -> polynomial in u (ascending, entries ints or
@@ -230,8 +232,7 @@ class EisensteinExtensionDescriptor:
         self.prec = base.prec
         self.raw_eis = tuple(eis_coeffs)
         self.raw_auts = dict(automorphisms or {})
-        self._key = _extension_key(base, self.raw_eis, self.raw_auts,
-                                   floor_relpi)
+        self._key = _extension_key(base, self.raw_eis, self.raw_auts)
         self._hash = hash(self._key)
         coeffs = tuple(self._coerce_base_vec(c) for c in eis_coeffs)
         if coeffs[-1] != self._coerce_base_vec(1):
@@ -241,7 +242,7 @@ class EisensteinExtensionDescriptor:
         if validate:
             self._check_eisenstein()
         self.ring = TowerRing(base.p, base.prec, base.modulus, coeffs)
-        self.floor_relpi = floor_relpi
+        self.floor_relpi = 1
         self.relpi_max = self.e * base.prec
         self._small: dict[int, "sc.Scalar"] = {}
         self.raw_kernel = None  # linalg's elimination kernel, built on first use
@@ -256,7 +257,7 @@ class EisensteinExtensionDescriptor:
     def create(cls, base: UnramifiedFieldDescriptor, eis_coeffs: tuple,
                automorphisms: dict | None = None) -> "EisensteinExtensionDescriptor":
         """The interned, validated step over base (see the module docstring)."""
-        key = _extension_key(base, eis_coeffs, automorphisms or {}, 1)
+        key = _extension_key(base, eis_coeffs, automorphisms or {})
         return _interned(key, lambda: cls(base, eis_coeffs, automorphisms))
 
     def _coerce_base_vec(self, c):
@@ -378,7 +379,7 @@ class EisensteinExtensionDescriptor:
             return self.zero()
         if x.kind == sc.IZERO:
             return sc.sc_izero(self, self.e * x.zw)
-        unit = _base_vec_unit_to_elem(x.unit, self.f, self.e)
+        unit = _base_vec_to_elem(x.unit, self.f, self.e)
         return sc.Scalar(self, sc.REG, w=self.e * x.w, unit=unit,
                          relpi=min(self.e * x.relpi, self.relpi_max))
 
@@ -398,14 +399,13 @@ class EisensteinExtensionDescriptor:
         return d
 
 
-def _extension_key(base, eis_coeffs, automorphisms, floor_relpi):
+def _extension_key(base, eis_coeffs, automorphisms):
     """The step's identity: its base, and its raw coefficients and images
     as given (an int or a base vector each; a list read as a tuple)."""
     def raw(poly):
         return tuple(c if isinstance(c, int) else tuple(c) for c in poly)
     return (base, raw(eis_coeffs),
-            tuple((name, raw(poly)) for name, poly in automorphisms.items()),
-            floor_relpi)
+            tuple((name, raw(poly)) for name, poly in automorphisms.items()))
 
 
 def _vec_valuation(vec, p):
@@ -418,15 +418,10 @@ def _vec_valuation(vec, p):
 
 
 def _base_vec_to_elem(vec, f, e):
+    """A base-level vector or unit (one coordinate per z^i) as a ring
+    element of the level of ramification e (the z^i u^0 slots)."""
     out = [0] * (f * e)
     for i in range(f):
         out[i * e] = vec[i]
     return tuple(out)
 
-
-def _base_vec_unit_to_elem(unit, f, e):
-    # unit at base level has shape f*1; re-index into f*e
-    out = [0] * (f * e)
-    for i in range(f):
-        out[i * e] = unit[i]
-    return tuple(out)

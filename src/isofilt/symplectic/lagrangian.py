@@ -77,7 +77,7 @@ def random_rational_lagrangian(space: SymplecticSpace,
                    for c, bj in zip(col, b_cols[j])]
         cols.append(col)
     basis = la.normalize_columns([[cols[k][r] for k in range(g)] for r in range(space.n)])
-    return LagrangianSubspace(space, basis, validate=True)
+    return LagrangianSubspace(space, basis)
 
 
 # -- avoiding a small subspace ------------------------------------------------------
@@ -93,7 +93,7 @@ def lagrangian_avoiding(space: SymplecticSpace, m_cols,
     if dim_m > space.g:
         raise ValidationError(f"dim M = {dim_m} exceeds g = {space.g}")
     cols = la.normalize_columns(_avoiding_rec(space, m_cols, dim_m, rng))
-    return LagrangianSubspace(space, cols, validate=True)
+    return LagrangianSubspace(space, cols)
 
 
 def _avoiding_rec(space, m_cols, dim_m, rng):
@@ -232,7 +232,7 @@ def lagrangian_h_small_intersection(space: SymplecticSpace, h):
         raise ValidationError("h is not a perturbing element")
     cols = la.normalize_columns(
         _assemble_small_intersection(big_space, planes))
-    F = LagrangianSubspace(big_space, cols, validate=True)
+    F = LagrangianSubspace(big_space, cols)
     return big_space, F, H
 
 

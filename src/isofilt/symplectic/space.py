@@ -118,22 +118,22 @@ class SymplecticSpace:
 
 
 class LagrangianSubspace:
-    def __init__(self, space: SymplecticSpace, basis_cols,
-                 validate: bool = True):
+    """A basis of g columns certified to span a Lagrangian: rank g, and a
+    pairing that vanishes to the relation threshold."""
+
+    def __init__(self, space: SymplecticSpace, basis_cols):
         self.space = space
         self.basis_cols = basis_cols
-        if validate:
-            k = la.mat_dims(basis_cols)[1]
-            if k != space.g:
-                raise ValidationError("basis does not have g columns")
-            if la.certified_rank(la.transpose(basis_cols)) != space.g:
-                raise PrecisionError("Lagrangian basis rank not certified")
-            status = la.zero_status(space.pair_matrix(basis_cols, basis_cols),
-                                    la.relation_threshold(space.field))
-            if status == "nonzero":
-                raise ValidationError("pairing certified nonzero: not isotropic")
-            if status == "shallow":
-                raise PrecisionError("isotropy bound too shallow at this precision")
+        if la.mat_dims(basis_cols)[1] != space.g:
+            raise ValidationError("basis does not have g columns")
+        if la.certified_rank(la.transpose(basis_cols)) != space.g:
+            raise PrecisionError("Lagrangian basis rank not certified")
+        status = la.zero_status(space.pair_matrix(basis_cols, basis_cols),
+                                la.relation_threshold(space.field))
+        if status == "nonzero":
+            raise ValidationError("pairing certified nonzero: not isotropic")
+        if status == "shallow":
+            raise PrecisionError("isotropy bound too shallow at this precision")
 
     @property
     def dim(self):

@@ -79,8 +79,7 @@ def test_setup_validation(Q2, L):
         GaloisSetup(cyclic(2), L, {"g0": "1"})
     with pytest.raises(ValidationError):
         GaloisSetup(cyclic(2), L, {"g0": "s", "g1": "1"})  # identity mismatch
-    s = GaloisSetup(cyclic(2), L, {"g0": "1", "g1": "s"})
-    assert s.convention == "opposite"
+    GaloisSetup(cyclic(2), L, {"g0": "1", "g1": "s"})
 
 
 def test_diagonal_stability_fixture(Q2, L, setup_c2):
@@ -240,12 +239,13 @@ def test_simple_module_any_line_admissible(Q2, L):
         assert is_admissible(D, F, L, "exact").verdict
 
 
-def test_sampled_admissibility_one_sided(Q2, L):
+def test_sampled_admissibility_one_sided(Q2, L, monkeypatch):
     # inadmissible verdicts carry certificates that re-verify
     D = ordinary_module(Q2).direct_sum(ordinary_module(Q2))
     F = lift_matrix(L, la.from_rows_of_fractions(
         Q2, [[1, 0], [0, 0], [0, 1], [0, 0]]))  # meets the slope-0 plane fully
-    r = is_admissible(D, F, L, "sampled", seed=4, budget=40)
+    monkeypatch.setattr(admissible_mod, "ADMISSIBILITY_BUDGET", 40)
+    r = is_admissible(D, F, L, "sampled", seed=4)
     assert not r.verdict
     assert verify_violation(D, F, L, r.violation)
 
@@ -344,7 +344,6 @@ def test_a_square_basis_inherits_the_split(data):
     assert _spec(kept.A) == _spec(la.solve_right(P, D.apply_phi(P)))
     fresh = PhiModule(field, kept.A, validate=False)
     assert newton_slopes(kept).pairs == newton_slopes(fresh).pairs
-    assert newton_slopes(kept).vertices == newton_slopes(fresh).vertices
     inherited = isoclinic_decompose(kept)
     assert len(inherited) == len(split) == len(isoclinic_decompose(fresh))
     for (s1, c1), (s2, c2) in zip(inherited, isoclinic_decompose(fresh)):
@@ -356,9 +355,11 @@ def test_a_square_basis_inherits_the_split(data):
     k = data.draw(st.integers(1, n), label="dim F")
     F = lift_matrix(L, la.from_rows_of_fractions(field, [
         [data.draw(st.integers(-3, 3)) for _ in range(k)] for _ in range(n)]))
-    for mode in ("exact", "sampled"):
-        assert (is_admissible(kept, F, L, mode, seed=1, budget=4).as_dict()
-                == is_admissible(fresh, F, L, mode, seed=1, budget=4).as_dict())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(admissible_mod, "ADMISSIBILITY_BUDGET", 4)
+        for mode in ("exact", "sampled"):
+            assert (is_admissible(kept, F, L, mode, seed=1).as_dict()
+                    == is_admissible(fresh, F, L, mode, seed=1).as_dict())
 
 
 def test_decompose_polarized_shapes(Q2):
@@ -581,8 +582,7 @@ def test_extension_node_is_the_quotient_verdict(name, data):
     assert node.contained and node.toric_slope == 1 and node.complete
     assert node.verdict == is_admissible(DB, G, L, "exact").verdict
     if node.verdict:
-        assert is_admissible(sa.module, F, L, "sampled", seed=5,
-                             budget=200).verdict
+        assert is_admissible(sa.module, F, L, "sampled", seed=5).verdict
 
 
 @pytest.mark.parametrize("name", sorted(EXTENSION_PROBLEMS))

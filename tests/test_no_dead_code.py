@@ -15,6 +15,14 @@ name, so ``FiniteGroup`` being alive does not keep a method of it alive that
 nothing names.  Module-level statements other than imports, definitions and
 assignments run on import and are read as well.
 
+Going by name has a blind spot: a NAME token reaches every definition of
+that name, whatever object it is read from.  So a method that nothing calls
+is never reported while another definition, an attribute or a variable
+somewhere in the reached code shares its name: ``ct.dual`` keeps a
+``PhiModule.dual`` alive, ``ring.mul`` a ``FiniteGroup.mul``, and a local
+``mat`` or an attribute ``comp.degree`` a method of the same name.  Such a
+method is found only by reading its callers.
+
 The walk starts from these roots and from nowhere else:
 
 - ``cli.main``, the program, and ``cli._Parser.error``, which argparse calls;
@@ -33,12 +41,15 @@ The walk starts from these roots and from nowhere else:
 A definition that nothing reaches from there is reported.  The walk itself is
 tested on a small in-memory package at the end of this file.
 
-Two rules are checked as before.  Every name a module imports is used in
+Three rules are checked besides.  Every name a module imports is used in
 that module outside its import statements (``__init__.py`` files re-export
-and are skipped, as is ``from __future__ import ...``).  And only the
+and are skipped, as is ``from __future__ import ...``).  Only the
 elimination in ``padic/linalg.py`` and the rank wrappers built directly on it
 take a ``guard`` parameter; every layer above certifies at
-``DEFAULT_GUARD``.
+``DEFAULT_GUARD``.  And the number of parameters with a default value in
+src/ is pinned at ``OPTIONS``: an option that every caller leaves at one
+value is code that no caller needs, so a change that adds one raises the
+pin and names in CHANGES.md the two callers that set it differently.
 """
 
 import ast
@@ -61,6 +72,8 @@ ALLOWLIST = {
     ("filtration/admissible.py", "verify_violation"):
         ("test_filtration.py::test_admissibility_ledger_examples", 1),
 }
+# parameters with a default value, in every function and method of src/
+OPTIONS = 69
 GUARDED = {("padic/linalg.py", name) for name in (
     "RankCertificate.__init__", "certified_row_reduce", "_pivot_message",
     "_Raw.row_reduce", "certified_rank", "rank_certificate",
@@ -319,3 +332,26 @@ def test_guard_is_a_parameter_of_the_elimination_only():
             if "guard" in names:
                 found.add((rel, qualname))
     assert found == GUARDED
+
+
+def _options():
+    """module:qualified name(parameter=) for every parameter with a default
+    value, nested functions included."""
+    found = []
+    for path in MODULES:
+        rel = path.relative_to(PACKAGE).as_posix()
+        for qualname, node in _functions(ast.parse(path.read_text())):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            found += [f"{rel}:{qualname}({a.arg}=)" for a in defaulted]
+    return found
+
+
+def test_option_count_is_pinned():
+    options = _options()
+    assert len(options) == OPTIONS, (
+        f"{len(options)} parameters with a default value, pinned at "
+        f"{OPTIONS}:\n" + "\n".join(options))

@@ -13,6 +13,7 @@ from isofilt.fixtures import unramified, c4_k_rep, scalar_c2_rep
 from isofilt.formats import group_from_json
 from isofilt.groups.constructions import cyclic
 from isofilt.groups.core import GroupRepresentation
+from isofilt.groups import isotypic
 from isofilt.groups.isotypic import (class_eigenvalue_multiplicities,
                                      find_perturbateur, get_character_table,
                                      isotypic_decomposition, is_K_elementary,
@@ -85,11 +86,12 @@ def test_eigen_multiplicities_order12():
     assert find_perturbateur(rep) == "g1"
 
 
-def test_matrix_order_rejects_infinite():
+def test_matrix_order_rejects_infinite(monkeypatch):
     Q2 = unramified(2, 1, 24)
     m = la.from_rows_of_fractions(Q2, [[1, 1], [0, 1]])
+    monkeypatch.setattr(isotypic, "MATRIX_ORDER_CAP", 64)
     with pytest.raises(NotFiniteOrderError):
-        matrix_order(m, Q2, cap=64)
+        matrix_order(m, Q2)
 
 
 def test_perturbateur_examples():

@@ -16,6 +16,7 @@ import pytest
 
 from isofilt import formats
 from isofilt.errors import MultiplicityError
+from isofilt.filtration import admissible
 from isofilt.filtration.admissible import is_admissible
 from isofilt.filtration.galois import lift_matrix
 from isofilt.fixtures import sqrt2_extension, unramified
@@ -78,7 +79,7 @@ def test_sampled_family_matches_the_reference(name, budget, seed):
     D = MODULES[name]
     got = sm.sampled_submodules(D, seed, budget)
     want = sampled_submodules_reference(D, seed, budget)
-    assert got.mode == "sampled" and got.seed == seed
+    assert got.mode == "sampled"
     assert len(got.subspaces) == len(want)
     for a, b in zip(got.subspaces, want):
         assert _entries(a) == _entries(b)
@@ -97,7 +98,7 @@ def test_fallback_splits_the_module_once(monkeypatch):
 
     monkeypatch.setattr(slopes, "slope_factors", counting)
     with pytest.raises(MultiplicityError):
-        sm.submodules(D, "exact")
+        sm.exact_submodules(D)
     assert calls == [D]
     retry = sm.sampled_submodules(D, 7, 20)
     assert calls == [D]
@@ -195,7 +196,8 @@ def test_one_elimination_over_L_per_proper_submodule(monkeypatch):
         return row_reduce(m, *args, **kwargs)
 
     monkeypatch.setattr(la, "certified_row_reduce", spy_reduce)
-    report = is_admissible(D, F, L, "sampled", seed=4, budget=20)
+    monkeypatch.setattr(admissible, "ADMISSIBILITY_BUDGET", 20)
+    report = is_admissible(D, F, L, "sampled", seed=4)
     assert report.samples == len(subs.subspaces)
     assert proper > 1
     # rank F once, then rank [N_L | F] for each proper N

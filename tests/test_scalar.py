@@ -37,7 +37,7 @@ from isofilt import formats
 from isofilt.errors import PrecisionError, ValidationError
 from isofilt.padic import linalg as la
 from isofilt.padic import scalar as sc
-from isofilt.padic.convert import project_to_base
+from isofilt.padic.convert import embed_qp, project_to_base
 from isofilt.padic.descriptors import (EisensteinExtensionDescriptor,
                                        UnramifiedFieldDescriptor)
 import oracles
@@ -341,10 +341,33 @@ def test_off_lattice_izero_bounds_round_up():
     assert formats.scalar_from_json(q2, {"izero": "1/2"}).zw == 1
     assert formats.scalar_from_json(t2, {"izero": "1/3"}).zw == 1
     assert formats.scalar_from_json(t2, {"izero": "-1/3"}).zw == 0
-    assert project_to_base(sc.sc_izero(t2, 3)).zw == 2
-    assert project_to_base(sc.sc_izero(t2, -3)).zw == -1
+    assert project_to_base(sc.sc_izero(t2, 3), q2).zw == 2
+    assert project_to_base(sc.sc_izero(t2, -3), q2).zw == -1
     with pytest.raises(ValidationError):
         formats.scalar_from_json(t2, {"v": "1/4", "unit": [1, 0], "relpi": 8})
+
+
+@pytest.mark.parametrize("f", [2, 3])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_descent_from_K_q_to_Q_p_gives_the_scalar_back(f, data):
+    # an embedded Q_p scalar lives in the z^0 coordinate only, and the
+    # projection keeps that coordinate with every digit and bound it had
+    qp = UnramifiedFieldDescriptor.create(2, 1, 16)
+    kq = UnramifiedFieldDescriptor.create(2, f, 16)
+    x = data.draw(zp_entries(qp))
+    assert _entries([[project_to_base(embed_qp(x, kq), qp)]]) == _entries([[x]])
+
+
+@pytest.mark.parametrize("f", [2, 3])
+def test_descent_from_K_q_rejects_a_z_coordinate(f):
+    qp = UnramifiedFieldDescriptor.create(2, 1, 16)
+    kq = UnramifiedFieldDescriptor.create(2, f, 16)
+    for i in range(1, f):
+        z_i = sc.sc_pow(kq.gen(), i)
+        for x in (z_i, sc.sc_add(kq.one(), sc.sc_mul(kq.scalar(2), z_i))):
+            with pytest.raises(PrecisionError):
+                project_to_base(x, qp)
 
 
 # -- no Fraction on the hot path ------------------------------------------------------
