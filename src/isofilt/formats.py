@@ -107,12 +107,14 @@ def scalar_from_json(field, doc):
             # coordinates over the z-power basis
             if field.e != 1:
                 raise ValidationError("coordinate vectors need an unramified level")
+            if not doc:
+                return sc.sc_zero(field)
             gen = field.gen()
-            powers = [field.one()]
+            powers = [[field.one()]]
             for _ in doc[1:]:
-                powers.append(sc.sc_mul(powers[-1], gen))
-            return la.dot([field.scalar(Fraction(str(c))) for c in doc],
-                          powers, field)
+                powers.append([sc.sc_mul(powers[-1][0], gen)])
+            return la.mat_mul([[field.scalar(Fraction(str(c))) for c in doc]],
+                              powers)[0][0]
         if "izero" in doc:
             # an off-lattice bound rounds up: valuations lie in (1/e)Z
             return sc.sc_izero(field, math.ceil(Fraction(doc["izero"]) * field.e))
@@ -123,8 +125,12 @@ def scalar_from_json(field, doc):
         if len(unit) != field.ring.dim or field.ring.val_pi(unit) != 0:
             raise ValidationError(f"bad scalar entry {doc!r}: not a unit of a "
                                   f"ring of dimension {field.ring.dim}")
+        relpi = doc["relpi"]
+        if type(relpi) is not int or relpi < field.floor_relpi:
+            raise ValidationError(f"bad scalar entry {doc!r}: relpi must be an "
+                                  f"integer >= {field.floor_relpi}")
         return sc.Scalar(field, sc.REG, w=int(w), unit=unit,
-                         relpi=min(int(doc["relpi"]), field.relpi_max))
+                         relpi=min(relpi, field.relpi_max))
     except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ValidationError(f"bad scalar entry {doc!r}: {exc!r}") from exc
 

@@ -28,6 +28,7 @@ from fractions import Fraction
 from ..errors import ValidationError
 from ..padic import linalg as la
 from ..padic.descriptors import UnramifiedFieldDescriptor
+from ..symplectic.space import SymplecticSpace
 
 
 class PhiModule:
@@ -146,15 +147,9 @@ class PolarizedPhiModule:
 
     def _validate(self):
         D = self.module
-        n = D.n
-        if n % 2 != 0:
-            raise ValidationError("polarized module must have even dimension")
         F = D.field
+        SymplecticSpace(F, self.J)
         thr = la.relation_threshold(F)
-        skew = la.mat_add(self.J, la.transpose(self.J))
-        if not la.mat_is_zero(skew, thr):
-            raise ValidationError("Gram matrix is not alternating")
-        la.det_valuation(self.J)
         At, JA = la.transpose(D.A), la.mat_mul(self.J, D.A)
         p_sigma_J = la.mat_scalar(F.scalar(F.p), la.mat_frobenius(self.J))
         for eps in (1, -1):

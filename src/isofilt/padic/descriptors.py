@@ -13,9 +13,9 @@ never computed here; the table is input and checked (closure, group of order
 e, E(tau(u)) = 0 at working precision, transitive on the listed roots).
 
 Descriptors are never mutated after construction; what they gain later
-(small scalars, Teichmuller roots, the ring's inverses and kernels, linalg's
-raw kernel, isotypic's embeddings into bigger levels) is a memo of a function
-of the presentation.  ``create`` interns them, so a process holds one
+(small scalars, Teichmuller roots, the ring's inverses and kernels, the
+level's arithmetic rules that ``scalar.kernel`` builds, isotypic's embeddings
+into bigger levels) is a memo of a function of the presentation.  ``create`` interns them, so a process holds one
 descriptor, and one TowerRing, per presentation.
 The key is (p, f, N, modulus mod p^N, floor) for K_q and (base, raw Eisenstein
 coefficients, raw automorphism images in table order) for L, and ``==`` and
@@ -77,7 +77,7 @@ class UnramifiedFieldDescriptor:
         self._hash = hash(self._key)
         self._teich_cache: dict[int, "sc.Scalar"] = {}
         self._small: dict[int, "sc.Scalar"] = {}
-        self.raw_kernel = None  # linalg's elimination kernel, built on first use
+        self.raw_kernel = None  # scalar.kernel's rules, built on first use
         self.embeddings: dict = {}  # s -> isotypic's embedding into K_{q^s}
 
     @classmethod
@@ -245,7 +245,7 @@ class EisensteinExtensionDescriptor:
         self.floor_relpi = 1
         self.relpi_max = self.e * base.prec
         self._small: dict[int, "sc.Scalar"] = {}
-        self.raw_kernel = None  # linalg's elimination kernel, built on first use
+        self.raw_kernel = None  # scalar.kernel's rules, built on first use
         self.automorphisms: dict[str, _AutRecord] = {}
         for name, poly in self.raw_auts.items():
             image = self._poly_to_element(poly)

@@ -15,26 +15,19 @@ layer, certifies at ``DEFAULT_GUARD``, which each RankCertificate records.
 Pivoting always selects a minimal-valuation entry, which is the p-adic
 analogue of partial pivoting and keeps precision loss linear.
 
-Elimination, matrix products, charpoly, Horner's evaluation of a polynomial
-at a matrix and the relation test a*b - c = 0 run one raw kernel at every
-level, on entries in place of Scalars: ``None`` for an exact zero,
-``(zw, None, 0)`` for an izero and ``(w, u, relpi)`` for a reg scalar.  The
-unit u is a plain int in [0, p^N) where the ring is Z/p^N (f = e = 1, Q_p
-itself) and the ring's coefficient tuple at every other level.  The kernel
-applies exactly the rules of sc_inv, sc_mul, sc_neg and sc_add, in the same
-order -- the c0 and c0^-1 corrections of a wrapped u-power and every relpi
-cap included -- so pivots, certificates, results and every PrecisionError
-(message and step) are the ones Scalar arithmetic gives; ``tests/oracles.py``
-keeps the elimination on Scalars as the reference the tests compare against.
-Only what a caller receives is built as Scalars, and a rank, column-space
-or relation decision builds none.
+Elimination, matrix products, linear combinations, charpoly, Horner's
+evaluation of a polynomial at a matrix and the relation test a*b - c = 0 run
+the level's arithmetic rules, written once in ``scalar`` (``scalar.kernel``),
+on raw entries in place of Scalars.  Only what a caller receives is built as
+Scalars, and a rank, column-space or relation decision builds none.
+``tests/oracles.py`` keeps the elimination and the dot fold on Scalars as the
+reference the tests compare against.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
 
 from ..errors import PrecisionError, ValidationError
 from . import scalar as sc
@@ -81,38 +74,27 @@ def mat_neg(a):
     return [[sc_neg(x) for x in row] for row in a]
 
 
-def dot(xs, ys, field):
-    """sum of x*y over the pairs, folded left to right; the exact zero of
-    the field when no pair has two nonzero entries.  A product with an exact
-    zero is zero and adding it returns the sum unchanged, so it is skipped."""
-    terms = (sc_mul(x, y) for x, y in zip(xs, ys)
-             if x.kind != sc.ZERO and y.kind != sc.ZERO)
-    first = next(terms, None)
-    return sc_zero(field) if first is None else reduce(sc_add, terms, first)
-
-
 def mat_mul(a, b):
-    _, k = mat_dims(a)
-    k2, _ = mat_dims(b)
-    assert k == k2, "inner dimensions mismatch"
-    if not k:
+    _, inner = mat_dims(a)
+    assert inner == mat_dims(b)[0], "inner dimensions mismatch"
+    if not inner:
         return [[] for _ in a]
-    raw = _Raw.of(a[0][0].field)
-    rcols = raw.encode_rows(zip(*b))
-    return raw.decode_rows([[raw.dot(row, col) for col in rcols]
-                            for row in raw.encode_rows(a)])
+    k = sc.kernel(a[0][0].field)
+    kcols = k.encode_rows(zip(*b))
+    return k.decode_rows([[k.dot(row, col) for col in kcols]
+                          for row in k.encode_rows(a)])
 
 
 def mat_mul_sub_is_zero(a, b, c, min_bound) -> bool:
     """``mat_is_zero(mat_sub(mat_mul(a, b), c), min_bound)`` on raw entries:
     the dot fold, then sc_sub, then sc_certified_zero; no Scalar is built."""
-    raw = _Raw.of(_field_of(c))
-    zw = math.ceil(min_bound * raw.e)
-    rcols = raw.encode_rows(zip(*b))
-    add, neg = raw.add, raw.neg
-    for row, crow in zip(raw.encode_rows(a), raw.encode_rows(c)):
-        for col, z in zip(rcols, crow):
-            d = add(raw.dot(row, col), neg(z))
+    k = sc.kernel(_field_of(c))
+    zw = math.ceil(min_bound * k.e)
+    kcols = k.encode_rows(zip(*b))
+    add, neg = k.add, k.neg
+    for row, crow in zip(k.encode_rows(a), k.encode_rows(c)):
+        for col, z in zip(kcols, crow):
+            d = add(k.dot(row, col), neg(z))
             if d is not None and (d[1] is not None or d[0] < zw):
                 return False
     return True
@@ -124,17 +106,17 @@ def mat_lincomb(coeffs, mats):
     nothing.  Each entry sees the Scalar fold's operations, so the result is
     its result, and a PrecisionError is raised exactly when it raises one,
     though perhaps first at another entry."""
-    raw = _Raw.of(_field_of(mats[0]))
-    fma = raw.fma
+    k = sc.kernel(_field_of(mats[0]))
+    fma = k.fma
     acc = [[None] * len(row) for row in mats[0]]
-    for c, m in zip(raw.encode_rows([coeffs])[0], mats):
+    for c, m in zip(map(k.entry, coeffs), mats):
         if c is None:
             continue
-        for arow, mrow in zip(acc, raw.encode_rows(m)):
+        for arow, mrow in zip(acc, k.encode_rows(m)):
             for j, x in enumerate(mrow):
                 if x is not None:
                     arow[j] = fma(arow[j], c, x)
-    return raw.decode_rows(acc)
+    return k.decode_rows(acc)
 
 
 def mat_scalar(s, a):
@@ -197,9 +179,57 @@ def certified_row_reduce(m, guard: int = DEFAULT_GUARD, reduced: bool = True,
     """
     if not m or not m[0]:
         return [] if rows else None, [], RankCertificate(0, [], guard, None, 1)
-    raw = _Raw.of(_field_of(m))
-    ech, pivot_cols, cert = raw.row_reduce(m, guard, reduced)
-    return raw.decode_rows(ech) if rows else None, pivot_cols, cert
+    k = sc.kernel(_field_of(m))
+    fma, neg = k.fma, k.neg
+    ech = k.encode_rows(m)
+    nr, nc = len(ech), len(ech[0])
+    pivot_cols = []
+    pivot_ws = []
+    r = 0
+    for c in range(nc):
+        best = None
+        for i in range(r, nr):
+            x = ech[i][c]
+            if x is not None and x[1] is not None and (best is None or x[0] < bw):
+                best, bw = i, x[0]
+        if best is None:
+            continue
+        piv = ech[best][c]
+        if piv[2] < guard:
+            raise PrecisionError(_pivot_message(c, piv[2], guard))
+        ech[r], ech[best] = ech[best], ech[r]
+        # the pivot's inverse, then the product across its row
+        inv = k.inv(piv)
+        prow = ech[r] = [x if x is None else fma(None, inv, x) for x in ech[r]]
+        lo = 0 if reduced else r + 1
+        for i in range(lo, nr):
+            if i == r:
+                continue
+            factor = ech[i][c]
+            if factor is None:
+                continue
+            # y - factor * z as y + (-factor) * z: negation commutes with
+            # the product, digits and floor check included
+            nf = neg(factor)
+            ech[i] = [y if z is None else fma(y, nf, z)
+                      for y, z in zip(ech[i], prow)]
+        pivot_cols.append(c)
+        pivot_ws.append(piv[0])
+        r += 1
+        if r == nr:
+            break
+    residual_zw = None
+    for i in range(r, nr):
+        for x in ech[i]:
+            if x is None:
+                continue
+            if x[1] is not None:
+                raise PrecisionError(_RESIDUAL_MESSAGE)
+            residual_zw = x[0] if residual_zw is None else min(residual_zw, x[0])
+    cert = RankCertificate(r, pivot_ws, guard, residual_zw, k.e)
+    if not rows:
+        return None, pivot_cols, cert
+    return k.decode_rows(ech[:r] if reduced else ech), pivot_cols, cert
 
 
 def _pivot_message(c, relpi, guard):
@@ -208,334 +238,6 @@ def _pivot_message(c, relpi, guard):
 
 
 _RESIDUAL_MESSAGE = "uncertified nonzero residual after elimination"
-
-
-class _Raw:
-    """The rules of sc_inv, sc_mul, sc_neg and sc_add on raw entries: None
-    (exact zero), (zw, None, 0) (izero) or (w, u, relpi) (reg).  ``_Raw.of``
-    picks the unit arithmetic of the level; elimination and the dot fold
-    are shared."""
-
-    __slots__ = ("field", "ring", "p", "pn", "prec", "e", "floor", "one")
-
-    @staticmethod
-    def of(field):
-        """The kernel of the level, built once per descriptor (again if its
-        floor was changed)."""
-        kernel = field.raw_kernel
-        if kernel is None or kernel.floor != field.floor_relpi:
-            kernel = field.raw_kernel = (
-                _ZpRaw if field.ring.dim == 1 else _TowerRaw)(field)
-        return kernel
-
-    def __init__(self, field):
-        ring = field.ring
-        self.field, self.ring = field, ring
-        self.p, self.pn, self.prec, self.e = ring.p, ring.pn, ring.prec, ring.e
-        self.floor = field.floor_relpi
-        self.one = self.encode_rows([[field.one()]])[0][0]
-
-    def _below_floor(self, relpi):
-        # the message of sc_reg
-        return PrecisionError(
-            f"result precision {relpi} pi-digits below floor {self.floor}")
-
-    def _add_izero(self, aw, au, ar, tw, tu, tr):
-        """sc_add of raw entries, at least one of them an izero."""
-        if au is None and tu is None:
-            return (aw if aw < tw else tw), None, 0
-        zw, rw, ru, rr = (aw, tw, tu, tr) if au is None else (tw, aw, au, ar)
-        if rw >= zw:
-            return zw, None, 0
-        relpi = rr if rr < zw - rw else zw - rw
-        if relpi < self.floor:
-            raise self._below_floor(relpi)
-        return rw, ru, relpi
-
-    def dot(self, xs, ys):
-        """The raw ``dot``: None when no pair has two nonzero entries."""
-        fma = self.fma
-        acc = None
-        for x, y in zip(xs, ys):
-            if x is not None and y is not None:
-                acc = fma(acc, x, y)
-        return acc
-
-    def row_reduce(self, m, guard, reduced):
-        """``scalar_row_reduce`` of tests/oracles.py on raw entries; returns
-        raw rows."""
-        fma, neg = self.fma, self.neg
-        rows = self.encode_rows(m)
-        nr, nc = len(rows), len(rows[0])
-        pivot_cols = []
-        pivot_ws = []
-        r = 0
-        for c in range(nc):
-            best = None
-            for i in range(r, nr):
-                x = rows[i][c]
-                if x is not None and x[1] is not None and (best is None or x[0] < bw):
-                    best, bw = i, x[0]
-            if best is None:
-                continue
-            piv = rows[best][c]
-            if piv[2] < guard:
-                raise PrecisionError(_pivot_message(c, piv[2], guard))
-            rows[r], rows[best] = rows[best], rows[r]
-            # sc_inv of the pivot, then sc_mul across its row
-            inv = self.inv(piv)
-            prow = rows[r] = [x if x is None else fma(None, inv, x) for x in rows[r]]
-            lo = 0 if reduced else r + 1
-            for i in range(lo, nr):
-                if i == r:
-                    continue
-                factor = rows[i][c]
-                if factor is None:
-                    continue
-                # y - factor * z as y + (-factor) * z: sc_neg commutes with
-                # sc_mul, digits and floor check included
-                nf = neg(factor)
-                rows[i] = [y if z is None else fma(y, nf, z)
-                           for y, z in zip(rows[i], prow)]
-            pivot_cols.append(c)
-            pivot_ws.append(piv[0])
-            r += 1
-            if r == nr:
-                break
-        residual_zw = None
-        for i in range(r, nr):
-            for x in rows[i]:
-                if x is None:
-                    continue
-                if x[1] is not None:
-                    raise PrecisionError(_RESIDUAL_MESSAGE)
-                residual_zw = x[0] if residual_zw is None else min(residual_zw, x[0])
-        cert = RankCertificate(r, pivot_ws, guard, residual_zw, self.e)
-        return rows[:r] if reduced else rows, pivot_cols, cert
-
-
-class _ZpRaw(_Raw):
-    """The e = 1 rules where the ring is Z/p^N: a unit is a plain int in
-    [0, p^N)."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def encode_rows(m):
-        reg, izero = sc.REG, sc.IZERO
-        return [[(x.w, x.unit[0], x.relpi) if x.kind == reg
-                 else (x.zw, None, 0) if x.kind == izero else None
-                 for x in row] for row in m]
-
-    def decode_rows(self, m):
-        F, reg, izero = self.field, sc.REG, sc.IZERO
-        zero = Scalar(F, sc.ZERO)  # Scalars are never mutated: one serves all
-        return [[zero if x is None
-                 else Scalar(F, izero, None, None, 0, x[0]) if x[1] is None
-                 else Scalar(F, reg, x[0], (x[1],), x[2])
-                 for x in row] for row in m]
-
-    def neg(self, x):
-        if x is None or x[1] is None:
-            return x
-        return x[0], -x[1] % self.pn, x[2]
-
-    def inv(self, x):
-        w, u, relpi = x
-        if relpi < self.floor:
-            raise self._below_floor(relpi)
-        return -w, pow(u, -1, self.pn), relpi
-
-    def add(self, acc, t):
-        # fma(acc, t, one): a plain int product costs less than another call
-        return acc if t is None else self.fma(acc, t, self.one)
-
-    def fma(self, acc, x, y):
-        """sc_add(acc, sc_mul(x, y)), acc None for an exact zero; x and y
-        are not exact zeros."""
-        # t = sc_mul(x, y)
-        xw, xu, xr = x
-        yw, yu, yr = y
-        tw = xw + yw
-        if xu is None or yu is None:
-            # an izero times a nonzero entry: the bounds add up
-            tu, tr = None, 0
-        else:
-            tr = xr if xr < yr else yr
-            if tr < self.floor:
-                raise self._below_floor(tr)
-            tu = xu * yu % self.pn
-        if acc is None:
-            return tw, tu, tr
-        # sc_add(acc, t)
-        aw, au, ar = acc
-        if au is None or tu is None:
-            return self._add_izero(aw, au, ar, tw, tu, tr)
-        if tw < aw:
-            aw, au, ar, tw, tu, tr = tw, tu, tr, aw, au, ar
-        d = tw - aw
-        m = ar if ar < d + tr else d + tr
-        p, pn, prec = self.p, self.pn, self.prec
-        s = (au + tu * p ** d) % pn if d else (au + tu) % pn
-        if s % p:
-            v = 0
-        elif not s:
-            return aw + m, None, 0
-        else:
-            v = 1
-            s //= p
-            while not s % p:
-                s //= p
-                v += 1
-        if v >= m:
-            return aw + m, None, 0
-        relpi = m - v if m < prec else prec - v
-        if relpi < self.floor:
-            raise self._below_floor(relpi)
-        return aw + v, s, relpi
-
-
-class _TowerRaw(_Raw):
-    """The rules at every level but Z/p^N: a unit is the ring's coefficient
-    tuple, and a u-power that wraps past e brings in c0 or c0^-1 with the
-    relpi caps of sc_add, sc_mul and sc_inv.
-
-    The ring is exact mod p^N, so a unit is reached by any product that
-    equals it there.  A product that wraps multiplies by x*c0 (remembered
-    for the last x, which is fixed along a row update) instead of
-    multiplying by x and then by c0, and a shifted addend that wraps is
-    multiplied once by pi^d*c0^-1 (remembered per shift d)."""
-
-    __slots__ = ("wrap_cap", "top", "unit_slots", "c0", "wrap_x", "wrap_xc0",
-                 "shift_c0i")
-
-    def __init__(self, field):
-        super().__init__(field)
-        ring = self.ring
-        self.wrap_cap = self.e * (self.prec - 1)
-        self.top = self.e * self.prec
-        # the u^0 coefficients: a sum is a unit when one of them is
-        self.unit_slots = tuple(range(0, ring.dim, self.e))
-        self.c0 = ring.c0()
-        self.wrap_x = self.wrap_xc0 = None
-        self.shift_c0i = {}
-
-    @staticmethod
-    def encode_rows(m):
-        reg, izero = sc.REG, sc.IZERO
-        return [[(x.w, x.unit, x.relpi) if x.kind == reg
-                 else (x.zw, None, 0) if x.kind == izero else None
-                 for x in row] for row in m]
-
-    def decode_rows(self, m):
-        F, reg, izero = self.field, sc.REG, sc.IZERO
-        zero = Scalar(F, sc.ZERO)
-        return [[zero if x is None
-                 else Scalar(F, izero, None, None, 0, x[0]) if x[1] is None
-                 else Scalar(F, reg, x[0], x[1], x[2])
-                 for x in row] for row in m]
-
-    def neg(self, x):
-        if x is None or x[1] is None:
-            return x
-        return x[0], self.ring.neg(x[1]), x[2]
-
-    def inv(self, x):
-        w, u, relpi = x
-        ring = self.ring
-        u = ring.inv_unit(u)
-        if w % self.e:
-            u = ring.mul(u, ring.c0_inv())
-            if relpi > self.wrap_cap:
-                relpi = self.wrap_cap
-        if relpi < self.floor:
-            raise self._below_floor(relpi)
-        return -w, u, relpi
-
-    def fma(self, acc, x, y):
-        """sc_add(acc, sc_mul(x, y)), acc None for an exact zero; x and y
-        are not exact zeros."""
-        # t = sc_mul(x, y)
-        xw, xu, xr = x
-        yw, yu, yr = y
-        tw = xw + yw
-        e, ring = self.e, self.ring
-        if xu is None or yu is None:
-            tu, tr = None, 0
-        else:
-            tr = xr if xr < yr else yr
-            if xw % e + yw % e >= e:
-                if x is not self.wrap_x:
-                    self.wrap_x, self.wrap_xc0 = x, ring.mul(xu, self.c0)
-                tu = ring.mul(self.wrap_xc0, yu)
-                if tr > self.wrap_cap:
-                    tr = self.wrap_cap
-            else:
-                tu = ring.mul(xu, yu)
-            if tr < self.floor:
-                raise self._below_floor(tr)
-        return (tw, tu, tr) if acc is None else self._sum(acc, tw, tu, tr)
-
-    def add(self, acc, t):
-        """sc_add(acc, t), after the floor check of t that sc_mul(t, 1) makes
-        (``formats.scalar_from_json`` builds digit entries without one)."""
-        if t is None:
-            return acc
-        if t[1] is not None and t[2] < self.floor:
-            raise self._below_floor(t[2])
-        return t if acc is None else self._sum(acc, *t)
-
-    def _sum(self, acc, tw, tu, tr):
-        """sc_add(acc, t) for raw t = (tw, tu, tr), neither of them None."""
-        e, ring = self.e, self.ring
-        aw, au, ar = acc
-        if au is None or tu is None:
-            return self._add_izero(aw, au, ar, tw, tu, tr)
-        if tw < aw:
-            aw, au, ar, tw, tu, tr = tw, tu, tr, aw, au, ar
-        d = tw - aw
-        m = ar if ar < d + tr else d + tr
-        b1 = aw % e
-        if d:
-            if tw % e < b1:
-                # the literal u-power of the shift overflowed by u^e = p*c0
-                g = self.shift_c0i.get(d)
-                if g is None:
-                    g = self.shift_c0i[d] = ring.shift_up(ring.c0_inv(), d)
-                tu = ring.mul(tu, g)
-                if m > self.wrap_cap:
-                    m = self.wrap_cap
-            else:
-                tu = ring.shift_up(tu, d)
-        pn, p = self.pn, self.p
-        s = tuple([(a + b) % pn for a, b in zip(au, tu)])
-        for i in self.unit_slots:
-            if s[i] % p:
-                v = 0
-                break
-        else:
-            v = ring.val_pi(s)
-            if v is None or v >= m:
-                return aw + m, None, 0
-        if v:
-            s = ring.divide_pi_exact(s, v)
-            a, b = divmod(v, e)
-            if b1 + b >= e:
-                # sc_add also caps m - v at e(N - 1) here, never below cap
-                # below: b >= 1 makes cap = e(N - a - b) <= e(N - 1)
-                s = ring.mul(s, self.c0)
-            cap = e * (self.prec - a - b)
-            relpi = m - v if m - v < cap else cap
-            if self.floor <= relpi <= 0:
-                # sc_add's izero: no digit of the unit is left
-                return aw + v, None, 0
-        elif m > 0:
-            relpi = m if m < self.top else self.top
-        else:
-            return aw + m, None, 0
-        if relpi < self.floor:
-            raise self._below_floor(relpi)
-        return aw + v, s, relpi
 
 
 def certified_rank(m, guard: int = DEFAULT_GUARD) -> int:
@@ -649,9 +351,8 @@ def charpoly(m):
     Division-free (Berkowitz), so precision behaves like products and sums of
     the entries; no pivoting decisions are involved.
     """
-    raw = _Raw.of(_field_of(m))
-    return raw.decode_rows([berkowitz(raw.encode_rows(m), raw.one, raw.neg,
-                                      raw.dot)])[0]
+    k = sc.kernel(_field_of(m))
+    return k.decode_rows([berkowitz(k.encode_rows(m), k.one, k.neg, k.dot)])[0]
 
 
 def berkowitz(m, one, neg, dot):
@@ -682,15 +383,15 @@ def poly_eval_matrix(coeffs, m):
     """Evaluate a scalar-coefficient polynomial at a matrix, by Horner on
     raw rows: out*m by the dot fold, then c added on the diagonal by the
     sc_add rule; decoded once at the end."""
-    raw = _Raw.of(_field_of(m))
+    k = sc.kernel(_field_of(m))
     n = len(m)
-    rcols = raw.encode_rows(zip(*m))
+    kcols = k.encode_rows(zip(*m))
     out = [[None] * n for _ in range(n)]
-    for (c,) in raw.encode_rows([[c] for c in reversed(coeffs)]):
-        out = [[raw.dot(row, col) for col in rcols] for row in out]
+    for c in map(k.entry, reversed(coeffs)):
+        out = [[k.dot(row, col) for col in kcols] for row in out]
         for i in range(n):
-            out[i][i] = raw.add(out[i][i], c)
-    return raw.decode_rows(out)
+            out[i][i] = k.add(out[i][i], c)
+    return k.decode_rows(out)
 
 
 def pi_power(field, w: int) -> Scalar:

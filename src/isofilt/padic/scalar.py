@@ -28,12 +28,16 @@ only fuzziness capped precision introduces is the izero state and the relpi
 budget.  Arithmetic raises PrecisionError rather than returning a reg scalar
 whose meaningful digits fell below the descriptor's floor.
 
-``linalg`` eliminates, multiplies matrices and takes characteristic
-polynomials at every level on raw entries (w, unit, relpi), by the rules of
-sc_add, sc_mul, sc_neg and sc_inv below: the unit is a plain int where the
-ring is Z/p^N (f = e = 1) and the ring's coefficient tuple elsewhere.
-``tests/test_scalar.py`` pins that both give the same results, entry for
-entry and error for error.
+The arithmetic rules are written once, here, on raw entries: ``None`` for an
+exact zero, ``(zw, None, 0)`` for an izero and ``(w, u, relpi)`` for a reg
+scalar, the unit u a plain int in [0, p^N) where the ring is Z/p^N (f = e = 1,
+Q_p itself) and the ring's coefficient tuple at every other level.
+``kernel(field)`` is the level's rule set: negation, inverse, sum, the fused
+product-and-sum that every product goes through, and the dot fold.  sc_neg,
+sc_add, sc_mul and sc_inv apply it to one entry each; ``linalg`` applies it
+to whole matrices and builds Scalars only for what its caller receives.
+``tests/oracles.py`` keeps the same rules written on Scalars as the
+reference the tests compare against, entry for entry and error for error.
 """
 
 from __future__ import annotations
@@ -86,10 +90,13 @@ def sc_izero(field, zw: int) -> Scalar:
     return Scalar(field, IZERO, zw=zw)
 
 
+def _below_floor(relpi, floor):
+    return PrecisionError(f"result precision {relpi} pi-digits below floor {floor}")
+
+
 def sc_reg(field, w: int, unit, relpi: int) -> Scalar:
     if relpi < field.floor_relpi:
-        raise PrecisionError(
-            f"result precision {relpi} pi-digits below floor {field.floor_relpi}")
+        raise _below_floor(relpi, field.floor_relpi)
     return Scalar(field, REG, w=w, unit=unit, relpi=relpi)
 
 
@@ -115,52 +122,288 @@ def sc_from_int(field, n: int) -> Scalar:
     return sc_from_fraction(field, Fraction(n))
 
 
+# -- the rules, on raw entries --------------------------------------------------------
+
+
+def kernel(field):
+    """The arithmetic rules of the level, built once per descriptor."""
+    k = field.raw_kernel
+    if k is None:
+        k = field.raw_kernel = (_ZpKernel if field.ring.dim == 1 else _TowerKernel)(field)
+    return k
+
+
+class _Kernel:
+    """What the rules share at every level: the izero cases of a sum and the
+    dot fold.  A subclass picks the unit arithmetic and the entry format."""
+
+    __slots__ = ("field", "ring", "p", "pn", "prec", "e", "floor", "one")
+
+    def __init__(self, field):
+        ring = field.ring
+        self.field, self.ring = field, ring
+        self.p, self.pn, self.prec, self.e = ring.p, ring.pn, ring.prec, ring.e
+        self.floor = field.floor_relpi
+        self.one = self.entry(field.one())
+
+    def _add_izero(self, aw, au, ar, tw, tu, tr):
+        """The sum of raw entries, at least one of them an izero."""
+        if au is None and tu is None:
+            return (aw if aw < tw else tw), None, 0
+        zw, rw, ru, rr = (aw, tw, tu, tr) if au is None else (tw, aw, au, ar)
+        if rw >= zw:
+            return zw, None, 0
+        relpi = rr if rr < zw - rw else zw - rw
+        if relpi < self.floor:
+            raise _below_floor(relpi, self.floor)
+        return rw, ru, relpi
+
+    def dot(self, xs, ys):
+        """sum of x*y over the pairs, folded left to right; None when no pair
+        has two nonzero entries.  A product with an exact zero is zero and
+        adding it leaves the sum unchanged, so it is skipped."""
+        fma = self.fma
+        acc = None
+        for x, y in zip(xs, ys):
+            if x is not None and y is not None:
+                acc = fma(acc, x, y)
+        return acc
+
+    def encode_rows(self, m):
+        return [list(map(self.entry, row)) for row in m]
+
+    def decode_rows(self, m):
+        return [list(map(self.scalar, row)) for row in m]
+
+
+class _ZpKernel(_Kernel):
+    """The e = 1 rules where the ring is Z/p^N: a unit is a plain int in
+    [0, p^N)."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def entry(x):
+        return ((x.w, x.unit[0], x.relpi) if x.kind == REG
+                else (x.zw, None, 0) if x.kind == IZERO else None)
+
+    def scalar(self, x):
+        return (Scalar(self.field, ZERO) if x is None
+                else Scalar(self.field, IZERO, None, None, 0, x[0]) if x[1] is None
+                else Scalar(self.field, REG, x[0], (x[1],), x[2]))
+
+    def neg(self, x):
+        if x is None or x[1] is None:
+            return x
+        return x[0], -x[1] % self.pn, x[2]
+
+    def inv(self, x):
+        w, u, relpi = x
+        if relpi < self.floor:
+            raise _below_floor(relpi, self.floor)
+        return -w, pow(u, -1, self.pn), relpi
+
+    def add(self, acc, t):
+        # fma(acc, t, one): a plain int product costs less than another call
+        return acc if t is None else self.fma(acc, t, self.one)
+
+    def fma(self, acc, x, y):
+        """acc + x*y, the product and then the sum rule; acc is None for an
+        exact zero, and x and y are not exact zeros."""
+        xw, xu, xr = x
+        yw, yu, yr = y
+        tw = xw + yw
+        if xu is None or yu is None:
+            # an izero times a nonzero entry: the bounds add up
+            tu, tr = None, 0
+        else:
+            tr = xr if xr < yr else yr
+            if tr < self.floor:
+                raise _below_floor(tr, self.floor)
+            tu = xu * yu % self.pn
+        if acc is None:
+            return tw, tu, tr
+        aw, au, ar = acc
+        if au is None or tu is None:
+            return self._add_izero(aw, au, ar, tw, tu, tr)
+        if tw < aw:
+            aw, au, ar, tw, tu, tr = tw, tu, tr, aw, au, ar
+        d = tw - aw
+        m = ar if ar < d + tr else d + tr
+        p, pn, prec = self.p, self.pn, self.prec
+        s = (au + tu * p ** d) % pn if d else (au + tu) % pn
+        if s % p:
+            v = 0
+        elif not s:
+            return aw + m, None, 0
+        else:
+            v = 1
+            s //= p
+            while not s % p:
+                s //= p
+                v += 1
+        if v >= m:
+            return aw + m, None, 0
+        relpi = m - v if m < prec else prec - v
+        if relpi < self.floor:
+            raise _below_floor(relpi, self.floor)
+        return aw + v, s, relpi
+
+
+class _TowerKernel(_Kernel):
+    """The rules at every level but Z/p^N: a unit is the ring's coefficient
+    tuple, and a u-power that wraps past e brings in c0 or c0^-1 and caps
+    relpi at e(N - 1), the digit of c0 that p^N cannot hold.
+
+    The ring is exact mod p^N, so a unit is reached by any product that
+    equals it there.  A product that wraps multiplies by x*c0 (remembered
+    for the last x, which is fixed along a row update) instead of
+    multiplying by x and then by c0, and a shifted addend that wraps is
+    multiplied once by pi^d*c0^-1 (remembered per shift d)."""
+
+    __slots__ = ("wrap_cap", "top", "unit_slots", "c0", "wrap_x", "wrap_xc0",
+                 "shift_c0i")
+
+    def __init__(self, field):
+        super().__init__(field)
+        ring = self.ring
+        self.wrap_cap = self.e * (self.prec - 1)
+        self.top = self.e * self.prec
+        # the u^0 coefficients: a sum is a unit when one of them is
+        self.unit_slots = tuple(range(0, ring.dim, self.e))
+        self.c0 = ring.c0()
+        self.wrap_x = self.wrap_xc0 = None
+        self.shift_c0i = {}
+
+    @staticmethod
+    def entry(x):
+        return ((x.w, x.unit, x.relpi) if x.kind == REG
+                else (x.zw, None, 0) if x.kind == IZERO else None)
+
+    def scalar(self, x):
+        return (Scalar(self.field, ZERO) if x is None
+                else Scalar(self.field, IZERO, None, None, 0, x[0]) if x[1] is None
+                else Scalar(self.field, REG, x[0], x[1], x[2]))
+
+    def neg(self, x):
+        if x is None or x[1] is None:
+            return x
+        return x[0], self.ring.neg(x[1]), x[2]
+
+    def inv(self, x):
+        w, u, relpi = x
+        ring = self.ring
+        u = ring.inv_unit(u)
+        if w % self.e:
+            u = ring.mul(u, ring.c0_inv())
+            if relpi > self.wrap_cap:
+                relpi = self.wrap_cap
+        if relpi < self.floor:
+            raise _below_floor(relpi, self.floor)
+        return -w, u, relpi
+
+    def fma(self, acc, x, y):
+        """acc + x*y, the product and then the sum rule; acc is None for an
+        exact zero, and x and y are not exact zeros."""
+        xw, xu, xr = x
+        yw, yu, yr = y
+        tw = xw + yw
+        e, ring = self.e, self.ring
+        if xu is None or yu is None:
+            tu, tr = None, 0
+        else:
+            tr = xr if xr < yr else yr
+            if xw % e + yw % e >= e:
+                if x is not self.wrap_x:
+                    self.wrap_x, self.wrap_xc0 = x, ring.mul(xu, self.c0)
+                tu = ring.mul(self.wrap_xc0, yu)
+                if tr > self.wrap_cap:
+                    tr = self.wrap_cap
+            else:
+                tu = ring.mul(xu, yu)
+            if tr < self.floor:
+                raise _below_floor(tr, self.floor)
+        return (tw, tu, tr) if acc is None else self._sum(acc, tw, tu, tr)
+
+    def add(self, acc, t):
+        """acc + t, after the floor check of t that the product t*1 makes:
+        the sum is fma(acc, t, 1), as at Z/p^N, without the product by one."""
+        if t is None:
+            return acc
+        if t[1] is not None and t[2] < self.floor:
+            raise _below_floor(t[2], self.floor)
+        return t if acc is None else self._sum(acc, *t)
+
+    def _sum(self, acc, tw, tu, tr):
+        """acc + t for raw t = (tw, tu, tr), neither of them None."""
+        e, ring = self.e, self.ring
+        aw, au, ar = acc
+        if au is None or tu is None:
+            return self._add_izero(aw, au, ar, tw, tu, tr)
+        if tw < aw:
+            aw, au, ar, tw, tu, tr = tw, tu, tr, aw, au, ar
+        d = tw - aw
+        m = ar if ar < d + tr else d + tr
+        b1 = aw % e
+        if d:
+            if tw % e < b1:
+                # the literal u-power of the shift overflowed by u^e = p*c0
+                g = self.shift_c0i.get(d)
+                if g is None:
+                    g = self.shift_c0i[d] = ring.shift_up(ring.c0_inv(), d)
+                tu = ring.mul(tu, g)
+                if m > self.wrap_cap:
+                    m = self.wrap_cap
+            else:
+                tu = ring.shift_up(tu, d)
+        pn, p = self.pn, self.p
+        s = tuple([(a + b) % pn for a, b in zip(au, tu)])
+        for i in self.unit_slots:
+            if s[i] % p:
+                v = 0
+                break
+        else:
+            v = ring.val_pi(s)
+            if v is None or v >= m:
+                return aw + m, None, 0
+        if v:
+            s = ring.divide_pi_exact(s, v)
+            a, b = divmod(v, e)
+            if b1 + b >= e:
+                # the c0 correction caps m - v at e(N - 1), never below cap
+                # below: b >= 1 makes cap = e(N - a - b) <= e(N - 1)
+                s = ring.mul(s, self.c0)
+            cap = e * (self.prec - a - b)
+            relpi = m - v if m - v < cap else cap
+            if self.floor <= relpi <= 0:
+                # no digit of the unit is left: only the valuation is certified
+                return aw + v, None, 0
+        elif m > 0:
+            relpi = m if m < self.top else self.top
+        else:
+            return aw + m, None, 0
+        if relpi < self.floor:
+            raise _below_floor(relpi, self.floor)
+        return aw + v, s, relpi
+
+
+# -- Scalar arithmetic: one entry through the rules ---------------------------------
+
+
 def sc_neg(x: Scalar) -> Scalar:
     if x.kind != REG:
         return x
-    return Scalar(x.field, REG, w=x.w, unit=x.field.ring.neg(x.unit),
-                  relpi=x.relpi)
+    k = kernel(x.field)
+    return k.scalar(k.neg(k.entry(x)))
 
 
 def sc_add(x: Scalar, y: Scalar) -> Scalar:
-    F = x.field
-    e = F.e
     if x.kind == ZERO:
         return y
     if y.kind == ZERO:
         return x
-    if x.kind == IZERO and y.kind == IZERO:
-        return sc_izero(F, min(x.zw, y.zw))
-    if x.kind == IZERO or y.kind == IZERO:
-        iz, r = (x, y) if x.kind == IZERO else (y, x)
-        if r.w >= iz.zw:
-            return sc_izero(F, iz.zw)
-        return sc_reg(F, r.w, r.unit, min(r.relpi, iz.zw - r.w))
-    if y.w < x.w:
-        x, y = y, x
-    ring = F.ring
-    dpi = y.w - x.w
-    m = min(x.relpi, dpi + y.relpi)
-    b1 = x.w % e
-    shifted = ring.shift_up(y.unit, dpi)
-    if e > 1 and y.w % e < b1:
-        # the literal u-power of the shift overflowed by u^e = p*c0
-        shifted = ring.mul(shifted, ring.c0_inv())
-        m = min(m, e * (F.prec - 1))
-    s = ring.add(x.unit, shifted)
-    w = ring.val_pi(s)
-    if w is None or w >= m:
-        return sc_izero(F, x.w + m)
-    unit = ring.divide_pi_exact(s, w)
-    a, b = divmod(w, e)
-    if e > 1 and b1 + b >= e:
-        unit = ring.mul(unit, ring.c0())
-        m = min(m, w + e * (F.prec - 1))
-    relpi = min(m - w, e * (F.prec - a - b))
-    if F.floor_relpi <= relpi <= 0:
-        # no digit of the unit is left: only the valuation is certified
-        return sc_izero(F, x.w + w)
-    return sc_reg(F, x.w + w, unit, relpi)
+    k = kernel(x.field)
+    return k.scalar(k.add(k.entry(x), k.entry(y)))
 
 
 def sc_sub(x: Scalar, y: Scalar) -> Scalar:
@@ -168,22 +411,10 @@ def sc_sub(x: Scalar, y: Scalar) -> Scalar:
 
 
 def sc_mul(x: Scalar, y: Scalar) -> Scalar:
-    F = x.field
     if x.kind == ZERO or y.kind == ZERO:
-        return sc_zero(F)
-    if x.kind == IZERO and y.kind == IZERO:
-        return sc_izero(F, x.zw + y.zw)
-    if x.kind == IZERO:
-        return sc_izero(F, x.zw + y.w)
-    if y.kind == IZERO:
-        return sc_izero(F, y.zw + x.w)
-    e = F.e
-    unit = F.ring.mul(x.unit, y.unit)
-    relpi = min(x.relpi, y.relpi)
-    if e > 1 and x.w % e + y.w % e >= e:
-        unit = F.ring.mul(unit, F.ring.c0())
-        relpi = min(relpi, e * (F.prec - 1))
-    return sc_reg(F, x.w + y.w, unit, relpi)
+        return sc_zero(x.field)
+    k = kernel(x.field)
+    return k.scalar(k.fma(None, k.entry(x), k.entry(y)))
 
 
 def sc_inv(x: Scalar) -> Scalar:
@@ -191,14 +422,8 @@ def sc_inv(x: Scalar) -> Scalar:
         raise ZeroDivisionError("inverting exact zero")
     if x.kind == IZERO:
         raise PrecisionError("inverting a scalar indistinguishable from zero")
-    F = x.field
-    e = F.e
-    unit = F.ring.inv_unit(x.unit)
-    relpi = x.relpi
-    if e > 1 and x.w % e:
-        unit = F.ring.mul(unit, F.ring.c0_inv())
-        relpi = min(relpi, e * (F.prec - 1))
-    return sc_reg(F, -x.w, unit, relpi)
+    k = kernel(x.field)
+    return k.scalar(k.inv(k.entry(x)))
 
 
 def sc_div(x: Scalar, y: Scalar) -> Scalar:

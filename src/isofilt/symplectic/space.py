@@ -52,21 +52,6 @@ class SymplecticSpace:
         ker = la.kernel_basis(m)
         return [[v[i] for v in ker] for i in range(self.n)]
 
-    def is_isotropic(self, cols) -> bool:
-        if not cols or not cols[0]:
-            return True
-        return la.mat_is_zero(self.pair_matrix(cols, cols),
-                              la.relation_threshold(self.field))
-
-    def is_lagrangian(self, cols) -> bool:
-        if not cols or not cols[0]:
-            return self.n == 0
-        if len(cols[0]) != self.g:
-            return False
-        if la.certified_rank(la.transpose(cols)) != self.g:
-            return False
-        return self.is_isotropic(cols)
-
     def symplectic_basis(self):
         """Columns (e_1..e_g | f_1..f_g) with <e_i, f_j> = delta_ij and all
         other pairings zero, by greedy hyperbolic reduction."""

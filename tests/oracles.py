@@ -3,9 +3,12 @@
 Everything here works on Fractions with fraction-free elimination, or on
 exact integer polynomials, and never touches the library's ring, scalar or
 linalg layers -- except the three references and the last section below.
-``scalar_row_reduce`` is certified elimination on Scalars, one sc_inv,
-sc_mul and sc_sub at a time; it pins the entries, pivots, certificates and
-errors of the raw kernel that ``linalg.certified_row_reduce`` runs.
+``scalar_neg``, ``scalar_add``, ``scalar_mul``, ``scalar_inv`` and
+``scalar_dot`` are the arithmetic rules written on Scalars, a second copy of
+the rules that ``scalar.kernel`` writes once on raw entries, and
+``scalar_row_reduce`` is certified elimination by them, one inverse, product
+and difference at a time; they pin the entries, pivots, certificates and
+errors of the kernel and of ``linalg.certified_row_reduce``.
 ``sampled_submodules_reference`` is the earlier sampled family, which
 re-checked every candidate's stability and eliminated ker U and im U apart;
 it pins the order and the entries of the family that the library now
@@ -297,12 +300,125 @@ def tower_hensel_step(F, g, h, s, t, m, E, pn):
     return g2, h2, s2, t2
 
 
-# -- elimination on Scalars -----------------------------------------------------------
+# -- the arithmetic rules and the elimination on Scalars ------------------------------
+#
+# The rules of ``scalar.kernel`` written a second way, one Scalar at a time:
+# the c0 and c0^-1 corrections of a wrapped u-power, every relpi cap and
+# every floor error.  Only the constructors of ``isofilt.padic.scalar`` are
+# used, so the kernel is compared against an independent copy.
+
+
+def scalar_neg(x):
+    from isofilt.padic import scalar as sc
+
+    if x.kind != sc.REG:
+        return x
+    return sc.Scalar(x.field, sc.REG, w=x.w, unit=x.field.ring.neg(x.unit),
+                     relpi=x.relpi)
+
+
+def scalar_add(x, y):
+    from isofilt.padic import scalar as sc
+
+    F = x.field
+    e = F.e
+    if x.kind == sc.ZERO:
+        return y
+    if y.kind == sc.ZERO:
+        return x
+    if x.kind == sc.IZERO and y.kind == sc.IZERO:
+        return sc.sc_izero(F, min(x.zw, y.zw))
+    if x.kind == sc.IZERO or y.kind == sc.IZERO:
+        iz, r = (x, y) if x.kind == sc.IZERO else (y, x)
+        if r.w >= iz.zw:
+            return sc.sc_izero(F, iz.zw)
+        return sc.sc_reg(F, r.w, r.unit, min(r.relpi, iz.zw - r.w))
+    if y.w < x.w:
+        x, y = y, x
+    ring = F.ring
+    dpi = y.w - x.w
+    m = min(x.relpi, dpi + y.relpi)
+    b1 = x.w % e
+    shifted = ring.shift_up(y.unit, dpi)
+    if e > 1 and y.w % e < b1:
+        # the literal u-power of the shift overflowed by u^e = p*c0
+        shifted = ring.mul(shifted, ring.c0_inv())
+        m = min(m, e * (F.prec - 1))
+    s = ring.add(x.unit, shifted)
+    w = ring.val_pi(s)
+    if w is None or w >= m:
+        return sc.sc_izero(F, x.w + m)
+    unit = ring.divide_pi_exact(s, w)
+    a, b = divmod(w, e)
+    if e > 1 and b1 + b >= e:
+        unit = ring.mul(unit, ring.c0())
+        m = min(m, w + e * (F.prec - 1))
+    relpi = min(m - w, e * (F.prec - a - b))
+    if F.floor_relpi <= relpi <= 0:
+        # no digit of the unit is left: only the valuation is certified
+        return sc.sc_izero(F, x.w + w)
+    return sc.sc_reg(F, x.w + w, unit, relpi)
+
+
+def scalar_sub(x, y):
+    return scalar_add(x, scalar_neg(y))
+
+
+def scalar_mul(x, y):
+    from isofilt.padic import scalar as sc
+
+    F = x.field
+    if x.kind == sc.ZERO or y.kind == sc.ZERO:
+        return sc.sc_zero(F)
+    if x.kind == sc.IZERO and y.kind == sc.IZERO:
+        return sc.sc_izero(F, x.zw + y.zw)
+    if x.kind == sc.IZERO:
+        return sc.sc_izero(F, x.zw + y.w)
+    if y.kind == sc.IZERO:
+        return sc.sc_izero(F, y.zw + x.w)
+    e = F.e
+    unit = F.ring.mul(x.unit, y.unit)
+    relpi = min(x.relpi, y.relpi)
+    if e > 1 and x.w % e + y.w % e >= e:
+        unit = F.ring.mul(unit, F.ring.c0())
+        relpi = min(relpi, e * (F.prec - 1))
+    return sc.sc_reg(F, x.w + y.w, unit, relpi)
+
+
+def scalar_inv(x):
+    from isofilt.errors import PrecisionError
+    from isofilt.padic import scalar as sc
+
+    if x.kind == sc.ZERO:
+        raise ZeroDivisionError("inverting exact zero")
+    if x.kind == sc.IZERO:
+        raise PrecisionError("inverting a scalar indistinguishable from zero")
+    F = x.field
+    e = F.e
+    unit = F.ring.inv_unit(x.unit)
+    relpi = x.relpi
+    if e > 1 and x.w % e:
+        unit = F.ring.mul(unit, F.ring.c0_inv())
+        relpi = min(relpi, e * (F.prec - 1))
+    return sc.sc_reg(F, -x.w, unit, relpi)
+
+
+def scalar_dot(xs, ys, field):
+    """sum of x*y over the pairs, folded left to right; the exact zero of
+    the field when no pair has two nonzero entries.  A product with an exact
+    zero is zero and adding it returns the sum unchanged, so it is skipped."""
+    from functools import reduce
+    from isofilt.padic import scalar as sc
+
+    terms = (scalar_mul(x, y) for x, y in zip(xs, ys)
+             if x.kind != sc.ZERO and y.kind != sc.ZERO)
+    first = next(terms, None)
+    return sc.sc_zero(field) if first is None else reduce(scalar_add, terms, first)
 
 
 def scalar_row_reduce(m, guard, reduced):
-    """certified_row_reduce(m, guard, reduced) on Scalars, at any level; m is
-    not empty."""
+    """certified_row_reduce(m, guard, reduced) on Scalars by the rules above,
+    at any level; m is not empty."""
     from isofilt.errors import PrecisionError
     from isofilt.padic import scalar as sc
     from isofilt.padic.linalg import (RankCertificate, _RESIDUAL_MESSAGE,
@@ -326,8 +442,8 @@ def scalar_row_reduce(m, guard, reduced):
         if piv.relpi < guard:
             raise PrecisionError(_pivot_message(c, piv.relpi, guard))
         rows[r], rows[best] = rows[best], rows[r]
-        inv = sc.sc_inv(piv)
-        rows[r] = [sc.sc_mul(inv, x) for x in rows[r]]
+        inv = scalar_inv(piv)
+        rows[r] = [scalar_mul(inv, x) for x in rows[r]]
         lo = 0 if reduced else r + 1
         for i in range(lo, nr):
             if i == r:
@@ -336,7 +452,7 @@ def scalar_row_reduce(m, guard, reduced):
             if factor.kind == sc.ZERO:
                 continue
             # y - factor * 0 is y
-            rows[i] = [y if z.kind == sc.ZERO else sc.sc_sub(y, sc.sc_mul(factor, z))
+            rows[i] = [y if z.kind == sc.ZERO else scalar_sub(y, scalar_mul(factor, z))
                        for y, z in zip(rows[i], rows[r])]
         pivot_cols.append(c)
         pivot_ws.append(piv.w)

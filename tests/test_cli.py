@@ -336,6 +336,34 @@ def test_a_malformed_unit_is_named_not_tested(tmp_path, entry):
     assert "not a unit of a ring of dimension 1" in proc.stderr
 
 
+@pytest.mark.parametrize("relpi", [0, -3, 3.5])
+@pytest.mark.parametrize("command", ["slopes", "find"])
+def test_a_digit_entry_below_the_floor_exits_2(tmp_path, capsys, relpi, command):
+    # no precision can certify an entry with fewer digits than the level's
+    # floor, and a fractional digit count is no count: the loader names it
+    module = _mutated(tmp_path, "ss2", ("frobenius", 0, 1),
+                      {"v": "0", "unit": [1], "relpi": relpi})
+    argv = {"slopes": ["slopes", "--module", module],
+            "find": ["filtration", "find", "--module", module,
+                     "--group", fx("c2_scalar_dim2.json"),
+                     "--extension", fx("ext_sqrt2_c2.json"), "--seed", "1"]}[command]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "bad scalar entry" in err and "relpi must be an integer >= 1" in err
+
+
+def test_check_rejects_a_filtration_entry_below_the_floor(tmp_path, capsys,
+                                                          ss2_certificate):
+    doc = json.loads(ss2_certificate)
+    doc["outputs"]["filtration"][0][0]["relpi"] = 0
+    doc["digest"] = formats.certificate_digest(doc)
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "filtration", "check", str(cert))
+    assert code == 2
+    assert "relpi must be an integer >= 1" in err
+
+
 @pytest.mark.parametrize("table,failure", [
     ([[0, 1, 2], [1, 2, 0], [2, 2, 0]], "table row b is not a permutation"),
     ([[0, 1, 2], [1, 2, 0], [2, 0, 3]], "table row b has an entry out of range"),

@@ -41,12 +41,14 @@ The walk starts from these roots and from nowhere else:
 A definition that nothing reaches from there is reported.  The walk itself is
 tested on a small in-memory package at the end of this file.
 
-Three rules are checked besides.  Every name a module imports is used in
+Four rules are checked besides.  Every name a module imports is used in
 that module outside its import statements (``__init__.py`` files re-export
 and are skipped, as is ``from __future__ import ...``).  Only the
 elimination in ``padic/linalg.py`` and the rank wrappers built directly on it
 take a ``guard`` parameter; every layer above certifies at
-``DEFAULT_GUARD``.  And the number of parameters with a default value in
+``DEFAULT_GUARD``.  The arithmetic rules are written once: the NAME tokens
+``c0`` and ``c0_inv``, the wrap corrections that only the rules apply, occur
+in ``padic/ring.py`` and ``padic/scalar.py`` and nowhere else.  And the number of parameters with a default value in
 src/ is pinned at ``OPTIONS``: an option that every caller leaves at one
 value is code that no caller needs, so a change that adds one raises the
 pin and names in CHANGES.md the two callers that set it differently.
@@ -76,8 +78,11 @@ ALLOWLIST = {
 OPTIONS = 69
 GUARDED = {("padic/linalg.py", name) for name in (
     "RankCertificate.__init__", "certified_row_reduce", "_pivot_message",
-    "_Raw.row_reduce", "certified_rank", "rank_certificate",
-    "column_space_basis")}
+    "certified_rank", "rank_certificate", "column_space_basis")}
+# the only modules that name the wrap corrections c0 and c0^-1: the ring
+# that computes them and the arithmetic rules that apply them
+WRAP_CORRECTIONS = {"c0", "c0_inv"}
+RULE_MODULES = {"padic/ring.py", "padic/scalar.py"}
 
 
 def _name_tokens(text):
@@ -307,6 +312,14 @@ def test_no_unused_imports(directory):
                 if not used[bound]:
                     unused.append(f"{rel}:{node.lineno} {bound}")
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def test_wrap_corrections_only_in_the_rules():
+    found = sorted(f"{path.relative_to(PACKAGE).as_posix()}:{line} {name}"
+                   for path, tokens in TOKENS.items()
+                   if path.relative_to(PACKAGE).as_posix() not in RULE_MODULES
+                   for name, line in tokens if name in WRAP_CORRECTIONS)
+    assert not found, "wrap corrections outside the rules: " + ", ".join(found)
 
 
 def _functions(node, prefix=""):

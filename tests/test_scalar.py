@@ -1,6 +1,7 @@
 """The Scalar layer: exact oracles, a pinned table, and a Fraction guard.
 
-sc_add, sc_sub, sc_mul and sc_inv are checked at every shape of level of
+The arithmetic rules are written once, in ``scalar.kernel``; sc_add, sc_sub,
+sc_mul and sc_inv run them on one entry each.  They are checked at every shape of level of
 test_ring_kernels (Q_p and Eisenstein rings over it, unramified levels and
 ramified steps over them).  A scalar's oracle value is the integer polynomial
 p^(a + K) u^b * unit in z, u, with (a, b) = divmod(w, e) and K large enough to
@@ -10,10 +11,11 @@ element at its first unknown digit (an izero input is nothing but such an
 element), so a result that claims a digit its inputs do not determine
 disagrees with the oracle.
 
-linalg eliminates, multiplies and takes characteristic polynomials on raw
-entries at every level: plain integer units where the ring is Z/p^N, the
-ring's tuples elsewhere.  Property tests pin that those give what the Scalar
-reference (``oracles.scalar_row_reduce``, the ``dot`` fold, Berkowitz on
+The kernel's rules and linalg's elimination, products and characteristic
+polynomials run on raw entries at every level: plain integer units where the
+ring is Z/p^N, the ring's tuples elsewhere.  Property tests pin that those
+give what the Scalar reference of ``tests/oracles.py`` (the rules written on
+Scalars, ``scalar_row_reduce``, the ``scalar_dot`` fold, Berkowitz on
 Scalars) gives, entry for entry and error for error, on entries whose
 u-powers wrap both ways, izeros and exact zeros; a guard pins that a rank or
 column-space decision builds no Scalar at all, over Q_2 and two ramified
@@ -204,11 +206,8 @@ def test_a_difference_without_unit_digits_is_an_izero(tail, floor, deltas):
     level = Level(ring, NO_FLOOR)
     x, y = [_build(level, s) for s in CANCELLING]
     assert _spec(sc.sc_sub(x, y)) == ("izero", 30)
-    # the raw kernel's sum, x + (-y) * 1, follows the same rule
-    raw = la._Raw.of(level)
-    rx, ry = raw.encode_rows([[x, y]])[0]
-    assert _spec(raw.decode_rows([[raw.add(rx, raw.neg(ry))]])[0][0]) == \
-        ("izero", 30)
+    # the rules written on Scalars agree
+    assert _spec(oracles.scalar_sub(x, y)) == ("izero", 30)
     _check_arithmetic(ring, floor, "sub", CANCELLING, deltas)
 
 
@@ -524,25 +523,24 @@ def _check_products(field, a, b, m):
     Scalars."""
 
     def dot_fold(a, b):
-        return [[la.dot(row, col, field) for col in zip(*b)] for row in a]
+        return [[oracles.scalar_dot(row, col, field) for col in zip(*b)] for row in a]
 
     assert _outcome(la.mat_mul, a, b) == _outcome(dot_fold, a, b)
 
     def berkowitz(m):
-        return [la.berkowitz(m, field.one(), sc.sc_neg,
-                             lambda xs, ys: la.dot(xs, ys, field))]
+        return [la.berkowitz(m, field.one(), oracles.scalar_neg,
+                             lambda xs, ys: oracles.scalar_dot(xs, ys, field))]
 
     assert _outcome(lambda m: [la.charpoly(m)], m) == _outcome(berkowitz, m)
 
 
 def _raw_outcome(kernel, fn, *args):
-    """fn on the raw encodings of Scalar args, decoded, or its error."""
-    raw = [kernel.encode_rows([[x]])[0][0] for x in args]
+    """fn on the raw entries of Scalar args, decoded, or its error."""
     try:
-        out = fn(*raw)
+        out = fn(*map(kernel.entry, args))
     except (PrecisionError, ZeroDivisionError) as exc:
         return "raised", type(exc).__name__, str(exc)
-    return _entries(kernel.decode_rows([[out]]))[0][0]
+    return _entries([[kernel.scalar(out)]])[0][0]
 
 
 def _scalar_outcome(fn, *args):
@@ -558,10 +556,11 @@ def _scalar_outcome(fn, *args):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_raw_rules_match_scalar_arithmetic_at_every_level(f, e, prec, data):
-    # one step of the kernel at a time: fma is sc_add(acc, sc_mul(x, y)),
-    # inv is sc_inv and neg is sc_neg, digit for digit and error for error
+    # one step of the kernel at a time against the rules written on Scalars:
+    # fma is acc + x*y, inv the inverse and neg the negation, digit for digit
+    # and error for error
     level = data.draw(tower_levels(f, e, prec))
-    kernel = la._Raw.of(level)
+    kernel = sc.kernel(level)
     spec = specs(level.ring, 1)
     x, y = (_build(level, data.draw(spec)) for _ in range(2))
     # an addend within e of the product's valuation, so that sums cancel
@@ -571,23 +570,25 @@ def test_raw_rules_match_scalar_arithmetic_at_every_level(f, e, prec, data):
         acc[1] = x.w + y.w + data.draw(st.integers(-e, e))
     acc = _build(level, acc)
     if x.kind != sc.ZERO and y.kind != sc.ZERO:
-        want = _scalar_outcome(lambda: sc.sc_add(acc, sc.sc_mul(x, y)))
+        want = _scalar_outcome(lambda: oracles.scalar_add(acc, oracles.scalar_mul(x, y)))
         if acc.kind == sc.ZERO:
             got = _raw_outcome(kernel, lambda x, y: kernel.fma(None, x, y), x, y)
         else:
             got = _raw_outcome(kernel, kernel.fma, acc, x, y)
         assert got == want
     if x.kind == sc.REG:
-        assert _raw_outcome(kernel, kernel.inv, x) == _scalar_outcome(lambda: sc.sc_inv(x))
-    assert _raw_outcome(kernel, kernel.neg, x) == _scalar_outcome(lambda: sc.sc_neg(x))
-    # add is the sum rule, after the floor check that sc_mul(x, 1) makes;
+        assert _raw_outcome(kernel, kernel.inv, x) == \
+            _scalar_outcome(lambda: oracles.scalar_inv(x))
+    assert _raw_outcome(kernel, kernel.neg, x) == \
+        _scalar_outcome(lambda: oracles.scalar_neg(x))
+    # add is the sum rule, after the floor check that the product x*1 makes;
     # its addend too lies within e of x's valuation
     acc = list(data.draw(spec))
     if acc[0] != "zero" and x.kind == sc.REG:
         acc[1] = x.w + data.draw(st.integers(-e, e))
     acc = _build(level, acc)
     assert _raw_outcome(kernel, kernel.add, acc, x) == \
-        _scalar_outcome(lambda: sc.sc_add(acc, sc.sc_mul(x, level.one())))
+        _scalar_outcome(lambda: oracles.scalar_add(acc, oracles.scalar_mul(x, level.one())))
 
 
 @pytest.mark.parametrize("p, prec, floor", ZP_FIELDS)
@@ -633,15 +634,16 @@ def test_raw_products_match_the_dot_fold_at_every_level(f, e, prec, data):
 
 
 def _check_lincomb(field, coeffs, mats):
-    """mat_lincomb against the fold of mat_add over mat_scalar terms: the
-    same Scalars, or a PrecisionError from both (the raw fold finishes one
-    entry's products and sums before the next entry's, so the first error
-    it meets may be another entry's)."""
+    """mat_lincomb against the fold of the sums of the products c*M by the
+    rules written on Scalars: the same Scalars, or a PrecisionError from both
+    (the raw fold finishes one entry's products and sums before the next
+    entry's, so the first error it meets may be another entry's)."""
 
     def scalar_fold(coeffs, mats):
         acc = la.zeros(field, *la.mat_dims(mats[0]))
         for c, m in zip(coeffs, mats):
-            acc = la.mat_add(acc, la.mat_scalar(c, m))
+            acc = [[oracles.scalar_add(a, oracles.scalar_mul(c, x))
+                    for a, x in zip(arow, mrow)] for arow, mrow in zip(acc, m)]
         return acc
 
     got, want = (_outcome(fn, coeffs, mats) for fn in (la.mat_lincomb, scalar_fold))
