@@ -25,6 +25,7 @@ from fractions import Fraction
 
 from ..errors import MultiplicityError
 from ..padic import linalg as la
+from ..padic import scalar as sc
 from ..isocrystal import submodules as sm
 from ..isocrystal.module import PhiModule, SemiAbelianPhiModule
 from .galois import lift_matrix
@@ -92,6 +93,10 @@ def is_admissible(D: PhiModule, F_cols_L, ext, mode: str = "exact",
     kernel, image or phi-span has its t_N certified from its Frobenius.
     rank_F is certified on first use unless given: some modules have no
     proper N.
+
+    The ranks run on raw rows over L (``linalg.Raw``): F is encoded once,
+    each isoclinic component is lifted and encoded once, and a sum of
+    components is the concatenation of their lifts.
     """
     if mode == "exact":
         subs = sm.exact_submodules(D)
@@ -104,26 +109,35 @@ def is_admissible(D: PhiModule, F_cols_L, ext, mode: str = "exact",
     violation = None
     verdict = True
     equality_at_top = None
-    for N, bound in zip(subs.subspaces, subs.bounds):
+    k = sc.kernel(ext)
+    lift = lambda x: k.entry(ext.lift(x))
+    FT, lifts = la.Raw(k, k.encode_rows(zip(*F_cols_L))), {}
+    for N, bound, pick in zip(subs.subspaces, subs.bounds, subs.picks):
         dN = la.mat_dims(N)[1]
         if dN == 0:
-            entries.append((0, 0, Fraction(0)))
+            entries.append((0, 0, 0))
             continue
-        if dN == D.n:
+        if bound is None:
+            bound = D.submodule(N).t_N()
+        if dN == D.n or not dimF:
             th = dimF
         else:
-            if bound is None:
-                bound = D.submodule(N).t_N()
-            if rank_F is None:
-                rank_F = _rank(F_cols_L)
-            th = t_H(F_cols_L, N, ext, rank_F, rank_N=dN)
+            rank_F = la.certified_rank(FT) if rank_F is None else rank_F
+            for i in pick or ():
+                if i not in lifts:
+                    comp = subs.components[i][1]
+                    lifts[i] = [list(map(lift, c)) for c in zip(*comp)]
+            NT = ([c for i in pick for c in lifts[i]] if pick is not None
+                  else [list(map(lift, c)) for c in zip(*N)])
+            # t_H: dim(N_L cap F) = rank N_L + rank F - rank [N_L | F]
+            th = dN + rank_F - la.certified_rank(la.Raw(k, NT + FT))
         entries.append((dN, th, bound))
         if th > bound:
             verdict = False
             if violation is None:
                 violation = N
         if dN == D.n:
-            equality_at_top = (Fraction(th) == bound)
+            equality_at_top = th == bound
             if not equality_at_top:
                 verdict = False
                 if violation is None:

@@ -86,10 +86,11 @@ class PieceData:
 
 def induced_rep(rep: GroupRepresentation, cols) -> GroupRepresentation:
     """The action on the span of cols, in the basis cols: rep's own matrices
-    on the exact identity (one slope), as solve_right(I, m I) is m."""
-    one = rep.field.one()
+    on the exact identity (one slope, or kernel bases with identity blocks
+    that together fill one), as solve_right(I, m I) is m."""
+    k = sc.kernel(rep.field)
     exact_identity = len(cols) == len(cols[0]) and all(
-        x is one if i == j else x.kind == sc.ZERO
+        k.entry(x) == (k.one if i == j else None)
         for i, row in enumerate(cols) for j, x in enumerate(row))
     mats = rep.mats if exact_identity else [
         la.solve_right(cols, la.mat_mul(m, cols)) for m in rep.mats]

@@ -12,7 +12,8 @@ the sign, only on the twist by p).
 
 A PhiModule's ``A`` and ``field`` are never mutated after construction (every
 operation returns a new module), so ``slopes`` may keep a module's slope data
-on it, in ``_charpoly``, ``_slopes`` and ``_isoclinic`` (see submodule).
+on it, in ``_charpoly``, ``_slopes`` and ``_isoclinic`` (see submodule), and
+the module keeps v_p(det A), which validation certifies, in ``_t_N``.
 
 A semi-abelian module certifies its structure once and keeps it: S and
 [T | S]^-1 from one reduced elimination of [T | I_n] (a column is a pivot
@@ -40,10 +41,11 @@ class PhiModule:
         self._charpoly = None     # (linearization, its charpoly), set by slopes
         self._slopes = None       # SlopeProfile, set by newton_slopes
         self._isoclinic = None    # [(slope, cols)], set by isoclinic_decompose
+        self._t_N = None          # v_p(det A), set by validation or t_N
         if validate:
             if any(len(r) != self.n for r in self.A):
                 raise ValidationError("Frobenius matrix must be square")
-            la.det_valuation(self.A)  # certified invertible
+            self._t_N = la.det_valuation(self.A)  # certified invertible
 
     @classmethod
     def from_rational(cls, field, rows):
@@ -72,8 +74,10 @@ class PhiModule:
         return B
 
     def t_N(self) -> Fraction:
-        """v_p(det A); basis independent."""
-        return la.det_valuation(self.A)
+        """v_p(det A); basis independent, certified once per module."""
+        if self._t_N is None:
+            self._t_N = la.det_valuation(self.A)
+        return self._t_N
 
     def direct_sum(self, other: "PhiModule") -> "PhiModule":
         assert self.field == other.field

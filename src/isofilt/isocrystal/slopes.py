@@ -3,19 +3,26 @@
 newton_slopes linearizes phi (matrix of phi^f), takes the characteristic
 polynomial, and reads root valuations off the lower Newton polygon; slopes of
 the module are those divided by f.  The polygon runs on the coefficients'
-integer pi-exponents, so only the root valuations become Fractions.  The characteristic polynomial of the
-linearization always has Q_p coefficients (sigma conjugates B into itself),
-which is certified and exploited: slope factors are computed over Q_p.
+integer pi-exponents, so only the root valuations become Fractions.  The
+characteristic polynomial of the linearization always has Q_p coefficients
+(sigma conjugates B into itself), which is certified and exploited: slope
+factors are computed over Q_p.
 
 Slope factors are split off one at a time in the tame ring Z_p[t]/(t^b - p)
 that makes the minimal root valuation integral: after the substitution
 lambda = t^a * mu the wanted factor is the unit-root part and its mod-pi
 reduction is coprime to the rest.  The coefficients go to raw ring tuples,
 padic.hensel.hensel_lift_pair lifts the split there, and the factors come
-back as scalars, each coefficient certified to the precision that the
+back as raw entries, each coefficient certified to the precision that the
 charpoly's own precision supports (see _hensel_split).  Kernels of the
 factors evaluated at the linearization give the isoclinic pieces; these are
 phi-stable because the factors have sigma-fixed coefficients.
+
+Raw entries (``scalar.kernel``) flow from the charpoly to the components:
+projection, factors, powers of t, Horner, kernel, stability and the
+independence rank, each elimination through ``linalg.certified_row_reduce``
+on ``linalg.Raw`` rows.  Scalars are built only for what leaves: the slope
+factors, the component columns and the stored charpoly.
 
 A PhiModule is never mutated, so ``newton_slopes`` and ``isoclinic_decompose``
 store their first result on it and return it afterwards: the immutable
@@ -34,7 +41,7 @@ from ..errors import PrecisionError, ValidationError
 from ..padic import linalg as la
 from ..padic import scalar as sc
 from ..padic.descriptors import UnramifiedFieldDescriptor, EisensteinExtensionDescriptor
-from ..padic.convert import project_to_base, embed_qp
+from ..padic.convert import project_entry, embed_qp
 from ..padic.hensel import hensel_lift_pair, rp_add, rp_mul, rp_divmod_monic
 from .module import PhiModule
 
@@ -110,15 +117,13 @@ def root_valuations_from_hull(hull, e=1):
 
 
 def charpoly_points(coeffs):
-    """Exact and uncertain (i, pi-exponent) data from a scalar coefficient
-    list: (i, w) for a reg coefficient, (i, zw) for an izero one."""
+    """Exact and uncertain (i, pi-exponent) data from raw coefficients
+    (``scalar.kernel``): (i, w) for a reg coefficient, (i, zw) for an izero
+    one."""
     exact, uncertain = [], []
     for i, c in enumerate(coeffs):
-        if c.kind == sc.REG:
-            exact.append((i, c.w))
-        elif c.kind == sc.IZERO:
-            uncertain.append((i, c.zw))
-        # exact zeros never constrain the hull
+        if c is not None:  # exact zeros never constrain the hull
+            (uncertain if c[1] is None else exact).append((i, c[0]))
     return exact, uncertain
 
 
@@ -140,7 +145,7 @@ def _linearized_charpoly(D: PhiModule):
 
 def _newton_slopes(D: PhiModule) -> SlopeProfile:
     _, chi = _linearized_charpoly(D)
-    exact, uncertain = charpoly_points(chi)
+    exact, uncertain = charpoly_points(map(sc.kernel(D.field).entry, chi))
     if not exact or exact[-1][0] != D.n:
         raise PrecisionError("leading coefficient not certified")
     e = D.field.e
@@ -164,20 +169,27 @@ def _newton_slopes(D: PhiModule) -> SlopeProfile:
 
 
 def _rational_charpoly(D: PhiModule):
-    """Characteristic polynomial of the linearization, certified rational."""
-    qp = UnramifiedFieldDescriptor.create(D.field.p, 1, D.field.prec)
-    _, chi = _linearized_charpoly(D)
-    return [project_to_base(c, qp) for c in chi], qp
+    """Characteristic polynomial of the linearization, certified rational,
+    as raw entries at the Q_p level."""
+    field, (_, chi) = D.field, _linearized_charpoly(D)
+    qp = UnramifiedFieldDescriptor.create(field.p, 1, field.prec)
+    chi = list(map(sc.kernel(field).entry, chi))
+    if field.ring.dim > 1:  # at Q_p itself the projection is the identity
+        chi = [project_entry(c, field, qp) for c in chi]
+    return chi, qp
 
 
 def slope_factors(D: PhiModule):
     """Monic factors of the linearization's charpoly over Q_p, one per root
     valuation, as (root_valuation, coefficient list at the Q_p level)."""
     chi, qp = _rational_charpoly(D)
-    return _split_by_valuation(chi, qp)
+    k = sc.kernel(qp)
+    return [(rv, list(map(k.scalar, fac)))
+            for rv, fac in _split_by_valuation(chi, qp)]
 
 
 def _split_by_valuation(chi, qp):
+    """slope_factors on raw coefficients at the Q_p level."""
     rv = root_valuations_from_hull(lower_newton_polygon(*charpoly_points(chi)))
     if len(rv) == 1:
         return [(rv[0][0], chi)]
@@ -187,18 +199,20 @@ def _split_by_valuation(chi, qp):
     if b == 1:
         level = qp
         proj = lambda x: x
-        tval = lambda j: la.pi_power(qp, a * j)
     else:
         # tame Kummer ring t^b = p; no automorphism table needed here
         level = EisensteinExtensionDescriptor.create(
             qp, (-qp.p,) + (0,) * (b - 1) + (1,))
-        proj = lambda x: project_to_base(x, qp)
-        tval = lambda j: sc.sc_pow(level.uniformizer(), a * j)
+        proj = lambda x: project_entry(x, level, qp)
+    k = sc.kernel(level)
+    t = k.entry(la.pi_power(level, 1))  # p, or the uniformizer t
     G, H = _hensel_split(level, chi, a, m0)
     # minimal-valuation factor: g(lambda) = t^(a m0) G(lambda / t^a)
     i1 = len(H) - 1
-    fac0 = [proj(sc.sc_mul(G[j], tval(m0 - j))) for j in range(len(G))]
-    rest = [proj(sc.sc_mul(H[j], tval(i1 - j))) for j in range(len(H))]
+    fac0 = [proj(k.fma(None, G[j], k.pow(t, a * (m0 - j))))
+            for j in range(len(G))]
+    rest = [proj(k.fma(None, H[j], k.pow(t, a * (i1 - j))))
+            for j in range(len(H))]
     out = [(s0, fac0)]
     out.extend(_split_by_valuation(rest, qp))
     return out
@@ -206,7 +220,8 @@ def _split_by_valuation(chi, qp):
 
 def _hensel_split(level, chi, a, m0):
     """Split psi(mu) = chi(t^a mu) / t^(a n) at ``level`` (pi = t, t^e = p)
-    into the unit-root part G of degree m0 and the rest H, as monic scalars.
+    into the unit-root part G of degree m0 and the rest H, as monic raw
+    polynomials; chi is raw at the Q_p level.
 
     Coefficient i of psi is c_i t^(a(i-n)): a ring tuple of pi-valuation
     e v(c_i) - a(n-i) >= 0, known to pi^P_i with P_i = e (v(c_i) + relpi) -
@@ -223,13 +238,13 @@ def _hensel_split(level, chi, a, m0):
     psi, inexact = [], []
     for i, c in enumerate(chi):
         shift = a * (n - i)
-        if c.kind == sc.REG:
-            w = e * c.w - shift
-            psi.append(ring.shift_up(ring.from_int(c.unit[0]), w))
-            P = w + e * c.relpi
+        if c is not None and c[1] is not None:
+            w = e * c[0] - shift
+            psi.append(ring.shift_up(ring.from_int(c[1]), w))
+            P = w + e * c[2]
         else:
             psi.append(ring.zero())
-            P = e * c.zw - shift if c.kind == sc.IZERO else top
+            P = top if c is None else e * c[0] - shift
         if P < top:
             inexact.append((i, P))
     A = min([P for _, P in inexact], default=top)
@@ -250,27 +265,28 @@ def _hensel_split(level, chi, a, m0):
                 v = ring.val_pi(d[j]) if j < len(d) else None
                 if v is not None:
                     prec[j] = min(prec[j], P + v)
-    return _scalars(level, G, prec_g), _scalars(level, H, prec_h)
+    return _raw_coeffs(level, G, prec_g), _raw_coeffs(level, H, prec_h)
 
 
-def _scalars(level, poly, prec):
-    """Scalars of a monic ring-tuple polynomial whose coefficient j is known
-    mod pi^prec[j]; the leading one is exact.  The unit of t^w y is read off
-    the coefficients (t^e = p), which keeps every digit of y below
+def _raw_coeffs(level, poly, prec):
+    """Raw entries of a monic ring-tuple polynomial whose coefficient j is
+    known mod pi^prec[j]; the leading one is exact.  The unit of t^w y is
+    read off the coefficients (t^e = p), which keeps every digit of y below
     pi^(eN - w)."""
     ring, e, p = level.ring, level.e, level.p
+    k = sc.kernel(level)
     out = []
     for x, P in zip(poly, prec):
         w = ring.val_pi(x)
         if w is None or w >= P:
-            out.append(sc.sc_izero(level, P))
+            out.append((P, None, 0))
             continue
         a, b = divmod(w, e)
         pa = p ** a
         unit = (tuple(x[j] // pa for j in range(b, e))
                 + tuple(x[j] // (pa * p) for j in range(b)))
-        out.append(sc.sc_reg(level, w, unit, P - w))
-    out.append(level.one())
+        out.append(k.reg(w, unit, P - w))
+    out.append(k.one)
     return out
 
 
@@ -288,27 +304,43 @@ def isoclinic_decompose(D: PhiModule):
 
 def _isoclinic_decompose(D: PhiModule):
     prof = newton_slopes(D)
+    n = D.n
     if len(prof.pairs) == 1:
-        return [(prof.pairs[0][0], la.identity(D.field, D.n))]
+        return [(prof.pairs[0][0], la.identity(D.field, n))]
     factors = slope_factors(D)
     B, _ = _linearized_charpoly(D)
+    k = sc.kernel(D.field)
+    A, Bcols = k.encode_rows(D.A), k.encode_rows(zip(*B))
     out = []
     for rv, fac in factors:
-        coeffs = [embed_qp(c, D.field) for c in fac]
-        M = la.poly_eval_matrix(coeffs, B)
-        ker = la.kernel_basis(M)
+        M = _horner(k, [k.entry(embed_qp(c, D.field)) for c in fac], Bcols)
+        ech, pivots, _ = la.certified_row_reduce(la.Raw(k, M))
+        ker = la.kernel_from_echelon(k, ech, pivots, n)
         if not ker:
             raise PrecisionError("slope factor has trivial kernel")
-        cols = [[vec[i] for vec in ker] for i in range(D.n)]
-        slope = rv / D.field.f
-        # a kernel basis has an identity block: its rank is len(ker)
-        if not D.is_stable(cols, rank=len(ker)):
+        # D.is_stable on the kernel vectors, whose identity block certifies
+        # their rank: phi(ker) <= span(ker) iff rank [phi(ker) | ker] = rank
+        img = [[k.dot(row, v) for row in A] for v in la.frobenius_rows(k, ker)]
+        if la.certified_rank(la.Raw(k, img + ker)) != len(ker):
             raise PrecisionError("slope component not certified phi-stable")
-        out.append((slope, cols))
-    total = sum(len(c[0]) for _, c in out)
-    if total != D.n:
+        out.append((rv / D.field.f, ker))
+    if sum(len(ker) for _, ker in out) != n:
         raise PrecisionError("slope components do not span")
-    concat = [[x for _, c in out for x in c[i]] for i in range(D.n)]
-    if la.certified_rank(concat) != D.n:
+    concat = [[v[i] for _, ker in out for v in ker] for i in range(n)]
+    if la.certified_rank(la.Raw(k, concat)) != n:
         raise PrecisionError("slope components not certified independent")
-    return sorted(out, key=lambda t: t[0])
+    return sorted(((slope, k.decode_rows(zip(*ker))) for slope, ker in out),
+                  key=lambda t: t[0])
+
+
+def _horner(k, coeffs, cols):
+    """A polynomial with raw coefficients (ascending) evaluated at the matrix
+    whose raw columns are cols, by Horner: out*m by the dot fold, then c
+    added on the diagonal by the sc_add rule."""
+    n = len(cols)
+    out = [[None] * n for _ in range(n)]
+    for c in reversed(coeffs):
+        out = [[k.dot(row, col) for col in cols] for row in out]
+        for i in range(n):
+            out[i][i] = k.add(out[i][i], c)
+    return out

@@ -28,6 +28,7 @@ keeps the result on D; a sampled retry after exact mode raised
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -82,23 +83,31 @@ class SubmoduleSet:
     (None for the others).  A component is ker fac(B), certified phi-stable,
     for a factor fac whose roots all have valuation rv, and the components
     are certified independent and spanning; so t_N of a sum is the sum of
-    (rv/f) dim = slope * dim over its components."""
+    (rv/f) dim = slope * dim over its components.  ``picks`` names the
+    components of each sum (None for the others), so that a caller can
+    build a sum from its components."""
 
-    def __init__(self, components, subspaces, bounds, mode):
+    def __init__(self, components, subspaces, bounds, picks, mode):
         self.components = components  # [(slope, basis_cols)]
         self.subspaces = subspaces    # [basis_cols] including 0 and D
         self.bounds = bounds          # [t_N or None], one per subspace
+        self.picks = picks            # [component indices or None]
         self.mode = mode
 
 
 def _component_sums(D, comps):
-    """(basis columns, slope sum) of every sum of the components, by
-    increasing number of summands."""
-    parts = [(cols, slope * len(cols[0])) for slope, cols in comps]
-    for r in range(len(parts) + 1):
-        for pick in combinations(parts, r):
-            yield (_concat_cols(D, [cols for cols, _ in pick]),
-                   sum((t_N for _, t_N in pick), Fraction(0)))
+    """(component indices, basis columns, slope sum) of every sum of the
+    components, by increasing number of summands.  The slope sums are added
+    as integers over a common denominator, and a sum that is not an integer
+    becomes a Fraction."""
+    den = math.lcm(*(slope.denominator for slope, _ in comps))
+    nums = [slope.numerator * (den // slope.denominator) * len(cols[0])
+            for slope, cols in comps]
+    for r in range(len(comps) + 1):
+        for pick in combinations(range(len(comps)), r):
+            t = sum(nums[i] for i in pick)
+            yield (pick, _concat_cols(D, [comps[i][1] for i in pick]),
+                   Fraction(t, den) if t % den else t // den)
 
 
 def exact_submodules(D: PhiModule) -> SubmoduleSet:
@@ -109,8 +118,8 @@ def exact_submodules(D: PhiModule) -> SubmoduleSet:
             raise MultiplicityError(
                 f"slope {slope} component has dimension {len(cols[0])} != {b}; "
                 "component is not simple at this level, use sampled mode")
-    subs, bounds = zip(*_component_sums(D, comps))
-    return SubmoduleSet(comps, list(subs), list(bounds), "exact")
+    picks, subs, bounds = zip(*_component_sums(D, comps))
+    return SubmoduleSet(comps, list(subs), list(bounds), list(picks), "exact")
 
 
 def sampled_submodules(D: PhiModule, seed: int, budget: int) -> SubmoduleSet:
@@ -119,14 +128,15 @@ def sampled_submodules(D: PhiModule, seed: int, budget: int) -> SubmoduleSet:
     on D when exact mode has already split it."""
     comps = isoclinic_decompose(D)
     rng = random.Random(seed)
-    subs, bounds = [], []
+    subs, bounds, picks = [], [], []
     seen = set()
-    for cols, bound in _component_sums(D, comps):
+    for pick, cols, bound in _component_sums(D, comps):
         key = _canonical_key(cols)
         if key not in seen:
             seen.add(key)
             subs.append(cols)
             bounds.append(bound)
+            picks.append(pick)
     endo = endomorphism_algebra(D)
     tries = 0
     while tries < budget:
@@ -159,7 +169,8 @@ def sampled_submodules(D: PhiModule, seed: int, budget: int) -> SubmoduleSet:
                 seen.add(key)
                 subs.append(cand)
                 bounds.append(None)
-    return SubmoduleSet(comps, subs, bounds, "sampled")
+                picks.append(None)
+    return SubmoduleSet(comps, subs, bounds, picks, "sampled")
 
 
 def phi_span(D: PhiModule, cols):
@@ -193,15 +204,7 @@ def phi_span(D: PhiModule, cols):
 
 
 def _concat_cols(D, col_list):
-    field = D.field
-    n = D.n
-    if not col_list:
-        return [[] for _ in range(n)]
-    out = [[] for _ in range(n)]
-    for cols in col_list:
-        for i in range(n):
-            out[i].extend(cols[i])
-    return out
+    return [[x for cols in col_list for x in cols[i]] for i in range(D.n)]
 
 
 def _random_combination(field, basis, rng):
@@ -222,15 +225,17 @@ def _kernel_and_image(D, U):
     """
     if U is None:
         return None, None
+    k = sc.kernel(D.field)
     try:
-        ech, pivots, _ = la.certified_row_reduce(U)
+        ech, pivots, _ = la.certified_row_reduce(la.Raw(k, k.encode_rows(U)))
     except PrecisionError:
         try:
             return None, la.column_space_basis(U)
         except PrecisionError:
             return None, None
-    ker = la.kernel_from_echelon(D.field, ech, pivots, D.n)
-    return [[v[i] for v in ker] for i in range(D.n)], la.columns(U, pivots)
+    ker = la.kernel_from_echelon(k, ech, pivots, D.n)
+    cols = [[v[i] for v in ker] for i in range(D.n)]
+    return k.decode_rows(cols), la.columns(U, pivots)
 
 
 def _canonical_key(cols):

@@ -66,32 +66,39 @@ def project_to_base(x: Scalar, base: UnramifiedFieldDescriptor) -> Scalar:
     base valuations are integers, so a value of valuation >= zw/e that lies
     in the base has valuation >= ceil(zw/e).
     """
-    L = x.field
+    entry = (None if x.kind == sc.ZERO else (x.zw, None, 0)
+             if x.kind == sc.IZERO else (x.w, x.unit, x.relpi))
+    return sc.kernel(base).scalar(project_entry(entry, x.field, base))
+
+
+def project_entry(x, L, base):
+    """``project_to_base`` on a raw entry of L whose unit is the ring's
+    coefficient tuple (as at every level but Q_p): a raw entry of base."""
+    if x is None:
+        return None
     e = L.e
-    if x.kind == sc.ZERO:
-        return sc.sc_zero(base)
-    if x.kind == sc.IZERO:
-        return sc.sc_izero(base, -(-x.zw // e))
-    if x.w % e:
+    w, u, relpi = x
+    if u is None:
+        return -(-w // e), None, 0
+    if w % e:
         raise ValidationError("fractional valuation cannot live in the base")
     p = L.p
-    thresh = max(x.relpi - SLACK * e, L.floor_relpi)
-    for k, c in enumerate(x.unit):
+    thresh = max(relpi - SLACK * e, L.floor_relpi)
+    for k, c in enumerate(u):
         i, j = divmod(k, e)
         if c and (j or i >= base.f) and e * int_valuation(c, p) + j < thresh:
             raise PrecisionError(
                 "scalar does not descend to the base at working precision")
-    unit = tuple(x.unit[i * e] % p ** base.prec for i in range(base.f))
+    unit = tuple(u[i * e] % p ** base.prec for i in range(base.f))
     if all(c == 0 for c in unit):
-        return sc.sc_izero(base, -(-(x.w + x.relpi) // e))
+        return -(-(w + relpi) // e), None, 0
     v0 = min(int_valuation(c, p) for c in unit if c)
     if v0 > 0:
         unit = tuple(c // p ** v0 for c in unit)
-    relp = (x.relpi // e) - v0
+    relp = (relpi // e) - v0
     if relp < base.floor_relpi:
         raise PrecisionError("projection lost all meaningful digits")
-    return Scalar(base, sc.REG, w=x.w // e + v0, unit=unit,
-                  relpi=min(relp, base.prec))
+    return sc.kernel(base).reg(w // e + v0, unit, min(relp, base.prec))
 
 
 class UnramifiedEmbedding:

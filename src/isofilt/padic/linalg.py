@@ -15,13 +15,16 @@ layer, certifies at ``DEFAULT_GUARD``, which each RankCertificate records.
 Pivoting always selects a minimal-valuation entry, which is the p-adic
 analogue of partial pivoting and keeps precision loss linear.
 
-Elimination, matrix products, linear combinations, charpoly, Horner's
-evaluation of a polynomial at a matrix and the relation test a*b - c = 0 run
-the level's arithmetic rules, written once in ``scalar`` (``scalar.kernel``),
-on raw entries in place of Scalars.  Only what a caller receives is built as
-Scalars, and a rank, column-space or relation decision builds none.
-``tests/oracles.py`` keeps the elimination and the dot fold on Scalars as the
-reference the tests compare against.
+Elimination, matrix products, linear combinations, charpoly and the
+relation test a*b - c = 0 run the level's arithmetic rules, written once in
+``scalar`` (``scalar.kernel``), on raw entries in place of Scalars.  Only
+what a caller receives is built as Scalars, and a rank, column-space or
+relation decision builds none.  A caller that chains eliminations (the slope
+split, admissibility) passes ``Raw`` rows, which ``certified_row_reduce``
+eliminates and returns as they are; ``frobenius_rows`` and
+``kernel_from_echelon`` are the raw sigma and kernel that the Scalar
+functions wrap.  ``tests/oracles.py`` keeps the elimination and the
+dot fold on Scalars as the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -72,6 +75,18 @@ def mat_sub(a, b):
 
 def mat_neg(a):
     return [[sc_neg(x) for x in row] for row in a]
+
+
+class Raw(list):
+    """Rows of raw entries of one level, with its rules ``k``
+    (``scalar.kernel``): a matrix that ``certified_row_reduce`` eliminates
+    as it is, returning its echelon form as raw rows."""
+
+    __slots__ = ("k",)
+
+    def __init__(self, k, rows):
+        super().__init__(rows)
+        self.k = k
 
 
 def mat_mul(a, b):
@@ -133,7 +148,22 @@ def mat_map(a, fn):
 
 
 def mat_frobenius(a):
+    """sigma entry by entry; a itself at f = 1, where sigma is the identity
+    (no caller mutates the rows it gets back)."""
+    if not (a and a[0]) or a[0][0].field.ring.f == 1:
+        return a
     return mat_map(a, sc.sc_frobenius)
+
+
+def frobenius_rows(k, rows):
+    """``mat_frobenius`` on raw rows: sigma acts on a reg entry's unit
+    through ``TowerRing.frobenius``; rows itself at f = 1."""
+    ring = k.ring
+    if ring.f == 1:
+        return rows
+    fr = ring.frobenius
+    return [[x if x is None or x[1] is None else (x[0], fr(x[1]), x[2])
+             for x in row] for row in rows]
 
 
 def hstack(a, b):
@@ -176,12 +206,16 @@ def certified_row_reduce(m, guard: int = DEFAULT_GUARD, reduced: bool = True,
     Raises PrecisionError when a pivot decision cannot be backed by ``guard``
     spare pi-adic digits.  With rows=False the echelon form is not returned
     (None in its place), for callers that read only pivots and certificate.
+    m is a matrix of Scalars, or ``Raw`` rows, whose echelon form comes back
+    as raw rows: the same elimination, without encoding or decoding.
     """
     if not m or not m[0]:
         return [] if rows else None, [], RankCertificate(0, [], guard, None, 1)
-    k = sc.kernel(_field_of(m))
+    raw = type(m) is Raw
+    k = m.k if raw else sc.kernel(_field_of(m))
     fma, neg = k.fma, k.neg
-    ech = k.encode_rows(m)
+    # rows are replaced, never changed in place, so raw rows are shared
+    ech = list(m) if raw else k.encode_rows(m)
     nr, nc = len(ech), len(ech[0])
     pivot_cols = []
     pivot_ws = []
@@ -229,7 +263,8 @@ def certified_row_reduce(m, guard: int = DEFAULT_GUARD, reduced: bool = True,
     cert = RankCertificate(r, pivot_ws, guard, residual_zw, k.e)
     if not rows:
         return None, pivot_cols, cert
-    return k.decode_rows(ech[:r] if reduced else ech), pivot_cols, cert
+    ech = ech[:r] if reduced else ech
+    return (ech if raw else k.decode_rows(ech)), pivot_cols, cert
 
 
 def _pivot_message(c, relpi, guard):
@@ -264,21 +299,23 @@ def kernel_basis(m):
     """Basis of the right kernel, as a list of column vectors (each a list)."""
     if not m or not m[0]:
         return []  # no columns, or no rows and so no field to build from
-    ech, pivot_cols, _ = certified_row_reduce(m, reduced=True)
-    return kernel_from_echelon(_field_of(m), ech, pivot_cols, len(m[0]))
+    k = sc.kernel(_field_of(m))
+    ech, pivot_cols, _ = certified_row_reduce(Raw(k, k.encode_rows(m)))
+    return k.decode_rows(kernel_from_echelon(k, ech, pivot_cols, len(m[0])))
 
 
-def kernel_from_echelon(field, ech, pivot_cols, nc):
-    """Right kernel basis, as column vectors, from the reduced echelon form
-    and pivot columns of a matrix with nc columns: one vector per free
-    column, with an identity block there."""
-    free = [c for c in range(nc) if c not in pivot_cols]
+def kernel_from_echelon(k, ech, pivot_cols, nc):
+    """Right kernel basis, as raw column vectors, from the raw reduced
+    echelon form and pivot columns of a matrix with nc columns: one vector
+    per free column, with an identity block there."""
     basis = []
-    for fc in free:
-        vec = [sc_zero(field) for _ in range(nc)]
-        vec[fc] = field.one()
+    for fc in range(nc):
+        if fc in pivot_cols:
+            continue
+        vec = [None] * nc
+        vec[fc] = k.one
         for r, pc in enumerate(pivot_cols):
-            vec[pc] = sc_neg(ech[r][fc])
+            vec[pc] = k.neg(ech[r][fc])
         basis.append(vec)
     return basis
 
@@ -377,21 +414,6 @@ def berkowitz(m, one, neg, dot):
                 for i in range(k + 2)]
     # poly is [1, c_{n-1}, ..., c_0] in degree-descending order; flip
     return list(reversed(poly))
-
-
-def poly_eval_matrix(coeffs, m):
-    """Evaluate a scalar-coefficient polynomial at a matrix, by Horner on
-    raw rows: out*m by the dot fold, then c added on the diagonal by the
-    sc_add rule; decoded once at the end."""
-    k = sc.kernel(_field_of(m))
-    n = len(m)
-    kcols = k.encode_rows(zip(*m))
-    out = [[None] * n for _ in range(n)]
-    for c in map(k.entry, reversed(coeffs)):
-        out = [[k.dot(row, col) for col in kcols] for row in out]
-        for i in range(n):
-            out[i][i] = k.add(out[i][i], c)
-    return k.decode_rows(out)
 
 
 def pi_power(field, w: int) -> Scalar:

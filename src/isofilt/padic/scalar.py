@@ -169,6 +169,25 @@ class _Kernel:
                 acc = fma(acc, x, y)
         return acc
 
+    def reg(self, w, unit, relpi):
+        """sc_reg on raw entries: unit is the ring's coefficient tuple."""
+        if relpi < self.floor:
+            raise _below_floor(relpi, self.floor)
+        return w, (unit[0] if self.ring.dim == 1 else unit), relpi
+
+    def pow(self, x, n):
+        """x^n by squaring, the products by fma, through x^-1 for n < 0; x
+        is not an exact zero, nor an izero when n < 0."""
+        if n < 0:
+            x, n = self.inv(x), -n
+        r = self.one
+        while n:
+            if n & 1:
+                r = self.fma(None, r, x)
+            x = self.fma(None, x, x)
+            n >>= 1
+        return r
+
     def encode_rows(self, m):
         return [list(map(self.entry, row)) for row in m]
 
@@ -459,19 +478,12 @@ def sc_apply_aut(x: Scalar, aut) -> Scalar:
 
 
 def sc_pow(x: Scalar, n: int) -> Scalar:
-    F = x.field
-    if n == 0:
-        return sc_from_int(F, 1)
-    if n < 0:
-        return sc_pow(sc_inv(x), -n)
-    r = sc_from_int(F, 1)
-    b = x
-    while n:
-        if n & 1:
-            r = sc_mul(r, b)
-        b = sc_mul(b, b)
-        n >>= 1
-    return r
+    if x.kind != REG and n < 0:
+        return sc_inv(x)  # raises: an exact zero or an izero has no inverse
+    if x.kind == ZERO:
+        return sc_zero(x.field) if n else sc_from_int(x.field, 1)
+    k = kernel(x.field)
+    return k.scalar(k.pow(k.entry(x), n))
 
 
 def sc_certified_zero(x: Scalar, min_bound) -> bool:

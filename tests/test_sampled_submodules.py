@@ -143,7 +143,7 @@ def _count_sampling(monkeypatch, D, seed, budget):
         return U
 
     def spy_reduce(m, *args, **kwargs):
-        if any(m is U for U in Us):
+        if any(_is_matrix(m, U) for U in Us):
             on_U.append(m)
         return row_reduce(m, *args, **kwargs)
 
@@ -177,7 +177,12 @@ def test_each_sampled_decision_is_certified_once(monkeypatch, name):
     # ker U and im U: one elimination of each U, one U per try
     assert len(Us) == 20 and all(U is not None for U in Us)
     assert len(on_U) == len(Us)
-    assert all(any(m is U for m in on_U) for U in Us)
+    assert all(any(_is_matrix(m, U) for m in on_U) for U in Us)
+
+
+def _is_matrix(m, U):
+    """m is U itself, or U's raw rows (``linalg.Raw``)."""
+    return m is U or type(m) is la.Raw and m == m.k.encode_rows(U)
 
 
 def test_one_elimination_over_L_per_proper_submodule(monkeypatch):
@@ -191,7 +196,8 @@ def test_one_elimination_over_L_per_proper_submodule(monkeypatch):
     row_reduce = la.certified_row_reduce
 
     def spy_reduce(m, *args, **kwargs):
-        if m and m[0] and m[0][0].field is L:
+        field = m.k.field if type(m) is la.Raw else m and m[0] and m[0][0].field
+        if field is L:
             over_L.append(m)
         return row_reduce(m, *args, **kwargs)
 
