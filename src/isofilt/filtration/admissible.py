@@ -95,8 +95,9 @@ def is_admissible(D: PhiModule, F_cols_L, ext, mode: str = "exact",
     proper N.
 
     The ranks run on raw rows over L (``linalg.Raw``): F is encoded once,
-    each isoclinic component is lifted and encoded once, and a sum of
-    components is the concatenation of their lifts.
+    each isoclinic component is encoded and lifted once by the raw lift
+    (``lift_rows``), and a sum of components is the concatenation of their
+    lifts.
     """
     if mode == "exact":
         subs = sm.exact_submodules(D)
@@ -109,8 +110,7 @@ def is_admissible(D: PhiModule, F_cols_L, ext, mode: str = "exact",
     violation = None
     verdict = True
     equality_at_top = None
-    k = sc.kernel(ext)
-    lift = lambda x: k.entry(ext.lift(x))
+    k, kb = sc.kernel(ext), sc.kernel(D.field)
     FT, lifts = la.Raw(k, k.encode_rows(zip(*F_cols_L))), {}
     for N, bound, pick in zip(subs.subspaces, subs.bounds, subs.picks):
         dN = la.mat_dims(N)[1]
@@ -126,9 +126,9 @@ def is_admissible(D: PhiModule, F_cols_L, ext, mode: str = "exact",
             for i in pick or ():
                 if i not in lifts:
                     comp = subs.components[i][1]
-                    lifts[i] = [list(map(lift, c)) for c in zip(*comp)]
+                    lifts[i] = ext.lift_rows(kb, kb.encode_rows(zip(*comp)))
             NT = ([c for i in pick for c in lifts[i]] if pick is not None
-                  else [list(map(lift, c)) for c in zip(*N)])
+                  else ext.lift_rows(kb, kb.encode_rows(zip(*N))))
             # t_H: dim(N_L cap F) = rank N_L + rank F - rank [N_L | F]
             th = dN + rank_F - la.certified_rank(la.Raw(k, NT + FT))
         entries.append((dN, th, bound))

@@ -20,6 +20,9 @@ the same pairs (rho(h^-1), tau_{h^-1}), so one stability verdict answers
 both.  Invariant vectors are built by the averaging map
 v -> sum_h tau'_h(alpha) * (h . v) over a basis alpha of L/K; the L-span of
 the invariants recovers the whole space, which is checked by certified rank.
+Stability and descent run on raw rows over L (``linalg.Raw``): rho(h) is
+lifted by the step's raw lift (``lift_rows``), tau_h acts by the level's tau
+rule (``apply_aut``), and descent builds its candidates a block at a time.
 """
 
 from __future__ import annotations
@@ -78,17 +81,13 @@ class GaloisSetup:
     def aut_of(self, idx: int) -> str:
         return self.corr[self.group.names[idx]]
 
-    def gal_apply_name(self, name: str, cols):
-        rec = self.ext.automorphisms[name]
-        return la.mat_map(cols, lambda x: sc.sc_apply_aut(x, rec))
-
-    def gal_apply(self, idx: int, cols):
-        return self.gal_apply_name(self.aut_of(idx), cols)
-
 
 def lift_matrix(ext, cols):
-    """Lift a base-level matrix entrywise to L."""
-    return la.mat_map(cols, ext.lift)
+    """Lift a base-level matrix to L: ``ext.lift_rows`` on its raw rows."""
+    if not (cols and cols[0]):
+        return [[] for _ in cols]
+    kb = sc.kernel(cols[0][0].field)
+    return sc.kernel(ext).decode_rows(ext.lift_rows(kb, kb.encode_rows(cols)))
 
 
 def is_diagonally_stable(rep: GroupRepresentation, F_cols,
@@ -109,17 +108,19 @@ def is_diagonally_stable(rep: GroupRepresentation, F_cols,
     A singular rho(h) falls back to the rank of rho(h) F itself, so each
     tested h gets span equality, subspace_leq both ways.
     """
-    ext = setup.ext
-    n = rep.dim
-    r = la.certified_rank(la.transpose(F_cols)) if rank is None else rank
+    ext, n = setup.ext, rep.dim
+    k, kb = sc.kernel(ext), sc.kernel(rep.field)
+    FT = k.encode_rows(zip(*F_cols))  # F's columns, as raw rows over L
+    r = la.certified_rank(la.Raw(k, FT)) if rank is None else rank
     for x in rep.relation_rows():
-        rho = rep.mats[x]
-        lin = la.mat_mul(lift_matrix(ext, rho), F_cols)
-        if (la.certified_rank(rho) < n
-                and la.certified_rank(la.transpose(lin)) != r):
+        rho = kb.encode_rows(rep.mats[x])
+        R = ext.lift_rows(kb, rho)
+        lin = [[k.dot(row, col) for row in R] for col in FT]  # (rho(h) F)^T
+        if (la.certified_rank(la.Raw(kb, rho)) < n
+                and la.certified_rank(la.Raw(k, lin)) != r):
             return False
-        gal = setup.gal_apply(x, F_cols)
-        if la.certified_rank(la.transpose(la.hstack(lin, gal))) != r:
+        gal = k.apply_aut(FT, ext.automorphisms[setup.aut_of(x)])
+        if la.certified_rank(la.Raw(k, lin + gal)) != r:
             return False
     return True
 
@@ -130,26 +131,50 @@ def galois_descend(rep: GroupRepresentation, setup: GaloisSetup):
 
     For alpha in the basis 1, pi, ..., pi^(e-1) of L/K, the average of
     alpha e_j over the diagonal action is sum_h rho(h) tau_h^{-1}(alpha) e_j,
-    column j of M_alpha = sum_h tau_h^{-1}(alpha) rho(h).  So M_alpha is
-    built once per alpha, and the candidates are the columns of the M_alpha.
-    """
-    ext = setup.ext
-    n = rep.dim
+    column j of M_alpha = sum_h tau_h^{-1}(alpha) rho(h).  The candidates
+    are these columns scaled by integral powers of p, block j (column j of
+    every M_alpha, in basis order) before block j + 1, and the invariants
+    are their pivot columns.  An elimination decides column c from columns
+    up to c only, so blocks are built one at a time, on raw rows, until a
+    prefix has n pivots.  Only a live column (one with a reg entry) can
+    take a pivot, so a prefix is eliminated once it holds n live columns;
+    one of rank below n costs one more elimination.  A PrecisionError that
+    only an unbuilt candidate would raise is not raised."""
+    ext, n, e = setup.ext, rep.dim, setup.ext.e
+    k, kb = sc.kernel(ext), sc.kernel(rep.field)
+    fma = k.fma
     u = ext.uniformizer()
     alphas = [ext.one()]
-    for _ in range(ext.e - 1):
+    for _ in range(e - 1):
         alphas.append(sc_mul(alphas[-1], u))
     elems = range(setup.group.n)
     recs = [ext.automorphisms[setup.table_inverse(setup.aut_of(x))] for x in elems]
-    rhos = [lift_matrix(ext, rep.mats[x]) for x in elems]
-    sums = [la.mat_lincomb([sc.sc_apply_aut(alpha, rec) for rec in recs], rhos)
-            for alpha in alphas]
-    cand_cols = la.normalize_columns(
-        [[M[r][j] for j in range(n) for M in sums] for r in range(n)],
-        integral=True)
-    basis = la.column_space_basis(cand_cols)
-    got = la.mat_dims(basis)[1]
-    if got != n:
-        raise PrecisionError(
-            f"descent produced {got} independent invariants, expected {n}")
-    return la.normalize_columns(basis, integral=True)
+    rhos = [ext.lift_rows(kb, kb.encode_rows(rep.mats[x])) for x in elems]
+    # per alpha, the pairs (tau_h^{-1}(alpha), rho(h)) of M_alpha's fold
+    terms = [list(zip([k.entry(sc.sc_apply_aut(alpha, rec)) for rec in recs],
+                      rhos)) for alpha in alphas]
+    cands, live, pivots = [], 0, []
+    for j in range(n):
+        for pairs in terms:
+            col = [None] * n
+            for c, rho in pairs:
+                for i, row in enumerate(rho):
+                    if row[j] is not None:
+                        col[i] = fma(col[i], c, row[j])
+            ws = [x[0] for x in col if x is not None and x[1] is not None]
+            live += bool(ws)
+            w = min(ws, default=0) // e * e  # an integral power of p
+            if w:
+                s = k.entry(la.pi_power(ext, -w))
+                col = [x if x is None else fma(None, s, x) for x in col]
+            cands.append(col)
+        if live >= n or j == n - 1:
+            _, pivots, _ = la.certified_row_reduce(
+                la.Raw(k, [list(row) for row in zip(*cands)]),
+                reduced=False, rows=False)
+            if len(pivots) == n:
+                break
+    if len(pivots) != n:
+        raise PrecisionError(f"descent produced {len(pivots)} independent "
+                             f"invariants, expected {n}")
+    return k.decode_rows([[cands[c][i] for c in pivots] for i in range(n)])

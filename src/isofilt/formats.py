@@ -92,8 +92,14 @@ def scalar_to_json(x):
     if x.kind == sc.ZERO:
         return "0"
     if x.kind == sc.IZERO:
-        return {"izero": str(x.zb)}
-    return {"v": str(x.val), "unit": list(x.unit), "relpi": x.relpi}
+        return {"izero": _ratio(x.zw, x.field.e)}
+    return {"v": _ratio(x.w, x.field.e), "unit": list(x.unit), "relpi": x.relpi}
+
+
+def _ratio(a, b):
+    """str(Fraction(a, b)) for b > 0: "a" or "a/b" in lowest terms."""
+    g = math.gcd(a, b)
+    return str(a // g) if g == b else f"{a // g}/{b // g}"
 
 
 def scalar_from_json(field, doc):
@@ -115,11 +121,14 @@ def scalar_from_json(field, doc):
                 powers.append([sc.sc_mul(powers[-1][0], gen)])
             return la.mat_mul([[field.scalar(Fraction(str(c))) for c in doc]],
                               powers)[0][0]
+        # valuations as integer pi-exponents: v = a/d is w = a e / d
         if "izero" in doc:
             # an off-lattice bound rounds up: valuations lie in (1/e)Z
-            return sc.sc_izero(field, math.ceil(Fraction(doc["izero"]) * field.e))
-        w = Fraction(doc["v"]) * field.e
-        if w.denominator != 1:
+            a, d = _integer_pair(doc["izero"])
+            return sc.sc_izero(field, -(-a * field.e // d))
+        a, d = _integer_pair(doc["v"])
+        w, off = divmod(a * field.e, d)
+        if off:
             raise ValidationError(f"valuation {doc['v']} is not in (1/{field.e})Z")
         unit = tuple(int(c) % field.ring.pn for c in doc["unit"])
         if len(unit) != field.ring.dim or field.ring.val_pi(unit) != 0:
@@ -129,7 +138,7 @@ def scalar_from_json(field, doc):
         if type(relpi) is not int or relpi < field.floor_relpi:
             raise ValidationError(f"bad scalar entry {doc!r}: relpi must be an "
                                   f"integer >= {field.floor_relpi}")
-        return sc.Scalar(field, sc.REG, w=int(w), unit=unit,
+        return sc.Scalar(field, sc.REG, w=w, unit=unit,
                          relpi=min(relpi, field.relpi_max))
     except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ValidationError(f"bad scalar entry {doc!r}: {exc!r}") from exc

@@ -5,7 +5,8 @@ component to be simple (dimension equal to the denominator of its slope);
 that makes the enumeration complete at the working level, since a submodule
 meets each simple component in 0 or everything.
 
-Sampled mode adds pseudo-random phi-stable subspaces: kernels and images of
+Sampled mode returns that family too when every component is simple, and
+otherwise adds pseudo-random phi-stable subspaces: kernels and images of
 random elements U of the endomorphism algebra, which is computed by solving
 U A = A sigma(U) coordinatewise over Q_p, and phi-spans of random vectors.
 A candidate already listed (by ``_canonical_key``) is dropped unchecked.
@@ -110,6 +111,11 @@ def _component_sums(D, comps):
                    Fraction(t, den) if t % den else t // den)
 
 
+def _sums(D, comps, mode):
+    picks, subs, bounds = zip(*_component_sums(D, comps))
+    return SubmoduleSet(comps, list(subs), list(bounds), list(picks), mode)
+
+
 def exact_submodules(D: PhiModule) -> SubmoduleSet:
     comps = isoclinic_decompose(D)
     for slope, cols in comps:
@@ -118,15 +124,17 @@ def exact_submodules(D: PhiModule) -> SubmoduleSet:
             raise MultiplicityError(
                 f"slope {slope} component has dimension {len(cols[0])} != {b}; "
                 "component is not simple at this level, use sampled mode")
-    picks, subs, bounds = zip(*_component_sums(D, comps))
-    return SubmoduleSet(comps, list(subs), list(bounds), list(picks), "exact")
+    return _sums(D, comps, "exact")
 
 
 def sampled_submodules(D: PhiModule, seed: int, budget: int) -> SubmoduleSet:
     """The sums of isoclinic components, then the new phi-stable subspaces
     that ``budget`` seeded tries find.  D's decomposition is the one stored
-    on D when exact mode has already split it."""
+    on D when exact mode has already split it.  When every component is
+    simple, the sums are every sub-phi-module, and no try is drawn."""
     comps = isoclinic_decompose(D)
+    if all(len(cols[0]) == slope.denominator for slope, cols in comps):
+        return _sums(D, comps, "sampled")
     rng = random.Random(seed)
     subs, bounds, picks = [], [], []
     seen = set()

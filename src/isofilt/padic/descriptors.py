@@ -16,7 +16,8 @@ Descriptors are never mutated after construction; what they gain later
 (small scalars, Teichmuller roots, the ring's inverses and kernels, the
 level's arithmetic rules that ``scalar.kernel`` builds, isotypic's embeddings
 into bigger levels) is a memo of a function of the presentation.  ``create`` interns them, so a process holds one
-descriptor, and one TowerRing, per presentation.
+descriptor, and one TowerRing, per presentation.  A step lifts raw rows
+from its base by one rule, ``lift_rows``, which ``lift`` wraps.
 The key is (p, f, N, modulus mod p^N, floor) for K_q and (base, raw Eisenstein
 coefficients, raw automorphism images in table order) for L, and ``==`` and
 ``hash`` compare exactly that key.  Only a descriptor that passed
@@ -372,16 +373,26 @@ class EisensteinExtensionDescriptor:
                          unit=self.ring.one(), relpi=self.relpi_max)
 
     def lift(self, x):
-        """Lift a scalar from the base level."""
-        if x.field is not self.base and x.field != self.base:
+        """Lift a scalar from the base level: ``lift_rows`` on one entry."""
+        kb = sc.kernel(x.field)
+        return sc.kernel(self).scalar(self.lift_rows(kb, [[kb.entry(x)]])[0][0])
+
+    def lift_rows(self, k, rows):
+        """The raw lift: rows of raw entries of the base level, whose rules
+        are k (``scalar.kernel``), as raw entries of this level.  w, zw and
+        relpi scale by e (relpi to at most eN), and a unit's coordinate of
+        z^i moves to z^i u^0.  At e = 1 it is the identity: rows comes back."""
+        if k.field is not self.base and k.field != self.base:
             raise ValidationError("scalar is not at the base level")
-        if x.kind == sc.ZERO:
-            return self.zero()
-        if x.kind == sc.IZERO:
-            return sc.sc_izero(self, self.e * x.zw)
-        unit = _base_vec_to_elem(x.unit, self.f, self.e)
-        return sc.Scalar(self, sc.REG, w=self.e * x.w, unit=unit,
-                         relpi=min(self.e * x.relpi, self.relpi_max))
+        e, prec, cap = self.e, self.prec, self.relpi_max
+        if e == 1:
+            return rows
+        # a unit is an int where the base ring is Z/p^N, a tuple otherwise
+        f, pad = self.f, (0,) * (e - 1)
+        return [[x if x is None else (e * x[0], None, 0) if x[1] is None
+                 else (e * x[0], _base_vec_to_elem(x[1], f, e) if f > 1
+                       else (x[1],) + pad, e * x[2] if x[2] < prec else cap)
+                 for x in row] for row in rows]
 
     def frobenius_ok(self) -> bool:
         return self.ring.frobenius_ok()
@@ -421,7 +432,5 @@ def _base_vec_to_elem(vec, f, e):
     """A base-level vector or unit (one coordinate per z^i) as a ring
     element of the level of ramification e (the z^i u^0 slots)."""
     out = [0] * (f * e)
-    for i in range(f):
-        out[i * e] = vec[i]
+    out[::e] = vec
     return tuple(out)
-

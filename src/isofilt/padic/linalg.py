@@ -419,8 +419,7 @@ def berkowitz(m, one, neg, dot):
 def pi_power(field, w: int) -> Scalar:
     """The scalar p^a * u^b with (a, b) = divmod(w, e): valuation w/e, unit
     one, full precision."""
-    return Scalar(field, sc.REG, w=w, unit=field.ring.one(),
-                  relpi=field.relpi_max)
+    return sc.sc_reg(field, w, field.ring.one(), field.relpi_max)
 
 
 def normalize_columns(cols, integral: bool = False):

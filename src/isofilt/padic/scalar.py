@@ -10,14 +10,14 @@ A scalar is one of three kinds:
 
 Valuations are stored as integer pi-exponents, ``w`` for a reg scalar and
 ``zw`` for an izero bound, so the arithmetic below is integer arithmetic
-only; ``val`` = w/e and ``zb`` = zw/e are read-only Fraction views for
-callers that compare across levels or print.  The unit convention is the
+only; ``val`` = w/e is a read-only Fraction view for callers that compare
+across levels or print.  The unit convention is the
 literal u-power of the monomial basis: a product or sum whose u-power b
 wraps past e absorbs u^e = p * c0 into its unit (the c0 and c0^-1
 corrections), at the cost of the digit of c0 that p^N cannot hold.
 
 Every scalar of a level with ramification e has its valuation in (1/e)Z.
-So an izero bound that arrives off that lattice -- from a finer level, as in
+So an izero bound zb that arrives off that lattice -- from a finer level, as in
 ``convert.project_to_base``, or from a JSON document -- is rounded up,
 zw = ceil(zb * e), and stays sound: a nonzero value of valuation >= zb has
 valuation >= ceil(zb * e)/e.
@@ -33,9 +33,11 @@ exact zero, ``(zw, None, 0)`` for an izero and ``(w, u, relpi)`` for a reg
 scalar, the unit u a plain int in [0, p^N) where the ring is Z/p^N (f = e = 1,
 Q_p itself) and the ring's coefficient tuple at every other level.
 ``kernel(field)`` is the level's rule set: negation, inverse, sum, the fused
-product-and-sum that every product goes through, and the dot fold.  sc_neg,
-sc_add, sc_mul and sc_inv apply it to one entry each; ``linalg`` applies it
-to whole matrices and builds Scalars only for what its caller receives.
+product-and-sum that every product goes through, the dot fold, and the tau
+rule of an automorphism of an Eisenstein step (``apply_aut``).  sc_neg,
+sc_add, sc_mul, sc_inv and sc_apply_aut apply it to one entry each;
+``linalg`` and the Galois layer to whole matrices, building Scalars only for
+what their callers receive.  The raw lift to a step is its ``lift_rows``.
 ``tests/oracles.py`` keeps the same rules written on Scalars as the
 reference the tests compare against, entry for entry and error for error.
 """
@@ -68,11 +70,6 @@ class Scalar:
     def val(self):
         """The exact valuation w/e of a reg scalar (None otherwise)."""
         return None if self.w is None else Fraction(self.w, self.field.e)
-
-    @property
-    def zb(self):
-        """The valuation bound zw/e of an izero scalar (None otherwise)."""
-        return None if self.zw is None else Fraction(self.zw, self.field.e)
 
     def __repr__(self):
         if self.kind == ZERO:
@@ -187,6 +184,27 @@ class _Kernel:
             x = self.fma(None, x, x)
             n >>= 1
         return r
+
+    def apply_aut(self, rows, aut):
+        """The tau rule: a validated automorphism of the Eisenstein step
+        (``aut``, a descriptor record) on raw rows.  It fixes the base and
+        sends u to T = aut.image: a unit c(z, u) goes to c(z, T), and
+        b = w mod e > 0 brings (T/u)^b in and caps relpi at e(N - 1) >= 1 (a
+        step needs N >= 2).  At e = 1 it is the identity: rows comes back."""
+        e = self.e
+        if e == 1:
+            return rows
+        cap, umap, mul = e * (self.prec - 1), self.ring.apply_u_map, self.ring.mul
+
+        def tau(x):
+            if x is None or x[1] is None:
+                return x
+            b = x[0] % e
+            u = umap(x[1], aut.upowers)
+            if not b:
+                return x[0], u, x[2]
+            return x[0], mul(u, aut.tu_pow[b]), (x[2] if x[2] < cap else cap)
+        return [list(map(tau, row)) for row in rows]
 
     def encode_rows(self, m):
         return [list(map(self.entry, row)) for row in m]
@@ -461,20 +479,12 @@ def sc_frobenius(x: Scalar) -> Scalar:
 
 def sc_apply_aut(x: Scalar, aut) -> Scalar:
     """Apply a validated automorphism of the Eisenstein step (fixes the
-    unramified base).  ``aut`` is a descriptor automorphism record."""
+    unramified base): the kernel's tau rule on one entry.  ``aut`` is a
+    descriptor automorphism record."""
     if x.kind != REG:
         return x
-    F = x.field
-    ring = F.ring
-    e = F.e
-    b = x.w % e
-    unit = ring.apply_u_map(x.unit, aut.upowers)
-    if b:
-        unit = ring.mul(unit, aut.tu_pow[b])
-        relpi = min(x.relpi, e * (F.prec - 1))
-    else:
-        relpi = x.relpi
-    return sc_reg(F, x.w, unit, relpi)
+    k = kernel(x.field)
+    return k.scalar(k.apply_aut(((k.entry(x),),), aut)[0][0])
 
 
 def sc_pow(x: Scalar, n: int) -> Scalar:

@@ -9,6 +9,9 @@ the rules that ``scalar.kernel`` writes once on raw entries, and
 ``scalar_row_reduce`` is certified elimination by them, one inverse, product
 and difference at a time; they pin the entries, pivots, certificates and
 errors of the kernel and of ``linalg.certified_row_reduce``.
+``scalar_lift`` and ``scalar_apply_aut`` are the lift to an Eisenstein step
+and the action of its automorphisms on Scalars, which pin the step's raw
+lift (``lift_rows``) and the kernel's tau rule (``apply_aut``).
 ``sampled_submodules_reference`` is the earlier sampled family, which
 re-checked every candidate's stability and eliminated ker U and im U apart;
 it pins the order and the entries of the family that the library now
@@ -18,7 +21,9 @@ valuations, which pins the integer-exponent hull of ``isocrystal.slopes``:
 its vertices, root valuations and PrecisionError messages.
 
 The last section holds what only tests use of the library's own kind:
-``base_change`` (a phi-module in another basis), ``semi_abelian_reference``
+``base_change`` (a phi-module in another basis), ``galois_descend_reference``
+(the invariants from all e * n candidates and one elimination, which pins the
+block-wise ``galois_descend``), ``semi_abelian_reference``
 (the toric section, inverse, slope and quotient built one fact at a time,
 which pins the one-pass ``SemiAbelianPhiModule``), ``verify_invariant`` (the
 diagonal-action invariance that ``galois_descend`` promises),
@@ -403,6 +408,44 @@ def scalar_inv(x):
     return sc.sc_reg(F, -x.w, unit, relpi)
 
 
+def scalar_lift(ext, x):
+    """x, a scalar of the base level, lifted to the Eisenstein step ext: the
+    valuation, an izero bound and relpi scale by e, and the coordinate of
+    z^i moves to the slot of z^i u^0."""
+    from isofilt.errors import ValidationError
+    from isofilt.padic import scalar as sc
+
+    if x.field is not ext.base and x.field != ext.base:
+        raise ValidationError("scalar is not at the base level")
+    if x.kind == sc.ZERO:
+        return sc.sc_zero(ext)
+    if x.kind == sc.IZERO:
+        return sc.sc_izero(ext, ext.e * x.zw)
+    unit = [0] * (ext.f * ext.e)
+    unit[::ext.e] = x.unit
+    return sc.Scalar(ext, sc.REG, w=ext.e * x.w, unit=tuple(unit),
+                     relpi=min(ext.e * x.relpi, ext.relpi_max))
+
+
+def scalar_apply_aut(x, aut):
+    """A validated automorphism of the Eisenstein step (a descriptor
+    record) on x: u goes to its image T in the unit, and an odd u-power b
+    of the valuation brings in (T/u)^b, capping relpi at e(N - 1)."""
+    from isofilt.padic import scalar as sc
+
+    if x.kind != sc.REG:
+        return x
+    F = x.field
+    e = F.e
+    b = x.w % e
+    unit = F.ring.apply_u_map(x.unit, aut.upowers)
+    relpi = x.relpi
+    if b:
+        unit = F.ring.mul(unit, aut.tu_pow[b])
+        relpi = min(relpi, e * (F.prec - 1))
+    return sc.sc_reg(F, x.w, unit, relpi)
+
+
 def scalar_dot(xs, ys, field):
     """sum of x*y over the pairs, folded left to right; the exact zero of
     the field when no pair has two nonzero entries.  A product with an exact
@@ -654,6 +697,47 @@ def semi_abelian_reference(D, T):
     return S, inv, slope, la.mat_mul(inv, D.apply_phi(S))[t:]
 
 
+def lift_reference(ext, m):
+    """m lifted to ext entry by entry (``scalar_lift``)."""
+    return [[scalar_lift(ext, x) for x in row] for row in m]
+
+
+def galois_apply(setup, name, cols):
+    """The automorphism called name applied to cols entry by entry
+    (``scalar_apply_aut``)."""
+    rec = setup.ext.automorphisms[name]
+    return [[scalar_apply_aut(x, rec) for x in row] for row in cols]
+
+
+def galois_descend_reference(rep, setup):
+    """The invariants of the diagonal action as ``galois_descend`` found
+    them from all e * n candidates: M_alpha = sum_h tau_h^{-1}(alpha) rho(h)
+    for alpha = 1, pi, ..., pi^(e-1) by ``mat_lincomb``, the candidates
+    column j of every M_alpha for j = 0, 1, ..., each scaled by an integral
+    power of p, and the pivot columns of one elimination of all of them."""
+    from isofilt.errors import PrecisionError
+    from isofilt.padic import linalg as la
+
+    ext, n = setup.ext, rep.dim
+    alphas = [ext.one()]
+    for _ in range(ext.e - 1):
+        alphas.append(scalar_mul(alphas[-1], ext.uniformizer()))
+    elems = range(setup.group.n)
+    recs = [ext.automorphisms[setup.table_inverse(setup.aut_of(x))]
+            for x in elems]
+    rhos = [lift_reference(ext, rep.mats[x]) for x in elems]
+    sums = [la.mat_lincomb([scalar_apply_aut(alpha, rec) for rec in recs],
+                           rhos) for alpha in alphas]
+    cands = la.normalize_columns(
+        [[M[r][j] for j in range(n) for M in sums] for r in range(n)],
+        integral=True)
+    basis = la.column_space_basis(cands)
+    if la.mat_dims(basis)[1] != n:
+        raise PrecisionError(f"descent produced {la.mat_dims(basis)[1]} "
+                             f"independent invariants, expected {n}")
+    return basis
+
+
 def verify_invariant(rep, setup, cols) -> bool:
     """Each column is fixed by the diagonal action
     d_h(v) = rho(h) * tau_{corr(h)}^{-1}(v), certified.
@@ -662,13 +746,12 @@ def verify_invariant(rep, setup, cols) -> bool:
     opposite of G) this is a left action, and d_h-invariance of a subspace is
     literally the statement rho(h) F = tau_{corr(h)} F for every h.
     """
-    from isofilt.filtration.galois import lift_matrix
     from isofilt.padic import linalg as la
     thr = la.relation_threshold(rep.field)
     for x in range(setup.group.n):
         name = setup.table_inverse(setup.aut_of(x))
-        moved = la.mat_mul(lift_matrix(setup.ext, rep.mats[x]),
-                           setup.gal_apply_name(name, cols))
+        moved = la.mat_mul(lift_reference(setup.ext, rep.mats[x]),
+                           galois_apply(setup, name, cols))
         if la.zero_status(la.mat_sub(moved, cols), thr) == "nonzero":
             return False
     return True

@@ -485,6 +485,62 @@ def test_a_rational_entry_is_the_scalar_of_its_fraction(x):
         entry(lambda: field.scalar(Fraction(x)))
 
 
+def _fraction_reading(field, doc):
+    """A digit entry read with Fraction valuations, as scalar_from_json read
+    it before it took them as integer pi-exponents."""
+    import math
+    from isofilt.padic import scalar as sc
+    try:
+        if "izero" in doc:
+            return sc.sc_izero(field, math.ceil(Fraction(doc["izero"]) * field.e))
+        w = Fraction(doc["v"]) * field.e
+        if w.denominator != 1:
+            raise ValidationError(f"valuation {doc['v']} is not in (1/{field.e})Z")
+        unit = tuple(int(c) % field.ring.pn for c in doc["unit"])
+        return sc.Scalar(field, sc.REG, w=int(w), unit=unit,
+                         relpi=min(doc["relpi"], field.relpi_max))
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ValidationError(f"bad scalar entry {doc!r}: {exc!r}") from exc
+
+
+def _digit_levels():
+    from isofilt.padic.descriptors import EisensteinExtensionDescriptor
+    q2 = UnramifiedFieldDescriptor.create(2, 1, 32)
+    return [q2] + [EisensteinExtensionDescriptor(q2, (-2,) + (0,) * (e - 1) + (1,),
+                                                 validate=False)
+                   for e in (2, 3, 4)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_ENTRIES, izero=st.booleans(), level=st.sampled_from(_digit_levels()))
+def test_digit_valuations_read_as_fraction_reads_them(x, izero, level):
+    # v and izero are read as integers (a e / d), with the Fraction
+    # reading's results and messages: "not in (1/e)Z", and a rounded-up
+    # off-lattice izero bound
+    doc = ({"izero": x} if izero else
+           {"v": x, "unit": [1] + [0] * (level.ring.dim - 1), "relpi": 8})
+
+    def entry(read):
+        try:
+            y = read()
+        except ValidationError as exc:
+            return str(exc)
+        return y.kind, y.w, y.unit, y.relpi, y.zw
+
+    assert entry(lambda: formats.scalar_from_json(level, doc)) == \
+        entry(lambda: _fraction_reading(level, doc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(w=st.integers(-10 ** 6, 10 ** 6), level=st.sampled_from(_digit_levels()))
+def test_digit_valuations_write_as_fraction_writes_them(w, level):
+    from isofilt.padic import scalar as sc
+    reg = sc.Scalar(level, sc.REG, w=w, unit=level.ring.one(), relpi=8)
+    assert formats.scalar_to_json(reg)["v"] == str(Fraction(w, level.e))
+    assert formats.scalar_to_json(sc.sc_izero(level, w)) == \
+        {"izero": str(Fraction(w, level.e))}
+
+
 def test_check_rejects_a_zero_generator(tmp_path, capsys):
     # a certificate whose group matrix m is zero, resealed with a correct
     # digest: the group loader rejects the singular matrix and names it.  An

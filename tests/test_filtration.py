@@ -38,7 +38,7 @@ from isofilt.cli import main as cli_main
 from isofilt.isocrystal import submodules as submodules_mod
 from isofilt.groups import isotypic as isotypic_mod
 from oracles import (rational_rank, rational_intersection_dim, base_change,
-                     validate_all_pairs, verify_invariant)
+                     galois_apply, validate_all_pairs, verify_invariant)
 
 N = 48
 
@@ -158,7 +158,7 @@ def _stable_by_definition(rep, F, setup):
     ext = setup.ext
     for x in range(setup.group.n):
         lin = la.mat_mul(lift_matrix(ext, rep.mats[x]), F)
-        gal = setup.gal_apply(x, F)
+        gal = galois_apply(setup, setup.aut_of(x), F)
         if not (la.subspace_leq(lin, gal) and la.subspace_leq(gal, lin)):
             return False
     return True
@@ -790,7 +790,9 @@ def test_c4_find_decides_the_action_on_its_generator(tmp_path, capsys,
 
     def spy_stable(rep, F, setup, rank=None):
         def spy_row_reduce(m, *args, **kwargs):
-            if m and m[0] and m[0][0].field is setup.ext:
+            # a Scalar matrix over L, or raw rows over L (their level m.k)
+            if m and m[0] and (m.k.field if isinstance(m, la.Raw)
+                               else m[0][0].field) is setup.ext:
                 over_L.append(len(m))
             return row_reduce(m, *args, **kwargs)
 

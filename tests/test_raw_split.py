@@ -117,15 +117,16 @@ def test_three_component_ledger_matches_the_rational_oracle(monkeypatch, seed):
     F = [[ext.lift(x) for x in row]
          for row in la.from_rows_of_fractions(field, rows)]
     lifts = []
-    lift = type(ext).lift
+    lift_rows = type(ext).lift_rows
 
-    def counting(self, x):
-        lifts.append(x)
-        return lift(self, x)
+    def counting(self, k, rows):
+        lifts.extend(x for row in rows for x in row)
+        return lift_rows(self, k, rows)
 
-    monkeypatch.setattr(type(ext), "lift", counting)
+    monkeypatch.setattr(type(ext), "lift_rows", counting)
     report = is_admissible(D, F, ext, "exact")
-    # each component is lifted once: n entries per column, n columns
+    # each component is lifted once, by the raw lift: n entries per column,
+    # n columns
     assert len(lifts) == n * n
     ledger, verdict, off = [], True, 0
     offsets = []

@@ -14,7 +14,7 @@ import os
 
 import pytest
 
-from isofilt import formats
+from isofilt import cli, formats
 from isofilt.errors import MultiplicityError
 from isofilt.filtration import admissible
 from isofilt.filtration.admissible import is_admissible
@@ -60,6 +60,13 @@ def _modules():
         "q4_ss_squared": _ss(Q4).direct_sum(_ss(Q4)),
         "q4_slopes_001_conjugated": _conjugated(
             Q4, [1, 1, 2], [[1, 0, 1], [2, 1, 0], [0, 1, 1]]),
+        # every component simple: no try adds a submodule to the sums
+        "q2_ss": _ss(Q2),
+        "q2_slopes_0_half_1": base_change(
+            PhiModule.from_rational(Q2, [[1]]).direct_sum(_ss(Q2)).direct_sum(
+                PhiModule.from_rational(Q2, [[2]])),
+            la.from_rows_of_fractions(Q2, [[1, 1, 0, 0], [0, 1, 3, 0],
+                                           [1, 0, 1, 2], [0, 0, 1, 1]])),
     }
 
 
@@ -208,6 +215,34 @@ def test_one_elimination_over_L_per_proper_submodule(monkeypatch):
     assert proper > 1
     # rank F once, then rank [N_L | F] for each proper N
     assert len(over_L) == 1 + proper
+
+
+def test_sampled_mode_on_simple_components_draws_nothing(tmp_path, capsys,
+                                                         monkeypatch):
+    # ss2 is one simple component of slope 1/2: its sub-phi-modules are 0
+    # and D, the family of exact mode, so check runs no sampling tries (808
+    # eliminations when it spent all ADMISSIBILITY_BUDGET of them), and the
+    # report is still a sampled one over those two subspaces
+    cert = tmp_path / "cert.json"
+    argv = ["filtration", "find", "--seed", "3", "--mode", "sampled",
+            "--out", str(cert)]
+    for flag, stem in zip(("--module", "--group", "--extension"),
+                          ("ss2", "c2_scalar_dim2", "ext_sqrt2_c2")):
+        argv += [flag, os.path.join(FIX, f"{stem}.json")]
+    assert cli.main(argv) == 0
+    adm = json.loads(cert.read_text())["outputs"]["admissibility"]
+    assert (adm["mode"], adm["samples"]) == ("sampled", 2)
+    calls = []
+    real = la.certified_row_reduce
+
+    def counting(m, *args, **kwargs):
+        calls.append(m)
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(la, "certified_row_reduce", counting)
+    assert cli.main(["filtration", "check", str(cert)]) == 0
+    capsys.readouterr()
+    assert len(calls) <= 10
 
 
 # -- the canonical key ----------------------------------------------------------------
