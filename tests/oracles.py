@@ -429,8 +429,9 @@ def scalar_lift(ext, x):
 
 def scalar_apply_aut(x, aut):
     """A validated automorphism of the Eisenstein step (a descriptor
-    record) on x: u goes to its image T in the unit, and an odd u-power b
-    of the valuation brings in (T/u)^b, capping relpi at e(N - 1)."""
+    record) on x: u goes to its image T in the unit, and the u-power
+    b = w mod e of a valuation, when nonzero, brings in (T/u)^b, capping
+    relpi at e(N - 1)."""
     from isofilt.padic import scalar as sc
 
     if x.kind != sc.REG:

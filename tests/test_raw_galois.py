@@ -36,8 +36,8 @@ def fx(stem):
     return os.path.join(FIX, f"{stem}.json")
 
 
-def _extension(stem, prec=None):
-    return formats.extension_from_json(formats.load_json(fx(stem)), prec)
+def _extension(stem):
+    return formats.extension_from_json(formats.load_json(fx(stem)), None)
 
 
 def _entries(m):
