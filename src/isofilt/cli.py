@@ -6,6 +6,10 @@ verification failure (with the violated property named), 3 precision or
 budget exhaustion, 64 usage error.  Every randomized path requires --seed and
 identical inputs with the same seed reproduce byte-identical certificates up
 to the timestamp field, which is excluded from digests.
+
+A v2 certificate holds the inputs, params, F, F's admissibility report and
+the per-piece reports; check refuses any other key, re-derives the report by
+find's route (``admissible.filtration_report``) and compares it whole.
 """
 
 from __future__ import annotations
@@ -23,14 +27,16 @@ from .padic import linalg as la
 from .isocrystal.slopes import newton_slopes, isoclinic_decompose
 from .filtration.driver import find_admissible_stable_filtration, DescentDatum
 from .filtration.galois import is_diagonally_stable, lift_matrix
-from .filtration.admissible import (is_admissible, quotient_filtration,
-                                   toric_extension_report)
+from .filtration.admissible import filtration_report, quotient_filtration
 from .symplectic.space import SymplecticSpace, LagrangianSubspace
 
 EXIT_OK = 0
 EXIT_VERIFY = 2
 EXIT_PRECISION = 3
 EXIT_USAGE = 64
+
+# admissibility modes of find, and of a certificate's params.mode
+MODES = ("exact", "sampled")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,7 +95,7 @@ def build_parser() -> _Parser:
     ff.add_argument("--group", required=True)
     ff.add_argument("--extension", required=True)
     ff.add_argument("--seed", type=int, required=True)
-    ff.add_argument("--mode", choices=["exact", "sampled"], default="exact")
+    ff.add_argument("--mode", choices=MODES, default="exact")
     ff.add_argument("--budget", type=_int_at_least(1), default=200)
     ff.add_argument("--precision", type=_int_at_least(1), default=None)
     ff.add_argument("--out", default=None)
@@ -224,20 +230,11 @@ def _filtration_find(args) -> int:
     outputs = {
         "filtration": formats.matrix_to_json(res["filtration"]),
         "admissibility": res["admissibility"].as_dict(),
-        "graded": res["graded"],
-        "stable": res["stable"],
-        "lagrangian": res["lagrangian"],
-        "cocycle": res["cocycle"],
-        "descent_targets": res["descent_targets"],
-        "descent_datum": res["descent"].serialize(formats.matrix_to_json),
         "pieces": res["pieces"],
-        # always so, since the driver takes phi-compatible actions only
-        "descent_datum_guaranteed": True,
     }
     params = {"seed": args.seed, "budget": args.budget, "mode": args.mode,
               "precision": sa.module.field.prec}
     cert = formats.build_certificate(
-        "filtration-find",
         {"module": mod_doc, "group": grp_doc, "extension": ext_doc},
         params, outputs, timestamp=time.strftime("%Y-%m-%dT%H:%M:%SZ",
                                                  time.gmtime()))
@@ -254,7 +251,8 @@ def _filtration_find(args) -> int:
 def _filtration_check(args) -> int:
     cert = formats.load_json(args.certificate)
     if not isinstance(cert, dict) or cert.get("schema") != formats.CERT_SCHEMA:
-        print("verification failure: unknown certificate schema",
+        print(f"verification failure: unknown certificate schema; check "
+              f"reads {formats.CERT_SCHEMA}, so re-run filtration find",
               file=sys.stderr)
         return EXIT_VERIFY
     want = cert.get("digest")
@@ -263,24 +261,29 @@ def _filtration_check(args) -> int:
         print("verification failure: digest mismatch (tampered certificate)",
               file=sys.stderr)
         return EXIT_VERIFY
+    for path, keys in formats.CERT_KEYS.items():
+        doc = _certificate_field(cert, path, dict) if path else cert
+        extra = sorted(set(doc) - keys)
+        if extra:
+            raise ValidationError(f"certificate field "
+                                  f"{path + '.' if path else ''}{extra[0]} "
+                                  f"is not in the format")
     mod_doc = _certificate_field(cert, "inputs.module", dict)
     grp_doc = _certificate_field(cert, "inputs.group", dict)
     ext_doc = _certificate_field(cert, "inputs.extension", dict)
     prec = _certificate_field(cert, "params", dict).get("precision")
     seed = _certificate_field(cert, "params.seed", int)
+    mode = _certificate_field(cert, "params.mode", str)
+    if mode not in MODES:
+        raise ValidationError(f"certificate field params.mode is {mode!r}, "
+                              f"expected {' or '.join(MODES)}")
     # params.budget bounds the Lagrangian search of find only; find and
     # this check both sample admissibility with ADMISSIBILITY_BUDGET tries,
     # which is_admissible reads itself
     _certificate_field(cert, "params.budget", int)
     F_doc = _certificate_field(cert, "outputs.filtration", list)
     adm = _certificate_field(cert, "outputs.admissibility", dict)
-    mode = adm.get("mode", "sampled")
     sa, field = formats.module_from_json(mod_doc, prec)
-    modes = ("exact", "sampled", "extension") if sa.t_dim else ("exact", "sampled")
-    if mode not in modes:
-        raise ValidationError(f"certificate field outputs.admissibility.mode "
-                              f"is {mode!r}, expected {' or '.join(modes)}"
-                              + ("" if sa.t_dim else " (no toric part)"))
     G, rep = formats.group_from_json(grp_doc, field, sa.module.n)
     # every verdict below rests on rep being an action of G, so it is
     # validated first, as find validates it; the relations are decided on
@@ -294,14 +297,14 @@ def _filtration_check(args) -> int:
         raise ValidationError(f"certificate field outputs.filtration has "
                               f"{len(F)} rows, expected {sa.module.n}")
     failures = []
-    # re-verify every verdict independently of the find path; rank F is
+    # re-derive the report by find's route and compare it whole; rank F is
     # certified once, by the extension node or, at t = 0, by the Lagrangian
     # check as the rank g of F_B = F
-    if mode == "extension":
-        rep_check = toric_extension_report(sa, F, ext, seed)
-        F_B, rank_F = rep_check.quotient_filtration, rep_check.rank_F
+    report = filtration_report(sa, F, ext, mode, seed, None, None)
+    extension = report.mode == "extension"
+    if extension:
+        F_B, rank_F = report.quotient_filtration, report.rank_F
     else:
-        rep_check = is_admissible(sa.module, F, ext, mode, seed=seed)
         F_B = quotient_filtration(sa, F, ext) if sa.t_dim else F
         rank_F = None
     if sa.gram_B:
@@ -315,18 +318,15 @@ def _filtration_check(args) -> int:
         else:
             if not sa.t_dim:
                 rank_F = g
-    if not rep_check.verdict or adm.get("verdict") != "admissible" or (
-            mode == "extension" and adm != rep_check.as_dict()):
-        # an extension node is re-derived whole: its toric and quotient
-        # entries are basis independent, so find and check agree on them
+    if not report.verdict or adm != report.as_dict():
         failures.append("admissible")
     if not is_diagonally_stable(rep, F, setup, rank=rank_F):
         # the descent targets are the same (rho(h), tau_h) pairs
         failures += ["diagonal-stability", "descent-targets"]
-    if not DescentDatum(rep, setup).verify_cocycle():
+    if not DescentDatum(rep).verify_cocycle():
         failures.append("cocycle")
     if sa.t_dim:
-        contained = (rep_check.contained if mode == "extension" else
+        contained = (report.contained if extension else
                      la.subspace_leq(lift_matrix(ext, sa.toric_cols), F))
         if not contained:
             failures.append("graded-toric")

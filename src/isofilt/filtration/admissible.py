@@ -17,6 +17,8 @@ the image of F in D_B, is admissible for D_B; and rank F = t + dim F_B.  Weak
 admissibility is closed under extensions (Colmez-Fontaine, Invent. Math.
 140, 2000), so (D, F) is admissible.  Only D_B's own submodules are tested,
 exactly unless D_B itself has a repeated slope.
+
+``filtration_report`` picks the route, for find and check alike.
 """
 
 from __future__ import annotations
@@ -242,3 +244,16 @@ def toric_extension_report(sa: SemiAbelianPhiModule, F_cols_L, ext,
                                            "exact", 1, None, True)
     return ExtensionReport(sa.t_dim, sa.toric_slope(), contained, rank_F,
                            F_B, quotient)
+
+
+def filtration_report(sa: SemiAbelianPhiModule, F_cols_L, ext, mode: str,
+                      seed: int, rank_F: int | None,
+                      quotient: AdmissibilityReport | None):
+    """The report find writes for (D, F) and check re-derives: in exact
+    mode with a toric part the extension node (quotient, if not None, is
+    (D_B, F_B)'s report), and otherwise admissible_with_fallback on D."""
+    if sa.t_dim and mode == "exact":
+        return toric_extension_report(sa, F_cols_L, ext, seed, quotient,
+                                      rank_F)
+    return admissible_with_fallback(sa.module, F_cols_L, ext, mode, seed,
+                                    rank_F)

@@ -32,8 +32,11 @@ T, F = T + section(F_B) is admissible by the extension node of
 (D_B, F_B); a pure torus takes F = D through the same node.
 ``adm_mode="sampled"`` samples the full D instead, as a cross-check; exact
 mode samples only a piece whose slope repeats
-(``admissible_with_fallback``).  Searches are seeded and budgeted, and every
-layer certifies its rank decisions at ``linalg.DEFAULT_GUARD``.
+(``admissible_with_fallback``).  F's report comes from
+``admissible.filtration_report``, the route ``filtration check`` re-derives
+it by (at t = 0, F_B's report is that route's).  Searches are seeded and
+budgeted, and every layer certifies its rank decisions at
+``linalg.DEFAULT_GUARD``.
 
 The action is validated once, and every stability verdict is decided, on
 the rows of the group's generators (``GroupRepresentation.relation_rows``):
@@ -64,8 +67,7 @@ from ..symplectic.lagrangian import (random_rational_lagrangian,
                                      lagrangian_h_small_intersection)
 from .galois import (GaloisSetup, galois_descend, is_diagonally_stable,
                      lift_matrix)
-from .admissible import (is_admissible, admissible_with_fallback,
-                         toric_extension_report)
+from .admissible import admissible_with_fallback, filtration_report
 
 
 DEFAULT_SAMPLE_BUDGET = 200
@@ -324,12 +326,8 @@ class DescentDatum:
     f_{gh} = g.gal f_h o f_g holds exactly because rho respects the table
     and the Galois action fixes the coefficient field of the maps."""
 
-    def __init__(self, rep: GroupRepresentation, setup: GaloisSetup):
+    def __init__(self, rep: GroupRepresentation):
         self.rep = rep
-        G = rep.group
-        self.maps = {G.names[x]: rep.mats[G.inverse[x]] for x in range(G.n)}
-        self.targets = {G.names[x]: setup.aut_of(G.inverse[x])
-                        for x in range(G.n)}
 
     def verify_cocycle(self) -> bool:
         """Index-level identity: (ab)^{-1} = b^{-1} a^{-1} in the table, for
@@ -343,11 +341,6 @@ class DescentDatum:
         return all(table[x][y] == e and table[y][x] == e
                    for x, y in enumerate(G.inverse))
 
-    def serialize(self, serializer):
-        return {name: {"matrix": serializer(self.maps[name]),
-                       "galois": self.targets[name]}
-                for name in self.maps}
-
 
 def find_admissible_stable_filtration(sa: SemiAbelianPhiModule,
                                       setup: GaloisSetup,
@@ -356,8 +349,8 @@ def find_admissible_stable_filtration(sa: SemiAbelianPhiModule,
                                       budget: int = DEFAULT_SAMPLE_BUDGET,
                                       adm_mode: str = "exact"):
     """The full driver: reduce to the abelian quotient, decompose, solve each
-    piece, glue, pull back over the toric part, and emit a verified
-    certificate with its descent datum.
+    piece, glue, pull back over the toric part, and return the verified
+    filtration with its verdicts and reports.
 
     A single piece's F_B is ambient F, with ambient invertible, K-rational
     (so fixed by the Galois action) and carrying the piece's pairing and
@@ -375,17 +368,16 @@ def find_admissible_stable_filtration(sa: SemiAbelianPhiModule,
         rep.validate(phi_module=D, gram=sa.gram_B)
     if sa.B_dim == 0:
         FL = lift_matrix(ext, la.identity(D.field, D.n))  # of rank n
-        report = _toric_admissibility(sa, FL, ext, adm_mode, seed, D.n)
+        report = filtration_report(sa, FL, ext, adm_mode, seed, D.n, None)
         if not report.verdict:
             raise InternalContradictionError("full filtration on a torus "
                                              "failed admissibility")
-        datum = DescentDatum(rep, setup)
         stable = is_diagonally_stable(rep, FL, setup, rank=D.n)
         return {
             "filtration": FL, "admissibility": report,
             "graded": {"toric": True, "quotient": True},
             "stable": stable, "lagrangian": True,
-            "descent": datum, "cocycle": datum.verify_cocycle(),
+            "cocycle": DescentDatum(rep).verify_cocycle(),
             "descent_targets": stable,
             "pieces": [], "seed": seed, "budget": budget,
         }
@@ -430,8 +422,8 @@ def find_admissible_stable_filtration(sa: SemiAbelianPhiModule,
         section_L = lift_matrix(ext, sa.section_cols)
         F = la.normalize_columns(la.hstack(toric_L, la.mat_mul(section_L, FB)))
         rank_F = la.certified_rank(la.transpose(F))
-        report = _toric_admissibility(sa, F, ext, adm_mode, seed, rank_F,
-                                      quotient=reportB)
+        report = filtration_report(sa, F, ext, adm_mode, seed, rank_F,
+                                   reportB)
         if not report.verdict:
             raise InternalContradictionError("pulled-back filtration failed "
                                              "admissibility")
@@ -447,7 +439,6 @@ def find_admissible_stable_filtration(sa: SemiAbelianPhiModule,
         # rep, so the pull-back is F_B entry for entry and the verdicts
         # just certified for F_B are the verdicts for F
         F, report, graded_toric = FB, reportB, True
-    datum = DescentDatum(rep, setup)
     return {
         "filtration": F,
         "quotient_filtration": FB,
@@ -456,8 +447,7 @@ def find_admissible_stable_filtration(sa: SemiAbelianPhiModule,
         "graded": {"toric": graded_toric, "quotient": bool(reportB.verdict)},
         "stable": True,
         "lagrangian": True,
-        "descent": datum,
-        "cocycle": datum.verify_cocycle(),
+        "cocycle": DescentDatum(rep).verify_cocycle(),
         "descent_targets": True,
         "pieces": [{"dim": p.dim, "slopes": [str(s) for s in p.slopes],
                     "witness": r["witness"],
@@ -465,14 +455,6 @@ def find_admissible_stable_filtration(sa: SemiAbelianPhiModule,
                    for p, r in piece_results],
         "seed": seed, "budget": budget,
     }
-
-
-def _toric_admissibility(sa, F, ext, adm_mode, seed, rank_F, quotient=None):
-    """The extension node for F, of certified rank rank_F, on a module with
-    a toric part; sampling over the full D in sampled mode."""
-    if adm_mode == "sampled":
-        return is_admissible(sa.module, F, ext, "sampled", seed, rank_F)
-    return toric_extension_report(sa, F, ext, seed, quotient, rank_F)
 
 
 def _quotient_rep(sa: SemiAbelianPhiModule,

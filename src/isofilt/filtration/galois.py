@@ -10,8 +10,11 @@ rejected (for an abelian group the two conventions coincide).
 
 Diagonal stability of a filtration F over L means the linear and Galois
 orbits coincide: rho(h) F = tau_h F for every h.  It is certified with one
-rank of F and, per generator h, an n x n rank of rho(h) over K and one joint
-elimination of [rho(h) F | tau_h F] over L (see is_diagonally_stable).
+rank of F and, per generator h, one joint elimination of
+[rho(h) F | tau_h F] over L (see is_diagonally_stable).  rho(h) is
+invertible without a rank: ``validate`` certifies rho(h) rho(h^-1) =
+rho(e) = I at the relation threshold, and a piece's action restricts a
+validated one to a stable subspace.
 Generators suffice: if rho(a) F = tau_a F and rho(b) F = tau_b F, then
 rho(ab) F = rho(a) tau_b F = tau_b rho(a) F = tau_b tau_a F = tau_{ab} F,
 since rho(a) is K-rational and so commutes with tau_b applied entrywise, and
@@ -101,24 +104,19 @@ def is_diagonally_stable(rep: GroupRepresentation, F_cols,
     threshold keeps its digits along a word only for integral factors).
     r = rank F is passed as rank or certified once.  For each h, rank
     tau_h F = r because tau_h is a valuation-preserving automorphism of L
-    applied entrywise, and rank rho(h) F = r whenever rho(h) is invertible,
-    which an n x n rank over K certifies.  Two subspaces of dimension r are
-    equal iff their sum has dimension r, so h passes iff
-    rank [rho(h) F | tau_h F] = r: one elimination over L instead of three.
-    A singular rho(h) falls back to the rank of rho(h) F itself, so each
-    tested h gets span equality, subspace_leq both ways.
+    applied entrywise, and rank rho(h) F = r because rho(h) is invertible
+    (the module docstring gives the argument).  Two subspaces of dimension
+    r are equal iff their sum has dimension r, so h passes iff
+    rank [rho(h) F | tau_h F] = r: one elimination over L, and span
+    equality for each tested h.
     """
-    ext, n = setup.ext, rep.dim
+    ext = setup.ext
     k, kb = sc.kernel(ext), sc.kernel(rep.field)
     FT = k.encode_rows(zip(*F_cols))  # F's columns, as raw rows over L
     r = la.certified_rank(la.Raw(k, FT)) if rank is None else rank
     for x in rep.relation_rows():
-        rho = kb.encode_rows(rep.mats[x])
-        R = ext.lift_rows(kb, rho)
+        R = ext.lift_rows(kb, kb.encode_rows(rep.mats[x]))
         lin = [[k.dot(row, col) for row in R] for col in FT]  # (rho(h) F)^T
-        if (la.certified_rank(la.Raw(kb, rho)) < n
-                and la.certified_rank(la.Raw(k, lin)) != r):
-            return False
         gal = k.apply_aut(FT, ext.automorphisms[setup.aut_of(x)])
         if la.certified_rank(la.Raw(k, lin + gal)) != r:
             return False

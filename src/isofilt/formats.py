@@ -4,9 +4,11 @@ certificates.
 Scalars serialize either as exact rational strings (inputs) or as digit data
 (valuation + integer coefficient vector + known relative precision); matrix
 entries in input files may be rational strings or coordinate vectors over the
-unramified power basis.  Certificates embed every input document and all
-parameters, so re-verification needs no flags; their digest is the sha256 of
-the canonical JSON with the timestamp field removed.
+unramified power basis.  A certificate (v2) embeds every input document
+and all parameters, so re-verification needs no flags, and states F and its
+admissibility report, which check re-derives, beside the per-piece reports;
+``CERT_KEYS`` lists its keys.  Its digest is the sha256 of the canonical
+JSON with the timestamp field removed.
 """
 
 from __future__ import annotations
@@ -32,22 +34,8 @@ def canonical_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def _compose(texts) -> str:
-    """canonical_json of a dict from its values' canonical texts: compact
-    sort_keys JSON writes the members in key order, each value as it would
-    write the value alone."""
-    return "{" + ",".join(f"{encode_basestring_ascii(k)}:{texts[k]}"
-                          for k in sorted(texts)) + "}"
-
-
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 def digest(doc) -> str:
-    doc = {k: v for k, v in doc.items() if k != "timestamp"} \
-        if isinstance(doc, dict) else doc
-    return _sha256(canonical_json(doc))
+    return hashlib.sha256(canonical_json(doc).encode()).hexdigest()
 
 
 def indented_json(x, nl="\n") -> str:
@@ -121,6 +109,10 @@ def scalar_from_json(field, doc):
                 powers.append([sc.sc_mul(powers[-1][0], gen)])
             return la.mat_mul([[field.scalar(Fraction(str(c))) for c in doc]],
                               powers)[0][0]
+        keys = {"izero"} if "izero" in doc else {"v", "unit", "relpi"}
+        if set(doc) - keys:
+            raise ValidationError(f"bad scalar entry {doc!r}: keys other than "
+                                  f"{', '.join(sorted(keys))}")
         # valuations as integer pi-exponents: v = a/d is w = a e / d
         if "izero" in doc:
             # an off-lattice bound rounds up: valuations lie in (1/e)Z
@@ -385,34 +377,26 @@ def setup_from_json(ext_doc, group: FiniteGroup, ext) -> GaloisSetup:
 # -- certificates ----------------------------------------------------------------
 
 
-CERT_SCHEMA = "isofilt-filtration-certificate-v1"
+CERT_SCHEMA = "isofilt-filtration-certificate-v2"
+
+# the keys of each certificate dict, by dotted path ("" is the top level)
+CERT_KEYS = {
+    "": {"schema", "digest", "timestamp", "inputs", "params", "outputs"},
+    "inputs": {"module", "group", "extension"},
+    "params": {"seed", "budget", "mode", "precision"},
+    "outputs": {"filtration", "admissibility", "pieces"},
+}
 
 
-def build_certificate(operation, inputs, params, outputs, timestamp=None):
-    # each input is serialized once: its canonical text gives its digest and
-    # is its member of the body's canonical text
-    texts = {k: canonical_json(v) for k, v in inputs.items()}
-    doc = {
-        "schema": CERT_SCHEMA,
-        "operation": operation,
-        "version": 1,
-        "inputs": inputs,
-        "input_digests": {k: digest(v) if isinstance(v, dict) and "timestamp" in v
-                          else _sha256(texts[k]) for k, v in inputs.items()},
-        "params": params,
-        "outputs": outputs,
-    }
-    doc["digest"] = _sha256(_compose({
-        k: _compose(texts) if k == "inputs" else canonical_json(v)
-        for k, v in doc.items()}))
+def build_certificate(inputs, params, outputs, timestamp=None):
+    doc = {"schema": CERT_SCHEMA, "inputs": inputs, "params": params,
+           "outputs": outputs}
+    doc["digest"] = digest(doc)
     if timestamp is not None:
         doc["timestamp"] = timestamp
     return doc
 
 
-def certificate_body(doc) -> dict:
-    return {k: v for k, v in doc.items() if k not in ("timestamp", "digest")}
-
-
 def certificate_digest(doc) -> str:
-    return digest(certificate_body(doc))
+    return digest({k: v for k, v in doc.items()
+                   if k not in ("timestamp", "digest")})

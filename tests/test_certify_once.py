@@ -27,13 +27,14 @@ FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 # (module, group, extension) -> eliminations in one find and in its check;
 # they were 17 + 7, 21 + 7, 39 + 26 and 47 + 30 when each fact was
-# certified where it was used, and 12 + 6 and 15 + 6 for the first two
-# while t_N eliminated A again after validation had
+# certified where it was used, 12 + 6 and 15 + 6 for the first two while
+# t_N eliminated A again after validation had, and 11 + 5, 14 + 5, 25 + 17
+# and 31 + 20 while diagonal stability ranked each tested rho(h) over K
 ROUND_TRIPS = {
-    ("ss2", "c2_scalar_dim2", "ext_sqrt2_c2"): (11, 5),
-    ("ss2_q4", "c4_k_dim2", "ext_c4_cyclotomic"): (14, 5),
+    ("ss2", "c2_scalar_dim2", "ext_sqrt2_c2"): (10, 4),
+    ("ss2_q4", "c4_k_dim2", "ext_c4_cyclotomic"): (13, 4),
     ("ordinary_torus", "trivial_group_dim3", "ext_trivial"): (25, 17),
-    ("ordinary_torus", "c2_scalar_dim3", "ext_sqrt2_c2"): (31, 20),
+    ("ordinary_torus", "c2_scalar_dim3", "ext_sqrt2_c2"): (29, 19),
 }
 
 

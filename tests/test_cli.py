@@ -220,8 +220,9 @@ def test_find_check_roundtrip(tmp_path, capsys):
 def test_check_resamples_the_family_find_recorded(tmp_path, capsys,
                                                   monkeypatch):
     # --budget bounds the Lagrangian search only: find samples admissibility
-    # with its own budget, and check must rebuild that same family
-    import isofilt.cli as cli
+    # with its own budget, and check must rebuild that same family; both
+    # reach is_admissible through admissible.filtration_report
+    import isofilt.filtration.admissible as admissible
     cert = tmp_path / "cert.json"
     code, _, _ = run(capsys, "filtration", "find",
                      "--module", fx("ordinary_torus.json"),
@@ -233,13 +234,13 @@ def test_check_resamples_the_family_find_recorded(tmp_path, capsys,
     adm = json.load(open(cert))["outputs"]["admissibility"]
     assert adm["mode"] == "sampled"
     reports = []
-    is_admissible = cli.is_admissible
+    is_admissible = admissible.is_admissible
 
     def spy(*args, **kwargs):
         reports.append(is_admissible(*args, **kwargs))
         return reports[-1]
 
-    monkeypatch.setattr(cli, "is_admissible", spy)
+    monkeypatch.setattr(admissible, "is_admissible", spy)
     code, out, _ = run(capsys, "filtration", "check", str(cert))
     assert code == 0 and "verifies" in out
     assert [r.samples for r in reports] == [adm["samples"]]
@@ -577,7 +578,6 @@ def test_check_rejects_an_action_that_breaks_the_table(tmp_path, capsys):
     assert code == 0
     doc = json.loads(cert.read_text())
     doc["inputs"]["group"]["rep"]["m"] = [["3", "0"], ["0", "3"]]
-    doc["input_digests"]["group"] = formats.digest(doc["inputs"]["group"])
     doc["digest"] = formats.certificate_digest(doc)
     cert.write_text(json.dumps(doc))
     code, _, err = run(capsys, "filtration", "check", str(cert))
@@ -643,10 +643,12 @@ def test_check_verifies_the_quotient_is_lagrangian(tmp_path, capsys):
     (_drop("params", "budget"), "params.budget"),
     (_drop("inputs", "group"), "inputs.group"),
     (_drop("inputs"), "inputs"),
-    (_set("bogus", "outputs", "admissibility", "mode"), "outputs.admissibility.mode"),
+    (_set("bogus", "params", "mode"), "params.mode"),
+    (_drop("params", "mode"), "params.mode"),
     (_set(0, "params", "precision"), "precision 0"),
 ], ids=["extra-row", "no-filtration", "no-admissibility", "no-seed",
-        "no-budget", "no-group", "no-inputs", "bogus-mode", "zero-precision"])
+        "no-budget", "no-group", "no-inputs", "bogus-mode", "no-mode",
+        "zero-precision"])
 def test_check_rejects_a_malformed_body(tmp_path, capsys, ss2_certificate,
                                         edit, field):
     # each body is resealed with a correct digest, so only validating the
@@ -688,12 +690,10 @@ def test_the_certificate_writer_is_json_dumps(doc):
            max_size=3),
        outputs=_JSON_TREES)
 def test_a_composed_digest_is_the_digest_of_the_body(inputs, outputs):
-    # build_certificate serializes each input once and composes the body's
-    # canonical text from it; an input's own timestamp is left out of its
-    # digest only
-    cert = formats.build_certificate("op", inputs, {"seed": 1}, outputs,
+    # the digest build_certificate writes is the one check recomputes, an
+    # input's own timestamp included
+    cert = formats.build_certificate(inputs, {"seed": 1}, outputs,
                                      timestamp="t")
-    assert cert["input_digests"] == {k: formats.digest(v) for k, v in inputs.items()}
     assert cert["digest"] == formats.certificate_digest(cert)
 
 

@@ -2,7 +2,7 @@
 
 The `digest` field of a certificate is the sha256 of everything in it except
 `timestamp`: the embedded inputs, the parameters and every output (the
-filtration's digits, the admissibility ledger, the descent datum, ...).  The
+filtration's digits, the admissibility report, the per-piece reports).  The
 values below were produced by the code before diagonal stability was
 certified with one joint elimination per group element; a refactor that
 keeps them keeps every certificate byte-identical apart from `timestamp`.
@@ -15,6 +15,12 @@ family stopped treating two subspaces as one because their echelon units
 agree mod 2^8: each keeps 2 or 3 more subspaces that differ from a listed
 one at a certified digit, and only the ledger and `samples` of
 `outputs.admissibility` moved.
+All twenty changed once, when the certificate format became v2
+(`isofilt-filtration-certificate-v2`): the leaves that check does not
+re-derive were deleted (`version`, `operation`, `input_digests`, and
+`graded`, `stable`, `lagrangian`, `cocycle`, `descent_targets`,
+`descent_datum` and `descent_datum_guaranteed` under `outputs`) and the
+schema was renamed; every kept leaf is byte-identical to its v1 value.
 
 The four problems are the fixture triples that the benchmark and the other
 CLI tests run; each is pinned in exact mode at three seeds and in sampled
@@ -35,32 +41,32 @@ SAMPLED = ["--mode", "sampled", "--budget", "50", "--precision", "32"]
 # (module, group, extension) -> {(mode, seed): digest}
 GOLDEN = {
     ("ss2", "c2_scalar_dim2", "ext_sqrt2_c2"): {
-        ("exact", 1): "e16370e8ea8491d5ecac9081db6d2564138aabdbcff648e2ce48d5b7e2519cf0",
-        ("exact", 7): "f37a95bfe2ff843fc127918bf09b63548e361ee6f72120baead48557aa43ba9c",
-        ("exact", 123456): "259604b5364fafde44ea477bb8f9b3756e1fd563170ba6f36572193bf423b897",
-        ("sampled", 9): "b0d9cf2dd309d68dc0e361df87c61bb0844ec33d3ffc7ce8a56b37b6c3da6a69",
-        ("sampled", 11): "c81f127d9354bd7a68a385bddfc4a5eb0bc93376a09cc4e76269bd28e8a52054",
+        ("exact", 1): "ce2a703d65f560a19583b74768c2c3809d8955ef93a6d5a0150ca18344aff819",
+        ("exact", 7): "085086ce0ee5944240ab7cd7b87d3528f193036e229c2dc96cfccbd3af5afe6d",
+        ("exact", 123456): "36d391a5380b45d4a96903ad1514c71ff378057d4c077239f37d54145026e7ca",
+        ("sampled", 9): "968b76192f11d4f2d3a35e19fdb157aee013cd7c4f47c0449762f061dd947886",
+        ("sampled", 11): "4751046a7b5583d703617d0e7807a63af426fc5e2352048ac66cfd2eeaa20726",
     },
     ("ss2_q4", "c4_k_dim2", "ext_c4_cyclotomic"): {
-        ("exact", 1): "bc0ecf68dc9f1c7ac83079b7f668406ee9b16af1f30be5a8513186bb91111139",
-        ("exact", 7): "c00da25eb4f7349f5ac408ff91ec0ac8b719b784421ffe7607667caaf9a22c5f",
-        ("exact", 123456): "16ee3063f49c4c0a0b9b89c68c9e168e40b40bd7618520d34ba7b60b98b74944",
-        ("sampled", 9): "ff723f63d5c70ecd6f53aa660fa24893bd3390ccc91a275107542988a0529781",
-        ("sampled", 11): "bfcbc7331e772ef1425aacc896549297f59d338c782563ead4fbf68223175b7a",
+        ("exact", 1): "517155126de3e4d54d071cc6338214d14fb55f4ea1cc34429e04c2850f7c5a6e",
+        ("exact", 7): "c008ab9c52d40f957b36a85ae8154bdde5f64835b32b1d1664b99e997d3ea697",
+        ("exact", 123456): "5ad1adbe984b7083608fb70481f56c8a4790994bc33520001401a8997a2ef74e",
+        ("sampled", 9): "da3aaa3b279d3a900a632b6e5aeb5cc57153553aaea1f1a575acb0e9254cf1ca",
+        ("sampled", 11): "c1c2b200e21f6d40c34fded0e0e4af322825d32dbf0e8df973b83b008e745282",
     },
     ("ordinary_torus", "trivial_group_dim3", "ext_trivial"): {
-        ("exact", 1): "209badd2b1d4aced56661beec0fa85aa85c7b86ceeaa74c8456a25a8788f57f6",
-        ("exact", 7): "63c538706fac27364f62b8f51403af3aab6f6de0386669acf2b41a52177ad92a",
-        ("exact", 123456): "7cfa0c6c447e7baa37d648ef1e2901c477a934e71f6b61f1cbbe8df09bbca942",
-        ("sampled", 9): "59e453e39662c1021ee87af38fcbfd1ef123a47d6542c83cfac189dc51a9033f",
-        ("sampled", 11): "4012b1e3070821054566ad3f69edf64708d654bddeaec92ed386fdf944c1f3bc",
+        ("exact", 1): "4e853a18115ee5d7c48d2f8de68be67a2846b751bd87b8dfa10414686d8f2323",
+        ("exact", 7): "7c39cac3a961b07cfc2c40a6d413ecf4b5f88183c1caa7cf8584674ab168d955",
+        ("exact", 123456): "657cd5eaccbb43372d884a93c1243daa2877c360d922be7834bc5681eda311f2",
+        ("sampled", 9): "2aef58d8e6e2fd413cb4130cefb48db2f298c0ecd767402955286a356add3976",
+        ("sampled", 11): "f5372b5e0337bcdc3d4ce9d9df8902983ca6842ca469ad58ca577ad2bfd959e4",
     },
     ("ordinary_torus", "c2_scalar_dim3", "ext_sqrt2_c2"): {
-        ("exact", 1): "39ddf211b275b295eba0a41cdc522abb729ebbada72b07fd0c29af5870346d3b",
-        ("exact", 7): "6dfb63a560733835d1feacaba336d664ac57714f7497520f2061f39baaba2ffb",
-        ("exact", 123456): "6e5521776f8511168426b5b8344717d1be093061dcdb12f24089c04354e9dea3",
-        ("sampled", 9): "ac4278af68fe0daa12e4910fd72b138cd2074d4fa220fcc7fb4a25e6ebaa5650",
-        ("sampled", 11): "1734b60a2780fe3002a428afbd8cdbb9b41cf0ae10a14c8031180515624da8c5",
+        ("exact", 1): "a31a341674684129bf1479cda416d90578927243550031a6555e825dc3cb9f70",
+        ("exact", 7): "c7cbf9a81bb357645c918352d819979c4ef4bf0069ad029a053513af8f7e7686",
+        ("exact", 123456): "15344e9544d6e8fb86911083ae3586810726fec081e7c09b3178b90fd9ee9c70",
+        ("sampled", 9): "66cdb838e30cb928709a00a0b4b3e294ce4434f14480c1063989374e4c69eed2",
+        ("sampled", 11): "32d9d78d4636a0e866c9e3eefb529b3a6a61d220bf7423486c59cbb16d43b9d0",
     },
 }
 
