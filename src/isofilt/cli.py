@@ -24,8 +24,9 @@ from .errors import (IsofiltError, PrecisionError, BudgetExhaustedError,
 from . import bounds
 from . import formats
 from .padic import linalg as la
+from .groups.core import verify_cocycle
 from .isocrystal.slopes import newton_slopes, isoclinic_decompose
-from .filtration.driver import find_admissible_stable_filtration, DescentDatum
+from .filtration.driver import find_admissible_stable_filtration
 from .filtration.galois import is_diagonally_stable, lift_matrix
 from .filtration.admissible import filtration_report, quotient_filtration
 from .symplectic.space import SymplecticSpace, LagrangianSubspace
@@ -292,7 +293,8 @@ def _filtration_check(args) -> int:
     _validate_action(rep, sa)
     ext = formats.extension_from_json(ext_doc, prec)
     setup = formats.setup_from_json(ext_doc, G, ext)
-    F = formats.matrix_from_json(ext, F_doc)
+    F = formats.matrix_from_json(ext, F_doc,
+                                "certificate field outputs.filtration")
     if len(F) != sa.module.n:
         raise ValidationError(f"certificate field outputs.filtration has "
                               f"{len(F)} rows, expected {sa.module.n}")
@@ -323,7 +325,7 @@ def _filtration_check(args) -> int:
     if not is_diagonally_stable(rep, F, setup, rank=rank_F):
         # the descent targets are the same (rho(h), tau_h) pairs
         failures += ["diagonal-stability", "descent-targets"]
-    if not DescentDatum(rep).verify_cocycle():
+    if not verify_cocycle(G):
         failures.append("cocycle")
     if sa.t_dim:
         contained = (report.contained if extension else

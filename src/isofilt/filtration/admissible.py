@@ -158,7 +158,7 @@ def verify_violation(D: PhiModule, F_cols_L, ext, N_cols) -> bool:
 
 def admissible_with_fallback(D: PhiModule, F_cols_L, ext, mode: str,
                              seed: int,
-                             rank_F: int | None = None) -> AdmissibilityReport:
+                             rank_F: int | None) -> AdmissibilityReport:
     """is_admissible in the given mode; sampled where exact mode meets a
     repeated slope, on the decomposition the exact attempt stored on D."""
     try:
@@ -217,9 +217,8 @@ def quotient_filtration(sa: SemiAbelianPhiModule, F_cols_L, ext):
 
 
 def toric_extension_report(sa: SemiAbelianPhiModule, F_cols_L, ext,
-                           seed: int = 0,
-                           quotient: AdmissibilityReport | None = None,
-                           rank_F: int | None = None) -> ExtensionReport:
+                           seed: int, quotient: AdmissibilityReport | None,
+                           rank_F: int | None) -> ExtensionReport:
     """The extension node for a module with a toric part (t > 0).
 
     Reads T's slope from ``sa.toric_slope()``, certified once per module

@@ -22,7 +22,7 @@ its intersection tests (a component's rank is its size; rho(h) F and phi(F)
 have F's), the g of the Lagrangian check for admissibility and stability,
 the pulled-back F's for containment, the extension node and stability.  The
 descent datum f_h = rho(h^{-1}) satisfies its cocycle law exactly by the
-table; its targets are the pairs that diagonal stability tests.  A single
+table (``groups.core.verify_cocycle``); its targets are the pairs that diagonal stability tests.  A single
 piece is D_B in the basis ambient, with D_B's split (``PhiModule.submodule``)
 and, for one isotypic component, its block's action: its verdicts are F_B's,
 exact admissibility included (an exact ledger is basis-independent); a glue
@@ -58,7 +58,7 @@ from ..padic import scalar as sc
 from ..padic.convert import project_to_base
 from ..isocrystal.module import PhiModule, SemiAbelianPhiModule
 from ..isocrystal.slopes import newton_slopes, isoclinic_decompose
-from ..groups.core import GroupRepresentation
+from ..groups.core import GroupRepresentation, verify_cocycle
 from ..groups.isotypic import (IsotypicComponent, isotypic_decomposition,
                                is_K_elementary, find_perturbateur,
                                get_character_table, conjugates_over_qp)
@@ -321,27 +321,6 @@ def _finish_piece(piece, setup, F, adm_mode, seed, witness=None):
 # -- gluing and the full driver -----------------------------------------------------
 
 
-class DescentDatum:
-    """f_h = rho(h^{-1}): (D, F) -> (D, h.gal F); the cocycle law
-    f_{gh} = g.gal f_h o f_g holds exactly because rho respects the table
-    and the Galois action fixes the coefficient field of the maps."""
-
-    def __init__(self, rep: GroupRepresentation):
-        self.rep = rep
-
-    def verify_cocycle(self) -> bool:
-        """Index-level identity: (ab)^{-1} = b^{-1} a^{-1} in the table, for
-        all a, b, checked as x x^{-1} = x^{-1} x = e for each x.  The table is
-        associative (formats._require_group_table checks it of a JSON table,
-        and a group closed under an associative product has it), so then
-        (ab)(b^{-1} a^{-1}) = a e a^{-1} = e; row ab of a Latin square has e
-        once, so b^{-1} a^{-1} is (ab)^{-1}."""
-        G = self.rep.group
-        e, table = G.identity, G.table
-        return all(table[x][y] == e and table[y][x] == e
-                   for x, y in enumerate(G.inverse))
-
-
 def find_admissible_stable_filtration(sa: SemiAbelianPhiModule,
                                       setup: GaloisSetup,
                                       rep: GroupRepresentation,
@@ -377,7 +356,7 @@ def find_admissible_stable_filtration(sa: SemiAbelianPhiModule,
             "filtration": FL, "admissibility": report,
             "graded": {"toric": True, "quotient": True},
             "stable": stable, "lagrangian": True,
-            "cocycle": DescentDatum(rep).verify_cocycle(),
+            "cocycle": verify_cocycle(rep.group),
             "descent_targets": stable,
             "pieces": [], "seed": seed, "budget": budget,
         }
@@ -447,7 +426,7 @@ def find_admissible_stable_filtration(sa: SemiAbelianPhiModule,
         "graded": {"toric": graded_toric, "quotient": bool(reportB.verdict)},
         "stable": True,
         "lagrangian": True,
-        "cocycle": DescentDatum(rep).verify_cocycle(),
+        "cocycle": verify_cocycle(rep.group),
         "descent_targets": True,
         "pieces": [{"dim": p.dim, "slopes": [str(s) for s in p.slopes],
                     "witness": r["witness"],

@@ -140,12 +140,24 @@ def matrix_to_json(m):
     return [[scalar_to_json(x) for x in row] for row in m]
 
 
-def matrix_from_json(field, doc):
+def matrix_from_json(field, doc, what):
+    """The matrix doc over field; an error names it as what, and a bad
+    entry by its place, what[i][j]."""
     if not isinstance(doc, list) or not all(isinstance(row, list) for row in doc):
-        raise ValidationError(f"bad matrix {doc!r}: expected a list of rows")
+        raise ValidationError(f"{what}: bad matrix {doc!r}: expected a list "
+                              f"of rows")
     if len({len(row) for row in doc}) > 1:
-        raise ValidationError(f"bad matrix {doc!r}: rows of different lengths")
-    return [[scalar_from_json(field, x) for x in row] for row in doc]
+        raise ValidationError(f"{what}: bad matrix {doc!r}: rows of different "
+                              f"lengths")
+    m = []
+    for i, row in enumerate(doc):
+        m.append([])
+        for j, x in enumerate(row):
+            try:
+                m[i].append(scalar_from_json(field, x))
+            except ValidationError as exc:
+                raise ValidationError(f"{what}[{i}][{j}]: {exc}") from exc
+    return m
 
 
 def _require_shape(what, m, rows, cols):
@@ -213,18 +225,18 @@ def module_from_json(doc, prec_override=None):
     field = field_from_json(doc.get("field"), prec_override)
     if _rational_and_singular(doc.get("frobenius")):
         raise ValidationError("frobenius: the matrix is singular")
-    A = matrix_from_json(field, doc.get("frobenius"))
+    A = matrix_from_json(field, doc.get("frobenius"), "frobenius")
     D = PhiModule(field, A)
     n = D.n
     toric = doc.get("toric_sub")
     pol = doc.get("polarization")
     if _rational_and_singular(pol):
         raise ValidationError("polarization: the matrix is singular")
-    toric_cols = (matrix_from_json(field, toric) if toric
+    toric_cols = (matrix_from_json(field, toric, "toric_sub") if toric
                   else [[] for _ in range(n)])
     t = len(toric_cols[0]) if toric_cols else 0
     _require_shape("toric_sub", toric_cols, n, t)
-    gram = matrix_from_json(field, pol) if pol else []
+    gram = matrix_from_json(field, pol, "polarization") if pol else []
     if pol:
         _require_shape("polarization", gram, n - t, n - t)
     sa = SemiAbelianPhiModule(D, toric_cols, gram,
@@ -318,7 +330,8 @@ def group_from_json(doc, field, dim):
     for name, m in rep_doc.items():
         if _rational_and_singular(m):
             raise ValidationError(f"group: rep matrix {name!r} is singular")
-        mats[name] = matrix_from_json(field, m)
+        mats[name] = matrix_from_json(field, m,
+                                      f"group: rep matrix {name!r}")
         _require_shape(f"group: rep matrix {name!r}", mats[name], dim, dim)
     faithful = bool(doc.get("faithful", True))
     if doc.get("generators_only"):

@@ -177,6 +177,21 @@ class FiniteGroup:
         return (None, self.n == 1)
 
 
+def verify_cocycle(G: FiniteGroup) -> bool:
+    """The cocycle law of the descent datum f_h = rho(h^{-1}):
+    (D, F) -> (D, h.gal F).  f_{gh} = g.gal f_h o f_g holds exactly when
+    (ab)^{-1} = b^{-1} a^{-1} in G's table, since rho respects the table and
+    the Galois action fixes the coefficient field of the maps.  That is
+    checked as x x^{-1} = x^{-1} x = e for each x: the table is associative
+    (formats._require_group_table checks it of a JSON table, and a group
+    closed under an associative product has it), so then
+    (ab)(b^{-1} a^{-1}) = a e a^{-1} = e, and row ab of a Latin square has e
+    once, so b^{-1} a^{-1} is (ab)^{-1}."""
+    e, table = G.identity, G.table
+    return all(table[x][y] == e and table[y][x] == e
+               for x, y in enumerate(G.inverse))
+
+
 class GroupRepresentation:
     """A finite group acting by matrices over one tower level."""
 

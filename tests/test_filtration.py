@@ -15,7 +15,7 @@ from isofilt.fixtures import (unramified, sqrt2_extension, trivial_extension,
                               c4_cyclotomic_extension, scalar_c2_rep, c4_k_rep,
                               supersingular_module, block_frobenius_module)
 from isofilt.groups.constructions import cyclic
-from isofilt.groups.core import GroupRepresentation
+from isofilt.groups.core import GroupRepresentation, verify_cocycle
 from isofilt.filtration.galois import (GaloisSetup, is_diagonally_stable,
                                        galois_descend, lift_matrix)
 from isofilt.filtration.admissible import (is_admissible, t_H, verify_violation,
@@ -25,7 +25,7 @@ from isofilt.filtration import driver as driver_mod
 from isofilt.filtration.driver import (find_admissible_stable_filtration,
                                        decompose_polarized, two_slope_filtration,
                                        supersingular_filtration, PieceData,
-                                       DescentDatum, induced_rep, _quotient_rep)
+                                       induced_rep, _quotient_rep)
 from isofilt.isocrystal.module import (PhiModule, SemiAbelianPhiModule,
                                        standard_symplectic_gram)
 from isofilt.isocrystal.slopes import isoclinic_decompose, newton_slopes
@@ -460,8 +460,7 @@ def test_driver_kummer_extension(Q2):
 
 def test_descent_datum_cocycle_and_targets(Q2, setup_c2):
     rep = scalar_c2_rep(Q2, 2)
-    datum = DescentDatum(rep)
-    assert datum.verify_cocycle()
+    assert verify_cocycle(rep.group)
     D = supersingular_module(Q2)
     sa = SemiAbelianPhiModule(D, [[] for _ in range(2)],
                               standard_symplectic_gram(Q2, 1), validate=False)
@@ -469,25 +468,22 @@ def test_descent_datum_cocycle_and_targets(Q2, setup_c2):
     assert is_diagonally_stable(rep, res["filtration"], setup_c2)
 
 
-def test_cocycle_check_is_the_pairwise_identity(Q2):
+def test_cocycle_check_is_the_pairwise_identity():
     # on an associative table, x x^-1 = x^-1 x = e for each x implies
     # (ab)^-1 = b^-1 a^-1 for all a, b; an inverse table with one entry wrong
     # fails it (the pairwise identity can still hold: in C2 with 1^-1 = 0
     # every inverse and every product of inverses is 0)
-    from types import SimpleNamespace
     from isofilt.groups.constructions import all_groups_up_to_16
 
     def pairwise(G):
         return all(G.inverse[G.table[a][b]] == G.table[G.inverse[b]][G.inverse[a]]
                    for a in range(G.n) for b in range(G.n))
 
-    datum = DescentDatum(scalar_c2_rep(Q2, 2))
     for _, G in all_groups_up_to_16():
-        datum.rep = SimpleNamespace(group=G)
-        assert datum.verify_cocycle() and pairwise(G)
+        assert verify_cocycle(G) and pairwise(G)
         if G.n > 1:
             G.inverse[1 if G.identity == 0 else 0] = G.identity
-            assert not datum.verify_cocycle()
+            assert not verify_cocycle(G)
 
 
 def test_repeated_slope_piece_samples_as_asked(Q2, setup_c2):
@@ -580,7 +576,7 @@ def test_extension_node_is_the_quotient_verdict(name, data):
     F, G = data.draw(_filtration_over_torus(sa.t_dim, sa.B_dim, L))
     if G[0] and la.certified_rank(la.transpose(G)) < len(G[0]):
         return  # is_admissible reads dim F_B off its columns
-    node = toric_extension_report(sa, F, L, seed=3)
+    node = toric_extension_report(sa, F, L, 3, None, None)
     assert node.contained and node.toric_slope == 1 and node.complete
     assert node.verdict == is_admissible(DB, G, L, "exact").verdict
     if node.verdict:
@@ -602,7 +598,7 @@ def test_extension_node_never_accepts_without_the_torus(name, data):
     if rational_intersection_dim(T, rows) == t:
         return  # F contains T after all
     F = lift_matrix(L, la.from_rows_of_fractions(Q2, rows))
-    node = toric_extension_report(sa, F, L, seed=3)
+    node = toric_extension_report(sa, F, L, 3, None, None)
     assert not node.contained and not node.verdict
     assert node.as_dict()["verdict"] == "inadmissible"
 
@@ -613,7 +609,7 @@ def test_extension_node_checks_the_torus_slope(Q2, L):
     sa, _ = _torus_plus(Q2, [1], [[1, 0], [0, 2]])
     F = lift_matrix(L, la.from_rows_of_fractions(
         Q2, [[1, 0], [0, 1], [0, 1]]))
-    node = toric_extension_report(sa, F, L)
+    node = toric_extension_report(sa, F, L, 0, None, None)
     assert node.contained and node.quotient.verdict
     assert node.toric_slope == 0 and not node.verdict
 
@@ -621,7 +617,8 @@ def test_extension_node_checks_the_torus_slope(Q2, L):
 def test_extension_node_on_a_pure_torus(Q2, L):
     D = PhiModule.from_rational(Q2, [[2, 0], [0, 2]])
     sa = SemiAbelianPhiModule(D, la.identity(Q2, 2), [], validate=False)
-    node = toric_extension_report(sa, lift_matrix(L, la.identity(Q2, 2)), L)
+    node = toric_extension_report(sa, lift_matrix(L, la.identity(Q2, 2)), L,
+                                  0, None, None)
     assert node.verdict and node.complete
     assert node.as_dict()["toric"] == {"dim": 2, "slope": "1",
                                        "contained": True}

@@ -72,7 +72,7 @@ SWAP = {"admissible": "inadmissible", "exact": "sampled", "sampled": "exact",
 PROPERTIES = {"admissible", "lagrangian", "diagonal-stability",
               "descent-targets", "cocycle", "graded-toric"}
 NAMED_FIELD = re.compile(r"unknown certificate schema|certificate field \S+ "
-                         r"|certificate lacks the field |bad scalar entry ")
+                         r"|certificate lacks the field ")
 
 
 def _find(tmp_path, triple, mode):
@@ -183,7 +183,7 @@ def _same_column_space(doc, edited):
     prec = doc["params"]["precision"]
     ext = formats.extension_from_json(doc["inputs"]["extension"], prec)
     try:
-        F, G = (formats.matrix_from_json(ext, d["outputs"]["filtration"])
+        F, G = (formats.matrix_from_json(ext, d["outputs"]["filtration"], "F")
                 for d in (doc, edited))
     except ValidationError:
         return False
